@@ -44,7 +44,6 @@ class CalibrationOptions:
     bounds: ParameterBounds = field(default_factory=ParameterBounds)
     solver: SolverOptions = field(default_factory=SolverOptions)
     gaussian_sigma: float = 5.0      # smoothing width in samples (stage 2)
-    normalization: str = "peak"      # percent-RMSE denominator rule
     margins: Margins = field(default_factory=Margins)
 
     def __post_init__(self) -> None:
@@ -52,9 +51,6 @@ class CalibrationOptions:
             raise ValueError("lambda_weight must lie in [0, 1]")
         if self.gaussian_sigma < 0.0:
             raise ValueError("gaussian_sigma must be nonnegative")
-        if self.normalization != "peak":
-            raise ValueError("only the 'peak' normalization rule is "
-                             "implemented")
 
 
 @dataclass

@@ -159,9 +159,7 @@ def predict(report_json, scenario_path, prior_path, out_dir) -> None:
     if prior is not None:
         surface = surface_after_cycle(surface, prior)
     trajectory = scenario.trajectory(surface=surface)
-    xs = np.array([s.x for s in trajectory])
-    zs = np.array([s.z for s in trajectory])
-    depth = np.asarray(surface.depth_of(xs, zs))
+    depth = np.array([w.depth_d for w in prediction.wedges])
     beta = np.array([w.beta for w in prediction.wedges])
     f_t, f_n = prediction.arrays()
     out = Path(out_dir)

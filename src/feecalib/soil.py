@@ -19,8 +19,6 @@ from .errors import EmptyFeasibleSet, InfeasibleGeometry, SingularGeometry
 
 GRAVITY = 9.80665  # m/s^2
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 #: Ordering of the eight soil parameters used everywhere a flat vector is
 #: exchanged with the optimizer or serialized to disk.
 PARAM_NAMES = ("gamma", "cohesion_c", "adhesion_ca", "phi", "delta",
@@ -343,15 +341,25 @@ def beta_window(alpha: float, rho, phi: float, delta: float,
 
 
 def _solve_beta_array(alpha: float, rho, phi: float, delta: float,
-                      margins: Margins = DEFAULT_MARGINS,
-                      n_grid: int = 768, refine_iters: int = 56):
-    """Vectorized failure-angle solve: coarse scan plus golden refinement.
+                      margins: Margins = DEFAULT_MARGINS):
+    """Vectorized failure-angle solve in closed form.
 
     Returns (beta, feasible) arrays; beta is NaN where the window is empty.
-    The coarse grid locates the global basin (the objective is a smooth
-    low-frequency trig ratio, so basins are wide), the golden stage
-    polishes to ~1e-12 rad, and exact ties snap to the smallest feasible
-    angle.
+    With c = rho+delta+phi and A = 2*alpha+phi, the product-to-sum
+    identities give
+
+        N_gamma = (sin(2b+A) + sin phi) / (2 cos(alpha) (cos c - cos(2b+c))),
+
+    and dN_gamma/dbeta = 0 reduces to P cos 2b + Q sin 2b = R with
+    P = cos c cos A - sin phi sin c, Q = -(cos c sin A + sin phi cos c) and
+    R = cos(A-c). Its roots are
+    b = (atan2(Q, P) +/- arccos(R / sqrt(P^2+Q^2))) / 2 mod pi; there are
+    none when |R| > sqrt(P^2+Q^2) or P = Q = 0. The window keeps sin(b) and
+    sin(b+c) positive, so N_gamma is smooth on it and its minimum lies at
+    a window end or at a root inside the window. The candidates are lo,
+    hi and the in-window roots; the one with the lowest N_gamma wins, and
+    lo wins whenever it is within 1e-12 (relative) of that minimum, so
+    flat objectives tie-break to the smallest feasible angle.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     lo, hi = beta_window(alpha, rho, phi, delta, margins)
@@ -363,41 +371,30 @@ def _solve_beta_array(alpha: float, rho, phi: float, delta: float,
     lo_f = lo[feasible]
     hi_f = hi[feasible]
     rho_f = rho[feasible]
-    span = hi_f - lo_f
 
-    u = np.linspace(0.0, 1.0, n_grid)
-    grid = lo_f[:, None] + span[:, None] * u[None, :]
-    values = _ngamma_array(alpha, grid, rho_f[:, None], phi, delta)
+    c = rho_f + delta + phi
+    a = 2.0 * alpha + phi
+    cos_c = np.cos(c)
+    sin_phi = math.sin(phi)
+    p = cos_c * math.cos(a) - sin_phi * np.sin(c)
+    q = -(cos_c * math.sin(a) + sin_phi * cos_c)
+    r = np.cos(a - c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # NaN where |R| > sqrt(P^2+Q^2) or P = Q = 0: no interior root
+        half = 0.5 * np.arccos(r / np.hypot(p, q))
+    mid = 0.5 * np.arctan2(q, p)
+    roots = np.mod(np.column_stack((mid - half, mid + half)), math.pi)
+    inside = (roots >= lo_f[:, None]) & (roots <= hi_f[:, None])
+    # roots outside the window stand in as lo, already a candidate
+    cand = np.column_stack((lo_f, np.where(inside, roots, lo_f[:, None]),
+                            hi_f))
+    values = _ngamma_array(alpha, cand, rho_f[:, None], phi, delta)
+    rows = np.arange(cand.shape[0])
     j = np.argmin(values, axis=1)
-    rows = np.arange(j.size)
-    a = grid[rows, np.maximum(j - 1, 0)]
-    b = grid[rows, np.minimum(j + 1, n_grid - 1)]
-
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1 = _ngamma_array(alpha, x1, rho_f, phi, delta)
-    f2 = _ngamma_array(alpha, x2, rho_f, phi, delta)
-    for _ in range(refine_iters):
-        left = f1 < f2
-        a_new = np.where(left, a, x1)
-        b_new = np.where(left, x2, b)
-        width = b_new - a_new
-        x1_new = np.where(left, b_new - _INV_GOLDEN * width, x2)
-        x2_new = np.where(left, x1, a_new + _INV_GOLDEN * width)
-        x_eval = np.where(left, x1_new, x2_new)
-        f_eval = _ngamma_array(alpha, x_eval, rho_f, phi, delta)
-        f1_new = np.where(left, f_eval, f2)
-        f2_new = np.where(left, f1, f_eval)
-        a, b, x1, x2, f1, f2 = a_new, b_new, x1_new, x2_new, f1_new, f2_new
-
-    best = np.clip(0.5 * (a + b), lo_f, hi_f)
-    f_best = _ngamma_array(alpha, best, rho_f, phi, delta)
-    # flat objectives tie-break to the smallest feasible angle
-    f_lo = _ngamma_array(alpha, lo_f, rho_f, phi, delta)
-    snap = f_lo <= f_best + 1e-12 * np.maximum(1.0, np.abs(f_best))
-    best = np.where(snap, lo_f, best)
-
-    beta[feasible] = best
+    best = cand[rows, j]
+    f_best = values[rows, j]
+    snap = values[:, 0] <= f_best + 1e-12 * np.maximum(1.0, np.abs(f_best))
+    beta[feasible] = np.where(snap, lo_f, best)
     return beta, feasible
 
 

@@ -170,6 +170,50 @@ class TestPredict:
         assert np.any(d_adaptive < d_naive - 1e-6)
         assert not np.any(d_adaptive > d_naive + 1e-9)
 
+    @pytest.mark.parametrize("carved", [False, True])
+    def test_predicted_csv_matches_depth_of_surface(self, runner, workdir,
+                                                    tmp_path, carved):
+        # the d_m column is the depth predict_next_cycle measured; it must
+        # equal, byte for byte, the depth of the (carved) surface itself
+        from feecalib import io as fio
+        from feecalib.calibration import predict_next_cycle
+        from feecalib.geometry import surface_after_cycle
+
+        run = workdir / "run"
+        scenario = json.loads((run / "scenario.json").read_text())
+        scenario["path"] = {"type": "quadratic_bezier",
+                            "p0_m": [-0.4, 0.0], "p1_m": [1.0, -0.55],
+                            "p2_m": [2.3, 1.3]}
+        scenario.pop("soil", None)
+        scenario.pop("noise", None)
+        pass2 = tmp_path / "pass2.json"
+        pass2.write_text(json.dumps(scenario))
+        args = ["predict", str(run / "report.json"), "--scenario",
+                str(pass2), "--out", str(tmp_path)]
+        prior = None
+        if carved:
+            args += ["--prior-cycle", str(run / "cycle.csv")]
+            prior, _, _ = fio.read_cycle_csv(run / "cycle.csv")
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+
+        theta = fio.read_report_theta(run / "report.json")
+        scen = fio.read_scenario_json(pass2)
+        prediction = predict_next_cycle(theta, scen, prior_cycle=prior)
+        surface = scen.surface
+        if prior is not None:
+            surface = surface_after_cycle(surface, prior)
+        trajectory = scen.trajectory(surface=surface)
+        depth = np.asarray(surface.depth_of(
+            np.array([s.x for s in trajectory]),
+            np.array([s.z for s in trajectory])))
+        f_t, f_n = prediction.arrays()
+        beta = np.array([w.beta for w in prediction.wedges])
+        expected = tmp_path / "expected.csv"
+        fio.write_prediction_csv(expected, trajectory, depth, beta, f_t, f_n)
+        assert ((tmp_path / "predicted.csv").read_bytes()
+                == expected.read_bytes())
+
     def test_empty_scenario_exits_2(self, runner, workdir, tmp_path):
         scenario = json.loads(
             (workdir / "run" / "scenario.json").read_text())

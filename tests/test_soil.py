@@ -11,7 +11,8 @@ from feecalib import (DEFAULT_MARGINS, GRAVITY, EmptyFeasibleSet,
                       bearing_factors_original, bekker_pressure,
                       bucket_forces, fee_force, predict_cycle_forces,
                       solve_beta)
-from feecalib.soil import ParameterBounds, beta_window, _ngamma_array
+from feecalib.soil import (ParameterBounds, _ngamma_array,
+                           _solve_beta_array, beta_window)
 
 LOADER = LoaderParameters(omega=1.0, b=0.05, wb=100.0)
 
@@ -41,6 +42,87 @@ def random_feasible_tuples(count, seed, margin_deg=5.0):
             continue
         out.append((alpha, beta, rho, phi, delta))
     return out
+
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def solve_beta_grid_golden(alpha, rho, phi, delta):
+    """Reference failure-angle solve: a 768-point scan, then 56
+    golden-section steps around the best grid point.
+
+    The search the closed form replaced, kept as its cross-check. Returns
+    (beta, feasible) like ``_solve_beta_array``.
+    """
+    n_grid, refine_iters = 768, 56
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    lo, hi = beta_window(alpha, rho, phi, delta)
+    feasible = hi > lo
+    beta = np.full(rho.shape, np.nan)
+    if not np.any(feasible):
+        return beta, feasible
+
+    lo_f = lo[feasible]
+    hi_f = hi[feasible]
+    rho_f = rho[feasible]
+    span = hi_f - lo_f
+
+    u = np.linspace(0.0, 1.0, n_grid)
+    grid = lo_f[:, None] + span[:, None] * u[None, :]
+    values = _ngamma_array(alpha, grid, rho_f[:, None], phi, delta)
+    j = np.argmin(values, axis=1)
+    rows = np.arange(j.size)
+    a = grid[rows, np.maximum(j - 1, 0)]
+    b = grid[rows, np.minimum(j + 1, n_grid - 1)]
+
+    x1 = b - _INV_GOLDEN * (b - a)
+    x2 = a + _INV_GOLDEN * (b - a)
+    f1 = _ngamma_array(alpha, x1, rho_f, phi, delta)
+    f2 = _ngamma_array(alpha, x2, rho_f, phi, delta)
+    for _ in range(refine_iters):
+        left = f1 < f2
+        a_new = np.where(left, a, x1)
+        b_new = np.where(left, x2, b)
+        width = b_new - a_new
+        x1_new = np.where(left, b_new - _INV_GOLDEN * width, x2)
+        x2_new = np.where(left, x1, a_new + _INV_GOLDEN * width)
+        x_eval = np.where(left, x1_new, x2_new)
+        f_eval = _ngamma_array(alpha, x_eval, rho_f, phi, delta)
+        f1_new = np.where(left, f_eval, f2)
+        f2_new = np.where(left, f1, f_eval)
+        a, b, x1, x2, f1, f2 = a_new, b_new, x1_new, x2_new, f1_new, f2_new
+
+    best = np.clip(0.5 * (a + b), lo_f, hi_f)
+    f_best = _ngamma_array(alpha, best, rho_f, phi, delta)
+    # flat objectives tie-break to the smallest feasible angle
+    f_lo = _ngamma_array(alpha, lo_f, rho_f, phi, delta)
+    snap = f_lo <= f_best + 1e-12 * np.maximum(1.0, np.abs(f_best))
+    best = np.where(snap, lo_f, best)
+
+    beta[feasible] = best
+    return beta, feasible
+
+
+def stationarity_coefficients(alpha, rho, phi, delta):
+    """(P, Q, R) of the stationarity condition P cos 2b + Q sin 2b = R."""
+    c = rho + delta + phi
+    a = 2.0 * alpha + phi
+    p = math.cos(c) * math.cos(a) - math.sin(phi) * math.sin(c)
+    q = -(math.cos(c) * math.sin(a) + math.sin(phi) * math.cos(c))
+    return p, q, math.cos(a - c)
+
+
+def assert_matches_reference(alpha, rho, phi, delta):
+    beta, feasible = _solve_beta_array(alpha, rho, phi, delta)
+    beta_ref, feasible_ref = solve_beta_grid_golden(alpha, rho, phi, delta)
+    np.testing.assert_array_equal(feasible, feasible_ref)
+    assert np.all(np.isnan(beta[~feasible]))
+    rho_f = np.atleast_1d(rho)[feasible]
+    got = _ngamma_array(alpha, beta[feasible], rho_f, phi, delta)
+    ref = _ngamma_array(alpha, beta_ref[feasible], rho_f, phi, delta)
+    assert np.all(got <= ref + 1e-12 * np.maximum(1.0, np.abs(ref)))
+    assert np.all(np.abs(beta[feasible] - beta_ref[feasible]) <= 1e-6)
+    return beta, feasible
 
 
 class TestBearingFactors:
@@ -134,6 +216,52 @@ class TestSolveBeta:
             val = float(_ngamma_array(alpha, np.array([beta]),
                                       math.radians(12.0), 0.3, 0.2)[0])
             assert val >= -1e-12
+
+
+class TestClosedFormBeta:
+    def test_matches_grid_golden_reference(self):
+        rng = np.random.default_rng(2024)
+        n_feasible = n_empty = 0
+        for _ in range(300):
+            alpha = rng.uniform(0.0, math.radians(40.0))
+            phi = rng.uniform(0.0, math.radians(45.0))
+            delta = rng.uniform(0.0, math.radians(45.0))
+            # past rho+delta+phi ~ 170 degrees the window is empty
+            rho = rng.uniform(math.radians(10.0), math.radians(120.0), 214)
+            _, feasible = assert_matches_reference(alpha, rho, phi, delta)
+            n_feasible += int(feasible.sum())
+            n_empty += int((~feasible).sum())
+        assert n_feasible > 0 and n_empty > 0
+
+    def test_no_interior_root_beyond_amplitude(self):
+        # |R| > sqrt(P^2+Q^2): N_gamma is monotone over the window
+        alpha, rho, phi, delta = 0.3, 0.25, 0.7, 0.3
+        p, q, r = stationarity_coefficients(alpha, rho, phi, delta)
+        assert abs(r) > 1.3 * math.hypot(p, q)
+        beta, feasible = assert_matches_reference(alpha, np.array([rho]),
+                                                  phi, delta)
+        lo, hi = beta_window(alpha, np.array([rho]), phi, delta)
+        assert feasible[0] and beta[0] in (lo[0], hi[0])
+
+    def test_no_interior_root_zero_coefficients(self):
+        # phi = 0 and rho+delta = pi/2 make P = Q = 0 while R = sin(2 alpha)
+        # stays positive: N_gamma falls monotonically to the window end
+        alpha, rho, phi, delta = 0.3, math.pi / 2 - 0.2, 0.0, 0.2
+        p, q, r = stationarity_coefficients(alpha, rho, phi, delta)
+        assert math.hypot(p, q) < 1e-15 and r > 0.5
+        beta, feasible = assert_matches_reference(alpha, np.array([rho]),
+                                                  phi, delta)
+        _, hi = beta_window(alpha, np.array([rho]), phi, delta)
+        assert feasible[0] and beta[0] == hi[0]
+
+    def test_empty_window_row(self):
+        alpha, phi, delta = 0.2, 0.7, 0.7
+        rho = np.array([0.5, math.radians(100.0), 0.9])
+        beta, feasible = assert_matches_reference(alpha, rho, phi, delta)
+        assert feasible.tolist() == [True, False, True]
+        assert math.isnan(beta[1])
+        for i in (0, 2):
+            assert beta[i] == solve_beta(alpha, rho[i], phi, delta)
 
 
 class TestBekkerPressure:
