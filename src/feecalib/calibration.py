@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -510,7 +510,8 @@ def predict_next_cycle(theta_star: SoilParameters, scenario,
 
     When a prior cycle is given, depth (and the swept load) is measured
     against the surface carved by that pass rather than the nominal pile
-    face. The bearing factors keep the nominal pile inclination.
+    face. The bearing factors keep the nominal pile inclination. The
+    sampled trajectory comes back as the prediction's ``trajectory``.
     """
     surface = scenario.surface
     if prior_cycle is not None:
@@ -518,6 +519,6 @@ def predict_next_cycle(theta_star: SoilParameters, scenario,
     trajectory = scenario.trajectory(surface=surface)
     wedges = cycle_wedges(trajectory, surface, theta_star.gamma,
                           scenario.loader)
-    return predict_cycle_forces(wedges, theta_star, scenario.loader,
-                                alpha=surface.nominal_alpha,
-                                margins=margins)
+    prediction = predict_cycle_forces(wedges, theta_star, scenario.loader,
+                                      surface.nominal_alpha, margins)
+    return replace(prediction, trajectory=tuple(trajectory))

@@ -18,7 +18,7 @@ from . import io as fio
 from .calibration import (calibrate_multi_stage, calibrate_single_stage,
                           predict_next_cycle, resultant, rmse)
 from .errors import ConfigError, EmptySeries, FeeCalibError
-from .geometry import CycleDataset, surface_after_cycle
+from .geometry import CycleDataset
 from .synthetic import add_noise, simulate_cycle
 
 log = logging.getLogger(__name__)
@@ -155,18 +155,14 @@ def predict(report_json, scenario_path, prior_path, out_dir) -> None:
         click.echo(f"note: {len(prediction.issues)} samples were "
                    "infeasible and carry NaN forces", err=True)
 
-    surface = scenario.surface
-    if prior is not None:
-        surface = surface_after_cycle(surface, prior)
-    trajectory = scenario.trajectory(surface=surface)
     depth = np.array([w.depth_d for w in prediction.wedges])
     beta = np.array([w.beta for w in prediction.wedges])
     f_t, f_n = prediction.arrays()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fio.write_prediction_csv(out / "predicted.csv", trajectory, depth,
-                             beta, f_t, f_n)
-    click.echo(f"wrote {out / 'predicted.csv'} ({len(trajectory)} rows)")
+    fio.write_prediction_csv(out / "predicted.csv", prediction.trajectory,
+                             depth, beta, f_t, f_n)
+    click.echo(f"wrote {out / 'predicted.csv'} ({len(prediction)} rows)")
 
 
 @main.command()

@@ -110,24 +110,47 @@ class Polyline(Surface):
         return np.arctan2(dz, dx)
 
     def depth_of(self, x, z):
+        """Distance to the nearest segment below the surface, else 0.
+
+        U bounds a sample's distance: the distance to the nearer end
+        vertex or, inside the span, the vertical gap to the segment above.
+        Segments whose x-range misses [x - U, x + U] are farther than U
+        and are skipped; U carries a 1e-9 relative pad, far above
+        rounding, so the minimum is the all-segments one bit for bit.
+        The loop runs over window offsets, vectorized over samples.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        below = z < self.height_at(x)
-        dist = self._min_segment_distance(x, z)
-        return np.where(below, dist, 0.0)
-
-    def _min_segment_distance(self, x, z):
-        a = self.vertices[:-1]
-        b = self.vertices[1:]
-        ab = b - a                              # (k, 2)
-        p = np.stack([x, z], axis=-1)           # (m, 2)
-        ap = p[:, None, :] - a[None, :, :]      # (m, k, 2)
-        denom = np.einsum("kj,kj->k", ab, ab)
-        t = np.einsum("mkj,kj->mk", ap, ab) / denom
-        t = np.clip(t, 0.0, 1.0)
-        closest = a[None, :, :] + t[..., None] * ab[None, :, :]
-        d2 = np.sum((p[:, None, :] - closest) ** 2, axis=-1)
-        return np.sqrt(np.min(d2, axis=1))
+        height = self.height_at(x)
+        depth = np.zeros(x.shape)
+        idx = np.flatnonzero(z < height)
+        px, pz = x[idx], z[idx]
+        vx, vz = self.vertices[:, 0], self.vertices[:, 1]
+        bound = np.min(np.hypot(px[:, None] - vx[[0, -1]],
+                                pz[:, None] - vz[[0, -1]]), axis=1)
+        inside = (px >= vx[0]) & (px <= vx[-1])
+        bound[inside] = np.minimum(bound, height[idx] - pz)[inside]
+        bound += 1e-9 * (bound + np.abs(px) + np.abs(pz))
+        first = np.maximum(np.searchsorted(vx, px - bound) - 1, 0)
+        last = np.minimum(np.searchsorted(vx, px + bound, side="right") - 1,
+                          vx.size - 2)
+        count = last - first + 1
+        order = np.argsort(-count)
+        px, pz, first, count = (v[order] for v in (px, pz, first, count))
+        # the samples whose window holds more than j segments: a prefix
+        longer = np.searchsorted(-count, -np.arange(count.max(initial=0)))
+        dx, dz = np.diff(vx), np.diff(vz)
+        denom = dx * dx + dz * dz
+        best = np.full(idx.size, np.inf)
+        for j, m in enumerate(longer):
+            seg = first[:m] + j
+            ax, az, abx, abz = vx[seg], vz[seg], dx[seg], dz[seg]
+            t = ((px[:m] - ax) * abx + (pz[:m] - az) * abz) / denom[seg]
+            t = np.clip(t, 0.0, 1.0)
+            ex, ez = px[:m] - (ax + t * abx), pz[:m] - (az + t * abz)
+            np.minimum(best[:m], ex * ex + ez * ez, out=best[:m])
+        depth[idx[order]] = np.sqrt(best)
+        return depth
 
 
 def penetration_depth(tip: tuple[float, float], surface: Surface) -> float:
@@ -224,57 +247,49 @@ def wedge_from_sample(sample: TrajectorySample, surface: Surface,
 # Swept soil load
 # ---------------------------------------------------------------------------
 
-def _positive_gap_integral(surface: Surface, x0: float, z0: float,
-                           x1: float, z1: float) -> float:
-    """Integral of max(surface - path, 0) dx over one path segment."""
-    if x1 <= x0:
-        return 0.0
-    inner = surface.vertex_xs()
-    inner = inner[(inner > x0) & (inner < x1)]
-    xs = np.concatenate([[x0], inner, [x1]])
-    path_z = z0 + (z1 - z0) * (xs - x0) / (x1 - x0)
-    gap = np.asarray(surface.height_at(xs)) - path_z
-    total = 0.0
-    for a, b, ga, gb in zip(xs[:-1], xs[1:], gap[:-1], gap[1:]):
-        w = b - a
-        if ga >= 0.0 and gb >= 0.0:
-            total += 0.5 * (ga + gb) * w
-        elif ga <= 0.0 and gb <= 0.0:
-            continue
-        else:
-            # single sign change on a linear piece
-            cross = ga / (ga - gb)
-            if ga > 0.0:
-                total += 0.5 * ga * cross * w
-            else:
-                total += 0.5 * gb * (1.0 - cross) * w
-    return total
-
-
 def swept_area_profile(samples: Sequence[TrajectorySample],
                        surface: Surface) -> np.ndarray:
     """Cumulative area between the trajectory prefix and the surface.
 
-    Entry/exit crossings are handled by clipping the gap to its positive
-    part, so the profile is nondecreasing along an x-monotone dig. Raises
+    Each path segment with x1 > x0 is split at the surface vertices
+    strictly inside it, all breakpoints are evaluated in one array pass,
+    and the gap's positive part is integrated exactly per linear piece,
+    so the profile is nondecreasing along an x-monotone dig. Raises
     DegenerateRegion when the trajectory doubles back in x.
     """
-    n = len(samples)
-    area = np.zeros(n)
-    if n == 0:
-        return area
+    if len(samples) == 0:
+        return np.zeros(0)
     xs = np.array([s.x for s in samples])
     zs = np.array([s.z for s in samples])
     span = max(float(xs.max() - xs.min()), 1e-12)
     if np.any(np.diff(xs) < -1e-9 * span):
         raise DegenerateRegion("trajectory x decreases; swept region would "
                                "self-intersect")
-    running = 0.0
-    for i in range(n - 1):
-        running += _positive_gap_integral(surface, xs[i], zs[i],
-                                          xs[i + 1], zs[i + 1])
-        area[i + 1] = running
-    return area
+    seg = np.flatnonzero(xs[1:] > xs[:-1])
+    vx = surface.vertex_xs()
+    lo = np.searchsorted(vx, xs[seg], side="right")
+    npts = np.searchsorted(vx, xs[seg + 1], side="left") - lo + 2
+    # breakpoints of each segment: x0, the vertices strictly inside, x1
+    owner = np.repeat(np.arange(seg.size), npts)
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(npts) - npts, npts)
+    i = seg[owner]
+    x0, x1, z0, z1 = xs[i], xs[i + 1], zs[i], zs[i + 1]
+    bx = np.where(rank == 0, x0, x1)
+    inner = (rank > 0) & (rank < npts[owner] - 1)
+    bx[inner] = vx[lo[owner[inner]] + rank[inner] - 1]
+    gap = (np.asarray(surface.height_at(bx))
+           - (z0 + (z1 - z0) * (bx - x0) / (x1 - x0)))
+    piece = np.flatnonzero(owner[:-1] == owner[1:])
+    ga, gb, w = gap[piece], gap[piece + 1], bx[piece + 1] - bx[piece]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = ga / (ga - gb)     # single sign change on a linear piece
+        part = np.select(
+            [(ga >= 0.0) & (gb >= 0.0), (ga <= 0.0) & (gb <= 0.0), ga > 0.0],
+            [0.5 * (ga + gb) * w, 0.0, 0.5 * ga * cross * w],
+            0.5 * gb * (1.0 - cross) * w)
+    totals = np.zeros(xs.size - 1)
+    np.add.at(totals, i[piece], part)
+    return np.concatenate([[0.0], np.cumsum(totals)])
 
 
 def swept_load_weight(samples_so_far: Sequence[TrajectorySample],

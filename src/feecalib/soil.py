@@ -566,12 +566,14 @@ class CyclePrediction(Sequence):
     """Sequence of per-sample force predictions plus solved wedges.
 
     Entries are None for samples that hit a margin (see ``issues``);
-    out-of-soil samples carry all-zero predictions.
+    out-of-soil samples carry all-zero predictions. ``trajectory`` holds
+    the samples predicted along, when the caller sampled them.
     """
 
     forces: tuple
     wedges: tuple
     issues: tuple
+    trajectory: tuple = ()
 
     def __len__(self) -> int:
         return len(self.forces)

@@ -214,6 +214,38 @@ class TestPredict:
         assert ((tmp_path / "predicted.csv").read_bytes()
                 == expected.read_bytes())
 
+    def test_carved_predict_builds_geometry_once(self, runner, workdir,
+                                                 tmp_path, monkeypatch):
+        # predict must write predicted.csv from what predict_next_cycle
+        # built, not carve, sample and measure the face a second time
+        from feecalib import calibration, cli, geometry, synthetic
+
+        calls = {"carve": 0, "trajectory": 0, "depth_of": 0}
+
+        def counted(key, func):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        original = geometry.surface_after_cycle
+        carve = counted("carve", original)
+        for module in (geometry, calibration, cli, synthetic):
+            if getattr(module, "surface_after_cycle", None) is original:
+                monkeypatch.setattr(module, "surface_after_cycle", carve)
+        monkeypatch.setattr(synthetic.Scenario, "trajectory",
+                            counted("trajectory",
+                                    synthetic.Scenario.trajectory))
+        monkeypatch.setattr(geometry.Polyline, "depth_of",
+                            counted("depth_of", geometry.Polyline.depth_of))
+        run = workdir / "run"
+        res = runner.invoke(main, ["predict", str(run / "report.json"),
+                                   "--scenario", str(run / "scenario.json"),
+                                   "--prior-cycle", str(run / "cycle.csv"),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert calls == {"carve": 1, "trajectory": 1, "depth_of": 1}
+
     def test_empty_scenario_exits_2(self, runner, workdir, tmp_path):
         scenario = json.loads(
             (workdir / "run" / "scenario.json").read_text())

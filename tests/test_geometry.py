@@ -11,6 +11,7 @@ from feecalib import (DegenerateRegion, InfeasibleGeometry, NonMonotonePath,
                       surface_after_cycle, swept_area_profile,
                       swept_load_weight, wedge_from_sample)
 from feecalib.soil import GRAVITY, LoaderParameters
+from feecalib.synthetic import Scenario, default_scenario
 
 FLAT = SlopedLine((0.0, 0.0), 0.0)
 
@@ -262,3 +263,198 @@ class TestCycleWedges:
         assert wedges[0].depth_d == 0.0 and wedges[0].lt == 0.0
         assert wedges[1].depth_d == pytest.approx(0.2)
         assert not wedges[1].solved
+
+
+# ---------------------------------------------------------------------------
+# References: the all-pairs depth and the per-segment swept-area loop that
+# the windowed depth and the merged-breakpoint profile replaced. Both new
+# kernels must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+def _min_segment_distance(poly, x, z):
+    a = poly.vertices[:-1]
+    b = poly.vertices[1:]
+    ab = b - a                              # (k, 2)
+    p = np.stack([x, z], axis=-1)           # (m, 2)
+    ap = p[:, None, :] - a[None, :, :]      # (m, k, 2)
+    denom = np.einsum("kj,kj->k", ab, ab)
+    t = np.einsum("mkj,kj->mk", ap, ab) / denom
+    t = np.clip(t, 0.0, 1.0)
+    closest = a[None, :, :] + t[..., None] * ab[None, :, :]
+    d2 = np.sum((p[:, None, :] - closest) ** 2, axis=-1)
+    return np.sqrt(np.min(d2, axis=1))
+
+
+def depth_of_all_pairs(poly, x, z):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    below = z < poly.height_at(x)
+    return np.where(below, _min_segment_distance(poly, x, z), 0.0)
+
+
+def _positive_gap_integral(surface, x0, z0, x1, z1):
+    """Integral of max(surface - path, 0) dx over one path segment."""
+    if x1 <= x0:
+        return 0.0
+    inner = surface.vertex_xs()
+    inner = inner[(inner > x0) & (inner < x1)]
+    xs = np.concatenate([[x0], inner, [x1]])
+    path_z = z0 + (z1 - z0) * (xs - x0) / (x1 - x0)
+    gap = np.asarray(surface.height_at(xs)) - path_z
+    total = 0.0
+    for a, b, ga, gb in zip(xs[:-1], xs[1:], gap[:-1], gap[1:]):
+        w = b - a
+        if ga >= 0.0 and gb >= 0.0:
+            total += 0.5 * (ga + gb) * w
+        elif ga <= 0.0 and gb <= 0.0:
+            continue
+        else:
+            # single sign change on a linear piece
+            cross = ga / (ga - gb)
+            if ga > 0.0:
+                total += 0.5 * ga * cross * w
+            else:
+                total += 0.5 * gb * (1.0 - cross) * w
+    return total
+
+
+def swept_area_profile_loop(samples, surface):
+    area = np.zeros(len(samples))
+    xs = np.array([s.x for s in samples])
+    zs = np.array([s.z for s in samples])
+    running = 0.0
+    for i in range(len(samples) - 1):
+        running += _positive_gap_integral(surface, xs[i], zs[i],
+                                          xs[i + 1], zs[i + 1])
+        area[i + 1] = running
+    return area
+
+
+def _random_polyline(rng, max_vertices=400):
+    k = int(rng.integers(2, max_vertices + 1))
+    xs = (np.cumsum(rng.uniform(1e-3, 1.0, k)) * rng.uniform(0.01, 3.0)
+          + rng.uniform(-10.0, 10.0))
+    zs = rng.normal(0.0, rng.uniform(0.01, 3.0), k)
+    return Polyline(np.column_stack([xs, zs]))
+
+
+def _carved_twice(sample_rate=60.0):
+    """The default face carved by two shifted passes, and a third pass."""
+    base = default_scenario()
+    surface = base.surface
+    for k in range(3):
+        points = tuple((x + 0.15 * k, z) for x, z in base.control_points)
+        traj = Scenario(surface=surface, loader=base.loader,
+                        control_points=points, sample_rate=sample_rate,
+                        duration=base.duration).trajectory(surface=surface)
+        if k < 2:
+            surface = surface_after_cycle(surface, traj)
+    return surface, traj
+
+
+class TestDepthOfExact:
+    def test_random_polylines_match_all_pairs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            poly = _random_polyline(rng)
+            vx = poly.vertex_xs()
+            span = vx[-1] - vx[0]
+            x = np.concatenate([
+                rng.uniform(vx[0], vx[-1], 80),                  # inside
+                vx[0] - rng.uniform(0.0, span + 1.0, 20),        # left
+                vx[-1] + rng.uniform(0.0, span + 1.0, 20),       # right
+                vx[rng.integers(0, vx.size, 30)]])               # at vertex
+            below = rng.exponential(rng.uniform(0.01, 2.0), x.size)
+            sign = np.where(rng.uniform(size=x.size) < 0.2, -1.0, 1.0)
+            z = np.asarray(poly.height_at(x)) - sign * below     # some above
+            expected = depth_of_all_pairs(poly, x, z)
+            assert np.any(expected == 0.0) and np.any(expected > 0.0)
+            assert np.array_equal(poly.depth_of(x, z), expected)
+
+    def test_face_carved_twice_matches_all_pairs(self):
+        surface, traj = _carved_twice()
+        assert surface.vertices.shape[0] > 100
+        x = np.array([s.x for s in traj])
+        z = np.array([s.z for s in traj])
+        expected = depth_of_all_pairs(surface, x, z)
+        assert np.count_nonzero(expected) > 100
+        assert np.array_equal(surface.depth_of(x, z), expected)
+
+    def test_no_sample_below(self):
+        poly = Polyline(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]))
+        got = poly.depth_of(np.array([0.5, 3.0]), np.array([2.0, 0.0]))
+        assert np.array_equal(got, np.zeros(2))
+
+
+class TestSweptAreaExact:
+    @staticmethod
+    def _check(traj, surface):
+        expected = swept_area_profile_loop(traj, surface)
+        got = swept_area_profile(traj, surface)
+        assert np.array_equal(got, expected)
+        return got
+
+    def test_sloped_line(self):
+        rng = np.random.default_rng(3)
+        surface = SlopedLine((0.0, 0.1), math.radians(25.0))
+        xs = np.sort(rng.uniform(-0.5, 2.5, 120))
+        zs = np.asarray(surface.height_at(xs)) + rng.normal(-0.2, 0.3, 120)
+        assert self._check(_traj(list(zip(xs, zs))), surface)[-1] > 0.0
+
+    def test_carved_polylines(self):
+        surface, traj = _carved_twice()
+        assert self._check(traj, surface)[-1] > 0.0
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            poly = _random_polyline(rng, 200)
+            vx = poly.vertex_xs()
+            # from sparse (many vertices per step) to dense paths
+            n = int(rng.integers(3, 150))
+            xs = np.sort(rng.uniform(vx[0] - 1.0, vx[-1] + 1.0, n))
+            zs = (np.asarray(poly.height_at(xs))
+                  + rng.normal(0.0, 0.5, xs.size))
+            self._check(_traj(list(zip(xs, zs))), poly)
+
+    def test_vertical_plunge(self):
+        poly = Polyline(np.array([[-1.0, 0.0], [0.5, 0.2], [2.0, 0.1]]))
+        traj = _traj([(-0.5, 0.1), (0.0, 0.0), (0.0, -0.6), (0.0, -0.8),
+                      (1.0, -0.7), (1.0, 0.5), (1.5, 0.4)])
+        area = self._check(traj, poly)
+        assert area[1] == area[2] == area[3]
+
+    def test_backward_steps_within_tolerance(self):
+        xs = np.linspace(0.0, 2.0, 40)
+        xs[10] = xs[9] - 1e-10          # inside the 1e-9 * span tolerance
+        xs[25] = xs[24] - 5e-10
+        zs = -0.3 + 0.1 * np.sin(xs)
+        poly = Polyline(np.array([[-1.0, 0.0], [0.7, 0.1], [3.0, -0.1]]))
+        for surface in (FLAT, poly):
+            area = self._check(_traj(list(zip(xs, zs))), surface)
+            assert area[10] == area[9]
+
+    def test_surface_vertex_at_path_x(self):
+        vx = np.array([-1.0, 0.25, 0.5, 1.0, 1.75, 3.0])
+        poly = Polyline(np.column_stack([vx, [0.0, 0.1, -0.05, 0.2, 0.0,
+                                              0.1]]))
+        xs = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 1.75, 2.0])
+        self._check(_traj(list(zip(xs, -0.2 + 0.05 * xs))), poly)
+
+    def test_crossings_both_ways(self):
+        poly = Polyline(np.array([[-1.0, 0.0], [0.0, 0.3], [1.0, -0.3],
+                                  [2.0, 0.3], [3.0, 0.0]]))
+        xs = np.linspace(-0.5, 2.5, 25)
+        zs = 0.1 * np.cos(3.0 * xs)     # weaves above and below the face
+        gap = np.asarray(poly.height_at(xs)) - zs
+        assert np.any(gap > 0.0) and np.any(gap < 0.0)
+        area = self._check(_traj(list(zip(xs, zs))), poly)
+        assert np.all(np.diff(area) >= 0.0)
+
+    def test_path_touching_surface(self):
+        # exact zero gaps next to negative and positive ones
+        traj = _traj([(-1.0, 0.2), (0.0, 0.0), (1.0, 0.5), (2.0, -0.3),
+                      (3.0, 0.0), (4.0, 0.0)])
+        poly = Polyline(np.array([[-2.0, 0.0], [0.0, 0.0], [1.5, 0.0],
+                                  [3.0, 0.0], [5.0, 0.0]]))
+        for surface in (FLAT, poly):
+            area = self._check(traj, surface)
+            assert area[2] == 0.0 and area[-1] > 0.0
