@@ -10,8 +10,7 @@ import argparse
 from dataclasses import replace
 from pathlib import Path
 
-from feecalib import (CalibrationOptions, Scenario, SolverOptions,
-                      calibrate_multi_stage, default_scenario,
+from feecalib import (Scenario, calibrate_multi_stage, default_scenario,
                       default_truth, predict_next_cycle, resultant, rmse,
                       simulate_cycle, surface_after_cycle)
 from feecalib.io import write_cycle_csv, write_report_json
@@ -20,7 +19,6 @@ from feecalib.io import write_cycle_csv, write_report_json
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out/dual_cycle")
-    parser.add_argument("--n-starts", type=int, default=4)
     args = parser.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -31,9 +29,7 @@ def main():
     write_cycle_csv(out / "cycle1.csv", cycle1.samples, cycle1.f_t_obs,
                     cycle1.f_n_obs)
 
-    options = CalibrationOptions(solver=SolverOptions(
-        n_starts=args.n_starts))
-    report = calibrate_multi_stage(cycle1, options=options)
+    report = calibrate_multi_stage(cycle1)
     write_report_json(out / "report.json", report)
     print(f"cycle 1 fit: F_R RMSE {report.rmse_fr_pct:.2f}%")
 

@@ -1,12 +1,16 @@
 """Soil parameter calibration from one loading cycle's force data.
 
 Two entry points: a single-stage baseline fitting all eight parameters at
-once, and the staged pipeline that exploits the separable structure of the
-force equations. Stage 1 fits the tangential-force subset using the
-observed normal force to stand in for the wedge reaction (no failure-angle
-solve at all), stage 2 fits density/cohesion/friction against the
-reconstructed wedge force, and stage 3 re-fits the compaction parameters
-against the raw tangential observations.
+once with the generic multi-start optimizer, and the staged pipeline that
+exploits the separable structure of the force equations. Stage 1 fits the
+tangential-force subset using the observed normal force to stand in for
+the wedge reaction (no failure-angle solve at all), stage 2 fits
+density/cohesion/friction against the reconstructed wedge force, and
+stage 3 re-fits the compaction parameters against the raw tangential
+observations. Each stage is linear in all its unknowns but one, so it is
+fitted by variable projection (Golub & Pereyra 1973): a bounded search
+over the one nonlinear parameter, solving the others by bounded linear
+least squares at every trial.
 """
 
 from __future__ import annotations
@@ -18,12 +22,13 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize import lsq_linear, minimize_scalar
 
-from .errors import DegenerateDepths, EmptySeries
+from .errors import DegenerateDepths, EmptySeries, SolverFailure
 from .geometry import (CycleDataset, Surface, TrajectorySample,
                        cycle_wedges, surface_after_cycle,
                        swept_area_profile)
-from .optimizer import SolveResult, SolverOptions, multi_start
+from .optimizer import SolverOptions, finite_difference_gradient, multi_start
 from .soil import (DEFAULT_MARGINS, GRAVITY, PARAM_NAMES, CyclePrediction,
                    LoaderParameters, Margins, ParameterBounds,
                    SoilParameters, predict_cycle_forces,
@@ -31,9 +36,14 @@ from .soil import (DEFAULT_MARGINS, GRAVITY, PARAM_NAMES, CyclePrediction,
 
 log = logging.getLogger(__name__)
 
-STAGE1_FIELDS = ("adhesion_ca", "delta", "kc", "kphi", "n")
-STAGE2_FIELDS = ("gamma", "cohesion_c", "phi")
-STAGE3_FIELDS = ("kc", "kphi", "n")
+_SPLIT_NOTES = {
+    "multi-stage": "the model uses kc and kphi only through "
+                   "K = kc/b + kphi; K is fitted and the split follows the "
+                   "rule kphi = clip(K - kc_min/b, kphi_min, kphi_max), "
+                   "kc = b*(K - kphi)",
+    "single-stage": "the model uses kc and kphi only through "
+                    "K = kc/b + kphi; the optimizer's split is arbitrary",
+}
 
 
 @dataclass(frozen=True)
@@ -42,6 +52,7 @@ class CalibrationOptions:
 
     lambda_weight: float = 0.5       # tangential-vs-normal weight
     bounds: ParameterBounds = field(default_factory=ParameterBounds)
+    # drives only the single-stage fit
     solver: SolverOptions = field(default_factory=SolverOptions)
     gaussian_sigma: float = 5.0      # smoothing width in samples (stage 2)
     margins: Margins = field(default_factory=Margins)
@@ -55,7 +66,19 @@ class CalibrationOptions:
 
 @dataclass
 class StageResult:
-    """Diagnostics for one optimization stage."""
+    """Diagnostics for one optimization stage.
+
+    ``function_evaluations`` counts full-cycle evaluations of the stage
+    model. In the staged fits that is one trial of the outer parameter
+    (each solves the linear unknowns by bounded least squares), plus the
+    incumbent check of stage 3; in the single-stage fit it is one objective call.
+    For the staged fits ``starts_tried`` is the number of grid points of
+    the outer search, ``iterations`` its Brent iterations and
+    ``gradient_norm`` the projected derivative along the outer parameter
+    in unit-interval coordinates. ``at_bound`` maps each fitted parameter
+    that ends on a bound (K in place of kc and kphi for the staged fits)
+    to "lower" or "upper".
+    """
 
     name: str
     parameters: dict[str, float]
@@ -70,6 +93,7 @@ class StageResult:
     rmse_n: float
     rmse_pct: float
     rmse_series: str
+    at_bound: dict[str, str]
 
 
 @dataclass
@@ -92,6 +116,11 @@ class CalibrationReport:
     lambda_weight: float
     gaussian_sigma: float
     seed: int
+
+    @property
+    def not_identified(self) -> dict[str, str]:
+        """What the force data cannot determine, and how it was set."""
+        return {"kc/kphi split": _SPLIT_NOTES[self.method]}
 
 
 # ---------------------------------------------------------------------------
@@ -242,21 +271,142 @@ def _full_series(theta: SoilParameters, arrays: _CycleArrays,
     return out.f_t, out.f_n, ok
 
 
-def _stage_result(name: str, names: Sequence[str], values: np.ndarray,
-                  solve: SolveResult, wall: float, dropped: int,
-                  rmse_pair: tuple[float, float], series: str
-                  ) -> StageResult:
-    return StageResult(name=name,
-                       parameters=dict(zip(names, values.tolist())),
-                       objective_value=solve.objective_value,
-                       iterations=solve.iterations,
-                       function_evaluations=solve.function_evaluations,
-                       starts_tried=solve.starts_tried,
-                       converged=solve.converged,
-                       gradient_norm=solve.gradient_norm,
-                       wall_time_s=wall, dropped_samples=dropped,
-                       rmse_n=rmse_pair[0], rmse_pct=rmse_pair[1],
-                       rmse_series=series)
+def split_pressure_coefficient(big_k: float, bounds: ParameterBounds,
+                               b: float) -> tuple[float, float]:
+    """(kc, kphi) for a fitted K = kc/b + kphi.
+
+    The force model sees kc and kphi only through K, so data from one
+    blade thickness cannot separate them (Bekker's plate tests need two
+    widths). The rule: kphi = clip(K - kc_min/b, kphi_min, kphi_max), then
+    kc = b*(K - kphi), clipped to its bounds against rounding. For any K
+    inside [kc_min/b + kphi_min, kc_max/b + kphi_max] both stay in bounds.
+    """
+    kphi = min(max(big_k - bounds.kc[0] / b, bounds.kphi[0]), bounds.kphi[1])
+    kc = min(max(b * (big_k - kphi), bounds.kc[0]), bounds.kc[1])
+    return kc, kphi
+
+
+def _pressure_bounds(bounds: ParameterBounds,
+                     b: float) -> tuple[float, float]:
+    return (bounds.kc[0] / b + bounds.kphi[0],
+            bounds.kc[1] / b + bounds.kphi[1])
+
+
+def _at_bound(entries) -> dict[str, str]:
+    """{name: 'lower' | 'upper'} for each (name, value, lo, hi) whose value
+    sits on a bound."""
+    return {name: "lower" if value <= lo else "upper"
+            for name, value, lo, hi in entries
+            if value <= lo or value >= hi}
+
+
+def _bounded_lsq(design: np.ndarray, target: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> tuple[np.ndarray, float]:
+    """min ||design @ x - target|| subject to lo <= x <= hi.
+
+    Bounded-variable least squares on unit-norm columns. An unknown whose
+    column is all zero (the data cannot see it) or whose bounds coincide
+    is pinned at its lower bound. Unknowns that end on a bound are set to
+    it exactly. Returns x and the residual sum of squares at x.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->j", design, design))
+    free = (norms > 0.0) & (hi > lo)
+    x = lo.copy()
+    if free.any():
+        w = norms[free]
+        rest = target - design[:, ~free] @ x[~free]
+        res = lsq_linear(design[:, free] / w, rest,
+                         bounds=(lo[free] * w, hi[free] * w), method="bvls")
+        x[free] = np.select([res.active_mask < 0, res.active_mask > 0],
+                            [lo[free], hi[free]],
+                            np.clip(res.x / w, lo[free], hi[free]))
+    residual = target - design @ x
+    return x, float(residual @ residual)
+
+
+_PROFILE_GRID = 33      # coarse grid points of the outer search
+_PROFILE_XATOL = 1e-10  # Brent's absolute tolerance, as a share of the bracket
+
+
+@dataclass
+class _Profile:
+    """Best trial of a one-parameter profile search and what it cost."""
+
+    x: float
+    value: float = math.inf
+    inner: np.ndarray | None = None
+    evaluations: int = 0
+    iterations: int = 0
+    converged: bool = True
+    gradient_norm: float = 0.0
+    grid_points: int = 0
+
+
+def _profile_search(trial, lo: float, hi: float) -> _Profile:
+    """Minimize a variable-projection profile over one bounded parameter.
+
+    ``trial(x)`` returns ``(value, inner)``: the stage objective with the
+    linear unknowns solved for at x, and those unknowns. The search
+    evaluates a fixed grid, then a bounded Brent search over the two grid
+    cells around the best grid point, and keeps the best trial. The
+    gradient norm is the projected central-difference derivative of the
+    profile at that trial, in unit-interval coordinates; by the variable
+    projection theorem it is the projected gradient of the full objective,
+    whose linear part is stationary by construction. Every call of
+    ``trial`` counts as one evaluation.
+    """
+    best = _Profile(x=lo)
+
+    def counted(x: float):
+        best.evaluations += 1
+        return trial(x)
+
+    def value(x: float) -> float:
+        v, inner = counted(float(x))
+        if v < best.value:
+            best.x, best.value, best.inner = float(x), v, inner
+        return v
+
+    grid = np.unique(np.linspace(lo, hi, _PROFILE_GRID))
+    best.grid_points = grid.size
+    k = int(np.argmin([value(x) for x in grid]))
+    if best.inner is None:
+        raise SolverFailure(f"no grid point in [{lo}, {hi}] gives a finite "
+                            f"objective with samples to fit")
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+    if b > a:
+        res = minimize_scalar(value, bounds=(a, b), method="bounded",
+                              options={"xatol": _PROFILE_XATOL * (b - a)})
+        best.iterations = int(res.nit)
+        best.converged = bool(res.success)
+        width = hi - lo
+        u = (best.x - lo) / width
+        grad = finite_difference_gradient(
+            lambda v: counted(lo + v[0] * width)[0], np.array([u]),
+            [(0.0, 1.0)])[0]
+        on_lo, on_hi = best.x <= lo, best.x >= hi
+        best.gradient_norm = (0.0 if (on_lo and grad > 0.0)
+                              or (on_hi and grad < 0.0) else float(abs(grad)))
+    return best
+
+
+def _staged_result(name: str, parameters: dict[str, float],
+                   at_bound: dict[str, str], objective: float,
+                   profile: _Profile, extra_evaluations: int, t0: float,
+                   dropped: int, rmse_pair: tuple[float, float],
+                   series: str) -> StageResult:
+    return StageResult(name=name, parameters=parameters,
+                       objective_value=objective,
+                       iterations=profile.iterations,
+                       function_evaluations=(profile.evaluations
+                                             + extra_evaluations),
+                       starts_tried=profile.grid_points,
+                       converged=profile.converged,
+                       gradient_norm=profile.gradient_norm,
+                       wall_time_s=time.perf_counter() - t0,
+                       dropped_samples=dropped, rmse_n=rmse_pair[0],
+                       rmse_pct=rmse_pair[1], rmse_series=series,
+                       at_bound=at_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -271,34 +421,59 @@ def calibrate_stage1(dataset: CycleDataset,
 
     The wedge reaction is taken from the observed normal force, so no
     failure-angle solve or bearing-factor evaluation happens here and raw
-    (unfiltered) observations are appropriate.
+    (unfiltered) observations are appropriate. For a given n the model is
+    linear in (adhesion, tan delta, K = kc/b + kphi): the search runs over
+    n and solves for the rest by bounded linear least squares. kc and kphi
+    come from K by ``split_pressure_coefficient``.
     """
     t0 = time.perf_counter()
     arrays = _prepare(dataset, surface)
     mask = arrays.soil_mask
     if not mask.any():
         raise DegenerateDepths("all samples have zero penetration depth")
+    bounds = options.bounds
+    if not -0.5 * math.pi < bounds.delta[0] <= bounds.delta[1] < 0.5 * math.pi:
+        raise ValueError("delta bounds must lie inside (-pi/2, pi/2)")
     depth = arrays.depth[mask]
     lt = arrays.lt[mask]
     fn_obs = arrays.fn_obs[mask]
     ft_obs = arrays.ft_obs[mask]
-    box = _BoxMap(options.bounds, STAGE1_FIELDS)
+    loader = arrays.loader
     scale = _series_scale(ft_obs)
+    k_lo, k_hi = _pressure_bounds(bounds, loader.b)
+    lo = np.array([bounds.adhesion_ca[0], math.tan(bounds.delta[0]), k_lo])
+    hi = np.array([bounds.adhesion_ca[1], math.tan(bounds.delta[1]), k_hi])
+    design = np.column_stack([loader.omega * lt, fn_obs, np.empty_like(depth)])
 
-    def objective(unit: np.ndarray) -> float:
-        theta1 = box.from_unit(unit)
-        residual = ft_obs - stage1_tangential_force(theta1, depth, lt,
-                                                    fn_obs, arrays.loader)
-        return float(residual @ residual) / scale
+    def trial(n: float):
+        design[:, 2] = loader.omega * loader.b * depth ** n
+        x, rss = _bounded_lsq(design, ft_obs, lo, hi)
+        return rss / scale, x
 
-    solve = multi_start(objective, box.unit_bounds, options.solver)
-    theta1 = box.from_unit(solve.x_star)
-    fit = stage1_tangential_force(theta1, depth, lt, fn_obs, arrays.loader)
-    result = _stage_result("stage1", STAGE1_FIELDS, theta1, solve,
-                           time.perf_counter() - t0,
-                           dropped=int((~mask).sum()),
-                           rmse_pair=rmse(ft_obs, fit),
-                           series="f_t observed (raw), in-soil samples")
+    profile = _profile_search(trial, *bounds.n)
+    ca, tan_delta, big_k = profile.inner
+    if tan_delta <= lo[1]:
+        delta = bounds.delta[0]
+    elif tan_delta >= hi[1]:
+        delta = bounds.delta[1]
+    else:
+        delta = min(max(math.atan(tan_delta), bounds.delta[0]),
+                    bounds.delta[1])
+    kc, kphi = split_pressure_coefficient(big_k, bounds, loader.b)
+    theta1 = np.array([ca, delta, kc, kphi, profile.x])
+    fit = stage1_tangential_force(theta1, depth, lt, fn_obs, loader)
+    residual = ft_obs - fit
+    parameters = dict(zip(("adhesion_ca", "delta", "kc", "kphi", "n"),
+                          theta1.tolist()), K=float(big_k))
+    at_bound = _at_bound([("adhesion_ca", ca, lo[0], hi[0]),
+                          ("delta", tan_delta, lo[1], hi[1]),
+                          ("K", big_k, k_lo, k_hi),
+                          ("n", profile.x, *bounds.n)])
+    result = _staged_result("stage1", parameters, at_bound,
+                            float(residual @ residual) / scale, profile, 0,
+                            t0, dropped=int((~mask).sum()),
+                            rmse_pair=rmse(ft_obs, fit),
+                            series="f_t observed (raw), in-soil samples")
     return theta1, result
 
 
@@ -309,9 +484,13 @@ def calibrate_stage2(dataset: CycleDataset, theta1_star: np.ndarray,
     """Fit [gamma, cohesion, phi] against the wedge force reconstructed
     from the smoothed normal observations divided by cos(delta*).
 
-    The failure angle is re-solved per candidate friction angle; samples
-    whose geometry turns singular for a candidate are dropped from that
-    candidate's residual.
+    For a given friction angle the wedge force
+    F = gamma*g*omega*(d^2 N_gamma + A_swept N_q) + c*omega*d*N_c
+    + c_a*omega*d*N_a is linear in (gamma, c): the search runs over phi,
+    with one engine call per candidate for the failure angle and the
+    bearing factors, and solves for (gamma, c) by bounded linear least
+    squares. Samples whose geometry turns singular for a candidate are
+    dropped from that candidate's residual.
     """
     t0 = time.perf_counter()
     arrays = _prepare(dataset, surface)
@@ -322,36 +501,58 @@ def calibrate_stage2(dataset: CycleDataset, theta1_star: np.ndarray,
     reconstructed = (gaussian_filter(arrays.fn_obs, options.gaussian_sigma)
                      / math.cos(delta_star))
     target = reconstructed[mask]
-    box = _BoxMap(options.bounds, STAGE2_FIELDS)
     scale = _series_scale(target)
     margins = options.margins
-    base = SoilParameters(gamma=options.bounds.center(("gamma",))[0],
-                          cohesion_c=0.0, adhesion_ca=ca_star, phi=0.0,
-                          delta=delta_star, kc=0.0, kphi=0.0, n=1.0)
+    bounds = options.bounds
+    loader = arrays.loader
+    lo = bounds.lower(("gamma", "cohesion_c"))
+    hi = bounds.upper(("gamma", "cohesion_c"))
+    base = SoilParameters(gamma=float(lo[0]), cohesion_c=0.0,
+                          adhesion_ca=ca_star, phi=0.0, delta=delta_star,
+                          kc=0.0, kphi=0.0, n=1.0)
+    depth, rho, lt, area = (arrays.depth[mask], arrays.rho[mask],
+                            arrays.lt[mask], arrays.area[mask])
+    # the bearing factors do not depend on the load the engine is given
+    w_load = base.gamma * GRAVITY * loader.omega * area
 
-    def objective(unit: np.ndarray) -> float:
-        gamma, cohesion, phi = box.from_unit(unit)
-        theta = base.replace(gamma=gamma, cohesion_c=cohesion, phi=phi)
-        force, valid = _fee_force_of(theta, arrays, mask, margins)
+    def trial(phi: float):
+        out = predict_force_arrays(depth, rho, lt, w_load,
+                                   base.replace(phi=phi), loader,
+                                   arrays.alpha, margins)
+        valid = out.valid
         if not valid.any():
-            return 1e12
-        residual = target[valid] - force[valid]
-        return float(residual @ residual) / scale
+            return 1e12, None
+        d = depth[valid]
+        design = np.column_stack([
+            GRAVITY * loader.omega * (d * d * out.n_gamma[valid]
+                                      + area[valid] * out.n_q[valid]),
+            loader.omega * d * out.n_c[valid]])
+        x, rss = _bounded_lsq(design, target[valid] - ca_star * loader.omega
+                              * d * out.n_a[valid], lo, hi)
+        return rss / scale, x
 
-    solve = multi_start(objective, box.unit_bounds, options.solver)
-    theta2 = box.from_unit(solve.x_star)
-    theta_fit = base.replace(gamma=theta2[0], cohesion_c=theta2[1],
-                             phi=theta2[2])
+    profile = _profile_search(trial, *bounds.phi)
+    gamma, cohesion = profile.inner
+    theta2 = np.array([gamma, cohesion, profile.x])
+    theta_fit = base.replace(gamma=gamma, cohesion_c=cohesion,
+                             phi=profile.x)
     force, valid = _fee_force_of(theta_fit, arrays, mask, margins)
+    residual = target[valid] - force[valid]
     dropped = int((~mask).sum() + (~valid).sum())
     # the objective fits the filtered series, but errors are reported
     # against the raw reconstruction like every other stage
     raw_target = (arrays.fn_obs[mask] / math.cos(delta_star))[valid]
-    result = _stage_result("stage2", STAGE2_FIELDS, theta2, solve,
-                           time.perf_counter() - t0, dropped,
-                           rmse(raw_target, force[valid]),
-                           series="wedge force reconstructed from raw f_n, "
-                                  "in-soil samples")
+    at_bound = _at_bound([("gamma", gamma, lo[0], hi[0]),
+                          ("cohesion_c", cohesion, lo[1], hi[1]),
+                          ("phi", profile.x, *bounds.phi)])
+    result = _staged_result("stage2",
+                            dict(zip(("gamma", "cohesion_c", "phi"),
+                                     theta2.tolist())),
+                            at_bound, float(residual @ residual) / scale,
+                            profile, 0, t0, dropped,
+                            rmse(raw_target, force[valid]),
+                            series="wedge force reconstructed from raw f_n, "
+                                   "in-soil samples")
     return theta2, result
 
 
@@ -363,9 +564,11 @@ def calibrate_stage3(dataset: CycleDataset, theta_fixed: SoilParameters,
     every other parameter frozen.
 
     The wedge force does not depend on the sinkage parameters, so it is
-    evaluated once; the incumbent values seed the start set, which makes
-    the tangential error non-increasing across this stage. Normal-force
-    predictions are untouched by construction.
+    evaluated once. For a given n the model is linear in K = kc/b + kphi:
+    the search runs over n and solves for K by bounded least squares. The
+    incumbent (kc, kphi, n) is always a candidate and wins ties, which
+    makes the tangential error non-increasing across this stage. Normal-
+    force predictions are untouched by construction.
     """
     t0 = time.perf_counter()
     arrays = _prepare(dataset, surface)
@@ -373,36 +576,53 @@ def calibrate_stage3(dataset: CycleDataset, theta_fixed: SoilParameters,
     if not mask.any():
         raise DegenerateDepths("all samples have zero penetration depth")
     margins = options.margins
+    bounds = options.bounds
     force, valid = _fee_force_of(theta_fixed, arrays, mask, margins)
+    if not valid.any():
+        raise EmptySeries("no in-soil sample evaluates cleanly")
     depth = arrays.depth[mask][valid]
     lt = arrays.lt[mask][valid]
     ft_obs = arrays.ft_obs[mask][valid]
     friction_term = (force[valid] * math.sin(theta_fixed.delta)
                      + theta_fixed.adhesion_ca * arrays.loader.omega * lt)
-    box = _BoxMap(options.bounds, STAGE3_FIELDS)
     scale = _series_scale(ft_obs)
     loader = arrays.loader
+    sinkage_target = ft_obs - friction_term
+    k_lo, k_hi = _pressure_bounds(bounds, loader.b)
 
-    def objective(unit: np.ndarray) -> float:
-        kc, kphi, n = box.from_unit(unit)
-        f_t = (loader.omega * loader.b * (kc / loader.b + kphi) * depth ** n
-               + friction_term)
-        residual = ft_obs - f_t
+    def model(kc: float, kphi: float, n: float) -> np.ndarray:
+        return (loader.omega * loader.b * (kc / loader.b + kphi) * depth ** n
+                + friction_term)
+
+    def objective(theta3) -> float:
+        residual = ft_obs - model(*theta3)
         return float(residual @ residual) / scale
 
-    incumbent = box.to_unit(np.array([theta_fixed.kc, theta_fixed.kphi,
-                                      theta_fixed.n]))
-    solve = multi_start(objective, box.unit_bounds, options.solver,
-                        warm_start=incumbent)
-    theta3 = box.from_unit(solve.x_star)
+    def trial(n: float):
+        column = (loader.omega * loader.b * depth ** n)[:, None]
+        x, rss = _bounded_lsq(column, sinkage_target, np.array([k_lo]),
+                              np.array([k_hi]))
+        return rss / scale, x
+
+    profile = _profile_search(trial, *bounds.n)
+    big_k = float(profile.inner[0])
+    best = (*split_pressure_coefficient(big_k, bounds, loader.b), profile.x)
+    incumbent = (theta_fixed.kc, theta_fixed.kphi, theta_fixed.n)
+    f_best, f_incumbent = objective(best), objective(incumbent)
+    if f_incumbent <= f_best:
+        best, f_best = incumbent, f_incumbent
+        big_k = theta_fixed.kc / loader.b + theta_fixed.kphi
+    theta3 = np.array(best, dtype=float)
     kc, kphi, n = theta3
-    fit = (loader.omega * loader.b * (kc / loader.b + kphi) * depth ** n
-           + friction_term)
+    fit = model(kc, kphi, n)
     dropped = int((~mask).sum() + (~valid).sum())
-    result = _stage_result("stage3", STAGE3_FIELDS, theta3, solve,
-                           time.perf_counter() - t0, dropped,
-                           rmse(ft_obs, fit),
-                           series="f_t observed (raw), in-soil samples")
+    at_bound = _at_bound([("K", big_k, k_lo, k_hi), ("n", n, *bounds.n)])
+    result = _staged_result("stage3",
+                            dict(kc=float(kc), kphi=float(kphi), n=float(n),
+                                 K=big_k),
+                            at_bound, f_best, profile, 1, t0, dropped,
+                            rmse(ft_obs, fit),
+                            series="f_t observed (raw), in-soil samples")
     return theta3, result
 
 
@@ -468,13 +688,20 @@ def calibrate_single_stage(dataset: CycleDataset,
                 + (1.0 - lam) * float(r_n @ r_n)) / scale
 
     solve = multi_start(objective, box.unit_bounds, options.solver)
-    theta = SoilParameters.from_array(box.from_unit(solve.x_star))
+    values = box.from_unit(solve.x_star)
+    theta = SoilParameters.from_array(values)
     wall = time.perf_counter() - t0
-    stage = _stage_result("single", tuple(box.names),
-                          box.from_unit(solve.x_star), solve, wall,
-                          dropped=int((~mask).sum()),
-                          rmse_pair=(math.nan, math.nan),
-                          series="(final report carries the force errors)")
+    stage = StageResult(
+        name="single", parameters=dict(zip(box.names, values.tolist())),
+        objective_value=solve.objective_value, iterations=solve.iterations,
+        function_evaluations=solve.function_evaluations,
+        starts_tried=solve.starts_tried, converged=solve.converged,
+        gradient_norm=solve.gradient_norm, wall_time_s=wall,
+        dropped_samples=int((~mask).sum()), rmse_n=math.nan,
+        rmse_pct=math.nan,
+        rmse_series="(final report carries the force errors)",
+        at_bound=_at_bound((name, u, 0.0, 1.0)
+                           for name, u in zip(box.names, solve.x_star)))
     report = _final_report("single-stage", theta, [stage], arrays,
                            options, wall)
     return report

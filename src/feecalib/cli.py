@@ -84,7 +84,8 @@ def simulate(config_path, preset, noise, seed, out_dir) -> None:
               help="Run configuration JSON (calibration options).")
 @click.option("--method", type=click.Choice(["single", "multi"]),
               default="multi", show_default=True)
-@click.option("--seed", type=int, default=None, help="Solver seed override.")
+@click.option("--seed", type=int, default=None,
+              help="Solver seed override (the single-stage fit only).")
 @click.option("--out", "out_dir", type=click.Path(), default="out",
               show_default=True, help="Output directory.")
 def calibrate(cycle_csv, scenario_path, config_path, method, seed,

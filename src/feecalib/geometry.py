@@ -378,6 +378,11 @@ def _collapse_vertical_moves(xs: np.ndarray, zs: np.ndarray, tol: float):
 
 
 def _prune_collinear(xs: np.ndarray, zs: np.ndarray, tol: float):
+    """Drop vertices collinear with the last kept vertex and the next one.
+
+    A loop, not an array pass: whether a vertex is kept depends on the
+    last vertex kept.
+    """
     keep = [0]
     for i in range(1, xs.size - 1):
         x0, z0 = xs[keep[-1]], zs[keep[-1]]
@@ -421,22 +426,20 @@ def surface_after_cycle(prior_surface: Surface,
     path_z = np.interp(bx, xs, zs, left=np.inf, right=np.inf)
     env = np.minimum(prior_z, path_z)
 
-    # insert exact crossings where prior and path swap order
+    # insert exact crossings where prior and path swap order, each
+    # strictly inside its breakpoint cell
     gap = prior_z - path_z
-    out_x, out_z = [bx[0]], [env[0]]
-    for i in range(bx.size - 1):
-        ga, gb = gap[i], gap[i + 1]
-        if np.isfinite(ga) and np.isfinite(gb) and (ga > 0) != (gb > 0) \
-                and ga != 0.0 and gb != 0.0:
-            xc = bx[i] + ga / (ga - gb) * (bx[i + 1] - bx[i])
-            zc = float(np.asarray(prior_surface.height_at(xc)))
-            if out_x[-1] + tol < xc < bx[i + 1] - tol:
-                out_x.append(xc)
-                out_z.append(zc)
-        out_x.append(bx[i + 1])
-        out_z.append(env[i + 1])
-    out_x = np.array(out_x)
-    out_z = np.array(out_z)
+    ga, gb = gap[:-1], gap[1:]
+    cell = np.flatnonzero(np.isfinite(ga) & np.isfinite(gb)
+                          & ((ga > 0) != (gb > 0)) & (ga != 0.0)
+                          & (gb != 0.0))
+    left, right = bx[cell], bx[cell + 1]
+    xc = left + ga[cell] / (ga[cell] - gb[cell]) * (right - left)
+    inside = (left + tol < xc) & (xc < right - tol)
+    cell, xc = cell[inside], xc[inside]
+    zc = np.asarray(prior_surface.height_at(xc), dtype=float)
+    out_x = np.insert(bx, cell + 1, xc)
+    out_z = np.insert(env, cell + 1, zc)
     out_x, out_z = _prune_collinear(out_x, out_z, 1e-12)
     return Polyline(np.column_stack([out_x, out_z]),
                     nominal_alpha=prior_surface.nominal_alpha)

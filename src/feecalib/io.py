@@ -24,7 +24,7 @@ from .optimizer import SolverOptions
 from .soil import LoaderParameters, SoilParameters
 from .synthetic import Scenario, default_loader, default_scenario, find_preset
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CYCLE_COLUMNS = ("t_s", "x_m", "z_m", "rho_rad", "ft_obs_N", "fn_obs_N")
 PREDICTION_COLUMNS = ("t_s", "x_m", "z_m", "rho_rad", "d_m", "beta_rad",
@@ -484,7 +484,9 @@ def report_to_json(report: CalibrationReport) -> dict:
             "rmse_N": None if math.isnan(s.rmse_n) else s.rmse_n,
             "rmse_pct": None if math.isnan(s.rmse_pct) else s.rmse_pct,
             "rmse_series": s.rmse_series,
+            "at_bound": s.at_bound,
         } for s in report.stages],
+        "not_identified": report.not_identified,
         "rmse": {
             "ft_N": report.rmse_ft_n, "ft_pct": report.rmse_ft_pct,
             "fn_N": report.rmse_fn_n, "fn_pct": report.rmse_fn_pct,

@@ -477,6 +477,10 @@ class CycleForceArrays:
     """Vectorized per-sample force results for one cycle."""
 
     beta: np.ndarray      # solved failure angle (NaN where not applicable)
+    n_gamma: np.ndarray   # bearing factors at beta (NaN where not valid)
+    n_c: np.ndarray
+    n_a: np.ndarray
+    n_q: np.ndarray
     fee: np.ndarray       # wedge reaction force, N
     pressure: np.ndarray  # penetration pressure, N/m^2
     f_t: np.ndarray       # tangential force, N
@@ -526,6 +530,7 @@ def predict_force_arrays(depth, rho, lt, w_load, soil: SoilParameters,
         status[bad] = _EMPTY_WINDOW
 
     valid = in_soil & (status == _OK)
+    factors = [np.full(n, np.nan) for _ in range(4)]
     fee = np.zeros(n)
     pressure = np.zeros(n)
     f_t = np.zeros(n)
@@ -535,6 +540,8 @@ def predict_force_arrays(depth, rho, lt, w_load, soil: SoilParameters,
         n_gamma, n_c, n_a, n_q = _factor_arrays(alpha, beta[valid],
                                                 rho[valid], soil.phi,
                                                 soil.delta)
+        for full, part in zip(factors, (n_gamma, n_c, n_a, n_q)):
+            full[valid] = part
         fee_v = (d_v * d_v * loader.omega * soil.gamma * GRAVITY * n_gamma
                  + soil.cohesion_c * loader.omega * d_v * n_c
                  + soil.adhesion_ca * loader.omega * d_v * n_a
@@ -550,7 +557,9 @@ def predict_force_arrays(depth, rho, lt, w_load, soil: SoilParameters,
     failed = in_soil & ~valid
     for arr in (fee, pressure, f_t, f_n):
         arr[failed] = np.nan
-    return CycleForceArrays(beta=beta, fee=fee, pressure=pressure,
+    return CycleForceArrays(beta=beta, n_gamma=factors[0], n_c=factors[1],
+                            n_a=factors[2], n_q=factors[3],
+                            fee=fee, pressure=pressure,
                             f_t=f_t, f_n=f_n, status=status,
                             in_soil=in_soil, valid=valid)
 

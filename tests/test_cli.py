@@ -100,6 +100,18 @@ class TestCalibrate:
         assert doc["function_evaluations"] > 0
         assert doc["wall_time_s"] > 0.0
 
+    def test_report_is_strict_json_with_bound_flags(self, workdir):
+        def no_constants(name):
+            raise AssertionError(f"{name} in report.json")
+
+        doc = json.loads((workdir / "run" / "report.json").read_text(),
+                         parse_constant=no_constants)
+        assert doc["schema_version"] == 2
+        for stage in doc["stages"]:
+            assert set(stage["at_bound"].values()) <= {"lower", "upper"}
+        assert doc["stages"][0]["parameters"]["K"] > 0.0
+        assert "kc/kphi split" in doc["not_identified"]
+
     def test_missing_force_column_exits_2(self, runner, workdir, tmp_path):
         src = (workdir / "run" / "cycle.csv").read_text().splitlines()
         header = src[0].replace(",fn_obs_N", "")

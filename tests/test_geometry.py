@@ -10,6 +10,7 @@ from feecalib import (DegenerateRegion, InfeasibleGeometry, NonMonotonePath,
                       penetration_depth, quadratic_bezier_path,
                       surface_after_cycle, swept_area_profile,
                       swept_load_weight, wedge_from_sample)
+from feecalib.geometry import _collapse_vertical_moves, _prune_collinear
 from feecalib.soil import GRAVITY, LoaderParameters
 from feecalib.synthetic import Scenario, default_scenario
 
@@ -330,6 +331,40 @@ def swept_area_profile_loop(samples, surface):
     return area
 
 
+def surface_after_cycle_loop(prior_surface, cycle_trajectory):
+    """Reference: surface_after_cycle with the crossing insertion as a
+    loop over breakpoint cells."""
+    xs = np.array([s.x for s in cycle_trajectory], dtype=float)
+    zs = np.array([s.z for s in cycle_trajectory], dtype=float)
+    span = max(float(xs.max() - xs.min()), 1e-12)
+    tol = 1e-9 * span
+    xs, zs = _collapse_vertical_moves(xs, zs, tol)
+    pad = max(1.0, 0.5 * span)
+    lo = xs[0] - pad
+    hi = xs[-1] + pad
+    inner = prior_surface.vertex_xs()
+    inner = inner[(inner > lo) & (inner < hi)]
+    bx = np.unique(np.concatenate([[lo, hi], inner, xs]))
+    prior_z = np.asarray(prior_surface.height_at(bx), dtype=float)
+    path_z = np.interp(bx, xs, zs, left=np.inf, right=np.inf)
+    env = np.minimum(prior_z, path_z)
+    gap = prior_z - path_z
+    out_x, out_z = [bx[0]], [env[0]]
+    for i in range(bx.size - 1):
+        ga, gb = gap[i], gap[i + 1]
+        if np.isfinite(ga) and np.isfinite(gb) and (ga > 0) != (gb > 0) \
+                and ga != 0.0 and gb != 0.0:
+            xc = bx[i] + ga / (ga - gb) * (bx[i + 1] - bx[i])
+            zc = float(np.asarray(prior_surface.height_at(xc)))
+            if out_x[-1] + tol < xc < bx[i + 1] - tol:
+                out_x.append(xc)
+                out_z.append(zc)
+        out_x.append(bx[i + 1])
+        out_z.append(env[i + 1])
+    out_x, out_z = _prune_collinear(np.array(out_x), np.array(out_z), 1e-12)
+    return np.column_stack([out_x, out_z])
+
+
 def _random_polyline(rng, max_vertices=400):
     k = int(rng.integers(2, max_vertices + 1))
     xs = (np.cumsum(rng.uniform(1e-3, 1.0, k)) * rng.uniform(0.01, 3.0)
@@ -458,3 +493,36 @@ class TestSweptAreaExact:
         for surface in (FLAT, poly):
             area = self._check(traj, surface)
             assert area[2] == 0.0 and area[-1] > 0.0
+
+
+class TestSurfaceAfterCycleExact:
+    @staticmethod
+    def _check(surface, traj):
+        got = surface_after_cycle(surface, traj).vertices
+        assert np.array_equal(got, surface_after_cycle_loop(surface, traj))
+        return got
+
+    def test_random_faces_and_paths(self):
+        rng = np.random.default_rng(21)
+        for k in range(200):
+            prior = (_random_polyline(rng, 300) if k % 4 else
+                     SlopedLine((0.0, 0.0), rng.uniform(0.0, 0.7)))
+            vx = prior.vertex_xs() if k % 4 else np.array([-3.0, 3.0])
+            xs = np.sort(rng.uniform(vx[0] - 1.0, vx[-1] + 1.0,
+                                     int(rng.integers(2, 200))))
+            zs = (np.asarray(prior.height_at(xs))
+                  + rng.normal(0.0, rng.uniform(0.01, 1.0), xs.size))
+            self._check(prior, _traj(list(zip(xs, zs))))
+
+    def test_carved_faces(self):
+        surface, traj = _carved_twice()
+        carved = self._check(surface, traj)
+        assert carved.shape[0] > 100
+        self._check(Polyline(carved), traj)
+
+    def test_crossing_within_tolerance_is_dropped(self):
+        # the path crosses the flat face 1e-12 before a breakpoint, inside
+        # the 1e-9 * span tolerance, so no vertex is inserted there
+        traj = _traj([(0.0, -1.0), (1.0, 1e-12), (2.0, 0.5)])
+        got = self._check(FLAT, traj)
+        assert not np.any((got[:, 0] > 0.0) & (got[:, 0] < 1.0))

@@ -1,0 +1,289 @@
+"""The variable-projection stages against the multi-start fits they
+replaced.
+
+The reference below is the staged fit as it was: multi-start
+finite-difference L-BFGS over each stage's whole parameter box. It runs
+with a gradient tolerance of 1e-9 instead of the library's 1e-5, because
+at 1e-5 the noisy fits leave delta, K and c unresolved at about 1e-5
+relative, which would hide a real mismatch at the 1e-6 the parameters are
+checked to; the tighter reference also reaches a lower objective, which
+makes the objective check stricter.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from feecalib import (CalibrationOptions, FeeCalibError, ParameterBounds,
+                      SoilParameters, SolverOptions, add_noise,
+                      calibrate_multi_stage, calibrate_stage1,
+                      calibrate_stage2, calibrate_stage3, gaussian_filter,
+                      multi_start)
+from feecalib.calibration import (_BoxMap, _bounded_lsq, _fee_force_of,
+                                  _prepare, _series_scale,
+                                  split_pressure_coefficient,
+                                  stage1_tangential_force)
+
+STAGE1_FIELDS = ("adhesion_ca", "delta", "kc", "kphi", "n")
+STAGE2_FIELDS = ("gamma", "cohesion_c", "phi")
+STAGE3_FIELDS = ("kc", "kphi", "n")
+
+REFERENCE = CalibrationOptions(solver=SolverOptions(gradient_tolerance=1e-9))
+
+
+# ---------------------------------------------------------------------------
+# Reference: each stage objective over its parameter vector, minimized by
+# multi-start L-BFGS on the unit box
+# ---------------------------------------------------------------------------
+
+def stage1_objective(dataset, options):
+    arrays = _prepare(dataset, None)
+    mask = arrays.soil_mask
+    depth, lt = arrays.depth[mask], arrays.lt[mask]
+    fn_obs, ft_obs = arrays.fn_obs[mask], arrays.ft_obs[mask]
+    scale = _series_scale(ft_obs)
+
+    def objective(theta1) -> float:
+        residual = ft_obs - stage1_tangential_force(theta1, depth, lt,
+                                                    fn_obs, arrays.loader)
+        return float(residual @ residual) / scale
+
+    return objective
+
+
+def stage2_objective(dataset, theta1_star, options):
+    arrays = _prepare(dataset, None)
+    mask = arrays.soil_mask
+    ca_star, delta_star = float(theta1_star[0]), float(theta1_star[1])
+    target = (gaussian_filter(arrays.fn_obs, options.gaussian_sigma)
+              / math.cos(delta_star))[mask]
+    scale = _series_scale(target)
+    base = SoilParameters(gamma=options.bounds.center(("gamma",))[0],
+                          cohesion_c=0.0, adhesion_ca=ca_star, phi=0.0,
+                          delta=delta_star, kc=0.0, kphi=0.0, n=1.0)
+
+    def objective(theta2) -> float:
+        gamma, cohesion, phi = theta2
+        theta = base.replace(gamma=gamma, cohesion_c=cohesion, phi=phi)
+        force, valid = _fee_force_of(theta, arrays, mask, options.margins)
+        if not valid.any():
+            return 1e12
+        residual = target[valid] - force[valid]
+        return float(residual @ residual) / scale
+
+    return objective
+
+
+def stage3_objective(dataset, theta_fixed, options):
+    arrays = _prepare(dataset, None)
+    mask = arrays.soil_mask
+    force, valid = _fee_force_of(theta_fixed, arrays, mask, options.margins)
+    loader = arrays.loader
+    depth = arrays.depth[mask][valid]
+    lt = arrays.lt[mask][valid]
+    ft_obs = arrays.ft_obs[mask][valid]
+    friction_term = (force[valid] * math.sin(theta_fixed.delta)
+                     + theta_fixed.adhesion_ca * loader.omega * lt)
+    scale = _series_scale(ft_obs)
+
+    def objective(theta3) -> float:
+        kc, kphi, n = theta3
+        f_t = (loader.omega * loader.b * (kc / loader.b + kphi) * depth ** n
+               + friction_term)
+        residual = ft_obs - f_t
+        return float(residual @ residual) / scale
+
+    return objective
+
+
+def reference_fit(objective, fields, options, warm_start=None):
+    box = _BoxMap(options.bounds, fields)
+    solve = multi_start(lambda unit: objective(box.from_unit(unit)),
+                        box.unit_bounds, options.solver,
+                        warm_start=(None if warm_start is None
+                                    else box.to_unit(np.array(warm_start))))
+    return box.from_unit(solve.x_star)
+
+
+def _assemble(theta1, theta2):
+    return SoilParameters(gamma=theta2[0], cohesion_c=theta2[1],
+                          adhesion_ca=theta1[0], phi=theta2[2],
+                          delta=theta1[1], kc=theta1[2], kphi=theta1[3],
+                          n=theta1[4])
+
+
+@pytest.fixture(scope="module", params=["clean", 1, 2, 3],
+                ids=["clean", "noise-seed1", "noise-seed2", "noise-seed3"])
+def fits(request, dataset):
+    """VP and reference fits of each stage on the same inputs: stages 2
+    and 3 both start from the VP fits of the stages before them."""
+    ds = dataset if request.param == "clean" else add_noise(
+        dataset, 0.05, seed=request.param)
+    options = CalibrationOptions()
+    b = ds.loader.b
+    theta1, _ = calibrate_stage1(ds, options)
+    theta2, _ = calibrate_stage2(ds, theta1, options=options)
+    fixed = _assemble(theta1, theta2)
+    theta3, _ = calibrate_stage3(ds, fixed, options=options)
+    f1 = stage1_objective(ds, options)
+    f2 = stage2_objective(ds, theta1, options)
+    f3 = stage3_objective(ds, fixed, options)
+    ref1 = reference_fit(f1, STAGE1_FIELDS, REFERENCE)
+    ref2 = reference_fit(f2, STAGE2_FIELDS, REFERENCE)
+    ref3 = reference_fit(f3, STAGE3_FIELDS, REFERENCE,
+                         warm_start=[fixed.kc, fixed.kphi, fixed.n])
+
+    def identifiable1(t):
+        return {"adhesion_ca": t[0], "delta": t[1], "K": t[2] / b + t[3],
+                "n": t[4]}
+
+    def identifiable3(t):
+        return {"K": t[0] / b + t[1], "n": t[2]}
+
+    return [(f1, theta1, ref1, identifiable1),
+            (f2, theta2, ref2, lambda t: dict(zip(STAGE2_FIELDS, t))),
+            (f3, theta3, ref3, identifiable3)], b
+
+
+def _bounds_of(name, bounds, b):
+    if name == "K":
+        return (bounds.kc[0] / b + bounds.kphi[0],
+                bounds.kc[1] / b + bounds.kphi[1])
+    return getattr(bounds, name)
+
+
+class TestAgainstMultiStartReference:
+    def test_objective_no_worse(self, fits):
+        stages, _ = fits
+        for objective, vp, ref, _ in stages:
+            f_ref = objective(ref)
+            assert objective(vp) <= f_ref + 1e-9 * abs(f_ref)
+
+    def test_identifiable_parameters_match(self, fits):
+        stages, b = fits
+        bounds = ParameterBounds()
+        for _, vp, ref, identifiable in stages:
+            got, want = identifiable(vp), identifiable(ref)
+            for name in got:
+                lo, hi = _bounds_of(name, bounds, b)
+                same_bound = any(
+                    got[name] == edge
+                    and abs(want[name] - edge) <= 1e-9 * (hi - lo)
+                    for edge in (lo, hi))
+                assert (same_bound or abs(got[name] - want[name])
+                        <= 1e-6 * abs(want[name])), (name, got, want)
+
+
+class TestStagedFitDeterminism:
+    def test_solver_options_do_not_move_the_staged_fit(self, dataset):
+        runs = [calibrate_multi_stage(dataset, options=CalibrationOptions(
+                    solver=SolverOptions(seed=seed, n_starts=n_starts)))
+                for seed, n_starts in ((0, 8), (1, 8), (12345, 8), (3, 1))]
+        first = runs[0]
+        for run in runs[1:]:
+            assert run.theta_star == first.theta_star
+            assert run.function_evaluations == first.function_evaluations
+
+    def test_stage3_returns_incumbent_when_optimal(self, dataset):
+        options = CalibrationOptions()
+        theta1, _ = calibrate_stage1(dataset, options)
+        theta2, _ = calibrate_stage2(dataset, theta1, options=options)
+        fixed = _assemble(theta1, theta2)
+        theta3, _ = calibrate_stage3(dataset, fixed, options=options)
+        optimal = fixed.replace(kc=theta3[0], kphi=theta3[1], n=theta3[2])
+        again, diag = calibrate_stage3(dataset, optimal, options=options)
+        assert np.array_equal(again, [optimal.kc, optimal.kphi, optimal.n])
+        assert diag.parameters["K"] == optimal.kc / dataset.loader.b \
+            + optimal.kphi
+
+    def test_stage3_keeps_a_better_incumbent_outside_the_box(self, dataset,
+                                                             truth):
+        # the incumbent n lies below the searched interval and fits the
+        # noiseless cycle exactly, so no candidate inside can beat it
+        options = CalibrationOptions(
+            bounds=replace(ParameterBounds(), n=(0.5, 1.53)))
+        theta3, diag = calibrate_stage3(dataset, truth, options=options)
+        assert np.array_equal(theta3, [truth.kc, truth.kphi, truth.n])
+        assert diag.objective_value < 1e-20
+
+    def test_nonfinite_observations_fail_with_a_library_error(self,
+                                                              dataset):
+        f_t = np.array(dataset.f_t_obs, dtype=float)
+        f_t[np.argmax(f_t)] = np.nan
+        with pytest.raises(FeeCalibError):
+            calibrate_multi_stage(replace(dataset, f_t_obs=f_t))
+
+
+class TestReportDiagnostics:
+    def test_at_bound_lists_exactly_the_parameters_on_a_bound(self,
+                                                              dataset):
+        report = calibrate_multi_stage(dataset)
+        bounds = ParameterBounds()
+        b = dataset.loader.b
+        for stage in report.stages:
+            for name, value in stage.parameters.items():
+                if name in ("kc", "kphi"):
+                    continue    # the fit is on K; the split is a rule
+                lo, hi = _bounds_of(name, bounds, b)
+                want = ("lower" if value == lo else
+                        "upper" if value == hi else None)
+                assert stage.at_bound.get(name) == want, (stage.name, name)
+            assert stage.converged or stage.iterations > 0
+            assert math.isfinite(stage.gradient_norm)
+            assert stage.starts_tried > 0
+        # fitting the sigma=5 smoothed normal series to noiseless data
+        # pulls gamma onto its lower bound
+        assert report.stages[1].at_bound == {"gamma": "lower"}
+        assert "kc/kphi split" in report.not_identified
+
+
+class TestSplitAndLinearSolve:
+    def test_split_stays_in_bounds_and_keeps_k(self):
+        rng = np.random.default_rng(5)
+        for bounds in (ParameterBounds(),
+                       ParameterBounds(kc=(500.0, 4000.0),
+                                       kphi=(1e4, 2e5))):
+            for b in (0.02, 0.05, 0.3):
+                lo = bounds.kc[0] / b + bounds.kphi[0]
+                hi = bounds.kc[1] / b + bounds.kphi[1]
+                for big_k in np.concatenate([[lo, hi],
+                                             rng.uniform(lo, hi, 200)]):
+                    kc, kphi = split_pressure_coefficient(big_k, bounds, b)
+                    if big_k - bounds.kc[0] / b <= bounds.kphi[1]:
+                        # kc stays at its lower bound while kphi can
+                        # carry the rest
+                        assert kc == pytest.approx(bounds.kc[0],
+                                                   abs=1e-9 * bounds.kc[1])
+                    assert bounds.kc[0] <= kc <= bounds.kc[1]
+                    assert bounds.kphi[0] <= kphi <= bounds.kphi[1]
+                    assert kc / b + kphi == pytest.approx(big_k, rel=1e-12)
+
+    def test_degenerate_columns_are_pinned_at_the_lower_bound(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(50, 2))
+        target = a @ [0.7, -0.2]
+        design = np.column_stack([a[:, 0], np.zeros(50), a[:, 1],
+                                  rng.normal(size=50)])
+        lo = np.array([-5.0, -1.0, -5.0, 2.0])
+        hi = np.array([5.0, 1.0, 5.0, 2.0])
+        x, rss = _bounded_lsq(design, target + 2.0 * design[:, 3], lo, hi)
+        assert x[1] == -1.0 and x[3] == 2.0
+        assert x[[0, 2]] == pytest.approx([0.7, -0.2], rel=1e-10)
+        assert rss == pytest.approx(0.0, abs=1e-20)
+
+    def test_active_bounds_are_exact(self):
+        # an unknown that ends on a bound reports the bound itself, not
+        # the bound scaled by its column norm and back
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            design = rng.normal(size=(20, 2)) * rng.uniform(0.1, 10.0, 2)
+            target = design @ rng.uniform(-20.0, 20.0, 2)
+            lo = rng.uniform(-3.0, 0.0, 2).round(1)
+            hi = rng.uniform(0.1, 3.0, 2).round(1)
+            x, _ = _bounded_lsq(design, target, lo, hi)
+            for value, edge in zip(np.concatenate([x, x]),
+                                   np.concatenate([lo, hi])):
+                if abs(value - edge) <= 1e-12 * abs(edge):
+                    assert value == edge
