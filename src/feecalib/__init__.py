@@ -13,23 +13,19 @@ from .calibration import (CalibrationOptions, CalibrationReport, StageResult,
                           calibrate_stage3, gaussian_filter,
                           predict_next_cycle, resultant, rmse)
 from .errors import (ConfigError, DegenerateDepths, DegenerateRegion,
-                     EmptyFeasibleSet, EmptySeries, FeeCalibError,
-                     InfeasibleGeometry, NonFiniteObjective, NonMonotonePath,
-                     SingularGeometry, SolverFailure)
+                     EmptySeries, FeeCalibError, InfeasibleGeometry,
+                     NonFiniteObjective, NonMonotonePath, SingularGeometry,
+                     SolverFailure)
 from .geometry import (CycleDataset, Polyline, SlopedLine, Surface,
-                       TrajectorySample, cycle_wedges, penetration_depth,
-                       quadratic_bezier_path, surface_after_cycle,
-                       swept_area_profile, swept_load_weight,
-                       wedge_from_sample)
+                       TrajectorySample, quadratic_bezier_path,
+                       surface_after_cycle, swept_area_profile,
+                       wedge_geometry)
 from .optimizer import (SolveResult, SolverOptions,
                         finite_difference_gradient, minimize_bounded,
                         multi_start)
-from .soil import (DEFAULT_MARGINS, GRAVITY, PARAM_NAMES, BearingFactors,
-                   CyclePrediction, ForcePrediction, LoaderParameters,
-                   Margins, ParameterBounds, SoilParameters, WedgeState,
-                   bearing_factors_canonical, bearing_factors_original,
-                   bekker_pressure, bucket_forces, fee_force,
-                   predict_cycle_forces, solve_beta)
+from .soil import (DEFAULT_MARGINS, GRAVITY, PARAM_NAMES, CycleForceArrays,
+                   LoaderParameters, Margins, ParameterBounds,
+                   SoilParameters, predict_force_arrays)
 from .synthetic import (Scenario, SoilPreset, add_noise, default_loader,
                         default_scenario, default_truth, find_preset,
                         heldout_scenario, preset_catalog, simulate_cycle)

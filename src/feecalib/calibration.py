@@ -26,13 +26,11 @@ from scipy.optimize import lsq_linear, minimize_scalar
 
 from .errors import DegenerateDepths, EmptySeries, SolverFailure
 from .geometry import (CycleDataset, Surface, TrajectorySample,
-                       cycle_wedges, surface_after_cycle,
-                       swept_area_profile)
+                       surface_after_cycle, wedge_geometry)
 from .optimizer import SolverOptions, finite_difference_gradient, multi_start
-from .soil import (DEFAULT_MARGINS, GRAVITY, PARAM_NAMES, CyclePrediction,
+from .soil import (DEFAULT_MARGINS, GRAVITY, PARAM_NAMES, CycleForceArrays,
                    LoaderParameters, Margins, ParameterBounds,
-                   SoilParameters, predict_cycle_forces,
-                   predict_force_arrays)
+                   SoilParameters, predict_force_arrays)
 
 log = logging.getLogger(__name__)
 
@@ -191,14 +189,9 @@ class _CycleArrays:
 
 def _prepare(dataset: CycleDataset, surface: Surface | None) -> _CycleArrays:
     surf = dataset.surface if surface is None else surface
-    xs, zs = dataset.tip_arrays()
-    rho = dataset.rho_array()
-    depth = np.asarray(surf.depth_of(xs, zs), dtype=float)
-    sin_rho = np.sin(rho)
-    lt = np.where((depth > 0.0) & (sin_rho > 0.0),
-                  depth / np.where(sin_rho > 0.0, sin_rho, 1.0), 0.0)
-    area = swept_area_profile(dataset.samples, surf)
-    return _CycleArrays(rho=rho, depth=depth, lt=lt, area=area,
+    depth, lt, area = wedge_geometry(dataset.samples, surf)
+    return _CycleArrays(rho=dataset.rho_array(), depth=depth, lt=lt,
+                        area=area,
                         ft_obs=np.asarray(dataset.f_t_obs, dtype=float),
                         fn_obs=np.asarray(dataset.f_n_obs, dtype=float),
                         soil_mask=depth > 0.0,
@@ -732,7 +725,7 @@ def calibrate_multi_stage(dataset: CycleDataset,
 def predict_next_cycle(theta_star: SoilParameters, scenario,
                        prior_cycle: Sequence[TrajectorySample] | None = None,
                        margins: Margins = DEFAULT_MARGINS
-                       ) -> CyclePrediction:
+                       ) -> CycleForceArrays:
     """Predict forces for a new pass using fitted parameters.
 
     When a prior cycle is given, depth (and the swept load) is measured
@@ -743,9 +736,11 @@ def predict_next_cycle(theta_star: SoilParameters, scenario,
     surface = scenario.surface
     if prior_cycle is not None:
         surface = surface_after_cycle(surface, prior_cycle)
-    trajectory = scenario.trajectory(surface=surface)
-    wedges = cycle_wedges(trajectory, surface, theta_star.gamma,
-                          scenario.loader)
-    prediction = predict_cycle_forces(wedges, theta_star, scenario.loader,
-                                      surface.nominal_alpha, margins)
-    return replace(prediction, trajectory=tuple(trajectory))
+    trajectory = tuple(scenario.trajectory(surface=surface))
+    depth, lt, area = wedge_geometry(trajectory, surface)
+    rho = np.array([s.rho for s in trajectory], dtype=float)
+    w_load = theta_star.gamma * GRAVITY * scenario.loader.omega * area
+    prediction = predict_force_arrays(depth, rho, lt, w_load, theta_star,
+                                      scenario.loader, surface.nominal_alpha,
+                                      margins)
+    return replace(prediction, trajectory=trajectory)

@@ -9,10 +9,10 @@ from __future__ import annotations
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import io as fio
 from .calibration import (calibrate_multi_stage, calibrate_single_stage,
@@ -99,7 +99,6 @@ def calibrate(cycle_csv, scenario_path, config_path, method, seed,
         config = fio.load_config(config_path)
         options = config.calibration
         if seed is not None:
-            from dataclasses import replace
             options = replace(options, solver=replace(options.solver,
                                                       seed=seed))
         dataset = CycleDataset(samples=tuple(samples), f_t_obs=ft,
@@ -150,20 +149,19 @@ def predict(report_json, scenario_path, prior_path, out_dir) -> None:
         prediction = predict_next_cycle(theta, scenario, prior_cycle=prior)
     except FeeCalibError as exc:
         _fail(EXIT_COMPUTE, f"prediction failed: {exc}")
-    if prediction.issues:
-        for issue in prediction.issues:
-            log.warning("sample %d: %s", issue.index, issue.reason)
-        click.echo(f"note: {len(prediction.issues)} samples were "
-                   "infeasible and carry NaN forces", err=True)
+    failures = prediction.failures
+    if failures:
+        for index, reason in failures:
+            log.warning("sample %d: %s", index, reason)
+        click.echo(f"note: {len(failures)} samples were infeasible and "
+                   "carry NaN forces", err=True)
 
-    depth = np.array([w.depth_d for w in prediction.wedges])
-    beta = np.array([w.beta for w in prediction.wedges])
-    f_t, f_n = prediction.arrays()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fio.write_prediction_csv(out / "predicted.csv", prediction.trajectory,
-                             depth, beta, f_t, f_n)
-    click.echo(f"wrote {out / 'predicted.csv'} ({len(prediction)} rows)")
+                             prediction.depth, prediction.beta,
+                             prediction.f_t, prediction.f_n)
+    click.echo(f"wrote {out / 'predicted.csv'} ({prediction.n} rows)")
 
 
 @main.command()

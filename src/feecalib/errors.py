@@ -9,10 +9,6 @@ class SingularGeometry(FeeCalibError):
     """A trigonometric denominator fell below its stability margin."""
 
 
-class EmptyFeasibleSet(FeeCalibError):
-    """No failure-surface angle satisfies the wedge feasibility constraints."""
-
-
 class InfeasibleGeometry(FeeCalibError):
     """Wedge geometry violates a hard angular or depth precondition."""
 

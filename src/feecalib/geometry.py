@@ -13,9 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (DegenerateRegion, InfeasibleGeometry, NonMonotonePath)
-from .soil import (DEFAULT_MARGINS, GRAVITY, LoaderParameters, Margins,
-                   WedgeState)
+from .errors import DegenerateRegion, NonMonotonePath
+from .soil import DEFAULT_MARGINS, LoaderParameters
 
 
 class Surface:
@@ -153,15 +152,6 @@ class Polyline(Surface):
         return depth
 
 
-def penetration_depth(tip: tuple[float, float], surface: Surface) -> float:
-    """Perpendicular (line) or minimum (polyline) distance below the surface."""
-    x, z = tip
-    if not (math.isfinite(x) and math.isfinite(z)):
-        raise ValueError("tip coordinates must be finite")
-    return float(np.asarray(surface.depth_of(np.array([x]),
-                                             np.array([z])))[0])
-
-
 @dataclass(frozen=True)
 class TrajectorySample:
     """Bucket tip state at one time instant."""
@@ -175,10 +165,6 @@ class TrajectorySample:
         for name in ("t", "x", "z", "rho"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-
-    @property
-    def tip(self) -> tuple[float, float]:
-        return (self.x, self.z)
 
 
 @dataclass(frozen=True)
@@ -216,31 +202,6 @@ class CycleDataset:
 
     def rho_array(self) -> np.ndarray:
         return np.array([s.rho for s in self.samples])
-
-    def t_array(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-
-def wedge_from_sample(sample: TrajectorySample, surface: Surface,
-                      beta: float, w_load: float,
-                      margins: Margins = DEFAULT_MARGINS) -> WedgeState:
-    """Build the wedge geometry for one in-soil sample.
-
-    Uses the planar right-triangle relations lt = d/sin(rho) and
-    lf = d/sin(beta).
-    """
-    d = penetration_depth(sample.tip, surface)
-    if d <= 0.0:
-        raise InfeasibleGeometry("tip is on or above the surface")
-    if sample.rho < margins.rho_min:
-        raise InfeasibleGeometry(
-            f"blade angle {sample.rho:.4f} below minimum "
-            f"{margins.rho_min:.4f}")
-    if not beta > 0.0 or math.sin(beta) <= margins.sin_margin:
-        raise InfeasibleGeometry(f"failure angle {beta:.4f} below margins")
-    return WedgeState(depth_d=d, rho=sample.rho,
-                      lt=d / math.sin(sample.rho),
-                      lf=d / math.sin(beta), beta=beta, w_load=w_load)
 
 
 # ---------------------------------------------------------------------------
@@ -292,39 +253,23 @@ def swept_area_profile(samples: Sequence[TrajectorySample],
     return np.concatenate([[0.0], np.cumsum(totals)])
 
 
-def swept_load_weight(samples_so_far: Sequence[TrajectorySample],
-                      surface: Surface, gamma: float, omega: float) -> float:
-    """Weight of the soil swept between the trajectory prefix and surface."""
-    if gamma <= 0.0 or omega <= 0.0:
-        raise ValueError("gamma and omega must be positive")
-    profile = swept_area_profile(samples_so_far, surface)
-    if profile.size == 0:
-        return 0.0
-    return gamma * GRAVITY * omega * float(profile[-1])
+def wedge_geometry(samples: Sequence[TrajectorySample], surface: Surface
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sample (depth, lt, swept area) of a trajectory on a surface.
 
-
-def cycle_wedges(samples: Sequence[TrajectorySample], surface: Surface,
-                 gamma: float, loader: LoaderParameters) -> list[WedgeState]:
-    """Unsolved wedge states (beta NaN) for a whole trajectory.
-
-    Per-sample surcharge is the weight of soil swept so far scaled by the
-    given density; the failure angle is left to the force pipeline, which
-    needs the candidate friction angles.
+    depth is the tip's penetration below the surface, lt = d/sin(rho) the
+    blade length in soil (zero where the tip is out of soil or sin(rho)
+    is not positive; the force engine flags such blade angles), and the
+    swept area is ``swept_area_profile``, the cross-section whose weight
+    loads the wedge.
     """
-    xs = np.array([s.x for s in samples])
-    zs = np.array([s.z for s in samples])
-    if xs.size == 0:
-        return []
-    depth = np.asarray(surface.depth_of(xs, zs))
-    area = swept_area_profile(samples, surface)
-    w_load = gamma * GRAVITY * loader.omega * area
-    wedges = []
-    for i, s in enumerate(samples):
-        d = float(depth[i])
-        lt = d / math.sin(s.rho) if d > 0.0 else 0.0
-        wedges.append(WedgeState(depth_d=d, rho=s.rho, lt=lt, lf=math.nan,
-                                 beta=math.nan, w_load=float(w_load[i])))
-    return wedges
+    xs = np.array([s.x for s in samples], dtype=float)
+    zs = np.array([s.z for s in samples], dtype=float)
+    sin_rho = np.sin(np.array([s.rho for s in samples], dtype=float))
+    depth = np.asarray(surface.depth_of(xs, zs), dtype=float)
+    lt = np.where((depth > 0.0) & (sin_rho > 0.0),
+                  depth / np.where(sin_rho > 0.0, sin_rho, 1.0), 0.0)
+    return depth, lt, swept_area_profile(samples, surface)
 
 
 # ---------------------------------------------------------------------------

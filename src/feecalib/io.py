@@ -22,7 +22,8 @@ from .errors import ConfigError
 from .geometry import Polyline, SlopedLine, Surface, TrajectorySample
 from .optimizer import SolverOptions
 from .soil import LoaderParameters, SoilParameters
-from .synthetic import Scenario, default_loader, default_scenario, find_preset
+from .synthetic import (Scenario, default_loader, default_scenario,
+                        default_truth, find_preset)
 
 SCHEMA_VERSION = 2
 
@@ -378,7 +379,6 @@ def run_config_from_json(obj: dict, preset: str | None = None,
     elif "preset" in soil_obj:
         truth = _truth_from_preset(soil_obj["preset"])
     else:
-        from .synthetic import default_truth
         truth = default_truth()
 
     noise_obj = obj.get("noise", {})
@@ -403,11 +403,10 @@ def _truth_from_preset(name: str) -> SoilParameters:
     try:
         preset = find_preset(name)
         if preset.kc is None:
-            from .synthetic import find_preset as _find
-            preset = preset.merged(_find("Heavy Clay WES 40"))
+            preset = preset.merged(find_preset("Heavy Clay WES 40"))
         elif preset.gamma is None:
-            from .synthetic import find_preset as _find
-            preset = _find("Clay of low plasticity, lean clay").merged(preset)
+            preset = find_preset("Clay of low plasticity, lean clay").merged(
+                preset)
         return preset.soil_parameters()
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"preset: {exc}")

@@ -1,21 +1,24 @@
 """Soil-tool force model for a planar cutting blade.
 
 Implements the fundamental earthmoving equation with the four bearing
-capacity factors in both their cotangent form and the numerically stable
-sine-cosine form, the constrained failure-angle minimization, the Bekker
+capacity factors in their numerically stable sine-cosine form, the
+constrained failure-angle minimization in closed form, the Bekker
 pressure-sinkage law, and the composition of tangential/normal bucket
-forces. All quantities are base SI (N, m, rad, kg/m^3).
+forces, all as one array engine over the samples of a cycle
+(``predict_force_arrays``). The cotangent form of the factors lives on in
+the tests as the reference the sine-cosine form must reproduce. All
+quantities are base SI (N, m, rad, kg/m^3).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyFeasibleSet, InfeasibleGeometry, SingularGeometry
+from .errors import SingularGeometry
 
 GRAVITY = 9.80665  # m/s^2
 
@@ -171,68 +174,6 @@ class LoaderParameters:
             raise ValueError("wb must be nonnegative")
 
 
-@dataclass(frozen=True)
-class BearingFactors:
-    """The four dimensionless bearing capacity factors."""
-
-    n_gamma: float
-    n_c: float
-    n_a: float
-    n_q: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.n_gamma, self.n_c, self.n_a, self.n_q)
-
-
-@dataclass(frozen=True)
-class WedgeState:
-    """Per-sample wedge geometry.
-
-    beta and lf may be NaN for a wedge whose failure angle has not been
-    solved yet; the prediction pipeline fills them in, since beta depends
-    on the candidate soil friction angles.
-    """
-
-    depth_d: float  # perpendicular penetration depth, m
-    rho: float      # blade angle relative to the stockpile surface, rad
-    lt: float       # blade length in soil, m
-    lf: float       # failure-surface length, m
-    beta: float     # failure-surface angle, rad (NaN when unsolved)
-    w_load: float   # surcharge weight of swept soil, N
-
-    def __post_init__(self) -> None:
-        for name in ("depth_d", "rho", "lt", "w_load"):
-            _require_finite(name, getattr(self, name))
-        if self.depth_d < 0.0:
-            raise ValueError("depth_d must be nonnegative")
-        if self.lt < 0.0:
-            raise ValueError("lt must be nonnegative")
-        if self.w_load < 0.0:
-            raise ValueError("w_load must be nonnegative")
-        if not 0.0 < self.rho < math.pi:
-            raise ValueError("rho must lie in (0, pi)")
-        if math.isfinite(self.beta) and self.beta <= 0.0:
-            raise ValueError("beta must be positive when set")
-
-    @property
-    def solved(self) -> bool:
-        return math.isfinite(self.beta)
-
-
-@dataclass(frozen=True)
-class ForcePrediction:
-    """Forces acting on the bucket blade at one sample."""
-
-    fee_force_f: float  # total wedge reaction force, N
-    pressure_p: float   # penetration pressure, N/m^2
-    f_t: float          # tangential bucket force, N
-    f_n: float          # normal bucket force, N
-
-    def __post_init__(self) -> None:
-        for name in ("fee_force_f", "pressure_p", "f_t", "f_n"):
-            _require_finite(name, getattr(self, name))
-
-
 # ---------------------------------------------------------------------------
 # Bearing capacity factors
 # ---------------------------------------------------------------------------
@@ -253,66 +194,6 @@ def _ngamma_array(alpha, beta, rho, phi, delta):
     return (np.cos(alpha + beta) * np.sin(alpha + beta + phi)
             / (2.0 * np.cos(alpha) * np.sin(beta)
                * np.sin(rho + delta + beta + phi)))
-
-
-def bearing_factors_original(alpha: float, beta: float, rho: float,
-                             phi: float, delta: float,
-                             denom_eps: float = 1e-12) -> BearingFactors:
-    """Bearing factors from the cotangent-form expressions.
-
-    Kept verbatim as a cross-check path; raises SingularGeometry when any
-    denominator magnitude drops below ``denom_eps``.
-    """
-    checks = (
-        (math.sin(beta), "sin(beta)"),
-        (math.sin(beta + phi), "sin(beta+phi)"),
-        (math.sin(rho), "sin(rho)"),
-        (math.cos(alpha), "cos(alpha)"),
-    )
-    for value, label in checks:
-        if abs(value) < denom_eps:
-            raise SingularGeometry(f"{label} is singular ({value:.3e})")
-    cot_beta = math.cos(beta) / math.sin(beta)
-    cot_bf = math.cos(beta + phi) / math.sin(beta + phi)
-    cot_rho = math.cos(rho) / math.sin(rho)
-    tan_alpha = math.sin(alpha) / math.cos(alpha)
-    denom = math.cos(rho + delta) + math.sin(rho + delta) * cot_bf
-    if abs(denom) < denom_eps:
-        raise SingularGeometry(f"common denominator is singular ({denom:.3e})")
-    n_gamma = ((cot_beta - tan_alpha)
-               * (math.cos(alpha) + math.sin(alpha) * cot_bf)
-               / (2.0 * denom))
-    n_c = (1.0 + cot_beta * cot_bf) / denom
-    n_a = (1.0 - cot_rho * cot_bf) / denom
-    n_q = (math.cos(alpha) + math.sin(alpha) * cot_bf) / denom
-    return BearingFactors(n_gamma, n_c, n_a, n_q)
-
-
-def bearing_factors_canonical(alpha: float, beta: float, rho: float,
-                              phi: float, delta: float,
-                              margins: Margins = DEFAULT_MARGINS
-                              ) -> BearingFactors:
-    """Bearing factors in the sine-cosine canonical form.
-
-    This is the production path. Every sine/cosine denominator must clear
-    ``margins.sin_margin``; the failing term is named in the exception.
-    """
-    checks = (
-        (math.sin(beta), "sin(beta)"),
-        (math.sin(rho), "sin(rho)"),
-        (math.cos(alpha), "cos(alpha)"),
-        (math.sin(beta + phi), "sin(beta+phi)"),
-        (math.sin(rho + delta + beta + phi), "sin(rho+delta+beta+phi)"),
-    )
-    for value, label in checks:
-        if abs(value) <= margins.sin_margin:
-            raise SingularGeometry(
-                f"|{label}| = {abs(value):.4e} below margin "
-                f"{margins.sin_margin:.4e}")
-    n_gamma, n_c, n_a, n_q = (
-        float(np.asarray(v)) for v in _factor_arrays(alpha, beta, rho,
-                                                     phi, delta))
-    return BearingFactors(n_gamma, n_c, n_a, n_q)
 
 
 # ---------------------------------------------------------------------------
@@ -398,62 +279,6 @@ def _solve_beta_array(alpha: float, rho, phi: float, delta: float,
     return beta, feasible
 
 
-def solve_beta(alpha: float, rho: float, phi: float, delta: float,
-               margins: Margins = DEFAULT_MARGINS) -> float:
-    """Failure angle minimizing the unit-weight factor over its window.
-
-    Raises EmptyFeasibleSet when the constraints exclude every angle and
-    SingularGeometry when the fixed angles already violate their margins.
-    """
-    if abs(math.cos(alpha)) <= margins.sin_margin:
-        raise SingularGeometry("cos(alpha) below margin")
-    lo, hi = beta_window(alpha, np.array([rho]), phi, delta, margins)
-    if not hi[0] > lo[0]:
-        raise EmptyFeasibleSet(
-            f"no feasible failure angle: window [{lo[0]:.4f}, {hi[0]:.4f}] "
-            f"for rho={rho:.4f}, phi={phi:.4f}, delta={delta:.4f}")
-    beta, _ = _solve_beta_array(alpha, np.array([rho]), phi, delta, margins)
-    return float(beta[0])
-
-
-# ---------------------------------------------------------------------------
-# Forces
-# ---------------------------------------------------------------------------
-
-def bekker_pressure(depth_d: float, soil: SoilParameters,
-                    loader: LoaderParameters) -> float:
-    """Penetration pressure (kc/b + kphi) * d^n."""
-    if depth_d < 0.0:
-        raise ValueError("depth_d must be nonnegative")
-    return (soil.kc / loader.b + soil.kphi) * depth_d ** soil.n
-
-
-def fee_force(wedge: WedgeState, soil: SoilParameters,
-              loader: LoaderParameters, alpha: float,
-              margins: Margins = DEFAULT_MARGINS) -> float:
-    """Total reaction force on the blade from the soil wedge."""
-    if not wedge.solved:
-        raise InfeasibleGeometry("wedge failure angle has not been solved")
-    factors = bearing_factors_canonical(alpha, wedge.beta, wedge.rho,
-                                        soil.phi, soil.delta, margins)
-    d = wedge.depth_d
-    return (d * d * loader.omega * soil.gamma * GRAVITY * factors.n_gamma
-            + soil.cohesion_c * loader.omega * d * factors.n_c
-            + soil.adhesion_ca * loader.omega * d * factors.n_a
-            + wedge.w_load * factors.n_q)
-
-
-def bucket_forces(fee_force_f: float, pressure_p: float, lt: float,
-                  soil: SoilParameters,
-                  loader: LoaderParameters) -> ForcePrediction:
-    """Tangential/normal force pair on the bucket blade."""
-    f_t = (loader.omega * loader.b * pressure_p
-           + fee_force_f * math.sin(soil.delta)
-           + soil.adhesion_ca * loader.omega * lt)
-    f_n = fee_force_f * math.cos(soil.delta)
-    return ForcePrediction(fee_force_f, pressure_p, f_t, f_n)
-
-
 # ---------------------------------------------------------------------------
 # Cycle-level prediction engine
 # ---------------------------------------------------------------------------
@@ -474,8 +299,15 @@ _STATUS_TEXT = {
 
 @dataclass(frozen=True)
 class CycleForceArrays:
-    """Vectorized per-sample force results for one cycle."""
+    """Per-sample force results for one cycle, one array per quantity.
 
+    Out-of-soil samples (depth <= 0) carry zero forces; in-soil samples
+    that hit a margin carry NaN forces and are listed in ``failures``.
+    ``trajectory`` holds the samples predicted along, when the caller
+    sampled them.
+    """
+
+    depth: np.ndarray     # penetration depth, m (the engine's input)
     beta: np.ndarray      # solved failure angle (NaN where not applicable)
     n_gamma: np.ndarray   # bearing factors at beta (NaN where not valid)
     n_c: np.ndarray
@@ -488,10 +320,21 @@ class CycleForceArrays:
     status: np.ndarray    # per-sample status code
     in_soil: np.ndarray   # depth > 0
     valid: np.ndarray     # in-soil samples that evaluated cleanly
+    trajectory: tuple = ()
 
     @property
     def n(self) -> int:
         return self.f_t.size
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(f_t, f_n) arrays with NaN at failed samples."""
+        return self.f_t, self.f_n
+
+    @property
+    def failures(self) -> list[tuple[int, str]]:
+        """(index, reason) of every in-soil sample that hit a margin."""
+        return [(int(i), _STATUS_TEXT[int(self.status[i])])
+                for i in np.flatnonzero(self.in_soil & ~self.valid)]
 
 
 def predict_force_arrays(depth, rho, lt, w_load, soil: SoilParameters,
@@ -557,88 +400,9 @@ def predict_force_arrays(depth, rho, lt, w_load, soil: SoilParameters,
     failed = in_soil & ~valid
     for arr in (fee, pressure, f_t, f_n):
         arr[failed] = np.nan
-    return CycleForceArrays(beta=beta, n_gamma=factors[0], n_c=factors[1],
+    return CycleForceArrays(depth=depth, beta=beta, n_gamma=factors[0],
+                            n_c=factors[1],
                             n_a=factors[2], n_q=factors[3],
                             fee=fee, pressure=pressure,
                             f_t=f_t, f_n=f_n, status=status,
                             in_soil=in_soil, valid=valid)
-
-
-@dataclass(frozen=True)
-class SampleIssue:
-    index: int
-    reason: str
-
-
-@dataclass(frozen=True)
-class CyclePrediction(Sequence):
-    """Sequence of per-sample force predictions plus solved wedges.
-
-    Entries are None for samples that hit a margin (see ``issues``);
-    out-of-soil samples carry all-zero predictions. ``trajectory`` holds
-    the samples predicted along, when the caller sampled them.
-    """
-
-    forces: tuple
-    wedges: tuple
-    issues: tuple
-    trajectory: tuple = ()
-
-    def __len__(self) -> int:
-        return len(self.forces)
-
-    def __getitem__(self, i):
-        return self.forces[i]
-
-    def __iter__(self) -> Iterator:
-        return iter(self.forces)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(f_t, f_n) arrays with NaN at failed samples."""
-        f_t = np.array([np.nan if p is None else p.f_t for p in self.forces])
-        f_n = np.array([np.nan if p is None else p.f_n for p in self.forces])
-        return f_t, f_n
-
-
-def predict_cycle_forces(samples: Sequence[WedgeState],
-                         soil: SoilParameters, loader: LoaderParameters,
-                         alpha: float,
-                         margins: Margins = DEFAULT_MARGINS
-                         ) -> CyclePrediction:
-    """Predict bucket forces along a cycle of wedge samples.
-
-    Re-solves the failure angle per sample for the given soil (the angle
-    depends on phi and delta), composes the force chain, and collects
-    per-sample issues instead of aborting on a singular sample.
-    """
-    if len(samples) == 0:
-        return CyclePrediction(forces=(), wedges=(), issues=())
-    depth = np.array([w.depth_d for w in samples])
-    rho = np.array([w.rho for w in samples])
-    lt = np.array([w.lt for w in samples])
-    w_load = np.array([w.w_load for w in samples])
-    out = predict_force_arrays(depth, rho, lt, w_load, soil, loader,
-                               alpha, margins)
-
-    forces = []
-    wedges = []
-    issues = []
-    for i, wedge in enumerate(samples):
-        if out.valid[i]:
-            forces.append(ForcePrediction(float(out.fee[i]),
-                                          float(out.pressure[i]),
-                                          float(out.f_t[i]),
-                                          float(out.f_n[i])))
-            beta = float(out.beta[i])
-            wedges.append(replace(wedge, beta=beta,
-                                  lf=wedge.depth_d / math.sin(beta)))
-        elif not out.in_soil[i]:
-            forces.append(ForcePrediction(0.0, 0.0, 0.0, 0.0))
-            wedges.append(wedge)
-        else:
-            forces.append(None)
-            wedges.append(wedge)
-            issues.append(SampleIssue(i, _STATUS_TEXT.get(
-                int(out.status[i]), "infeasible sample")))
-    return CyclePrediction(forces=tuple(forces), wedges=tuple(wedges),
-                           issues=tuple(issues))

@@ -15,11 +15,11 @@ from importlib import resources
 
 import numpy as np
 
+from .calibration import predict_next_cycle
 from .errors import InfeasibleGeometry
 from .geometry import (CycleDataset, Surface, SlopedLine, TrajectorySample,
-                       cycle_wedges, quadratic_bezier_path)
-from .soil import (DEFAULT_MARGINS, LoaderParameters, Margins,
-                   SoilParameters, predict_cycle_forces)
+                       quadratic_bezier_path)
+from .soil import DEFAULT_MARGINS, LoaderParameters, Margins, SoilParameters
 
 
 @dataclass(frozen=True)
@@ -72,25 +72,22 @@ def simulate_cycle(scenario: Scenario, truth: SoilParameters,
                    margins: Margins = DEFAULT_MARGINS) -> CycleDataset:
     """Noiseless ground-truth cycle from known soil parameters.
 
-    The observed force series equal the model predictions exactly; the
+    The observed force series are ``predict_next_cycle``'s forces under
+    the truth parameters, so they equal the model predictions exactly; the
     surcharge is recomputed per sample from the swept area and the truth
     density. Any infeasible sample aborts with its index, since a ground
     truth must be complete.
     """
-    traj = scenario.trajectory()
-    wedges = cycle_wedges(traj, scenario.surface, truth.gamma,
-                          scenario.loader)
-    pred = predict_cycle_forces(wedges, truth, scenario.loader,
-                                alpha=scenario.surface.nominal_alpha,
-                                margins=margins)
-    if pred.issues:
-        first = pred.issues[0]
+    pred = predict_next_cycle(truth, scenario, margins=margins)
+    failures = pred.failures
+    if failures:
+        index, reason = failures[0]
         raise InfeasibleGeometry(
-            f"sample {first.index}: {first.reason} "
-            f"({len(pred.issues)} infeasible samples in total)")
-    f_t, f_n = pred.arrays()
-    return CycleDataset(samples=tuple(traj), f_t_obs=f_t, f_n_obs=f_n,
-                        surface=scenario.surface, loader=scenario.loader)
+            f"sample {index}: {reason} "
+            f"({len(failures)} infeasible samples in total)")
+    return CycleDataset(samples=pred.trajectory, f_t_obs=pred.f_t,
+                        f_n_obs=pred.f_n, surface=scenario.surface,
+                        loader=scenario.loader)
 
 
 def add_noise(dataset: CycleDataset, relative_sigma: float,

@@ -8,16 +8,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from feecalib import (CalibrationOptions, Scenario, SolverOptions,
+from feecalib import (GRAVITY, CalibrationOptions, Scenario, SolverOptions,
                       TrajectorySample, add_noise, calibrate_multi_stage,
-                      calibrate_single_stage, cycle_wedges, default_scenario,
+                      calibrate_single_stage, default_scenario,
                       default_truth, finite_difference_gradient,
                       heldout_scenario, minimize_bounded, multi_start,
-                      predict_cycle_forces, predict_next_cycle, resultant,
-                      rmse, simulate_cycle, solve_beta, surface_after_cycle)
+                      predict_force_arrays, predict_next_cycle, resultant,
+                      rmse, simulate_cycle, surface_after_cycle,
+                      wedge_geometry)
 from feecalib.calibration import _full_series, _prepare
 from feecalib.soil import (DEFAULT_MARGINS, SoilParameters, _factor_arrays,
-                           beta_window)
+                           _solve_beta_array, beta_window)
+from test_soil import bearing_factors_canonical, bearing_factors_original
 
 
 def _verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -87,11 +89,10 @@ def test_criterion_1_algebraic_form_equivalence():
     for a, b in zip(orig, canon):
         rel = np.abs(a - b) / np.maximum(np.abs(a), 1e-30)
         worst = max(worst, float(rel.max()))
-    # spot-check the public scalar entry points as well
-    from feecalib import bearing_factors_canonical, bearing_factors_original
+    # spot-check the scalar cotangent reference against the engine as well
     for i in range(0, 100_000, 1000):
-        s = bearing_factors_original(*tuples[i]).as_tuple()
-        c = bearing_factors_canonical(*tuples[i]).as_tuple()
+        s = bearing_factors_original(*tuples[i])
+        c = bearing_factors_canonical(*tuples[i])
         for x, y in zip(s, c):
             worst = max(worst, abs(x - y) / max(abs(x), 1e-30))
     elapsed = time.perf_counter() - t0
@@ -115,7 +116,8 @@ def test_criterion_2_beta_solver_optimality():
         lo, hi = beta_window(alpha, np.array([rho]), phi, delta)
         if hi[0] <= lo[0]:
             continue
-        beta = solve_beta(alpha, rho, phi, delta)
+        beta = float(_solve_beta_array(alpha, np.array([rho]), phi,
+                                       delta)[0][0])
         cells = int((hi[0] - lo[0]) / step)
         grid = np.append(lo[0] + step * np.arange(cells + 1), hi[0])
         chain = rho + delta + grid + phi
@@ -213,11 +215,12 @@ def test_criterion_7_continuity_and_stability():
     refined.append(base[-1])
 
     def forces(samples):
-        wedges = cycle_wedges(samples, scenario.surface, truth.gamma,
-                              scenario.loader)
-        pred = predict_cycle_forces(wedges, truth, scenario.loader,
+        depth, lt, area = wedge_geometry(samples, scenario.surface)
+        w_load = truth.gamma * GRAVITY * scenario.loader.omega * area
+        pred = predict_force_arrays(depth, [s.rho for s in samples], lt,
+                                    w_load, truth, scenario.loader,
                                     scenario.surface.nominal_alpha)
-        assert not pred.issues
+        assert not pred.failures
         return pred
 
     coarse = forces(base)
@@ -233,17 +236,14 @@ def test_criterion_7_continuity_and_stability():
               and np.all(np.isfinite(ft_f)) and np.all(np.isfinite(fn_f)))
 
     # every denominator clears its margin at the solved geometry
-    margins_ok = True
     alpha = scenario.surface.nominal_alpha
-    for wedge in coarse.wedges:
-        if not wedge.solved:
-            continue
-        chain = wedge.rho + truth.delta + wedge.beta + truth.phi
-        terms = (math.sin(wedge.beta), math.sin(wedge.rho),
-                 math.cos(alpha), math.sin(wedge.beta + truth.phi),
-                 math.sin(chain))
-        margins_ok &= all(abs(v) >= DEFAULT_MARGINS.sin_margin - 1e-12
-                          for v in terms)
+    rho = np.array([s.rho for s in base])[coarse.valid]
+    beta = coarse.beta[coarse.valid]
+    chain = rho + truth.delta + beta + truth.phi
+    terms = (np.sin(beta), np.sin(rho), np.full(beta.shape, math.cos(alpha)),
+             np.sin(beta + truth.phi), np.sin(chain))
+    margins_ok = all(np.all(np.abs(v) >= DEFAULT_MARGINS.sin_margin - 1e-12)
+                     for v in terms)
 
     _verdict(7, finite and margins_ok and drift <= 1e-9 * peak,
              f"finite forces, margins hold, shared-timestamp drift "

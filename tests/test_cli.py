@@ -12,6 +12,19 @@ FAST_CONFIG = {
     "calibration": {"solver": {"n_starts": 2, "max_iterations": 300}},
 }
 
+# blade angles outside (0, pi): below the minimum, and past pi where no
+# failure angle fits
+BAD_BLADE_ANGLES = [-0.3, 4.0]
+
+
+def _bad_blade_scenario(rho):
+    """Two in-soil samples on the default 25 degree face; the second has
+    blade angle ``rho``."""
+    return {"surface": {"type": "sloped_line", "alpha_deg": 25.0},
+            "path": {"type": "explicit",
+                     "samples": [[0.0, 0.3, 0.0, 0.5],
+                                 [0.1, 0.6, -0.05, rho]]}}
+
 
 @pytest.fixture(scope="module")
 def runner():
@@ -79,6 +92,20 @@ class TestSimulate:
                                    "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
         assert "scenaro" in res.output
+
+    @pytest.mark.parametrize("rho", BAD_BLADE_ANGLES)
+    def test_bad_blade_angle_exits_3_naming_the_sample(self, runner,
+                                                       tmp_path, rho):
+        config = tmp_path / "blade.json"
+        config.write_text(json.dumps({"scenario": _bad_blade_scenario(rho)}))
+        out = tmp_path / "never"
+        res = runner.invoke(main, ["simulate", "--config", str(config),
+                                   "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "simulation failed: sample 1:" in res.output
+        assert "Traceback" not in res.output
+        assert not out.exists()
 
     def test_preset_flag(self, runner, tmp_path):
         out = tmp_path / "preset"
@@ -220,7 +247,7 @@ class TestPredict:
             np.array([s.x for s in trajectory]),
             np.array([s.z for s in trajectory])))
         f_t, f_n = prediction.arrays()
-        beta = np.array([w.beta for w in prediction.wedges])
+        beta = prediction.beta
         expected = tmp_path / "expected.csv"
         fio.write_prediction_csv(expected, trajectory, depth, beta, f_t, f_n)
         assert ((tmp_path / "predicted.csv").read_bytes()
@@ -257,6 +284,24 @@ class TestPredict:
                                    "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
         assert calls == {"carve": 1, "trajectory": 1, "depth_of": 1}
+
+    @pytest.mark.parametrize("rho", BAD_BLADE_ANGLES)
+    def test_bad_blade_angle_is_flagged_not_fatal(self, runner, workdir,
+                                                  tmp_path, rho):
+        scenario = tmp_path / "blade.json"
+        scenario.write_text(json.dumps(_bad_blade_scenario(rho)))
+        res = runner.invoke(main, ["predict",
+                                   str(workdir / "run" / "report.json"),
+                                   "--scenario", str(scenario), "--out",
+                                   str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert res.exception is None
+        assert "note: 1 samples were infeasible" in res.output
+        assert "Traceback" not in res.output
+        rows = list(csv.DictReader(
+            (tmp_path / "predicted.csv").read_text().splitlines()))
+        assert [math.isnan(float(r["ft_N"])) for r in rows] == [False, True]
+        assert [math.isnan(float(r["fn_N"])) for r in rows] == [False, True]
 
     def test_empty_scenario_exits_2(self, runner, workdir, tmp_path):
         scenario = json.loads(

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feecalib import (DegenerateRegion, InfeasibleGeometry, NonMonotonePath,
-                      Polyline, SlopedLine, TrajectorySample, cycle_wedges,
-                      penetration_depth, quadratic_bezier_path,
-                      surface_after_cycle, swept_area_profile,
-                      swept_load_weight, wedge_from_sample)
+from feecalib import (DegenerateRegion, NonMonotonePath, Polyline,
+                      SlopedLine, TrajectorySample, predict_force_arrays,
+                      quadratic_bezier_path, surface_after_cycle,
+                      swept_area_profile, wedge_geometry)
 from feecalib.geometry import _collapse_vertical_moves, _prune_collinear
-from feecalib.soil import GRAVITY, LoaderParameters
+from feecalib.soil import (_OUT_OF_SOIL, _RHO_BELOW_MIN, GRAVITY,
+                           LoaderParameters, SoilParameters)
 from feecalib.synthetic import Scenario, default_scenario
 
 FLAT = SlopedLine((0.0, 0.0), 0.0)
@@ -20,6 +20,22 @@ FLAT = SlopedLine((0.0, 0.0), 0.0)
 def _traj(points, rho=0.5):
     return [TrajectorySample(t=float(i), x=float(x), z=float(z), rho=rho)
             for i, (x, z) in enumerate(points)]
+
+
+def penetration_depth(tip, surface):
+    """Surface.depth_of at one tip."""
+    return float(surface.depth_of(np.array([tip[0]]), np.array([tip[1]]))[0])
+
+
+def _engine_on(samples, surface):
+    """Force engine on a trajectory's wedge geometry."""
+    soil = SoilParameters(gamma=1500.0, cohesion_c=0.0, adhesion_ca=0.0,
+                          phi=0.3, delta=0.2, kc=0.0, kphi=100.0, n=1.0)
+    loader = LoaderParameters(omega=1.0, b=0.05, wb=0.0)
+    depth, lt, area = wedge_geometry(samples, surface)
+    w_load = soil.gamma * GRAVITY * loader.omega * area
+    return predict_force_arrays(depth, [s.rho for s in samples], lt, w_load,
+                                soil, loader, surface.nominal_alpha)
 
 
 class TestPenetrationDepth:
@@ -79,47 +95,51 @@ class TestPenetrationDepth:
 
 
 class TestWedgeFromSample:
+    """Per-sample wedge geometry: lt = d/sin(rho), and the engine's
+    verdict on tips it does not evaluate."""
+
     def test_sine_values(self):
         s = TrajectorySample(0.0, 1.0, -0.2, math.pi / 2)
-        w = wedge_from_sample(s, FLAT, math.pi / 6, 0.0)
-        assert w.lt == pytest.approx(0.2)
-        assert w.lf == pytest.approx(0.4)
+        depth, lt, _ = wedge_geometry([s], FLAT)
+        assert depth[0] == pytest.approx(0.2)
+        assert lt[0] == pytest.approx(0.2)
 
     def test_symmetry(self):
         s = TrajectorySample(0.0, 1.0, -0.2, math.pi / 6)
-        w = wedge_from_sample(s, FLAT, math.pi / 2, 0.0)
-        assert w.lt == pytest.approx(0.4)
-        assert w.lf == pytest.approx(0.2)
+        _, lt, _ = wedge_geometry([s], FLAT)
+        assert lt[0] == pytest.approx(0.4)
 
-    @given(d=st.floats(0.01, 2.0), rho=st.floats(0.2, 1.5),
-           beta=st.floats(0.1, 1.5))
+    @given(d=st.floats(0.01, 2.0), rho=st.floats(0.2, 1.5))
     @settings(max_examples=200, deadline=None)
-    def test_defining_identity(self, d, rho, beta):
+    def test_defining_identity(self, d, rho):
         s = TrajectorySample(0.0, 0.0, -d, rho)
-        w = wedge_from_sample(s, FLAT, beta, 0.0)
-        assert w.lt * math.sin(rho) == pytest.approx(d, rel=1e-12)
-        assert w.lf * math.sin(beta) == pytest.approx(d, rel=1e-12)
+        _, lt, _ = wedge_geometry([s], FLAT)
+        assert lt[0] * math.sin(rho) == pytest.approx(d, rel=1e-12)
 
     def test_rejects_shallow_blade_angle(self):
-        s = TrajectorySample(0.0, 0.0, -0.2, math.radians(5.0))
-        with pytest.raises(InfeasibleGeometry):
-            wedge_from_sample(s, FLAT, 0.5, 0.0)
+        out = _engine_on([TrajectorySample(0.0, 0.0, -0.2,
+                                           math.radians(5.0))], FLAT)
+        assert out.status[0] == _RHO_BELOW_MIN
+        assert out.failures == [(0, "blade angle below minimum")]
+        assert np.isnan(out.f_t[0]) and np.isnan(out.f_n[0])
 
     def test_rejects_above_surface_tip(self):
         s = TrajectorySample(0.0, 0.0, 0.2, 0.5)
-        with pytest.raises(InfeasibleGeometry):
-            wedge_from_sample(s, FLAT, 0.5, 0.0)
+        depth, lt, _ = wedge_geometry([s], FLAT)
+        assert (depth[0], lt[0]) == (0.0, 0.0)
+        out = _engine_on([s], FLAT)
+        assert out.status[0] == _OUT_OF_SOIL and out.failures == []
+        assert (out.f_t[0], out.f_n[0]) == (0.0, 0.0)
 
 
 class TestSweptLoad:
     def test_above_surface_prefix_is_zero(self):
         traj = _traj([(-1.0, 0.5), (0.0, 0.3), (1.0, 0.4)])
-        assert swept_load_weight(traj, FLAT, 2000.0, 1.0) == 0.0
+        assert swept_area_profile(traj, FLAT)[-1] == 0.0
 
     def test_rectangular_region(self):
         traj = _traj([(0.0, 0.0), (0.0, -0.5), (1.0, -0.5), (1.0, 0.0)])
-        got = swept_load_weight(traj, FLAT, 2000.0, 1.0)
-        assert got == pytest.approx(2000.0 * GRAVITY * 0.5)
+        assert swept_area_profile(traj, FLAT)[-1] == pytest.approx(0.5)
 
     def test_matches_raster_integration(self):
         rng = np.random.default_rng(9)
@@ -150,7 +170,7 @@ class TestSweptLoad:
 
     def test_vertical_plunge_sweeps_nothing(self):
         traj = _traj([(0.5, 0.0), (0.5, -0.8)])
-        assert swept_load_weight(traj, FLAT, 1500.0, 1.0) == 0.0
+        assert swept_area_profile(traj, FLAT)[-1] == 0.0
 
 
 class TestBezierPath:
@@ -258,12 +278,11 @@ class TestSurfaceAfterCycle:
 
 class TestCycleWedges:
     def test_out_of_soil_rows_have_zero_geometry(self):
-        loader = LoaderParameters(omega=1.0, b=0.05, wb=0.0)
         traj = _traj([(-1.0, 0.5), (0.0, -0.2), (1.0, 0.5)])
-        wedges = cycle_wedges(traj, FLAT, 1500.0, loader)
-        assert wedges[0].depth_d == 0.0 and wedges[0].lt == 0.0
-        assert wedges[1].depth_d == pytest.approx(0.2)
-        assert not wedges[1].solved
+        depth, lt, area = wedge_geometry(traj, FLAT)
+        assert (depth[0], lt[0], area[0]) == (0.0, 0.0, 0.0)
+        assert depth[1] == pytest.approx(0.2)
+        assert lt[1] == pytest.approx(0.2 / math.sin(0.5))
 
 
 # ---------------------------------------------------------------------------

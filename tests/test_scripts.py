@@ -1,0 +1,42 @@
+"""The experiment scripts run end to end and print their summaries."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name),
+                           *args], capture_output=True, text=True, env=env,
+                          timeout=300)
+
+
+def test_run_roundtrip(tmp_path):
+    res = run_script("run_roundtrip.py", "--n-starts", "1", "--out",
+                     str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0].split() == ["method", "F_R", "train", "F_R", "held-out",
+                                "evals", "time"]
+    assert [line.split()[0] for line in lines[1:3]] == ["multi", "single"]
+    assert lines[-1] == f"outputs in {tmp_path}/"
+    for name in ("cycle.csv", "report_multi.json", "report_single.json"):
+        assert (tmp_path / name).is_file()
+
+
+def test_run_dual_cycle(tmp_path):
+    res = run_script("run_dual_cycle.py", "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0].startswith("cycle 1 fit: F_R RMSE ")
+    assert lines[1].startswith("cycle 2, sloped-line depth: F_R RMSE ")
+    assert lines[2].startswith("cycle 2,    adaptive depth: F_R RMSE ")
+    assert lines[-1] == f"outputs in {tmp_path}/"
+    for name in ("cycle1.csv", "cycle2.csv", "report.json"):
+        assert (tmp_path / name).is_file()

@@ -1,18 +1,17 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feecalib import (DEFAULT_MARGINS, GRAVITY, EmptyFeasibleSet,
-                      LoaderParameters, Margins, SingularGeometry,
-                      SoilParameters, WedgeState, bearing_factors_canonical,
-                      bearing_factors_original, bekker_pressure,
-                      bucket_forces, fee_force, predict_cycle_forces,
-                      solve_beta)
-from feecalib.soil import (ParameterBounds, _ngamma_array,
-                           _solve_beta_array, beta_window)
+from feecalib import (DEFAULT_MARGINS, GRAVITY, LoaderParameters, Margins,
+                      SingularGeometry, SoilParameters, predict_force_arrays,
+                      wedge_geometry)
+from feecalib.soil import (_EMPTY_WINDOW, _OUT_OF_SOIL, ParameterBounds,
+                           _factor_arrays, _ngamma_array, _solve_beta_array,
+                           beta_window)
 
 LOADER = LoaderParameters(omega=1.0, b=0.05, wb=100.0)
 
@@ -22,6 +21,68 @@ def _soil(**kw):
                 delta=0.0, kc=0.0, kphi=100.0, n=1.0)
     base.update(kw)
     return SoilParameters(**base)
+
+
+def _engine(soil, depth, rho, lt=0.0, w_load=0.0, alpha=0.0):
+    """predict_force_arrays on per-sample arrays broadcast from the
+    arguments."""
+    depth, rho, lt, w_load = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float))
+          for v in (depth, rho, lt, w_load)))
+    return predict_force_arrays(depth, rho, lt, w_load, soil, LOADER, alpha)
+
+
+class Factors(NamedTuple):
+    n_gamma: float
+    n_c: float
+    n_a: float
+    n_q: float
+
+
+def bearing_factors_original(alpha, beta, rho, phi, delta, denom_eps=1e-12):
+    """Bearing factors from the cotangent-form expressions.
+
+    The textbook form that the engine's sine-cosine ``_factor_arrays``
+    reformulates, kept as its reference; raises SingularGeometry when any
+    denominator magnitude drops below ``denom_eps``.
+    """
+    checks = (
+        (math.sin(beta), "sin(beta)"),
+        (math.sin(beta + phi), "sin(beta+phi)"),
+        (math.sin(rho), "sin(rho)"),
+        (math.cos(alpha), "cos(alpha)"),
+    )
+    for value, label in checks:
+        if abs(value) < denom_eps:
+            raise SingularGeometry(f"{label} is singular ({value:.3e})")
+    cot_beta = math.cos(beta) / math.sin(beta)
+    cot_bf = math.cos(beta + phi) / math.sin(beta + phi)
+    cot_rho = math.cos(rho) / math.sin(rho)
+    tan_alpha = math.sin(alpha) / math.cos(alpha)
+    denom = math.cos(rho + delta) + math.sin(rho + delta) * cot_bf
+    if abs(denom) < denom_eps:
+        raise SingularGeometry(f"common denominator is singular ({denom:.3e})")
+    n_gamma = ((cot_beta - tan_alpha)
+               * (math.cos(alpha) + math.sin(alpha) * cot_bf)
+               / (2.0 * denom))
+    n_c = (1.0 + cot_beta * cot_bf) / denom
+    n_a = (1.0 - cot_rho * cot_bf) / denom
+    n_q = (math.cos(alpha) + math.sin(alpha) * cot_bf) / denom
+    return Factors(n_gamma, n_c, n_a, n_q)
+
+
+def bearing_factors_canonical(alpha, beta, rho, phi, delta):
+    """The engine's sine-cosine factors at one (alpha, beta, rho, phi,
+    delta) tuple."""
+    return Factors(*(float(v) for v in _factor_arrays(alpha, beta, rho, phi,
+                                                      delta)))
+
+
+def solve_one(alpha, rho, phi, delta):
+    """The engine's failure angle for one feasible blade angle."""
+    beta, feasible = _solve_beta_array(alpha, np.array([rho]), phi, delta)
+    assert feasible[0]
+    return float(beta[0])
 
 
 def random_feasible_tuples(count, seed, margin_deg=5.0):
@@ -154,7 +215,7 @@ class TestBearingFactors:
         for alpha, beta, rho, phi, delta in random_feasible_tuples(2000, 7):
             a = bearing_factors_original(alpha, beta, rho, phi, delta)
             b = bearing_factors_canonical(alpha, beta, rho, phi, delta)
-            for x, y in zip(a.as_tuple(), b.as_tuple()):
+            for x, y in zip(a, b):
                 assert x == pytest.approx(y, rel=1e-10, abs=1e-12)
 
     def test_printed_adhesion_form_equals_reduced_form(self):
@@ -167,14 +228,16 @@ class TestBearingFactors:
             assert got == pytest.approx(printed, rel=1e-10, abs=1e-12)
 
     def test_singular_geometry_names_failing_margin(self):
-        with pytest.raises(SingularGeometry, match="sin\\(beta\\)"):
-            bearing_factors_canonical(0.0, 1e-6, 1.0, 0.3, 0.2)
-        with pytest.raises(SingularGeometry, match="sin\\(rho\\)"):
-            bearing_factors_canonical(0.0, 0.5, 1e-6, 0.3, 0.2)
-        with pytest.raises(SingularGeometry,
-                           match="rho\\+delta\\+beta\\+phi"):
-            bearing_factors_canonical(0.0, 1.0, 1.0, 0.6,
-                                      math.pi - 2.6)
+        # the engine flags the failing margin per sample instead of raising;
+        # only a singular pile angle, shared by every sample, still raises
+        soil = _soil(phi=0.6, delta=math.pi - 2.6)
+        out = _engine(soil, 0.1, [1e-6, math.pi - 1e-6, 1.0, 1.95])
+        assert out.failures == [(0, "sin(rho) below margin"),
+                                (1, "sin(rho) below margin"),
+                                (3, "empty failure-angle window")]
+        assert out.valid.tolist() == [False, False, True, False]
+        with pytest.raises(SingularGeometry, match="cos\\(alpha\\)"):
+            _engine(soil, 0.1, 1.0, alpha=math.pi / 2 - 1e-6)
 
     def test_original_rejects_singular_denominator(self):
         with pytest.raises(SingularGeometry):
@@ -183,12 +246,12 @@ class TestBearingFactors:
 
 class TestSolveBeta:
     def test_flat_objective_tie_breaks_to_smallest_feasible(self):
-        beta = solve_beta(0.0, math.pi / 2, 0.0, 0.0)
+        beta = solve_one(0.0, math.pi / 2, 0.0, 0.0)
         assert beta == DEFAULT_MARGINS.eps1
 
     def test_matches_grid_argmin(self):
         alpha, phi, delta, rho = 0.3, 0.6, 0.4, 1.0
-        beta = solve_beta(alpha, rho, phi, delta)
+        beta = solve_one(alpha, rho, phi, delta)
         lo, hi = beta_window(alpha, np.array([rho]), phi, delta)
         grid = np.arange(lo[0], hi[0], math.radians(0.01))
         vals = _ngamma_array(alpha, grid, rho, phi, delta)
@@ -200,18 +263,22 @@ class TestSolveBeta:
 
     def test_respects_chain_margin(self):
         alpha, rho, delta, phi = 0.0, 0.2, 0.78, 0.78
-        beta = solve_beta(alpha, rho, phi, delta)
+        beta = solve_one(alpha, rho, phi, delta)
         assert abs(rho + delta + beta + phi - math.pi) > DEFAULT_MARGINS.eps2
 
     def test_empty_feasible_set(self):
         # rho + delta + phi leave no room above eps1
-        with pytest.raises(EmptyFeasibleSet):
-            solve_beta(0.0, math.radians(100.0), 0.75, 0.75)
+        rho = math.radians(100.0)
+        beta, feasible = _solve_beta_array(0.0, np.array([rho]), 0.75, 0.75)
+        assert not feasible[0] and math.isnan(beta[0])
+        out = _engine(_soil(phi=0.75, delta=0.75), 0.1, rho)
+        assert out.status[0] == _EMPTY_WINDOW
+        assert math.isnan(out.f_t[0]) and math.isnan(out.f_n[0])
 
     def test_stays_on_nonnegative_weight_branch(self):
         # the window is capped where the wedge cross-section flips sign
         for alpha in (0.0, 0.2, 0.4):
-            beta = solve_beta(alpha, math.radians(12.0), 0.3, 0.2)
+            beta = solve_one(alpha, math.radians(12.0), 0.3, 0.2)
             assert beta <= math.pi / 2 - alpha + 1e-12
             val = float(_ngamma_array(alpha, np.array([beta]),
                                       math.radians(12.0), 0.3, 0.2)[0])
@@ -261,132 +328,140 @@ class TestClosedFormBeta:
         assert feasible.tolist() == [True, False, True]
         assert math.isnan(beta[1])
         for i in (0, 2):
-            assert beta[i] == solve_beta(alpha, rho[i], phi, delta)
+            assert beta[i] == solve_one(alpha, rho[i], phi, delta)
 
 
 class TestBekkerPressure:
+    """The engine's penetration pressure (kc/b + kphi) * d^n."""
+
     def test_zero_depth(self):
-        assert bekker_pressure(0.0, _soil(n=0.7), LOADER) == 0.0
+        assert _engine(_soil(n=0.7), 0.0, 1.0).pressure[0] == 0.0
 
     def test_linear_case(self):
         soil = _soil(kc=0.0, kphi=100.0, n=1.0)
-        assert bekker_pressure(0.5, soil, LOADER) == pytest.approx(50.0)
+        assert _engine(soil, 0.5, 1.0).pressure[0] == pytest.approx(50.0)
 
     def test_oracle_evaluation(self):
         # independent one-line evaluation of the pressure law
         soil = _soil(kc=745.6, kphi=166.9, n=0.91)
         expected = (745.6 / 0.05 + 166.9) * 0.2 ** 0.91
-        assert bekker_pressure(0.2, soil, LOADER) == pytest.approx(
+        assert _engine(soil, 0.2, 1.0).pressure[0] == pytest.approx(
             expected, rel=1e-15)
 
     def test_rejects_negative_depth(self):
-        with pytest.raises(ValueError):
-            bekker_pressure(-0.1, _soil(), LOADER)
+        # a negative depth is never evaluated: the sample is out of soil
+        out = _engine(_soil(), -0.1, 1.0)
+        assert out.status[0] == _OUT_OF_SOIL and not out.in_soil[0]
+        assert (out.pressure[0], out.f_t[0], out.f_n[0]) == (0.0, 0.0, 0.0)
+        assert out.failures == []
 
 
 class TestFeeForce:
+    """The engine's wedge reaction force at its own failure angle."""
+
     def test_zero_depth_zero_load(self):
-        wedge = WedgeState(depth_d=0.0, rho=math.pi / 2, lt=0.0, lf=0.0,
-                           beta=math.pi / 4, w_load=0.0)
-        assert fee_force(wedge, _soil(), LOADER, 0.0) == 0.0
+        assert _engine(_soil(), 0.0, math.pi / 2).fee[0] == 0.0
 
     def test_surcharge_only(self):
-        wedge = WedgeState(depth_d=0.0, rho=math.pi / 2, lt=0.0, lf=0.0,
-                           beta=math.pi / 4, w_load=1000.0)
-        nq = bearing_factors_canonical(0.0, math.pi / 4, math.pi / 2, 0.0,
-                                       0.0).n_q
-        assert fee_force(wedge, _soil(), LOADER, 0.0) == pytest.approx(
-            1000.0 * nq)
+        # the surcharge enters as w_load * N_q at the solved angle
+        loaded = _engine(_soil(), 0.1, math.pi / 2, w_load=1000.0)
+        bare = _engine(_soil(), 0.1, math.pi / 2, w_load=0.0)
+        assert loaded.fee[0] - bare.fee[0] == pytest.approx(
+            1000.0 * loaded.n_q[0])
 
     def test_single_term_arithmetic(self):
-        wedge = WedgeState(depth_d=0.1, rho=math.pi / 2, lt=0.1, lf=0.2,
-                           beta=math.pi / 4, w_load=0.0)
-        got = fee_force(wedge, _soil(gamma=1500.0), LOADER, 0.0)
+        # N_gamma is 1/2 at every angle of this geometry
+        got = _engine(_soil(gamma=1500.0), 0.1, math.pi / 2, lt=0.1).fee[0]
         assert got == pytest.approx(0.01 * 1.0 * 1500.0 * GRAVITY * 0.5,
                                     rel=1e-12)
 
     def test_monotone_in_depth_and_density(self):
-        base = dict(rho=1.0, lt=0.3, lf=0.4, beta=0.6, w_load=500.0)
         soil = _soil(gamma=1500.0, cohesion_c=800.0, adhesion_ca=0.0,
                      phi=0.5, delta=0.3)
-        f1 = fee_force(WedgeState(depth_d=0.1, **base), soil, LOADER, 0.1)
-        f2 = fee_force(WedgeState(depth_d=0.2, **base), soil, LOADER, 0.1)
+
+        def fee(depth, soil=soil, w_load=500.0):
+            return _engine(soil, depth, 1.0, lt=0.3, w_load=w_load,
+                           alpha=0.1).fee[0]
+
+        f1, f2 = fee(0.1), fee(0.2)
         assert f2 >= f1
-        f3 = fee_force(WedgeState(depth_d=0.2, **base),
-                       soil.replace(gamma=2000.0), LOADER, 0.1)
+        f3 = fee(0.2, soil=soil.replace(gamma=2000.0))
         assert f3 >= f2
-        f4 = fee_force(WedgeState(depth_d=0.2, **base),
-                       soil.replace(cohesion_c=2000.0), LOADER, 0.1)
+        f4 = fee(0.2, soil=soil.replace(cohesion_c=2000.0))
         assert f4 >= f2
-        heavier = dict(base, w_load=900.0)
-        f5 = fee_force(WedgeState(depth_d=0.2, **heavier), soil, LOADER,
-                       0.1)
+        f5 = fee(0.2, w_load=900.0)
         assert f5 >= f2
 
 
 class TestBucketForces:
+    """The engine's tangential/normal pair from wedge force and pressure."""
+
     def test_zero_tool_friction(self):
         soil = _soil(delta=0.0, adhesion_ca=300.0)
-        out = bucket_forces(200.0, 1000.0, 0.4, soil, LOADER)
-        assert out.f_n == 200.0
-        assert out.f_t == pytest.approx(
-            LOADER.omega * LOADER.b * 1000.0 + 300.0 * LOADER.omega * 0.4)
+        out = _engine(soil, 0.1, math.pi / 2, lt=0.4)
+        assert out.f_n[0] == out.fee[0]
+        assert out.f_t[0] == pytest.approx(
+            LOADER.omega * LOADER.b * out.pressure[0]
+            + 300.0 * LOADER.omega * 0.4)
 
     def test_all_zero(self):
-        out = bucket_forces(0.0, 0.0, 0.0, _soil(), LOADER)
-        assert (out.f_t, out.f_n) == (0.0, 0.0)
+        out = _engine(_soil(), 0.0, 1.0)
+        assert (out.f_t[0], out.f_n[0]) == (0.0, 0.0)
 
     def test_direct_trig(self):
-        soil = _soil(delta=math.radians(30.0))
-        out = bucket_forces(100.0, 0.0, 0.0, soil, LOADER)
-        assert out.f_t == pytest.approx(50.0, abs=1e-9)
-        assert out.f_n == pytest.approx(86.60, abs=5e-3)
+        # no pressure and no adhesion: the pair is the wedge force turned
+        # by delta, read per 100 N of wedge force
+        soil = _soil(delta=math.radians(30.0), kc=0.0, kphi=0.0)
+        out = _engine(soil, 0.1, math.pi / 2)
+        assert 100.0 * out.f_t[0] / out.fee[0] == pytest.approx(50.0,
+                                                                abs=1e-9)
+        assert 100.0 * out.f_n[0] / out.fee[0] == pytest.approx(86.60,
+                                                                abs=5e-3)
 
-    @given(f=st.floats(0.0, 1e6), delta=st.floats(0.0, 0.78))
+    @given(depth=st.floats(0.0, 2.0), delta=st.floats(0.0, 0.78))
     @settings(max_examples=200, deadline=None)
-    def test_normal_force_ratio_exact(self, f, delta):
-        out = bucket_forces(f, 0.0, 0.0, _soil(delta=delta), LOADER)
-        assert out.f_n == f * math.cos(delta)
+    def test_normal_force_ratio_exact(self, depth, delta):
+        out = _engine(_soil(delta=delta), depth, math.pi / 2)
+        assert out.f_n[0] == out.fee[0] * math.cos(delta)
 
 
 class TestPredictCycleForces:
+    """predict_force_arrays over whole cycles."""
+
     def test_empty_sequence(self):
-        pred = predict_cycle_forces([], _soil(), LOADER, 0.0)
-        assert len(pred) == 0
+        out = _engine(_soil(), np.empty(0), np.empty(0))
+        f_t, f_n = out.arrays()
+        assert out.n == 0 and f_t.size == f_n.size == 0
+        assert out.failures == []
 
     def test_out_of_soil_yields_zero(self):
-        wedges = [WedgeState(depth_d=0.0, rho=0.5, lt=0.0, lf=math.nan,
-                             beta=math.nan, w_load=0.0) for _ in range(4)]
-        pred = predict_cycle_forces(wedges, _soil(), LOADER, 0.0)
-        f_t, f_n = pred.arrays()
+        out = _engine(_soil(), np.zeros(4), 0.5)
+        f_t, f_n = out.arrays()
         assert np.all(f_t == 0.0) and np.all(f_n == 0.0)
-        assert not pred.issues
+        assert out.failures == []
 
     def test_singular_sample_reported_not_fatal(self):
-        good = WedgeState(depth_d=0.1, rho=0.6, lt=0.2, lf=math.nan,
-                          beta=math.nan, w_load=10.0)
-        bad = WedgeState(depth_d=0.1, rho=math.radians(1.0), lt=0.2,
-                         lf=math.nan, beta=math.nan, w_load=10.0)
-        pred = predict_cycle_forces([good, bad, good], _soil(phi=0.4,
-                                                             delta=0.2),
-                                    LOADER, 0.1)
-        assert len(pred.issues) == 1
-        assert pred.issues[0].index == 1
-        assert pred[0] is not None and pred[2] is not None
-        assert pred[1] is None
+        out = _engine(_soil(phi=0.4, delta=0.2), 0.1,
+                      [0.6, math.radians(1.0), 0.6], lt=0.2, w_load=10.0,
+                      alpha=0.1)
+        assert [index for index, _ in out.failures] == [1]
+        assert out.valid.tolist() == [True, False, True]
+        f_t, f_n = out.arrays()
+        assert np.all(np.isfinite(f_t[[0, 2]]))
+        assert np.isnan(f_t[1]) and np.isnan(f_n[1])
 
     def test_against_independent_reimplementation(self, dataset, truth,
                                                   scenario):
         # straight-line per-sample recomputation of the whole force chain
-        from feecalib import cycle_wedges
         from scipy.optimize import minimize_scalar
 
-        wedges = cycle_wedges(dataset.samples, dataset.surface, truth.gamma,
-                              dataset.loader)
-        pred = predict_cycle_forces(wedges, truth, dataset.loader,
+        loader = dataset.loader
+        depth, lt, area = wedge_geometry(dataset.samples, dataset.surface)
+        rho = dataset.rho_array()
+        w_load = truth.gamma * GRAVITY * loader.omega * area
+        pred = predict_force_arrays(depth, rho, lt, w_load, truth, loader,
                                     scenario.surface.nominal_alpha)
         alpha = scenario.surface.nominal_alpha
-        loader = dataset.loader
         eps = math.radians(5.0)
         ang = math.radians(1.0)
 
@@ -397,40 +472,40 @@ class TestPredictCycleForces:
                        * math.sin(rho + truth.delta + beta + truth.phi)))
 
         checked = 0
-        for wedge, force in zip(wedges, pred.forces):
-            if wedge.depth_d <= 0.0:
-                assert force.f_t == 0.0 and force.f_n == 0.0
+        for i in range(dataset.n):
+            d, r = float(depth[i]), float(rho[i])
+            if d <= 0.0:
+                assert pred.f_t[i] == 0.0 and pred.f_n[i] == 0.0
                 continue
             lo = eps
-            hi = min(math.pi - wedge.rho - truth.delta - truth.phi - eps,
+            hi = min(math.pi - r - truth.delta - truth.phi - eps,
                      math.pi - truth.phi - ang, math.pi / 2 - alpha)
             grid = np.linspace(lo, hi, 4001)
-            coarse = [ref_ngamma(b, wedge.rho) for b in grid]
+            coarse = [ref_ngamma(b, r) for b in grid]
             j = int(np.argmin(coarse))
             res = minimize_scalar(
-                lambda b: ref_ngamma(b, wedge.rho), method="bounded",
+                lambda b: ref_ngamma(b, r), method="bounded",
                 bounds=(grid[max(j - 1, 0)], grid[min(j + 1, 4000)]),
                 options={"xatol": 1e-12})
             beta = min(res.x, hi)
-            if ref_ngamma(lo, wedge.rho) <= ref_ngamma(beta, wedge.rho):
+            if ref_ngamma(lo, r) <= ref_ngamma(beta, r):
                 beta = lo
-            chain = wedge.rho + truth.delta + beta + truth.phi
-            n_gamma = ref_ngamma(beta, wedge.rho)
+            chain = r + truth.delta + beta + truth.phi
+            n_gamma = ref_ngamma(beta, r)
             n_c = math.cos(truth.phi) / (math.sin(beta) * math.sin(chain))
-            n_a = (-math.cos(wedge.rho + beta + truth.phi)
-                   / (math.sin(wedge.rho) * math.sin(chain)))
+            n_a = (-math.cos(r + beta + truth.phi)
+                   / (math.sin(r) * math.sin(chain)))
             n_q = (math.sin(alpha + beta + truth.phi) / math.sin(chain))
-            f = (wedge.depth_d ** 2 * loader.omega * truth.gamma * GRAVITY
-                 * n_gamma
-                 + truth.cohesion_c * loader.omega * wedge.depth_d * n_c
-                 + truth.adhesion_ca * loader.omega * wedge.depth_d * n_a
-                 + wedge.w_load * n_q)
-            p = (truth.kc / loader.b + truth.kphi) * wedge.depth_d ** truth.n
+            f = (d ** 2 * loader.omega * truth.gamma * GRAVITY * n_gamma
+                 + truth.cohesion_c * loader.omega * d * n_c
+                 + truth.adhesion_ca * loader.omega * d * n_a
+                 + float(w_load[i]) * n_q)
+            p = (truth.kc / loader.b + truth.kphi) * d ** truth.n
             f_t = (loader.omega * loader.b * p + f * math.sin(truth.delta)
-                   + truth.adhesion_ca * loader.omega * wedge.lt)
+                   + truth.adhesion_ca * loader.omega * d / math.sin(r))
             f_n = f * math.cos(truth.delta)
-            assert force.f_t == pytest.approx(f_t, rel=1e-7)
-            assert force.f_n == pytest.approx(f_n, rel=1e-7)
+            assert pred.f_t[i] == pytest.approx(f_t, rel=1e-7)
+            assert pred.f_n[i] == pytest.approx(f_n, rel=1e-7)
             checked += 1
         assert checked > 100
 

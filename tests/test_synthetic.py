@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from feecalib import (Scenario, SlopedLine, TrajectorySample, add_noise,
-                      cycle_wedges, default_loader, find_preset,
-                      predict_cycle_forces, preset_catalog, simulate_cycle)
+from feecalib import (GRAVITY, Scenario, SlopedLine, TrajectorySample,
+                      add_noise, default_loader, find_preset,
+                      predict_force_arrays, preset_catalog, simulate_cycle,
+                      wedge_geometry)
 from feecalib.synthetic import steel_contact_delta
 
 
@@ -30,9 +31,10 @@ class TestSimulateCycle:
         assert np.all(ds.f_n_obs == 0.0)
 
     def test_round_trip_is_bitwise(self, dataset, truth, scenario):
-        wedges = cycle_wedges(dataset.samples, dataset.surface, truth.gamma,
-                              dataset.loader)
-        pred = predict_cycle_forces(wedges, truth, dataset.loader,
+        depth, lt, area = wedge_geometry(dataset.samples, dataset.surface)
+        w_load = truth.gamma * GRAVITY * dataset.loader.omega * area
+        pred = predict_force_arrays(depth, dataset.rho_array(), lt, w_load,
+                                    truth, dataset.loader,
                                     scenario.surface.nominal_alpha)
         f_t, f_n = pred.arrays()
         assert np.array_equal(f_t, dataset.f_t_obs)
