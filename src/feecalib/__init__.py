@@ -17,7 +17,7 @@ from .errors import (ConfigError, DegenerateDepths, DegenerateRegion,
                      NonFiniteObjective, NonMonotonePath, SingularGeometry,
                      SolverFailure)
 from .geometry import (CycleDataset, Polyline, SlopedLine, Surface,
-                       TrajectorySample, quadratic_bezier_path,
+                       make_trajectory, quadratic_bezier_path,
                        surface_after_cycle, swept_area_profile,
                        wedge_geometry)
 from .optimizer import (SolveResult, SolverOptions,

@@ -25,8 +25,8 @@ import numpy as np
 from scipy.optimize import lsq_linear, minimize_scalar
 
 from .errors import DegenerateDepths, EmptySeries, SolverFailure
-from .geometry import (CycleDataset, Surface, TrajectorySample,
-                       surface_after_cycle, wedge_geometry)
+from .geometry import (CycleDataset, Surface, surface_after_cycle,
+                       wedge_geometry)
 from .optimizer import SolverOptions, finite_difference_gradient, multi_start
 from .soil import (DEFAULT_MARGINS, GRAVITY, PARAM_NAMES, CycleForceArrays,
                    LoaderParameters, Margins, ParameterBounds,
@@ -190,7 +190,7 @@ class _CycleArrays:
 def _prepare(dataset: CycleDataset, surface: Surface | None) -> _CycleArrays:
     surf = dataset.surface if surface is None else surface
     depth, lt, area = wedge_geometry(dataset.samples, surf)
-    return _CycleArrays(rho=dataset.rho_array(), depth=depth, lt=lt,
+    return _CycleArrays(rho=dataset.samples.rho, depth=depth, lt=lt,
                         area=area,
                         ft_obs=np.asarray(dataset.f_t_obs, dtype=float),
                         fn_obs=np.asarray(dataset.f_n_obs, dtype=float),
@@ -723,7 +723,7 @@ def calibrate_multi_stage(dataset: CycleDataset,
 
 
 def predict_next_cycle(theta_star: SoilParameters, scenario,
-                       prior_cycle: Sequence[TrajectorySample] | None = None,
+                       prior_cycle: np.recarray | None = None,
                        margins: Margins = DEFAULT_MARGINS
                        ) -> CycleForceArrays:
     """Predict forces for a new pass using fitted parameters.
@@ -736,11 +736,10 @@ def predict_next_cycle(theta_star: SoilParameters, scenario,
     surface = scenario.surface
     if prior_cycle is not None:
         surface = surface_after_cycle(surface, prior_cycle)
-    trajectory = tuple(scenario.trajectory(surface=surface))
+    trajectory = scenario.trajectory(surface=surface)
     depth, lt, area = wedge_geometry(trajectory, surface)
-    rho = np.array([s.rho for s in trajectory], dtype=float)
     w_load = theta_star.gamma * GRAVITY * scenario.loader.omega * area
-    prediction = predict_force_arrays(depth, rho, lt, w_load, theta_star,
-                                      scenario.loader, surface.nominal_alpha,
-                                      margins)
+    prediction = predict_force_arrays(depth, trajectory.rho, lt, w_load,
+                                      theta_star, scenario.loader,
+                                      surface.nominal_alpha, margins)
     return replace(prediction, trajectory=trajectory)

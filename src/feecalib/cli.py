@@ -13,6 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import io as fio
 from .calibration import (calibrate_multi_stage, calibrate_single_stage,
@@ -92,7 +93,7 @@ def calibrate(cycle_csv, scenario_path, config_path, method, seed,
               out_dir) -> None:
     """Fit soil parameters to one cycle's force data (report.json)."""
     try:
-        samples, ft, fn = fio.read_cycle_csv(cycle_csv)
+        trajectory, ft, fn = fio.read_cycle_csv(cycle_csv)
         if scenario_path is None:
             scenario_path = Path(cycle_csv).parent / "scenario.json"
         scenario = fio.read_scenario_json(scenario_path)
@@ -101,13 +102,10 @@ def calibrate(cycle_csv, scenario_path, config_path, method, seed,
         if seed is not None:
             options = replace(options, solver=replace(options.solver,
                                                       seed=seed))
-        dataset = CycleDataset(samples=tuple(samples), f_t_obs=ft,
-                               f_n_obs=fn, surface=scenario.surface,
-                               loader=scenario.loader)
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, f"invalid cycle data: {exc}")
+    dataset = CycleDataset(samples=trajectory, f_t_obs=ft, f_n_obs=fn,
+                           surface=scenario.surface, loader=scenario.loader)
     try:
         if method == "single":
             report = calibrate_single_stage(dataset, options=options)
@@ -138,8 +136,6 @@ def predict(report_json, scenario_path, prior_path, out_dir) -> None:
     try:
         theta = fio.read_report_theta(report_json)
         scenario = fio.read_scenario_json(scenario_path)
-        if scenario.n_samples == 0:
-            raise ConfigError("scenario has no samples")
         prior = None
         if prior_path is not None:
             prior, _, _ = fio.read_cycle_csv(prior_path)
@@ -180,6 +176,13 @@ def evaluate(predicted_csv, observed_csv, out_dir) -> None:
                 f"{ft_obs.size} observed samples")
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
+    flagged = np.flatnonzero(~(np.isfinite(predicted["ft_N"])
+                               & np.isfinite(predicted["fn_N"])))
+    if flagged.size:    # row i of a CSV file is on line i + 2
+        lines = ", ".join(str(i + 2) for i in flagged[:5])
+        _fail(EXIT_COMPUTE, f"{predicted_csv}: {flagged.size} flagged rows "
+                            f"carry no forces (lines {lines}"
+                            f"{', ...' if flagged.size > 5 else ''})")
     try:
         ft_pair = rmse(ft_obs, predicted["ft_N"])
         fn_pair = rmse(fn_obs, predicted["fn_N"])

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -152,43 +151,59 @@ class Polyline(Surface):
         return depth
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    """Bucket tip state at one time instant."""
+class InvalidTrajectory(ValueError):
+    """A trajectory that fails validation at sample ``index``."""
 
-    t: float    # s
-    x: float    # m
-    z: float    # m
-    rho: float  # blade angle relative to the stockpile surface, rad
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(f"sample {index}: {message}")
+        self.index = index
 
-    def __post_init__(self) -> None:
-        for name in ("t", "x", "z", "rho"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+
+def make_trajectory(t, x, z, rho) -> np.recarray:
+    """Bucket tip states as a read-only record array, one row per sample.
+
+    Fields: ``t`` (s), ``x`` and ``z`` (m) and ``rho``, the blade angle
+    relative to the stockpile surface (rad). ``traj.x`` is a float array;
+    iterating yields rows with the same attributes. The columns must have
+    equal length, finite values and nondecreasing ``t``; a violation
+    raises InvalidTrajectory naming the first offending sample.
+    """
+    names = ("t", "x", "z", "rho")
+    columns = [np.asarray(c, dtype=float) for c in (t, x, z, rho)]
+    if any(c.ndim != 1 or c.size != columns[0].size for c in columns):
+        raise ValueError("t, x, z and rho must be 1-D of equal length")
+    finite = np.isfinite(columns)
+    bad = np.flatnonzero(~finite.all(axis=0))
+    if bad.size:
+        i = int(bad[0])
+        name = names[int(np.argmin(finite[:, i]))]
+        raise InvalidTrajectory(i, f"{name} must be finite")
+    back = np.flatnonzero(columns[0][1:] < columns[0][:-1])
+    if back.size:
+        raise InvalidTrajectory(int(back[0]) + 1,
+                                "sample times must be nondecreasing")
+    trajectory = np.rec.fromarrays(columns, names=names)
+    trajectory.flags.writeable = False
+    return trajectory
 
 
 @dataclass(frozen=True)
 class CycleDataset:
-    """One loading cycle: trajectory plus observed force series."""
+    """One loading cycle: a trajectory plus observed force series."""
 
-    samples: tuple[TrajectorySample, ...]
+    samples: np.recarray
     f_t_obs: np.ndarray
     f_n_obs: np.ndarray
     surface: Surface
     loader: LoaderParameters
 
     def __post_init__(self) -> None:
-        samples = tuple(self.samples)
         ft = np.array(self.f_t_obs, dtype=float)
         fn = np.array(self.f_n_obs, dtype=float)
-        if not (len(samples) == ft.size == fn.size):
+        if not (len(self.samples) == ft.size == fn.size):
             raise ValueError("samples and force series must have equal length")
-        times = [s.t for s in samples]
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ValueError("sample times must be nondecreasing")
         ft.setflags(write=False)
         fn.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "f_t_obs", ft)
         object.__setattr__(self, "f_n_obs", fn)
 
@@ -197,19 +212,14 @@ class CycleDataset:
         return len(self.samples)
 
     def tip_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.array([s.x for s in self.samples]),
-                np.array([s.z for s in self.samples]))
-
-    def rho_array(self) -> np.ndarray:
-        return np.array([s.rho for s in self.samples])
+        return self.samples.x, self.samples.z
 
 
 # ---------------------------------------------------------------------------
 # Swept soil load
 # ---------------------------------------------------------------------------
 
-def swept_area_profile(samples: Sequence[TrajectorySample],
-                       surface: Surface) -> np.ndarray:
+def swept_area_profile(samples: np.recarray, surface: Surface) -> np.ndarray:
     """Cumulative area between the trajectory prefix and the surface.
 
     Each path segment with x1 > x0 is split at the surface vertices
@@ -220,8 +230,7 @@ def swept_area_profile(samples: Sequence[TrajectorySample],
     """
     if len(samples) == 0:
         return np.zeros(0)
-    xs = np.array([s.x for s in samples])
-    zs = np.array([s.z for s in samples])
+    xs, zs = samples.x, samples.z
     span = max(float(xs.max() - xs.min()), 1e-12)
     if np.any(np.diff(xs) < -1e-9 * span):
         raise DegenerateRegion("trajectory x decreases; swept region would "
@@ -253,7 +262,7 @@ def swept_area_profile(samples: Sequence[TrajectorySample],
     return np.concatenate([[0.0], np.cumsum(totals)])
 
 
-def wedge_geometry(samples: Sequence[TrajectorySample], surface: Surface
+def wedge_geometry(samples: np.recarray, surface: Surface
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-sample (depth, lt, swept area) of a trajectory on a surface.
 
@@ -263,10 +272,8 @@ def wedge_geometry(samples: Sequence[TrajectorySample], surface: Surface
     swept area is ``swept_area_profile``, the cross-section whose weight
     loads the wedge.
     """
-    xs = np.array([s.x for s in samples], dtype=float)
-    zs = np.array([s.z for s in samples], dtype=float)
-    sin_rho = np.sin(np.array([s.rho for s in samples], dtype=float))
-    depth = np.asarray(surface.depth_of(xs, zs), dtype=float)
+    sin_rho = np.sin(samples.rho)
+    depth = np.asarray(surface.depth_of(samples.x, samples.z), dtype=float)
     lt = np.where((depth > 0.0) & (sin_rho > 0.0),
                   depth / np.where(sin_rho > 0.0, sin_rho, 1.0), 0.0)
     return depth, lt, swept_area_profile(samples, surface)
@@ -280,7 +287,7 @@ def quadratic_bezier_path(p0: tuple[float, float], p1: tuple[float, float],
                           p2: tuple[float, float], n_samples: int,
                           duration: float, surface: Surface | None = None,
                           rho_min: float = DEFAULT_MARGINS.rho_min
-                          ) -> list[TrajectorySample]:
+                          ) -> np.recarray:
     """Sample a quadratic Bezier tip path at uniform parameter values.
 
     The blade angle at each sample is the angle between the path tangent
@@ -305,9 +312,7 @@ def quadratic_bezier_path(p0: tuple[float, float], p1: tuple[float, float],
         theta_s = np.asarray(surface.direction_angle_at(pts[:, 0]))
     diff = np.arctan2(np.sin(theta_t - theta_s), np.cos(theta_t - theta_s))
     rho = np.clip(np.abs(diff), rho_min, math.pi / 2.0)
-    return [TrajectorySample(t=float(ui * duration), x=float(pts[i, 0]),
-                             z=float(pts[i, 1]), rho=float(rho[i]))
-            for i, ui in enumerate(u)]
+    return make_trajectory(u * duration, pts[:, 0], pts[:, 1], rho)
 
 
 def _collapse_vertical_moves(xs: np.ndarray, zs: np.ndarray, tol: float):
@@ -341,8 +346,7 @@ def _prune_collinear(xs: np.ndarray, zs: np.ndarray, tol: float):
 
 
 def surface_after_cycle(prior_surface: Surface,
-                        cycle_trajectory: Sequence[TrajectorySample]
-                        ) -> Polyline:
+                        cycle_trajectory: np.recarray) -> Polyline:
     """Surface left behind by a pass: the lower envelope of prior surface
     and trajectory inside the excavated span, the prior surface outside.
 
@@ -350,8 +354,7 @@ def surface_after_cycle(prior_surface: Surface,
     angle of repose). Raises NonMonotonePath when the trajectory doubles
     back in x beyond tolerance.
     """
-    xs = np.array([s.x for s in cycle_trajectory], dtype=float)
-    zs = np.array([s.z for s in cycle_trajectory], dtype=float)
+    xs, zs = cycle_trajectory.x, cycle_trajectory.z
     if xs.size < 2:
         raise ValueError("trajectory needs at least two samples")
     span = max(float(xs.max() - xs.min()), 1e-12)

@@ -19,7 +19,8 @@ import numpy as np
 
 from .calibration import CalibrationOptions, CalibrationReport
 from .errors import ConfigError
-from .geometry import Polyline, SlopedLine, Surface, TrajectorySample
+from .geometry import (InvalidTrajectory, Polyline, SlopedLine, Surface,
+                       make_trajectory)
 from .optimizer import SolverOptions
 from .soil import LoaderParameters, SoilParameters
 from .synthetic import (Scenario, default_loader, default_scenario,
@@ -44,76 +45,83 @@ _SOIL_KEYS = {
 _ANGLE_FIELDS = {"phi", "delta"}
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
 
-def write_cycle_csv(path: str | Path, samples: Sequence[TrajectorySample],
-                    f_t_obs, f_n_obs) -> None:
+def _write_table(path: str | Path, header: Sequence[str], columns) -> None:
+    """One row per sample; every value in shortest round-trip form."""
+    rows = np.column_stack(columns).tolist()
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(header) + "\n")
+        handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def _read_table(path: str | Path,
+                columns: Sequence[str]) -> dict[str, np.ndarray]:
+    """The named columns of a numeric CSV file; row i is on line i + 2.
+
+    Each row must hold one number per header field; a bad row raises
+    ConfigError naming its line. Trailing blank lines are ignored."""
     path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CYCLE_COLUMNS)
-        for s, ft, fn in zip(samples, f_t_obs, f_n_obs):
-            writer.writerow([_fmt(s.t), _fmt(s.x), _fmt(s.z), _fmt(s.rho),
-                             _fmt(ft), _fmt(fn)])
+    try:
+        with path.open("r", encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}")
+    while rows and not rows[-1]:
+        rows.pop()
+    header = rows[0] if rows else []
+    for column in columns:
+        if column not in header:
+            raise ConfigError(f"{path}: missing column '{column}'")
+    body = rows[1:]
+    try:
+        table = np.array(body, dtype=float).reshape(len(body), len(header))
+    except ValueError:
+        for line, row in enumerate(body, start=2):  # the first bad row
+            try:
+                np.array(row, dtype=float).reshape(len(header))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{line}: bad value ({exc})")
+        raise
+    return {c: table[:, header.index(c)] for c in columns}
+
+
+def write_cycle_csv(path: str | Path, samples: np.recarray,
+                    f_t_obs, f_n_obs) -> None:
+    _write_table(path, CYCLE_COLUMNS, (samples.t, samples.x, samples.z,
+                                       samples.rho, f_t_obs, f_n_obs))
 
 
 def read_cycle_csv(path: str | Path):
-    """Returns (samples, f_t_obs, f_n_obs); column set is checked strictly."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        for column in CYCLE_COLUMNS:
-            if column not in header:
-                raise ConfigError(f"{path}: missing column '{column}'")
-        samples = []
-        ft = []
-        fn = []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                samples.append(TrajectorySample(
-                    t=float(row["t_s"]), x=float(row["x_m"]),
-                    z=float(row["z_m"]), rho=float(row["rho_rad"])))
-                ft.append(float(row["ft_obs_N"]))
-                fn.append(float(row["fn_obs_N"]))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value ({exc})")
-    return samples, np.array(ft), np.array(fn)
+    """Returns (trajectory, f_t_obs, f_n_obs); the column set is checked
+    strictly and every value must be finite, with times nondecreasing."""
+    columns = _read_table(path, CYCLE_COLUMNS)
+    t, x, z, rho, f_t, f_n = (columns[c] for c in CYCLE_COLUMNS)
+    try:
+        trajectory = make_trajectory(t, x, z, rho)
+    except InvalidTrajectory as exc:
+        raise ConfigError(f"{path}:{exc.index + 2}: bad value ({exc})")
+    bad = np.flatnonzero(~(np.isfinite(f_t) & np.isfinite(f_n)))
+    if bad.size:
+        raise ConfigError(f"{path}:{bad[0] + 2}: bad value (observed "
+                          "forces must be finite)")
+    return trajectory, f_t, f_n
 
 
-def write_prediction_csv(path: str | Path,
-                         samples: Sequence[TrajectorySample],
+def write_prediction_csv(path: str | Path, samples: np.recarray,
                          depth, beta, f_t, f_n) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(PREDICTION_COLUMNS)
-        for i, s in enumerate(samples):
-            fr = math.hypot(f_t[i], f_n[i])
-            writer.writerow([_fmt(s.t), _fmt(s.x), _fmt(s.z), _fmt(s.rho),
-                             _fmt(depth[i]), _fmt(beta[i]), _fmt(f_t[i]),
-                             _fmt(f_n[i]), _fmt(fr)])
+    # math.hypot, not np.hypot: the two differ in the last bit
+    f_r = list(map(math.hypot, np.asarray(f_t, dtype=float).tolist(),
+                   np.asarray(f_n, dtype=float).tolist()))
+    _write_table(path, PREDICTION_COLUMNS,
+                 (samples.t, samples.x, samples.z, samples.rho, depth, beta,
+                  f_t, f_n, f_r))
 
 
 def read_prediction_csv(path: str | Path) -> dict[str, np.ndarray]:
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        for column in PREDICTION_COLUMNS:
-            if column not in header:
-                raise ConfigError(f"{path}: missing column '{column}'")
-        rows = {c: [] for c in PREDICTION_COLUMNS}
-        for row in reader:
-            for c in PREDICTION_COLUMNS:
-                rows[c].append(float(row[c]))
-    return {c: np.array(v) for c, v in rows.items()}
+    return _read_table(path, PREDICTION_COLUMNS)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +265,10 @@ def scenario_to_json(scenario: Scenario) -> dict:
         doc["path"] = {"type": "quadratic_bezier", "p0_m": list(p0),
                        "p1_m": list(p1), "p2_m": list(p2)}
     else:
+        s = scenario.samples
         doc["path"] = {"type": "explicit",
-                       "samples": [[s.t, s.x, s.z, s.rho]
-                                   for s in scenario.samples]}
+                       "samples": np.column_stack([s.t, s.x, s.z,
+                                                   s.rho]).tolist()}
     return doc
 
 
@@ -289,9 +298,11 @@ def scenario_from_json(obj: dict, context: str = "scenario") -> Scenario:
         if kind == "explicit":
             _check_keys(path, ("type", "samples"), f"{context}.path")
             rows = _need(path, "samples", f"{context}.path")
-            samples = tuple(TrajectorySample(t=float(r[0]), x=float(r[1]),
-                                             z=float(r[2]), rho=float(r[3]))
-                            for r in rows)
+            table = np.array(rows, dtype=float)
+            if table.ndim != 2 or table.shape[1] != 4:
+                raise ValueError("samples must be one or more [t_s, x_m, "
+                                 "z_m, rho_rad] rows")
+            samples = make_trajectory(*table.T)
             return Scenario(surface=surface, loader=loader, samples=samples,
                             sample_rate=rate, duration=duration)
     except (ValueError, TypeError, IndexError) as exc:
@@ -415,17 +426,7 @@ def _truth_from_preset(name: str) -> SoilParameters:
 def load_config(path: str | Path | None, preset: str | None = None,
                 noise: float | None = None,
                 seed: int | None = None) -> RunConfig:
-    if path is None:
-        return run_config_from_json({}, preset=preset, noise=noise,
-                                    seed=seed)
-    path = Path(path)
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}")
+    obj = {} if path is None else _load_json(path)
     return run_config_from_json(obj, preset=preset, noise=noise, seed=seed)
 
 
@@ -447,9 +448,9 @@ def read_scenario_json(path: str | Path) -> Scenario:
     return scenario_from_json(obj, str(path))
 
 
-def _dump_json(path: str | Path, doc: dict) -> None:
+def _dump_json(path: str | Path, doc: dict, allow_nan: bool = True) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        json.dump(doc, handle, indent=2)
+        json.dump(doc, handle, indent=2, allow_nan=allow_nan)
         handle.write("\n")
 
 
@@ -460,7 +461,7 @@ def _load_json(path: str | Path) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # not UTF-8, or not JSON
         raise ConfigError(f"{path} is not valid JSON: {exc}")
 
 
@@ -517,10 +518,13 @@ def read_report_theta(path: str | Path) -> SoilParameters:
 def write_metrics_json(path: str | Path, n_samples: int,
                        ft: tuple[float, float], fn: tuple[float, float],
                        fr: tuple[float, float]) -> None:
-    _dump_json(path, {
-        "schema_version": SCHEMA_VERSION,
-        "n_samples": n_samples,
-        "ft": {"rmse_N": ft[0], "rmse_pct": ft[1]},
-        "fn": {"rmse_N": fn[0], "rmse_pct": fn[1]},
-        "fr": {"rmse_N": fr[0], "rmse_pct": fr[1]},
-    })
+    """Strict JSON: a non-finite figure (a percent against an observed
+    peak of 0) is written as null."""
+    def pair(values: tuple[float, float]) -> dict:
+        absolute, percent = (v if math.isfinite(v) else None for v in values)
+        return {"rmse_N": absolute, "rmse_pct": percent}
+
+    _dump_json(path, {"schema_version": SCHEMA_VERSION,
+                      "n_samples": n_samples,
+                      "ft": pair(ft), "fn": pair(fn), "fr": pair(fr)},
+               allow_nan=False)

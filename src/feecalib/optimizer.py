@@ -202,26 +202,19 @@ def latin_hypercube(n_points: int, lo: np.ndarray, hi: np.ndarray,
 
 
 def multi_start(objective: Callable[[np.ndarray], float], bounds,
-                options: SolverOptions = SolverOptions(),
-                warm_start: np.ndarray | None = None) -> SolveResult:
+                options: SolverOptions = SolverOptions()) -> SolveResult:
     """Best solve over a deterministic start set.
 
-    Starts are the warm start (when given, e.g. a previous cycle's
-    solution), the box center, then Latin hypercube points, truncated to
-    n_starts. Per-start failures are tolerated; SolverFailure is raised
-    only when every start fails.
+    Starts are the box center, then n_starts - 1 Latin hypercube points.
+    Per-start failures are tolerated; SolverFailure is raised only when
+    every start fails.
     """
     arr = np.asarray(bounds, dtype=float)
     lo, hi = _as_bounds(arr, arr.shape[0])
-    starts: list[np.ndarray] = []
-    if warm_start is not None:
-        starts.append(np.clip(np.asarray(warm_start, dtype=float), lo, hi))
-    starts.append(0.5 * (lo + hi))
-    extra = options.n_starts - len(starts)
-    if extra > 0:
+    starts = [0.5 * (lo + hi)]
+    if options.n_starts > 1:
         rng = np.random.default_rng(options.seed)
-        starts.extend(latin_hypercube(extra, lo, hi, rng))
-    starts = starts[:max(options.n_starts, 1)]
+        starts.extend(latin_hypercube(options.n_starts - 1, lo, hi, rng))
 
     best: SolveResult | None = None
     failures: list[str] = []

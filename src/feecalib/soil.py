@@ -303,8 +303,8 @@ class CycleForceArrays:
 
     Out-of-soil samples (depth <= 0) carry zero forces; in-soil samples
     that hit a margin carry NaN forces and are listed in ``failures``.
-    ``trajectory`` holds the samples predicted along, when the caller
-    sampled them.
+    ``trajectory`` holds the trajectory (``geometry.make_trajectory``)
+    predicted along, when the caller sampled one.
     """
 
     depth: np.ndarray     # penetration depth, m (the engine's input)
@@ -320,7 +320,7 @@ class CycleForceArrays:
     status: np.ndarray    # per-sample status code
     in_soil: np.ndarray   # depth > 0
     valid: np.ndarray     # in-soil samples that evaluated cleanly
-    trajectory: tuple = ()
+    trajectory: np.recarray | None = None
 
     @property
     def n(self) -> int:

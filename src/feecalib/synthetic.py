@@ -17,8 +17,7 @@ import numpy as np
 
 from .calibration import predict_next_cycle
 from .errors import InfeasibleGeometry
-from .geometry import (CycleDataset, Surface, SlopedLine, TrajectorySample,
-                       quadratic_bezier_path)
+from .geometry import CycleDataset, Surface, SlopedLine, quadratic_bezier_path
 from .soil import DEFAULT_MARGINS, LoaderParameters, Margins, SoilParameters
 
 
@@ -27,13 +26,13 @@ class Scenario:
     """A surface, a tip path and the sampling scheme for one cycle.
 
     The path is either three quadratic Bezier control points or an
-    explicit sample sequence; exactly one of the two must be given.
+    explicit trajectory; exactly one of the two must be given.
     """
 
     surface: Surface
     loader: LoaderParameters
     control_points: tuple[tuple[float, float], ...] | None = None
-    samples: tuple[TrajectorySample, ...] | None = None
+    samples: np.recarray | None = None
     sample_rate: float = 60.0
     duration: float = 4.67
 
@@ -47,8 +46,6 @@ class Scenario:
             raise ValueError("sample_rate must be positive")
         if self.duration <= 0.0:
             raise ValueError("duration must be positive")
-        if self.samples is not None:
-            object.__setattr__(self, "samples", tuple(self.samples))
 
     @property
     def n_samples(self) -> int:
@@ -56,12 +53,11 @@ class Scenario:
             return len(self.samples)
         return int(math.floor(self.sample_rate * self.duration)) + 1
 
-    def trajectory(self, surface: Surface | None = None
-                   ) -> list[TrajectorySample]:
+    def trajectory(self, surface: Surface | None = None) -> np.recarray:
         """Sample the tip path; blade angles reference ``surface``
         (defaults to the scenario's own surface)."""
         if self.samples is not None:
-            return list(self.samples)
+            return self.samples
         p0, p1, p2 = self.control_points
         return quadratic_bezier_path(
             p0, p1, p2, self.n_samples, self.duration,

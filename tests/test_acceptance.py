@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from feecalib import (GRAVITY, CalibrationOptions, Scenario, SolverOptions,
-                      TrajectorySample, add_noise, calibrate_multi_stage,
+                      add_noise, calibrate_multi_stage,
                       calibrate_single_stage, default_scenario,
                       default_truth, finite_difference_gradient,
-                      heldout_scenario, minimize_bounded, multi_start,
-                      predict_force_arrays, predict_next_cycle, resultant,
-                      rmse, simulate_cycle, surface_after_cycle,
+                      heldout_scenario, make_trajectory, minimize_bounded,
+                      multi_start, predict_force_arrays, predict_next_cycle,
+                      resultant, rmse, simulate_cycle, surface_after_cycle,
                       wedge_geometry)
 from feecalib.calibration import _full_series, _prepare
 from feecalib.soil import (DEFAULT_MARGINS, SoilParameters, _factor_arrays,
@@ -205,19 +205,19 @@ def test_criterion_7_continuity_and_stability():
     base = scenario.trajectory()
 
     # halve the time step by inserting midpoint samples on the same path
-    refined = []
-    for a, b in zip(base[:-1], base[1:]):
-        refined.append(a)
-        refined.append(TrajectorySample(t=0.5 * (a.t + b.t),
-                                        x=0.5 * (a.x + b.x),
-                                        z=0.5 * (a.z + b.z),
-                                        rho=0.5 * (a.rho + b.rho)))
-    refined.append(base[-1])
+    def refine(column):
+        out = np.empty(2 * column.size - 1)
+        out[0::2] = column
+        out[1::2] = 0.5 * (column[:-1] + column[1:])
+        return out
+
+    refined = make_trajectory(refine(base.t), refine(base.x),
+                              refine(base.z), refine(base.rho))
 
     def forces(samples):
         depth, lt, area = wedge_geometry(samples, scenario.surface)
         w_load = truth.gamma * GRAVITY * scenario.loader.omega * area
-        pred = predict_force_arrays(depth, [s.rho for s in samples], lt,
+        pred = predict_force_arrays(depth, samples.rho, lt,
                                     w_load, truth, scenario.loader,
                                     scenario.surface.nominal_alpha)
         assert not pred.failures

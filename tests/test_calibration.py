@@ -7,11 +7,11 @@ from scipy.ndimage import gaussian_filter1d
 
 from feecalib import (CalibrationOptions, CycleDataset, DegenerateDepths,
                       EmptySeries, SlopedLine,
-                      SolverOptions, TrajectorySample, add_noise,
+                      SolverOptions, add_noise,
                       calibrate_multi_stage, calibrate_single_stage,
                       calibrate_stage1, calibrate_stage2, calibrate_stage3,
-                      default_loader, gaussian_filter, predict_next_cycle,
-                      resultant, rmse, simulate_cycle)
+                      default_loader, gaussian_filter, make_trajectory,
+                      predict_next_cycle, resultant, rmse, simulate_cycle)
 from feecalib.calibration import (_full_series, _prepare,
                                   stage1_tangential_force)
 
@@ -99,8 +99,9 @@ class TestResultant:
 
 def _zero_depth_dataset():
     surface = SlopedLine((0.0, 0.0), 0.0)
-    samples = tuple(TrajectorySample(t=i * 0.1, x=float(i), z=1.0, rho=0.5)
-                    for i in range(30))
+    i = np.arange(30)
+    samples = make_trajectory(i * 0.1, i.astype(float), np.full(30, 1.0),
+                              np.full(30, 0.5))
     zeros = np.zeros(30)
     return CycleDataset(samples=samples, f_t_obs=zeros, f_n_obs=zeros,
                         surface=surface, loader=default_loader())
@@ -125,8 +126,9 @@ class TestStage1:
     def test_unidentifiable_delta_still_bounds_feasible(self, fast_options):
         # zero normal force makes the friction term invisible
         surface = SlopedLine((0.0, 0.0), 0.0)
-        samples = tuple(TrajectorySample(t=i * 0.1, x=i * 0.1, z=-0.1,
-                                         rho=0.6) for i in range(40))
+        i = np.arange(40)
+        samples = make_trajectory(i * 0.1, i * 0.1, np.full(40, -0.1),
+                                  np.full(40, 0.6))
         ft = np.full(40, 500.0)
         fn = np.zeros(40)
         ds = CycleDataset(samples=samples, f_t_obs=ft, f_n_obs=fn,
@@ -310,8 +312,9 @@ class TestPredictNextCycle:
 
     def test_prior_cycle_above_surface_changes_nothing(self, truth,
                                                        scenario):
-        prior = [TrajectorySample(t=float(i), x=-0.5 + 0.1 * i,
-                                  z=2.0, rho=0.5) for i in range(30)]
+        i = np.arange(30)
+        prior = make_trajectory(i.astype(float), -0.5 + 0.1 * i,
+                                np.full(30, 2.0), np.full(30, 0.5))
         base = predict_next_cycle(truth, scenario)
         with_prior = predict_next_cycle(truth, scenario, prior_cycle=prior)
         bt, bn = base.arrays()

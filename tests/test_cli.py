@@ -85,6 +85,15 @@ class TestSimulate:
         assert res.exit_code == 2
         assert not out.exists()
 
+    def test_undecodable_config_exits_2(self, runner, tmp_path):
+        config = tmp_path / "binary.json"
+        config.write_bytes(b"\x00\xff\xfe")
+        res = runner.invoke(main, ["simulate", "--config", str(config),
+                                   "--out", str(tmp_path / "never")])
+        assert res.exit_code == 2, res.output
+        assert "is not valid JSON" in res.output
+        assert "Traceback" not in res.output
+
     def test_unknown_key_rejected(self, runner, tmp_path):
         config = tmp_path / "extra.json"
         config.write_text('{"scenaro": {}}')
@@ -243,9 +252,7 @@ class TestPredict:
         if prior is not None:
             surface = surface_after_cycle(surface, prior)
         trajectory = scen.trajectory(surface=surface)
-        depth = np.asarray(surface.depth_of(
-            np.array([s.x for s in trajectory]),
-            np.array([s.z for s in trajectory])))
+        depth = np.asarray(surface.depth_of(trajectory.x, trajectory.z))
         f_t, f_n = prediction.arrays()
         beta = prediction.beta
         expected = tmp_path / "expected.csv"
@@ -391,3 +398,118 @@ class TestEvaluate:
         res = runner.invoke(main, ["evaluate", str(short),
                                    str(run / "cycle.csv")])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("rho", BAD_BLADE_ANGLES)
+    def test_flagged_rows_exit_3_naming_lines(self, runner, workdir,
+                                              tmp_path, rho):
+        scenario = tmp_path / "blade.json"
+        scenario.write_text(json.dumps(_bad_blade_scenario(rho)))
+        res = runner.invoke(main, ["predict",
+                                   str(workdir / "run" / "report.json"),
+                                   "--scenario", str(scenario), "--out",
+                                   str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        observed = tmp_path / "observed.csv"
+        observed.write_text("t_s,x_m,z_m,rho_rad,ft_obs_N,fn_obs_N\n"
+                            "0.0,0.3,0.0,0.5,100.0,200.0\n"
+                            f"0.1,0.6,-0.05,{rho!r},100.0,200.0\n")
+        out = tmp_path / "metrics"
+        res = runner.invoke(main, ["evaluate", str(tmp_path / "predicted.csv"),
+                                   str(observed), "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "1 flagged rows carry no forces (lines 3)" in res.output
+        assert "Traceback" not in res.output
+        assert not (out / "metrics.json").exists()
+
+    def test_zero_observed_peak_writes_strict_json(self, runner, workdir,
+                                                   tmp_path):
+        run = workdir / "run"
+        lines = (run / "cycle.csv").read_text().splitlines()
+        zeroed = [",".join(line.split(",")[:4] + ["0.0", "0.0"])
+                  for line in lines[1:]]
+        observed = tmp_path / "zero.csv"
+        observed.write_text("\n".join([lines[0]] + zeroed) + "\n")
+        res = runner.invoke(main, ["evaluate", str(run / "predicted.csv"),
+                                   str(observed), "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+
+        def no_constants(name):
+            raise AssertionError(f"{name} in metrics.json")
+
+        metrics = json.loads((tmp_path / "metrics.json").read_text(),
+                             parse_constant=no_constants)
+        for series in ("ft", "fn", "fr"):
+            assert metrics[series]["rmse_N"] > 0.0
+            assert metrics[series]["rmse_pct"] is None
+
+
+def _corrupt(src, dst, line, fault):
+    """Copy a CSV file with one fault on the given (1-based) line."""
+    lines = src.read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    if fault == "short":
+        fields = fields[:-1]
+    elif fault == "t-back":
+        fields[0] = "-1.0"
+    else:
+        column = {"abc": 1, "nan-x": 1, "nan-ft": 4}[fault]
+        fields[column] = "abc" if fault == "abc" else "nan"
+    lines[line - 1] = ",".join(fields)
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+class TestMalformedCsv:
+    """A malformed input CSV exits 2 naming its line, with no traceback."""
+
+    @staticmethod
+    def _assert_rejected(res, path, line):
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert f"{path}:{line}: bad value" in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("fault", ["abc", "short"])
+    def test_predicted_csv_in_evaluate(self, runner, workdir, tmp_path,
+                                       fault):
+        run = workdir / "run"
+        bad = _corrupt(run / "predicted.csv", tmp_path / "predicted.csv", 7,
+                       fault)
+        res = runner.invoke(main, ["evaluate", str(bad),
+                                   str(run / "cycle.csv"), "--out",
+                                   str(tmp_path)])
+        self._assert_rejected(res, bad, 7)
+        assert not (tmp_path / "metrics.json").exists()
+
+    @pytest.mark.parametrize("fault", ["abc", "short", "nan-ft", "t-back"])
+    def test_cycle_csv_in_calibrate(self, runner, workdir, tmp_path, fault):
+        run = workdir / "run"
+        bad = _corrupt(run / "cycle.csv", tmp_path / "cycle.csv", 12, fault)
+        res = runner.invoke(main, ["calibrate", str(bad), "--scenario",
+                                   str(run / "scenario.json"), "--out",
+                                   str(tmp_path)])
+        self._assert_rejected(res, bad, 12)
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("fault", ["abc", "short", "nan-x"])
+    def test_prior_cycle_in_predict(self, runner, workdir, tmp_path, fault):
+        run = workdir / "run"
+        bad = _corrupt(run / "cycle.csv", tmp_path / "cycle.csv", 40, fault)
+        res = runner.invoke(main, ["predict", str(run / "report.json"),
+                                   "--scenario", str(run / "scenario.json"),
+                                   "--prior-cycle", str(bad), "--out",
+                                   str(tmp_path)])
+        self._assert_rejected(res, bad, 40)
+        if fault == "nan-x":
+            assert "x must be finite" in res.output
+        assert not (tmp_path / "predicted.csv").exists()
+
+    def test_missing_cycle_csv(self, runner, workdir, tmp_path):
+        run = workdir / "run"
+        res = runner.invoke(main, ["calibrate", str(tmp_path / "none.csv"),
+                                   "--scenario", str(run / "scenario.json"),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert "cannot read" in res.output
+        assert "Traceback" not in res.output

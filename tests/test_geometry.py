@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feecalib import (DegenerateRegion, NonMonotonePath, Polyline,
-                      SlopedLine, TrajectorySample, predict_force_arrays,
+                      SlopedLine, make_trajectory, predict_force_arrays,
                       quadratic_bezier_path, surface_after_cycle,
                       swept_area_profile, wedge_geometry)
-from feecalib.geometry import _collapse_vertical_moves, _prune_collinear
+from feecalib.geometry import (InvalidTrajectory, _collapse_vertical_moves,
+                               _prune_collinear)
 from feecalib.soil import (_OUT_OF_SOIL, _RHO_BELOW_MIN, GRAVITY,
                            LoaderParameters, SoilParameters)
 from feecalib.synthetic import Scenario, default_scenario
@@ -18,8 +19,14 @@ FLAT = SlopedLine((0.0, 0.0), 0.0)
 
 
 def _traj(points, rho=0.5):
-    return [TrajectorySample(t=float(i), x=float(x), z=float(z), rho=rho)
-            for i, (x, z) in enumerate(points)]
+    xs, zs = np.array(points, dtype=float).reshape(-1, 2).T
+    return make_trajectory(np.arange(xs.size, dtype=float), xs, zs,
+                           np.full(xs.size, rho))
+
+
+def _sample(t, x, z, rho):
+    """A one-sample trajectory."""
+    return make_trajectory([t], [x], [z], [rho])
 
 
 def penetration_depth(tip, surface):
@@ -34,8 +41,40 @@ def _engine_on(samples, surface):
     loader = LoaderParameters(omega=1.0, b=0.05, wb=0.0)
     depth, lt, area = wedge_geometry(samples, surface)
     w_load = soil.gamma * GRAVITY * loader.omega * area
-    return predict_force_arrays(depth, [s.rho for s in samples], lt, w_load,
+    return predict_force_arrays(depth, samples.rho, lt, w_load,
                                 soil, loader, surface.nominal_alpha)
+
+
+class TestMakeTrajectory:
+    def test_columns_and_rows(self):
+        traj = make_trajectory([0.0, 0.5], [1.0, 2.0], [-0.1, -0.2],
+                               [0.4, 0.6])
+        assert np.array_equal(traj.x, [1.0, 2.0])
+        assert [(s.t, s.x, s.z, s.rho) for s in traj] == [
+            (0.0, 1.0, -0.1, 0.4), (0.5, 2.0, -0.2, 0.6)]
+        with pytest.raises(ValueError):
+            traj.x[0] = 3.0
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="equal length"):
+            make_trajectory([0.0, 1.0], [0.0], [0.0, 0.0], [0.5, 0.5])
+
+    @pytest.mark.parametrize("field", ["t", "x", "z", "rho"])
+    def test_names_first_non_finite_sample(self, field):
+        columns = {name: np.zeros(4) for name in ("t", "x", "z", "rho")}
+        columns[field][2] = math.nan
+        columns["rho"][3] = math.inf
+        with pytest.raises(InvalidTrajectory,
+                           match=f"sample 2: {field} must be finite"
+                           ) as info:
+            make_trajectory(**columns)
+        assert info.value.index == 2
+
+    def test_names_first_backward_time(self):
+        with pytest.raises(InvalidTrajectory, match="sample 2") as info:
+            make_trajectory([0.0, 1.0, 0.5, 0.2], np.zeros(4), np.zeros(4),
+                            np.zeros(4))
+        assert info.value.index == 2
 
 
 class TestPenetrationDepth:
@@ -99,35 +138,34 @@ class TestWedgeFromSample:
     verdict on tips it does not evaluate."""
 
     def test_sine_values(self):
-        s = TrajectorySample(0.0, 1.0, -0.2, math.pi / 2)
-        depth, lt, _ = wedge_geometry([s], FLAT)
+        s = _sample(0.0, 1.0, -0.2, math.pi / 2)
+        depth, lt, _ = wedge_geometry(s, FLAT)
         assert depth[0] == pytest.approx(0.2)
         assert lt[0] == pytest.approx(0.2)
 
     def test_symmetry(self):
-        s = TrajectorySample(0.0, 1.0, -0.2, math.pi / 6)
-        _, lt, _ = wedge_geometry([s], FLAT)
+        s = _sample(0.0, 1.0, -0.2, math.pi / 6)
+        _, lt, _ = wedge_geometry(s, FLAT)
         assert lt[0] == pytest.approx(0.4)
 
     @given(d=st.floats(0.01, 2.0), rho=st.floats(0.2, 1.5))
     @settings(max_examples=200, deadline=None)
     def test_defining_identity(self, d, rho):
-        s = TrajectorySample(0.0, 0.0, -d, rho)
-        _, lt, _ = wedge_geometry([s], FLAT)
+        s = _sample(0.0, 0.0, -d, rho)
+        _, lt, _ = wedge_geometry(s, FLAT)
         assert lt[0] * math.sin(rho) == pytest.approx(d, rel=1e-12)
 
     def test_rejects_shallow_blade_angle(self):
-        out = _engine_on([TrajectorySample(0.0, 0.0, -0.2,
-                                           math.radians(5.0))], FLAT)
+        out = _engine_on(_sample(0.0, 0.0, -0.2, math.radians(5.0)), FLAT)
         assert out.status[0] == _RHO_BELOW_MIN
         assert out.failures == [(0, "blade angle below minimum")]
         assert np.isnan(out.f_t[0]) and np.isnan(out.f_n[0])
 
     def test_rejects_above_surface_tip(self):
-        s = TrajectorySample(0.0, 0.0, 0.2, 0.5)
-        depth, lt, _ = wedge_geometry([s], FLAT)
+        s = _sample(0.0, 0.0, 0.2, 0.5)
+        depth, lt, _ = wedge_geometry(s, FLAT)
         assert (depth[0], lt[0]) == (0.0, 0.0)
-        out = _engine_on([s], FLAT)
+        out = _engine_on(s, FLAT)
         assert out.status[0] == _OUT_OF_SOIL and out.failures == []
         assert (out.f_t[0], out.f_n[0]) == (0.0, 0.0)
 
@@ -428,8 +466,7 @@ class TestDepthOfExact:
     def test_face_carved_twice_matches_all_pairs(self):
         surface, traj = _carved_twice()
         assert surface.vertices.shape[0] > 100
-        x = np.array([s.x for s in traj])
-        z = np.array([s.z for s in traj])
+        x, z = traj.x, traj.z
         expected = depth_of_all_pairs(surface, x, z)
         assert np.count_nonzero(expected) > 100
         assert np.array_equal(surface.depth_of(x, z), expected)

@@ -457,7 +457,7 @@ class TestPredictCycleForces:
 
         loader = dataset.loader
         depth, lt, area = wedge_geometry(dataset.samples, dataset.surface)
-        rho = dataset.rho_array()
+        rho = dataset.samples.rho
         w_load = truth.gamma * GRAVITY * loader.omega * area
         pred = predict_force_arrays(depth, rho, lt, w_load, truth, loader,
                                     scenario.surface.nominal_alpha)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from feecalib import (GRAVITY, Scenario, SlopedLine, TrajectorySample,
-                      add_noise, default_loader, find_preset,
+from feecalib import (GRAVITY, Scenario, SlopedLine, add_noise,
+                      default_loader, find_preset, make_trajectory,
                       predict_force_arrays, preset_catalog, simulate_cycle,
                       wedge_geometry)
 from feecalib.synthetic import steel_contact_delta
@@ -22,8 +22,9 @@ class TestSimulateCycle:
 
     def test_zero_depth_path_gives_zero_forces(self, truth):
         surface = SlopedLine((0.0, 0.0), 0.0)
-        samples = tuple(TrajectorySample(t=i * 0.1, x=float(i), z=0.5,
-                                         rho=0.5) for i in range(20))
+        i = np.arange(20)
+        samples = make_trajectory(i * 0.1, i.astype(float), np.full(20, 0.5),
+                                  np.full(20, 0.5))
         scenario = Scenario(surface=surface, loader=default_loader(),
                             samples=samples)
         ds = simulate_cycle(scenario, truth)
@@ -33,7 +34,7 @@ class TestSimulateCycle:
     def test_round_trip_is_bitwise(self, dataset, truth, scenario):
         depth, lt, area = wedge_geometry(dataset.samples, dataset.surface)
         w_load = truth.gamma * GRAVITY * dataset.loader.omega * area
-        pred = predict_force_arrays(depth, dataset.rho_array(), lt, w_load,
+        pred = predict_force_arrays(depth, dataset.samples.rho, lt, w_load,
                                     truth, dataset.loader,
                                     scenario.surface.nominal_alpha)
         f_t, f_n = pred.arrays()
@@ -57,8 +58,9 @@ class TestAddNoise:
 
     def test_empirical_sigma_matches_target(self, truth):
         surface = SlopedLine((0.0, 0.0), 0.0)
-        samples = tuple(TrajectorySample(t=i * 0.01, x=i * 1e-4, z=0.5,
-                                         rho=0.5) for i in range(10_000))
+        i = np.arange(10_000)
+        samples = make_trajectory(i * 0.01, i * 1e-4, np.full(10_000, 0.5),
+                                  np.full(10_000, 0.5))
         scenario = Scenario(surface=surface, loader=default_loader(),
                             samples=samples)
         ds = simulate_cycle(scenario, truth)

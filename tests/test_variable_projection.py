@@ -19,12 +19,12 @@ import pytest
 from feecalib import (CalibrationOptions, FeeCalibError, ParameterBounds,
                       SoilParameters, SolverOptions, add_noise,
                       calibrate_multi_stage, calibrate_stage1,
-                      calibrate_stage2, calibrate_stage3, gaussian_filter,
-                      multi_start)
+                      calibrate_stage2, calibrate_stage3, gaussian_filter)
 from feecalib.calibration import (_BoxMap, _bounded_lsq, _fee_force_of,
                                   _prepare, _series_scale,
                                   split_pressure_coefficient,
                                   stage1_tangential_force)
+from test_optimizer import multi_start_warm
 
 STAGE1_FIELDS = ("adhesion_ca", "delta", "kc", "kphi", "n")
 STAGE2_FIELDS = ("gamma", "cohesion_c", "phi")
@@ -100,10 +100,11 @@ def stage3_objective(dataset, theta_fixed, options):
 
 def reference_fit(objective, fields, options, warm_start=None):
     box = _BoxMap(options.bounds, fields)
-    solve = multi_start(lambda unit: objective(box.from_unit(unit)),
-                        box.unit_bounds, options.solver,
-                        warm_start=(None if warm_start is None
-                                    else box.to_unit(np.array(warm_start))))
+    solve = multi_start_warm(lambda unit: objective(box.from_unit(unit)),
+                             box.unit_bounds, options.solver,
+                             warm_start=(None if warm_start is None
+                                         else box.to_unit(
+                                             np.array(warm_start))))
     return box.from_unit(solve.x_star)
 
 
