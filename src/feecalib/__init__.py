@@ -7,11 +7,11 @@ force data via bound-constrained nonlinear least squares (single-stage
 baseline or the faster staged pipeline).
 """
 
-from .calibration import (CalibrationOptions, CalibrationReport, StageResult,
-                          calibrate_multi_stage, calibrate_single_stage,
-                          calibrate_stage1, calibrate_stage2,
-                          calibrate_stage3, gaussian_filter,
-                          predict_next_cycle, resultant, rmse)
+from .calibration import (CalibrationOptions, CalibrationReport,
+                          PreparedCycle, StageResult, calibrate_multi_stage,
+                          calibrate_single_stage, calibrate_stage1,
+                          calibrate_stage2, calibrate_stage3, gaussian_filter,
+                          predict_next_cycle, prepare_cycle, resultant, rmse)
 from .errors import (ConfigError, DegenerateDepths, DegenerateRegion,
                      EmptySeries, FeeCalibError, InfeasibleGeometry,
                      NonFiniteObjective, NonMonotonePath, SingularGeometry,

@@ -25,12 +25,10 @@ import numpy as np
 from scipy.optimize import lsq_linear, minimize_scalar
 
 from .errors import DegenerateDepths, EmptySeries, SolverFailure
-from .geometry import (CycleDataset, Surface, surface_after_cycle,
-                       wedge_geometry)
+from .geometry import CycleDataset, surface_after_cycle, wedge_geometry
 from .optimizer import SolverOptions, finite_difference_gradient, multi_start
-from .soil import (DEFAULT_MARGINS, GRAVITY, PARAM_NAMES, CycleForceArrays,
-                   LoaderParameters, Margins, ParameterBounds,
-                   SoilParameters, predict_force_arrays)
+from .soil import (GRAVITY, PARAM_NAMES, CycleForceArrays, LoaderParameters,
+                   ParameterBounds, SoilParameters, predict_force_arrays)
 
 log = logging.getLogger(__name__)
 
@@ -53,7 +51,6 @@ class CalibrationOptions:
     # drives only the single-stage fit
     solver: SolverOptions = field(default_factory=SolverOptions)
     gaussian_sigma: float = 5.0      # smoothing width in samples (stage 2)
-    margins: Margins = field(default_factory=Margins)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.lambda_weight <= 1.0:
@@ -171,31 +168,66 @@ def resultant(f_t, f_n):
 
 
 # ---------------------------------------------------------------------------
-# Shared per-dataset arrays
+# The prepared cycle
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _CycleArrays:
-    rho: np.ndarray
+class PreparedCycle:
+    """One cycle's per-sample arrays, built once per fit by
+    ``prepare_cycle``.
+
+    ``depth``, ``rho``, ``lt``, ``area``, ``ft_obs`` and ``fn_obs`` hold
+    the in-soil samples, the ones every stage fits. The whole cycle's
+    observations (``ft_cycle``, ``fn_cycle``) and its ``in_soil`` mask
+    serve stage 2's smoothing, which runs over the whole series, and the
+    final report, which scores the whole cycle.
+    """
+
     depth: np.ndarray
+    rho: np.ndarray
     lt: np.ndarray
     area: np.ndarray        # swept cross-section, scaled by gamma on demand
     ft_obs: np.ndarray
     fn_obs: np.ndarray
-    soil_mask: np.ndarray   # depth > 0
+    in_soil: np.ndarray     # per cycle sample: depth > 0
+    ft_cycle: np.ndarray
+    fn_cycle: np.ndarray
     alpha: float
     loader: LoaderParameters
 
+    @property
+    def dropped(self) -> int:
+        """Samples out of soil, which no stage fits."""
+        return self.in_soil.size - self.depth.size
 
-def _prepare(dataset: CycleDataset, surface: Surface | None) -> _CycleArrays:
-    surf = dataset.surface if surface is None else surface
-    depth, lt, area = wedge_geometry(dataset.samples, surf)
-    return _CycleArrays(rho=dataset.samples.rho, depth=depth, lt=lt,
-                        area=area,
-                        ft_obs=np.asarray(dataset.f_t_obs, dtype=float),
-                        fn_obs=np.asarray(dataset.f_n_obs, dtype=float),
-                        soil_mask=depth > 0.0,
-                        alpha=surf.nominal_alpha, loader=dataset.loader)
+    def on_cycle(self, values: np.ndarray) -> np.ndarray:
+        """An in-soil array spread over the whole cycle, zero elsewhere."""
+        full = np.zeros(self.in_soil.size, dtype=values.dtype)
+        full[self.in_soil] = values
+        return full
+
+
+def prepare_cycle(dataset: CycleDataset) -> PreparedCycle:
+    """The wedge geometry and observations of a cycle, sliced to the
+    samples in soil. Raises DegenerateDepths when there are none."""
+    depth, lt, area = wedge_geometry(dataset.samples, dataset.surface)
+    in_soil = depth > 0.0
+    if not in_soil.any():
+        raise DegenerateDepths("all samples have zero penetration depth")
+    ft, fn = dataset.f_t_obs, dataset.f_n_obs
+    return PreparedCycle(depth=depth[in_soil],
+                         rho=dataset.samples.rho[in_soil], lt=lt[in_soil],
+                         area=area[in_soil], ft_obs=ft[in_soil],
+                         fn_obs=fn[in_soil], in_soil=in_soil, ft_cycle=ft,
+                         fn_cycle=fn, alpha=dataset.surface.nominal_alpha,
+                         loader=dataset.loader)
+
+
+def _forces(theta: SoilParameters, cycle: PreparedCycle) -> CycleForceArrays:
+    """The force engine over the cycle's in-soil samples."""
+    w_load = theta.gamma * GRAVITY * cycle.loader.omega * cycle.area
+    return predict_force_arrays(cycle.depth, cycle.rho, cycle.lt, w_load,
+                                theta, cycle.loader, cycle.alpha)
 
 
 class _BoxMap:
@@ -238,30 +270,9 @@ def stage1_tangential_force(theta1: np.ndarray, depth, lt, fn_obs,
             + ca * loader.omega * np.asarray(lt, dtype=float))
 
 
-def _fee_force_of(theta: SoilParameters, arrays: _CycleArrays,
-                  mask: np.ndarray, margins: Margins):
-    """Wedge reaction force for masked samples; returns (F, valid_mask)."""
-    w_load = theta.gamma * GRAVITY * arrays.loader.omega * arrays.area
-    out = predict_force_arrays(arrays.depth[mask], arrays.rho[mask],
-                               arrays.lt[mask], w_load[mask], theta,
-                               arrays.loader, arrays.alpha, margins)
-    return out.fee, out.valid
-
-
 def _series_scale(values: np.ndarray) -> float:
     peak = float(np.max(np.abs(values), initial=0.0))
     return peak * peak * max(values.size, 1) + 1e-300
-
-
-def _full_series(theta: SoilParameters, arrays: _CycleArrays,
-                 margins: Margins):
-    """Predicted (ft, fn, valid) over the whole cycle; out-of-soil rows
-    are zero, margin failures are flagged in valid."""
-    w_load = theta.gamma * GRAVITY * arrays.loader.omega * arrays.area
-    out = predict_force_arrays(arrays.depth, arrays.rho, arrays.lt, w_load,
-                               theta, arrays.loader, arrays.alpha, margins)
-    ok = out.valid | ~out.in_soil
-    return out.f_t, out.f_n, ok
 
 
 def split_pressure_coefficient(big_k: float, bounds: ParameterBounds,
@@ -406,9 +417,8 @@ def _staged_result(name: str, parameters: dict[str, float],
 # Stages
 # ---------------------------------------------------------------------------
 
-def calibrate_stage1(dataset: CycleDataset,
-                     options: CalibrationOptions = CalibrationOptions(),
-                     surface: Surface | None = None
+def calibrate_stage1(cycle: PreparedCycle,
+                     options: CalibrationOptions = CalibrationOptions()
                      ) -> tuple[np.ndarray, StageResult]:
     """Fit [adhesion, delta, kc, kphi, n] to the raw tangential force.
 
@@ -420,18 +430,11 @@ def calibrate_stage1(dataset: CycleDataset,
     come from K by ``split_pressure_coefficient``.
     """
     t0 = time.perf_counter()
-    arrays = _prepare(dataset, surface)
-    mask = arrays.soil_mask
-    if not mask.any():
-        raise DegenerateDepths("all samples have zero penetration depth")
     bounds = options.bounds
     if not -0.5 * math.pi < bounds.delta[0] <= bounds.delta[1] < 0.5 * math.pi:
         raise ValueError("delta bounds must lie inside (-pi/2, pi/2)")
-    depth = arrays.depth[mask]
-    lt = arrays.lt[mask]
-    fn_obs = arrays.fn_obs[mask]
-    ft_obs = arrays.ft_obs[mask]
-    loader = arrays.loader
+    depth, lt, loader = cycle.depth, cycle.lt, cycle.loader
+    fn_obs, ft_obs = cycle.fn_obs, cycle.ft_obs
     scale = _series_scale(ft_obs)
     k_lo, k_hi = _pressure_bounds(bounds, loader.b)
     lo = np.array([bounds.adhesion_ca[0], math.tan(bounds.delta[0]), k_lo])
@@ -464,14 +467,13 @@ def calibrate_stage1(dataset: CycleDataset,
                           ("n", profile.x, *bounds.n)])
     result = _staged_result("stage1", parameters, at_bound,
                             float(residual @ residual) / scale, profile, 0,
-                            t0, dropped=int((~mask).sum()),
+                            t0, dropped=cycle.dropped,
                             rmse_pair=rmse(ft_obs, fit),
                             series="f_t observed (raw), in-soil samples")
     return theta1, result
 
 
-def calibrate_stage2(dataset: CycleDataset, theta1_star: np.ndarray,
-                     surface: Surface | None = None,
+def calibrate_stage2(cycle: PreparedCycle, theta1_star: np.ndarray,
                      options: CalibrationOptions = CalibrationOptions()
                      ) -> tuple[np.ndarray, StageResult]:
     """Fit [gamma, cohesion, phi] against the wedge force reconstructed
@@ -483,35 +485,25 @@ def calibrate_stage2(dataset: CycleDataset, theta1_star: np.ndarray,
     with one engine call per candidate for the failure angle and the
     bearing factors, and solves for (gamma, c) by bounded linear least
     squares. Samples whose geometry turns singular for a candidate are
-    dropped from that candidate's residual.
+    dropped from that candidate's residual. The smoothing runs over the
+    whole cycle, out-of-soil samples included.
     """
     t0 = time.perf_counter()
-    arrays = _prepare(dataset, surface)
-    mask = arrays.soil_mask
-    if not mask.any():
-        raise DegenerateDepths("all samples have zero penetration depth")
     ca_star, delta_star = float(theta1_star[0]), float(theta1_star[1])
-    reconstructed = (gaussian_filter(arrays.fn_obs, options.gaussian_sigma)
-                     / math.cos(delta_star))
-    target = reconstructed[mask]
+    target = (gaussian_filter(cycle.fn_cycle, options.gaussian_sigma)
+              / math.cos(delta_star))[cycle.in_soil]
     scale = _series_scale(target)
-    margins = options.margins
     bounds = options.bounds
-    loader = arrays.loader
+    depth, area, loader = cycle.depth, cycle.area, cycle.loader
     lo = bounds.lower(("gamma", "cohesion_c"))
     hi = bounds.upper(("gamma", "cohesion_c"))
     base = SoilParameters(gamma=float(lo[0]), cohesion_c=0.0,
                           adhesion_ca=ca_star, phi=0.0, delta=delta_star,
                           kc=0.0, kphi=0.0, n=1.0)
-    depth, rho, lt, area = (arrays.depth[mask], arrays.rho[mask],
-                            arrays.lt[mask], arrays.area[mask])
-    # the bearing factors do not depend on the load the engine is given
-    w_load = base.gamma * GRAVITY * loader.omega * area
 
     def trial(phi: float):
-        out = predict_force_arrays(depth, rho, lt, w_load,
-                                   base.replace(phi=phi), loader,
-                                   arrays.alpha, margins)
+        # the bearing factors do not depend on base's gamma or cohesion
+        out = _forces(base.replace(phi=phi), cycle)
         valid = out.valid
         if not valid.any():
             return 1e12, None
@@ -527,14 +519,13 @@ def calibrate_stage2(dataset: CycleDataset, theta1_star: np.ndarray,
     profile = _profile_search(trial, *bounds.phi)
     gamma, cohesion = profile.inner
     theta2 = np.array([gamma, cohesion, profile.x])
-    theta_fit = base.replace(gamma=gamma, cohesion_c=cohesion,
-                             phi=profile.x)
-    force, valid = _fee_force_of(theta_fit, arrays, mask, margins)
-    residual = target[valid] - force[valid]
-    dropped = int((~mask).sum() + (~valid).sum())
+    out = _forces(base.replace(gamma=gamma, cohesion_c=cohesion,
+                               phi=profile.x), cycle)
+    force, valid = out.fee[out.valid], out.valid
+    residual = target[valid] - force
     # the objective fits the filtered series, but errors are reported
     # against the raw reconstruction like every other stage
-    raw_target = (arrays.fn_obs[mask] / math.cos(delta_star))[valid]
+    raw_target = (cycle.fn_obs / math.cos(delta_star))[valid]
     at_bound = _at_bound([("gamma", gamma, lo[0], hi[0]),
                           ("cohesion_c", cohesion, lo[1], hi[1]),
                           ("phi", profile.x, *bounds.phi)])
@@ -542,15 +533,15 @@ def calibrate_stage2(dataset: CycleDataset, theta1_star: np.ndarray,
                             dict(zip(("gamma", "cohesion_c", "phi"),
                                      theta2.tolist())),
                             at_bound, float(residual @ residual) / scale,
-                            profile, 0, t0, dropped,
-                            rmse(raw_target, force[valid]),
+                            profile, 0, t0,
+                            cycle.dropped + int((~valid).sum()),
+                            rmse(raw_target, force),
                             series="wedge force reconstructed from raw f_n, "
                                    "in-soil samples")
     return theta2, result
 
 
-def calibrate_stage3(dataset: CycleDataset, theta_fixed: SoilParameters,
-                     surface: Surface | None = None,
+def calibrate_stage3(cycle: PreparedCycle, theta_fixed: SoilParameters,
                      options: CalibrationOptions = CalibrationOptions()
                      ) -> tuple[np.ndarray, StageResult]:
     """Re-fit [kc, kphi, n] against the raw tangential observations with
@@ -564,22 +555,18 @@ def calibrate_stage3(dataset: CycleDataset, theta_fixed: SoilParameters,
     force predictions are untouched by construction.
     """
     t0 = time.perf_counter()
-    arrays = _prepare(dataset, surface)
-    mask = arrays.soil_mask
-    if not mask.any():
-        raise DegenerateDepths("all samples have zero penetration depth")
-    margins = options.margins
     bounds = options.bounds
-    force, valid = _fee_force_of(theta_fixed, arrays, mask, margins)
+    loader = cycle.loader
+    out = _forces(theta_fixed, cycle)
+    valid = out.valid
     if not valid.any():
         raise EmptySeries("no in-soil sample evaluates cleanly")
-    depth = arrays.depth[mask][valid]
-    lt = arrays.lt[mask][valid]
-    ft_obs = arrays.ft_obs[mask][valid]
-    friction_term = (force[valid] * math.sin(theta_fixed.delta)
-                     + theta_fixed.adhesion_ca * arrays.loader.omega * lt)
+    depth = cycle.depth[valid]
+    lt = cycle.lt[valid]
+    ft_obs = cycle.ft_obs[valid]
+    friction_term = (out.fee[valid] * math.sin(theta_fixed.delta)
+                     + theta_fixed.adhesion_ca * loader.omega * lt)
     scale = _series_scale(ft_obs)
-    loader = arrays.loader
     sinkage_target = ft_obs - friction_term
     k_lo, k_hi = _pressure_bounds(bounds, loader.b)
 
@@ -608,12 +595,12 @@ def calibrate_stage3(dataset: CycleDataset, theta_fixed: SoilParameters,
     theta3 = np.array(best, dtype=float)
     kc, kphi, n = theta3
     fit = model(kc, kphi, n)
-    dropped = int((~mask).sum() + (~valid).sum())
     at_bound = _at_bound([("K", big_k, k_lo, k_hi), ("n", n, *bounds.n)])
     result = _staged_result("stage3",
                             dict(kc=float(kc), kphi=float(kphi), n=float(n),
                                  K=big_k),
-                            at_bound, f_best, profile, 1, t0, dropped,
+                            at_bound, f_best, profile, 1, t0,
+                            cycle.dropped + int((~valid).sum()),
                             rmse(ft_obs, fit),
                             series="f_t observed (raw), in-soil samples")
     return theta3, result
@@ -624,21 +611,25 @@ def calibrate_stage3(dataset: CycleDataset, theta_fixed: SoilParameters,
 # ---------------------------------------------------------------------------
 
 def _final_report(method: str, theta: SoilParameters,
-                  stages: list[StageResult], arrays: _CycleArrays,
+                  stages: list[StageResult], cycle: PreparedCycle,
                   options: CalibrationOptions, wall: float
                   ) -> CalibrationReport:
-    f_t, f_n, ok = _full_series(theta, arrays, options.margins)
-    ft_pair = rmse(arrays.ft_obs[ok], f_t[ok])
-    fn_pair = rmse(arrays.fn_obs[ok], f_n[ok])
-    fr_pair = rmse(resultant(arrays.ft_obs[ok], arrays.fn_obs[ok]),
-                   resultant(f_t[ok], f_n[ok]))
+    """Force errors over the whole cycle: out-of-soil samples predict zero
+    force, and samples that hit a margin are left out."""
+    out = _forces(theta, cycle)
+    f_t, f_n = cycle.on_cycle(out.f_t), cycle.on_cycle(out.f_n)
+    ok = ~cycle.in_soil | cycle.on_cycle(out.valid)
+    ft_obs, fn_obs = cycle.ft_cycle[ok], cycle.fn_cycle[ok]
+    ft_pair = rmse(ft_obs, f_t[ok])
+    fn_pair = rmse(fn_obs, f_n[ok])
+    fr_pair = rmse(resultant(ft_obs, fn_obs), resultant(f_t[ok], f_n[ok]))
     return CalibrationReport(
         method=method, theta_star=theta, stages=stages,
         rmse_ft_n=ft_pair[0], rmse_ft_pct=ft_pair[1],
         rmse_fn_n=fn_pair[0], rmse_fn_pct=fn_pair[1],
         rmse_fr_n=fr_pair[0], rmse_fr_pct=fr_pair[1],
         function_evaluations=sum(s.function_evaluations for s in stages),
-        wall_time_s=wall, n_samples=arrays.ft_obs.size,
+        wall_time_s=wall, n_samples=ok.size,
         dropped_samples=int((~ok).sum()),
         lambda_weight=options.lambda_weight,
         gaussian_sigma=options.gaussian_sigma,
@@ -646,34 +637,30 @@ def _final_report(method: str, theta: SoilParameters,
 
 
 def calibrate_single_stage(dataset: CycleDataset,
-                           surface: Surface | None = None,
                            options: CalibrationOptions = CalibrationOptions()
                            ) -> CalibrationReport:
     """Baseline: fit all eight parameters at once.
 
     Minimizes the lambda-weighted sum of squared tangential and normal
-    residuals on the raw observations over in-soil samples.
+    residuals on the raw observations over in-soil samples. Raises
+    DegenerateDepths when no sample is in soil.
     """
     t0 = time.perf_counter()
-    arrays = _prepare(dataset, surface)
-    mask = arrays.soil_mask
+    cycle = prepare_cycle(dataset)
     box = _BoxMap(options.bounds, PARAM_NAMES)
     lam = options.lambda_weight
-    margins = options.margins
-    scale = (lam * _series_scale(arrays.ft_obs[mask])
-             + (1.0 - lam) * _series_scale(arrays.fn_obs[mask]) + 1e-300)
-    ft_obs = arrays.ft_obs[mask]
-    fn_obs = arrays.fn_obs[mask]
-    w_coeff = GRAVITY * arrays.loader.omega * arrays.area[mask]
+    ft_obs, fn_obs = cycle.ft_obs, cycle.fn_obs
+    scale = (lam * _series_scale(ft_obs)
+             + (1.0 - lam) * _series_scale(fn_obs) + 1e-300)
+    w_coeff = GRAVITY * cycle.loader.omega * cycle.area
 
     def objective(unit: np.ndarray) -> float:
         theta = SoilParameters.from_array(box.from_unit(unit))
-        out = predict_force_arrays(arrays.depth[mask], arrays.rho[mask],
-                                   arrays.lt[mask], theta.gamma * w_coeff,
-                                   theta, arrays.loader, arrays.alpha,
-                                   margins)
+        out = predict_force_arrays(cycle.depth, cycle.rho, cycle.lt,
+                                   theta.gamma * w_coeff, theta,
+                                   cycle.loader, cycle.alpha)
         valid = out.valid
-        if mask.any() and not valid.any():
+        if not valid.any():
             return 1e12
         r_t = ft_obs[valid] - out.f_t[valid]
         r_n = fn_obs[valid] - out.f_n[valid]
@@ -690,41 +677,40 @@ def calibrate_single_stage(dataset: CycleDataset,
         function_evaluations=solve.function_evaluations,
         starts_tried=solve.starts_tried, converged=solve.converged,
         gradient_norm=solve.gradient_norm, wall_time_s=wall,
-        dropped_samples=int((~mask).sum()), rmse_n=math.nan,
+        dropped_samples=cycle.dropped, rmse_n=math.nan,
         rmse_pct=math.nan,
         rmse_series="(final report carries the force errors)",
         at_bound=_at_bound((name, u, 0.0, 1.0)
                            for name, u in zip(box.names, solve.x_star)))
-    report = _final_report("single-stage", theta, [stage], arrays,
-                           options, wall)
-    return report
+    return _final_report("single-stage", theta, [stage], cycle, options,
+                         wall)
 
 
 def calibrate_multi_stage(dataset: CycleDataset,
-                          surface: Surface | None = None,
                           options: CalibrationOptions = CalibrationOptions()
                           ) -> CalibrationReport:
     """Staged pipeline: tangential subset, then material subset, then
-    compaction refinement. Reports per-stage sub-vectors and diagnostics
-    plus final force errors under the assembled parameters."""
+    compaction refinement, all on one prepared cycle. Reports per-stage
+    sub-vectors and diagnostics plus final force errors under the
+    assembled parameters. Raises DegenerateDepths when no sample is in
+    soil."""
     t0 = time.perf_counter()
-    arrays = _prepare(dataset, surface)
-    theta1, s1 = calibrate_stage1(dataset, options, surface)
-    theta2, s2 = calibrate_stage2(dataset, theta1, surface, options)
+    cycle = prepare_cycle(dataset)
+    theta1, s1 = calibrate_stage1(cycle, options)
+    theta2, s2 = calibrate_stage2(cycle, theta1, options)
     assembled = SoilParameters(
         gamma=theta2[0], cohesion_c=theta2[1], adhesion_ca=theta1[0],
         phi=theta2[2], delta=theta1[1], kc=theta1[2], kphi=theta1[3],
         n=theta1[4])
-    theta3, s3 = calibrate_stage3(dataset, assembled, surface, options)
+    theta3, s3 = calibrate_stage3(cycle, assembled, options)
     theta = assembled.replace(kc=theta3[0], kphi=theta3[1], n=theta3[2])
     wall = time.perf_counter() - t0
-    return _final_report("multi-stage", theta, [s1, s2, s3], arrays,
+    return _final_report("multi-stage", theta, [s1, s2, s3], cycle,
                          options, wall)
 
 
 def predict_next_cycle(theta_star: SoilParameters, scenario,
-                       prior_cycle: np.recarray | None = None,
-                       margins: Margins = DEFAULT_MARGINS
+                       prior_cycle: np.recarray | None = None
                        ) -> CycleForceArrays:
     """Predict forces for a new pass using fitted parameters.
 
@@ -741,5 +727,5 @@ def predict_next_cycle(theta_star: SoilParameters, scenario,
     w_load = theta_star.gamma * GRAVITY * scenario.loader.omega * area
     prediction = predict_force_arrays(depth, trajectory.rho, lt, w_load,
                                       theta_star, scenario.loader,
-                                      surface.nominal_alpha, margins)
+                                      surface.nominal_alpha)
     return replace(prediction, trajectory=trajectory)

@@ -51,7 +51,8 @@ def main() -> None:
 @click.option("--preset", default=None, help="Soil preset name override.")
 @click.option("--noise", type=float, default=None,
               help="Relative noise sigma override.")
-@click.option("--seed", type=int, default=None, help="Noise seed override.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Noise seed override.")
 @click.option("--out", "out_dir", type=click.Path(), default="out",
               show_default=True, help="Output directory.")
 def simulate(config_path, preset, noise, seed, out_dir) -> None:
@@ -85,7 +86,7 @@ def simulate(config_path, preset, noise, seed, out_dir) -> None:
               help="Run configuration JSON (calibration options).")
 @click.option("--method", type=click.Choice(["single", "multi"]),
               default="multi", show_default=True)
-@click.option("--seed", type=int, default=None,
+@click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Solver seed override (the single-stage fit only).")
 @click.option("--out", "out_dir", type=click.Path(), default="out",
               show_default=True, help="Output directory.")

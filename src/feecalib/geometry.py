@@ -43,7 +43,7 @@ class SlopedLine(Surface):
     alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha < math.radians(45.0):
+        if not 0.0 <= self.alpha < DEFAULT_MARGINS.alpha_max:
             raise ValueError("alpha must lie in [0 deg, 45 deg)")
 
     @property
@@ -285,14 +285,13 @@ def wedge_geometry(samples: np.recarray, surface: Surface
 
 def quadratic_bezier_path(p0: tuple[float, float], p1: tuple[float, float],
                           p2: tuple[float, float], n_samples: int,
-                          duration: float, surface: Surface | None = None,
-                          rho_min: float = DEFAULT_MARGINS.rho_min
+                          duration: float, surface: Surface | None = None
                           ) -> np.recarray:
     """Sample a quadratic Bezier tip path at uniform parameter values.
 
     The blade angle at each sample is the angle between the path tangent
     and the local surface direction (horizontal when no surface is given),
-    clamped to [rho_min, pi/2].
+    clamped to [``DEFAULT_MARGINS.rho_min``, pi/2].
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
@@ -311,7 +310,7 @@ def quadratic_bezier_path(p0: tuple[float, float], p1: tuple[float, float],
     else:
         theta_s = np.asarray(surface.direction_angle_at(pts[:, 0]))
     diff = np.arctan2(np.sin(theta_t - theta_s), np.cos(theta_t - theta_s))
-    rho = np.clip(np.abs(diff), rho_min, math.pi / 2.0)
+    rho = np.clip(np.abs(diff), DEFAULT_MARGINS.rho_min, math.pi / 2.0)
     return make_trajectory(u * duration, pts[:, 0], pts[:, 1], rho)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -141,9 +142,23 @@ def _need(obj: dict, key: str, context: str):
 
 
 def _as_float(value, context: str) -> float:
+    """A finite JSON number; json.load also parses NaN and Infinity."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:    # NaN, Infinity, huge ints
+        raise ConfigError(f"{context} must be finite, got {value!r}")
     return float(value)
+
+
+def _as_int(value, context: str) -> int:
+    """A nonnegative integer (counts and seeds); a float is accepted only
+    when it is integral."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{context} must be a nonnegative integer, "
+                          f"got {value!r}")
+    return value
 
 
 def _as_point(value, context: str) -> tuple[float, float]:
@@ -332,8 +347,9 @@ def _solver_from_json(obj: dict, context: str) -> SolverOptions:
     defaults = SolverOptions()
     try:
         return SolverOptions(
-            max_iterations=int(obj.get("max_iterations",
-                                       defaults.max_iterations)),
+            max_iterations=_as_int(obj.get("max_iterations",
+                                           defaults.max_iterations),
+                                   f"{context}.max_iterations"),
             gradient_tolerance=_as_float(
                 obj.get("gradient_tolerance", defaults.gradient_tolerance),
                 f"{context}.gradient_tolerance"),
@@ -341,9 +357,10 @@ def _solver_from_json(obj: dict, context: str) -> SolverOptions:
                 obj.get("finite_difference_step",
                         defaults.finite_difference_step),
                 f"{context}.finite_difference_step"),
-            n_starts=int(obj.get("n_starts", defaults.n_starts)),
-            seed=int(obj.get("seed", defaults.seed)))
-    except (ValueError, TypeError) as exc:
+            n_starts=_as_int(obj.get("n_starts", defaults.n_starts),
+                             f"{context}.n_starts"),
+            seed=_as_int(obj.get("seed", defaults.seed), f"{context}.seed"))
+    except ValueError as exc:
         raise ConfigError(f"{context}: {exc}")
 
 
@@ -400,7 +417,7 @@ def run_config_from_json(obj: dict, preset: str | None = None,
         relative_sigma = noise
     if relative_sigma < 0.0:
         raise ConfigError("config.noise.relative_sigma must be nonnegative")
-    seed_value = int(noise_obj.get("seed", 0))
+    seed_value = _as_int(noise_obj.get("seed", 0), "config.noise.seed")
     if seed is not None:
         seed_value = seed
 

@@ -200,8 +200,7 @@ def _ngamma_array(alpha, beta, rho, phi, delta):
 # Failure-angle minimization
 # ---------------------------------------------------------------------------
 
-def beta_window(alpha: float, rho, phi: float, delta: float,
-                margins: Margins = DEFAULT_MARGINS):
+def beta_window(alpha: float, rho, phi: float, delta: float):
     """Feasible interval [lo, hi] for the failure angle, per sample.
 
     The window keeps beta above eps1, the angle chain rho+delta+beta+phi
@@ -210,19 +209,18 @@ def beta_window(alpha: float, rho, phi: float, delta: float,
     pi/2 - alpha, where the wedge cross-section factor cot(beta)-tan(alpha)
     changes sign: beyond it the unit-weight factor goes negative and its
     minimization would chase nonphysical inverted wedges. hi <= lo marks
-    infeasibility.
+    infeasibility. The margins are ``DEFAULT_MARGINS``.
     """
     rho = np.asarray(rho, dtype=float)
-    lo = np.full(rho.shape, margins.eps1, dtype=float)
-    hi = np.minimum(math.pi - rho - delta - phi - margins.eps2,
-                    math.pi - phi - margins.angle_margin)
-    hi = np.minimum(hi, math.pi - margins.angle_margin)
+    lo = np.full(rho.shape, DEFAULT_MARGINS.eps1, dtype=float)
+    hi = np.minimum(math.pi - rho - delta - phi - DEFAULT_MARGINS.eps2,
+                    math.pi - phi - DEFAULT_MARGINS.angle_margin)
+    hi = np.minimum(hi, math.pi - DEFAULT_MARGINS.angle_margin)
     hi = np.minimum(hi, math.pi / 2.0 - alpha)
     return lo, hi
 
 
-def _solve_beta_array(alpha: float, rho, phi: float, delta: float,
-                      margins: Margins = DEFAULT_MARGINS):
+def _solve_beta_array(alpha: float, rho, phi: float, delta: float):
     """Vectorized failure-angle solve in closed form.
 
     Returns (beta, feasible) arrays; beta is NaN where the window is empty.
@@ -243,7 +241,7 @@ def _solve_beta_array(alpha: float, rho, phi: float, delta: float,
     flat objectives tie-break to the smallest feasible angle.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    lo, hi = beta_window(alpha, rho, phi, delta, margins)
+    lo, hi = beta_window(alpha, rho, phi, delta)
     feasible = hi > lo
     beta = np.full(rho.shape, np.nan)
     if not np.any(feasible):
@@ -338,35 +336,34 @@ class CycleForceArrays:
 
 
 def predict_force_arrays(depth, rho, lt, w_load, soil: SoilParameters,
-                         loader: LoaderParameters, alpha: float,
-                         margins: Margins = DEFAULT_MARGINS
+                         loader: LoaderParameters, alpha: float
                          ) -> CycleForceArrays:
     """Evaluate the full force chain over parallel per-sample arrays.
 
     Out-of-soil samples (depth <= 0) yield zero forces. In-soil samples
     that violate a margin are flagged in ``status`` with NaN forces rather
-    than aborting the cycle.
+    than aborting the cycle. The margins are ``DEFAULT_MARGINS``.
     """
     depth = np.asarray(depth, dtype=float)
     rho = np.asarray(rho, dtype=float)
     lt = np.asarray(lt, dtype=float)
     w_load = np.asarray(w_load, dtype=float)
-    if abs(math.cos(alpha)) <= margins.sin_margin:
+    if abs(math.cos(alpha)) <= DEFAULT_MARGINS.sin_margin:
         raise SingularGeometry("cos(alpha) below margin")
 
     n = depth.size
     status = np.full(n, _OK, dtype=np.int8)
     in_soil = depth > 0.0
     status[~in_soil] = _OUT_OF_SOIL
-    status[in_soil & (rho < margins.rho_min)] = _RHO_BELOW_MIN
-    status[in_soil & (np.abs(np.sin(rho)) <= margins.sin_margin)] = \
+    status[in_soil & (rho < DEFAULT_MARGINS.rho_min)] = _RHO_BELOW_MIN
+    status[in_soil & (np.abs(np.sin(rho)) <= DEFAULT_MARGINS.sin_margin)] = \
         _SINGULAR_RHO
 
     solve = in_soil & (status == _OK)
     beta = np.full(n, np.nan)
     if np.any(solve):
         beta_s, feasible = _solve_beta_array(alpha, rho[solve], soil.phi,
-                                             soil.delta, margins)
+                                             soil.delta)
         beta[solve] = beta_s
         bad = np.zeros(n, dtype=bool)
         bad[solve] = ~feasible

@@ -18,7 +18,7 @@ import numpy as np
 from .calibration import predict_next_cycle
 from .errors import InfeasibleGeometry
 from .geometry import CycleDataset, Surface, SlopedLine, quadratic_bezier_path
-from .soil import DEFAULT_MARGINS, LoaderParameters, Margins, SoilParameters
+from .soil import LoaderParameters, SoilParameters
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,7 @@ class Scenario:
             surface=self.surface if surface is None else surface)
 
 
-def simulate_cycle(scenario: Scenario, truth: SoilParameters,
-                   margins: Margins = DEFAULT_MARGINS) -> CycleDataset:
+def simulate_cycle(scenario: Scenario, truth: SoilParameters) -> CycleDataset:
     """Noiseless ground-truth cycle from known soil parameters.
 
     The observed force series are ``predict_next_cycle``'s forces under
@@ -74,7 +73,7 @@ def simulate_cycle(scenario: Scenario, truth: SoilParameters,
     density. Any infeasible sample aborts with its index, since a ground
     truth must be complete.
     """
-    pred = predict_next_cycle(truth, scenario, margins=margins)
+    pred = predict_next_cycle(truth, scenario)
     failures = pred.failures
     if failures:
         index, reason = failures[0]

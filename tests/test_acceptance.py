@@ -14,11 +14,11 @@ from feecalib import (GRAVITY, CalibrationOptions, Scenario, SolverOptions,
                       default_truth, finite_difference_gradient,
                       heldout_scenario, make_trajectory, minimize_bounded,
                       multi_start, predict_force_arrays, predict_next_cycle,
-                      resultant, rmse, simulate_cycle, surface_after_cycle,
-                      wedge_geometry)
-from feecalib.calibration import _full_series, _prepare
+                      prepare_cycle, resultant, rmse, simulate_cycle,
+                      surface_after_cycle, wedge_geometry)
 from feecalib.soil import (DEFAULT_MARGINS, SoilParameters, _factor_arrays,
                            _solve_beta_array, beta_window)
+from test_calibration import full_series
 from test_soil import bearing_factors_canonical, bearing_factors_original
 
 
@@ -187,12 +187,11 @@ def test_criterion_6_stage3_contract(roundtrip):
         n=s1.parameters["n"])
     after = replace(before, kc=s3.parameters["kc"],
                     kphi=s3.parameters["kphi"], n=s3.parameters["n"])
-    arrays = _prepare(dataset, None)
-    options = CalibrationOptions()
-    ft_b, fn_b, ok_b = _full_series(before, arrays, options.margins)
-    ft_a, fn_a, ok_a = _full_series(after, arrays, options.margins)
-    rmse_before = rmse(arrays.ft_obs[ok_b], ft_b[ok_b])[0]
-    rmse_after = rmse(arrays.ft_obs[ok_a], ft_a[ok_a])[0]
+    cycle = prepare_cycle(dataset)
+    ft_b, fn_b, ok_b = full_series(before, cycle)
+    ft_a, fn_a, ok_a = full_series(after, cycle)
+    rmse_before = rmse(cycle.ft_cycle[ok_b], ft_b[ok_b])[0]
+    rmse_after = rmse(cycle.ft_cycle[ok_a], ft_a[ok_a])[0]
     bitwise = np.array_equal(fn_b, fn_a)
     _verdict(6, rmse_after <= rmse_before + 1e-9 and bitwise,
              f"F^T RMSE {rmse_before:.2f} -> {rmse_after:.2f} N "

@@ -11,9 +11,17 @@ from feecalib import (CalibrationOptions, CycleDataset, DegenerateDepths,
                       calibrate_multi_stage, calibrate_single_stage,
                       calibrate_stage1, calibrate_stage2, calibrate_stage3,
                       default_loader, gaussian_filter, make_trajectory,
-                      predict_next_cycle, resultant, rmse, simulate_cycle)
-from feecalib.calibration import (_full_series, _prepare,
-                                  stage1_tangential_force)
+                      predict_next_cycle, prepare_cycle, resultant, rmse,
+                      simulate_cycle, wedge_geometry)
+from feecalib.calibration import _forces, stage1_tangential_force
+
+
+def full_series(theta, cycle):
+    """Predicted (f_t, f_n, ok) over the whole prepared cycle: zero out
+    of soil, margin failures flagged in ok."""
+    out = _forces(theta, cycle)
+    return (cycle.on_cycle(out.f_t), cycle.on_cycle(out.f_n),
+            ~cycle.in_soil | cycle.on_cycle(out.valid))
 
 
 class TestGaussianFilter:
@@ -109,13 +117,14 @@ def _zero_depth_dataset():
 
 class TestStage1:
     def test_round_trip_tangential_fit(self, dataset, fast_options):
-        theta1, diag = calibrate_stage1(dataset, fast_options)
+        theta1, diag = calibrate_stage1(prepare_cycle(dataset),
+                                        fast_options)
         assert diag.rmse_pct <= 1.0
         assert diag.converged or diag.iterations > 0
 
     def test_recovers_tool_friction_angle(self, dataset, truth,
                                           fast_options):
-        theta1, _ = calibrate_stage1(dataset, fast_options)
+        theta1, _ = calibrate_stage1(prepare_cycle(dataset), fast_options)
         assert theta1[1] == pytest.approx(truth.delta, abs=1e-3)
         # the pressure coefficient combination is identified even though
         # the kc/kphi split is not
@@ -133,27 +142,24 @@ class TestStage1:
         fn = np.zeros(40)
         ds = CycleDataset(samples=samples, f_t_obs=ft, f_n_obs=fn,
                           surface=surface, loader=default_loader())
-        theta1, _ = calibrate_stage1(ds, fast_options)
+        theta1, _ = calibrate_stage1(prepare_cycle(ds), fast_options)
         lo, hi = fast_options.bounds.delta
         assert lo <= theta1[1] <= hi
 
     def test_normal_force_enters_only_through_friction_term(self, dataset):
-        arrays = _prepare(dataset, None)
-        mask = arrays.soil_mask
+        cycle = prepare_cycle(dataset)
         theta1 = np.array([1000.0, 0.3, 500.0, 2000.0, 0.8])
-        base = stage1_tangential_force(theta1, arrays.depth[mask],
-                                       arrays.lt[mask],
-                                       arrays.fn_obs[mask], arrays.loader)
-        bumped = stage1_tangential_force(theta1, arrays.depth[mask],
-                                         arrays.lt[mask],
-                                         1.1 * arrays.fn_obs[mask],
-                                         arrays.loader)
-        want = 0.1 * arrays.fn_obs[mask] * math.tan(0.3)
+        base = stage1_tangential_force(theta1, cycle.depth, cycle.lt,
+                                       cycle.fn_obs, cycle.loader)
+        bumped = stage1_tangential_force(theta1, cycle.depth, cycle.lt,
+                                         1.1 * cycle.fn_obs, cycle.loader)
+        want = 0.1 * cycle.fn_obs * math.tan(0.3)
         assert np.allclose(bumped - base, want, rtol=1e-12, atol=1e-9)
 
     def test_all_zero_depths_raise(self, fast_options):
         with pytest.raises(DegenerateDepths):
-            calibrate_stage1(_zero_depth_dataset(), fast_options)
+            calibrate_stage1(prepare_cycle(_zero_depth_dataset()),
+                             fast_options)
 
 
 class TestStage2:
@@ -161,8 +167,8 @@ class TestStage2:
                                                    fast_options):
         theta1 = np.array([truth.adhesion_ca, truth.delta, truth.kc,
                            truth.kphi, truth.n])
-        theta2, diag = calibrate_stage2(dataset, theta1,
-                                        options=fast_options)
+        theta2, diag = calibrate_stage2(prepare_cycle(dataset), theta1,
+                                        fast_options)
         assert diag.rmse_pct <= 1.0
 
     def test_zero_tool_friction_uses_plain_filtered_series(self, truth,
@@ -175,7 +181,7 @@ class TestStage2:
         theta1 = np.array([truth0.adhesion_ca, 0.0, truth0.kc, truth0.kphi,
                            truth0.n])
         opts = replace(fast_options, gaussian_sigma=0.0)
-        theta2, diag = calibrate_stage2(ds, theta1, options=opts)
+        theta2, diag = calibrate_stage2(prepare_cycle(ds), theta1, opts)
         assert diag.rmse_pct <= 1e-2
 
     def test_density_direction_sensitivity(self, scenario, truth,
@@ -183,56 +189,56 @@ class TestStage2:
         fitted = []
         for gamma in (1450.0, 2250.0):
             ds = simulate_cycle(scenario, truth.replace(gamma=gamma))
-            theta1, _ = calibrate_stage1(ds, fast_options)
-            theta2, _ = calibrate_stage2(ds, theta1, options=fast_options)
+            cycle = prepare_cycle(ds)
+            theta1, _ = calibrate_stage1(cycle, fast_options)
+            theta2, _ = calibrate_stage2(cycle, theta1, fast_options)
             fitted.append(theta2[0])
         assert fitted[1] > fitted[0]
 
 
 @pytest.fixture(scope="module")
 def staged(dataset, fast_options):
-    theta1, _ = calibrate_stage1(dataset, fast_options)
-    theta2, _ = calibrate_stage2(dataset, theta1, options=fast_options)
+    cycle = prepare_cycle(dataset)
+    theta1, _ = calibrate_stage1(cycle, fast_options)
+    theta2, _ = calibrate_stage2(cycle, theta1, fast_options)
     from feecalib import SoilParameters
     assembled = SoilParameters(
         gamma=theta2[0], cohesion_c=theta2[1], adhesion_ca=theta1[0],
         phi=theta2[2], delta=theta1[1], kc=theta1[2], kphi=theta1[3],
         n=theta1[4])
-    return dataset, assembled, fast_options
+    return cycle, assembled, fast_options
 
 
 class TestStage3:
 
     def test_tangential_error_non_increasing(self, staged):
-        dataset, assembled, opts = staged
-        arrays = _prepare(dataset, None)
-        ft_before, _, ok = _full_series(assembled, arrays, opts.margins)
-        before = rmse(arrays.ft_obs[ok], ft_before[ok])[0]
-        theta3, diag = calibrate_stage3(dataset, assembled, options=opts)
+        cycle, assembled, opts = staged
+        ft_before, _, ok = full_series(assembled, cycle)
+        before = rmse(cycle.ft_cycle[ok], ft_before[ok])[0]
+        theta3, diag = calibrate_stage3(cycle, assembled, opts)
         refined = assembled.replace(kc=theta3[0], kphi=theta3[1],
                                     n=theta3[2])
-        ft_after, _, ok2 = _full_series(refined, arrays, opts.margins)
-        after = rmse(arrays.ft_obs[ok2], ft_after[ok2])[0]
+        ft_after, _, ok2 = full_series(refined, cycle)
+        after = rmse(cycle.ft_cycle[ok2], ft_after[ok2])[0]
         assert after <= before + 1e-9
 
     def test_normal_predictions_bitwise_unchanged(self, staged):
-        dataset, assembled, opts = staged
-        arrays = _prepare(dataset, None)
-        theta3, _ = calibrate_stage3(dataset, assembled, options=opts)
+        cycle, assembled, opts = staged
+        theta3, _ = calibrate_stage3(cycle, assembled, opts)
         refined = assembled.replace(kc=theta3[0], kphi=theta3[1],
                                     n=theta3[2])
-        _, fn_before, _ = _full_series(assembled, arrays, opts.margins)
-        _, fn_after, _ = _full_series(refined, arrays, opts.margins)
+        _, fn_before, _ = full_series(assembled, cycle)
+        _, fn_after, _ = full_series(refined, cycle)
         assert np.array_equal(fn_before, fn_after)
 
     def test_fixed_point_when_already_optimal(self, staged):
-        dataset, assembled, opts = staged
-        theta3, _ = calibrate_stage3(dataset, assembled, options=opts)
+        cycle, assembled, opts = staged
+        theta3, _ = calibrate_stage3(cycle, assembled, opts)
         refined = assembled.replace(kc=theta3[0], kphi=theta3[1],
                                     n=theta3[2])
-        theta3_again, _ = calibrate_stage3(dataset, refined, options=opts)
-        combo = theta3[0] / dataset.loader.b + theta3[1]
-        combo_again = theta3_again[0] / dataset.loader.b + theta3_again[1]
+        theta3_again, _ = calibrate_stage3(cycle, refined, opts)
+        combo = theta3[0] / cycle.loader.b + theta3[1]
+        combo_again = theta3_again[0] / cycle.loader.b + theta3_again[1]
         assert combo_again == pytest.approx(combo, rel=1e-6)
         assert theta3_again[2] == pytest.approx(theta3[2], abs=1e-6)
 
@@ -256,14 +262,101 @@ class TestMultiStage:
 
     def test_report_reconstruction_is_exact(self, dataset, fast_options):
         report = calibrate_multi_stage(dataset, options=fast_options)
-        arrays = _prepare(dataset, None)
-        f_t, f_n, ok = _full_series(report.theta_star, arrays,
-                                    fast_options.margins)
-        assert rmse(arrays.ft_obs[ok], f_t[ok])[0] == report.rmse_ft_n
-        assert rmse(arrays.fn_obs[ok], f_n[ok])[0] == report.rmse_fn_n
-        fr = rmse(resultant(arrays.ft_obs[ok], arrays.fn_obs[ok]),
+        cycle = prepare_cycle(dataset)
+        f_t, f_n, ok = full_series(report.theta_star, cycle)
+        assert rmse(cycle.ft_cycle[ok], f_t[ok])[0] == report.rmse_ft_n
+        assert rmse(cycle.fn_cycle[ok], f_n[ok])[0] == report.rmse_fn_n
+        fr = rmse(resultant(cycle.ft_cycle[ok], cycle.fn_cycle[ok]),
                   resultant(f_t[ok], f_n[ok]))
         assert fr[0] == report.rmse_fr_n
+
+
+# The staged fit on the default cycle, recorded before the stages took a
+# prepared cycle; a pure refactor must reproduce it.
+PINNED_FITS = {
+    "clean": {
+        "theta": [1297.0, 20566.439002997293, 20000.000000000007,
+                  0.4696575061929704, 0.3141592653589805, 0.0,
+                  140137.6438607881, 0.11],
+        "stages": [
+            ({"adhesion_ca": 20000.000000000007, "delta": 0.3141592653589805,
+              "kc": 0.0, "kphi": 139800.00000000006, "n": 0.11,
+              "K": 139800.00000000006}, 70),
+            ({"gamma": 1297.0, "cohesion_c": 20566.439002997293,
+              "phi": 0.4696575061929704}, 44),
+            ({"kc": 0.0, "kphi": 140137.6438607881, "n": 0.11,
+              "K": 140137.6438607881}, 71)],
+        "fr_pct": 0.16392931569495714,
+    },
+    "noise-seed1": {
+        "theta": [1353.587293156915, 24228.93937541623, 20734.057571085763,
+                  0.44628043294747577, 0.18866896561661206, 0.0,
+                  164429.0909883241, 0.14150970464385515],
+        "stages": [
+            ({"adhesion_ca": 20734.057571085763, "delta": 0.18866896561661206,
+              "kc": 0.0, "kphi": 164439.69260679063, "n": 0.1421622569893822,
+              "K": 164439.69260679063}, 46),
+            ({"gamma": 1353.587293156915, "cohesion_c": 24228.93937541623,
+              "phi": 0.44628043294747577}, 44),
+            ({"kc": 0.0, "kphi": 164429.0909883241, "n": 0.14150970464385515,
+              "K": 164429.0909883241}, 45)],
+        "fr_pct": 3.869450201371871,
+    },
+}
+
+
+class TestPreparedCycle:
+    @pytest.mark.parametrize("case", sorted(PINNED_FITS))
+    def test_staged_fit_is_pinned(self, dataset, case):
+        ds = dataset if case == "clean" else add_noise(dataset, 0.05, seed=1)
+        report = calibrate_multi_stage(ds)
+        pin = PINNED_FITS[case]
+        assert report.theta_star.to_array().tolist() == pytest.approx(
+            pin["theta"], rel=1e-12)
+        assert len(report.stages) == len(pin["stages"])
+        for stage, (parameters, evaluations) in zip(report.stages,
+                                                    pin["stages"]):
+            assert stage.parameters == pytest.approx(parameters, rel=1e-12)
+            assert stage.function_evaluations == evaluations
+        assert report.rmse_fr_pct == pytest.approx(pin["fr_pct"], rel=1e-12)
+
+    @pytest.mark.parametrize("calibrate", [calibrate_multi_stage,
+                                           calibrate_single_stage])
+    def test_geometry_is_built_once_per_fit(self, dataset, monkeypatch,
+                                            calibrate):
+        from feecalib import calibration
+
+        calls = []
+        original = calibration.wedge_geometry
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "wedge_geometry", counted)
+        opts = CalibrationOptions(solver=SolverOptions(n_starts=1,
+                                                       max_iterations=3))
+        calibrate(dataset, options=opts)
+        assert len(calls) == 1
+
+    def test_slices_the_in_soil_samples(self, dataset):
+        cycle = prepare_cycle(dataset)
+        depth, lt, area = wedge_geometry(dataset.samples, dataset.surface)
+        mask = depth > 0.0
+        assert np.array_equal(cycle.in_soil, mask)
+        assert cycle.dropped == int((~mask).sum()) > 0
+        for got, want in ((cycle.depth, depth), (cycle.lt, lt),
+                          (cycle.area, area),
+                          (cycle.rho, dataset.samples.rho),
+                          (cycle.ft_obs, dataset.f_t_obs),
+                          (cycle.fn_obs, dataset.f_n_obs)):
+            assert np.array_equal(got, want[mask])
+            assert np.array_equal(cycle.on_cycle(got),
+                                  np.where(mask, want, 0.0))
+
+    def test_multi_stage_raises_on_zero_depths(self):
+        with pytest.raises(DegenerateDepths):
+            calibrate_multi_stage(_zero_depth_dataset())
 
 
 class TestSingleStage:
@@ -274,14 +367,13 @@ class TestSingleStage:
         assert report.rmse_fr_pct <= 1.0
         assert report.method == "single-stage"
 
-    def test_zero_depth_dataset_returns_feasible_theta(self):
+    def test_zero_depth_dataset_raises(self):
+        # with nothing in soil there is nothing to fit: the objective
+        # would be 0 everywhere and any box point would pass as converged
         opts = CalibrationOptions(solver=SolverOptions(n_starts=1,
                                                        max_iterations=50))
-        report = calibrate_single_stage(_zero_depth_dataset(), options=opts)
-        assert opts.bounds.contains(report.theta_star)
-        # nothing in the soil: model predicts zero force, observations are
-        # zero, so the residual (and every error) is exactly zero
-        assert report.rmse_fr_n == 0.0
+        with pytest.raises(DegenerateDepths):
+            calibrate_single_stage(_zero_depth_dataset(), options=opts)
 
     def test_lambda_one_ignores_normal_residuals(self, dataset):
         opts = CalibrationOptions(
@@ -302,9 +394,7 @@ class TestPredictNextCycle:
                                                         scenario,
                                                         fast_options):
         report = calibrate_multi_stage(dataset, options=fast_options)
-        arrays = _prepare(dataset, None)
-        f_t, f_n, _ = _full_series(report.theta_star, arrays,
-                                   fast_options.margins)
+        f_t, f_n, _ = full_series(report.theta_star, prepare_cycle(dataset))
         pred = predict_next_cycle(report.theta_star, scenario)
         got_t, got_n = pred.arrays()
         assert np.array_equal(got_t, f_t)

@@ -513,3 +513,114 @@ class TestMalformedCsv:
         assert res.exit_code == 2, res.output
         assert "cannot read" in res.output
         assert "Traceback" not in res.output
+
+
+def _assert_config_error(res, key):
+    """Exit 2 naming ``key``, with no traceback."""
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert key in res.output
+    assert "Traceback" not in res.output
+
+
+class TestNonFiniteJson:
+    """json.load parses NaN and Infinity; no JSON input may carry them."""
+
+    def test_nan_sample_rate_in_config(self, runner, tmp_path):
+        config = tmp_path / "nan.json"
+        config.write_text(
+            '{"scenario": {"surface": {"type": "sloped_line", '
+            '"alpha_deg": 25.0}, "path": {"type": "quadratic_bezier", '
+            '"p0_m": [-0.4, 0.05], "p1_m": [0.9, -0.35], '
+            '"p2_m": [2.2, 1.2]}, "sample_rate_hz": NaN}}')
+        out = tmp_path / "never"
+        res = runner.invoke(main, ["simulate", "--config", str(config),
+                                   "--out", str(out)])
+        _assert_config_error(res, "config.scenario.sample_rate_hz")
+        assert "must be finite" in res.output
+        assert not out.exists()
+
+    def test_infinite_duration_in_scenario_sidecar(self, runner, workdir,
+                                                   tmp_path):
+        run = workdir / "run"
+        doc = json.loads((run / "scenario.json").read_text())
+        doc["duration_s"] = math.inf
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["predict", str(run / "report.json"),
+                                   "--scenario", str(scenario), "--out",
+                                   str(tmp_path)])
+        _assert_config_error(res, "duration_s")
+        assert not (tmp_path / "predicted.csv").exists()
+
+    def test_nan_theta_in_report(self, runner, workdir, tmp_path):
+        run = workdir / "run"
+        doc = json.loads((run / "report.json").read_text())
+        doc["theta_star"]["kphi_N_m_n2"] = math.nan
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["predict", str(report), "--scenario",
+                                   str(run / "scenario.json"), "--out",
+                                   str(tmp_path)])
+        _assert_config_error(res, "theta_star.kphi_N_m_n2")
+        assert not (tmp_path / "predicted.csv").exists()
+
+
+class TestIntegerKeys:
+    @pytest.mark.parametrize("doc, key", [
+        ({"noise": {"seed": "abc"}}, "config.noise.seed"),
+        ({"noise": {"seed": 1.7}}, "config.noise.seed"),
+        ({"noise": {"seed": True}}, "config.noise.seed"),
+        ({"noise": {"seed": -1}}, "config.noise.seed"),
+        ({"calibration": {"solver": {"n_starts": "3"}}},
+         "calibration.solver.n_starts"),
+        ({"calibration": {"solver": {"seed": 1.7}}},
+         "calibration.solver.seed"),
+        ({"calibration": {"solver": {"seed": -1}}},
+         "calibration.solver.seed"),
+        ({"calibration": {"solver": {"max_iterations": False}}},
+         "calibration.solver.max_iterations"),
+        ({"calibration": {"solver": {"max_iterations": math.inf}}},
+         "calibration.solver.max_iterations"),
+    ], ids=["seed-str", "seed-frac", "seed-bool", "seed-negative",
+            "n_starts-str", "solver-seed-frac", "solver-seed-negative",
+            "max_iterations-bool",
+            "max_iterations-inf"])
+    def test_rejected(self, runner, tmp_path, doc, key):
+        config = tmp_path / "int.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "never"
+        res = runner.invoke(main, ["simulate", "--config", str(config),
+                                   "--out", str(out)])
+        _assert_config_error(res, key)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate"])
+    def test_negative_seed_flag(self, runner, workdir, tmp_path, command):
+        args = (["simulate", "--noise", "0.05"] if command == "simulate"
+                else ["calibrate", str(workdir / "run" / "cycle.csv"),
+                      "--method", "single"])
+        res = runner.invoke(main, args + ["--seed", "-1", "--out",
+                                          str(tmp_path / "never")])
+        assert res.exit_code == 2, res.output
+        assert "--seed" in res.output
+        assert not (tmp_path / "never").exists()
+
+
+class TestZeroDepthCycle:
+    @pytest.mark.parametrize("method", ["single", "multi"])
+    def test_calibrate_exits_3(self, runner, workdir, tmp_path, method):
+        # the tip stays far above the 25 degree face: nothing is in soil
+        cycle = tmp_path / "cycle.csv"
+        rows = [f"{0.1 * i!r},{0.1 * i!r},5.0,0.5,0.0,0.0" for i in range(30)]
+        cycle.write_text("t_s,x_m,z_m,rho_rad,ft_obs_N,fn_obs_N\n"
+                         + "\n".join(rows) + "\n")
+        res = runner.invoke(main, ["calibrate", str(cycle), "--scenario",
+                                   str(workdir / "run" / "scenario.json"),
+                                   "--method", method, "--out",
+                                   str(tmp_path)])
+        assert res.exit_code == 3, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "zero penetration depth" in res.output
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "report.json").exists()

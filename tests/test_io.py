@@ -1,4 +1,5 @@
-"""CSV files written by feecalib reload bit for bit."""
+"""CSV files written by feecalib reload bit for bit, and config numbers are
+checked strictly."""
 
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feecalib import io as fio
-from feecalib import make_trajectory
+from feecalib import ConfigError, make_trajectory
 
 # besides what st.floats draws anyway: signed zero, subnormals and the
 # ends of the double range
@@ -64,3 +65,20 @@ def test_prediction_csv_reloads_bit_exactly(folder, cycle):
     assert set(loaded) == set(expected)
     for column, values in expected.items():
         assert np.array_equal(bits(loaded[column]), bits(values)), column
+
+
+def test_integral_float_config_values_are_ints():
+    options = fio.calibration_options_from_json(
+        {"solver": {"n_starts": 3.0, "seed": 7, "max_iterations": 2e2}})
+    assert (options.solver.n_starts, options.solver.seed,
+            options.solver.max_iterations) == (3, 7, 200)
+    assert all(type(v) is int for v in (options.solver.n_starts,
+                                        options.solver.seed,
+                                        options.solver.max_iterations))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400],
+                         ids=["nan", "inf", "-inf", "int-overflow"])
+def test_non_finite_config_numbers_are_rejected(value):
+    with pytest.raises(ConfigError, match="calibration.lambda_weight"):
+        fio.calibration_options_from_json({"lambda_weight": value})

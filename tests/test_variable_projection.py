@@ -19,10 +19,10 @@ import pytest
 from feecalib import (CalibrationOptions, FeeCalibError, ParameterBounds,
                       SoilParameters, SolverOptions, add_noise,
                       calibrate_multi_stage, calibrate_stage1,
-                      calibrate_stage2, calibrate_stage3, gaussian_filter)
-from feecalib.calibration import (_BoxMap, _bounded_lsq, _fee_force_of,
-                                  _prepare, _series_scale,
-                                  split_pressure_coefficient,
+                      calibrate_stage2, calibrate_stage3, gaussian_filter,
+                      prepare_cycle)
+from feecalib.calibration import (_BoxMap, _bounded_lsq, _forces,
+                                  _series_scale, split_pressure_coefficient,
                                   stage1_tangential_force)
 from test_optimizer import multi_start_warm
 
@@ -38,27 +38,23 @@ REFERENCE = CalibrationOptions(solver=SolverOptions(gradient_tolerance=1e-9))
 # multi-start L-BFGS on the unit box
 # ---------------------------------------------------------------------------
 
-def stage1_objective(dataset, options):
-    arrays = _prepare(dataset, None)
-    mask = arrays.soil_mask
-    depth, lt = arrays.depth[mask], arrays.lt[mask]
-    fn_obs, ft_obs = arrays.fn_obs[mask], arrays.ft_obs[mask]
+def stage1_objective(cycle, options):
+    depth, lt = cycle.depth, cycle.lt
+    fn_obs, ft_obs = cycle.fn_obs, cycle.ft_obs
     scale = _series_scale(ft_obs)
 
     def objective(theta1) -> float:
         residual = ft_obs - stage1_tangential_force(theta1, depth, lt,
-                                                    fn_obs, arrays.loader)
+                                                    fn_obs, cycle.loader)
         return float(residual @ residual) / scale
 
     return objective
 
 
-def stage2_objective(dataset, theta1_star, options):
-    arrays = _prepare(dataset, None)
-    mask = arrays.soil_mask
+def stage2_objective(cycle, theta1_star, options):
     ca_star, delta_star = float(theta1_star[0]), float(theta1_star[1])
-    target = (gaussian_filter(arrays.fn_obs, options.gaussian_sigma)
-              / math.cos(delta_star))[mask]
+    target = (gaussian_filter(cycle.fn_cycle, options.gaussian_sigma)
+              / math.cos(delta_star))[cycle.in_soil]
     scale = _series_scale(target)
     base = SoilParameters(gamma=options.bounds.center(("gamma",))[0],
                           cohesion_c=0.0, adhesion_ca=ca_star, phi=0.0,
@@ -67,7 +63,8 @@ def stage2_objective(dataset, theta1_star, options):
     def objective(theta2) -> float:
         gamma, cohesion, phi = theta2
         theta = base.replace(gamma=gamma, cohesion_c=cohesion, phi=phi)
-        force, valid = _fee_force_of(theta, arrays, mask, options.margins)
+        out = _forces(theta, cycle)
+        force, valid = out.fee, out.valid
         if not valid.any():
             return 1e12
         residual = target[valid] - force[valid]
@@ -76,14 +73,13 @@ def stage2_objective(dataset, theta1_star, options):
     return objective
 
 
-def stage3_objective(dataset, theta_fixed, options):
-    arrays = _prepare(dataset, None)
-    mask = arrays.soil_mask
-    force, valid = _fee_force_of(theta_fixed, arrays, mask, options.margins)
-    loader = arrays.loader
-    depth = arrays.depth[mask][valid]
-    lt = arrays.lt[mask][valid]
-    ft_obs = arrays.ft_obs[mask][valid]
+def stage3_objective(cycle, theta_fixed, options):
+    out = _forces(theta_fixed, cycle)
+    force, valid = out.fee, out.valid
+    loader = cycle.loader
+    depth = cycle.depth[valid]
+    lt = cycle.lt[valid]
+    ft_obs = cycle.ft_obs[valid]
     friction_term = (force[valid] * math.sin(theta_fixed.delta)
                      + theta_fixed.adhesion_ca * loader.omega * lt)
     scale = _series_scale(ft_obs)
@@ -124,13 +120,14 @@ def fits(request, dataset):
         dataset, 0.05, seed=request.param)
     options = CalibrationOptions()
     b = ds.loader.b
-    theta1, _ = calibrate_stage1(ds, options)
-    theta2, _ = calibrate_stage2(ds, theta1, options=options)
+    cycle = prepare_cycle(ds)
+    theta1, _ = calibrate_stage1(cycle, options)
+    theta2, _ = calibrate_stage2(cycle, theta1, options)
     fixed = _assemble(theta1, theta2)
-    theta3, _ = calibrate_stage3(ds, fixed, options=options)
-    f1 = stage1_objective(ds, options)
-    f2 = stage2_objective(ds, theta1, options)
-    f3 = stage3_objective(ds, fixed, options)
+    theta3, _ = calibrate_stage3(cycle, fixed, options)
+    f1 = stage1_objective(cycle, options)
+    f2 = stage2_objective(cycle, theta1, options)
+    f3 = stage3_objective(cycle, fixed, options)
     ref1 = reference_fit(f1, STAGE1_FIELDS, REFERENCE)
     ref2 = reference_fit(f2, STAGE2_FIELDS, REFERENCE)
     ref3 = reference_fit(f3, STAGE3_FIELDS, REFERENCE,
@@ -189,12 +186,13 @@ class TestStagedFitDeterminism:
 
     def test_stage3_returns_incumbent_when_optimal(self, dataset):
         options = CalibrationOptions()
-        theta1, _ = calibrate_stage1(dataset, options)
-        theta2, _ = calibrate_stage2(dataset, theta1, options=options)
+        cycle = prepare_cycle(dataset)
+        theta1, _ = calibrate_stage1(cycle, options)
+        theta2, _ = calibrate_stage2(cycle, theta1, options)
         fixed = _assemble(theta1, theta2)
-        theta3, _ = calibrate_stage3(dataset, fixed, options=options)
+        theta3, _ = calibrate_stage3(cycle, fixed, options)
         optimal = fixed.replace(kc=theta3[0], kphi=theta3[1], n=theta3[2])
-        again, diag = calibrate_stage3(dataset, optimal, options=options)
+        again, diag = calibrate_stage3(cycle, optimal, options)
         assert np.array_equal(again, [optimal.kc, optimal.kphi, optimal.n])
         assert diag.parameters["K"] == optimal.kc / dataset.loader.b \
             + optimal.kphi
@@ -205,7 +203,8 @@ class TestStagedFitDeterminism:
         # noiseless cycle exactly, so no candidate inside can beat it
         options = CalibrationOptions(
             bounds=replace(ParameterBounds(), n=(0.5, 1.53)))
-        theta3, diag = calibrate_stage3(dataset, truth, options=options)
+        theta3, diag = calibrate_stage3(prepare_cycle(dataset), truth,
+                                        options)
         assert np.array_equal(theta3, [truth.kc, truth.kphi, truth.n])
         assert diag.objective_value < 1e-20
 
