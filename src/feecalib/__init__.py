@@ -10,7 +10,7 @@ baseline or the faster staged pipeline).
 from .calibration import (CalibrationOptions, CalibrationReport,
                           PreparedCycle, StageResult, calibrate_multi_stage,
                           calibrate_single_stage, calibrate_stage1,
-                          calibrate_stage2, calibrate_stage3, gaussian_filter,
+                          calibrate_stage2, calibrate_stage3,
                           predict_next_cycle, prepare_cycle, resultant, rmse)
 from .errors import (ConfigError, DegenerateDepths, DegenerateRegion,
                      EmptySeries, FeeCalibError, InfeasibleGeometry,

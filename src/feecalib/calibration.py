@@ -50,13 +50,10 @@ class CalibrationOptions:
     bounds: ParameterBounds = field(default_factory=ParameterBounds)
     # drives only the single-stage fit
     solver: SolverOptions = field(default_factory=SolverOptions)
-    gaussian_sigma: float = 5.0      # smoothing width in samples (stage 2)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.lambda_weight <= 1.0:
             raise ValueError("lambda_weight must lie in [0, 1]")
-        if self.gaussian_sigma < 0.0:
-            raise ValueError("gaussian_sigma must be nonnegative")
 
 
 @dataclass
@@ -109,7 +106,6 @@ class CalibrationReport:
     n_samples: int
     dropped_samples: int
     lambda_weight: float
-    gaussian_sigma: float
     seed: int
 
     @property
@@ -121,25 +117,6 @@ class CalibrationReport:
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
-
-def gaussian_filter(series, sigma: float) -> np.ndarray:
-    """Discrete Gaussian smoothing, kernel truncated at 4 sigma and
-    renormalized, reflect padding at the boundaries. sigma = 0 is the
-    identity."""
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("series must be one-dimensional")
-    if sigma < 0.0:
-        raise ValueError("sigma must be nonnegative")
-    radius = int(4.0 * sigma + 0.5)
-    if sigma == 0.0 or radius < 1 or x.size == 0:
-        return x.copy()
-    offsets = np.arange(-radius, radius + 1, dtype=float)
-    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
-    kernel /= kernel.sum()
-    padded = np.pad(x, radius, mode="symmetric")
-    return np.convolve(padded, kernel, mode="valid")
-
 
 def rmse(observed, predicted) -> tuple[float, float]:
     """(absolute, percent) root-mean-square error.
@@ -179,8 +156,7 @@ class PreparedCycle:
     ``depth``, ``rho``, ``lt``, ``area``, ``ft_obs`` and ``fn_obs`` hold
     the in-soil samples, the ones every stage fits. The whole cycle's
     observations (``ft_cycle``, ``fn_cycle``) and its ``in_soil`` mask
-    serve stage 2's smoothing, which runs over the whole series, and the
-    final report, which scores the whole cycle.
+    serve only the final report, which scores the whole cycle.
     """
 
     depth: np.ndarray
@@ -238,13 +214,6 @@ class _BoxMap:
         self.lo = bounds.lower(names)
         self.hi = bounds.upper(names)
         self.width = self.hi - self.lo
-
-    def to_unit(self, values: np.ndarray) -> np.ndarray:
-        unit = np.where(self.width > 0.0,
-                        (values - self.lo) / np.where(self.width > 0.0,
-                                                      self.width, 1.0),
-                        0.5)
-        return np.clip(unit, 0.0, 1.0)
 
     def from_unit(self, unit: np.ndarray) -> np.ndarray:
         return self.lo + np.asarray(unit, dtype=float) * self.width
@@ -423,11 +392,10 @@ def calibrate_stage1(cycle: PreparedCycle,
     """Fit [adhesion, delta, kc, kphi, n] to the raw tangential force.
 
     The wedge reaction is taken from the observed normal force, so no
-    failure-angle solve or bearing-factor evaluation happens here and raw
-    (unfiltered) observations are appropriate. For a given n the model is
-    linear in (adhesion, tan delta, K = kc/b + kphi): the search runs over
-    n and solves for the rest by bounded linear least squares. kc and kphi
-    come from K by ``split_pressure_coefficient``.
+    failure-angle solve or bearing-factor evaluation happens here. For a
+    given n the model is linear in (adhesion, tan delta, K = kc/b + kphi):
+    the search runs over n and solves for the rest by bounded linear least
+    squares. kc and kphi come from K by ``split_pressure_coefficient``.
     """
     t0 = time.perf_counter()
     bounds = options.bounds
@@ -477,7 +445,7 @@ def calibrate_stage2(cycle: PreparedCycle, theta1_star: np.ndarray,
                      options: CalibrationOptions = CalibrationOptions()
                      ) -> tuple[np.ndarray, StageResult]:
     """Fit [gamma, cohesion, phi] against the wedge force reconstructed
-    from the smoothed normal observations divided by cos(delta*).
+    from the raw in-soil normal observations divided by cos(delta*).
 
     For a given friction angle the wedge force
     F = gamma*g*omega*(d^2 N_gamma + A_swept N_q) + c*omega*d*N_c
@@ -485,13 +453,11 @@ def calibrate_stage2(cycle: PreparedCycle, theta1_star: np.ndarray,
     with one engine call per candidate for the failure angle and the
     bearing factors, and solves for (gamma, c) by bounded linear least
     squares. Samples whose geometry turns singular for a candidate are
-    dropped from that candidate's residual. The smoothing runs over the
-    whole cycle, out-of-soil samples included.
+    dropped from that candidate's residual.
     """
     t0 = time.perf_counter()
     ca_star, delta_star = float(theta1_star[0]), float(theta1_star[1])
-    target = (gaussian_filter(cycle.fn_cycle, options.gaussian_sigma)
-              / math.cos(delta_star))[cycle.in_soil]
+    target = cycle.fn_obs / math.cos(delta_star)
     scale = _series_scale(target)
     bounds = options.bounds
     depth, area, loader = cycle.depth, cycle.area, cycle.loader
@@ -523,9 +489,6 @@ def calibrate_stage2(cycle: PreparedCycle, theta1_star: np.ndarray,
                                phi=profile.x), cycle)
     force, valid = out.fee[out.valid], out.valid
     residual = target[valid] - force
-    # the objective fits the filtered series, but errors are reported
-    # against the raw reconstruction like every other stage
-    raw_target = (cycle.fn_obs / math.cos(delta_star))[valid]
     at_bound = _at_bound([("gamma", gamma, lo[0], hi[0]),
                           ("cohesion_c", cohesion, lo[1], hi[1]),
                           ("phi", profile.x, *bounds.phi)])
@@ -535,7 +498,7 @@ def calibrate_stage2(cycle: PreparedCycle, theta1_star: np.ndarray,
                             at_bound, float(residual @ residual) / scale,
                             profile, 0, t0,
                             cycle.dropped + int((~valid).sum()),
-                            rmse(raw_target, force),
+                            rmse(target[valid], force),
                             series="wedge force reconstructed from raw f_n, "
                                    "in-soil samples")
     return theta2, result
@@ -632,7 +595,6 @@ def _final_report(method: str, theta: SoilParameters,
         wall_time_s=wall, n_samples=ok.size,
         dropped_samples=int((~ok).sum()),
         lambda_weight=options.lambda_weight,
-        gaussian_sigma=options.gaussian_sigma,
         seed=options.solver.seed)
 
 
@@ -652,13 +614,9 @@ def calibrate_single_stage(dataset: CycleDataset,
     ft_obs, fn_obs = cycle.ft_obs, cycle.fn_obs
     scale = (lam * _series_scale(ft_obs)
              + (1.0 - lam) * _series_scale(fn_obs) + 1e-300)
-    w_coeff = GRAVITY * cycle.loader.omega * cycle.area
 
     def objective(unit: np.ndarray) -> float:
-        theta = SoilParameters.from_array(box.from_unit(unit))
-        out = predict_force_arrays(cycle.depth, cycle.rho, cycle.lt,
-                                   theta.gamma * w_coeff, theta,
-                                   cycle.loader, cycle.alpha)
+        out = _forces(SoilParameters.from_array(box.from_unit(unit)), cycle)
         valid = out.valid
         if not valid.any():
             return 1e12

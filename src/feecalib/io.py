@@ -27,7 +27,7 @@ from .soil import LoaderParameters, SoilParameters
 from .synthetic import (Scenario, default_loader, default_scenario,
                         default_truth, find_preset)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 CYCLE_COLUMNS = ("t_s", "x_m", "z_m", "rho_rad", "ft_obs_N", "fn_obs_N")
 PREDICTION_COLUMNS = ("t_s", "x_m", "z_m", "rho_rad", "d_m", "beta_rad",
@@ -367,7 +367,7 @@ def _solver_from_json(obj: dict, context: str) -> SolverOptions:
 def calibration_options_from_json(obj: dict,
                                   context: str = "calibration"
                                   ) -> CalibrationOptions:
-    _check_keys(obj, ("lambda_weight", "gaussian_sigma", "solver"), context)
+    _check_keys(obj, ("lambda_weight", "solver"), context)
     defaults = CalibrationOptions()
     solver = _solver_from_json(obj.get("solver", {}), f"{context}.solver")
     try:
@@ -375,9 +375,6 @@ def calibration_options_from_json(obj: dict,
             lambda_weight=_as_float(obj.get("lambda_weight",
                                             defaults.lambda_weight),
                                     f"{context}.lambda_weight"),
-            gaussian_sigma=_as_float(obj.get("gaussian_sigma",
-                                             defaults.gaussian_sigma),
-                                     f"{context}.gaussian_sigma"),
             solver=solver)
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}")
@@ -515,7 +512,6 @@ def report_to_json(report: CalibrationReport) -> dict:
         "dropped_samples": report.dropped_samples,
         "options": {
             "lambda_weight": report.lambda_weight,
-            "gaussian_sigma": report.gaussian_sigma,
             "seed": report.seed,
         },
     }

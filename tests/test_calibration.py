@@ -6,14 +6,65 @@ import pytest
 from scipy.ndimage import gaussian_filter1d
 
 from feecalib import (CalibrationOptions, CycleDataset, DegenerateDepths,
-                      EmptySeries, SlopedLine,
+                      EmptySeries, SlopedLine, SoilParameters,
                       SolverOptions, add_noise,
                       calibrate_multi_stage, calibrate_single_stage,
                       calibrate_stage1, calibrate_stage2, calibrate_stage3,
-                      default_loader, gaussian_filter, make_trajectory,
+                      default_loader, heldout_scenario, make_trajectory,
                       predict_next_cycle, prepare_cycle, resultant, rmse,
                       simulate_cycle, wedge_geometry)
-from feecalib.calibration import _forces, stage1_tangential_force
+from feecalib.calibration import (_final_report, _forces,
+                                  stage1_tangential_force)
+
+
+def gaussian_filter(series, sigma: float) -> np.ndarray:
+    """Discrete Gaussian smoothing, kernel truncated at 4 sigma and
+    renormalized, reflect padding at the boundaries. sigma = 0 is the
+    identity."""
+    x = np.asarray(series, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("series must be one-dimensional")
+    if sigma < 0.0:
+        raise ValueError("sigma must be nonnegative")
+    radius = int(4.0 * sigma + 0.5)
+    if sigma == 0.0 or radius < 1 or x.size == 0:
+        return x.copy()
+    offsets = np.arange(-radius, radius + 1, dtype=float)
+    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
+    kernel /= kernel.sum()
+    padded = np.pad(x, radius, mode="symmetric")
+    return np.convolve(padded, kernel, mode="valid")
+
+
+def smoothed(cycle):
+    """The prepared cycle with its in-soil normal force replaced by the
+    whole cycle's normal force smoothed at sigma = 5 samples: the input of
+    the paper's smoothed stage 2, which this library's stage 2 replaced
+    with the raw series."""
+    return replace(cycle,
+                   fn_obs=gaussian_filter(cycle.fn_cycle, 5.0)[cycle.in_soil])
+
+
+def assemble(theta1, theta2):
+    """The full parameter vector from the stage 1 and stage 2 fits."""
+    return SoilParameters(gamma=theta2[0], cohesion_c=theta2[1],
+                          adhesion_ca=theta1[0], phi=theta2[2],
+                          delta=theta1[1], kc=theta1[2], kphi=theta1[3],
+                          n=theta1[4])
+
+
+def calibrate_smoothed(dataset):
+    """``calibrate_multi_stage`` with the smoothed stage 2: stages 1 and 3
+    fit the raw cycle, stage 2 the ``smoothed`` one."""
+    options = CalibrationOptions()
+    cycle = prepare_cycle(dataset)
+    theta1, s1 = calibrate_stage1(cycle, options)
+    theta2, s2 = calibrate_stage2(smoothed(cycle), theta1, options)
+    assembled = assemble(theta1, theta2)
+    theta3, s3 = calibrate_stage3(cycle, assembled, options)
+    theta = assembled.replace(kc=theta3[0], kphi=theta3[1], n=theta3[2])
+    return _final_report("multi-stage", theta, [s1, s2, s3], cycle, options,
+                         0.0)
 
 
 def full_series(theta, cycle):
@@ -175,13 +226,13 @@ class TestStage2:
                                                            scenario,
                                                            fast_options):
         # with delta* = 0 the reconstruction divides by cos(0) = 1, so a
-        # noiseless, unfiltered run must recover the wedge force exactly
+        # noiseless run must recover the wedge force exactly
         truth0 = truth.replace(delta=0.0)
         ds = simulate_cycle(scenario, truth0)
         theta1 = np.array([truth0.adhesion_ca, 0.0, truth0.kc, truth0.kphi,
                            truth0.n])
-        opts = replace(fast_options, gaussian_sigma=0.0)
-        theta2, diag = calibrate_stage2(prepare_cycle(ds), theta1, opts)
+        theta2, diag = calibrate_stage2(prepare_cycle(ds), theta1,
+                                        fast_options)
         assert diag.rmse_pct <= 1e-2
 
     def test_density_direction_sensitivity(self, scenario, truth,
@@ -201,12 +252,7 @@ def staged(dataset, fast_options):
     cycle = prepare_cycle(dataset)
     theta1, _ = calibrate_stage1(cycle, fast_options)
     theta2, _ = calibrate_stage2(cycle, theta1, fast_options)
-    from feecalib import SoilParameters
-    assembled = SoilParameters(
-        gamma=theta2[0], cohesion_c=theta2[1], adhesion_ca=theta1[0],
-        phi=theta2[2], delta=theta1[1], kc=theta1[2], kphi=theta1[3],
-        n=theta1[4])
-    return cycle, assembled, fast_options
+    return cycle, assemble(theta1, theta2), fast_options
 
 
 class TestStage3:
@@ -270,9 +316,22 @@ class TestMultiStage:
                   resultant(f_t[ok], f_n[ok]))
         assert fr[0] == report.rmse_fr_n
 
+    def test_noiseless_fit_recovers_identifiable_parameters(self, dataset,
+                                                            truth):
+        report = calibrate_multi_stage(dataset)
+        got, b = report.theta_star, dataset.loader.b
+        for name in ("gamma", "cohesion_c", "adhesion_ca", "phi", "delta",
+                     "n"):
+            assert getattr(got, name) == pytest.approx(getattr(truth, name),
+                                                       rel=1e-8), name
+        assert got.kc / b + got.kphi == pytest.approx(
+            truth.kc / b + truth.kphi, rel=1e-8)
+        assert report.stages[1].at_bound == {}
 
-# The staged fit on the default cycle, recorded before the stages took a
-# prepared cycle; a pure refactor must reproduce it.
+
+# The staged fit on the default cycle with the smoothed stage 2, recorded
+# before the stages took a prepared cycle; ``calibrate_smoothed`` must
+# reproduce it.
 PINNED_FITS = {
     "clean": {
         "theta": [1297.0, 20566.439002997293, 20000.000000000007,
@@ -304,21 +363,65 @@ PINNED_FITS = {
     },
 }
 
+# The same fits by ``calibrate_multi_stage``, whose stage 2 fits the raw
+# normal force; a pure refactor must reproduce them.
+PINNED_RAW_FITS = {
+    "clean": {
+        "theta": [1360.0000000093264, 20000.00002033072, 20000.000000000007,
+                  0.47123889786796325, 0.3141592653589805, 0.0,
+                  139799.99999914388, 0.11],
+        "stages": [
+            ({"adhesion_ca": 20000.000000000007, "delta": 0.3141592653589805,
+              "kc": 0.0, "kphi": 139800.00000000006, "n": 0.11,
+              "K": 139800.00000000006}, 70),
+            ({"gamma": 1360.0000000093264, "cohesion_c": 20000.00002033072,
+              "phi": 0.47123889786796325}, 44),
+            ({"kc": 0.0, "kphi": 139799.99999914388, "n": 0.11,
+              "K": 139799.99999914388}, 71)],
+        "fr_pct": 8.366192084003578e-10,
+    },
+    "noise-seed1": {
+        "theta": [1419.783153249799, 23898.943228595497, 20734.057571085763,
+                  0.44570090781281857, 0.18866896561661206, 0.0,
+                  164772.44218314232, 0.1433698854639135],
+        "stages": [
+            ({"adhesion_ca": 20734.057571085763, "delta": 0.18866896561661206,
+              "kc": 0.0, "kphi": 164439.69260679063, "n": 0.1421622569893822,
+              "K": 164439.69260679063}, 46),
+            ({"gamma": 1419.783153249799, "cohesion_c": 23898.943228595497,
+              "phi": 0.44570090781281857}, 44),
+            ({"kc": 0.0, "kphi": 164772.44218314232, "n": 0.1433698854639135,
+              "K": 164772.44218314232}, 54)],
+        "fr_pct": 3.8599942329039676,
+    },
+}
+
+
+def _assert_pinned(report, pin):
+    assert report.theta_star.to_array().tolist() == pytest.approx(
+        pin["theta"], rel=1e-12)
+    assert len(report.stages) == len(pin["stages"])
+    for stage, (parameters, evaluations) in zip(report.stages,
+                                                pin["stages"]):
+        assert stage.parameters == pytest.approx(parameters, rel=1e-12)
+        assert stage.function_evaluations == evaluations
+    assert report.rmse_fr_pct == pytest.approx(pin["fr_pct"], rel=1e-12)
+
+
+def _pinned_input(dataset, case):
+    return dataset if case == "clean" else add_noise(dataset, 0.05, seed=1)
+
 
 class TestPreparedCycle:
     @pytest.mark.parametrize("case", sorted(PINNED_FITS))
     def test_staged_fit_is_pinned(self, dataset, case):
-        ds = dataset if case == "clean" else add_noise(dataset, 0.05, seed=1)
-        report = calibrate_multi_stage(ds)
-        pin = PINNED_FITS[case]
-        assert report.theta_star.to_array().tolist() == pytest.approx(
-            pin["theta"], rel=1e-12)
-        assert len(report.stages) == len(pin["stages"])
-        for stage, (parameters, evaluations) in zip(report.stages,
-                                                    pin["stages"]):
-            assert stage.parameters == pytest.approx(parameters, rel=1e-12)
-            assert stage.function_evaluations == evaluations
-        assert report.rmse_fr_pct == pytest.approx(pin["fr_pct"], rel=1e-12)
+        _assert_pinned(calibrate_smoothed(_pinned_input(dataset, case)),
+                       PINNED_FITS[case])
+
+    @pytest.mark.parametrize("case", sorted(PINNED_RAW_FITS))
+    def test_raw_staged_fit_is_pinned(self, dataset, case):
+        _assert_pinned(calibrate_multi_stage(_pinned_input(dataset, case)),
+                       PINNED_RAW_FITS[case])
 
     @pytest.mark.parametrize("calibrate", [calibrate_multi_stage,
                                            calibrate_single_stage])
@@ -357,6 +460,58 @@ class TestPreparedCycle:
     def test_multi_stage_raises_on_zero_depths(self):
         with pytest.raises(DegenerateDepths):
             calibrate_multi_stage(_zero_depth_dataset())
+
+
+def correlated_noise(dataset, a, seed):
+    """Gaussian noise on both force series at 5% of each series' peak,
+    AR(1) with coefficient ``a`` and unit marginal variance before scaling:
+    x[0] = e[0], x[i] = a*x[i-1] + sqrt(1 - a^2)*e[i], f_t's draws first.
+    At a = 0 this is ``add_noise(dataset, 0.05, seed)``."""
+    rng = np.random.default_rng(seed)
+    noisy = []
+    for series in (dataset.f_t_obs, dataset.f_n_obs):
+        e = rng.standard_normal(dataset.n)
+        x = e.copy()
+        for i in range(1, x.size):
+            x[i] = a * x[i - 1] + math.sqrt(1.0 - a * a) * e[i]
+        noisy.append(series + 0.05 * float(np.max(np.abs(series))) * x)
+    return replace(dataset, f_t_obs=noisy[0], f_n_obs=noisy[1])
+
+
+def held_out_fr_pct(dataset, truth, a):
+    """Held-out F_R % of the raw and of the smoothed staged fit, one pair
+    per noise seed 1-20."""
+    heldout = heldout_scenario()
+    observed = simulate_cycle(heldout, truth)
+    fr_obs = resultant(observed.f_t_obs, observed.f_n_obs)
+
+    def score(report):
+        f_t, f_n = predict_next_cycle(report.theta_star, heldout).arrays()
+        return rmse(fr_obs, resultant(f_t, f_n))[1]
+
+    pairs = [(score(calibrate_multi_stage(noisy)),
+              score(calibrate_smoothed(noisy)))
+             for noisy in (correlated_noise(dataset, a, seed)
+                           for seed in range(1, 21))]
+    return np.array(pairs).T
+
+
+class TestRawStage2:
+    """Stage 2 fits the raw normal force where the paper smoothed it: the
+    raw fit must predict a held-out pass no worse, with independent and
+    with correlated noise. The thresholds were fixed before any run."""
+
+    def test_beats_smoothing_under_independent_noise(self, dataset, truth):
+        iid = correlated_noise(dataset, 0.0, 1)
+        reference = add_noise(dataset, 0.05, seed=1)
+        assert np.array_equal(iid.f_t_obs, reference.f_t_obs)
+        assert np.array_equal(iid.f_n_obs, reference.f_n_obs)
+        raw, smooth = held_out_fr_pct(dataset, truth, 0.0)
+        assert int((raw < smooth).sum()) >= 15
+
+    def test_no_worse_under_correlated_noise(self, dataset, truth):
+        raw, smooth = held_out_fr_pct(dataset, truth, 0.8)
+        assert np.median(raw) <= np.median(smooth)
 
 
 class TestSingleStage:

@@ -142,7 +142,8 @@ class TestCalibrate:
 
         doc = json.loads((workdir / "run" / "report.json").read_text(),
                          parse_constant=no_constants)
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
+        assert doc["options"].keys() == {"lambda_weight", "seed"}
         for stage in doc["stages"]:
             assert set(stage["at_bound"].values()) <= {"lower", "upper"}
         assert doc["stages"][0]["parameters"]["K"] > 0.0
@@ -159,6 +160,18 @@ class TestCalibrate:
                                    "--out", str(tmp_path)])
         assert res.exit_code == 2
         assert "fn_obs_N" in res.output
+
+    def test_gaussian_sigma_key_exits_2(self, runner, workdir, tmp_path):
+        # stage 2 fits the raw normal force; the smoothing width is gone
+        config = tmp_path / "sigma.json"
+        config.write_text(json.dumps({"calibration": {"gaussian_sigma":
+                                                      5.0}}))
+        res = runner.invoke(main, ["calibrate",
+                                   str(workdir / "run" / "cycle.csv"),
+                                   "--config", str(config), "--out",
+                                   str(tmp_path)])
+        _assert_config_error(res, "unknown key 'gaussian_sigma'")
+        assert not (tmp_path / "report.json").exists()
 
     def test_missing_scenario_exits_2(self, runner, workdir, tmp_path):
         res = runner.invoke(main, ["calibrate",
@@ -183,6 +196,20 @@ class TestPredict:
         assert metrics["ft"]["rmse_N"] == report["rmse"]["ft_N"]
         assert metrics["fn"]["rmse_N"] == report["rmse"]["fn_N"]
         assert metrics["fr"]["rmse_N"] == report["rmse"]["fr_N"]
+
+    def test_reads_a_schema_2_report(self, runner, workdir, tmp_path):
+        run = workdir / "run"
+        doc = json.loads((run / "report.json").read_text())
+        doc["schema_version"] = 2
+        doc["options"]["gaussian_sigma"] = 5.0
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["predict", str(report), "--scenario",
+                                   str(run / "scenario.json"), "--out",
+                                   str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert ((tmp_path / "predicted.csv").read_bytes()
+                == (run / "predicted.csv").read_bytes())
 
     def test_prior_cycle_changes_depth_column(self, runner, workdir,
                                               tmp_path):

@@ -19,11 +19,11 @@ import pytest
 from feecalib import (CalibrationOptions, FeeCalibError, ParameterBounds,
                       SoilParameters, SolverOptions, add_noise,
                       calibrate_multi_stage, calibrate_stage1,
-                      calibrate_stage2, calibrate_stage3, gaussian_filter,
-                      prepare_cycle)
+                      calibrate_stage2, calibrate_stage3, prepare_cycle)
 from feecalib.calibration import (_BoxMap, _bounded_lsq, _forces,
                                   _series_scale, split_pressure_coefficient,
                                   stage1_tangential_force)
+from test_calibration import assemble, smoothed
 from test_optimizer import multi_start_warm
 
 STAGE1_FIELDS = ("adhesion_ca", "delta", "kc", "kphi", "n")
@@ -53,8 +53,7 @@ def stage1_objective(cycle, options):
 
 def stage2_objective(cycle, theta1_star, options):
     ca_star, delta_star = float(theta1_star[0]), float(theta1_star[1])
-    target = (gaussian_filter(cycle.fn_cycle, options.gaussian_sigma)
-              / math.cos(delta_star))[cycle.in_soil]
+    target = cycle.fn_obs / math.cos(delta_star)
     scale = _series_scale(target)
     base = SoilParameters(gamma=options.bounds.center(("gamma",))[0],
                           cohesion_c=0.0, adhesion_ca=ca_star, phi=0.0,
@@ -94,39 +93,54 @@ def stage3_objective(cycle, theta_fixed, options):
     return objective
 
 
+def to_unit(box, values):
+    """The point of ``box``'s unit cube that ``box.from_unit`` maps to
+    ``values``, clipped to the cube; a zero-width axis maps to 0.5."""
+    unit = np.where(box.width > 0.0,
+                    (values - box.lo) / np.where(box.width > 0.0,
+                                                 box.width, 1.0),
+                    0.5)
+    return np.clip(unit, 0.0, 1.0)
+
+
 def reference_fit(objective, fields, options, warm_start=None):
     box = _BoxMap(options.bounds, fields)
     solve = multi_start_warm(lambda unit: objective(box.from_unit(unit)),
                              box.unit_bounds, options.solver,
                              warm_start=(None if warm_start is None
-                                         else box.to_unit(
-                                             np.array(warm_start))))
+                                         else to_unit(
+                                             box, np.array(warm_start))))
     return box.from_unit(solve.x_star)
 
 
-def _assemble(theta1, theta2):
-    return SoilParameters(gamma=theta2[0], cohesion_c=theta2[1],
-                          adhesion_ca=theta1[0], phi=theta2[2],
-                          delta=theta1[1], kc=theta1[2], kphi=theta1[3],
-                          n=theta1[4])
-
-
-@pytest.fixture(scope="module", params=["clean", 1, 2, 3],
-                ids=["clean", "noise-seed1", "noise-seed2", "noise-seed3"])
+# Stage 2 runs on the smoothed normal force (the paper's stage 2) in the
+# first four cases and on the raw one, as calibrate_multi_stage runs it, in
+# the rest. There is no clean raw case: that fit is exact, the two
+# objectives differ only by rounding there, and test_calibration's
+# noiseless recovery test covers it.
+@pytest.fixture(scope="module",
+                params=[("smoothed", "clean"), ("smoothed", 1),
+                        ("smoothed", 2), ("smoothed", 3), ("raw", 1),
+                        ("raw", 2), ("raw", 3)],
+                ids=["clean", "noise-seed1", "noise-seed2", "noise-seed3",
+                     "raw-noise-seed1", "raw-noise-seed2",
+                     "raw-noise-seed3"])
 def fits(request, dataset):
     """VP and reference fits of each stage on the same inputs: stages 2
     and 3 both start from the VP fits of the stages before them."""
-    ds = dataset if request.param == "clean" else add_noise(
-        dataset, 0.05, seed=request.param)
+    stage2_input, noise_seed = request.param
+    ds = dataset if noise_seed == "clean" else add_noise(
+        dataset, 0.05, seed=noise_seed)
     options = CalibrationOptions()
     b = ds.loader.b
     cycle = prepare_cycle(ds)
+    cycle2 = smoothed(cycle) if stage2_input == "smoothed" else cycle
     theta1, _ = calibrate_stage1(cycle, options)
-    theta2, _ = calibrate_stage2(cycle, theta1, options)
-    fixed = _assemble(theta1, theta2)
+    theta2, _ = calibrate_stage2(cycle2, theta1, options)
+    fixed = assemble(theta1, theta2)
     theta3, _ = calibrate_stage3(cycle, fixed, options)
     f1 = stage1_objective(cycle, options)
-    f2 = stage2_objective(cycle, theta1, options)
+    f2 = stage2_objective(cycle2, theta1, options)
     f3 = stage3_objective(cycle, fixed, options)
     ref1 = reference_fit(f1, STAGE1_FIELDS, REFERENCE)
     ref2 = reference_fit(f2, STAGE2_FIELDS, REFERENCE)
@@ -189,7 +203,7 @@ class TestStagedFitDeterminism:
         cycle = prepare_cycle(dataset)
         theta1, _ = calibrate_stage1(cycle, options)
         theta2, _ = calibrate_stage2(cycle, theta1, options)
-        fixed = _assemble(theta1, theta2)
+        fixed = assemble(theta1, theta2)
         theta3, _ = calibrate_stage3(cycle, fixed, options)
         optimal = fixed.replace(kc=theta3[0], kphi=theta3[1], n=theta3[2])
         again, diag = calibrate_stage3(cycle, optimal, options)
@@ -233,9 +247,9 @@ class TestReportDiagnostics:
             assert stage.converged or stage.iterations > 0
             assert math.isfinite(stage.gradient_norm)
             assert stage.starts_tried > 0
-        # fitting the sigma=5 smoothed normal series to noiseless data
-        # pulls gamma onto its lower bound
-        assert report.stages[1].at_bound == {"gamma": "lower"}
+        # stage 2 fits the raw normal series, which the noiseless model
+        # matches inside the box
+        assert report.stages[1].at_bound == {}
         assert "kc/kphi split" in report.not_identified
 
 
