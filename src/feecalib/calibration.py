@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -65,11 +66,12 @@ class StageResult:
     (each solves the linear unknowns by bounded least squares), plus the
     incumbent check of stage 3; in the single-stage fit it is one objective call.
     For the staged fits ``starts_tried`` is the number of grid points of
-    the outer search, ``iterations`` its Brent iterations and
-    ``gradient_norm`` the projected derivative along the outer parameter
-    in unit-interval coordinates. ``at_bound`` maps each fitted parameter
-    that ends on a bound (K in place of kc and kphi for the staged fits)
-    to "lower" or "upper".
+    the outer search, ``iterations`` its Brent iterations (0 when the best
+    grid point is a bound whose one-sided derivative points out of the
+    box, so Brent is skipped) and ``gradient_norm`` the projected
+    derivative along the outer parameter in unit-interval coordinates.
+    ``at_bound`` maps each fitted parameter that ends on a bound (K in
+    place of kc and kphi for the staged fits) to "lower" or "upper".
     """
 
     name: str
@@ -274,25 +276,39 @@ def _at_bound(entries) -> dict[str, str]:
 
 
 def _bounded_lsq(design: np.ndarray, target: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray) -> tuple[np.ndarray, float]:
+                 hi: np.ndarray,
+                 paths: Counter | None = None) -> tuple[np.ndarray, float]:
     """min ||design @ x - target|| subject to lo <= x <= hi.
 
-    Bounded-variable least squares on unit-norm columns. An unknown whose
-    column is all zero (the data cannot see it) or whose bounds coincide
-    is pinned at its lower bound. Unknowns that end on a bound are set to
-    it exactly. Returns x and the residual sum of squares at x.
+    Least squares on unit-norm columns. The unconstrained solution comes
+    first, from the LAPACK call ``lsq_linear(method="bvls")`` starts with;
+    when it lies in the box it is the answer, the same bits lsq_linear
+    would return, and bounded-variable least squares runs only when it
+    leaves the box. An unknown whose column is all zero (the data cannot
+    see it) or whose bounds coincide is pinned at its lower bound.
+    Unknowns that end on a bound are set to it exactly. Returns x and the
+    residual sum of squares at x; ``paths``, when given, counts the solve
+    as "interior" or "bvls".
     """
+    paths = Counter() if paths is None else paths
     norms = np.sqrt(np.einsum("ij,ij->j", design, design))
     free = (norms > 0.0) & (hi > lo)
     x = lo.copy()
     if free.any():
         w = norms[free]
+        scaled = design[:, free] / w
         rest = target - design[:, ~free] @ x[~free]
-        res = lsq_linear(design[:, free] / w, rest,
-                         bounds=(lo[free] * w, hi[free] * w), method="bvls")
-        x[free] = np.select([res.active_mask < 0, res.active_mask > 0],
-                            [lo[free], hi[free]],
-                            np.clip(res.x / w, lo[free], hi[free]))
+        lb, ub = lo[free] * w, hi[free] * w
+        x_lsq = np.linalg.lstsq(scaled, rest, rcond=-1)[0]
+        if np.all((x_lsq >= lb) & (x_lsq <= ub)):
+            paths["interior"] += 1
+            x[free] = np.clip(x_lsq / w, lo[free], hi[free])
+        else:
+            paths["bvls"] += 1
+            res = lsq_linear(scaled, rest, bounds=(lb, ub), method="bvls")
+            x[free] = np.select([res.active_mask < 0, res.active_mask > 0],
+                                [lo[free], hi[free]],
+                                np.clip(res.x / w, lo[free], hi[free]))
     residual = target - design @ x
     return x, float(residual @ residual)
 
@@ -313,32 +329,56 @@ class _Profile:
     converged: bool = True
     gradient_norm: float = 0.0
     grid_points: int = 0
+    derivative_trials: int = 0
+    bound_shortcut: bool = False
+    lsq_paths: Counter = field(default_factory=Counter)
 
 
 def _profile_search(trial, lo: float, hi: float) -> _Profile:
     """Minimize a variable-projection profile over one bounded parameter.
 
-    ``trial(x)`` returns ``(value, inner)``: the stage objective with the
-    linear unknowns solved for at x, and those unknowns. The search
-    evaluates a fixed grid, then a bounded Brent search over the two grid
-    cells around the best grid point, and keeps the best trial. The
-    gradient norm is the projected central-difference derivative of the
-    profile at that trial, in unit-interval coordinates; by the variable
-    projection theorem it is the projected gradient of the full objective,
-    whose linear part is stationary by construction. Every call of
-    ``trial`` counts as one evaluation.
+    ``trial(x, paths)`` returns ``(value, inner)``: the stage objective
+    with the linear unknowns solved for at x, and those unknowns; it
+    hands ``paths`` to ``_bounded_lsq``, which counts its solves there.
+    The search evaluates a fixed grid and keeps the best trial. When the
+    best grid point is a bound, one trial gives the one-sided derivative
+    there (the grid value is its centre); if it points out of the box
+    the bound is the answer and Brent does not run. Otherwise a bounded
+    Brent search runs over the two grid cells around the best grid
+    point. The gradient norm is the projected finite-difference
+    derivative of the profile at the best trial, in unit-interval
+    coordinates; by the variable projection theorem it is the projected
+    gradient of the full objective, whose linear part is stationary by
+    construction. Every call of ``trial`` counts as one evaluation.
     """
     best = _Profile(x=lo)
 
     def counted(x: float):
         best.evaluations += 1
-        return trial(x)
+        return trial(x, best.lsq_paths)
 
     def value(x: float) -> float:
         v, inner = counted(float(x))
         if v < best.value:
             best.x, best.value, best.inner = float(x), v, inner
         return v
+
+    width = hi - lo
+
+    def derivative(centre: float | None = None) -> float:
+        """The profile's derivative at best.x in unit coordinates; a
+        known ``centre`` value at best.x is used, not evaluated again."""
+        u = (best.x - lo) / width
+        before = best.evaluations
+        grad = finite_difference_gradient(
+            lambda v: (centre if centre is not None and v[0] == u
+                       else counted(lo + v[0] * width)[0]),
+            np.array([u]), [(0.0, 1.0)])[0]
+        best.derivative_trials += best.evaluations - before
+        return grad
+
+    def points_out(grad: float) -> bool:
+        return (best.x <= lo and grad > 0.0) or (best.x >= hi and grad < 0.0)
 
     grid = np.unique(np.linspace(lo, hi, _PROFILE_GRID))
     best.grid_points = grid.size
@@ -347,19 +387,22 @@ def _profile_search(trial, lo: float, hi: float) -> _Profile:
         raise SolverFailure(f"no grid point in [{lo}, {hi}] gives a finite "
                             f"objective with samples to fit")
     a, b = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
-    if b > a:
-        res = minimize_scalar(value, bounds=(a, b), method="bounded",
-                              options={"xatol": _PROFILE_XATOL * (b - a)})
-        best.iterations = int(res.nit)
-        best.converged = bool(res.success)
-        width = hi - lo
-        u = (best.x - lo) / width
-        grad = finite_difference_gradient(
-            lambda v: counted(lo + v[0] * width)[0], np.array([u]),
-            [(0.0, 1.0)])[0]
-        on_lo, on_hi = best.x <= lo, best.x >= hi
-        best.gradient_norm = (0.0 if (on_lo and grad > 0.0)
-                              or (on_hi and grad < 0.0) else float(abs(grad)))
+    if b <= a:
+        return best
+    grad = None
+    if best.x <= lo or best.x >= hi:
+        grad = derivative(centre=best.value)
+        if points_out(grad):
+            best.bound_shortcut = True
+            return best
+    kept = best.x
+    res = minimize_scalar(value, bounds=(a, b), method="bounded",
+                          options={"xatol": _PROFILE_XATOL * (b - a)})
+    best.iterations = int(res.nit)
+    best.converged = bool(res.success)
+    if grad is None or best.x != kept:
+        grad = derivative()
+    best.gradient_norm = 0.0 if points_out(grad) else float(abs(grad))
     return best
 
 
@@ -368,15 +411,24 @@ def _staged_result(name: str, parameters: dict[str, float],
                    profile: _Profile, extra_evaluations: int, t0: float,
                    dropped: int, rmse_pair: tuple[float, float],
                    series: str) -> StageResult:
+    wall = time.perf_counter() - t0
+    evaluations = profile.evaluations + extra_evaluations
+    solves = profile.lsq_paths
+    log.debug("%s: %.2f ms; %d trials: %d grid, %d Brent, %d derivative, "
+              "%d incumbent; least squares %d interior, %d BVLS; bound "
+              "shortcut %s", name, 1e3 * wall, evaluations,
+              profile.grid_points, profile.iterations,
+              profile.derivative_trials, extra_evaluations,
+              solves["interior"], solves["bvls"],
+              "taken" if profile.bound_shortcut else "not taken")
     return StageResult(name=name, parameters=parameters,
                        objective_value=objective,
                        iterations=profile.iterations,
-                       function_evaluations=(profile.evaluations
-                                             + extra_evaluations),
+                       function_evaluations=evaluations,
                        starts_tried=profile.grid_points,
                        converged=profile.converged,
                        gradient_norm=profile.gradient_norm,
-                       wall_time_s=time.perf_counter() - t0,
+                       wall_time_s=wall,
                        dropped_samples=dropped, rmse_n=rmse_pair[0],
                        rmse_pct=rmse_pair[1], rmse_series=series,
                        at_bound=at_bound)
@@ -409,9 +461,9 @@ def calibrate_stage1(cycle: PreparedCycle,
     hi = np.array([bounds.adhesion_ca[1], math.tan(bounds.delta[1]), k_hi])
     design = np.column_stack([loader.omega * lt, fn_obs, np.empty_like(depth)])
 
-    def trial(n: float):
+    def trial(n: float, paths: Counter):
         design[:, 2] = loader.omega * loader.b * depth ** n
-        x, rss = _bounded_lsq(design, ft_obs, lo, hi)
+        x, rss = _bounded_lsq(design, ft_obs, lo, hi, paths)
         return rss / scale, x
 
     profile = _profile_search(trial, *bounds.n)
@@ -467,7 +519,7 @@ def calibrate_stage2(cycle: PreparedCycle, theta1_star: np.ndarray,
                           adhesion_ca=ca_star, phi=0.0, delta=delta_star,
                           kc=0.0, kphi=0.0, n=1.0)
 
-    def trial(phi: float):
+    def trial(phi: float, paths: Counter):
         # the bearing factors do not depend on base's gamma or cohesion
         out = _forces(base.replace(phi=phi), cycle)
         valid = out.valid
@@ -479,7 +531,7 @@ def calibrate_stage2(cycle: PreparedCycle, theta1_star: np.ndarray,
                                       + area[valid] * out.n_q[valid]),
             loader.omega * d * out.n_c[valid]])
         x, rss = _bounded_lsq(design, target[valid] - ca_star * loader.omega
-                              * d * out.n_a[valid], lo, hi)
+                              * d * out.n_a[valid], lo, hi, paths)
         return rss / scale, x
 
     profile = _profile_search(trial, *bounds.phi)
@@ -541,10 +593,10 @@ def calibrate_stage3(cycle: PreparedCycle, theta_fixed: SoilParameters,
         residual = ft_obs - model(*theta3)
         return float(residual @ residual) / scale
 
-    def trial(n: float):
+    def trial(n: float, paths: Counter):
         column = (loader.omega * loader.b * depth ** n)[:, None]
         x, rss = _bounded_lsq(column, sinkage_target, np.array([k_lo]),
-                              np.array([k_hi]))
+                              np.array([k_hi]), paths)
         return rss / scale, x
 
     profile = _profile_search(trial, *bounds.n)

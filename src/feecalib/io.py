@@ -141,6 +141,19 @@ def _need(obj: dict, key: str, context: str):
     return obj[key]
 
 
+def _check_schema_version(obj: dict, context: str) -> None:
+    """A document without ``schema_version`` reads as the current one; a
+    non-integer version, or one newer than this reader, is refused."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+    version = obj.get("schema_version", SCHEMA_VERSION)
+    if (isinstance(version, bool) or not isinstance(version, int)
+            or version > SCHEMA_VERSION):
+        raise ConfigError(f"{context}: unsupported schema_version "
+                          f"{version!r} (this reader knows versions up to "
+                          f"{SCHEMA_VERSION})")
+
+
 def _as_float(value, context: str) -> float:
     """A finite JSON number; json.load also parses NaN and Infinity."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -291,6 +304,7 @@ def scenario_from_json(obj: dict, context: str = "scenario") -> Scenario:
     _check_keys(obj, ("schema_version", "surface", "loader", "path",
                       "sample_rate_hz", "duration_s", "soil", "noise"),
                 context)
+    _check_schema_version(obj, context)
     surface = surface_from_json(_need(obj, "surface", context),
                                 f"{context}.surface")
     loader = loader_from_json(obj.get("loader", {}), f"{context}.loader")
@@ -382,12 +396,15 @@ def calibration_options_from_json(obj: dict,
 
 def run_config_from_json(obj: dict, preset: str | None = None,
                          noise: float | None = None,
-                         seed: int | None = None) -> RunConfig:
-    """Build a validated run config; CLI flags override file values."""
+                         seed: int | None = None,
+                         source: str = "config") -> RunConfig:
+    """Build a validated run config; CLI flags override file values.
+    ``source`` names the document in a schema_version error."""
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
     _check_keys(obj, ("schema_version", "scenario", "soil", "noise",
                       "calibration"), "config")
+    _check_schema_version(obj, source)
     if "scenario" in obj:
         scenario = scenario_from_json(obj["scenario"], "config.scenario")
     else:
@@ -441,7 +458,8 @@ def load_config(path: str | Path | None, preset: str | None = None,
                 noise: float | None = None,
                 seed: int | None = None) -> RunConfig:
     obj = {} if path is None else _load_json(path)
-    return run_config_from_json(obj, preset=preset, noise=noise, seed=seed)
+    return run_config_from_json(obj, preset=preset, noise=noise, seed=seed,
+                                source=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +541,7 @@ def write_report_json(path: str | Path, report: CalibrationReport) -> None:
 
 def read_report_theta(path: str | Path) -> SoilParameters:
     obj = _load_json(path)
+    _check_schema_version(obj, str(path))
     if "theta_star" not in obj:
         raise ConfigError(f"{path}: missing 'theta_star'")
     return soil_from_json(obj["theta_star"], f"{path}:theta_star")

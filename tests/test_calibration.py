@@ -340,11 +340,11 @@ PINNED_FITS = {
         "stages": [
             ({"adhesion_ca": 20000.000000000007, "delta": 0.3141592653589805,
               "kc": 0.0, "kphi": 139800.00000000006, "n": 0.11,
-              "K": 139800.00000000006}, 70),
+              "K": 139800.00000000006}, 34),
             ({"gamma": 1297.0, "cohesion_c": 20566.439002997293,
               "phi": 0.4696575061929704}, 44),
             ({"kc": 0.0, "kphi": 140137.6438607881, "n": 0.11,
-              "K": 140137.6438607881}, 71)],
+              "K": 140137.6438607881}, 35)],
         "fr_pct": 0.16392931569495714,
     },
     "noise-seed1": {
@@ -373,11 +373,11 @@ PINNED_RAW_FITS = {
         "stages": [
             ({"adhesion_ca": 20000.000000000007, "delta": 0.3141592653589805,
               "kc": 0.0, "kphi": 139800.00000000006, "n": 0.11,
-              "K": 139800.00000000006}, 70),
+              "K": 139800.00000000006}, 34),
             ({"gamma": 1360.0000000093264, "cohesion_c": 20000.00002033072,
               "phi": 0.47123889786796325}, 44),
             ({"kc": 0.0, "kphi": 139799.99999914388, "n": 0.11,
-              "K": 139799.99999914388}, 71)],
+              "K": 139799.99999914388}, 35)],
         "fr_pct": 8.366192084003578e-10,
     },
     "noise-seed1": {
@@ -394,6 +394,27 @@ PINNED_RAW_FITS = {
               "K": 164772.44218314232}, 54)],
         "fr_pct": 3.8599942329039676,
     },
+}
+
+
+# Fits at 5% noise where n ends near its lower bound. Seed 3: the best
+# grid point of stages 1 and 3 is the bound and the one-sided derivative
+# there points out of the box, so Brent is skipped (34 and 35 trials; 70
+# and 71 when Brent ran). Seed 13: the derivative at the bound points
+# inward, so Brent runs as before and the derivative trial is spent for
+# nothing, one trial more per stage (48 and 49; 47 and 48 before). Seed 16:
+# the shortcut in stage 1 (34; 70 before), the inward case in stage 3 (50;
+# 49 before).
+PINNED_BOUND_FITS = {
+    3: ([1419.424219923538, 22395.671314528394, 21037.957199614288,
+         0.4501462118456733, 0.24073541884516617, 0.0, 139516.51978829122,
+         0.11], [34, 44, 35]),
+    13: ([1418.7585428952837, 23326.847199769112, 20675.284107246105,
+          0.4454453164695877, 0.22992619249399254, 0.0, 152691.86032647832,
+          0.11465545722596382], [48, 44, 49]),
+    16: ([1437.1557498403645, 22588.43959479493, 20111.953206043658,
+          0.45385565601906974, 0.21751204551717704, 0.0, 169293.3690906986,
+          0.1136808755237838], [34, 44, 50]),
 }
 
 
@@ -422,6 +443,14 @@ class TestPreparedCycle:
     def test_raw_staged_fit_is_pinned(self, dataset, case):
         _assert_pinned(calibrate_multi_stage(_pinned_input(dataset, case)),
                        PINNED_RAW_FITS[case])
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_BOUND_FITS))
+    def test_bound_check_trials_are_pinned(self, dataset, seed):
+        theta, evaluations = PINNED_BOUND_FITS[seed]
+        report = calibrate_multi_stage(add_noise(dataset, 0.05, seed=seed))
+        assert report.theta_star.to_array().tolist() == pytest.approx(
+            theta, rel=1e-12)
+        assert [s.function_evaluations for s in report.stages] == evaluations
 
     @pytest.mark.parametrize("calibrate", [calibrate_multi_stage,
                                            calibrate_single_stage])

@@ -1,11 +1,17 @@
 import csv
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from feecalib import io as fio
 from feecalib.cli import main
 
 FAST_CONFIG = {
@@ -651,3 +657,100 @@ class TestZeroDepthCycle:
         assert "zero penetration depth" in res.output
         assert "Traceback" not in res.output
         assert not (tmp_path / "report.json").exists()
+
+
+class TestSchemaVersion:
+    """Each reader refuses a schema_version it does not know; documents
+    without the key read as the current version."""
+
+    BAD_VERSIONS = [fio.SCHEMA_VERSION + 1, "3", 2.5, True]
+
+    @staticmethod
+    def _assert_refused(res, path, version):
+        _assert_config_error(res, str(path))
+        assert f"unsupported schema_version {version!r}" in res.output
+
+    @pytest.mark.parametrize("version", BAD_VERSIONS)
+    def test_report(self, runner, workdir, tmp_path, version):
+        run = workdir / "run"
+        doc = json.loads((run / "report.json").read_text())
+        doc["schema_version"] = version
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["predict", str(report), "--scenario",
+                                   str(run / "scenario.json"), "--out",
+                                   str(tmp_path)])
+        self._assert_refused(res, report, version)
+        assert not (tmp_path / "predicted.csv").exists()
+
+    @pytest.mark.parametrize("version", BAD_VERSIONS + [None])
+    def test_scenario(self, runner, workdir, tmp_path, version):
+        run = workdir / "run"
+        doc = json.loads((run / "scenario.json").read_text())
+        if version is None:
+            del doc["schema_version"]
+        else:
+            doc["schema_version"] = version
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["predict", str(run / "report.json"),
+                                   "--scenario", str(scenario), "--out",
+                                   str(tmp_path)])
+        if version is None:
+            assert res.exit_code == 0, res.output
+            assert ((tmp_path / "predicted.csv").read_bytes()
+                    == (run / "predicted.csv").read_bytes())
+        else:
+            self._assert_refused(res, scenario, version)
+            assert not (tmp_path / "predicted.csv").exists()
+
+    @pytest.mark.parametrize("version", BAD_VERSIONS)
+    def test_config(self, runner, tmp_path, version):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"schema_version": version}))
+        out = tmp_path / "never"
+        res = runner.invoke(main, ["simulate", "--config", str(config),
+                                   "--out", str(out)])
+        self._assert_refused(res, config, version)
+        assert not out.exists()
+
+
+def test_debug_log_has_one_line_per_stage(workdir, tmp_path):
+    """FEE_CALIB_LOG=DEBUG: each stage of a staged fit logs its wall time,
+    its trials, its least-squares paths and the bound check. On the clean
+    default cycle n's optimum is its lower bound, so stages 1 and 3 skip
+    Brent."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, FEE_CALIB_LOG="DEBUG")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    res = subprocess.run(
+        [sys.executable, "-c", "from feecalib.cli import main; main()",
+         "calibrate", str(workdir / "run" / "cycle.csv"), "--out",
+         str(tmp_path)], capture_output=True, text=True, env=env,
+        timeout=300)
+    assert res.returncode == 0, res.stderr
+    prefix = "DEBUG feecalib.calibration: "
+    lines = [line[len(prefix):] for line in res.stderr.splitlines()
+             if line.startswith(prefix)]
+    assert len(lines) == 3, res.stderr
+    pattern = (r"(stage[123]): \d+\.\d\d ms; (\d+) trials: 33 grid, "
+               r"(\d+) Brent, (\d+) derivative, (\d) incumbent; least "
+               r"squares (\d+) interior, (\d+) BVLS; bound shortcut "
+               r"(taken|not taken)$")
+    parsed = [re.match(pattern, line) for line in lines]
+    assert all(parsed), lines
+    stages = [m.groups() for m in parsed]
+    report = json.loads((tmp_path / "report.json").read_text())
+    for (name, trials, brent, derivative, incumbent, interior, bvls,
+         shortcut), stage in zip(stages, report["stages"]):
+        assert name == stage["name"]
+        assert int(trials) == stage["function_evaluations"] == (
+            33 + int(brent) + int(derivative) + int(incumbent))
+        assert int(brent) == stage["iterations"]
+        # every trial of a staged fit solves one least-squares problem
+        assert int(interior) + int(bvls) == 33 + int(brent) + int(derivative)
+        assert (shortcut == "taken") == (name != "stage2")
+    assert [s[:4] for s in stages] == [("stage1", "34", "0", "1"),
+                                      ("stage2", "44", "9", "2"),
+                                      ("stage3", "35", "0", "1")]

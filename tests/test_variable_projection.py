@@ -11,17 +11,20 @@ makes the objective check stricter.
 """
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import lsq_linear
 
 from feecalib import (CalibrationOptions, FeeCalibError, ParameterBounds,
                       SoilParameters, SolverOptions, add_noise,
                       calibrate_multi_stage, calibrate_stage1,
                       calibrate_stage2, calibrate_stage3, prepare_cycle)
-from feecalib.calibration import (_BoxMap, _bounded_lsq, _forces,
-                                  _series_scale, split_pressure_coefficient,
+from feecalib.calibration import (_PROFILE_GRID, _BoxMap, _bounded_lsq,
+                                  _forces, _profile_search, _series_scale,
+                                  split_pressure_coefficient,
                                   stage1_tangential_force)
 from test_calibration import assemble, smoothed
 from test_optimizer import multi_start_warm
@@ -301,3 +304,150 @@ class TestSplitAndLinearSolve:
                                    np.concatenate([lo, hi])):
                 if abs(value - edge) <= 1e-12 * abs(edge):
                     assert value == edge
+
+
+# ---------------------------------------------------------------------------
+# The bounded least-squares solve and the profile search
+# ---------------------------------------------------------------------------
+
+def bounded_lsq_reference(design: np.ndarray, target: np.ndarray,
+                          lo: np.ndarray,
+                          hi: np.ndarray) -> tuple[np.ndarray, float]:
+    """min ||design @ x - target|| subject to lo <= x <= hi.
+
+    Bounded-variable least squares on unit-norm columns. An unknown whose
+    column is all zero (the data cannot see it) or whose bounds coincide
+    is pinned at its lower bound. Unknowns that end on a bound are set to
+    it exactly. Returns x and the residual sum of squares at x.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->j", design, design))
+    free = (norms > 0.0) & (hi > lo)
+    x = lo.copy()
+    if free.any():
+        w = norms[free]
+        rest = target - design[:, ~free] @ x[~free]
+        res = lsq_linear(design[:, free] / w, rest,
+                         bounds=(lo[free] * w, hi[free] * w), method="bvls")
+        x[free] = np.select([res.active_mask < 0, res.active_mask > 0],
+                            [lo[free], hi[free]],
+                            np.clip(res.x / w, lo[free], hi[free]))
+    residual = target - design @ x
+    return x, float(residual @ residual)
+
+
+def random_lsq_problem(rng, case):
+    """A bounded least-squares problem with 1-3 unknowns whose solution
+    has the shape ``case`` names."""
+    k = int(rng.integers(1, 4))
+    m = int(rng.integers(k + 1, 30))
+    design = rng.normal(size=(m, k)) * rng.uniform(0.1, 100.0, k)
+    lo = rng.uniform(-3.0, 1.0, k).round(2)
+    hi = lo + rng.uniform(0.1, 3.0, k).round(2)
+    x_true = rng.uniform(lo, hi)
+    noise = 1e-3 * rng.normal(size=m)
+    j = int(rng.integers(k))
+    if case == "face":
+        x_true[j] = (lo[j] - rng.uniform(1.0, 5.0) if rng.random() < 0.5
+                     else hi[j] + rng.uniform(1.0, 5.0))
+    elif case == "corner":
+        x_true = np.where(rng.random(k) < 0.5, lo - rng.uniform(1.0, 5.0, k),
+                          hi + rng.uniform(1.0, 5.0, k))
+    elif case == "zero column":
+        design[:, j] = 0.0
+    elif case == "coinciding bounds":
+        hi[j] = lo[j]
+    elif case == "on a bound":
+        x_true[j] = lo[j] if rng.random() < 0.5 else hi[j]
+        noise[:] = 0.0
+    return design, design @ x_true + noise, lo, hi
+
+
+LSQ_CASES = ("inside", "face", "corner", "zero column", "coinciding bounds",
+             "on a bound")
+
+
+class TestBoundedLsqAgainstReference:
+    @pytest.mark.parametrize("case", LSQ_CASES)
+    def test_same_bits_as_the_bvls_reference(self, case):
+        rng = np.random.default_rng(LSQ_CASES.index(case))
+        paths = Counter()
+        on_bound = 0
+        for _ in range(200):
+            design, target, lo, hi = random_lsq_problem(rng, case)
+            x, rss = _bounded_lsq(design, target, lo, hi, paths)
+            x_ref, rss_ref = bounded_lsq_reference(design, target, lo, hi)
+            assert np.array_equal(x, x_ref), (x, x_ref)
+            assert rss == rss_ref
+            on_bound += bool(np.any((x == lo) | (x == hi)))
+        if case == "inside":
+            assert paths["bvls"] == 0 and on_bound == 0
+        elif case in ("face", "corner"):
+            # the solution leaves the box and BVLS puts it on the boundary
+            assert paths["bvls"] > 0 and on_bound > 0
+        else:
+            assert paths["interior"] > 0 and on_bound > 0
+
+
+def quadratic_profile(centre):
+    """A profile trial with its minimum at ``centre``; the inner unknowns
+    are the trial point itself."""
+    def trial(x, paths):
+        return (x - centre) ** 2, np.array([x])
+    return trial
+
+
+LO, HI = 0.11, 1.53             # n's default bounds
+WIDTH = HI - LO
+CELL = WIDTH / (_PROFILE_GRID - 1)
+
+
+class TestProfileSearch:
+    @pytest.mark.parametrize("bound, centre", [(LO, LO - 0.3),
+                                               (HI, HI + 0.3)])
+    def test_outward_derivative_at_a_bound_skips_brent(self, bound, centre):
+        profile = _profile_search(quadratic_profile(centre), LO, HI)
+        assert profile.x == bound
+        assert profile.inner.tolist() == [bound]
+        assert profile.gradient_norm == 0.0
+        assert profile.bound_shortcut
+        assert (profile.iterations, profile.converged) == (0, True)
+        assert profile.derivative_trials == 1
+        assert profile.evaluations == _PROFILE_GRID + 1
+
+    def test_interior_minimum_runs_brent_without_a_bound_check(self):
+        centre = LO + 0.37 * WIDTH
+        profile = _profile_search(quadratic_profile(centre), LO, HI)
+        assert profile.x == pytest.approx(centre, abs=1e-9)
+        assert profile.gradient_norm < 1e-6
+        assert not profile.bound_shortcut and profile.iterations > 0
+        assert profile.derivative_trials == 2       # central difference
+        assert profile.evaluations == _PROFILE_GRID + profile.iterations + 2
+
+    def test_inward_derivative_at_a_bound_runs_brent(self):
+        # the minimum lies inside the first grid cell, nearer lo than the
+        # second grid point: lo is the best grid point, the derivative
+        # there points into the box, and Brent moves off the bound
+        centre = LO + 0.2 * CELL
+        profile = _profile_search(quadratic_profile(centre), LO, HI)
+        assert profile.x == pytest.approx(centre, abs=1e-9)
+        assert profile.gradient_norm < 1e-6
+        assert not profile.bound_shortcut and profile.iterations > 0
+        # the bound's one-sided difference, then a central one at the end
+        assert profile.derivative_trials == 1 + 2
+        assert (profile.evaluations
+                == _PROFILE_GRID + 1 + profile.iterations + 2)
+
+    def test_inward_derivative_is_reused_when_brent_keeps_the_bound(self):
+        # a notch just inside lo: the derivative at lo points inward, but
+        # Brent's trials all land past the notch, so lo stays the best
+        # trial and its derivative is the one taken before Brent
+        def trial(x, paths):
+            value = -(x - LO) if x - LO < 1e-5 * WIDTH else 1.0
+            return value, np.array([x])
+
+        profile = _profile_search(trial, LO, HI)
+        assert profile.x == LO and not profile.bound_shortcut
+        assert profile.iterations > 0
+        assert profile.derivative_trials == 1
+        assert profile.evaluations == _PROFILE_GRID + 1 + profile.iterations
+        assert profile.gradient_norm == pytest.approx(WIDTH, rel=1e-6)
