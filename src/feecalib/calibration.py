@@ -28,8 +28,10 @@ from scipy.optimize import lsq_linear, minimize_scalar
 from .errors import DegenerateDepths, EmptySeries, SolverFailure
 from .geometry import CycleDataset, surface_after_cycle, wedge_geometry
 from .optimizer import SolverOptions, finite_difference_gradient, multi_start
-from .soil import (GRAVITY, PARAM_NAMES, CycleForceArrays, LoaderParameters,
-                   ParameterBounds, SoilParameters, predict_force_arrays)
+from .soil import (_OK, GRAVITY, PARAM_NAMES, CycleForceArrays,
+                   LoaderParameters, ParameterBounds, SoilParameters,
+                   _factor_arrays, _margin_status, _solve_beta_array,
+                   predict_force_arrays)
 
 log = logging.getLogger(__name__)
 
@@ -292,23 +294,26 @@ def _bounded_lsq(design: np.ndarray, target: np.ndarray, lo: np.ndarray,
     """
     paths = Counter() if paths is None else paths
     norms = np.sqrt(np.einsum("ij,ij->j", design, design))
-    free = (norms > 0.0) & (hi > lo)
+    is_free = (norms > 0.0) & (hi > lo)
+    free = np.flatnonzero(is_free)
     x = lo.copy()
-    if free.any():
+    if free.size:
         w = norms[free]
+        lo_f, hi_f = lo[free], hi[free]
         scaled = design[:, free] / w
-        rest = target - design[:, ~free] @ x[~free]
-        lb, ub = lo[free] * w, hi[free] * w
+        rest = target
+        if free.size < x.size:
+            rest = target - design[:, ~is_free] @ x[~is_free]
+        lb, ub = lo_f * w, hi_f * w
         x_lsq = np.linalg.lstsq(scaled, rest, rcond=-1)[0]
-        if np.all((x_lsq >= lb) & (x_lsq <= ub)):
+        if ((x_lsq >= lb) & (x_lsq <= ub)).all():
             paths["interior"] += 1
-            x[free] = np.clip(x_lsq / w, lo[free], hi[free])
+            x[free] = np.clip(x_lsq / w, lo_f, hi_f)
         else:
             paths["bvls"] += 1
             res = lsq_linear(scaled, rest, bounds=(lb, ub), method="bvls")
             x[free] = np.select([res.active_mask < 0, res.active_mask > 0],
-                                [lo[free], hi[free]],
-                                np.clip(res.x / w, lo[free], hi[free]))
+                                [lo_f, hi_f], np.clip(res.x / w, lo_f, hi_f))
     residual = target - design @ x
     return x, float(residual @ residual)
 
@@ -325,6 +330,7 @@ class _Profile:
     value: float = math.inf
     inner: np.ndarray | None = None
     evaluations: int = 0
+    passes: int = 0
     iterations: int = 0
     converged: bool = True
     gradient_norm: float = 0.0
@@ -337,31 +343,39 @@ class _Profile:
 def _profile_search(trial, lo: float, hi: float) -> _Profile:
     """Minimize a variable-projection profile over one bounded parameter.
 
-    ``trial(x, paths)`` returns ``(value, inner)``: the stage objective
-    with the linear unknowns solved for at x, and those unknowns; it
-    hands ``paths`` to ``_bounded_lsq``, which counts its solves there.
-    The search evaluates a fixed grid and keeps the best trial. When the
-    best grid point is a bound, one trial gives the one-sided derivative
-    there (the grid value is its centre); if it points out of the box
-    the bound is the answer and Brent does not run. Otherwise a bounded
-    Brent search runs over the two grid cells around the best grid
-    point. The gradient norm is the projected finite-difference
-    derivative of the profile at the best trial, in unit-interval
-    coordinates; by the variable projection theorem it is the projected
-    gradient of the full objective, whose linear part is stationary by
-    construction. Every call of ``trial`` counts as one evaluation.
+    ``trial(xs, paths)`` takes an array of candidates and returns one
+    ``(value, inner)`` per candidate: the stage objective with the linear
+    unknowns solved for at that candidate, and those unknowns; it hands
+    ``paths`` to ``_bounded_lsq``, which counts its solves there. The
+    search evaluates a fixed grid in one call and keeps the best trial.
+    When the best grid point is a bound, one trial gives the one-sided
+    derivative there (the grid value is its centre); if it points out of
+    the box the bound is the answer and Brent does not run. Otherwise a
+    bounded Brent search runs over the two grid cells around the best
+    grid point. Brent and the derivative call ``trial`` with one
+    candidate at a time. The gradient norm is the projected
+    finite-difference derivative of the profile at the best trial, in
+    unit-interval coordinates; by the variable projection theorem it is
+    the projected gradient of the full objective, whose linear part is
+    stationary by construction. Every candidate counts as one evaluation,
+    and every call of ``trial`` as one pass.
     """
     best = _Profile(x=lo)
 
-    def counted(x: float):
-        best.evaluations += 1
-        return trial(x, best.lsq_paths)
+    def counted(xs) -> list:
+        xs = np.asarray(xs, dtype=float)
+        best.evaluations += xs.size
+        best.passes += 1
+        return trial(xs, best.lsq_paths)
+
+    def keep_best(xs, results) -> list[float]:
+        for x, (v, inner) in zip(xs, results):
+            if v < best.value:
+                best.x, best.value, best.inner = float(x), v, inner
+        return [v for v, _ in results]
 
     def value(x: float) -> float:
-        v, inner = counted(float(x))
-        if v < best.value:
-            best.x, best.value, best.inner = float(x), v, inner
-        return v
+        return keep_best([x], counted([x]))[0]
 
     width = hi - lo
 
@@ -372,7 +386,7 @@ def _profile_search(trial, lo: float, hi: float) -> _Profile:
         before = best.evaluations
         grad = finite_difference_gradient(
             lambda v: (centre if centre is not None and v[0] == u
-                       else counted(lo + v[0] * width)[0]),
+                       else counted([lo + v[0] * width])[0][0]),
             np.array([u]), [(0.0, 1.0)])[0]
         best.derivative_trials += best.evaluations - before
         return grad
@@ -382,7 +396,7 @@ def _profile_search(trial, lo: float, hi: float) -> _Profile:
 
     grid = np.unique(np.linspace(lo, hi, _PROFILE_GRID))
     best.grid_points = grid.size
-    k = int(np.argmin([value(x) for x in grid]))
+    k = int(np.argmin(keep_best(grid, counted(grid))))
     if best.inner is None:
         raise SolverFailure(f"no grid point in [{lo}, {hi}] gives a finite "
                             f"objective with samples to fit")
@@ -408,19 +422,24 @@ def _profile_search(trial, lo: float, hi: float) -> _Profile:
 
 def _staged_result(name: str, parameters: dict[str, float],
                    at_bound: dict[str, str], objective: float,
-                   profile: _Profile, extra_evaluations: int, t0: float,
-                   dropped: int, rmse_pair: tuple[float, float],
+                   profile: _Profile, extra_evaluations: int,
+                   engine_passes: int, t0: float, dropped: int,
+                   rmse_pair: tuple[float, float],
                    series: str) -> StageResult:
+    """The stage's StageResult; logs its cost at DEBUG. ``engine_passes``
+    counts the calls of the failure-angle and bearing-factor kernel, each
+    over one or more parameter sets."""
     wall = time.perf_counter() - t0
     evaluations = profile.evaluations + extra_evaluations
     solves = profile.lsq_paths
     log.debug("%s: %.2f ms; %d trials: %d grid, %d Brent, %d derivative, "
               "%d incumbent; least squares %d interior, %d BVLS; bound "
-              "shortcut %s", name, 1e3 * wall, evaluations,
-              profile.grid_points, profile.iterations,
+              "shortcut %s; %d engine passes", name, 1e3 * wall,
+              evaluations, profile.grid_points, profile.iterations,
               profile.derivative_trials, extra_evaluations,
               solves["interior"], solves["bvls"],
-              "taken" if profile.bound_shortcut else "not taken")
+              "taken" if profile.bound_shortcut else "not taken",
+              engine_passes)
     return StageResult(name=name, parameters=parameters,
                        objective_value=objective,
                        iterations=profile.iterations,
@@ -461,10 +480,13 @@ def calibrate_stage1(cycle: PreparedCycle,
     hi = np.array([bounds.adhesion_ca[1], math.tan(bounds.delta[1]), k_hi])
     design = np.column_stack([loader.omega * lt, fn_obs, np.empty_like(depth)])
 
-    def trial(n: float, paths: Counter):
-        design[:, 2] = loader.omega * loader.b * depth ** n
-        x, rss = _bounded_lsq(design, ft_obs, lo, hi, paths)
-        return rss / scale, x
+    def trial(ns: np.ndarray, paths: Counter):
+        results = []
+        for n in ns.tolist():
+            design[:, 2] = loader.omega * loader.b * depth ** n
+            x, rss = _bounded_lsq(design, ft_obs, lo, hi, paths)
+            results.append((rss / scale, x))
+        return results
 
     profile = _profile_search(trial, *bounds.n)
     ca, tan_delta, big_k = profile.inner
@@ -487,7 +509,7 @@ def calibrate_stage1(cycle: PreparedCycle,
                           ("n", profile.x, *bounds.n)])
     result = _staged_result("stage1", parameters, at_bound,
                             float(residual @ residual) / scale, profile, 0,
-                            t0, dropped=cycle.dropped,
+                            0, t0, dropped=cycle.dropped,
                             rmse_pair=rmse(ft_obs, fit),
                             series="f_t observed (raw), in-soil samples")
     return theta1, result
@@ -501,44 +523,54 @@ def calibrate_stage2(cycle: PreparedCycle, theta1_star: np.ndarray,
 
     For a given friction angle the wedge force
     F = gamma*g*omega*(d^2 N_gamma + A_swept N_q) + c*omega*d*N_c
-    + c_a*omega*d*N_a is linear in (gamma, c): the search runs over phi,
-    with one engine call per candidate for the failure angle and the
-    bearing factors, and solves for (gamma, c) by bounded linear least
-    squares. Samples whose geometry turns singular for a candidate are
-    dropped from that candidate's residual.
+    + c_a*omega*d*N_a is linear in (gamma, c): the search runs over phi
+    and solves for (gamma, c) by bounded linear least squares. The failure
+    angle and the bearing factors come from the engine's kernel, which
+    takes every candidate of a call at once (the whole grid in one
+    broadcast pass). The blade-angle margins do not depend on phi and are
+    checked once. Samples whose geometry turns singular for a candidate
+    are dropped from that candidate's residual.
     """
     t0 = time.perf_counter()
     ca_star, delta_star = float(theta1_star[0]), float(theta1_star[1])
     target = cycle.fn_obs / math.cos(delta_star)
     scale = _series_scale(target)
     bounds = options.bounds
-    depth, area, loader = cycle.depth, cycle.area, cycle.loader
+    alpha, omega = cycle.alpha, cycle.loader.omega
     lo = bounds.lower(("gamma", "cohesion_c"))
     hi = bounds.upper(("gamma", "cohesion_c"))
-    base = SoilParameters(gamma=float(lo[0]), cohesion_c=0.0,
-                          adhesion_ca=ca_star, phi=0.0, delta=delta_star,
-                          kc=0.0, kphi=0.0, n=1.0)
+    ok = _margin_status(alpha, cycle.rho) == _OK
+    depth, area, rho, target_ok = (cycle.depth[ok], cycle.area[ok],
+                                   cycle.rho[ok], target[ok])
 
-    def trial(phi: float, paths: Counter):
-        # the bearing factors do not depend on base's gamma or cohesion
-        out = _forces(base.replace(phi=phi), cycle)
-        valid = out.valid
-        if not valid.any():
-            return 1e12, None
-        d = depth[valid]
-        design = np.column_stack([
-            GRAVITY * loader.omega * (d * d * out.n_gamma[valid]
-                                      + area[valid] * out.n_q[valid]),
-            loader.omega * d * out.n_c[valid]])
-        x, rss = _bounded_lsq(design, target[valid] - ca_star * loader.omega
-                              * d * out.n_a[valid], lo, hi, paths)
-        return rss / scale, x
+    def trial(phis: np.ndarray, paths: Counter):
+        phi = phis[:, None]
+        beta, feasible = _solve_beta_array(alpha, rho, phi, delta_star)
+        n_gamma, n_c, n_a, n_q = _factor_arrays(alpha, beta, rho, phi,
+                                                delta_star)
+        results = []
+        for i, valid in enumerate(feasible):
+            if not valid.any():
+                results.append((1e12, None))
+                continue
+            d = depth[valid]
+            design = np.column_stack([
+                GRAVITY * omega * (d * d * n_gamma[i, valid]
+                                   + area[valid] * n_q[i, valid]),
+                omega * d * n_c[i, valid]])
+            x, rss = _bounded_lsq(design, target_ok[valid] - ca_star * omega
+                                  * d * n_a[i, valid], lo, hi, paths)
+            results.append((rss / scale, x))
+        return results
 
     profile = _profile_search(trial, *bounds.phi)
     gamma, cohesion = profile.inner
     theta2 = np.array([gamma, cohesion, profile.x])
-    out = _forces(base.replace(gamma=gamma, cohesion_c=cohesion,
-                               phi=profile.x), cycle)
+    # the wedge force does not depend on the sinkage parameters
+    out = _forces(SoilParameters(gamma=gamma, cohesion_c=cohesion,
+                                 adhesion_ca=ca_star, phi=profile.x,
+                                 delta=delta_star, kc=0.0, kphi=0.0, n=1.0),
+                  cycle)
     force, valid = out.fee[out.valid], out.valid
     residual = target[valid] - force
     at_bound = _at_bound([("gamma", gamma, lo[0], hi[0]),
@@ -548,7 +580,7 @@ def calibrate_stage2(cycle: PreparedCycle, theta1_star: np.ndarray,
                             dict(zip(("gamma", "cohesion_c", "phi"),
                                      theta2.tolist())),
                             at_bound, float(residual @ residual) / scale,
-                            profile, 0, t0,
+                            profile, 0, profile.passes + 1, t0,
                             cycle.dropped + int((~valid).sum()),
                             rmse(target[valid], force),
                             series="wedge force reconstructed from raw f_n, "
@@ -593,11 +625,14 @@ def calibrate_stage3(cycle: PreparedCycle, theta_fixed: SoilParameters,
         residual = ft_obs - model(*theta3)
         return float(residual @ residual) / scale
 
-    def trial(n: float, paths: Counter):
-        column = (loader.omega * loader.b * depth ** n)[:, None]
-        x, rss = _bounded_lsq(column, sinkage_target, np.array([k_lo]),
-                              np.array([k_hi]), paths)
-        return rss / scale, x
+    def trial(ns: np.ndarray, paths: Counter):
+        results = []
+        for n in ns.tolist():
+            column = (loader.omega * loader.b * depth ** n)[:, None]
+            x, rss = _bounded_lsq(column, sinkage_target, np.array([k_lo]),
+                                  np.array([k_hi]), paths)
+            results.append((rss / scale, x))
+        return results
 
     profile = _profile_search(trial, *bounds.n)
     big_k = float(profile.inner[0])
@@ -614,7 +649,7 @@ def calibrate_stage3(cycle: PreparedCycle, theta_fixed: SoilParameters,
     result = _staged_result("stage3",
                             dict(kc=float(kc), kphi=float(kphi), n=float(n),
                                  K=big_k),
-                            at_bound, f_best, profile, 1, t0,
+                            at_bound, f_best, profile, 1, 1, t0,
                             cycle.dropped + int((~valid).sum()),
                             rmse(ft_obs, fit),
                             series="f_t observed (raw), in-soil samples")

@@ -140,6 +140,9 @@ def predict(report_json, scenario_path, prior_path, out_dir) -> None:
         prior = None
         if prior_path is not None:
             prior, _, _ = fio.read_cycle_csv(prior_path)
+            if prior.size < 2:
+                raise ConfigError(f"{prior_path}: a prior cycle needs at "
+                                  f"least two samples, found {prior.size}")
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
     try:

@@ -315,32 +315,67 @@ def quadratic_bezier_path(p0: tuple[float, float], p1: tuple[float, float],
 
 
 def _collapse_vertical_moves(xs: np.ndarray, zs: np.ndarray, tol: float):
-    """Reduce duplicate-x path points to their lowest z (envelope view)."""
-    out_x, out_z = [xs[0]], [zs[0]]
-    for x, z in zip(xs[1:], zs[1:]):
-        if x - out_x[-1] <= tol:
-            out_z[-1] = min(out_z[-1], z)
-        else:
-            out_x.append(x)
-            out_z.append(z)
-    return np.array(out_x), np.array(out_z)
+    """Reduce duplicate-x path points to their lowest z (envelope view).
+
+    A point within tol of the first x of the current group joins the
+    group. One array pass compares every point with its predecessor, which
+    is the group's first point whenever the predecessor starts a group;
+    only the points after a joined one are compared again, in a loop,
+    with their group's first point.
+    """
+    n = xs.size
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = xs[1:] - xs[:-1] > tol
+    x_list = xs.tolist()
+    done = 1            # starts[:done] is final
+    for j in (np.flatnonzero(~starts[1:]) + 1).tolist():
+        if j < done:
+            continue
+        # j joins the group that its predecessor, a final start, opens
+        first = x_list[j - 1]
+        i = j + 1
+        while i < n and x_list[i] - first <= tol:
+            starts[i] = False
+            i += 1
+        if i < n:
+            starts[i] = True
+        done = i + 1
+    group = np.flatnonzero(starts)
+    return xs[group], np.minimum.reduceat(zs, group)
 
 
 def _prune_collinear(xs: np.ndarray, zs: np.ndarray, tol: float):
     """Drop vertices collinear with the last kept vertex and the next one.
 
-    A loop, not an array pass: whether a vertex is kept depends on the
-    last vertex kept.
+    Whether a vertex is kept depends on the last vertex kept, its anchor.
+    One array pass decides every vertex against its predecessor, which is
+    its anchor whenever the predecessor is kept; only the vertices after a
+    dropped one are decided again, in a loop, against their anchor.
     """
-    keep = [0]
-    for i in range(1, xs.size - 1):
-        x0, z0 = xs[keep[-1]], zs[keep[-1]]
-        cross = ((xs[i] - x0) * (zs[i + 1] - z0)
-                 - (zs[i] - z0) * (xs[i + 1] - x0))
-        scale = max(1.0, abs(xs[i + 1] - x0), abs(zs[i + 1] - z0))
-        if abs(cross) > tol * scale:
-            keep.append(i)
-    keep.append(xs.size - 1)
+    n = xs.size
+    x0, z0, x2, z2 = xs[:-2], zs[:-2], xs[2:], zs[2:]
+    cross = (xs[1:-1] - x0) * (z2 - z0) - (zs[1:-1] - z0) * (x2 - x0)
+    scale = np.maximum(np.maximum(1.0, np.abs(x2 - x0)), np.abs(z2 - z0))
+    keep = np.ones(n, dtype=bool)
+    keep[1:-1] = np.abs(cross) > tol * scale
+    x_list, z_list = xs.tolist(), zs.tolist()
+    done = 1            # keep[:done] is final
+    for j in (np.flatnonzero(~keep[1:-1]) + 1).tolist():
+        if j < done:
+            continue
+        # j is dropped against its predecessor, a final kept vertex, which
+        # stays the anchor of the vertices after j until one is kept
+        xa, za = x_list[j - 1], z_list[j - 1]
+        i = j + 1
+        while i < n - 1:
+            cross = ((x_list[i] - xa) * (z_list[i + 1] - za)
+                     - (z_list[i] - za) * (x_list[i + 1] - xa))
+            scale = max(1.0, abs(x_list[i + 1] - xa), abs(z_list[i + 1] - za))
+            keep[i] = abs(cross) > tol * scale
+            if keep[i]:
+                break
+            i += 1
+        done = i + 1
     return xs[keep], zs[keep]
 
 

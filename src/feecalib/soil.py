@@ -200,7 +200,7 @@ def _ngamma_array(alpha, beta, rho, phi, delta):
 # Failure-angle minimization
 # ---------------------------------------------------------------------------
 
-def beta_window(alpha: float, rho, phi: float, delta: float):
+def beta_window(alpha: float, rho, phi, delta: float):
     """Feasible interval [lo, hi] for the failure angle, per sample.
 
     The window keeps beta above eps1, the angle chain rho+delta+beta+phi
@@ -209,18 +209,39 @@ def beta_window(alpha: float, rho, phi: float, delta: float):
     pi/2 - alpha, where the wedge cross-section factor cot(beta)-tan(alpha)
     changes sign: beyond it the unit-weight factor goes negative and its
     minimization would chase nonphysical inverted wedges. hi <= lo marks
-    infeasibility. The margins are ``DEFAULT_MARGINS``.
+    infeasibility. rho and phi broadcast against each other, as in
+    ``_solve_beta_array``. The margins are ``DEFAULT_MARGINS``.
     """
     rho = np.asarray(rho, dtype=float)
-    lo = np.full(rho.shape, DEFAULT_MARGINS.eps1, dtype=float)
     hi = np.minimum(math.pi - rho - delta - phi - DEFAULT_MARGINS.eps2,
                     math.pi - phi - DEFAULT_MARGINS.angle_margin)
     hi = np.minimum(hi, math.pi - DEFAULT_MARGINS.angle_margin)
     hi = np.minimum(hi, math.pi / 2.0 - alpha)
+    lo = np.full(np.shape(hi), DEFAULT_MARGINS.eps1, dtype=float)
     return lo, hi
 
 
-def _solve_beta_array(alpha: float, rho, phi: float, delta: float):
+def _stationary_angles(alpha: float, rho, phi, delta: float) -> np.ndarray:
+    """The two roots b of dN_gamma/dbeta = 0 per sample, mod pi, as an
+    (n, 2) array (NaN where there is none); see ``_solve_beta_array``."""
+    c = rho + delta + phi
+    a = 2.0 * alpha + phi
+    cos_c = np.cos(c)
+    sin_phi = np.sin(phi)
+    p = cos_c * np.cos(a) - sin_phi * np.sin(c)
+    q = -(cos_c * np.sin(a) + sin_phi * cos_c)
+    r = np.cos(a - c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # NaN where |R| > sqrt(P^2+Q^2) or P = Q = 0: no interior root
+        half = 0.5 * np.arccos(r / np.hypot(p, q))
+    mid = 0.5 * np.arctan2(q, p)
+    # mod pi: the roots lie in [-pi, pi], and only those that land in the
+    # window, inside (0, pi), are used, where this equals np.mod
+    roots = np.column_stack((mid - half, mid + half))
+    return np.where(roots < 0.0, roots + math.pi, roots)
+
+
+def _solve_beta_array(alpha: float, rho, phi, delta: float):
     """Vectorized failure-angle solve in closed form.
 
     Returns (beta, feasible) arrays; beta is NaN where the window is empty.
@@ -239,35 +260,35 @@ def _solve_beta_array(alpha: float, rho, phi: float, delta: float):
     hi and the in-window roots; the one with the lowest N_gamma wins, and
     lo wins whenever it is within 1e-12 (relative) of that minimum, so
     flat objectives tie-break to the smallest feasible angle.
+
+    rho and phi broadcast against each other. The engine passes a float
+    phi and rho of shape (m,), and gets (m,) arrays; stage 2 of the
+    calibration passes k friction angles of shape (k, 1) and gets (k, m)
+    arrays, row i being the solve at phi[i]. Each entry is computed by
+    the same elementwise operations either way, so row i has the bits of
+    the solve at the float phi[i, 0].
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     lo, hi = beta_window(alpha, rho, phi, delta)
     feasible = hi > lo
-    beta = np.full(rho.shape, np.nan)
+    beta = np.full(feasible.shape, np.nan)
     if not np.any(feasible):
         return beta, feasible
 
     lo_f = lo[feasible]
     hi_f = hi[feasible]
-    rho_f = rho[feasible]
+    rho_f = np.broadcast_to(rho, feasible.shape)[feasible]
+    phi_f = np.broadcast_to(phi, feasible.shape)[feasible]
 
-    c = rho_f + delta + phi
-    a = 2.0 * alpha + phi
-    cos_c = np.cos(c)
-    sin_phi = math.sin(phi)
-    p = cos_c * math.cos(a) - sin_phi * np.sin(c)
-    q = -(cos_c * math.sin(a) + sin_phi * cos_c)
-    r = np.cos(a - c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # NaN where |R| > sqrt(P^2+Q^2) or P = Q = 0: no interior root
-        half = 0.5 * np.arccos(r / np.hypot(p, q))
-    mid = 0.5 * np.arctan2(q, p)
-    roots = np.mod(np.column_stack((mid - half, mid + half)), math.pi)
+    roots = _stationary_angles(alpha, rho_f, phi_f, delta)
     inside = (roots >= lo_f[:, None]) & (roots <= hi_f[:, None])
     # roots outside the window stand in as lo, already a candidate
     cand = np.column_stack((lo_f, np.where(inside, roots, lo_f[:, None]),
                             hi_f))
-    values = _ngamma_array(alpha, cand, rho_f[:, None], phi, delta)
+    # one candidate column at a time keeps the temporaries of a whole
+    # friction-angle grid small
+    values = np.column_stack([_ngamma_array(alpha, column, rho_f, phi_f,
+                                            delta) for column in cand.T])
     rows = np.arange(cand.shape[0])
     j = np.argmin(values, axis=1)
     best = cand[rows, j]
@@ -335,6 +356,20 @@ class CycleForceArrays:
                 for i in np.flatnonzero(self.in_soil & ~self.valid)]
 
 
+def _margin_status(alpha: float, rho) -> np.ndarray:
+    """Per-sample status from the margins that do not depend on the soil:
+    _OK, _RHO_BELOW_MIN or _SINGULAR_RHO (the latter wins). Raises
+    SingularGeometry when cos(alpha), which every sample shares, is below
+    its margin. The margins are ``DEFAULT_MARGINS``."""
+    if abs(math.cos(alpha)) <= DEFAULT_MARGINS.sin_margin:
+        raise SingularGeometry("cos(alpha) below margin")
+    rho = np.asarray(rho, dtype=float)
+    status = np.full(rho.shape, _OK, dtype=np.int8)
+    status[rho < DEFAULT_MARGINS.rho_min] = _RHO_BELOW_MIN
+    status[np.abs(np.sin(rho)) <= DEFAULT_MARGINS.sin_margin] = _SINGULAR_RHO
+    return status
+
+
 def predict_force_arrays(depth, rho, lt, w_load, soil: SoilParameters,
                          loader: LoaderParameters, alpha: float
                          ) -> CycleForceArrays:
@@ -348,16 +383,9 @@ def predict_force_arrays(depth, rho, lt, w_load, soil: SoilParameters,
     rho = np.asarray(rho, dtype=float)
     lt = np.asarray(lt, dtype=float)
     w_load = np.asarray(w_load, dtype=float)
-    if abs(math.cos(alpha)) <= DEFAULT_MARGINS.sin_margin:
-        raise SingularGeometry("cos(alpha) below margin")
-
     n = depth.size
-    status = np.full(n, _OK, dtype=np.int8)
     in_soil = depth > 0.0
-    status[~in_soil] = _OUT_OF_SOIL
-    status[in_soil & (rho < DEFAULT_MARGINS.rho_min)] = _RHO_BELOW_MIN
-    status[in_soil & (np.abs(np.sin(rho)) <= DEFAULT_MARGINS.sin_margin)] = \
-        _SINGULAR_RHO
+    status = np.where(in_soil, _margin_status(alpha, rho), _OUT_OF_SOIL)
 
     solve = in_soil & (status == _OK)
     beta = np.full(n, np.nan)

@@ -538,6 +538,25 @@ class TestMalformedCsv:
             assert "x must be finite" in res.output
         assert not (tmp_path / "predicted.csv").exists()
 
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_short_prior_cycle_in_predict(self, runner, workdir, tmp_path,
+                                          rows):
+        # a carve needs two samples; fewer is an input error, not a crash
+        run = workdir / "run"
+        lines = (run / "cycle.csv").read_text().splitlines()
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(lines[:1 + rows]) + "\n")
+        res = runner.invoke(main, ["predict", str(run / "report.json"),
+                                   "--scenario", str(run / "scenario.json"),
+                                   "--prior-cycle", str(short), "--out",
+                                   str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert (f"{short}: a prior cycle needs at least two samples, "
+                f"found {rows}") in res.output
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "predicted.csv").exists()
+
     def test_missing_cycle_csv(self, runner, workdir, tmp_path):
         run = workdir / "run"
         res = runner.invoke(main, ["calibrate", str(tmp_path / "none.csv"),
@@ -717,9 +736,11 @@ class TestSchemaVersion:
 
 def test_debug_log_has_one_line_per_stage(workdir, tmp_path):
     """FEE_CALIB_LOG=DEBUG: each stage of a staged fit logs its wall time,
-    its trials, its least-squares paths and the bound check. On the clean
-    default cycle n's optimum is its lower bound, so stages 1 and 3 skip
-    Brent."""
+    its trials, its least-squares paths, the bound check and its engine
+    passes. On the clean default cycle n's optimum is its lower bound, so
+    stages 1 and 3 skip Brent. Stage 1 never runs the engine, stage 3 runs
+    it once, and stage 2 runs it once for its whole grid, once per Brent or
+    derivative trial and once at the fitted values."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, FEE_CALIB_LOG="DEBUG")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -737,13 +758,13 @@ def test_debug_log_has_one_line_per_stage(workdir, tmp_path):
     pattern = (r"(stage[123]): \d+\.\d\d ms; (\d+) trials: 33 grid, "
                r"(\d+) Brent, (\d+) derivative, (\d) incumbent; least "
                r"squares (\d+) interior, (\d+) BVLS; bound shortcut "
-               r"(taken|not taken)$")
+               r"(taken|not taken); (\d+) engine passes$")
     parsed = [re.match(pattern, line) for line in lines]
     assert all(parsed), lines
     stages = [m.groups() for m in parsed]
     report = json.loads((tmp_path / "report.json").read_text())
     for (name, trials, brent, derivative, incumbent, interior, bvls,
-         shortcut), stage in zip(stages, report["stages"]):
+         shortcut, passes), stage in zip(stages, report["stages"]):
         assert name == stage["name"]
         assert int(trials) == stage["function_evaluations"] == (
             33 + int(brent) + int(derivative) + int(incumbent))
@@ -751,6 +772,8 @@ def test_debug_log_has_one_line_per_stage(workdir, tmp_path):
         # every trial of a staged fit solves one least-squares problem
         assert int(interior) + int(bvls) == 33 + int(brent) + int(derivative)
         assert (shortcut == "taken") == (name != "stage2")
-    assert [s[:4] for s in stages] == [("stage1", "34", "0", "1"),
-                                      ("stage2", "44", "9", "2"),
-                                      ("stage3", "35", "0", "1")]
+        assert int(passes) == {"stage1": 0, "stage3": 1}.get(
+            name, 1 + int(brent) + int(derivative) + 1)
+    assert [s[:4] + s[-1:] for s in stages] == [
+        ("stage1", "34", "0", "1", "0"), ("stage2", "44", "9", "2", "13"),
+        ("stage3", "35", "0", "1", "1")]

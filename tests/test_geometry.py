@@ -388,14 +388,41 @@ def swept_area_profile_loop(samples, surface):
     return area
 
 
+def collapse_vertical_moves_loop(xs, zs, tol):
+    """Reference: the per-point loop that ``_collapse_vertical_moves``
+    replaced."""
+    out_x, out_z = [xs[0]], [zs[0]]
+    for x, z in zip(xs[1:], zs[1:]):
+        if x - out_x[-1] <= tol:
+            out_z[-1] = min(out_z[-1], z)
+        else:
+            out_x.append(x)
+            out_z.append(z)
+    return np.array(out_x), np.array(out_z)
+
+
+def prune_collinear_loop(xs, zs, tol):
+    """Reference: the per-vertex loop that ``_prune_collinear`` replaced."""
+    keep = [0]
+    for i in range(1, xs.size - 1):
+        x0, z0 = xs[keep[-1]], zs[keep[-1]]
+        cross = ((xs[i] - x0) * (zs[i + 1] - z0)
+                 - (zs[i] - z0) * (xs[i + 1] - x0))
+        scale = max(1.0, abs(xs[i + 1] - x0), abs(zs[i + 1] - z0))
+        if abs(cross) > tol * scale:
+            keep.append(i)
+    keep.append(xs.size - 1)
+    return xs[keep], zs[keep]
+
+
 def surface_after_cycle_loop(prior_surface, cycle_trajectory):
-    """Reference: surface_after_cycle with the crossing insertion as a
-    loop over breakpoint cells."""
+    """Reference: surface_after_cycle with the crossing insertion, the
+    collapse of vertical moves and the collinear pruning as loops."""
     xs = np.array([s.x for s in cycle_trajectory], dtype=float)
     zs = np.array([s.z for s in cycle_trajectory], dtype=float)
     span = max(float(xs.max() - xs.min()), 1e-12)
     tol = 1e-9 * span
-    xs, zs = _collapse_vertical_moves(xs, zs, tol)
+    xs, zs = collapse_vertical_moves_loop(xs, zs, tol)
     pad = max(1.0, 0.5 * span)
     lo = xs[0] - pad
     hi = xs[-1] + pad
@@ -418,7 +445,8 @@ def surface_after_cycle_loop(prior_surface, cycle_trajectory):
                 out_z.append(zc)
         out_x.append(bx[i + 1])
         out_z.append(env[i + 1])
-    out_x, out_z = _prune_collinear(np.array(out_x), np.array(out_z), 1e-12)
+    out_x, out_z = prune_collinear_loop(np.array(out_x), np.array(out_z),
+                                        1e-12)
     return np.column_stack([out_x, out_z])
 
 
@@ -575,6 +603,59 @@ class TestSurfaceAfterCycleExact:
         carved = self._check(surface, traj)
         assert carved.shape[0] > 100
         self._check(Polyline(carved), traj)
+
+    def test_carve_loops_match_references(self):
+        # the two per-vertex passes on the inputs surface_after_cycle
+        # hands them, for the random and the carved faces
+        rng = np.random.default_rng(22)
+        faces = [(_random_polyline(rng, 300), None) for _ in range(50)]
+        faces.append(_carved_twice())
+        for prior, traj in faces:
+            if traj is None:
+                vx = prior.vertex_xs()
+                xs = np.sort(rng.uniform(vx[0] - 1.0, vx[-1] + 1.0, 150))
+                zs = (np.asarray(prior.height_at(xs))
+                      + rng.normal(0.0, 0.3, xs.size))
+                traj = _traj(list(zip(xs, zs)))
+            carved = surface_after_cycle(prior, traj).vertices
+            dense = np.unique(np.concatenate([prior.vertex_xs(), traj.x]))
+            for xs, zs in ((traj.x, traj.z),
+                           (dense, np.asarray(prior.height_at(dense))),
+                           (carved[:, 0], carved[:, 1])):
+                for ours, loop, tol in (
+                        (_collapse_vertical_moves,
+                         collapse_vertical_moves_loop, 1e-9),
+                        (_prune_collinear, prune_collinear_loop, 1e-12)):
+                    for got, want in zip(ours(xs, zs, tol),
+                                         loop(xs, zs, tol)):
+                        assert np.array_equal(got, want)
+
+    def test_collapse_anchors_on_the_group_start(self):
+        # steps of 0.6 tol: each point is within tol of its predecessor,
+        # but every second one is beyond tol of its group's first point;
+        # backward steps within tol join the group as well
+        tol = 1e-9
+        steps = np.array([0.0, 0.6, 0.6, 0.6, 0.6, 5.0, -0.5, 0.4, 0.9,
+                          0.3, 3.0, 0.0, 0.0, 1.0, 2.0]) * tol
+        xs = np.cumsum(steps)
+        zs = np.random.default_rng(5).normal(0.0, 1.0, xs.size)
+        got = _collapse_vertical_moves(xs, zs, tol)
+        want = collapse_vertical_moves_loop(xs, zs, tol)
+        assert want[0].size < xs.size - 5
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_prune_keeps_anchors_over_long_near_collinear_runs(self):
+        # a gentle arc: every consecutive triple is collinear within tol,
+        # so a kept vertex anchors a long run of dropped ones
+        u = np.linspace(0.0, 1.0, 4001)
+        for tol, curve in ((1e-12, 1e-4), (1e-12, 1e-3), (1e-9, 1.0)):
+            xs, zs = u, curve * u * u
+            got = _prune_collinear(xs, zs, tol)
+            want = prune_collinear_loop(xs, zs, tol)
+            assert 2 < want[0].size < xs.size // 4
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
     def test_crossing_within_tolerance_is_dropped(self):
         # the path crosses the flat face 1e-12 before a breakpoint, inside

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from feecalib import (DEFAULT_MARGINS, GRAVITY, LoaderParameters, Margins,
                       SingularGeometry, SoilParameters, predict_force_arrays,
                       wedge_geometry)
-from feecalib.soil import (_EMPTY_WINDOW, _OUT_OF_SOIL, ParameterBounds,
-                           _factor_arrays, _ngamma_array, _solve_beta_array,
-                           beta_window)
+from feecalib.soil import (_EMPTY_WINDOW, _OK, _OUT_OF_SOIL, ParameterBounds,
+                           _factor_arrays, _margin_status, _ngamma_array,
+                           _solve_beta_array, beta_window)
+from feecalib.synthetic import preset_catalog
 
 LOADER = LoaderParameters(omega=1.0, b=0.05, wb=100.0)
 
@@ -329,6 +330,60 @@ class TestClosedFormBeta:
         assert math.isnan(beta[1])
         for i in (0, 2):
             assert beta[i] == solve_one(alpha, rho[i], phi, delta)
+
+
+SINKAGE_PRESETS = [p for p in preset_catalog() if p.kc is not None]
+CLASS_PRESETS = [p for p in preset_catalog() if p.phi is not None]
+PHI_LO, PHI_HI = ParameterBounds().phi
+
+# blade angles: regular, below rho_min, near a singular sine (0 or pi),
+# and large enough that the failure-angle window is often empty
+blade_angles = st.one_of(
+    st.floats(DEFAULT_MARGINS.rho_min, math.pi / 2),
+    st.floats(0.0, DEFAULT_MARGINS.rho_min, exclude_max=True),
+    st.sampled_from([1e-9, DEFAULT_MARGINS.angle_margin, math.pi - 1e-9,
+                     math.pi - DEFAULT_MARGINS.angle_margin]),
+    st.floats(2.0, math.pi))
+
+
+class TestBroadcastKernel:
+    """Stage 2 of the calibration runs the failure-angle solve and the
+    bearing factors for many friction angles in one broadcast call, on the
+    samples that pass the blade-angle margins. Row i of that call must
+    hold the bits of the engine at the one friction angle phi[i]."""
+
+    @given(sinkage=st.sampled_from(SINKAGE_PRESETS),
+           classification=st.sampled_from(CLASS_PRESETS),
+           alpha=st.floats(0.0, DEFAULT_MARGINS.alpha_max,
+                           exclude_max=True),
+           rho=st.lists(blade_angles, min_size=1, max_size=30),
+           phis=st.lists(st.one_of(st.floats(PHI_LO, PHI_HI),
+                                   st.sampled_from([PHI_LO, PHI_HI])),
+                         min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_the_scalar_engine(self, sinkage, classification,
+                                          alpha, rho, phis):
+        soil = classification.merged(sinkage).soil_parameters()
+        rho = np.array(rho)
+        ok = _margin_status(alpha, rho) == _OK
+        phi = np.array(phis)[:, None]
+        shape = (phi.size, rho.size)
+        beta = np.full(shape, np.nan)
+        feasible = np.zeros(shape, dtype=bool)
+        factors = [np.full(shape, np.nan) for _ in range(4)]
+        beta[:, ok], feasible[:, ok] = _solve_beta_array(alpha, rho[ok], phi,
+                                                         soil.delta)
+        for full, part in zip(factors, _factor_arrays(
+                alpha, beta[:, ok], rho[ok], phi, soil.delta)):
+            full[:, ok] = part
+        for i, phi_i in enumerate(phis):
+            out = _engine(soil.replace(phi=phi_i), 1.0, rho, alpha=alpha)
+            assert np.array_equal(beta[i], out.beta, equal_nan=True)
+            assert np.array_equal(feasible[i], out.valid)
+            for full, want in zip(factors, (out.n_gamma, out.n_c, out.n_a,
+                                            out.n_q)):
+                got = np.where(out.valid, full[i], np.nan)
+                assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestBekkerPressure:

@@ -388,11 +388,14 @@ class TestBoundedLsqAgainstReference:
             assert paths["interior"] > 0 and on_bound > 0
 
 
-def quadratic_profile(centre):
+def quadratic_profile(centre, calls=None):
     """A profile trial with its minimum at ``centre``; the inner unknowns
-    are the trial point itself."""
-    def trial(x, paths):
-        return (x - centre) ** 2, np.array([x])
+    are the trial point itself. ``calls``, when given, collects the
+    number of candidates of each call."""
+    def trial(xs, paths):
+        if calls is not None:
+            calls.append(xs.size)
+        return [((x - centre) ** 2, np.array([x])) for x in xs.tolist()]
     return trial
 
 
@@ -416,12 +419,16 @@ class TestProfileSearch:
 
     def test_interior_minimum_runs_brent_without_a_bound_check(self):
         centre = LO + 0.37 * WIDTH
-        profile = _profile_search(quadratic_profile(centre), LO, HI)
+        calls = []
+        profile = _profile_search(quadratic_profile(centre, calls), LO, HI)
         assert profile.x == pytest.approx(centre, abs=1e-9)
         assert profile.gradient_norm < 1e-6
         assert not profile.bound_shortcut and profile.iterations > 0
         assert profile.derivative_trials == 2       # central difference
         assert profile.evaluations == _PROFILE_GRID + profile.iterations + 2
+        # the grid is one call; Brent and the derivative make one-point calls
+        assert calls == [_PROFILE_GRID] + [1] * (profile.iterations + 2)
+        assert profile.passes == len(calls)
 
     def test_inward_derivative_at_a_bound_runs_brent(self):
         # the minimum lies inside the first grid cell, nearer lo than the
@@ -441,9 +448,9 @@ class TestProfileSearch:
         # a notch just inside lo: the derivative at lo points inward, but
         # Brent's trials all land past the notch, so lo stays the best
         # trial and its derivative is the one taken before Brent
-        def trial(x, paths):
-            value = -(x - LO) if x - LO < 1e-5 * WIDTH else 1.0
-            return value, np.array([x])
+        def trial(xs, paths):
+            return [(-(x - LO) if x - LO < 1e-5 * WIDTH else 1.0,
+                     np.array([x])) for x in xs.tolist()]
 
         profile = _profile_search(trial, LO, HI)
         assert profile.x == LO and not profile.bound_shortcut
