@@ -23,9 +23,9 @@ from .geometry import (CycleDataset, Polyline, SlopedLine, Surface,
 from .optimizer import (SolveResult, SolverOptions,
                         finite_difference_gradient, minimize_bounded,
                         multi_start)
-from .soil import (DEFAULT_MARGINS, GRAVITY, PARAM_NAMES, CycleForceArrays,
-                   LoaderParameters, Margins, ParameterBounds,
-                   SoilParameters, predict_force_arrays)
+from .soil import (ALPHA_MAX, ANGLE_MARGIN, EPS1, EPS2, GRAVITY, PARAM_NAMES,
+                   RHO_MIN, SIN_MARGIN, CycleForceArrays, LoaderParameters,
+                   ParameterBounds, SoilParameters, predict_force_arrays)
 from .synthetic import (Scenario, SoilPreset, add_noise, default_loader,
                         default_scenario, default_truth, find_preset,
                         heldout_scenario, preset_catalog, simulate_cycle)

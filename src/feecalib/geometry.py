@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRegion, NonMonotonePath
-from .soil import DEFAULT_MARGINS, LoaderParameters
+from .soil import ALPHA_MAX, RHO_MIN, LoaderParameters
 
 
 class Surface:
@@ -43,7 +43,7 @@ class SlopedLine(Surface):
     alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha < DEFAULT_MARGINS.alpha_max:
+        if not 0.0 <= self.alpha < ALPHA_MAX:
             raise ValueError("alpha must lie in [0 deg, 45 deg)")
 
     @property
@@ -291,7 +291,7 @@ def quadratic_bezier_path(p0: tuple[float, float], p1: tuple[float, float],
 
     The blade angle at each sample is the angle between the path tangent
     and the local surface direction (horizontal when no surface is given),
-    clamped to [``DEFAULT_MARGINS.rho_min``, pi/2].
+    clamped to [``RHO_MIN``, pi/2].
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
@@ -310,7 +310,7 @@ def quadratic_bezier_path(p0: tuple[float, float], p1: tuple[float, float],
     else:
         theta_s = np.asarray(surface.direction_angle_at(pts[:, 0]))
     diff = np.arctan2(np.sin(theta_t - theta_s), np.cos(theta_t - theta_s))
-    rho = np.clip(np.abs(diff), DEFAULT_MARGINS.rho_min, math.pi / 2.0)
+    rho = np.clip(np.abs(diff), RHO_MIN, math.pi / 2.0)
     return make_trajectory(u * duration, pts[:, 0], pts[:, 1], rho)
 
 
@@ -385,12 +385,13 @@ def surface_after_cycle(prior_surface: Surface,
     and trajectory inside the excavated span, the prior surface outside.
 
     The soil is assumed to retain the carved shape (no collapse to the
-    angle of repose). Raises NonMonotonePath when the trajectory doubles
-    back in x beyond tolerance.
+    angle of repose). Raises DegenerateRegion for fewer than two samples
+    and NonMonotonePath when the trajectory doubles back in x beyond
+    tolerance.
     """
     xs, zs = cycle_trajectory.x, cycle_trajectory.z
     if xs.size < 2:
-        raise ValueError("trajectory needs at least two samples")
+        raise DegenerateRegion("trajectory needs at least two samples")
     span = max(float(xs.max() - xs.min()), 1e-12)
     tol = 1e-9 * span
     if np.any(np.diff(xs) < -tol):

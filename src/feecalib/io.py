@@ -264,18 +264,21 @@ def surface_from_json(obj: dict, context: str = "surface") -> Surface:
 
 
 def loader_to_json(loader: LoaderParameters) -> dict:
-    return {"omega_m": loader.omega, "b_m": loader.b, "wb_kg": loader.wb}
+    return {"omega_m": loader.omega, "b_m": loader.b}
 
 
 def loader_from_json(obj: dict, context: str = "loader") -> LoaderParameters:
     _check_keys(obj, ("omega_m", "b_m", "wb_kg"), context)
+    if "wb_kg" in obj:
+        # the bucket weight of older files: checked as a number, then
+        # ignored, since no force term reads it
+        _as_float(obj["wb_kg"], f"{context}.wb_kg")
     defaults = default_loader()
     try:
         return LoaderParameters(
             omega=_as_float(obj.get("omega_m", defaults.omega),
                             f"{context}.omega_m"),
-            b=_as_float(obj.get("b_m", defaults.b), f"{context}.b_m"),
-            wb=_as_float(obj.get("wb_kg", defaults.wb), f"{context}.wb_kg"))
+            b=_as_float(obj.get("b_m", defaults.b), f"{context}.b_m"))
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}")
 

@@ -50,7 +50,6 @@ class SolveResult:
     iterations: int
     gradient_norm: float
     converged: bool
-    stop_reason: str
     starts_tried: int = 1
     function_evaluations: int = 0
 
@@ -177,16 +176,9 @@ def minimize_bounded(objective: Callable[[np.ndarray], float],
 
     grad = jac(best_x)
     pg_norm = _projected_gradient_norm(grad, best_x, lo, hi)
-    converged = pg_norm <= options.gradient_tolerance
-    if converged:
-        stop_reason = "gradient_tolerance"
-    elif res.nit >= options.max_iterations:
-        stop_reason = "iteration_cap"
-    else:
-        stop_reason = "progress_stall"
     return SolveResult(x_star=best_x, objective_value=best_f,
                        iterations=int(res.nit), gradient_norm=pg_norm,
-                       converged=converged, stop_reason=stop_reason,
+                       converged=pg_norm <= options.gradient_tolerance,
                        starts_tried=1, function_evaluations=evals)
 
 

@@ -28,36 +28,18 @@ PARAM_NAMES = ("gamma", "cohesion_c", "adhesion_ca", "phi", "delta",
                "kc", "kphi", "n")
 
 
-@dataclass(frozen=True)
-class Margins:
-    """Feasibility margins guarding the wedge trigonometry.
-
-    eps1 and eps2 bound the failure-angle search window, sin_margin is the
-    minimum magnitude allowed for every sine/cosine denominator, rho_min is
-    the smallest blade angle for which the wedge assumption holds and
-    alpha_max caps the stockpile inclination (angle of repose).
-    """
-
-    eps1: float = math.radians(5.0)
-    eps2: float = math.radians(5.0)
-    sin_margin: float = math.sin(math.radians(1.0))
-    rho_min: float = math.radians(10.0)
-    alpha_max: float = math.radians(45.0)
-
-    def __post_init__(self) -> None:
-        for name in ("eps1", "eps2", "sin_margin", "rho_min", "alpha_max"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"margin {name} must be positive")
-        if self.sin_margin >= 1.0:
-            raise ValueError("sin_margin must be below 1")
-
-    @property
-    def angle_margin(self) -> float:
-        """sin_margin expressed as an angle offset from 0/pi."""
-        return math.asin(self.sin_margin)
-
-
-DEFAULT_MARGINS = Margins()
+# Feasibility margins guarding the wedge trigonometry.
+# EPS1 and EPS2 bound the failure-angle search window (see ``beta_window``).
+EPS1 = math.radians(5.0)
+EPS2 = math.radians(5.0)
+# minimum magnitude allowed for every sine/cosine denominator
+SIN_MARGIN = math.sin(math.radians(1.0))
+# SIN_MARGIN expressed as an angle offset from 0/pi
+ANGLE_MARGIN = math.asin(SIN_MARGIN)
+# smallest blade angle for which the wedge assumption holds
+RHO_MIN = math.radians(10.0)
+# cap on the stockpile inclination (angle of repose)
+ALPHA_MAX = math.radians(45.0)
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -138,9 +120,6 @@ class ParameterBounds:
     def upper(self, names: Sequence[str] = PARAM_NAMES) -> np.ndarray:
         return np.array([getattr(self, k)[1] for k in names], dtype=float)
 
-    def center(self, names: Sequence[str] = PARAM_NAMES) -> np.ndarray:
-        return 0.5 * (self.lower(names) + self.upper(names))
-
     def contains(self, soil: SoilParameters, rtol: float = 1e-9) -> bool:
         for name in PARAM_NAMES:
             lo, hi = getattr(self, name)
@@ -149,51 +128,41 @@ class ParameterBounds:
                 return False
         return True
 
-    def clip(self, soil: SoilParameters) -> SoilParameters:
-        clipped = {k: min(max(getattr(soil, k), getattr(self, k)[0]),
-                          getattr(self, k)[1]) for k in PARAM_NAMES}
-        return SoilParameters(**clipped)
-
 
 @dataclass(frozen=True)
 class LoaderParameters:
-    """Geometry and mass of the bucket acting as the cutting blade."""
+    """Geometry of the bucket acting as the cutting blade."""
 
     omega: float  # blade/bucket width, m
     b: float      # cutting-edge thickness, m
-    wb: float     # bucket weight, kg
 
     def __post_init__(self) -> None:
-        for name in ("omega", "b", "wb"):
+        for name in ("omega", "b"):
             _require_finite(name, getattr(self, name))
         if self.omega <= 0.0:
             raise ValueError("omega must be positive")
         if self.b <= 0.0:
             raise ValueError("b must be positive")
-        if self.wb < 0.0:
-            raise ValueError("wb must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
 # Bearing capacity factors
 # ---------------------------------------------------------------------------
 
-def _factor_arrays(alpha, beta, rho, phi, delta):
-    """Sine-cosine bearing factors; inputs broadcast as numpy arrays."""
-    s_beta = np.sin(beta)
-    s_chain = np.sin(rho + delta + beta + phi)
-    n_gamma = (np.cos(alpha + beta) * np.sin(alpha + beta + phi)
-               / (2.0 * np.cos(alpha) * s_beta * s_chain))
-    n_c = np.cos(phi) / (s_beta * s_chain)
-    n_a = -np.cos(rho + beta + phi) / (np.sin(rho) * s_chain)
-    n_q = np.sin(alpha + beta + phi) / s_chain
-    return n_gamma, n_c, n_a, n_q
-
-
 def _ngamma_array(alpha, beta, rho, phi, delta):
     return (np.cos(alpha + beta) * np.sin(alpha + beta + phi)
             / (2.0 * np.cos(alpha) * np.sin(beta)
                * np.sin(rho + delta + beta + phi)))
+
+
+def _factor_arrays(alpha, beta, rho, phi, delta):
+    """Sine-cosine bearing factors; inputs broadcast as numpy arrays."""
+    s_beta = np.sin(beta)
+    s_chain = np.sin(rho + delta + beta + phi)
+    n_c = np.cos(phi) / (s_beta * s_chain)
+    n_a = -np.cos(rho + beta + phi) / (np.sin(rho) * s_chain)
+    n_q = np.sin(alpha + beta + phi) / s_chain
+    return _ngamma_array(alpha, beta, rho, phi, delta), n_c, n_a, n_q
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +172,21 @@ def _ngamma_array(alpha, beta, rho, phi, delta):
 def beta_window(alpha: float, rho, phi, delta: float):
     """Feasible interval [lo, hi] for the failure angle, per sample.
 
-    The window keeps beta above eps1, the angle chain rho+delta+beta+phi
-    at least eps2 short of pi (a physical wedge keeps the chain below pi),
+    The window keeps beta above EPS1, the angle chain rho+delta+beta+phi
+    at least EPS2 short of pi (a physical wedge keeps the chain below pi),
     and sin(beta+phi) clear of its margin. It is additionally capped at
     pi/2 - alpha, where the wedge cross-section factor cot(beta)-tan(alpha)
     changes sign: beyond it the unit-weight factor goes negative and its
     minimization would chase nonphysical inverted wedges. hi <= lo marks
     infeasibility. rho and phi broadcast against each other, as in
-    ``_solve_beta_array``. The margins are ``DEFAULT_MARGINS``.
+    ``_solve_beta_array``.
     """
     rho = np.asarray(rho, dtype=float)
-    hi = np.minimum(math.pi - rho - delta - phi - DEFAULT_MARGINS.eps2,
-                    math.pi - phi - DEFAULT_MARGINS.angle_margin)
-    hi = np.minimum(hi, math.pi - DEFAULT_MARGINS.angle_margin)
+    hi = np.minimum(math.pi - rho - delta - phi - EPS2,
+                    math.pi - phi - ANGLE_MARGIN)
+    hi = np.minimum(hi, math.pi - ANGLE_MARGIN)
     hi = np.minimum(hi, math.pi / 2.0 - alpha)
-    lo = np.full(np.shape(hi), DEFAULT_MARGINS.eps1, dtype=float)
+    lo = np.full(np.shape(hi), EPS1, dtype=float)
     return lo, hi
 
 
@@ -360,13 +329,13 @@ def _margin_status(alpha: float, rho) -> np.ndarray:
     """Per-sample status from the margins that do not depend on the soil:
     _OK, _RHO_BELOW_MIN or _SINGULAR_RHO (the latter wins). Raises
     SingularGeometry when cos(alpha), which every sample shares, is below
-    its margin. The margins are ``DEFAULT_MARGINS``."""
-    if abs(math.cos(alpha)) <= DEFAULT_MARGINS.sin_margin:
+    its margin."""
+    if abs(math.cos(alpha)) <= SIN_MARGIN:
         raise SingularGeometry("cos(alpha) below margin")
     rho = np.asarray(rho, dtype=float)
     status = np.full(rho.shape, _OK, dtype=np.int8)
-    status[rho < DEFAULT_MARGINS.rho_min] = _RHO_BELOW_MIN
-    status[np.abs(np.sin(rho)) <= DEFAULT_MARGINS.sin_margin] = _SINGULAR_RHO
+    status[rho < RHO_MIN] = _RHO_BELOW_MIN
+    status[np.abs(np.sin(rho)) <= SIN_MARGIN] = _SINGULAR_RHO
     return status
 
 
@@ -377,7 +346,7 @@ def predict_force_arrays(depth, rho, lt, w_load, soil: SoilParameters,
 
     Out-of-soil samples (depth <= 0) yield zero forces. In-soil samples
     that violate a margin are flagged in ``status`` with NaN forces rather
-    than aborting the cycle. The margins are ``DEFAULT_MARGINS``.
+    than aborting the cycle.
     """
     depth = np.asarray(depth, dtype=float)
     rho = np.asarray(rho, dtype=float)

@@ -225,7 +225,7 @@ def find_preset(name: str) -> SoilPreset:
 # ---------------------------------------------------------------------------
 
 def default_loader() -> LoaderParameters:
-    return LoaderParameters(omega=1.2, b=0.05, wb=450.0)
+    return LoaderParameters(omega=1.2, b=0.05)
 
 
 def default_truth() -> SoilParameters:

@@ -16,7 +16,7 @@ from feecalib import (GRAVITY, CalibrationOptions, Scenario, SolverOptions,
                       multi_start, predict_force_arrays, predict_next_cycle,
                       prepare_cycle, resultant, rmse, simulate_cycle,
                       surface_after_cycle, wedge_geometry)
-from feecalib.soil import (DEFAULT_MARGINS, SoilParameters, _factor_arrays,
+from feecalib.soil import (SIN_MARGIN, SoilParameters, _factor_arrays,
                            _solve_beta_array, beta_window)
 from test_calibration import full_series
 from test_soil import bearing_factors_canonical, bearing_factors_original
@@ -241,7 +241,7 @@ def test_criterion_7_continuity_and_stability():
     chain = rho + truth.delta + beta + truth.phi
     terms = (np.sin(beta), np.sin(rho), np.full(beta.shape, math.cos(alpha)),
              np.sin(beta + truth.phi), np.sin(chain))
-    margins_ok = all(np.all(np.abs(v) >= DEFAULT_MARGINS.sin_margin - 1e-12)
+    margins_ok = all(np.all(np.abs(v) >= SIN_MARGIN - 1e-12)
                      for v in terms)
 
     _verdict(7, finite and margins_ok and drift <= 1e-9 * peak,

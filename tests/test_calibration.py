@@ -6,7 +6,7 @@ import pytest
 from scipy.ndimage import gaussian_filter1d
 
 from feecalib import (CalibrationOptions, CycleDataset, DegenerateDepths,
-                      EmptySeries, SlopedLine, SoilParameters,
+                      EmptySeries, FeeCalibError, SlopedLine, SoilParameters,
                       SolverOptions, add_noise,
                       calibrate_multi_stage, calibrate_single_stage,
                       calibrate_stage1, calibrate_stage2, calibrate_stage3,
@@ -595,3 +595,11 @@ class TestPredictNextCycle:
         pt, pn = with_prior.arrays()
         assert np.allclose(bt, pt, rtol=1e-12, atol=1e-9)
         assert np.allclose(bn, pn, rtol=1e-12, atol=1e-9)
+
+    def test_one_sample_prior_cycle_is_a_library_error(self, truth,
+                                                       scenario, dataset):
+        # a carve needs two samples; callers that catch the library's
+        # errors catch this one too
+        with pytest.raises(FeeCalibError, match="at least two samples"):
+            predict_next_cycle(truth, scenario,
+                               prior_cycle=dataset.samples[:1])

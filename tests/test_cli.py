@@ -363,7 +363,7 @@ class TestEvaluate:
         run = workdir / "run"
         # build a "prediction" that equals the observation
         rows = list(csv.DictReader(
-            (run / "cycle.csv").open(newline="")))
+            (run / "cycle.csv").read_text().splitlines()))
         pred = tmp_path / "copy.csv"
         with pred.open("w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
@@ -385,7 +385,8 @@ class TestEvaluate:
 
     def test_constant_offset_rmse(self, runner, workdir, tmp_path):
         run = workdir / "run"
-        rows = list(csv.DictReader((run / "cycle.csv").open(newline="")))
+        rows = list(csv.DictReader(
+            (run / "cycle.csv").read_text().splitlines()))
         pred = tmp_path / "offset.csv"
         with pred.open("w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
@@ -411,8 +412,10 @@ class TestEvaluate:
                                    str(run / "cycle.csv"), "--out",
                                    str(tmp_path)])
         assert res.exit_code == 0
-        pred = list(csv.DictReader((run / "predicted.csv").open(newline="")))
-        obs = list(csv.DictReader((run / "cycle.csv").open(newline="")))
+        pred = list(csv.DictReader(
+            (run / "predicted.csv").read_text().splitlines()))
+        obs = list(csv.DictReader(
+            (run / "cycle.csv").read_text().splitlines()))
         sq = peak = 0.0
         for p, o in zip(pred, obs):
             sq += (float(o["ft_obs_N"]) - float(p["ft_N"])) ** 2
@@ -676,6 +679,63 @@ class TestZeroDepthCycle:
         assert "zero penetration depth" in res.output
         assert "Traceback" not in res.output
         assert not (tmp_path / "report.json").exists()
+
+
+def _without_wall_times(doc):
+    doc["wall_time_s"] = 0.0
+    for stage in doc["stages"]:
+        stage["wall_time_s"] = 0.0
+    return doc
+
+
+class TestBucketWeightKey:
+    """Scenario files written before the bucket weight was dropped carry
+    loader.wb_kg; it is checked as a number and otherwise ignored."""
+
+    @staticmethod
+    def _scenario_with(run, tmp_path, value):
+        doc = json.loads((run / "scenario.json").read_text())
+        doc["loader"]["wb_kg"] = value
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        return scenario
+
+    def test_not_written(self, workdir):
+        doc = json.loads((workdir / "run" / "scenario.json").read_text())
+        assert doc["loader"].keys() == {"omega_m", "b_m"}
+
+    def test_read_and_ignored(self, runner, workdir, tmp_path):
+        run = workdir / "run"
+        scenario = self._scenario_with(run, tmp_path, 450.0)
+        assert (fio.read_scenario_json(scenario).loader
+                == fio.read_scenario_json(run / "scenario.json").loader)
+        config = tmp_path / "fast.json"
+        config.write_text(json.dumps(FAST_CONFIG))
+        res = runner.invoke(main, ["calibrate", str(run / "cycle.csv"),
+                                   "--scenario", str(scenario), "--config",
+                                   str(config), "--method", "multi",
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        got, want = (json.loads((path / "report.json").read_text())
+                     for path in (tmp_path, run))
+        assert _without_wall_times(got) == _without_wall_times(want)
+        res = runner.invoke(main, ["predict", str(run / "report.json"),
+                                   "--scenario", str(scenario), "--out",
+                                   str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert ((tmp_path / "predicted.csv").read_bytes()
+                == (run / "predicted.csv").read_bytes())
+
+    @pytest.mark.parametrize("value", ["heavy", math.nan],
+                             ids=["string", "nan"])
+    def test_bad_value_exits_2(self, runner, workdir, tmp_path, value):
+        run = workdir / "run"
+        scenario = self._scenario_with(run, tmp_path, value)
+        res = runner.invoke(main, ["predict", str(run / "report.json"),
+                                   "--scenario", str(scenario), "--out",
+                                   str(tmp_path)])
+        _assert_config_error(res, "loader.wb_kg")
+        assert not (tmp_path / "predicted.csv").exists()
 
 
 class TestSchemaVersion:

@@ -38,7 +38,7 @@ def _engine_on(samples, surface):
     """Force engine on a trajectory's wedge geometry."""
     soil = SoilParameters(gamma=1500.0, cohesion_c=0.0, adhesion_ca=0.0,
                           phi=0.3, delta=0.2, kc=0.0, kphi=100.0, n=1.0)
-    loader = LoaderParameters(omega=1.0, b=0.05, wb=0.0)
+    loader = LoaderParameters(omega=1.0, b=0.05)
     depth, lt, area = wedge_geometry(samples, surface)
     w_load = soil.gamma * GRAVITY * loader.omega * area
     return predict_force_arrays(depth, samples.rho, lt, w_load,
@@ -305,6 +305,12 @@ class TestSurfaceAfterCycle:
     def test_non_monotone_raises(self):
         traj = _traj([(0.0, -0.1), (1.0, -0.3), (0.2, -0.2)])
         with pytest.raises(NonMonotonePath):
+            surface_after_cycle(FLAT, traj)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_short_trajectory_raises(self, n):
+        traj = _traj([(0.0, -0.1)][:n])
+        with pytest.raises(DegenerateRegion, match="at least two samples"):
             surface_after_cycle(FLAT, traj)
 
     def test_inherits_nominal_alpha(self):

@@ -113,7 +113,7 @@ class TestMinimizeBounded:
                                SolverOptions(max_iterations=2,
                                              gradient_tolerance=1e-12))
         assert not res.converged
-        assert res.stop_reason == "iteration_cap"
+        assert res.iterations == 2
 
 
 class TestFiniteDifferenceGradient:

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feecalib import (DEFAULT_MARGINS, GRAVITY, LoaderParameters, Margins,
-                      SingularGeometry, SoilParameters, predict_force_arrays,
-                      wedge_geometry)
+from feecalib import (ALPHA_MAX, ANGLE_MARGIN, EPS1, EPS2, GRAVITY, RHO_MIN,
+                      LoaderParameters, SingularGeometry, SoilParameters,
+                      predict_force_arrays, wedge_geometry)
 from feecalib.soil import (_EMPTY_WINDOW, _OK, _OUT_OF_SOIL, ParameterBounds,
                            _factor_arrays, _margin_status, _ngamma_array,
                            _solve_beta_array, beta_window)
 from feecalib.synthetic import preset_catalog
 
-LOADER = LoaderParameters(omega=1.0, b=0.05, wb=100.0)
+LOADER = LoaderParameters(omega=1.0, b=0.05)
 
 
 def _soil(**kw):
@@ -248,7 +248,7 @@ class TestBearingFactors:
 class TestSolveBeta:
     def test_flat_objective_tie_breaks_to_smallest_feasible(self):
         beta = solve_one(0.0, math.pi / 2, 0.0, 0.0)
-        assert beta == DEFAULT_MARGINS.eps1
+        assert beta == EPS1
 
     def test_matches_grid_argmin(self):
         alpha, phi, delta, rho = 0.3, 0.6, 0.4, 1.0
@@ -265,10 +265,10 @@ class TestSolveBeta:
     def test_respects_chain_margin(self):
         alpha, rho, delta, phi = 0.0, 0.2, 0.78, 0.78
         beta = solve_one(alpha, rho, phi, delta)
-        assert abs(rho + delta + beta + phi - math.pi) > DEFAULT_MARGINS.eps2
+        assert abs(rho + delta + beta + phi - math.pi) > EPS2
 
     def test_empty_feasible_set(self):
-        # rho + delta + phi leave no room above eps1
+        # rho + delta + phi leave no room above EPS1
         rho = math.radians(100.0)
         beta, feasible = _solve_beta_array(0.0, np.array([rho]), 0.75, 0.75)
         assert not feasible[0] and math.isnan(beta[0])
@@ -336,13 +336,13 @@ SINKAGE_PRESETS = [p for p in preset_catalog() if p.kc is not None]
 CLASS_PRESETS = [p for p in preset_catalog() if p.phi is not None]
 PHI_LO, PHI_HI = ParameterBounds().phi
 
-# blade angles: regular, below rho_min, near a singular sine (0 or pi),
+# blade angles: regular, below RHO_MIN, near a singular sine (0 or pi),
 # and large enough that the failure-angle window is often empty
 blade_angles = st.one_of(
-    st.floats(DEFAULT_MARGINS.rho_min, math.pi / 2),
-    st.floats(0.0, DEFAULT_MARGINS.rho_min, exclude_max=True),
-    st.sampled_from([1e-9, DEFAULT_MARGINS.angle_margin, math.pi - 1e-9,
-                     math.pi - DEFAULT_MARGINS.angle_margin]),
+    st.floats(RHO_MIN, math.pi / 2),
+    st.floats(0.0, RHO_MIN, exclude_max=True),
+    st.sampled_from([1e-9, ANGLE_MARGIN, math.pi - 1e-9,
+                     math.pi - ANGLE_MARGIN]),
     st.floats(2.0, math.pi))
 
 
@@ -354,8 +354,7 @@ class TestBroadcastKernel:
 
     @given(sinkage=st.sampled_from(SINKAGE_PRESETS),
            classification=st.sampled_from(CLASS_PRESETS),
-           alpha=st.floats(0.0, DEFAULT_MARGINS.alpha_max,
-                           exclude_max=True),
+           alpha=st.floats(0.0, ALPHA_MAX, exclude_max=True),
            rho=st.lists(blade_angles, min_size=1, max_size=30),
            phis=st.lists(st.one_of(st.floats(PHI_LO, PHI_HI),
                                    st.sampled_from([PHI_LO, PHI_HI])),
@@ -576,15 +575,12 @@ class TestParameterTypes:
         with pytest.raises(ValueError):
             _soil(cohesion_c=-1.0)
 
-    def test_bounds_contain_and_clip(self):
+    def test_bounds_contain(self):
         bounds = ParameterBounds()
         soil = _soil(gamma=1500.0, n=1.0)
         assert bounds.contains(soil)
         wild = _soil(gamma=9000.0, n=2.0)
         assert not bounds.contains(wild)
-        clipped = bounds.clip(wild)
-        assert bounds.contains(clipped)
-        assert clipped.gamma == 2345.0 and clipped.n == 1.53
 
     def test_bounds_defaults(self):
         bounds = ParameterBounds()
@@ -603,11 +599,9 @@ class TestParameterTypes:
 
     def test_loader_invariants(self):
         with pytest.raises(ValueError):
-            LoaderParameters(omega=0.0, b=0.05, wb=10.0)
+            LoaderParameters(omega=0.0, b=0.05)
         with pytest.raises(ValueError):
-            LoaderParameters(omega=1.0, b=-0.1, wb=10.0)
+            LoaderParameters(omega=1.0, b=-0.1)
 
     def test_margins_invariants(self):
-        with pytest.raises(ValueError):
-            Margins(eps1=0.0)
-        assert Margins().angle_margin == pytest.approx(math.radians(1.0))
+        assert ANGLE_MARGIN == pytest.approx(math.radians(1.0))

@@ -58,7 +58,7 @@ def stage2_objective(cycle, theta1_star, options):
     ca_star, delta_star = float(theta1_star[0]), float(theta1_star[1])
     target = cycle.fn_obs / math.cos(delta_star)
     scale = _series_scale(target)
-    base = SoilParameters(gamma=options.bounds.center(("gamma",))[0],
+    base = SoilParameters(gamma=0.5 * sum(options.bounds.gamma),
                           cohesion_c=0.0, adhesion_ca=ca_star, phi=0.0,
                           delta=delta_star, kc=0.0, kphi=0.0, n=1.0)
 
