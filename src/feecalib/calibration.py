@@ -762,15 +762,25 @@ def predict_next_cycle(theta_star: SoilParameters, scenario,
     When a prior cycle is given, depth (and the swept load) is measured
     against the surface carved by that pass rather than the nominal pile
     face. The bearing factors keep the nominal pile inclination. The
-    sampled trajectory comes back as the prediction's ``trajectory``.
+    sampled trajectory comes back as the prediction's ``trajectory``, and
+    the wall time of each step (carve, trajectory, depth and swept area,
+    engine) as its ``step_ms``.
     """
+    marks = [time.perf_counter()]
     surface = scenario.surface
     if prior_cycle is not None:
         surface = surface_after_cycle(surface, prior_cycle)
+    marks.append(time.perf_counter())
     trajectory = scenario.trajectory(surface=surface)
+    marks.append(time.perf_counter())
     depth, lt, area = wedge_geometry(trajectory, surface)
     w_load = theta_star.gamma * GRAVITY * scenario.loader.omega * area
+    marks.append(time.perf_counter())
     prediction = predict_force_arrays(depth, trajectory.rho, lt, w_load,
                                       theta_star, scenario.loader,
                                       surface.nominal_alpha)
-    return replace(prediction, trajectory=trajectory)
+    marks.append(time.perf_counter())
+    steps = ("carve", "trajectory", "depth and swept area", "engine")
+    return replace(prediction, trajectory=trajectory,
+                   step_ms={step: 1e3 * (end - start) for step, start, end
+                            in zip(steps, marks, marks[1:])})

@@ -9,6 +9,7 @@ from __future__ import annotations
 import logging
 import os
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -134,6 +135,7 @@ def calibrate(cycle_csv, scenario_path, config_path, method, seed,
               show_default=True, help="Output directory.")
 def predict(report_json, scenario_path, prior_path, out_dir) -> None:
     """Predict forces along a scenario using fitted parameters."""
+    t0 = time.perf_counter()
     try:
         theta = fio.read_report_theta(report_json)
         scenario = fio.read_scenario_json(scenario_path)
@@ -145,6 +147,7 @@ def predict(report_json, scenario_path, prior_path, out_dir) -> None:
                                   f"least two samples, found {prior.size}")
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
+    read_ms = 1e3 * (time.perf_counter() - t0)
     try:
         prediction = predict_next_cycle(theta, scenario, prior_cycle=prior)
     except FeeCalibError as exc:
@@ -158,9 +161,17 @@ def predict(report_json, scenario_path, prior_path, out_dir) -> None:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
     fio.write_prediction_csv(out / "predicted.csv", prediction.trajectory,
                              prediction.depth, prediction.beta,
                              prediction.f_t, prediction.f_n)
+    write_ms = 1e3 * (time.perf_counter() - t0)
+    steps = prediction.step_ms
+    log.debug("predict: read %.2f ms; geometry %.2f ms (carve %.2f, "
+              "trajectory %.2f, depth and swept area %.2f); engine %.2f ms; "
+              "write %.2f ms", read_ms, sum(steps.values()) - steps["engine"],
+              steps["carve"], steps["trajectory"],
+              steps["depth and swept area"], steps["engine"], write_ms)
     click.echo(f"wrote {out / 'predicted.csv'} ({prediction.n} rows)")
 
 
@@ -171,6 +182,7 @@ def predict(report_json, scenario_path, prior_path, out_dir) -> None:
               help="Directory for metrics.json (default: print only).")
 def evaluate(predicted_csv, observed_csv, out_dir) -> None:
     """Force errors of a prediction against an observed cycle."""
+    t0 = time.perf_counter()
     try:
         predicted = fio.read_prediction_csv(predicted_csv)
         _, ft_obs, fn_obs = fio.read_cycle_csv(observed_csv)
@@ -180,6 +192,7 @@ def evaluate(predicted_csv, observed_csv, out_dir) -> None:
                 f"{ft_obs.size} observed samples")
     except ConfigError as exc:
         _fail(EXIT_CONFIG, str(exc))
+    t1 = time.perf_counter()
     flagged = np.flatnonzero(~(np.isfinite(predicted["ft_N"])
                                & np.isfinite(predicted["fn_N"])))
     if flagged.size:    # row i of a CSV file is on line i + 2
@@ -194,6 +207,7 @@ def evaluate(predicted_csv, observed_csv, out_dir) -> None:
                        resultant(predicted["ft_N"], predicted["fn_N"]))
     except EmptySeries as exc:
         _fail(EXIT_CONFIG, str(exc))
+    t2 = time.perf_counter()
     click.echo(f"F^T RMSE {ft_pair[0]:.3f} N ({ft_pair[1]:.3f}%)")
     click.echo(f"F^N RMSE {fn_pair[0]:.3f} N ({fn_pair[1]:.3f}%)")
     click.echo(f"F_R RMSE {fr_pair[0]:.3f} N ({fr_pair[1]:.3f}%)")
@@ -203,6 +217,9 @@ def evaluate(predicted_csv, observed_csv, out_dir) -> None:
         fio.write_metrics_json(out / "metrics.json", int(ft_obs.size),
                                ft_pair, fn_pair, fr_pair)
         click.echo(f"wrote {out / 'metrics.json'}")
+    log.debug("evaluate: read %.2f ms; rmse %.2f ms; write %.2f ms",
+              1e3 * (t1 - t0), 1e3 * (t2 - t1),
+              1e3 * (time.perf_counter() - t2))
 
 
 if __name__ == "__main__":

@@ -344,23 +344,41 @@ def _collapse_vertical_moves(xs: np.ndarray, zs: np.ndarray, tol: float):
     return xs[group], np.minimum.reduceat(zs, group)
 
 
+def _bends(x0, z0, x1, z1, x2, z2, tol: float):
+    """Whether (x1, z1) leaves the line from (x0, z0) to (x2, z2) by more
+    than tol, scaled by the larger of 1 and the chord's extent."""
+    cross = (x1 - x0) * (z2 - z0) - (z1 - z0) * (x2 - x0)
+    scale = np.maximum(np.maximum(1.0, np.abs(x2 - x0)), np.abs(z2 - z0))
+    return np.abs(cross) > tol * scale
+
+
 def _prune_collinear(xs: np.ndarray, zs: np.ndarray, tol: float):
     """Drop vertices collinear with the last kept vertex and the next one.
 
     Whether a vertex is kept depends on the last vertex kept, its anchor.
     One array pass decides every vertex against its predecessor, which is
-    its anchor whenever the predecessor is kept; only the vertices after a
-    dropped one are decided again, in a loop, against their anchor.
+    its anchor whenever the predecessor is kept. A second array pass
+    decides the vertex after each drop again, against the drop's
+    predecessor. A drop is settled when both passes keep the vertex after
+    it, as they nearly always do: then either the drop's predecessor is
+    kept, and is the anchor of both, or a run of drops before it decides
+    both. Only the vertices after the other drops are decided again, in a
+    loop, against their anchor.
     """
     n = xs.size
-    x0, z0, x2, z2 = xs[:-2], zs[:-2], xs[2:], zs[2:]
-    cross = (xs[1:-1] - x0) * (z2 - z0) - (zs[1:-1] - z0) * (x2 - x0)
-    scale = np.maximum(np.maximum(1.0, np.abs(x2 - x0)), np.abs(z2 - z0))
     keep = np.ones(n, dtype=bool)
-    keep[1:-1] = np.abs(cross) > tol * scale
+    keep[1:-1] = _bends(xs[:-2], zs[:-2], xs[1:-1], zs[1:-1], xs[2:],
+                        zs[2:], tol)
+    drops = np.flatnonzero(~keep)
+    settled = keep[drops + 1]
+    # the last vertex is always kept
+    again = settled & (drops + 1 < n - 1)
+    j = drops[again]
+    settled[again] = _bends(xs[j - 1], zs[j - 1], xs[j + 1], zs[j + 1],
+                            xs[j + 2], zs[j + 2], tol)
     x_list, z_list = xs.tolist(), zs.tolist()
     done = 1            # keep[:done] is final
-    for j in (np.flatnonzero(~keep[1:-1]) + 1).tolist():
+    for j in drops[~settled].tolist():
         if j < done:
             continue
         # j is dropped against its predecessor, a final kept vertex, which

@@ -52,10 +52,13 @@ _ANGLE_FIELDS = {"phi", "delta"}
 
 def _write_table(path: str | Path, header: Sequence[str], columns) -> None:
     """One row per sample; every value in shortest round-trip form."""
-    rows = np.column_stack(columns).tolist()
+    values = [np.asarray(column, dtype=float).tolist() for column in columns]
+    if len(set(map(len, values))) > 1:
+        raise ValueError("every column needs one value per row")
+    text = [map(repr, column) for column in values]
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        handle.writelines(",".join(row) + "\n" for row in zip(*text))
 
 
 def _read_table(path: str | Path,
@@ -63,8 +66,60 @@ def _read_table(path: str | Path,
     """The named columns of a numeric CSV file; row i is on line i + 2.
 
     Each row must hold one number per header field; a bad row raises
-    ConfigError naming its line. Trailing blank lines are ignored."""
+    ConfigError naming its line. Trailing blank lines are ignored.
+
+    A file of plain rows (no quotes, no blank line, no line over the csv
+    module's field limit) is parsed by one ``np.loadtxt`` pass streamed
+    from the file. Every other file, and every file that pass refuses,
+    is read by ``_read_rows``, which accepts and rejects the same files
+    with the same values and messages; only it names a bad line.
+    """
     path = Path(path)
+    table = _load_plain(path, columns)
+    return _read_rows(path, columns) if table is None else table
+
+
+def _load_plain(path: Path, columns: Sequence[str]):
+    """``_read_table`` of a file of plain rows that holds every named
+    column; None for any other file."""
+    try:
+        with path.open("r", encoding="utf-8", newline="") as handle:
+            first = handle.readline()
+            if '"' in first:            # a quoted field may span lines
+                return None
+            header = next(csv.reader([first]))
+            if not set(columns) <= set(header):
+                return None
+            table = np.loadtxt(_plain_lines(handle), delimiter=",",
+                               comments=None, quotechar=None, ndmin=2)
+    except (OSError, ValueError, csv.Error):
+        return None
+    if table.shape[1] != len(header):
+        return None
+    return {c: table[:, header.index(c)] for c in columns}
+
+
+def _plain_lines(handle):
+    """The lines of an open CSV file, each one row of the table.
+
+    Raises ValueError, which leaves the file to the csv path, at a blank
+    line (loadtxt would skip it; the csv path rejects it, or ignores it at
+    the end), at a line longer than the csv module's field limit (the csv
+    path rejects it), and at the end of a file with no line (loadtxt would
+    warn).
+    """
+    limit = csv.field_size_limit()
+    line = None
+    for line in handle:
+        if len(line) > limit or not line.rstrip("\r\n"):
+            raise ValueError("not a plain row")
+        yield line
+    if line is None:
+        raise ValueError("no rows")
+
+
+def _read_rows(path: Path, columns: Sequence[str]) -> dict[str, np.ndarray]:
+    """``_read_table`` through the csv module, one row at a time."""
     try:
         with path.open("r", encoding="utf-8", newline="") as handle:
             rows = list(csv.reader(handle))

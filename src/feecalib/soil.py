@@ -13,7 +13,7 @@ quantities are base SI (N, m, rad, kg/m^3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -149,10 +149,16 @@ class LoaderParameters:
 # Bearing capacity factors
 # ---------------------------------------------------------------------------
 
-def _ngamma_array(alpha, beta, rho, phi, delta):
+def _ngamma_from_sines(alpha, beta, phi, s_beta, s_chain):
+    """N_gamma given s_beta = sin(beta) and s_chain =
+    sin(rho + delta + beta + phi), which the other factors share."""
     return (np.cos(alpha + beta) * np.sin(alpha + beta + phi)
-            / (2.0 * np.cos(alpha) * np.sin(beta)
-               * np.sin(rho + delta + beta + phi)))
+            / (2.0 * np.cos(alpha) * s_beta * s_chain))
+
+
+def _ngamma_array(alpha, beta, rho, phi, delta):
+    return _ngamma_from_sines(alpha, beta, phi, np.sin(beta),
+                              np.sin(rho + delta + beta + phi))
 
 
 def _factor_arrays(alpha, beta, rho, phi, delta):
@@ -162,7 +168,8 @@ def _factor_arrays(alpha, beta, rho, phi, delta):
     n_c = np.cos(phi) / (s_beta * s_chain)
     n_a = -np.cos(rho + beta + phi) / (np.sin(rho) * s_chain)
     n_q = np.sin(alpha + beta + phi) / s_chain
-    return _ngamma_array(alpha, beta, rho, phi, delta), n_c, n_a, n_q
+    return (_ngamma_from_sines(alpha, beta, phi, s_beta, s_chain), n_c, n_a,
+            n_q)
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +258,20 @@ def _solve_beta_array(alpha: float, rho, phi, delta: float):
 
     roots = _stationary_angles(alpha, rho_f, phi_f, delta)
     inside = (roots >= lo_f[:, None]) & (roots <= hi_f[:, None])
-    # roots outside the window stand in as lo, already a candidate
+    # roots outside the window stand in as lo, already a candidate, with
+    # lo's value; N_gamma is evaluated only at the roots inside. One
+    # candidate column at a time keeps the temporaries of a whole
+    # friction-angle grid small.
     cand = np.column_stack((lo_f, np.where(inside, roots, lo_f[:, None]),
                             hi_f))
-    # one candidate column at a time keeps the temporaries of a whole
-    # friction-angle grid small
-    values = np.column_stack([_ngamma_array(alpha, column, rho_f, phi_f,
-                                            delta) for column in cand.T])
+    f_lo = _ngamma_array(alpha, lo_f, rho_f, phi_f, delta)
+    values = np.column_stack((f_lo, f_lo, f_lo,
+                              _ngamma_array(alpha, hi_f, rho_f, phi_f,
+                                            delta)))
+    for k in (1, 2):
+        at = inside[:, k - 1]
+        values[at, k] = _ngamma_array(alpha, roots[at, k - 1], rho_f[at],
+                                      phi_f[at], delta)
     rows = np.arange(cand.shape[0])
     j = np.argmin(values, axis=1)
     best = cand[rows, j]
@@ -292,7 +306,9 @@ class CycleForceArrays:
     Out-of-soil samples (depth <= 0) carry zero forces; in-soil samples
     that hit a margin carry NaN forces and are listed in ``failures``.
     ``trajectory`` holds the trajectory (``geometry.make_trajectory``)
-    predicted along, when the caller sampled one.
+    predicted along, when the caller sampled one, and ``step_ms`` the
+    wall time in ms of each step the caller took to predict (see
+    ``calibration.predict_next_cycle``).
     """
 
     depth: np.ndarray     # penetration depth, m (the engine's input)
@@ -309,6 +325,7 @@ class CycleForceArrays:
     in_soil: np.ndarray   # depth > 0
     valid: np.ndarray     # in-soil samples that evaluated cleanly
     trajectory: np.recarray | None = None
+    step_ms: dict[str, float] = field(default_factory=dict)
 
     @property
     def n(self) -> int:

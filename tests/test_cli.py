@@ -837,3 +837,45 @@ def test_debug_log_has_one_line_per_stage(workdir, tmp_path):
     assert [s[:4] + s[-1:] for s in stages] == [
         ("stage1", "34", "0", "1", "0"), ("stage2", "44", "9", "2", "13"),
         ("stage3", "35", "0", "1", "1")]
+
+
+def test_debug_log_times_predict_and_evaluate(workdir, tmp_path):
+    """FEE_CALIB_LOG=DEBUG: predict and evaluate each log one line with
+    the ms spent reading, on geometry (carve, trajectory, depth and swept
+    area), on the engine and writing; evaluate has no geometry or engine
+    and logs its RMSE time instead."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, FEE_CALIB_LOG="DEBUG")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    prefix = "DEBUG feecalib.cli: "
+
+    def debug_lines(*args):
+        res = subprocess.run(
+            [sys.executable, "-c", "from feecalib.cli import main; main()",
+             *map(str, args)], capture_output=True, text=True, env=env,
+            timeout=300)
+        assert res.returncode == 0, res.stderr
+        return [line[len(prefix):] for line in res.stderr.splitlines()
+                if line.startswith(prefix)]
+
+    run = workdir / "run"
+    ms = r"(\d+\.\d\d)"
+    lines = debug_lines("predict", run / "report.json", "--scenario",
+                        run / "scenario.json", "--prior-cycle",
+                        run / "cycle.csv", "--out", tmp_path)
+    assert len(lines) == 1, lines
+    match = re.match(
+        rf"predict: read {ms} ms; geometry {ms} ms \(carve {ms}, "
+        rf"trajectory {ms}, depth and swept area {ms}\); engine {ms} ms; "
+        rf"write {ms} ms$", lines[0])
+    assert match, lines
+    read, geometry, carve, trajectory, wedge, engine, write = map(
+        float, match.groups())
+    assert geometry == pytest.approx(carve + trajectory + wedge, abs=0.02)
+    assert min(read, carve, trajectory, wedge, engine, write) >= 0.0
+    lines = debug_lines("evaluate", tmp_path / "predicted.csv",
+                        run / "cycle.csv", "--out", tmp_path)
+    assert len(lines) == 1, lines
+    assert re.match(rf"evaluate: read {ms} ms; rmse {ms} ms; write {ms} ms$",
+                    lines[0]), lines

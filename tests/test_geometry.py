@@ -663,6 +663,22 @@ class TestSurfaceAfterCycleExact:
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
 
+    def test_prune_on_lattice_paths(self):
+        # integer steps make collinear triples common, and offsets of the
+        # order of tol put many decisions next to the threshold: isolated
+        # drops whose next vertex is kept or dropped against their anchor,
+        # adjacent drops, runs of drops, and drops next to either end
+        rng = np.random.default_rng(7)
+        tol = 1e-3
+        for n in [*range(3, 12)] * 200 + [500] * 20:
+            xs = np.cumsum(rng.integers(1, 3, n)).astype(float)
+            zs = np.cumsum(rng.integers(-1, 2, n)).astype(float)
+            for offsets in (0.0, rng.uniform(-2.0 * tol, 2.0 * tol, n)):
+                got = _prune_collinear(xs, zs + offsets, tol)
+                want = prune_collinear_loop(xs, zs + offsets, tol)
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+
     def test_crossing_within_tolerance_is_dropped(self):
         # the path crosses the flat face 1e-12 before a breakpoint, inside
         # the 1e-9 * span tolerance, so no vertex is inserted there

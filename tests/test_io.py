@@ -1,15 +1,23 @@
-"""CSV files written by feecalib reload bit for bit, and config numbers are
-checked strictly."""
+"""CSV files written by feecalib reload bit for bit, the CSV reader and
+writer match the row-at-a-time versions they replaced, and config numbers
+are checked strictly."""
 
+import csv
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feecalib import io as fio
-from feecalib import ConfigError, make_trajectory
+from feecalib import (ConfigError, Scenario, default_scenario, default_truth,
+                      make_trajectory, simulate_cycle, surface_after_cycle)
+from feecalib.cli import main
 
 # besides what st.floats draws anyway: signed zero, subnormals and the
 # ends of the double range
@@ -82,3 +90,227 @@ def test_integral_float_config_values_are_ints():
 def test_non_finite_config_numbers_are_rejected(value):
     with pytest.raises(ConfigError, match="calibration.lambda_weight"):
         fio.calibration_options_from_json({"lambda_weight": value})
+
+
+# ---------------------------------------------------------------------------
+# The CSV primitives against the row-at-a-time versions they replaced
+# ---------------------------------------------------------------------------
+
+def read_table_reference(path, columns):
+    """Reference: ``_read_table`` as it was before the loadtxt pass."""
+    path = Path(path)
+    try:
+        with path.open("r", encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}")
+    while rows and not rows[-1]:
+        rows.pop()
+    header = rows[0] if rows else []
+    for column in columns:
+        if column not in header:
+            raise ConfigError(f"{path}: missing column '{column}'")
+    body = rows[1:]
+    try:
+        table = np.array(body, dtype=float).reshape(len(body), len(header))
+    except ValueError:
+        for line, row in enumerate(body, start=2):  # the first bad row
+            try:
+                np.array(row, dtype=float).reshape(len(header))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{line}: bad value ({exc})")
+        raise
+    return {c: table[:, header.index(c)] for c in columns}
+
+
+def write_table_reference(path, header, columns):
+    """Reference: ``_write_table`` as it was before the column-wise one."""
+    rows = np.column_stack(columns).tolist()
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(header) + "\n")
+        handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def outcome(reader, path, columns):
+    """("ok", {column: int64 bits}) or ("error", ConfigError text)."""
+    try:
+        table = reader(path, columns)
+    except ConfigError as exc:
+        return "error", str(exc)
+    return "ok", {c: bits(v).tolist() for c, v in table.items()}
+
+
+HEADER = "t_s,x_m,z_m\n"
+COLUMNS = ("t_s", "z_m")
+PLAIN = "1.5,2,3\n-0.0,5e-324,1e16\n0.1,0.3333333333333333,-7\n"
+
+# name: (file bytes, whether the loadtxt pass reads it)
+CSV_CASES = {
+    "lf": ((HEADER + PLAIN).encode(), True),
+    "crlf": ((HEADER + PLAIN).replace("\n", "\r\n").encode(), True),
+    "cr": ((HEADER + PLAIN).replace("\n", "\r").encode(), True),
+    "no-final-newline": ((HEADER + PLAIN).rstrip("\n").encode(), True),
+    "spaces-around-numbers": ((HEADER + " 1 , 2,\t3\n4 ,5 , 6\n").encode(),
+                              True),
+    "nan-inf": ((HEADER + "nan,inf,-inf\nNaN,-nan,+Infinity\n").encode(),
+                True),
+    "one-row": ((HEADER + "1,2,3\n").encode(), True),
+    "trailing-blank-lines": ((HEADER + PLAIN + "\n\n").encode(), False),
+    "trailing-blank-crlf": ((HEADER + PLAIN + "\r\n").replace(
+        "\n", "\r\n").encode(), False),
+    "blank-line-in-middle": ((HEADER + "1,2,3\n\n4,5,6\n").encode(), False),
+    "whitespace-line-in-middle": ((HEADER + "1,2,3\n \n4,5,6\n").encode(),
+                                  False),
+    "quoted-numbers": ((HEADER + '"1",2,"3"\n4,5,6\n').encode(), False),
+    "quoted-header": (('"t_s",x_m,"z_m"\n' + PLAIN).encode(), False),
+    "quoted-newline": ((HEADER + '1,"2\n",3\n').encode(), False),
+    "underscore-digits": ((HEADER + "1_0,2,3\n").encode(), False),
+    "non-ascii-digits": ((HEADER + "١٢,2,3\n").encode(), False),
+    "comment-line": ((HEADER + "# note\n1,2,3\n").encode(), False),
+    "short-row": ((HEADER + "1,2,3\n4,5\n6,7,8\n").encode(), False),
+    "long-row": ((HEADER + "1,2,3\n4,5,6,7\n").encode(), False),
+    "extra-column-every-row": ((HEADER + "1,2,3,4\n5,6,7,8\n").encode(),
+                               False),
+    "trailing-comma": ((HEADER + "1,2,3,\n").encode(), False),
+    "bad-token": ((HEADER + "1,2,3\n4,abc,6\n").encode(), False),
+    "nul-byte": ((HEADER + "1,2\x00,3\n").encode(), False),
+    "overlong-field": ((HEADER + "1,2," + " " * 140_000 + "3\n").encode(),
+                       False),
+    "header-only": (HEADER.encode(), False),
+    "header-only-no-newline": (HEADER.rstrip("\n").encode(), False),
+    "header-and-blank-lines": ((HEADER + "\n\n").encode(), False),
+    "empty-file": (b"", False),
+    "missing-column": (("t_s,x_m\n" + "1,2\n").encode(), False),
+    "not-utf8-body": (HEADER.encode() + b"1,2,\xff\n", False),
+    "not-utf8-header": (b"t_s,x_m,\xffz\n1,2,3\n", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_CASES))
+def test_reader_matches_the_csv_reader(tmp_path, monkeypatch, name):
+    """Bit-identical columns for every file the csv reader accepts, the
+    same ConfigError text (with path:line) for every file it rejects, no
+    warning on a file without rows, and the loadtxt pass taken exactly on
+    the files of plain rows."""
+    content, plain = CSV_CASES[name]
+    path = tmp_path / "table.csv"
+    path.write_bytes(content)
+    fallbacks = []
+    csv_path = fio._read_rows
+
+    def read_rows(*args):
+        fallbacks.append(args)
+        return csv_path(*args)
+
+    monkeypatch.setattr(fio, "_read_rows", read_rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(fio._read_table, path, COLUMNS)
+    assert got == outcome(read_table_reference, path, COLUMNS)
+    assert len(fallbacks) == (0 if plain else 1)
+    if plain:
+        assert got[0] == "ok"
+
+
+TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False).map("{:.3e}".format),
+    st.floats(allow_nan=False).map("{:.25g}".format),
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.sampled_from(["", " ", "1_0", '"2"', "١", "abc", "nan", "-nan",
+                     "inf", "-Infinity", " 7 ", "\t8", "1e999", "-0",
+                     ".5", "5.", "0x10", "1,5", "#"]))
+
+
+# rows of three fields and single line ends are drawn most often, so that
+# many drawn files are plain and take the loadtxt pass
+@given(rows=st.lists(st.one_of(st.lists(TOKENS, min_size=3, max_size=3),
+                               st.lists(TOKENS, min_size=2, max_size=4)),
+                     max_size=5),
+       ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"] * 3 + ["\n\n"]),
+                     min_size=6, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_reader_matches_the_csv_reader_on_drawn_files(folder, rows, ends):
+    path = folder / "drawn.csv"
+    lines = ["a,b,c"] + [",".join(row) for row in rows]
+    path.write_text("".join(line + end for line, end in zip(lines, ends)),
+                    encoding="utf-8", newline="")
+    assert (outcome(fio._read_table, path, ("a", "c"))
+            == outcome(read_table_reference, path, ("a", "c")))
+
+
+def test_writer_writes_shortest_round_trip_rows(tmp_path):
+    values = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-05,
+              0.1, 1 / 3]
+    table = np.array(values).reshape(3, 3)
+    path = tmp_path / "golden.csv"
+    fio._write_table(path, ("a", "b", "c"), table.T)
+    expected = ["a,b,c"] + [",".join(map(repr, row)) for row in
+                            table.tolist()]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+    assert path.read_text().splitlines()[1:] == [
+        "-0.0,nan,inf", "-inf,5e-324,1e+16", "1e-05,0.1,0.3333333333333333"]
+
+
+def test_writer_refuses_columns_of_different_lengths(tmp_path):
+    path = tmp_path / "ragged.csv"
+    with pytest.raises(ValueError):
+        fio._write_table(path, ("a", "b"), ([1.0, 2.0], [3.0]))
+    assert not path.exists()
+
+
+@pytest.fixture
+def reference_writes(monkeypatch):
+    """Every _write_table call also writes the reference writer's file;
+    yields the (written, reference) path pairs."""
+    pairs = []
+    write = fio._write_table
+
+    def both(path, header, columns):
+        columns = list(columns)
+        write(path, header, columns)
+        reference = Path(f"{path}.reference")
+        write_table_reference(reference, header, columns)
+        pairs.append((Path(path), reference))
+
+    monkeypatch.setattr(fio, "_write_table", both)
+    return pairs
+
+
+def test_cli_csv_files_match_the_reference_writer(tmp_path,
+                                                  reference_writes):
+    """simulate's cycle.csv and the predicted.csv of each pass of a
+    four-pass carved chain at 60 Hz are byte-identical to the reference
+    writer's files."""
+    runner = CliRunner()
+    res = runner.invoke(main, ["simulate", "--out", str(tmp_path / "sim")])
+    assert res.exit_code == 0, res.output
+    base, truth = default_scenario(), default_truth()
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"theta_star": fio.soil_to_json(truth)}))
+    face = before = base.surface    # the face before pass k and k - 1
+    cycle = None
+    for k in range(4):
+        if cycle is not None:
+            before, face = face, surface_after_cycle(face, cycle.samples)
+        points = tuple((x + 0.15 * k, z) for x, z in base.control_points)
+        scenario = tmp_path / f"scenario_{k}.json"
+        fio.write_scenario_json(scenario, Scenario(
+            surface=before, loader=base.loader, control_points=points,
+            sample_rate=60.0, duration=base.duration), truth, 0.0, 0)
+        args = ["predict", str(report), "--scenario", str(scenario),
+                "--out", str(tmp_path / f"pass_{k}")]
+        if cycle is not None:
+            args += ["--prior-cycle", str(tmp_path / f"cycle_{k - 1}.csv")]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        cycle = simulate_cycle(Scenario(
+            surface=face, loader=base.loader, control_points=points,
+            sample_rate=60.0, duration=base.duration), truth)
+        fio.write_cycle_csv(tmp_path / f"cycle_{k}.csv", cycle.samples,
+                            cycle.f_t_obs, cycle.f_n_obs)
+    names = [written.name for written, _ in reference_writes]
+    assert names == ["cycle.csv"] + [name for k in range(4) for name in
+                                     ("predicted.csv", f"cycle_{k}.csv")]
+    for written, reference in reference_writes:
+        assert written.read_bytes() == reference.read_bytes(), written
