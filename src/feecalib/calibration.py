@@ -23,11 +23,11 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import lsq_linear, minimize_scalar
 
 from .errors import DegenerateDepths, EmptySeries, SolverFailure
 from .geometry import CycleDataset, surface_after_cycle, wedge_geometry
-from .optimizer import SolverOptions, finite_difference_gradient, multi_start
+from .optimizer import (SolverOptions, _load_solvers,
+                        finite_difference_gradient, multi_start)
 from .soil import (_OK, GRAVITY, PARAM_NAMES, CycleForceArrays,
                    LoaderParameters, ParameterBounds, SoilParameters,
                    _factor_arrays, _margin_status, _solve_beta_array,
@@ -311,6 +311,7 @@ def _bounded_lsq(design: np.ndarray, target: np.ndarray, lo: np.ndarray,
             x[free] = np.clip(x_lsq / w, lo_f, hi_f)
         else:
             paths["bvls"] += 1
+            from scipy.optimize import lsq_linear
             res = lsq_linear(scaled, rest, bounds=(lb, ub), method="bvls")
             x[free] = np.select([res.active_mask < 0, res.active_mask > 0],
                                 [lo_f, hi_f], np.clip(res.x / w, lo_f, hi_f))
@@ -410,6 +411,7 @@ def _profile_search(trial, lo: float, hi: float) -> _Profile:
             best.bound_shortcut = True
             return best
     kept = best.x
+    from scipy.optimize import minimize_scalar
     res = minimize_scalar(value, bounds=(a, b), method="bounded",
                           options={"xatol": _PROFILE_XATOL * (b - a)})
     best.iterations = int(res.nit)
@@ -468,6 +470,7 @@ def calibrate_stage1(cycle: PreparedCycle,
     the search runs over n and solves for the rest by bounded linear least
     squares. kc and kphi come from K by ``split_pressure_coefficient``.
     """
+    _load_solvers()
     t0 = time.perf_counter()
     bounds = options.bounds
     if not -0.5 * math.pi < bounds.delta[0] <= bounds.delta[1] < 0.5 * math.pi:
@@ -531,6 +534,7 @@ def calibrate_stage2(cycle: PreparedCycle, theta1_star: np.ndarray,
     checked once. Samples whose geometry turns singular for a candidate
     are dropped from that candidate's residual.
     """
+    _load_solvers()
     t0 = time.perf_counter()
     ca_star, delta_star = float(theta1_star[0]), float(theta1_star[1])
     target = cycle.fn_obs / math.cos(delta_star)
@@ -601,6 +605,7 @@ def calibrate_stage3(cycle: PreparedCycle, theta_fixed: SoilParameters,
     makes the tangential error non-increasing across this stage. Normal-
     force predictions are untouched by construction.
     """
+    _load_solvers()
     t0 = time.perf_counter()
     bounds = options.bounds
     loader = cycle.loader
@@ -694,6 +699,7 @@ def calibrate_single_stage(dataset: CycleDataset,
     residuals on the raw observations over in-soil samples. Raises
     DegenerateDepths when no sample is in soil.
     """
+    _load_solvers()
     t0 = time.perf_counter()
     cycle = prepare_cycle(dataset)
     box = _BoxMap(options.bounds, PARAM_NAMES)
@@ -739,6 +745,7 @@ def calibrate_multi_stage(dataset: CycleDataset,
     sub-vectors and diagnostics plus final force errors under the
     assembled parameters. Raises DegenerateDepths when no sample is in
     soil."""
+    _load_solvers()
     t0 = time.perf_counter()
     cycle = prepare_cycle(dataset)
     theta1, s1 = calibrate_stage1(cycle, options)

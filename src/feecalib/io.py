@@ -119,10 +119,16 @@ def _plain_lines(handle):
 
 
 def _read_rows(path: Path, columns: Sequence[str]) -> dict[str, np.ndarray]:
-    """``_read_table`` through the csv module, one row at a time."""
+    """``_read_table`` through the csv module, one row at a time. A bad
+    row is named by the line it starts on; a quoted field may span
+    lines."""
+    rows, starts = [], [1]      # starts[i]: the first line of rows[i]
     try:
         with path.open("r", encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
+            reader = csv.reader(handle)
+            for row in reader:
+                rows.append(row)
+                starts.append(reader.line_num + 1)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read {path}: {exc}")
     while rows and not rows[-1]:
@@ -135,7 +141,7 @@ def _read_rows(path: Path, columns: Sequence[str]) -> dict[str, np.ndarray]:
     try:
         table = np.array(body, dtype=float).reshape(len(body), len(header))
     except ValueError:
-        for line, row in enumerate(body, start=2):  # the first bad row
+        for line, row in zip(starts[1:], body):  # the first bad row
             try:
                 np.array(row, dtype=float).reshape(len(header))
             except ValueError as exc:

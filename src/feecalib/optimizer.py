@@ -1,19 +1,27 @@
-"""Bound-constrained smooth minimization used by every calibration stage.
+"""Bound-constrained smooth minimization for the single-stage baseline.
 
 A thin deterministic layer over a limited-memory quasi-Newton descent with
 box projection: central finite-difference gradients (one-sided at active
 bounds), best-iterate tracking, honest evaluation counters, and a seeded
-multi-start front end (box center plus Latin hypercube points).
+multi-start front end (box center plus Latin hypercube points). Only the
+single-stage fit runs ``multi_start`` and ``minimize_bounded``; the staged
+fit uses ``finite_difference_gradient`` alone, for the derivative of its
+one-parameter profile.
+
+scipy.optimize takes longer to import than the rest of feecalib, and only
+the fits use it, so it is imported where it is used; the fit entry points
+call ``_load_solvers`` before their clocks start.
 """
 
 from __future__ import annotations
 
 import logging
+import sys
+import time
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import NonFiniteObjective, SolverFailure
 
@@ -52,6 +60,17 @@ class SolveResult:
     converged: bool
     starts_tried: int = 1
     function_evaluations: int = 0
+
+
+def _load_solvers() -> None:
+    """Import scipy.optimize if no one has yet, and log at DEBUG how long
+    that took."""
+    if "scipy.optimize" in sys.modules:
+        return
+    t0 = time.perf_counter()
+    import scipy.optimize  # noqa: F401
+    log.debug("loaded scipy.optimize in %.1f ms",
+              1e3 * (time.perf_counter() - t0))
 
 
 def _as_bounds(bounds, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +186,8 @@ def minimize_bounded(objective: Callable[[np.ndarray], float],
             wrapped, np.clip(x, lo, hi), np.column_stack([lo, hi]),
             options.finite_difference_step)
 
-    res = _scipy_minimize(
+    from scipy.optimize import minimize
+    res = minimize(
         wrapped, x0, jac=jac, method="L-BFGS-B",
         bounds=np.column_stack([lo, hi]),
         options=dict(maxiter=options.max_iterations, maxcor=10,

@@ -5,6 +5,7 @@ are checked strictly."""
 import csv
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -237,6 +238,17 @@ def test_reader_matches_the_csv_reader_on_drawn_files(folder, rows, ends):
                     encoding="utf-8", newline="")
     assert (outcome(fio._read_table, path, ("a", "c"))
             == outcome(read_table_reference, path, ("a", "c")))
+
+
+def test_bad_row_after_a_multi_line_row_names_its_own_line(tmp_path):
+    """Row 1 spans lines 2-3 (a quoted newline), so the bad row 2 starts
+    on line 4."""
+    path = tmp_path / "cycle.csv"
+    path.write_text(",".join(fio.CYCLE_COLUMNS) + '\n"2\n",0,0,0.5,0,0\n'
+                    "abc,0,0,0.5,0,0\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:4: "
+                                          r"bad value \(.*'abc'\)$"):
+        fio.read_cycle_csv(path)
 
 
 def test_writer_writes_shortest_round_trip_rows(tmp_path):

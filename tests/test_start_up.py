@@ -1,0 +1,128 @@
+"""scipy.optimize is loaded only by a fit, and before the fit's clock
+starts. Each check runs in a fresh interpreter, since this test session
+has loaded scipy.optimize already; none of them times anything."""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from feecalib import default_truth
+from feecalib import io as fio
+from feecalib.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# runs the CLI commands in one interpreter and prints, as its last line,
+# whether scipy.optimize was loaded after each step
+COMMANDS = """
+import json, sys
+states = {}
+import feecalib, feecalib.cli
+states["import"] = "scipy.optimize" in sys.modules
+for name, args in json.loads(sys.argv[1]):
+    feecalib.cli.main(args, standalone_mode=False)
+    states[name] = "scipy.optimize" in sys.modules
+print(json.dumps(states))
+"""
+
+# one fit, whose clock reads record whether scipy.optimize was loaded;
+# prints them as its last line
+CLOCKED_FIT = """
+import json, sys, time, types
+import numpy as np
+import feecalib
+from feecalib import calibration
+
+truth = feecalib.default_truth()
+dataset = feecalib.simulate_cycle(feecalib.default_scenario(), truth)
+cycle = calibration.prepare_cycle(dataset)
+options = feecalib.CalibrationOptions(
+    solver=feecalib.SolverOptions(n_starts=1, max_iterations=3))
+fits = {
+    "calibrate_multi_stage": lambda: calibration.calibrate_multi_stage(
+        dataset, options),
+    "calibrate_single_stage": lambda: calibration.calibrate_single_stage(
+        dataset, options),
+    "calibrate_stage1": lambda: calibration.calibrate_stage1(
+        cycle, options),
+    "calibrate_stage2": lambda: calibration.calibrate_stage2(
+        cycle, np.array([truth.adhesion_ca, truth.delta]), options),
+    "calibrate_stage3": lambda: calibration.calibrate_stage3(
+        cycle, truth, options),
+}
+loaded = "scipy.optimize" in sys.modules
+seen = []
+
+def perf_counter():
+    seen.append("scipy.optimize" in sys.modules)
+    return time.perf_counter()
+
+calibration.time = types.SimpleNamespace(perf_counter=perf_counter)
+fits[sys.argv[1]]()
+print(json.dumps({"loaded before": loaded, "clock reads": seen}))
+"""
+
+
+def run_python(script, *args, env=None):
+    env = dict(os.environ, **(env or {}))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                         capture_output=True, text=True, env=env,
+                         timeout=300)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1]), res.stderr
+
+
+def test_only_calibrate_loads_scipy_optimize(tmp_path):
+    """import feecalib and feecalib.cli, simulate, predict (with and
+    without a prior cycle) and evaluate leave scipy.optimize unloaded;
+    calibrate loads it, and logs the load once at DEBUG."""
+    runner = CliRunner()
+    sim, pred = tmp_path / "sim", tmp_path / "pred"
+    res = runner.invoke(main, ["simulate", "--out", str(sim)])
+    assert res.exit_code == 0, res.output
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"theta_star":
+                                  fio.soil_to_json(default_truth())}))
+    scenario, cycle = str(sim / "scenario.json"), str(sim / "cycle.csv")
+    steps = [
+        ("simulate", ["simulate", "--out", str(tmp_path / "sim2")]),
+        ("predict", ["predict", str(report), "--scenario", scenario,
+                     "--out", str(pred)]),
+        ("predict --prior-cycle", ["predict", str(report), "--scenario",
+                                   scenario, "--prior-cycle", cycle,
+                                   "--out", str(pred)]),
+        ("evaluate", ["evaluate", str(pred / "predicted.csv"), cycle]),
+        ("calibrate", ["calibrate", cycle, "--out", str(tmp_path / "fit")]),
+        ("calibrate again", ["calibrate", cycle, "--out",
+                             str(tmp_path / "fit")]),
+    ]
+    states, stderr = run_python(COMMANDS, json.dumps(steps),
+                                env={"FEE_CALIB_LOG": "DEBUG"})
+    assert states == {"import": False, "simulate": False, "predict": False,
+                      "predict --prior-cycle": False, "evaluate": False,
+                      "calibrate": True, "calibrate again": True}
+    loads = [line for line in stderr.splitlines()
+             if line.startswith("DEBUG feecalib.optimizer: loaded")]
+    assert len(loads) == 1, stderr
+    assert re.fullmatch(r"DEBUG feecalib\.optimizer: loaded scipy\.optimize "
+                        r"in \d+\.\d ms", loads[0])
+
+
+@pytest.mark.parametrize("fit", ["calibrate_multi_stage",
+                                 "calibrate_single_stage", "calibrate_stage1",
+                                 "calibrate_stage2", "calibrate_stage3"])
+def test_no_fit_clock_starts_before_scipy_optimize_is_loaded(fit):
+    """In a fresh interpreter, every clock read of the fit's wall times
+    finds scipy.optimize loaded, so no wall time includes its import."""
+    result, _ = run_python(CLOCKED_FIT, fit)
+    assert result["loaded before"] is False
+    assert result["clock reads"]
+    assert all(result["clock reads"]), result["clock reads"]
