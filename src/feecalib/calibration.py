@@ -10,7 +10,11 @@ stage 3 re-fits the compaction parameters against the raw tangential
 observations. Each stage is linear in all its unknowns but one, so it is
 fitted by variable projection (Golub & Pereyra 1973): a bounded search
 over the one nonlinear parameter, solving the others by bounded linear
-least squares at every trial.
+least squares. A grid of trials is screened first: one batched QR gives
+each trial's unconstrained residual, a lower bound on its bounded one,
+and only the trials whose bound can still beat the best solve so far are
+solved, which leaves the fitted bits as they would be with every trial
+solved.
 """
 
 from __future__ import annotations
@@ -65,8 +69,9 @@ class StageResult:
 
     ``function_evaluations`` counts full-cycle evaluations of the stage
     model. In the staged fits that is one trial of the outer parameter
-    (each solves the linear unknowns by bounded least squares), plus the
-    incumbent check of stage 3; in the single-stage fit it is one objective call.
+    (each solves the linear unknowns by bounded least squares, or is
+    screened out as unable to win), plus the incumbent check of stage 3;
+    in the single-stage fit it is one objective call.
     For the staged fits ``starts_tried`` is the number of grid points of
     the outer search, ``iterations`` its Brent iterations (0 when the best
     grid point is a bound whose one-sided derivative points out of the
@@ -319,6 +324,83 @@ def _bounded_lsq(design: np.ndarray, target: np.ndarray, lo: np.ndarray,
     return x, float(residual @ residual)
 
 
+# ``_screened_lsq`` skips a candidate when its computed unconstrained
+# residual sum of squares, less a margin, exceeds the best exact value of
+# the call. In exact arithmetic that bound is never above the candidate's
+# box-constrained value, so a wrong skip needs the two computed values to
+# be off by more than the margin together. The designs have p <= 3
+# unit-norm columns, so |R_11| = 1 and every |R_jj| <= 1; a diagonal ratio
+# below C = _SCREEN_CONDITION puts every |R_jj| above 1/C, every entry of
+# R^-1 below C^2 in size, and |A^+| = |R^-1| below 2.5 C^2. Householder
+# QR is exact for a design A + dA with |dA| <= g |A|_F, where g grows
+# like sqrt(m p) unit roundoffs in practice: under 100 u = 1.1e-14 for
+# m p <= 1e4. To first order that moves the bound r.r by -2 r'dA x, at
+# most 2 g sqrt(p) |A^+| |y|^2 < 1e-7 |y|^2 at C = 1e3, as |r| <= |y|
+# and |x| <= |A^+| |y|; the exact solve's rounding of target - design @ x
+# adds under a tenth of that. The margin of 1e-6 |y|^2 is 9 times their
+# sum. (Over a 702-fit preset and slope sweep no bound exceeded an exact
+# value by 1e-15 |y|^2, and no diagonal ratio reached 36.) A candidate
+# above the cap, or with a zero on R's diagonal, is always solved.
+_SCREEN_MARGIN = 1e-6       # of the candidate's |y|^2
+_SCREEN_CONDITION = 1e3     # diagonal ratio of R up to which it screens
+
+
+def _screened_lsq(designs: np.ndarray, targets: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray, scale: float, paths: Counter,
+                  rows: np.ndarray | None = None) -> list:
+    """``_bounded_lsq`` for each of k candidates, solving only those that
+    can still give the lowest residual.
+
+    Candidate i fits ``designs[i]`` (m, p) to ``targets[i]`` (or to a
+    shared (m,) target) on the rows where ``rows[i]`` holds (all rows
+    when ``rows`` is None). Returns one ``(rss / scale, x)`` per
+    candidate; ``(1e12, None)`` for a candidate with no row to fit.
+
+    With more than one candidate, one batched QR of the unit-norm designs,
+    infeasible rows zeroed, gives each candidate's unconstrained residual
+    sum of squares, which no box-constrained one can undercut. The
+    candidates are solved in order of that bound, and one whose bound
+    exceeds the best exact value found so far by more than the margin
+    is skipped: it could not have become the lowest, and it returns
+    ``(inf, None)``, counted as "screened" in ``paths``. Every solved
+    candidate goes through the unchanged ``_bounded_lsq`` on its own
+    rows, so the lowest value, its x and the first index to reach it are
+    the bits a solve of every candidate gives.
+    """
+    k = designs.shape[0]
+    targets = np.broadcast_to(targets, designs.shape[:2])
+    fits = [True] * k if rows is None else rows.any(axis=1).tolist()
+    bound, screen = [0.0] * k, [False] * k
+    if k > 1:
+        y = targets if rows is None else np.where(rows, targets, 0.0)
+        stack = designs if rows is None else np.where(rows[..., None],
+                                                      designs, 0.0)
+        norms = np.sqrt(np.einsum("kij,kij->kj", stack, stack))
+        q, r = np.linalg.qr(stack / np.where(norms > 0.0, norms, 1.0)[:, None])
+        residual = y - (q @ (q.transpose(0, 2, 1) @ y[..., None]))[..., 0]
+        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        screen = (diag.min(axis=1) * _SCREEN_CONDITION
+                  > diag.max(axis=1)).tolist()
+        bound = (np.einsum("ki,ki->k", residual, residual)
+                 - _SCREEN_MARGIN * np.einsum("ki,ki->k", y, y)).tolist()
+    results = [(1e12, None)] * k
+    best = math.inf
+    for i in sorted(range(k), key=bound.__getitem__):
+        if not fits[i]:
+            continue
+        if screen[i] and bound[i] > best:
+            paths["screened"] += 1
+            results[i] = (math.inf, None)
+            continue
+        design, target = designs[i], targets[i]
+        if rows is not None:
+            design, target = design[rows[i]], target[rows[i]]
+        x, rss = _bounded_lsq(design, target, lo, hi, paths)
+        best = min(best, rss)
+        results[i] = (rss / scale, x)
+    return results
+
+
 _PROFILE_GRID = 33      # coarse grid points of the outer search
 _PROFILE_XATOL = 1e-10  # Brent's absolute tolerance, as a share of the bracket
 
@@ -347,8 +429,14 @@ def _profile_search(trial, lo: float, hi: float) -> _Profile:
     ``trial(xs, paths)`` takes an array of candidates and returns one
     ``(value, inner)`` per candidate: the stage objective with the linear
     unknowns solved for at that candidate, and those unknowns; it hands
-    ``paths`` to ``_bounded_lsq``, which counts its solves there. The
-    search evaluates a fixed grid in one call and keeps the best trial.
+    ``paths`` to ``_screened_lsq``, which counts its solves and skips
+    there. The search evaluates a fixed grid in one call and keeps the
+    best trial. That call is screened: a grid point whose least-squares
+    lower bound exceeds the best solved value comes back as
+    ``(inf, None)`` unsolved. It could never have been the best trial,
+    nor the lowest grid value that places Brent's bracket, and it still
+    counts as an evaluation, so the search takes the same steps and
+    returns the same bits as with every grid point solved.
     When the best grid point is a bound, one trial gives the one-sided
     derivative there (the grid value is its centre); if it points out of
     the box the bound is the answer and Brent does not run. Otherwise a
@@ -435,11 +523,12 @@ def _staged_result(name: str, parameters: dict[str, float],
     evaluations = profile.evaluations + extra_evaluations
     solves = profile.lsq_paths
     log.debug("%s: %.2f ms; %d trials: %d grid, %d Brent, %d derivative, "
-              "%d incumbent; least squares %d interior, %d BVLS; bound "
-              "shortcut %s; %d engine passes", name, 1e3 * wall,
-              evaluations, profile.grid_points, profile.iterations,
-              profile.derivative_trials, extra_evaluations,
-              solves["interior"], solves["bvls"],
+              "%d incumbent; least squares %d interior, %d BVLS, %d "
+              "screened; bound shortcut %s; %d engine passes", name,
+              1e3 * wall, evaluations, profile.grid_points,
+              profile.iterations, profile.derivative_trials,
+              extra_evaluations, solves["interior"], solves["bvls"],
+              solves["screened"],
               "taken" if profile.bound_shortcut else "not taken",
               engine_passes)
     return StageResult(name=name, parameters=parameters,
@@ -481,15 +570,14 @@ def calibrate_stage1(cycle: PreparedCycle,
     k_lo, k_hi = _pressure_bounds(bounds, loader.b)
     lo = np.array([bounds.adhesion_ca[0], math.tan(bounds.delta[0]), k_lo])
     hi = np.array([bounds.adhesion_ca[1], math.tan(bounds.delta[1]), k_hi])
-    design = np.column_stack([loader.omega * lt, fn_obs, np.empty_like(depth)])
 
     def trial(ns: np.ndarray, paths: Counter):
-        results = []
-        for n in ns.tolist():
+        designs = np.empty((ns.size, depth.size, 3))
+        designs[:, :, 0] = loader.omega * lt
+        designs[:, :, 1] = fn_obs
+        for design, n in zip(designs, ns.tolist()):
             design[:, 2] = loader.omega * loader.b * depth ** n
-            x, rss = _bounded_lsq(design, ft_obs, lo, hi, paths)
-            results.append((rss / scale, x))
-        return results
+        return _screened_lsq(designs, ft_obs, lo, hi, scale, paths)
 
     profile = _profile_search(trial, *bounds.n)
     ca, tan_delta, big_k = profile.inner
@@ -532,7 +620,8 @@ def calibrate_stage2(cycle: PreparedCycle, theta1_star: np.ndarray,
     takes every candidate of a call at once (the whole grid in one
     broadcast pass). The blade-angle margins do not depend on phi and are
     checked once. Samples whose geometry turns singular for a candidate
-    are dropped from that candidate's residual.
+    are dropped from that candidate's residual (zeroed in its screening
+    bound).
     """
     _load_solvers()
     t0 = time.perf_counter()
@@ -552,20 +641,12 @@ def calibrate_stage2(cycle: PreparedCycle, theta1_star: np.ndarray,
         beta, feasible = _solve_beta_array(alpha, rho, phi, delta_star)
         n_gamma, n_c, n_a, n_q = _factor_arrays(alpha, beta, rho, phi,
                                                 delta_star)
-        results = []
-        for i, valid in enumerate(feasible):
-            if not valid.any():
-                results.append((1e12, None))
-                continue
-            d = depth[valid]
-            design = np.column_stack([
-                GRAVITY * omega * (d * d * n_gamma[i, valid]
-                                   + area[valid] * n_q[i, valid]),
-                omega * d * n_c[i, valid]])
-            x, rss = _bounded_lsq(design, target_ok[valid] - ca_star * omega
-                                  * d * n_a[i, valid], lo, hi, paths)
-            results.append((rss / scale, x))
-        return results
+        designs = np.stack([GRAVITY * omega * (depth * depth * n_gamma
+                                               + area * n_q),
+                            omega * depth * n_c], axis=-1)
+        return _screened_lsq(designs,
+                             target_ok - ca_star * omega * depth * n_a, lo,
+                             hi, scale, paths, rows=feasible)
 
     profile = _profile_search(trial, *bounds.phi)
     gamma, cohesion = profile.inner
@@ -631,13 +712,10 @@ def calibrate_stage3(cycle: PreparedCycle, theta_fixed: SoilParameters,
         return float(residual @ residual) / scale
 
     def trial(ns: np.ndarray, paths: Counter):
-        results = []
-        for n in ns.tolist():
-            column = (loader.omega * loader.b * depth ** n)[:, None]
-            x, rss = _bounded_lsq(column, sinkage_target, np.array([k_lo]),
-                                  np.array([k_hi]), paths)
-            results.append((rss / scale, x))
-        return results
+        designs = np.stack([loader.omega * loader.b * depth ** n
+                            for n in ns.tolist()])[:, :, None]
+        return _screened_lsq(designs, sinkage_target, np.array([k_lo]),
+                             np.array([k_hi]), scale, paths)
 
     profile = _profile_search(trial, *bounds.n)
     big_k = float(profile.inner[0])

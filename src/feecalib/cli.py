@@ -122,7 +122,7 @@ def calibrate(cycle_csv, scenario_path, config_path, method, seed,
                f"F_R RMSE {report.rmse_fr_n:.1f} N "
                f"({report.rmse_fr_pct:.2f}%), "
                f"{report.function_evaluations} objective evaluations, "
-               f"{report.wall_time_s:.1f} s")
+               f"{1e3 * report.wall_time_s:.1f} ms")
 
 
 @main.command()
@@ -195,8 +195,9 @@ def evaluate(predicted_csv, observed_csv, out_dir) -> None:
     t1 = time.perf_counter()
     flagged = np.flatnonzero(~(np.isfinite(predicted["ft_N"])
                                & np.isfinite(predicted["fn_N"])))
-    if flagged.size:    # row i of a CSV file is on line i + 2
-        lines = ", ".join(str(i + 2) for i in flagged[:5])
+    if flagged.size:
+        lines = ", ".join(map(str, fio.row_lines(predicted_csv,
+                                                 flagged[:5])))
         _fail(EXIT_COMPUTE, f"{predicted_csv}: {flagged.size} flagged rows "
                             f"carry no forces (lines {lines}"
                             f"{', ...' if flagged.size > 5 else ''})")

@@ -63,7 +63,8 @@ def _write_table(path: str | Path, header: Sequence[str], columns) -> None:
 
 def _read_table(path: str | Path,
                 columns: Sequence[str]) -> dict[str, np.ndarray]:
-    """The named columns of a numeric CSV file; row i is on line i + 2.
+    """The named columns of a numeric CSV file; ``row_lines`` gives the
+    line each row starts on.
 
     Each row must hold one number per header field; a bad row raises
     ConfigError naming its line. Trailing blank lines are ignored.
@@ -118,10 +119,9 @@ def _plain_lines(handle):
         raise ValueError("no rows")
 
 
-def _read_rows(path: Path, columns: Sequence[str]) -> dict[str, np.ndarray]:
-    """``_read_table`` through the csv module, one row at a time. A bad
-    row is named by the line it starts on; a quoted field may span
-    lines."""
+def _csv_rows(path: Path) -> tuple[list[list[str]], list[int]]:
+    """Every row of a CSV file through the csv module, and the line each
+    row starts on; a quoted field may span lines."""
     rows, starts = [], [1]      # starts[i]: the first line of rows[i]
     try:
         with path.open("r", encoding="utf-8", newline="") as handle:
@@ -131,6 +131,21 @@ def _read_rows(path: Path, columns: Sequence[str]) -> dict[str, np.ndarray]:
                 starts.append(reader.line_num + 1)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read {path}: {exc}")
+    return rows, starts
+
+
+def row_lines(path: str | Path, indices) -> list[int]:
+    """The line on which each data row of a CSV file that ``_read_table``
+    read starts: row i is on line i + 2 unless a quoted field before it
+    spans lines."""
+    starts = _csv_rows(Path(path))[1]
+    return [starts[i + 1] for i in indices]
+
+
+def _read_rows(path: Path, columns: Sequence[str]) -> dict[str, np.ndarray]:
+    """``_read_table`` through the csv module, one row at a time. A bad
+    row is named by the line it starts on."""
+    rows, starts = _csv_rows(path)
     while rows and not rows[-1]:
         rows.pop()
     header = rows[0] if rows else []
@@ -164,11 +179,13 @@ def read_cycle_csv(path: str | Path):
     try:
         trajectory = make_trajectory(t, x, z, rho)
     except InvalidTrajectory as exc:
-        raise ConfigError(f"{path}:{exc.index + 2}: bad value ({exc})")
+        line, = row_lines(path, [exc.index])
+        raise ConfigError(f"{path}:{line}: bad value ({exc})")
     bad = np.flatnonzero(~(np.isfinite(f_t) & np.isfinite(f_n)))
     if bad.size:
-        raise ConfigError(f"{path}:{bad[0] + 2}: bad value (observed "
-                          "forces must be finite)")
+        line, = row_lines(path, bad[:1])
+        raise ConfigError(f"{path}:{line}: bad value (observed forces "
+                          "must be finite)")
     return trajectory, f_t, f_n
 
 

@@ -142,6 +142,19 @@ class TestCalibrate:
         assert doc["function_evaluations"] > 0
         assert doc["wall_time_s"] > 0.0
 
+    def test_echo_gives_the_wall_time_in_ms(self, runner, workdir, tmp_path):
+        # a staged fit takes milliseconds; in seconds it would read 0.0
+        res = runner.invoke(main, ["calibrate",
+                                   str(workdir / "run" / "cycle.csv"),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        match = re.search(r"objective evaluations, (\d+\.\d) ms$",
+                          res.output.strip())
+        assert match, res.output
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert float(match.group(1)) == round(1e3 * report["wall_time_s"], 1)
+        assert float(match.group(1)) > 0.0
+
     def test_report_is_strict_json_with_bound_flags(self, workdir):
         def no_constants(name):
             raise AssertionError(f"{name} in report.json")
@@ -457,6 +470,31 @@ class TestEvaluate:
         assert "1 flagged rows carry no forces (lines 3)" in res.output
         assert "Traceback" not in res.output
         assert not (out / "metrics.json").exists()
+
+    def test_flagged_row_after_a_multi_line_row_names_its_own_line(
+            self, runner, workdir, tmp_path):
+        """Row 1 of the prediction spans lines 2-3 (a quoted newline), so
+        the flagged row 2 starts on line 4."""
+        scenario = tmp_path / "blade.json"
+        scenario.write_text(json.dumps(_bad_blade_scenario(4.0)))
+        res = runner.invoke(main, ["predict",
+                                   str(workdir / "run" / "report.json"),
+                                   "--scenario", str(scenario), "--out",
+                                   str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        header, first, second = (
+            (tmp_path / "predicted.csv").read_text().splitlines())
+        t, rest = first.split(",", 1)
+        predicted = tmp_path / "quoted.csv"
+        predicted.write_text(f'{header}\n"{t}\n",{rest}\n{second}\n')
+        observed = tmp_path / "observed.csv"
+        observed.write_text("t_s,x_m,z_m,rho_rad,ft_obs_N,fn_obs_N\n"
+                            "0.0,0.3,0.0,0.5,100.0,200.0\n"
+                            "0.1,0.6,-0.05,4.0,100.0,200.0\n")
+        res = runner.invoke(main, ["evaluate", str(predicted),
+                                   str(observed)])
+        assert res.exit_code == 3, res.output
+        assert "1 flagged rows carry no forces (lines 4)" in res.output
 
     def test_zero_observed_peak_writes_strict_json(self, runner, workdir,
                                                    tmp_path):
@@ -800,7 +838,9 @@ def test_debug_log_has_one_line_per_stage(workdir, tmp_path):
     passes. On the clean default cycle n's optimum is its lower bound, so
     stages 1 and 3 skip Brent. Stage 1 never runs the engine, stage 3 runs
     it once, and stage 2 runs it once for its whole grid, once per Brent or
-    derivative trial and once at the fitted values."""
+    derivative trial and once at the fitted values. Every trial either
+    solves its least-squares problem or is screened out; on this cycle
+    each grid solves one point and screens the other 32."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, FEE_CALIB_LOG="DEBUG")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -817,26 +857,31 @@ def test_debug_log_has_one_line_per_stage(workdir, tmp_path):
     assert len(lines) == 3, res.stderr
     pattern = (r"(stage[123]): \d+\.\d\d ms; (\d+) trials: 33 grid, "
                r"(\d+) Brent, (\d+) derivative, (\d) incumbent; least "
-               r"squares (\d+) interior, (\d+) BVLS; bound shortcut "
+               r"squares (\d+) interior, (\d+) BVLS, (\d+) screened; "
+               r"bound shortcut "
                r"(taken|not taken); (\d+) engine passes$")
     parsed = [re.match(pattern, line) for line in lines]
     assert all(parsed), lines
     stages = [m.groups() for m in parsed]
     report = json.loads((tmp_path / "report.json").read_text())
     for (name, trials, brent, derivative, incumbent, interior, bvls,
-         shortcut, passes), stage in zip(stages, report["stages"]):
+         screened, shortcut, passes), stage in zip(stages,
+                                                   report["stages"]):
         assert name == stage["name"]
         assert int(trials) == stage["function_evaluations"] == (
             33 + int(brent) + int(derivative) + int(incumbent))
         assert int(brent) == stage["iterations"]
-        # every trial of a staged fit solves one least-squares problem
-        assert int(interior) + int(bvls) == 33 + int(brent) + int(derivative)
+        # every trial of a staged fit is solved or screened out
+        assert int(interior) + int(bvls) + int(screened) == (
+            33 + int(brent) + int(derivative))
         assert (shortcut == "taken") == (name != "stage2")
         assert int(passes) == {"stage1": 0, "stage3": 1}.get(
             name, 1 + int(brent) + int(derivative) + 1)
     assert [s[:4] + s[-1:] for s in stages] == [
         ("stage1", "34", "0", "1", "0"), ("stage2", "44", "9", "2", "13"),
         ("stage3", "35", "0", "1", "1")]
+    assert [s[5:8] for s in stages] == [("2", "0", "32"), ("12", "0", "32"),
+                                        ("2", "0", "32")]
 
 
 def test_debug_log_times_predict_and_evaluate(workdir, tmp_path):

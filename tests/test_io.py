@@ -251,6 +251,29 @@ def test_bad_row_after_a_multi_line_row_names_its_own_line(tmp_path):
         fio.read_cycle_csv(path)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("1,0,0,0.5,nan,0", "observed forces must be finite"),
+    ("-1,0,0,0.5,0,0", "sample 1: sample times must be nondecreasing")])
+def test_bad_cycle_after_a_multi_line_row_names_its_own_line(tmp_path, row,
+                                                             message):
+    """Row 1 spans lines 2-3 (a quoted newline), so a cycle check that
+    fails on row 2 names line 4."""
+    path = tmp_path / "cycle.csv"
+    path.write_text(",".join(fio.CYCLE_COLUMNS) + '\n"0\n",0,0,0.5,0,0\n'
+                    + row + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:4: "
+                                          rf"bad value \({message}\)$"):
+        fio.read_cycle_csv(path)
+
+
+def test_bad_cycle_of_one_line_rows_names_row_plus_two(tmp_path):
+    path = tmp_path / "cycle.csv"
+    path.write_text(",".join(fio.CYCLE_COLUMNS) + "\n0,0,0,0.5,0,0\n"
+                    "1,0,0,0.5,0,0\n2,0,0,0.5,0,inf\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:4: "):
+        fio.read_cycle_csv(path)
+
+
 def test_writer_writes_shortest_round_trip_rows(tmp_path):
     values = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-05,
               0.1, 1 / 3]

@@ -23,7 +23,8 @@ from feecalib import (CalibrationOptions, FeeCalibError, ParameterBounds,
                       calibrate_multi_stage, calibrate_stage1,
                       calibrate_stage2, calibrate_stage3, prepare_cycle)
 from feecalib.calibration import (_PROFILE_GRID, _BoxMap, _bounded_lsq,
-                                  _forces, _profile_search, _series_scale,
+                                  _forces, _profile_search, _screened_lsq,
+                                  _series_scale,
                                   split_pressure_coefficient,
                                   stage1_tangential_force)
 from test_calibration import assemble, smoothed
@@ -386,6 +387,121 @@ class TestBoundedLsqAgainstReference:
             assert paths["bvls"] > 0 and on_bound > 0
         else:
             assert paths["interior"] > 0 and on_bound > 0
+
+
+def profile_stack(rng, case, p):
+    """A stack of k bounded least-squares problems shaped like a profile
+    grid: candidate i's design drifts from the one that generated the
+    target as i moves away from a random best index. Returns designs
+    (k, m, p), targets ((m,) or (k, m)), lo, hi, a row mask or None, and
+    the candidates given an ill-conditioned, rank-deficient or zero
+    column."""
+    k = int(rng.integers(5, 34))
+    m = int(rng.integers(p + 8, 60))
+    base = rng.normal(size=(m, p)) * rng.uniform(0.1, 100.0, p)
+    drift = 10.0 * rng.normal(size=(m, p)) * np.abs(base).mean(axis=0)
+    offset = (np.arange(k) - rng.integers(k)) / k
+    designs = base + offset[:, None, None] * drift
+    lo = rng.uniform(-3.0, 1.0, p).round(2)
+    hi = lo + rng.uniform(0.1, 3.0, p).round(2)
+    x_true = rng.uniform(lo, hi)
+    j = int(rng.integers(p))
+    if case == "outside the box":
+        # just outside, so that BVLS runs and the best value stays small
+        x_true = np.where(rng.random(p) < 0.5,
+                          lo - rng.uniform(0.001, 0.01, p),
+                          hi + rng.uniform(0.001, 0.01, p))
+    elif case == "coinciding bounds":
+        hi[j] = x_true[j] = lo[j]
+    targets = base @ x_true + 1e-3 * rng.normal(size=m)
+    if rng.random() < 0.5:
+        targets = targets + 1e-3 * rng.normal(size=(k, m))
+    some = rng.permutation(k)[:k // 4]     # the candidates a case alters
+    if case in ("ill-conditioned", "rank-deficient") and p == 1:
+        case = "zero column"
+    if case == "ill-conditioned":
+        other = (j + 1) % p
+        designs[some, :, j] = (designs[some, :, other]
+                               * (1.0 + 1e-9 * rng.normal(size=m)))
+    elif case == "rank-deficient":
+        designs[some, :, j] = 2.0 * designs[some, :, (j + 1) % p]
+    elif case == "zero column":
+        designs[some, :, j] = 0.0
+    rows = None
+    if case == "no feasible row":
+        rows = rng.random((k, m)) < 0.9
+        rows[some] = False
+        designs[~rows] = np.nan   # the infeasible rows carry no numbers
+    elif case == "tie":
+        # the best candidate's twin sits right after it
+        i = int(np.argmin(np.abs(offset)))
+        designs = np.insert(designs, i + 1, designs[i], axis=0)
+        if targets.ndim == 2:
+            targets = np.insert(targets, i + 1, targets[i], axis=0)
+    altered = some if case in ("ill-conditioned", "rank-deficient",
+                               "zero column") else []
+    return designs, targets, lo, hi, rows, altered
+
+
+SCREEN_CASES = ("inside the box", "outside the box", "ill-conditioned",
+                "rank-deficient", "zero column", "coinciding bounds",
+                "no feasible row", "tie")
+
+
+class TestScreenedLsqAgainstEverySolve:
+    @pytest.mark.parametrize("case", SCREEN_CASES)
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_same_best_as_solving_every_candidate(self, case, p):
+        rng = np.random.default_rng([SCREEN_CASES.index(case), p])
+        scale = 7.0
+        paths = Counter()
+        for _ in range(40):
+            designs, targets, lo, hi, rows, altered = profile_stack(rng, case,
+                                                                    p)
+            k = designs.shape[0]
+            every = []
+            for i in range(k):
+                target = np.broadcast_to(targets, designs.shape[:2])[i]
+                keep = slice(None) if rows is None else rows[i]
+                if rows is not None and not keep.any():
+                    every.append((1e12, None))
+                    continue
+                x, rss = _bounded_lsq(designs[i][keep], target[keep], lo, hi)
+                every.append((rss / scale, x))
+            before = paths["screened"]
+            screened = _screened_lsq(designs, targets, lo, hi, scale, paths,
+                                     rows)
+            values = [v for v, _ in every]
+            best = int(np.argmin(values))
+            assert int(np.argmin([v for v, _ in screened])) == best
+            assert screened[best][0] == values[best]
+            assert np.array_equal(screened[best][1], every[best][1])
+            if case == "tie":
+                assert values[best + 1] == values[best]
+            for (value, x), (want, x_want) in zip(screened, every):
+                if x_want is None:
+                    assert (value, x) == (1e12, None)
+                elif x is None:    # screened out: it could not have won
+                    assert value == math.inf and want > values[best]
+                else:
+                    assert value == want and np.array_equal(x, x_want)
+            assert (paths["screened"] - before
+                    == screened.count((math.inf, None)) > 0)
+            # a design too ill-conditioned for the bound is always solved
+            assert all(screened[i][1] is not None for i in altered)
+        if case == "outside the box":
+            assert paths["bvls"] > 0
+
+    def test_one_candidate_is_solved(self):
+        rng = np.random.default_rng(3)
+        designs, targets, lo, hi, _, _ = profile_stack(rng, "inside the box",
+                                                       2)
+        target = np.broadcast_to(targets, designs.shape[:2])[0]
+        paths = Counter()
+        (value, x), = _screened_lsq(designs[:1], target, lo, hi, 1.0, paths)
+        want = _bounded_lsq(designs[0], target, lo, hi)
+        assert (value, x.tolist()) == (want[1], want[0].tolist())
+        assert paths == Counter(interior=1)
 
 
 def quadratic_profile(centre, calls=None):
