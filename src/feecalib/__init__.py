@@ -25,7 +25,8 @@ from .optimizer import (SolveResult, SolverOptions,
                         multi_start)
 from .soil import (ALPHA_MAX, ANGLE_MARGIN, EPS1, EPS2, GRAVITY, PARAM_NAMES,
                    RHO_MIN, SIN_MARGIN, CycleForceArrays, LoaderParameters,
-                   ParameterBounds, SoilParameters, predict_force_arrays)
+                   ParameterBounds, SoilParameters, bearing_factors,
+                   predict_force_arrays)
 from .synthetic import (Scenario, SoilPreset, add_noise, default_loader,
                         default_scenario, default_truth, find_preset,
                         heldout_scenario, preset_catalog, simulate_cycle)

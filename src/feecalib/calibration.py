@@ -32,9 +32,8 @@ from .errors import DegenerateDepths, EmptySeries, SolverFailure
 from .geometry import CycleDataset, surface_after_cycle, wedge_geometry
 from .optimizer import (SolverOptions, _load_solvers,
                         finite_difference_gradient, multi_start)
-from .soil import (_OK, GRAVITY, PARAM_NAMES, CycleForceArrays,
-                   LoaderParameters, ParameterBounds, SoilParameters,
-                   _factor_arrays, _margin_status, _solve_beta_array,
+from .soil import (GRAVITY, PARAM_NAMES, CycleForceArrays, LoaderParameters,
+                   ParameterBounds, SoilParameters, bearing_factors,
                    predict_force_arrays)
 
 log = logging.getLogger(__name__)
@@ -210,8 +209,7 @@ def prepare_cycle(dataset: CycleDataset) -> PreparedCycle:
 
 def _forces(theta: SoilParameters, cycle: PreparedCycle) -> CycleForceArrays:
     """The force engine over the cycle's in-soil samples."""
-    w_load = theta.gamma * GRAVITY * cycle.loader.omega * cycle.area
-    return predict_force_arrays(cycle.depth, cycle.rho, cycle.lt, w_load,
+    return predict_force_arrays(cycle.depth, cycle.rho, cycle.lt, cycle.area,
                                 theta, cycle.loader, cycle.alpha)
 
 
@@ -616,12 +614,12 @@ def calibrate_stage2(cycle: PreparedCycle, theta1_star: np.ndarray,
     F = gamma*g*omega*(d^2 N_gamma + A_swept N_q) + c*omega*d*N_c
     + c_a*omega*d*N_a is linear in (gamma, c): the search runs over phi
     and solves for (gamma, c) by bounded linear least squares. The failure
-    angle and the bearing factors come from the engine's kernel, which
-    takes every candidate of a call at once (the whole grid in one
-    broadcast pass). The blade-angle margins do not depend on phi and are
-    checked once. Samples whose geometry turns singular for a candidate
-    are dropped from that candidate's residual (zeroed in its screening
-    bound).
+    angle and the bearing factors come from the engine's kernel,
+    ``bearing_factors``, which takes every candidate of a call at once
+    (the whole grid in one broadcast pass). Samples it marks infeasible
+    for a candidate (a blade angle outside its margins, or an empty
+    failure-angle window) are dropped from that candidate's residual
+    (zeroed in its screening bound).
     """
     _load_solvers()
     t0 = time.perf_counter()
@@ -632,21 +630,18 @@ def calibrate_stage2(cycle: PreparedCycle, theta1_star: np.ndarray,
     alpha, omega = cycle.alpha, cycle.loader.omega
     lo = bounds.lower(("gamma", "cohesion_c"))
     hi = bounds.upper(("gamma", "cohesion_c"))
-    ok = _margin_status(alpha, cycle.rho) == _OK
-    depth, area, rho, target_ok = (cycle.depth[ok], cycle.area[ok],
-                                   cycle.rho[ok], target[ok])
+    # the per-sample coefficients of the factors, the same for every phi
+    depth_sq, omega_depth = cycle.depth * cycle.depth, omega * cycle.depth
+    adhesion = ca_star * omega * cycle.depth
 
     def trial(phis: np.ndarray, paths: Counter):
-        phi = phis[:, None]
-        beta, feasible = _solve_beta_array(alpha, rho, phi, delta_star)
-        n_gamma, n_c, n_a, n_q = _factor_arrays(alpha, beta, rho, phi,
-                                                delta_star)
-        designs = np.stack([GRAVITY * omega * (depth * depth * n_gamma
-                                               + area * n_q),
-                            omega * depth * n_c], axis=-1)
-        return _screened_lsq(designs,
-                             target_ok - ca_star * omega * depth * n_a, lo,
-                             hi, scale, paths, rows=feasible)
+        _, feasible, (n_gamma, n_c, n_a, n_q) = bearing_factors(
+            alpha, cycle.rho, phis[:, None], delta_star)
+        designs = np.stack([GRAVITY * omega * (depth_sq * n_gamma
+                                               + cycle.area * n_q),
+                            omega_depth * n_c], axis=-1)
+        return _screened_lsq(designs, target - adhesion * n_a, lo, hi,
+                             scale, paths, rows=feasible)
 
     profile = _profile_search(trial, *bounds.phi)
     gamma, cohesion = profile.inner
@@ -859,9 +854,8 @@ def predict_next_cycle(theta_star: SoilParameters, scenario,
     trajectory = scenario.trajectory(surface=surface)
     marks.append(time.perf_counter())
     depth, lt, area = wedge_geometry(trajectory, surface)
-    w_load = theta_star.gamma * GRAVITY * scenario.loader.omega * area
     marks.append(time.perf_counter())
-    prediction = predict_force_arrays(depth, trajectory.rho, lt, w_load,
+    prediction = predict_force_arrays(depth, trajectory.rho, lt, area,
                                       theta_star, scenario.loader,
                                       surface.nominal_alpha)
     marks.append(time.perf_counter())

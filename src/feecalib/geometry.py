@@ -80,6 +80,8 @@ class Polyline(Surface):
         verts = np.array(self.vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 2:
             raise ValueError("vertices must be an (n>=2, 2) array")
+        if not np.isfinite(verts).all():
+            raise ValueError("vertices must be finite")
         if not np.all(np.diff(verts[:, 0]) > 0.0):
             raise ValueError("vertex x must be strictly increasing")
         verts.setflags(write=False)

@@ -437,8 +437,8 @@ class RunConfig:
 
 
 def _solver_from_json(obj: dict, context: str) -> SolverOptions:
-    _check_keys(obj, ("max_iterations", "gradient_tolerance",
-                      "finite_difference_step", "n_starts", "seed"), context)
+    _check_keys(obj, ("max_iterations", "gradient_tolerance", "n_starts",
+                      "seed"), context)
     defaults = SolverOptions()
     try:
         return SolverOptions(
@@ -448,10 +448,6 @@ def _solver_from_json(obj: dict, context: str) -> SolverOptions:
             gradient_tolerance=_as_float(
                 obj.get("gradient_tolerance", defaults.gradient_tolerance),
                 f"{context}.gradient_tolerance"),
-            finite_difference_step=_as_float(
-                obj.get("finite_difference_step",
-                        defaults.finite_difference_step),
-                f"{context}.finite_difference_step"),
             n_starts=_as_int(obj.get("n_starts", defaults.n_starts),
                              f"{context}.n_starts"),
             seed=_as_int(obj.get("seed", defaults.seed), f"{context}.seed"))

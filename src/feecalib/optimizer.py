@@ -34,7 +34,6 @@ class SolverOptions:
 
     max_iterations: int = 1000
     gradient_tolerance: float = 1e-5
-    finite_difference_step: float = 1e-6
     n_starts: int = 8
     seed: int = 0
 
@@ -43,8 +42,6 @@ class SolverOptions:
             raise ValueError("max_iterations must be positive")
         if self.gradient_tolerance <= 0.0:
             raise ValueError("gradient_tolerance must be positive")
-        if self.finite_difference_step <= 0.0:
-            raise ValueError("finite_difference_step must be positive")
         if self.n_starts < 1:
             raise ValueError("n_starts must be positive")
 
@@ -183,8 +180,7 @@ def minimize_bounded(objective: Callable[[np.ndarray], float],
 
     def jac(x: np.ndarray) -> np.ndarray:
         return finite_difference_gradient(
-            wrapped, np.clip(x, lo, hi), np.column_stack([lo, hi]),
-            options.finite_difference_step)
+            wrapped, np.clip(x, lo, hi), np.column_stack([lo, hi]))
 
     from scipy.optimize import minimize
     res = minimize(

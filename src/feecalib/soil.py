@@ -4,10 +4,13 @@ Implements the fundamental earthmoving equation with the four bearing
 capacity factors in their numerically stable sine-cosine form, the
 constrained failure-angle minimization in closed form, the Bekker
 pressure-sinkage law, and the composition of tangential/normal bucket
-forces, all as one array engine over the samples of a cycle
-(``predict_force_arrays``). The cotangent form of the factors lives on in
-the tests as the reference the sine-cosine form must reproduce. All
-quantities are base SI (N, m, rad, kg/m^3).
+forces. One kernel, ``bearing_factors``, runs the chain from the
+blade-angle margins through the failure-angle window and solve to the
+factors, for one friction angle or many at once; the force engine
+(``predict_force_arrays``) and stage 2 of the calibration both call it.
+The cotangent form of the factors lives on in the tests as the reference
+the sine-cosine form must reproduce. All quantities are base SI (N, m,
+rad, kg/m^3).
 """
 
 from __future__ import annotations
@@ -161,12 +164,14 @@ def _ngamma_array(alpha, beta, rho, phi, delta):
                               np.sin(rho + delta + beta + phi))
 
 
-def _factor_arrays(alpha, beta, rho, phi, delta):
-    """Sine-cosine bearing factors; inputs broadcast as numpy arrays."""
+def _factor_arrays(alpha, beta, rho, phi, delta, sin_rho=None):
+    """Sine-cosine bearing factors; inputs broadcast as numpy arrays.
+    ``sin_rho`` is np.sin(rho), when the caller has it."""
     s_beta = np.sin(beta)
     s_chain = np.sin(rho + delta + beta + phi)
+    sin_rho = np.sin(rho) if sin_rho is None else sin_rho
     n_c = np.cos(phi) / (s_beta * s_chain)
-    n_a = -np.cos(rho + beta + phi) / (np.sin(rho) * s_chain)
+    n_a = -np.cos(rho + beta + phi) / (sin_rho * s_chain)
     n_q = np.sin(alpha + beta + phi) / s_chain
     return (_ngamma_from_sines(alpha, beta, phi, s_beta, s_chain), n_c, n_a,
             n_q)
@@ -217,10 +222,11 @@ def _stationary_angles(alpha: float, rho, phi, delta: float) -> np.ndarray:
     return np.where(roots < 0.0, roots + math.pi, roots)
 
 
-def _solve_beta_array(alpha: float, rho, phi, delta: float):
+def _solve_beta_array(alpha: float, rho, phi, delta: float, usable=True):
     """Vectorized failure-angle solve in closed form.
 
-    Returns (beta, feasible) arrays; beta is NaN where the window is empty.
+    Returns (beta, feasible) arrays: feasible where the window is not
+    empty and the per-sample mask ``usable`` holds, beta NaN elsewhere.
     With c = rho+delta+phi and A = 2*alpha+phi, the product-to-sum
     identities give
 
@@ -237,16 +243,11 @@ def _solve_beta_array(alpha: float, rho, phi, delta: float):
     lo wins whenever it is within 1e-12 (relative) of that minimum, so
     flat objectives tie-break to the smallest feasible angle.
 
-    rho and phi broadcast against each other. The engine passes a float
-    phi and rho of shape (m,), and gets (m,) arrays; stage 2 of the
-    calibration passes k friction angles of shape (k, 1) and gets (k, m)
-    arrays, row i being the solve at phi[i]. Each entry is computed by
-    the same elementwise operations either way, so row i has the bits of
-    the solve at the float phi[i, 0].
+    rho and phi broadcast against each other, as in ``bearing_factors``.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     lo, hi = beta_window(alpha, rho, phi, delta)
-    feasible = hi > lo
+    feasible = (hi > lo) & usable
     beta = np.full(feasible.shape, np.nan)
     if not np.any(feasible):
         return beta, feasible
@@ -299,26 +300,52 @@ _STATUS_TEXT = {
 }
 
 
+def _blade_margins(alpha: float, rho, sin_rho):
+    """The margins that do not depend on the soil: masks of the samples
+    whose rho is below RHO_MIN and of those whose sin(rho) = ``sin_rho``
+    is within SIN_MARGIN of zero. Raises SingularGeometry when cos(alpha),
+    which every sample shares, is below its margin."""
+    if abs(math.cos(alpha)) <= SIN_MARGIN:
+        raise SingularGeometry("cos(alpha) below margin")
+    return rho < RHO_MIN, np.abs(sin_rho) <= SIN_MARGIN
+
+
+def bearing_factors(alpha: float, rho, phi, delta: float):
+    """(beta, feasible, (n_gamma, n_c, n_a, n_q)) at each blade angle:
+    the failure angle and the four bearing factors, NaN where
+    ``feasible`` fails. feasible needs the blade-angle margins (see
+    ``_blade_margins``, whose SingularGeometry it raises) and a non-empty
+    failure-angle window. rho has shape (m,); phi is a float, giving (m,)
+    arrays, or k friction angles as a (k, 1) column, giving (k, m) arrays
+    whose row i has the bits of the call at the float phi[i, 0], since
+    every entry is computed by the same elementwise operations. The force
+    engine makes the float call, stage 2 of the calibration the grid call.
+    """
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    sin_rho = np.sin(rho)
+    below, singular = _blade_margins(alpha, rho, sin_rho)
+    beta, feasible = _solve_beta_array(alpha, rho, phi, delta,
+                                       ~(below | singular))
+    return beta, feasible, _factor_arrays(alpha, beta, rho, phi, delta,
+                                          sin_rho)
+
+
 @dataclass(frozen=True)
 class CycleForceArrays:
     """Per-sample force results for one cycle, one array per quantity.
 
     Out-of-soil samples (depth <= 0) carry zero forces; in-soil samples
     that hit a margin carry NaN forces and are listed in ``failures``.
-    ``trajectory`` holds the trajectory (``geometry.make_trajectory``)
-    predicted along, when the caller sampled one, and ``step_ms`` the
-    wall time in ms of each step the caller took to predict (see
+    ``bearing_factors`` gives the factors at ``beta``. ``trajectory``
+    holds the trajectory (``geometry.make_trajectory``) predicted along,
+    when the caller sampled one, and ``step_ms`` the wall time in ms of
+    each step the caller took to predict (see
     ``calibration.predict_next_cycle``).
     """
 
     depth: np.ndarray     # penetration depth, m (the engine's input)
     beta: np.ndarray      # solved failure angle (NaN where not applicable)
-    n_gamma: np.ndarray   # bearing factors at beta (NaN where not valid)
-    n_c: np.ndarray
-    n_a: np.ndarray
-    n_q: np.ndarray
     fee: np.ndarray       # wedge reaction force, N
-    pressure: np.ndarray  # penetration pressure, N/m^2
     f_t: np.ndarray       # tangential force, N
     f_n: np.ndarray       # normal force, N
     status: np.ndarray    # per-sample status code
@@ -342,78 +369,48 @@ class CycleForceArrays:
                 for i in np.flatnonzero(self.in_soil & ~self.valid)]
 
 
-def _margin_status(alpha: float, rho) -> np.ndarray:
-    """Per-sample status from the margins that do not depend on the soil:
-    _OK, _RHO_BELOW_MIN or _SINGULAR_RHO (the latter wins). Raises
-    SingularGeometry when cos(alpha), which every sample shares, is below
-    its margin."""
-    if abs(math.cos(alpha)) <= SIN_MARGIN:
-        raise SingularGeometry("cos(alpha) below margin")
-    rho = np.asarray(rho, dtype=float)
-    status = np.full(rho.shape, _OK, dtype=np.int8)
-    status[rho < RHO_MIN] = _RHO_BELOW_MIN
-    status[np.abs(np.sin(rho)) <= SIN_MARGIN] = _SINGULAR_RHO
-    return status
-
-
-def predict_force_arrays(depth, rho, lt, w_load, soil: SoilParameters,
+def predict_force_arrays(depth, rho, lt, area, soil: SoilParameters,
                          loader: LoaderParameters, alpha: float
                          ) -> CycleForceArrays:
     """Evaluate the full force chain over parallel per-sample arrays.
 
-    Out-of-soil samples (depth <= 0) yield zero forces. In-soil samples
-    that violate a margin are flagged in ``status`` with NaN forces rather
-    than aborting the cycle.
+    ``area`` is the swept cross-section; the surcharge on the wedge is its
+    weight gamma*g*omega*area. Out-of-soil samples (depth <= 0) yield zero
+    forces. In-soil samples that violate a margin are flagged in
+    ``status`` with NaN forces rather than aborting the cycle.
     """
     depth = np.asarray(depth, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    lt = np.asarray(lt, dtype=float)
-    w_load = np.asarray(w_load, dtype=float)
     n = depth.size
     in_soil = depth > 0.0
-    status = np.where(in_soil, _margin_status(alpha, rho), _OUT_OF_SOIL)
-
-    solve = in_soil & (status == _OK)
+    beta_s, feasible, factors = bearing_factors(alpha, rho[in_soil],
+                                                soil.phi, soil.delta)
     beta = np.full(n, np.nan)
-    if np.any(solve):
-        beta_s, feasible = _solve_beta_array(alpha, rho[solve], soil.phi,
-                                             soil.delta)
-        beta[solve] = beta_s
-        bad = np.zeros(n, dtype=bool)
-        bad[solve] = ~feasible
-        status[bad] = _EMPTY_WINDOW
-
-    valid = in_soil & (status == _OK)
-    factors = [np.full(n, np.nan) for _ in range(4)]
-    fee = np.zeros(n)
-    pressure = np.zeros(n)
-    f_t = np.zeros(n)
-    f_n = np.zeros(n)
+    beta[in_soil] = beta_s
+    valid = np.zeros(n, dtype=bool)
+    valid[in_soil] = feasible
+    failed = in_soil & ~valid
+    below, singular = _blade_margins(alpha, rho[failed], np.sin(rho[failed]))
+    status = np.where(in_soil, _OK, _OUT_OF_SOIL).astype(np.int8)
+    status[failed] = np.where(singular, _SINGULAR_RHO,
+                              np.where(below, _RHO_BELOW_MIN, _EMPTY_WINDOW))
+    fee, f_t, f_n = (np.where(failed, np.nan, 0.0) for _ in range(3))
     if np.any(valid):
         d_v = depth[valid]
-        n_gamma, n_c, n_a, n_q = _factor_arrays(alpha, beta[valid],
-                                                rho[valid], soil.phi,
-                                                soil.delta)
-        for full, part in zip(factors, (n_gamma, n_c, n_a, n_q)):
-            full[valid] = part
+        n_gamma, n_c, n_a, n_q = (f[feasible] for f in factors)
+        w_load = (soil.gamma * GRAVITY * loader.omega
+                  * np.asarray(area, dtype=float)[valid])
         fee_v = (d_v * d_v * loader.omega * soil.gamma * GRAVITY * n_gamma
                  + soil.cohesion_c * loader.omega * d_v * n_c
                  + soil.adhesion_ca * loader.omega * d_v * n_a
-                 + w_load[valid] * n_q)
+                 + w_load * n_q)
         p_v = (soil.kc / loader.b + soil.kphi) * d_v ** soil.n
         fee[valid] = fee_v
-        pressure[valid] = p_v
         f_t[valid] = (loader.omega * loader.b * p_v
                       + fee_v * math.sin(soil.delta)
-                      + soil.adhesion_ca * loader.omega * lt[valid])
+                      + soil.adhesion_ca * loader.omega
+                      * np.asarray(lt, dtype=float)[valid])
         f_n[valid] = fee_v * math.cos(soil.delta)
-
-    failed = in_soil & ~valid
-    for arr in (fee, pressure, f_t, f_n):
-        arr[failed] = np.nan
-    return CycleForceArrays(depth=depth, beta=beta, n_gamma=factors[0],
-                            n_c=factors[1],
-                            n_a=factors[2], n_q=factors[3],
-                            fee=fee, pressure=pressure,
-                            f_t=f_t, f_n=f_n, status=status,
-                            in_soil=in_soil, valid=valid)
+    return CycleForceArrays(depth=depth, beta=beta, fee=fee, f_t=f_t,
+                            f_n=f_n, status=status, in_soil=in_soil,
+                            valid=valid)

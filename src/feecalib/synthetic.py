@@ -46,6 +46,10 @@ class Scenario:
             raise ValueError("sample_rate must be positive")
         if self.duration <= 0.0:
             raise ValueError("duration must be positive")
+        if self.samples is None \
+                and not 1.0 <= self.sample_rate * self.duration < math.inf:
+            raise ValueError("sample_rate * duration must be finite and at "
+                             "least 1, for 2 or more samples")
 
     @property
     def n_samples(self) -> int:

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from feecalib import (GRAVITY, CalibrationOptions, Scenario, SolverOptions,
+from feecalib import (CalibrationOptions, Scenario, SolverOptions,
                       add_noise, calibrate_multi_stage,
                       calibrate_single_stage, default_scenario,
                       default_truth, finite_difference_gradient,
@@ -215,9 +215,8 @@ def test_criterion_7_continuity_and_stability():
 
     def forces(samples):
         depth, lt, area = wedge_geometry(samples, scenario.surface)
-        w_load = truth.gamma * GRAVITY * scenario.loader.omega * area
         pred = predict_force_arrays(depth, samples.rho, lt,
-                                    w_load, truth, scenario.loader,
+                                    area, truth, scenario.loader,
                                     scenario.surface.nominal_alpha)
         assert not pred.failures
         return pred

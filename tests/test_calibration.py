@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter1d
 
-from feecalib import (CalibrationOptions, CycleDataset, DegenerateDepths,
-                      EmptySeries, FeeCalibError, SlopedLine, SoilParameters,
-                      SolverOptions, add_noise,
+from feecalib import (RHO_MIN, CalibrationOptions, CycleDataset,
+                      DegenerateDepths, EmptySeries, FeeCalibError,
+                      SlopedLine, SoilParameters, SolverOptions, add_noise,
                       calibrate_multi_stage, calibrate_single_stage,
                       calibrate_stage1, calibrate_stage2, calibrate_stage3,
                       default_loader, heldout_scenario, make_trajectory,
@@ -213,7 +213,37 @@ class TestStage1:
                              fast_options)
 
 
+def _with_bad_blade_angles(dataset, picks=(10, 50, 90)):
+    """The cycle with three in-soil samples moved outside the blade-angle
+    margins: below RHO_MIN, and sin(rho) near 0 and near pi. Returns the
+    dataset and the indices of those samples."""
+    bad = np.flatnonzero(prepare_cycle(dataset).in_soil)[list(picks)]
+    s = dataset.samples
+    rho = s.rho.copy()
+    rho[bad] = [0.5 * RHO_MIN, 1e-9, math.pi - 1e-9]
+    return replace(dataset, samples=make_trajectory(s.t, s.x, s.z, rho)), bad
+
+
 class TestStage2:
+    def test_samples_outside_blade_margins_are_dropped(self, dataset, truth,
+                                                       fast_options):
+        theta1 = np.array([truth.adhesion_ca, truth.delta, truth.kc,
+                           truth.kphi, truth.n])
+        ds, bad = _with_bad_blade_angles(dataset)
+        cycle = prepare_cycle(ds)
+        theta2, diag = calibrate_stage2(cycle, theta1, fast_options)
+        assert diag.dropped_samples == cycle.dropped + bad.size
+        # their observations never enter the fit; the new values stay
+        # below the series peak, so the objective's scale is unchanged
+        peak = np.abs(ds.f_n_obs).max()
+        assert (np.abs(ds.f_n_obs[bad]) < peak).all()
+        fn = ds.f_n_obs.copy()
+        fn[bad] = [0.0, 0.5 * peak, -0.9 * peak]
+        moved, _ = calibrate_stage2(prepare_cycle(replace(ds, f_n_obs=fn)),
+                                    theta1, fast_options)
+        assert moved.tolist() == theta2.tolist()
+        assert theta2[0] == pytest.approx(truth.gamma, rel=1e-6)
+
     def test_round_trip_with_stage1_fixed_at_truth(self, dataset, truth,
                                                    fast_options):
         theta1 = np.array([truth.adhesion_ca, truth.delta, truth.kc,

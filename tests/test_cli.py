@@ -659,6 +659,66 @@ class TestNonFiniteJson:
         assert not (tmp_path / "predicted.csv").exists()
 
 
+def _predict_with_scenario(runner, workdir, tmp_path, text):
+    """``predict`` on the training report with a scenario file holding
+    ``text``."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(text)
+    return runner.invoke(main, ["predict",
+                                str(workdir / "run" / "report.json"),
+                                "--scenario", str(scenario), "--out",
+                                str(tmp_path)])
+
+
+class TestBezierSampleCount:
+    """A Bezier path has floor(sample_rate_hz * duration_s) + 1 samples,
+    and needs two of them."""
+
+    @pytest.mark.parametrize("key, value", [("duration_s", 0.001),
+                                            ("sample_rate_hz", 1e308)],
+                             ids=["one-sample", "infinite-count"])
+    def test_simulate_config(self, runner, tmp_path, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": {
+            "surface": {"type": "sloped_line", "alpha_deg": 25.0},
+            "path": {"type": "quadratic_bezier", "p0_m": [-0.4, 0.05],
+                     "p1_m": [0.9, -0.35], "p2_m": [2.2, 1.2]},
+            key: value}}))
+        out = tmp_path / "never"
+        res = runner.invoke(main, ["simulate", "--config", str(config),
+                                   "--out", str(out)])
+        _assert_config_error(res, "config.scenario")
+        assert "sample_rate * duration" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("duration_s", 0.001),
+                                            ("sample_rate_hz", 1e308)],
+                             ids=["one-sample", "infinite-count"])
+    def test_predict_scenario(self, runner, workdir, tmp_path, key, value):
+        doc = json.loads((workdir / "run" / "scenario.json").read_text())
+        doc[key] = value
+        res = _predict_with_scenario(runner, workdir, tmp_path,
+                                     json.dumps(doc))
+        _assert_config_error(res, "scenario")
+        assert "sample_rate * duration" in res.output
+        assert not (tmp_path / "predicted.csv").exists()
+
+
+class TestPolylineVertices:
+    @pytest.mark.parametrize("vertex", ["[5, NaN]", "[1e400, 2]"],
+                             ids=["nan", "overflow"])
+    def test_non_finite_vertex_exits_2(self, runner, workdir, tmp_path,
+                                       vertex):
+        doc = json.loads((workdir / "run" / "scenario.json").read_text())
+        doc["surface"] = {"type": "polyline",
+                          "vertices_m": [[-1.0, 0.0], "VERTEX"]}
+        text = json.dumps(doc).replace('"VERTEX"', vertex)
+        res = _predict_with_scenario(runner, workdir, tmp_path, text)
+        _assert_config_error(res, "scenario.json.surface")
+        assert "vertices must be finite" in res.output
+        assert not (tmp_path / "predicted.csv").exists()
+
+
 class TestIntegerKeys:
     @pytest.mark.parametrize("doc, key", [
         ({"noise": {"seed": "abc"}}, "config.noise.seed"),
@@ -675,10 +735,13 @@ class TestIntegerKeys:
          "calibration.solver.max_iterations"),
         ({"calibration": {"solver": {"max_iterations": math.inf}}},
          "calibration.solver.max_iterations"),
+        # no longer a setting: the step is finite_difference_gradient's
+        ({"calibration": {"solver": {"finite_difference_step": 1e-6}}},
+         "unknown key 'finite_difference_step' in calibration.solver"),
     ], ids=["seed-str", "seed-frac", "seed-bool", "seed-negative",
             "n_starts-str", "solver-seed-frac", "solver-seed-negative",
             "max_iterations-bool",
-            "max_iterations-inf"])
+            "max_iterations-inf", "finite_difference_step-unknown"])
     def test_rejected(self, runner, tmp_path, doc, key):
         config = tmp_path / "int.json"
         config.write_text(json.dumps(doc))

@@ -11,7 +11,7 @@ from feecalib import (DegenerateRegion, NonMonotonePath, Polyline,
                       swept_area_profile, wedge_geometry)
 from feecalib.geometry import (InvalidTrajectory, _collapse_vertical_moves,
                                _prune_collinear)
-from feecalib.soil import (_OUT_OF_SOIL, _RHO_BELOW_MIN, GRAVITY,
+from feecalib.soil import (_OUT_OF_SOIL, _RHO_BELOW_MIN,
                            LoaderParameters, SoilParameters)
 from feecalib.synthetic import Scenario, default_scenario
 
@@ -40,8 +40,7 @@ def _engine_on(samples, surface):
                           phi=0.3, delta=0.2, kc=0.0, kphi=100.0, n=1.0)
     loader = LoaderParameters(omega=1.0, b=0.05)
     depth, lt, area = wedge_geometry(samples, surface)
-    w_load = soil.gamma * GRAVITY * loader.omega * area
-    return predict_force_arrays(depth, samples.rho, lt, w_load,
+    return predict_force_arrays(depth, samples.rho, lt, area,
                                 soil, loader, surface.nominal_alpha)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -7,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feecalib import (ALPHA_MAX, ANGLE_MARGIN, EPS1, EPS2, GRAVITY, RHO_MIN,
-                      LoaderParameters, SingularGeometry, SoilParameters,
-                      predict_force_arrays, wedge_geometry)
-from feecalib.soil import (_EMPTY_WINDOW, _OK, _OUT_OF_SOIL, ParameterBounds,
-                           _factor_arrays, _margin_status, _ngamma_array,
-                           _solve_beta_array, beta_window)
+                      SIN_MARGIN, LoaderParameters, SingularGeometry,
+                      SoilParameters, bearing_factors, predict_force_arrays,
+                      wedge_geometry)
+from feecalib.soil import (_EMPTY_WINDOW, _OUT_OF_SOIL, _RHO_BELOW_MIN,
+                           _SINGULAR_RHO, ParameterBounds, _factor_arrays,
+                           _ngamma_array, _solve_beta_array, beta_window)
 from feecalib.synthetic import preset_catalog
 
 LOADER = LoaderParameters(omega=1.0, b=0.05)
@@ -24,13 +26,21 @@ def _soil(**kw):
     return SoilParameters(**base)
 
 
-def _engine(soil, depth, rho, lt=0.0, w_load=0.0, alpha=0.0):
+def _engine(soil, depth, rho, lt=0.0, area=0.0, alpha=0.0):
     """predict_force_arrays on per-sample arrays broadcast from the
     arguments."""
-    depth, rho, lt, w_load = np.broadcast_arrays(
+    depth, rho, lt, area = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float))
-          for v in (depth, rho, lt, w_load)))
-    return predict_force_arrays(depth, rho, lt, w_load, soil, LOADER, alpha)
+          for v in (depth, rho, lt, area)))
+    return predict_force_arrays(depth, rho, lt, area, soil, LOADER, alpha)
+
+
+def _pressure(soil, depth, rho=1.0):
+    """The engine's penetration pressure (kc/b + kphi) * d^n, read as
+    f_t / (omega * b) with delta = c_a = 0, where the pressure term is all
+    of f_t."""
+    out = _engine(soil.replace(delta=0.0, adhesion_ca=0.0), depth, rho)
+    return out.f_t[0] / (LOADER.omega * LOADER.b)
 
 
 class Factors(NamedTuple):
@@ -347,10 +357,10 @@ blade_angles = st.one_of(
 
 
 class TestBroadcastKernel:
-    """Stage 2 of the calibration runs the failure-angle solve and the
-    bearing factors for many friction angles in one broadcast call, on the
-    samples that pass the blade-angle margins. Row i of that call must
-    hold the bits of the engine at the one friction angle phi[i]."""
+    """Stage 2 of the calibration calls ``bearing_factors`` with many
+    friction angles as a (k, 1) column. Row i of that call must hold the
+    bits of the call at the float phi[i], and of the engine at that one
+    friction angle."""
 
     @given(sinkage=st.sampled_from(SINKAGE_PRESETS),
            classification=st.sampled_from(CLASS_PRESETS),
@@ -364,49 +374,59 @@ class TestBroadcastKernel:
                                           alpha, rho, phis):
         soil = classification.merged(sinkage).soil_parameters()
         rho = np.array(rho)
-        ok = _margin_status(alpha, rho) == _OK
-        phi = np.array(phis)[:, None]
-        shape = (phi.size, rho.size)
-        beta = np.full(shape, np.nan)
-        feasible = np.zeros(shape, dtype=bool)
-        factors = [np.full(shape, np.nan) for _ in range(4)]
-        beta[:, ok], feasible[:, ok] = _solve_beta_array(alpha, rho[ok], phi,
-                                                         soil.delta)
-        for full, part in zip(factors, _factor_arrays(
-                alpha, beta[:, ok], rho[ok], phi, soil.delta)):
-            full[:, ok] = part
+        beta, feasible, factors = bearing_factors(
+            alpha, rho, np.array(phis)[:, None], soil.delta)
+        assert beta.shape == feasible.shape == (len(phis), rho.size)
         for i, phi_i in enumerate(phis):
+            one = bearing_factors(alpha, rho, phi_i, soil.delta)
+            assert np.array_equal(beta[i], one[0], equal_nan=True)
+            assert np.array_equal(feasible[i], one[1])
+            for full, want in zip(factors, one[2]):
+                assert np.array_equal(full[i], want, equal_nan=True)
             out = _engine(soil.replace(phi=phi_i), 1.0, rho, alpha=alpha)
             assert np.array_equal(beta[i], out.beta, equal_nan=True)
             assert np.array_equal(feasible[i], out.valid)
-            for full, want in zip(factors, (out.n_gamma, out.n_c, out.n_a,
-                                            out.n_q)):
-                got = np.where(out.valid, full[i], np.nan)
-                assert np.array_equal(got, want, equal_nan=True)
+
+    def test_blade_margins_are_infeasible_without_warning(self):
+        # below RHO_MIN, and sin(rho) within its margin of 0 or pi
+        rho = np.array([0.5 * RHO_MIN, 1e-9, math.pi - 1e-9,
+                        math.pi - 0.5 * ANGLE_MARGIN, 1.0])
+        phi = np.array([[0.0], [0.4], [0.7]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta, feasible, factors = bearing_factors(0.2, rho, phi, 0.3)
+            out = _engine(_soil(phi=0.4, delta=0.3), 0.1, rho, alpha=0.2)
+        assert not feasible[:, :4].any() and feasible[:, 4].all()
+        for values in (beta, *factors):
+            assert np.isnan(values[:, :4]).all()
+            assert np.isfinite(values[:, 4]).all()
+        assert out.status.tolist() == [_RHO_BELOW_MIN, _SINGULAR_RHO,
+                                       _SINGULAR_RHO, _SINGULAR_RHO, 0]
+        assert abs(math.sin(rho[3])) <= SIN_MARGIN
 
 
 class TestBekkerPressure:
     """The engine's penetration pressure (kc/b + kphi) * d^n."""
 
     def test_zero_depth(self):
-        assert _engine(_soil(n=0.7), 0.0, 1.0).pressure[0] == 0.0
+        assert _pressure(_soil(n=0.7), 0.0) == 0.0
 
     def test_linear_case(self):
         soil = _soil(kc=0.0, kphi=100.0, n=1.0)
-        assert _engine(soil, 0.5, 1.0).pressure[0] == pytest.approx(50.0)
+        assert _pressure(soil, 0.5) == pytest.approx(50.0)
 
     def test_oracle_evaluation(self):
         # independent one-line evaluation of the pressure law
         soil = _soil(kc=745.6, kphi=166.9, n=0.91)
         expected = (745.6 / 0.05 + 166.9) * 0.2 ** 0.91
-        assert _engine(soil, 0.2, 1.0).pressure[0] == pytest.approx(
-            expected, rel=1e-15)
+        assert _pressure(soil, 0.2) == pytest.approx(expected, rel=1e-15)
 
     def test_rejects_negative_depth(self):
         # a negative depth is never evaluated: the sample is out of soil
         out = _engine(_soil(), -0.1, 1.0)
         assert out.status[0] == _OUT_OF_SOIL and not out.in_soil[0]
-        assert (out.pressure[0], out.f_t[0], out.f_n[0]) == (0.0, 0.0, 0.0)
+        assert (_pressure(_soil(), -0.1), out.f_t[0], out.f_n[0]) == (
+            0.0, 0.0, 0.0)
         assert out.failures == []
 
 
@@ -417,11 +437,17 @@ class TestFeeForce:
         assert _engine(_soil(), 0.0, math.pi / 2).fee[0] == 0.0
 
     def test_surcharge_only(self):
-        # the surcharge enters as w_load * N_q at the solved angle
-        loaded = _engine(_soil(), 0.1, math.pi / 2, w_load=1000.0)
-        bare = _engine(_soil(), 0.1, math.pi / 2, w_load=0.0)
-        assert loaded.fee[0] - bare.fee[0] == pytest.approx(
-            1000.0 * loaded.n_q[0])
+        # the surcharge enters as w_load * N_q at the solved angle, with
+        # w_load = gamma * g * omega * area
+        soil, area = _soil(), 0.05
+        w_load = soil.gamma * GRAVITY * LOADER.omega * area
+        loaded = _engine(soil, 0.1, math.pi / 2, area=area)
+        bare = _engine(soil, 0.1, math.pi / 2, area=0.0)
+        # the factors at the engine's beta
+        beta, _, (_, _, _, n_q) = bearing_factors(0.0, [math.pi / 2],
+                                                  soil.phi, soil.delta)
+        assert beta[0] == loaded.beta[0]
+        assert loaded.fee[0] - bare.fee[0] == pytest.approx(w_load * n_q[0])
 
     def test_single_term_arithmetic(self):
         # N_gamma is 1/2 at every angle of this geometry
@@ -433,8 +459,8 @@ class TestFeeForce:
         soil = _soil(gamma=1500.0, cohesion_c=800.0, adhesion_ca=0.0,
                      phi=0.5, delta=0.3)
 
-        def fee(depth, soil=soil, w_load=500.0):
-            return _engine(soil, depth, 1.0, lt=0.3, w_load=w_load,
+        def fee(depth, soil=soil, area=0.03):
+            return _engine(soil, depth, 1.0, lt=0.3, area=area,
                            alpha=0.1).fee[0]
 
         f1, f2 = fee(0.1), fee(0.2)
@@ -443,7 +469,7 @@ class TestFeeForce:
         assert f3 >= f2
         f4 = fee(0.2, soil=soil.replace(cohesion_c=2000.0))
         assert f4 >= f2
-        f5 = fee(0.2, w_load=900.0)
+        f5 = fee(0.2, area=0.054)
         assert f5 >= f2
 
 
@@ -455,7 +481,7 @@ class TestBucketForces:
         out = _engine(soil, 0.1, math.pi / 2, lt=0.4)
         assert out.f_n[0] == out.fee[0]
         assert out.f_t[0] == pytest.approx(
-            LOADER.omega * LOADER.b * out.pressure[0]
+            LOADER.omega * LOADER.b * _pressure(soil, 0.1, math.pi / 2)
             + 300.0 * LOADER.omega * 0.4)
 
     def test_all_zero(self):
@@ -496,7 +522,7 @@ class TestPredictCycleForces:
 
     def test_singular_sample_reported_not_fatal(self):
         out = _engine(_soil(phi=0.4, delta=0.2), 0.1,
-                      [0.6, math.radians(1.0), 0.6], lt=0.2, w_load=10.0,
+                      [0.6, math.radians(1.0), 0.6], lt=0.2, area=0.001,
                       alpha=0.1)
         assert [index for index, _ in out.failures] == [1]
         assert out.valid.tolist() == [True, False, True]
@@ -512,9 +538,9 @@ class TestPredictCycleForces:
         loader = dataset.loader
         depth, lt, area = wedge_geometry(dataset.samples, dataset.surface)
         rho = dataset.samples.rho
-        w_load = truth.gamma * GRAVITY * loader.omega * area
-        pred = predict_force_arrays(depth, rho, lt, w_load, truth, loader,
+        pred = predict_force_arrays(depth, rho, lt, area, truth, loader,
                                     scenario.surface.nominal_alpha)
+        w_load = truth.gamma * GRAVITY * loader.omega * area
         alpha = scenario.surface.nominal_alpha
         eps = math.radians(5.0)
         ang = math.radians(1.0)

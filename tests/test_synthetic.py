@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from feecalib import (GRAVITY, Scenario, SlopedLine, add_noise,
-                      default_loader, find_preset, make_trajectory,
+from feecalib import (Scenario, SlopedLine, add_noise, default_loader,
+                      find_preset, make_trajectory,
                       predict_force_arrays, preset_catalog, simulate_cycle,
                       wedge_geometry)
 from feecalib.synthetic import steel_contact_delta
@@ -33,8 +33,7 @@ class TestSimulateCycle:
 
     def test_round_trip_is_bitwise(self, dataset, truth, scenario):
         depth, lt, area = wedge_geometry(dataset.samples, dataset.surface)
-        w_load = truth.gamma * GRAVITY * dataset.loader.omega * area
-        pred = predict_force_arrays(depth, dataset.samples.rho, lt, w_load,
+        pred = predict_force_arrays(depth, dataset.samples.rho, lt, area,
                                     truth, dataset.loader,
                                     scenario.surface.nominal_alpha)
         f_t, f_n = pred.arrays()
