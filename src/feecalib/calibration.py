@@ -15,6 +15,11 @@ each trial's unconstrained residual, a lower bound on its bounded one,
 and only the trials whose bound can still beat the best solve so far are
 solved, which leaves the fitted bits as they would be with every trial
 solved.
+
+The staged fit runs on numpy alone: its bounded Brent search and its
+bounded-variable least squares are the ports in ``optimizer``, which
+return scipy's bits. Only the single-stage fit, which runs scipy's
+L-BFGS-B, loads scipy.optimize, and it does so before its clock starts.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ import numpy as np
 
 from .errors import DegenerateDepths, EmptySeries, SolverFailure
 from .geometry import CycleDataset, surface_after_cycle, wedge_geometry
-from .optimizer import (SolverOptions, _load_solvers,
-                        finite_difference_gradient, multi_start)
+from .optimizer import (SolverOptions, _load_solvers, bvls,
+                        finite_difference_gradient, minimize_scalar_bounded,
+                        multi_start)
 from .soil import (GRAVITY, PARAM_NAMES, CycleForceArrays, LoaderParameters,
                    ParameterBounds, SoilParameters, bearing_factors,
                    predict_force_arrays)
@@ -288,12 +294,13 @@ def _bounded_lsq(design: np.ndarray, target: np.ndarray, lo: np.ndarray,
     Least squares on unit-norm columns. The unconstrained solution comes
     first, from the LAPACK call ``lsq_linear(method="bvls")`` starts with;
     when it lies in the box it is the answer, the same bits lsq_linear
-    would return, and bounded-variable least squares runs only when it
-    leaves the box. An unknown whose column is all zero (the data cannot
-    see it) or whose bounds coincide is pinned at its lower bound.
-    Unknowns that end on a bound are set to it exactly. Returns x and the
-    residual sum of squares at x; ``paths``, when given, counts the solve
-    as "interior" or "bvls".
+    would return. Only when it leaves the box does bounded-variable least
+    squares (``optimizer.bvls``) run, starting from that solution, and
+    return lsq_linear's bits. An unknown whose column is all zero (the
+    data cannot see it) or whose bounds coincide is pinned at its lower
+    bound. Unknowns that end on a bound are set to it exactly. Returns x
+    and the residual sum of squares at x; ``paths``, when given, counts
+    the solve as "interior" or "bvls".
     """
     paths = Counter() if paths is None else paths
     norms = np.sqrt(np.einsum("ij,ij->j", design, design))
@@ -314,10 +321,9 @@ def _bounded_lsq(design: np.ndarray, target: np.ndarray, lo: np.ndarray,
             x[free] = np.clip(x_lsq / w, lo_f, hi_f)
         else:
             paths["bvls"] += 1
-            from scipy.optimize import lsq_linear
-            res = lsq_linear(scaled, rest, bounds=(lb, ub), method="bvls")
-            x[free] = np.select([res.active_mask < 0, res.active_mask > 0],
-                                [lo_f, hi_f], np.clip(res.x / w, lo_f, hi_f))
+            x_bvls, on_bound = bvls(scaled, rest, x_lsq, lb, ub)
+            x[free] = np.select([on_bound < 0, on_bound > 0], [lo_f, hi_f],
+                                np.clip(x_bvls / w, lo_f, hi_f))
     residual = target - design @ x
     return x, float(residual @ residual)
 
@@ -438,9 +444,11 @@ def _profile_search(trial, lo: float, hi: float) -> _Profile:
     When the best grid point is a bound, one trial gives the one-sided
     derivative there (the grid value is its centre); if it points out of
     the box the bound is the answer and Brent does not run. Otherwise a
-    bounded Brent search runs over the two grid cells around the best
-    grid point. Brent and the derivative call ``trial`` with one
-    candidate at a time. The gradient norm is the projected
+    bounded Brent search (``optimizer.minimize_scalar_bounded``, the port
+    of scipy's ``minimize_scalar(method="bounded")``) runs over the two
+    grid cells around the best grid point, to an absolute tolerance of
+    1e-10 of that bracket. Brent and the derivative call ``trial`` with
+    one candidate at a time. The gradient norm is the projected
     finite-difference derivative of the profile at the best trial, in
     unit-interval coordinates; by the variable projection theorem it is
     the projected gradient of the full objective, whose linear part is
@@ -497,11 +505,8 @@ def _profile_search(trial, lo: float, hi: float) -> _Profile:
             best.bound_shortcut = True
             return best
     kept = best.x
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(value, bounds=(a, b), method="bounded",
-                          options={"xatol": _PROFILE_XATOL * (b - a)})
-    best.iterations = int(res.nit)
-    best.converged = bool(res.success)
+    _, best.iterations, best.converged = minimize_scalar_bounded(
+        value, a, b, _PROFILE_XATOL * (b - a))
     if grad is None or best.x != kept:
         grad = derivative()
     best.gradient_norm = 0.0 if points_out(grad) else float(abs(grad))
@@ -557,7 +562,6 @@ def calibrate_stage1(cycle: PreparedCycle,
     the search runs over n and solves for the rest by bounded linear least
     squares. kc and kphi come from K by ``split_pressure_coefficient``.
     """
-    _load_solvers()
     t0 = time.perf_counter()
     bounds = options.bounds
     if not -0.5 * math.pi < bounds.delta[0] <= bounds.delta[1] < 0.5 * math.pi:
@@ -621,7 +625,6 @@ def calibrate_stage2(cycle: PreparedCycle, theta1_star: np.ndarray,
     failure-angle window) are dropped from that candidate's residual
     (zeroed in its screening bound).
     """
-    _load_solvers()
     t0 = time.perf_counter()
     ca_star, delta_star = float(theta1_star[0]), float(theta1_star[1])
     target = cycle.fn_obs / math.cos(delta_star)
@@ -681,7 +684,6 @@ def calibrate_stage3(cycle: PreparedCycle, theta_fixed: SoilParameters,
     makes the tangential error non-increasing across this stage. Normal-
     force predictions are untouched by construction.
     """
-    _load_solvers()
     t0 = time.perf_counter()
     bounds = options.bounds
     loader = cycle.loader
@@ -818,7 +820,6 @@ def calibrate_multi_stage(dataset: CycleDataset,
     sub-vectors and diagnostics plus final force errors under the
     assembled parameters. Raises DegenerateDepths when no sample is in
     soil."""
-    _load_solvers()
     t0 = time.perf_counter()
     cycle = prepare_cycle(dataset)
     theta1, s1 = calibrate_stage1(cycle, options)

@@ -1,16 +1,22 @@
-"""Bound-constrained smooth minimization for the single-stage baseline.
+"""Bound-constrained minimization: the single-stage baseline's quasi-Newton
+descent, and the two small solvers the staged fit uses.
 
-A thin deterministic layer over a limited-memory quasi-Newton descent with
-box projection: central finite-difference gradients (one-sided at active
-bounds), best-iterate tracking, honest evaluation counters, and a seeded
-multi-start front end (box center plus Latin hypercube points). Only the
-single-stage fit runs ``multi_start`` and ``minimize_bounded``; the staged
-fit uses ``finite_difference_gradient`` alone, for the derivative of its
-one-parameter profile.
+The single-stage layer is a thin deterministic layer over a limited-memory
+quasi-Newton descent with box projection: central finite-difference
+gradients (one-sided at active bounds), best-iterate tracking, honest
+evaluation counters, and a seeded multi-start front end (box center plus
+Latin hypercube points). Only the single-stage fit runs ``multi_start`` and
+``minimize_bounded``, and only they need scipy.optimize's L-BFGS-B.
+scipy.optimize takes longer to import than the rest of feecalib, so it is
+imported where it is used; ``calibrate_single_stage`` calls
+``_load_solvers`` before its clock starts.
 
-scipy.optimize takes longer to import than the rest of feecalib, and only
-the fits use it, so it is imported where it is used; the fit entry points
-call ``_load_solvers`` before their clocks start.
+The staged fit runs on numpy alone: ``minimize_scalar_bounded`` (its
+bounded Brent search), ``bvls`` (its bounded linear least squares, when the
+unconstrained solution leaves the box) and ``finite_difference_gradient``
+(the derivative of its one-parameter profile). The first two are ports of
+scipy's routines that make the same floating-point operations in the same
+order, so they return the bits scipy returns.
 """
 
 from __future__ import annotations
@@ -245,3 +251,282 @@ def multi_start(objective: Callable[[np.ndarray], float], bounds,
     best.starts_tried = tried
     best.function_evaluations = total_evals
     return best
+
+
+# ---------------------------------------------------------------------------
+# The staged fit's solvers, ported from scipy 1.17.1
+# ---------------------------------------------------------------------------
+# ``minimize_scalar_bounded`` is the loop of
+# scipy.optimize._optimize._minimize_scalar_bounded (minimize_scalar with
+# method="bounded"), and ``bvls`` is scipy.optimize._lsq.bvls.bvls with
+# compute_kkt_optimality, as lsq_linear(method="bvls") calls it, both from
+# scipy 1.17.1. The display code, and the values only the display or the
+# result object read, are left out; every operation that decides an
+# evaluated point, an iterate or a returned value is kept, in its order.
+# scipy's license for this code:
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+
+def minimize_scalar_bounded(func: Callable[[float], float], lo: float,
+                            hi: float, xatol: float,
+                            maxfun: int = 500) -> tuple[float, int, bool]:
+    """Brent's bounded search for a minimum of ``func`` on [lo, hi].
+
+    Golden-section steps, parabolic where the parabola is acceptable, to
+    an absolute tolerance ``xatol`` plus a relative one of sqrt(2.2e-16).
+    Returns (x, evaluations, converged): the best point, the number of
+    calls of ``func`` (scipy's ``nfev`` and ``nit``), and scipy's
+    ``success``, False when ``maxfun`` calls were made first or a NaN was
+    met. The points evaluated and the result are scipy's
+    ``minimize_scalar(func, bounds=(lo, hi), method="bounded",
+    options={"xatol": xatol, "maxiter": maxfun})`` bits.
+    """
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    fu = np.inf
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # parabolic fit
+        if np.abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+
+            # acceptable parabola
+            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf))
+                    and (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = True
+
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxfun:
+            return xf, num, False
+
+    return xf, num, not (np.isnan(xf) or np.isnan(fx) or np.isnan(fu))
+
+
+_BVLS_TOL = 1e-10   # lsq_linear's default tol
+
+
+def _kkt_optimality(g: np.ndarray, on_bound: np.ndarray) -> float:
+    """The largest violation of the KKT conditions."""
+    g_kkt = g * on_bound
+    free_set = on_bound == 0
+    g_kkt[free_set] = np.abs(g[free_set])
+    return np.max(g_kkt)
+
+
+def bvls(A: np.ndarray, b: np.ndarray, x_lsq: np.ndarray, lb: np.ndarray,
+         ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounded-variable least squares (Stark & Parker 1995):
+    min ||A x - b|| subject to lb <= x <= ub.
+
+    ``x_lsq`` is the unconstrained solution, ``np.linalg.lstsq(A, b,
+    rcond=-1)[0]``, which the caller has computed already. Returns x and
+    the active mask: -1 where x is on its lower bound, 1 on its upper, 0
+    where it is free. They are the bits of ``lsq_linear(A, b,
+    bounds=(lb, ub), method="bvls")``'s ``x`` and ``active_mask`` when
+    ``x_lsq`` leaves the box: a tolerance of 1e-10 and at most n main-loop
+    iterations, after the start-up loop that makes the free variables'
+    least-squares solution feasible.
+    """
+    n = A.shape[1]
+    x = x_lsq.copy()
+    on_bound = np.zeros(n)
+
+    mask = x <= lb
+    x[mask] = lb[mask]
+    on_bound[mask] = -1
+
+    mask = x >= ub
+    x[mask] = ub[mask]
+    on_bound[mask] = 1
+
+    free_set = on_bound == 0
+    active_set = ~free_set
+    free_set, = np.nonzero(free_set)
+
+    r = A.dot(x) - b
+    cost = 0.5 * np.dot(r, r)
+    g = A.T.dot(r)
+
+    # start-up: solve on the free variables, and move the ones whose
+    # solution leaves the box to the bound they cross, until the
+    # solution on the rest is feasible
+    while free_set.size > 0:
+        A_free = A[:, free_set]
+        b_free = b - A.dot(x * active_set)
+        z = np.linalg.lstsq(A_free, b_free, rcond=None)[0]
+
+        lbv = z < lb[free_set]
+        ubv = z > ub[free_set]
+        v = lbv | ubv
+
+        if np.any(lbv):
+            ind = free_set[lbv]
+            x[ind] = lb[ind]
+            active_set[ind] = True
+            on_bound[ind] = -1
+
+        if np.any(ubv):
+            ind = free_set[ubv]
+            x[ind] = ub[ind]
+            active_set[ind] = True
+            on_bound[ind] = 1
+
+        ind = free_set[~v]
+        x[ind] = z[~v]
+
+        r = A.dot(x) - b
+        cost = 0.5 * np.dot(r, r)
+        g = A.T.dot(r)
+
+        if np.any(v):
+            free_set = free_set[~v]
+        else:
+            break
+
+    # main loop: free the bound variable whose gradient most violates
+    # the KKT conditions, then step towards the free variables'
+    # least-squares solution, stopping at the first bound crossed
+    optimality = _kkt_optimality(g, on_bound)
+    for _ in range(n):
+        if optimality < _BVLS_TOL:
+            break
+
+        move_to_free = np.argmax(g * on_bound)
+        on_bound[move_to_free] = 0
+
+        while True:
+            free_set = on_bound == 0
+            active_set = ~free_set
+            free_set, = np.nonzero(free_set)
+
+            x_free = x[free_set]
+            lb_free = lb[free_set]
+            ub_free = ub[free_set]
+
+            A_free = A[:, free_set]
+            b_free = b - A.dot(x * active_set)
+            z = np.linalg.lstsq(A_free, b_free, rcond=None)[0]
+
+            lbv, = np.nonzero(z < lb_free)
+            ubv, = np.nonzero(z > ub_free)
+            v = np.hstack((lbv, ubv))
+
+            if v.size > 0:
+                alphas = np.hstack((
+                    lb_free[lbv] - x_free[lbv],
+                    ub_free[ubv] - x_free[ubv])) / (z[v] - x_free[v])
+
+                i = np.argmin(alphas)
+                i_free = v[i]
+                alpha = alphas[i]
+
+                x_free *= 1 - alpha
+                x_free += alpha * z
+                x[free_set] = x_free
+
+                if i < lbv.size:
+                    on_bound[free_set[i_free]] = -1
+                else:
+                    on_bound[free_set[i_free]] = 1
+            else:
+                x[free_set] = z
+                break
+
+        r = A.dot(x) - b
+        cost_new = 0.5 * np.dot(r, r)
+        if cost - cost_new < _BVLS_TOL * cost:
+            break
+        cost = cost_new
+
+        g = A.T.dot(r)
+        optimality = _kkt_optimality(g, on_bound)
+
+    return x, on_bound

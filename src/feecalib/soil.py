@@ -152,29 +152,27 @@ class LoaderParameters:
 # Bearing capacity factors
 # ---------------------------------------------------------------------------
 
-def _ngamma_from_sines(alpha, beta, phi, s_beta, s_chain):
-    """N_gamma given s_beta = sin(beta) and s_chain =
-    sin(rho + delta + beta + phi), which the other factors share."""
-    return (np.cos(alpha + beta) * np.sin(alpha + beta + phi)
-            / (2.0 * np.cos(alpha) * s_beta * s_chain))
-
-
 def _ngamma_array(alpha, beta, rho, phi, delta):
-    return _ngamma_from_sines(alpha, beta, phi, np.sin(beta),
-                              np.sin(rho + delta + beta + phi))
+    """N_gamma at beta; inputs broadcast as numpy arrays."""
+    return (np.cos(alpha + beta) * np.sin(alpha + beta + phi)
+            / (2.0 * np.cos(alpha) * np.sin(beta)
+               * np.sin(rho + delta + beta + phi)))
 
 
-def _factor_arrays(alpha, beta, rho, phi, delta, sin_rho=None):
+def _factor_arrays(alpha, beta, rho, phi, delta, sin_rho=None,
+                   n_gamma=None):
     """Sine-cosine bearing factors; inputs broadcast as numpy arrays.
-    ``sin_rho`` is np.sin(rho), when the caller has it."""
+    ``sin_rho`` is np.sin(rho) and ``n_gamma`` N_gamma at beta, when the
+    caller has them."""
     s_beta = np.sin(beta)
     s_chain = np.sin(rho + delta + beta + phi)
     sin_rho = np.sin(rho) if sin_rho is None else sin_rho
+    if n_gamma is None:
+        n_gamma = _ngamma_array(alpha, beta, rho, phi, delta)
     n_c = np.cos(phi) / (s_beta * s_chain)
     n_a = -np.cos(rho + beta + phi) / (sin_rho * s_chain)
     n_q = np.sin(alpha + beta + phi) / s_chain
-    return (_ngamma_from_sines(alpha, beta, phi, s_beta, s_chain), n_c, n_a,
-            n_q)
+    return n_gamma, n_c, n_a, n_q
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +189,7 @@ def beta_window(alpha: float, rho, phi, delta: float):
     changes sign: beyond it the unit-weight factor goes negative and its
     minimization would chase nonphysical inverted wedges. hi <= lo marks
     infeasibility. rho and phi broadcast against each other, as in
-    ``_solve_beta_array``.
+    ``_failure_angle``.
     """
     rho = np.asarray(rho, dtype=float)
     hi = np.minimum(math.pi - rho - delta - phi - EPS2,
@@ -202,15 +200,16 @@ def beta_window(alpha: float, rho, phi, delta: float):
     return lo, hi
 
 
-def _stationary_angles(alpha: float, rho, phi, delta: float) -> np.ndarray:
+def _stationary_angles(rho, delta: float, phi, a, cos_a, sin_a,
+                       sin_phi) -> np.ndarray:
     """The two roots b of dN_gamma/dbeta = 0 per sample, mod pi, as an
-    (n, 2) array (NaN where there is none); see ``_solve_beta_array``."""
+    (n, 2) array (NaN where there is none); see ``_failure_angle``. The
+    terms of phi alone come per sample: a = 2*alpha + phi, cos a, sin a
+    and sin phi."""
     c = rho + delta + phi
-    a = 2.0 * alpha + phi
     cos_c = np.cos(c)
-    sin_phi = np.sin(phi)
-    p = cos_c * np.cos(a) - sin_phi * np.sin(c)
-    q = -(cos_c * np.sin(a) + sin_phi * cos_c)
+    p = cos_c * cos_a - sin_phi * np.sin(c)
+    q = -(cos_c * sin_a + sin_phi * cos_c)
     r = np.cos(a - c)
     with np.errstate(divide="ignore", invalid="ignore"):
         # NaN where |R| > sqrt(P^2+Q^2) or P = Q = 0: no interior root
@@ -222,11 +221,18 @@ def _stationary_angles(alpha: float, rho, phi, delta: float) -> np.ndarray:
     return np.where(roots < 0.0, roots + math.pi, roots)
 
 
-def _solve_beta_array(alpha: float, rho, phi, delta: float, usable=True):
+def _beats(f, f_best):
+    """Where a candidate's N_gamma f takes the place of the lowest so far,
+    f_best, as np.argmin picks: f is lower, or f is the first NaN."""
+    return ~(f >= f_best) & ~np.isnan(f_best)
+
+
+def _failure_angle(alpha: float, rho, phi, delta: float, usable=True):
     """Vectorized failure-angle solve in closed form.
 
-    Returns (beta, feasible) arrays: feasible where the window is not
-    empty and the per-sample mask ``usable`` holds, beta NaN elsewhere.
+    Returns (beta, feasible, n_gamma) arrays: feasible where the window is
+    not empty and the per-sample mask ``usable`` holds; beta and N_gamma
+    at beta there, NaN elsewhere.
     With c = rho+delta+phi and A = 2*alpha+phi, the product-to-sum
     identities give
 
@@ -249,37 +255,52 @@ def _solve_beta_array(alpha: float, rho, phi, delta: float, usable=True):
     lo, hi = beta_window(alpha, rho, phi, delta)
     feasible = (hi > lo) & usable
     beta = np.full(feasible.shape, np.nan)
+    n_gamma = beta.copy()
     if not np.any(feasible):
-        return beta, feasible
+        return beta, feasible, n_gamma
 
-    lo_f = lo[feasible]
     hi_f = hi[feasible]
     rho_f = np.broadcast_to(rho, feasible.shape)[feasible]
-    phi_f = np.broadcast_to(phi, feasible.shape)[feasible]
+    # the terms of phi alone, once per friction angle, then per sample
+    a = 2.0 * alpha + phi
+    phi_f, a_f, cos_a, sin_a, sin_phi, sin_lo = (
+        np.broadcast_to(v, feasible.shape)[feasible]
+        for v in (phi, a, np.cos(a), np.sin(a), np.sin(phi),
+                  np.sin(alpha + EPS1 + phi)))
 
-    roots = _stationary_angles(alpha, rho_f, phi_f, delta)
-    inside = (roots >= lo_f[:, None]) & (roots <= hi_f[:, None])
-    # roots outside the window stand in as lo, already a candidate, with
-    # lo's value; N_gamma is evaluated only at the roots inside. One
-    # candidate column at a time keeps the temporaries of a whole
-    # friction-angle grid small.
-    cand = np.column_stack((lo_f, np.where(inside, roots, lo_f[:, None]),
-                            hi_f))
-    f_lo = _ngamma_array(alpha, lo_f, rho_f, phi_f, delta)
-    values = np.column_stack((f_lo, f_lo, f_lo,
-                              _ngamma_array(alpha, hi_f, rho_f, phi_f,
-                                            delta)))
-    for k in (1, 2):
-        at = inside[:, k - 1]
-        values[at, k] = _ngamma_array(alpha, roots[at, k - 1], rho_f[at],
-                                      phi_f[at], delta)
-    rows = np.arange(cand.shape[0])
-    j = np.argmin(values, axis=1)
-    best = cand[rows, j]
-    f_best = values[rows, j]
-    snap = values[:, 0] <= f_best + 1e-12 * np.maximum(1.0, np.abs(f_best))
-    beta[feasible] = np.where(snap, lo_f, best)
-    return beta, feasible
+    roots = _stationary_angles(rho_f, delta, phi_f, a_f, cos_a, sin_a,
+                               sin_phi)
+    # N_gamma at lo = EPS1, where only sin(rho + delta + lo + phi) varies
+    # by sample
+    f_lo = (np.cos(alpha + EPS1) * sin_lo
+            / (2.0 * np.cos(alpha) * np.sin(EPS1)
+               * np.sin(rho_f + delta + EPS1 + phi_f)))
+    # the pick runs over lo, the in-window roots and hi in that order,
+    # keeping the lowest N_gamma as np.argmin over them would; N_gamma is
+    # evaluated only at the roots inside, one root column at a time,
+    # which keeps the temporaries of a whole friction-angle grid small
+    best = np.full(hi_f.shape, EPS1)
+    f_best = f_lo.copy()
+    inside = (roots >= EPS1) & (roots <= hi_f[:, None])
+    for k in (0, 1):
+        at = np.flatnonzero(inside[:, k])
+        f = _ngamma_array(alpha, roots[at, k], rho_f[at], phi_f[at], delta)
+        take = _beats(f, f_best[at])
+        best[at[take]] = roots[at[take], k]
+        f_best[at[take]] = f[take]
+    f_hi = _ngamma_array(alpha, hi_f, rho_f, phi_f, delta)
+    take = _beats(f_hi, f_best)
+    best = np.where(take, hi_f, best)
+    f_best = np.where(take, f_hi, f_best)
+    snap = f_lo <= f_best + 1e-12 * np.maximum(1.0, np.abs(f_best))
+    beta[feasible] = np.where(snap, EPS1, best)
+    n_gamma[feasible] = np.where(snap, f_lo, f_best)
+    return beta, feasible, n_gamma
+
+
+def _solve_beta_array(alpha: float, rho, phi, delta: float):
+    """(beta, feasible) of ``_failure_angle``."""
+    return _failure_angle(alpha, rho, phi, delta)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +345,10 @@ def bearing_factors(alpha: float, rho, phi, delta: float):
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     sin_rho = np.sin(rho)
     below, singular = _blade_margins(alpha, rho, sin_rho)
-    beta, feasible = _solve_beta_array(alpha, rho, phi, delta,
-                                       ~(below | singular))
+    beta, feasible, n_gamma = _failure_angle(alpha, rho, phi, delta,
+                                             ~(below | singular))
     return beta, feasible, _factor_arrays(alpha, beta, rho, phi, delta,
-                                          sin_rho)
+                                          sin_rho, n_gamma)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, find, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import lsq_linear, minimize_scalar
+from scipy.optimize._lsq.bvls import bvls as reference_bvls
 
 from feecalib import (NonFiniteObjective, SolverFailure, SolverOptions,
                       finite_difference_gradient, minimize_bounded,
                       multi_start)
-from feecalib.optimizer import latin_hypercube
+from feecalib.optimizer import bvls, latin_hypercube, minimize_scalar_bounded
 
 
 def multi_start_warm(objective, bounds, options=SolverOptions(),
@@ -224,3 +229,99 @@ class TestLatinHypercube:
         hi = np.array([1.0, 6.0])
         pts = latin_hypercube(16, lo, hi, rng)
         assert np.all(pts >= lo) and np.all(pts <= hi)
+
+
+# (function, lo, hi, xatol, maxfun) of each bounded Brent case
+BRENT_CASES = {
+    "interior minimum": (lambda x: (x - 0.3) ** 2 + math.sin(5.0 * x),
+                         -1.0, 2.0, 1e-10, 500),
+    "minimum at the lower end": (math.exp, 0.0, 1.0, 1e-10, 500),
+    "minimum at the upper end": (lambda x: -x ** 3, -1.0, 2.0, 1e-10, 500),
+    "flat": (lambda x: 2.5, 0.0, 1.0, 1e-10, 500),
+    "NaN on part of the bracket": (
+        lambda x: math.nan if x > 0.5 else (x - 0.7) ** 2, 0.0, 1.0, 1e-10,
+        500),
+    "NaN everywhere": (lambda x: math.nan, 0.0, 1.0, 1e-10, 500),
+    "stops at maxfun": (lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-10, 5),
+}
+
+
+class TestMinimizeScalarBounded:
+    @pytest.mark.parametrize("case", BRENT_CASES)
+    def test_same_bits_as_scipy(self, case):
+        """The points evaluated, x, the evaluation count and converged
+        are those of minimize_scalar(method="bounded")."""
+        func, lo, hi, xatol, maxfun = BRENT_CASES[case]
+        seen, seen_ref = [], []
+        x, evaluations, converged = minimize_scalar_bounded(
+            lambda v: seen.append(v) or func(v), lo, hi, xatol, maxfun)
+        ref = minimize_scalar(lambda v: seen_ref.append(v) or func(v),
+                              bounds=(lo, hi), method="bounded",
+                              options={"xatol": xatol, "maxiter": maxfun})
+        assert seen == seen_ref
+        assert x == ref.x
+        assert evaluations == ref.nfev == len(seen)
+        assert converged == ref.success
+        if case in ("NaN everywhere", "stops at maxfun"):
+            assert not converged
+        if case == "stops at maxfun":
+            assert evaluations == maxfun
+
+
+@st.composite
+def bvls_problems(draw):
+    """min ||A x - b|| over a random box, with m <= 40 rows and p = 1-3
+    unknowns."""
+    p = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 40))
+    a = draw(arrays(np.float64, (m, p), elements=st.floats(-10.0, 10.0)))
+    b = draw(arrays(np.float64, m, elements=st.floats(-100.0, 100.0)))
+    lb = draw(arrays(np.float64, p, elements=st.floats(-5.0, 5.0)))
+    ub = lb + draw(arrays(np.float64, p, elements=st.floats(0.01, 5.0)))
+    return a, b, lb, ub
+
+
+def leaves_the_box(problem) -> bool:
+    """Whether the unconstrained solution leaves the box, where
+    lsq_linear runs BVLS."""
+    a, b, lb, ub = problem
+    x_lsq = np.linalg.lstsq(a, b, rcond=-1)[0]
+    return not ((x_lsq >= lb) & (x_lsq <= ub)).all()
+
+
+def reaches_the_main_loop(problem) -> bool:
+    """Whether BVLS's main loop runs: the reference's start-up loop alone
+    (no main-loop iteration) ends short of the KKT conditions."""
+    a, b, lb, ub = problem
+    x_lsq = np.linalg.lstsq(a, b, rcond=-1)[0]
+    start = reference_bvls(a, b, x_lsq, lb, ub, tol=1e-10, max_iter=0,
+                           verbose=0)
+    return start.optimality >= 1e-10
+
+
+def assert_same_bits_as_lsq_linear(problem):
+    a, b, lb, ub = problem
+    x, on_bound = bvls(a, b, np.linalg.lstsq(a, b, rcond=-1)[0], lb, ub)
+    ref = lsq_linear(a, b, bounds=(lb, ub), method="bvls")
+    assert np.array_equal(x, ref.x), (x, ref.x)
+    assert np.array_equal(on_bound, ref.active_mask), (on_bound,
+                                                        ref.active_mask)
+
+
+class TestBvls:
+    @settings(max_examples=300, deadline=None)
+    @given(bvls_problems())
+    def test_same_bits_as_lsq_linear(self, problem):
+        """x and the active mask are lsq_linear(method="bvls")'s."""
+        assume(leaves_the_box(problem))
+        assert_same_bits_as_lsq_linear(problem)
+
+    def test_main_loop_draws_have_the_same_bits(self):
+        """The problems above include ones that need BVLS's main loop,
+        not only its start-up loop, and one of them matches too."""
+        problem = find(bvls_problems(),
+                       lambda pr: (leaves_the_box(pr)
+                                   and reaches_the_main_loop(pr)),
+                       settings=settings(database=None, derandomize=True,
+                                         max_examples=2000))
+        assert_same_bits_as_lsq_linear(problem)
