@@ -287,8 +287,7 @@ def _at_bound(entries) -> dict[str, str]:
 
 
 def _bounded_lsq(design: np.ndarray, target: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray,
-                 paths: Counter | None = None) -> tuple[np.ndarray, float]:
+                 hi: np.ndarray, paths: Counter) -> tuple[np.ndarray, float]:
     """min ||design @ x - target|| subject to lo <= x <= hi.
 
     Least squares on unit-norm columns. The unconstrained solution comes
@@ -299,10 +298,9 @@ def _bounded_lsq(design: np.ndarray, target: np.ndarray, lo: np.ndarray,
     return lsq_linear's bits. An unknown whose column is all zero (the
     data cannot see it) or whose bounds coincide is pinned at its lower
     bound. Unknowns that end on a bound are set to it exactly. Returns x
-    and the residual sum of squares at x; ``paths``, when given, counts
-    the solve as "interior" or "bvls".
+    and the residual sum of squares at x, and counts the solve in
+    ``paths`` as "interior" or "bvls".
     """
-    paths = Counter() if paths is None else paths
     norms = np.sqrt(np.einsum("ij,ij->j", design, design))
     is_free = (norms > 0.0) & (hi > lo)
     free = np.flatnonzero(is_free)
@@ -721,7 +719,7 @@ def calibrate_stage3(cycle: PreparedCycle, theta_fixed: SoilParameters,
     f_best, f_incumbent = objective(best), objective(incumbent)
     if f_incumbent <= f_best:
         best, f_best = incumbent, f_incumbent
-        big_k = theta_fixed.kc / loader.b + theta_fixed.kphi
+        big_k = float(theta_fixed.kc / loader.b + theta_fixed.kphi)
     theta3 = np.array(best, dtype=float)
     kc, kphi, n = theta3
     fit = model(kc, kphi, n)
@@ -824,12 +822,14 @@ def calibrate_multi_stage(dataset: CycleDataset,
     cycle = prepare_cycle(dataset)
     theta1, s1 = calibrate_stage1(cycle, options)
     theta2, s2 = calibrate_stage2(cycle, theta1, options)
+    ca, delta, kc, kphi, n = theta1.tolist()
+    gamma, cohesion, phi = theta2.tolist()
     assembled = SoilParameters(
-        gamma=theta2[0], cohesion_c=theta2[1], adhesion_ca=theta1[0],
-        phi=theta2[2], delta=theta1[1], kc=theta1[2], kphi=theta1[3],
-        n=theta1[4])
+        gamma=gamma, cohesion_c=cohesion, adhesion_ca=ca, phi=phi,
+        delta=delta, kc=kc, kphi=kphi, n=n)
     theta3, s3 = calibrate_stage3(cycle, assembled, options)
-    theta = assembled.replace(kc=theta3[0], kphi=theta3[1], n=theta3[2])
+    kc, kphi, n = theta3.tolist()
+    theta = assembled.replace(kc=kc, kphi=kphi, n=n)
     wall = time.perf_counter() - t0
     return _final_report("multi-stage", theta, [s1, s2, s3], cycle,
                          options, wall)

@@ -1,8 +1,10 @@
 """Trajectories, stockpile surfaces and per-sample wedge geometry.
 
-Surfaces come in two flavors: an infinite sloped line (undisturbed pile
-face) and an x-monotone polyline (pile face carved by a previous pass).
-All coordinates are planar (x horizontal along the dig, z up), in meters.
+A ``Surface`` is one of two kinds: an infinite sloped line (undisturbed
+pile face) or an x-monotone polyline (pile face carved by a previous
+pass). Both carry the pile inclination the bearing factors use,
+``nominal_alpha``, and both refuse one outside [0 deg, 45 deg). All
+coordinates are planar (x horizontal along the dig, z up), in meters.
 """
 
 from __future__ import annotations
@@ -16,39 +18,28 @@ from .errors import DegenerateRegion, NonMonotonePath
 from .soil import ALPHA_MAX, RHO_MIN, LoaderParameters
 
 
-class Surface:
-    """Common interface for stockpile surface models."""
-
-    nominal_alpha: float
-
-    def height_at(self, x):
-        raise NotImplementedError
-
-    def direction_angle_at(self, x):
-        raise NotImplementedError
-
-    def depth_of(self, x, z):
-        raise NotImplementedError
-
-    def vertex_xs(self) -> np.ndarray:
-        """Interior breakpoints of the surface (empty for a line)."""
-        return np.empty(0)
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha < ALPHA_MAX:
+        raise ValueError("alpha must lie in [0 deg, 45 deg)")
 
 
 @dataclass(frozen=True)
-class SlopedLine(Surface):
+class SlopedLine:
     """Straight pile face through ``origin`` rising at angle ``alpha``."""
 
     origin: tuple[float, float] = (0.0, 0.0)
     alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha < ALPHA_MAX:
-            raise ValueError("alpha must lie in [0 deg, 45 deg)")
+        _check_alpha(self.alpha)
 
     @property
     def nominal_alpha(self) -> float:
         return self.alpha
+
+    def vertex_xs(self) -> np.ndarray:
+        """Interior breakpoints of the surface: none for a line."""
+        return np.empty(0)
 
     def height_at(self, x):
         x = np.asarray(x, dtype=float)
@@ -64,7 +55,7 @@ class SlopedLine(Surface):
 
 
 @dataclass(frozen=True)
-class Polyline(Surface):
+class Polyline:
     """Piecewise-linear surface with strictly increasing vertex x.
 
     Outside the vertex span the end segments are extended with their own
@@ -77,6 +68,7 @@ class Polyline(Surface):
     nominal_alpha: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_alpha(self.nominal_alpha)
         verts = np.array(self.vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 2:
             raise ValueError("vertices must be an (n>=2, 2) array")
@@ -151,6 +143,11 @@ class Polyline(Surface):
             np.minimum(best[:m], ex * ex + ez * ez, out=best[:m])
         depth[idx[order]] = np.sqrt(best)
         return depth
+
+
+#: A stockpile surface: each kind gives ``nominal_alpha``, ``height_at``,
+#: ``direction_angle_at``, ``depth_of`` and ``vertex_xs``.
+Surface = SlopedLine | Polyline
 
 
 class InvalidTrajectory(ValueError):

@@ -25,7 +25,7 @@ from .geometry import (InvalidTrajectory, Polyline, SlopedLine, Surface,
 from .optimizer import SolverOptions
 from .soil import LoaderParameters, SoilParameters
 from .synthetic import (Scenario, default_loader, default_scenario,
-                        default_truth, find_preset)
+                        default_truth, preset_truth)
 
 SCHEMA_VERSION = 3
 
@@ -520,13 +520,7 @@ def run_config_from_json(obj: dict, preset: str | None = None,
 
 def _truth_from_preset(name: str) -> SoilParameters:
     try:
-        preset = find_preset(name)
-        if preset.kc is None:
-            preset = preset.merged(find_preset("Heavy Clay WES 40"))
-        elif preset.gamma is None:
-            preset = find_preset("Clay of low plasticity, lean clay").merged(
-                preset)
-        return preset.soil_parameters()
+        return preset_truth(name)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"preset: {exc}")
 

@@ -61,8 +61,8 @@ class SolveResult:
     iterations: int
     gradient_norm: float
     converged: bool
-    starts_tried: int = 1
-    function_evaluations: int = 0
+    starts_tried: int
+    function_evaluations: int
 
 
 def _load_solvers() -> None:
@@ -86,11 +86,10 @@ def _as_bounds(bounds, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def finite_difference_gradient(objective: Callable[[np.ndarray], float],
-                               x: np.ndarray, bounds,
-                               relative_step: float = 1e-6) -> np.ndarray:
+                               x: np.ndarray, bounds) -> np.ndarray:
     """Central-difference gradient, one-sided at bound-active coordinates.
 
-    Steps are relative to |x_i| with a unit fallback for near-zero
+    Steps are 1e-6 relative to |x_i| with a unit fallback for near-zero
     coordinates and an absolute floor of 1e-10.
     """
     x = np.asarray(x, dtype=float)
@@ -106,7 +105,7 @@ def finite_difference_gradient(objective: Callable[[np.ndarray], float],
         return value
 
     for i in range(x.size):
-        h = max(relative_step * max(abs(x[i]), 1.0), 1e-10)
+        h = max(1e-6 * max(abs(x[i]), 1.0), 1e-10)
         up_ok = x[i] + h <= hi[i]
         dn_ok = x[i] - h >= lo[i]
         if not (up_ok or dn_ok):

@@ -8,9 +8,10 @@ forces. One kernel, ``bearing_factors``, runs the chain from the
 blade-angle margins through the failure-angle window and solve to the
 factors, for one friction angle or many at once; the force engine
 (``predict_force_arrays``) and stage 2 of the calibration both call it.
-The cotangent form of the factors lives on in the tests as the reference
-the sine-cosine form must reproduce. All quantities are base SI (N, m,
-rad, kg/m^3).
+Its two steps, ``_failure_angle`` and ``_factor_arrays``, are what the
+tests hold against their references: a grid and golden-section search
+for the failure angle, and the cotangent form of the factors. All
+quantities are base SI (N, m, rad, kg/m^3).
 """
 
 from __future__ import annotations
@@ -159,16 +160,13 @@ def _ngamma_array(alpha, beta, rho, phi, delta):
                * np.sin(rho + delta + beta + phi)))
 
 
-def _factor_arrays(alpha, beta, rho, phi, delta, sin_rho=None,
-                   n_gamma=None):
+def _factor_arrays(alpha, beta, rho, phi, delta, sin_rho, n_gamma):
     """Sine-cosine bearing factors; inputs broadcast as numpy arrays.
-    ``sin_rho`` is np.sin(rho) and ``n_gamma`` N_gamma at beta, when the
-    caller has them."""
+    ``sin_rho`` is np.sin(rho) and ``n_gamma`` N_gamma at beta
+    (``_ngamma_array``), both of which the failure-angle solve has
+    already computed."""
     s_beta = np.sin(beta)
     s_chain = np.sin(rho + delta + beta + phi)
-    sin_rho = np.sin(rho) if sin_rho is None else sin_rho
-    if n_gamma is None:
-        n_gamma = _ngamma_array(alpha, beta, rho, phi, delta)
     n_c = np.cos(phi) / (s_beta * s_chain)
     n_a = -np.cos(rho + beta + phi) / (sin_rho * s_chain)
     n_q = np.sin(alpha + beta + phi) / s_chain
@@ -227,7 +225,7 @@ def _beats(f, f_best):
     return ~(f >= f_best) & ~np.isnan(f_best)
 
 
-def _failure_angle(alpha: float, rho, phi, delta: float, usable=True):
+def _failure_angle(alpha: float, rho, phi, delta: float, usable):
     """Vectorized failure-angle solve in closed form.
 
     Returns (beta, feasible, n_gamma) arrays: feasible where the window is
@@ -296,11 +294,6 @@ def _failure_angle(alpha: float, rho, phi, delta: float, usable=True):
     beta[feasible] = np.where(snap, EPS1, best)
     n_gamma[feasible] = np.where(snap, f_lo, f_best)
     return beta, feasible, n_gamma
-
-
-def _solve_beta_array(alpha: float, rho, phi, delta: float):
-    """(beta, feasible) of ``_failure_angle``."""
-    return _failure_angle(alpha, rho, phi, delta)[:2]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from .calibration import predict_next_cycle
 from .errors import InfeasibleGeometry
 from .geometry import CycleDataset, Surface, SlopedLine, quadratic_bezier_path
-from .soil import LoaderParameters, SoilParameters
+from .soil import PARAM_NAMES, LoaderParameters, SoilParameters
 
 
 @dataclass(frozen=True)
@@ -136,9 +136,6 @@ class SoilPreset:
     kphi: Value = None
     n: Value = None
 
-    _FIELDS = ("gamma", "cohesion_c", "adhesion_ca", "phi", "delta",
-               "kc", "kphi", "n")
-
     def value(self, field: str) -> float | None:
         """Scalar value of a field; ranges collapse to their midpoint."""
         raw = getattr(self, field)
@@ -152,7 +149,7 @@ class SoilPreset:
                ) -> "SoilPreset":
         """This preset with missing fields filled from ``other``."""
         fields = {f: getattr(self, f) if getattr(self, f) is not None
-                  else getattr(other, f) for f in self._FIELDS}
+                  else getattr(other, f) for f in PARAM_NAMES}
         return SoilPreset(name=name or f"{self.name} + {other.name}",
                           provenance=f"{self.provenance}; {other.provenance}",
                           **fields)
@@ -160,7 +157,7 @@ class SoilPreset:
     def soil_parameters(self, **overrides: float) -> SoilParameters:
         """Instantiate full parameters (range midpoints, steel-contact
         defaults for delta, adhesion defaulting to cohesion)."""
-        values = {f: self.value(f) for f in self._FIELDS}
+        values = {f: self.value(f) for f in PARAM_NAMES}
         values.update(overrides)
         missing = [f for f in ("gamma", "cohesion_c", "phi", "kc", "kphi",
                                "n") if values.get(f) is None]
@@ -232,11 +229,23 @@ def default_loader() -> LoaderParameters:
     return LoaderParameters(omega=1.2, b=0.05)
 
 
+def preset_truth(name: str) -> SoilParameters:
+    """Full parameters from the preset ``name`` (see ``find_preset``): a
+    classification preset takes its sinkage fields from Heavy Clay WES 40,
+    and a sinkage preset its other fields from the lean clay. Raises
+    KeyError for an unknown or ambiguous name."""
+    preset = find_preset(name)
+    if preset.kc is None:
+        preset = preset.merged(find_preset("Heavy Clay WES 40"))
+    elif preset.gamma is None:
+        preset = find_preset("Clay of low plasticity, lean clay").merged(
+            preset)
+    return preset.soil_parameters()
+
+
 def default_truth() -> SoilParameters:
     """Lean-clay pile with a heavy-clay pressure-sinkage response."""
-    clay = find_preset("Clay of low plasticity, lean clay")
-    sink = find_preset("Heavy Clay WES 40")
-    return clay.merged(sink).soil_parameters()
+    return preset_truth("Clay of low plasticity, lean clay")
 
 
 def default_scenario() -> Scenario:

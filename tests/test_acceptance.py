@@ -17,7 +17,7 @@ from feecalib import (CalibrationOptions, Scenario, SolverOptions,
                       prepare_cycle, resultant, rmse, simulate_cycle,
                       surface_after_cycle, wedge_geometry)
 from feecalib.soil import (SIN_MARGIN, SoilParameters, _factor_arrays,
-                           _solve_beta_array, beta_window)
+                           _failure_angle, _ngamma_array, beta_window)
 from test_calibration import full_series
 from test_soil import bearing_factors_canonical, bearing_factors_original
 
@@ -71,7 +71,8 @@ def test_criterion_1_algebraic_form_equivalence():
     tuples = _sample_feasible_tuples(100_000, seed=101)
     alpha, beta, rho, phi, delta = tuples.T
     # production sine-cosine path
-    canon = _factor_arrays(alpha, beta, rho, phi, delta)
+    canon = _factor_arrays(alpha, beta, rho, phi, delta, np.sin(rho),
+                           _ngamma_array(alpha, beta, rho, phi, delta))
     # independent evaluation of the cotangent-form expressions
     cot_beta = np.cos(beta) / np.sin(beta)
     cot_bf = np.cos(beta + phi) / np.sin(beta + phi)
@@ -116,8 +117,8 @@ def test_criterion_2_beta_solver_optimality():
         lo, hi = beta_window(alpha, np.array([rho]), phi, delta)
         if hi[0] <= lo[0]:
             continue
-        beta = float(_solve_beta_array(alpha, np.array([rho]), phi,
-                                       delta)[0][0])
+        beta = float(_failure_angle(alpha, np.array([rho]), phi, delta,
+                                    True)[0][0])
         cells = int((hi[0] - lo[0]) / step)
         grid = np.append(lo[0] + step * np.arange(cells + 1), hi[0])
         chain = rho + delta + grid + phi

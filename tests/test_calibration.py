@@ -346,6 +346,22 @@ class TestMultiStage:
                   resultant(f_t[ok], f_n[ok]))
         assert fr[0] == report.rmse_fr_n
 
+    @pytest.mark.parametrize("sigma, seed",
+                             [(0.0, 0)] + [(0.05, s) for s in range(1, 6)]
+                             + [(0.2, 1)])
+    def test_fitted_values_are_python_floats(self, dataset, sigma, seed):
+        # at 20% noise, seed 1, stage 3 keeps its incumbent
+        report = calibrate_multi_stage(
+            dataset if sigma == 0.0 else add_noise(dataset, sigma, seed=seed))
+        for name, value in vars(report.theta_star).items():
+            assert type(value) is float, name
+        for stage in report.stages:
+            for name, value in stage.parameters.items():
+                assert type(value) is float, (stage.name, name)
+        stage1, _, stage3 = (s.parameters for s in report.stages)
+        kept = all(stage3[k] == stage1[k] for k in ("kc", "kphi", "n"))
+        assert kept == (sigma == 0.2)
+
     def test_noiseless_fit_recovers_identifiable_parameters(self, dataset,
                                                             truth):
         report = calibrate_multi_stage(dataset)

@@ -719,6 +719,20 @@ class TestPolylineVertices:
         assert not (tmp_path / "predicted.csv").exists()
 
 
+class TestPolylineNominalAlpha:
+    @pytest.mark.parametrize("deg", [80.0, -30.0])
+    def test_outside_the_range_exits_2(self, runner, workdir, tmp_path, deg):
+        doc = json.loads((workdir / "run" / "scenario.json").read_text())
+        doc["surface"] = {"type": "polyline",
+                          "vertices_m": [[-1.0, 0.0], [3.0, 1.8]],
+                          "nominal_alpha_deg": deg}
+        res = _predict_with_scenario(runner, workdir, tmp_path,
+                                     json.dumps(doc))
+        _assert_config_error(res, "scenario.json.surface")
+        assert "alpha must lie in [0 deg, 45 deg)" in res.output
+        assert not (tmp_path / "predicted.csv").exists()
+
+
 class TestIntegerKeys:
     @pytest.mark.parametrize("doc, key", [
         ({"noise": {"seed": "abc"}}, "config.noise.seed"),

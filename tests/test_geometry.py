@@ -76,6 +76,26 @@ class TestMakeTrajectory:
         assert info.value.index == 2
 
 
+class TestNominalAlpha:
+    SURFACES = {
+        "sloped_line": lambda alpha: SlopedLine((0.0, 0.0), alpha),
+        "polyline": lambda alpha: Polyline(
+            np.array([[0.0, 0.0], [1.0, 0.2]]), nominal_alpha=alpha)}
+
+    @pytest.mark.parametrize("kind", sorted(SURFACES))
+    @pytest.mark.parametrize("deg", [80.0, -30.0, 120.0, 45.0, math.nan])
+    def test_outside_the_range_is_refused(self, kind, deg):
+        with pytest.raises(ValueError,
+                           match=r"alpha must lie in \[0 deg, 45 deg\)"):
+            self.SURFACES[kind](math.radians(deg))
+
+    @pytest.mark.parametrize("kind", sorted(SURFACES))
+    @pytest.mark.parametrize("deg", [0.0, 25.0, 44.9])
+    def test_inside_the_range_is_kept(self, kind, deg):
+        surface = self.SURFACES[kind](math.radians(deg))
+        assert surface.nominal_alpha == math.radians(deg)
+
+
 class TestPenetrationDepth:
     def test_flat_surface(self):
         assert penetration_depth((1.0, -0.3), FLAT) == pytest.approx(0.3)

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from feecalib import io as fio
 from feecalib import (ConfigError, Scenario, default_scenario, default_truth,
-                      make_trajectory, simulate_cycle, surface_after_cycle)
+                      find_preset, make_trajectory, preset_catalog,
+                      simulate_cycle, surface_after_cycle)
 from feecalib.cli import main
 
 # besides what st.floats draws anyway: signed zero, subnormals and the
@@ -91,6 +92,31 @@ def test_integral_float_config_values_are_ints():
 def test_non_finite_config_numbers_are_rejected(value):
     with pytest.raises(ConfigError, match="calibration.lambda_weight"):
         fio.calibration_options_from_json({"lambda_weight": value})
+
+
+def completed_preset(name):
+    """A preset made whole the way a config's ``soil.preset`` always has
+    been: a class preset takes Heavy Clay WES 40's sinkage fields, a
+    sinkage preset the lean clay's other fields."""
+    preset = find_preset(name)
+    if preset.kc is None:
+        return preset.merged(find_preset("Heavy Clay WES 40")
+                             ).soil_parameters()
+    return find_preset("Clay of low plasticity, lean clay").merged(
+        preset).soil_parameters()
+
+
+@pytest.mark.parametrize("name", [p.name for p in preset_catalog()])
+def test_config_preset_truth_is_the_completed_preset(name):
+    want = completed_preset(name)
+    assert fio.run_config_from_json({"soil": {"preset": name}}).truth == want
+    assert fio.run_config_from_json({}, preset=name).truth == want
+
+
+def test_default_truth_is_the_completed_lean_clay():
+    assert default_truth() == completed_preset(
+        "Clay of low plasticity, lean clay")
+    assert fio.run_config_from_json({}).truth == default_truth()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from feecalib import (ALPHA_MAX, ANGLE_MARGIN, EPS1, EPS2, GRAVITY, RHO_MIN,
                       wedge_geometry)
 from feecalib.soil import (_EMPTY_WINDOW, _OUT_OF_SOIL, _RHO_BELOW_MIN,
                            _SINGULAR_RHO, ParameterBounds, _factor_arrays,
-                           _ngamma_array, _solve_beta_array, beta_window)
+                           _failure_angle, _ngamma_array, beta_window)
 from feecalib.synthetic import preset_catalog
 
 LOADER = LoaderParameters(omega=1.0, b=0.05)
@@ -85,13 +85,15 @@ def bearing_factors_original(alpha, beta, rho, phi, delta, denom_eps=1e-12):
 def bearing_factors_canonical(alpha, beta, rho, phi, delta):
     """The engine's sine-cosine factors at one (alpha, beta, rho, phi,
     delta) tuple."""
-    return Factors(*(float(v) for v in _factor_arrays(alpha, beta, rho, phi,
-                                                      delta)))
+    n_gamma = _ngamma_array(alpha, beta, rho, phi, delta)
+    return Factors(*(float(v) for v in _factor_arrays(
+        alpha, beta, rho, phi, delta, np.sin(rho), n_gamma)))
 
 
 def solve_one(alpha, rho, phi, delta):
     """The engine's failure angle for one feasible blade angle."""
-    beta, feasible = _solve_beta_array(alpha, np.array([rho]), phi, delta)
+    beta, feasible = _failure_angle(alpha, np.array([rho]), phi, delta,
+                                    True)[:2]
     assert feasible[0]
     return float(beta[0])
 
@@ -124,7 +126,7 @@ def solve_beta_grid_golden(alpha, rho, phi, delta):
     golden-section steps around the best grid point.
 
     The search the closed form replaced, kept as its cross-check. Returns
-    (beta, feasible) like ``_solve_beta_array``.
+    (beta, feasible) like ``_failure_angle``.
     """
     n_grid, refine_iters = 768, 56
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
@@ -185,7 +187,7 @@ def stationarity_coefficients(alpha, rho, phi, delta):
 
 
 def assert_matches_reference(alpha, rho, phi, delta):
-    beta, feasible = _solve_beta_array(alpha, rho, phi, delta)
+    beta, feasible = _failure_angle(alpha, rho, phi, delta, True)[:2]
     beta_ref, feasible_ref = solve_beta_grid_golden(alpha, rho, phi, delta)
     np.testing.assert_array_equal(feasible, feasible_ref)
     assert np.all(np.isnan(beta[~feasible]))
@@ -280,7 +282,8 @@ class TestSolveBeta:
     def test_empty_feasible_set(self):
         # rho + delta + phi leave no room above EPS1
         rho = math.radians(100.0)
-        beta, feasible = _solve_beta_array(0.0, np.array([rho]), 0.75, 0.75)
+        beta, feasible = _failure_angle(0.0, np.array([rho]), 0.75, 0.75,
+                                        True)[:2]
         assert not feasible[0] and math.isnan(beta[0])
         out = _engine(_soil(phi=0.75, delta=0.75), 0.1, rho)
         assert out.status[0] == _EMPTY_WINDOW

@@ -286,7 +286,8 @@ class TestSplitAndLinearSolve:
                                   rng.normal(size=50)])
         lo = np.array([-5.0, -1.0, -5.0, 2.0])
         hi = np.array([5.0, 1.0, 5.0, 2.0])
-        x, rss = _bounded_lsq(design, target + 2.0 * design[:, 3], lo, hi)
+        x, rss = _bounded_lsq(design, target + 2.0 * design[:, 3], lo, hi,
+                              Counter())
         assert x[1] == -1.0 and x[3] == 2.0
         assert x[[0, 2]] == pytest.approx([0.7, -0.2], rel=1e-10)
         assert rss == pytest.approx(0.0, abs=1e-20)
@@ -300,7 +301,7 @@ class TestSplitAndLinearSolve:
             target = design @ rng.uniform(-20.0, 20.0, 2)
             lo = rng.uniform(-3.0, 0.0, 2).round(1)
             hi = rng.uniform(0.1, 3.0, 2).round(1)
-            x, _ = _bounded_lsq(design, target, lo, hi)
+            x, _ = _bounded_lsq(design, target, lo, hi, Counter())
             for value, edge in zip(np.concatenate([x, x]),
                                    np.concatenate([lo, hi])):
                 if abs(value - edge) <= 1e-12 * abs(edge):
@@ -466,7 +467,8 @@ class TestScreenedLsqAgainstEverySolve:
                 if rows is not None and not keep.any():
                     every.append((1e12, None))
                     continue
-                x, rss = _bounded_lsq(designs[i][keep], target[keep], lo, hi)
+                x, rss = _bounded_lsq(designs[i][keep], target[keep], lo, hi,
+                                      Counter())
                 every.append((rss / scale, x))
             before = paths["screened"]
             screened = _screened_lsq(designs, targets, lo, hi, scale, paths,
@@ -499,7 +501,7 @@ class TestScreenedLsqAgainstEverySolve:
         target = np.broadcast_to(targets, designs.shape[:2])[0]
         paths = Counter()
         (value, x), = _screened_lsq(designs[:1], target, lo, hi, 1.0, paths)
-        want = _bounded_lsq(designs[0], target, lo, hi)
+        want = _bounded_lsq(designs[0], target, lo, hi, Counter())
         assert (value, x.tolist()) == (want[1], want[0].tolist())
         assert paths == Counter(interior=1)
 
