@@ -1,8 +1,9 @@
 """Soil parameter calibration from one loading cycle's force data.
 
-Two entry points: a single-stage baseline fitting all eight parameters at
-once with the generic multi-start optimizer, and the staged pipeline that
-exploits the separable structure of the force equations. Stage 1 fits the
+Two entry points: a single-stage baseline fitting the seven parameters the
+model sees (K = kc/b + kphi in place of kc and kphi) at once with the
+generic multi-start optimizer, and the staged pipeline that exploits the
+separable structure of the force equations. Stage 1 fits the
 tangential-force subset using the observed normal force to stand in for
 the wedge reaction (no failure-angle solve at all), stage 2 fits
 density/cohesion/friction against the reconstructed wedge force, and
@@ -11,8 +12,8 @@ observations. Each stage is linear in all its unknowns but one, so it is
 fitted by variable projection (Golub & Pereyra 1973): a bounded search
 over the one nonlinear parameter, solving the others by bounded linear
 least squares. A grid of trials is screened first: one batched QR gives
-each trial's unconstrained residual, a lower bound on its bounded one,
-and only the trials whose bound can still beat the best solve so far are
+each trial's unconstrained residual, a lower bound on its bounded one, and
+only the trials whose bound can still beat the best solve so far are
 solved, which leaves the fitted bits as they would be with every trial
 solved.
 
@@ -28,8 +29,7 @@ import logging
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -38,20 +38,15 @@ from .geometry import CycleDataset, surface_after_cycle, wedge_geometry
 from .optimizer import (SolverOptions, _load_solvers, bvls,
                         finite_difference_gradient, minimize_scalar_bounded,
                         multi_start)
-from .soil import (GRAVITY, PARAM_NAMES, CycleForceArrays, LoaderParameters,
+from .soil import (GRAVITY, CycleForceArrays, LoaderParameters,
                    ParameterBounds, SoilParameters, bearing_factors,
                    predict_force_arrays)
 
 log = logging.getLogger(__name__)
 
-_SPLIT_NOTES = {
-    "multi-stage": "the model uses kc and kphi only through "
-                   "K = kc/b + kphi; K is fitted and the split follows the "
-                   "rule kphi = clip(K - kc_min/b, kphi_min, kphi_max), "
-                   "kc = b*(K - kphi)",
-    "single-stage": "the model uses kc and kphi only through "
-                    "K = kc/b + kphi; the optimizer's split is arbitrary",
-}
+_SPLIT_NOTE = ("the model uses kc and kphi only through K = kc/b + kphi; K "
+               "is fitted and the split follows the rule kphi = clip(K - "
+               "kc_min/b, kphi_min, kphi_max), kc = b*(K - kphi)")
 
 
 @dataclass(frozen=True)
@@ -82,8 +77,10 @@ class StageResult:
     grid point is a bound whose one-sided derivative points out of the
     box, so Brent is skipped) and ``gradient_norm`` the projected
     derivative along the outer parameter in unit-interval coordinates.
-    ``at_bound`` maps each fitted parameter that ends on a bound (K in
-    place of kc and kphi for the staged fits) to "lower" or "upper".
+    Every method fits K = kc/b + kphi: ``parameters`` carries K next to
+    the kc and kphi it splits into, and ``at_bound`` maps each fitted
+    parameter that ends on a bound (K, not kc or kphi) to "lower" or
+    "upper".
     """
 
     name: str
@@ -125,7 +122,7 @@ class CalibrationReport:
     @property
     def not_identified(self) -> dict[str, str]:
         """What the force data cannot determine, and how it was set."""
-        return {"kc/kphi split": _SPLIT_NOTES[self.method]}
+        return {"kc/kphi split": _SPLIT_NOTE}
 
 
 # ---------------------------------------------------------------------------
@@ -217,23 +214,6 @@ def _forces(theta: SoilParameters, cycle: PreparedCycle) -> CycleForceArrays:
     """The force engine over the cycle's in-soil samples."""
     return predict_force_arrays(cycle.depth, cycle.rho, cycle.lt, cycle.area,
                                 theta, cycle.loader, cycle.alpha)
-
-
-class _BoxMap:
-    """Affine map between a named parameter subset and the unit box."""
-
-    def __init__(self, bounds: ParameterBounds, names: Sequence[str]):
-        self.names = tuple(names)
-        self.lo = bounds.lower(names)
-        self.hi = bounds.upper(names)
-        self.width = self.hi - self.lo
-
-    def from_unit(self, unit: np.ndarray) -> np.ndarray:
-        return self.lo + np.asarray(unit, dtype=float) * self.width
-
-    @property
-    def unit_bounds(self) -> np.ndarray:
-        return np.repeat([[0.0, 1.0]], len(self.names), axis=0)
 
 
 def stage1_tangential_force(theta1: np.ndarray, depth, lt, fn_obs,
@@ -766,23 +746,35 @@ def _final_report(method: str, theta: SoilParameters,
 def calibrate_single_stage(dataset: CycleDataset,
                            options: CalibrationOptions = CalibrationOptions()
                            ) -> CalibrationReport:
-    """Baseline: fit all eight parameters at once.
+    """Baseline: fit the seven parameters the model sees at once.
 
     Minimizes the lambda-weighted sum of squared tangential and normal
-    residuals on the raw observations over in-soil samples. Raises
+    residuals on the raw observations over in-soil samples, by
+    ``multi_start`` on the unit box over (gamma, c, c_a, phi, delta, K, n),
+    with K = kc/b + kphi in the staged fits' box. Every evaluated point,
+    the answer included, takes its kc and kphi from
+    ``split_pressure_coefficient``, as the staged fits do. Raises
     DegenerateDepths when no sample is in soil.
     """
     _load_solvers()
     t0 = time.perf_counter()
     cycle = prepare_cycle(dataset)
-    box = _BoxMap(options.bounds, PARAM_NAMES)
+    bounds, b = options.bounds, cycle.loader.b
+    names = ("gamma", "cohesion_c", "adhesion_ca", "phi", "delta", "K", "n")
+    lo, hi = np.array([_pressure_bounds(bounds, b) if name == "K"
+                       else getattr(bounds, name) for name in names]).T
     lam = options.lambda_weight
     ft_obs, fn_obs = cycle.ft_obs, cycle.fn_obs
     scale = (lam * _series_scale(ft_obs)
              + (1.0 - lam) * _series_scale(fn_obs) + 1e-300)
 
+    def soil_at(values: np.ndarray) -> SoilParameters:
+        gamma, cohesion, ca, phi, delta, big_k, n = values.tolist()
+        kc, kphi = split_pressure_coefficient(big_k, bounds, b)
+        return SoilParameters(gamma, cohesion, ca, phi, delta, kc, kphi, n)
+
     def objective(unit: np.ndarray) -> float:
-        out = _forces(SoilParameters.from_array(box.from_unit(unit)), cycle)
+        out = _forces(soil_at(lo + unit * (hi - lo)), cycle)
         valid = out.valid
         if not valid.any():
             return 1e12
@@ -791,12 +783,13 @@ def calibrate_single_stage(dataset: CycleDataset,
         return (lam * float(r_t @ r_t)
                 + (1.0 - lam) * float(r_n @ r_n)) / scale
 
-    solve = multi_start(objective, box.unit_bounds, options.solver)
-    values = box.from_unit(solve.x_star)
-    theta = SoilParameters.from_array(values)
+    unit_box = np.repeat([[0.0, 1.0]], len(names), axis=0)
+    solve = multi_start(objective, unit_box, options.solver)
+    values = lo + solve.x_star * (hi - lo)
+    theta = soil_at(values)
     wall = time.perf_counter() - t0
     stage = StageResult(
-        name="single", parameters=dict(zip(box.names, values.tolist())),
+        name="single", parameters=dict(asdict(theta), K=float(values[5])),
         objective_value=solve.objective_value, iterations=solve.iterations,
         function_evaluations=solve.function_evaluations,
         starts_tried=solve.starts_tried, converged=solve.converged,
@@ -805,7 +798,7 @@ def calibrate_single_stage(dataset: CycleDataset,
         rmse_pct=math.nan,
         rmse_series="(final report carries the force errors)",
         at_bound=_at_bound((name, u, 0.0, 1.0)
-                           for name, u in zip(box.names, solve.x_star)))
+                           for name, u in zip(names, solve.x_star)))
     return _final_report("single-stage", theta, [stage], cycle, options,
                          wall)
 

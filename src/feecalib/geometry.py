@@ -32,6 +32,14 @@ class SlopedLine:
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
+        try:
+            origin = np.array(self.origin, dtype=float)
+        except (TypeError, ValueError):
+            origin = np.empty(0)
+        if origin.shape != (2,) or not np.isfinite(origin).all():
+            raise ValueError(f"origin must be two finite numbers, got "
+                             f"{self.origin!r}")
+        object.__setattr__(self, "origin", tuple(origin.tolist()))
 
     @property
     def nominal_alpha(self) -> float:

@@ -207,13 +207,21 @@ def read_prediction_csv(path: str | Path) -> dict[str, np.ndarray]:
 # Strict config / JSON helpers
 # ---------------------------------------------------------------------------
 
+def _check_object(obj, context: str) -> None:
+    """Every section of a JSON document is read through this check."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+
+
 def _check_keys(obj: dict, allowed: Sequence[str], context: str) -> None:
+    _check_object(obj, context)
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}' in {context}")
 
 
 def _need(obj: dict, key: str, context: str):
+    _check_object(obj, context)
     if key not in obj:
         raise ConfigError(f"missing key '{key}' in {context}")
     return obj[key]
@@ -222,8 +230,7 @@ def _need(obj: dict, key: str, context: str):
 def _check_schema_version(obj: dict, context: str) -> None:
     """A document without ``schema_version`` reads as the current one; a
     non-integer version, or one newer than this reader, is refused."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{context} must be a JSON object")
+    _check_object(obj, context)
     version = obj.get("schema_version", SCHEMA_VERSION)
     if (isinstance(version, bool) or not isinstance(version, int)
             or version > SCHEMA_VERSION):
@@ -335,7 +342,7 @@ def surface_from_json(obj: dict, context: str = "surface") -> Surface:
         try:
             return Polyline(np.asarray(vertices, dtype=float),
                             nominal_alpha=alpha)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"{context}: {exc}")
     raise ConfigError(f"{context}.type must be 'sloped_line' or 'polyline', "
                       f"got {kind!r}")
@@ -415,7 +422,7 @@ def scenario_from_json(obj: dict, context: str = "scenario") -> Scenario:
             samples = make_trajectory(*table.T)
             return Scenario(surface=surface, loader=loader, samples=samples,
                             sample_rate=rate, duration=duration)
-    except (ValueError, TypeError, IndexError) as exc:
+    except (ValueError, TypeError, IndexError, OverflowError) as exc:
         raise ConfigError(f"{context}.path: {exc}")
     raise ConfigError(f"{context}.path.type must be 'quadratic_bezier' or "
                       f"'explicit', got {kind!r}")
@@ -477,8 +484,6 @@ def run_config_from_json(obj: dict, preset: str | None = None,
                          source: str = "config") -> RunConfig:
     """Build a validated run config; CLI flags override file values.
     ``source`` names the document in a schema_version error."""
-    if not isinstance(obj, dict):
-        raise ConfigError("config root must be a JSON object")
     _check_keys(obj, ("schema_version", "scenario", "soil", "noise",
                       "calibration"), "config")
     _check_schema_version(obj, source)
@@ -492,22 +497,24 @@ def run_config_from_json(obj: dict, preset: str | None = None,
     if "preset" in soil_obj and "truth" in soil_obj:
         raise ConfigError("config.soil: give either 'preset' or 'truth'")
     if preset is not None:
-        truth = _truth_from_preset(preset)
+        truth = _truth_from_preset(preset, "--preset")
     elif "truth" in soil_obj:
         truth = soil_from_json(soil_obj["truth"], "config.soil.truth")
     elif "preset" in soil_obj:
-        truth = _truth_from_preset(soil_obj["preset"])
+        truth = _truth_from_preset(soil_obj["preset"], "config.soil.preset")
     else:
         truth = default_truth()
 
     noise_obj = obj.get("noise", {})
     _check_keys(noise_obj, ("relative_sigma", "seed"), "config.noise")
+    sigma_source = "config.noise.relative_sigma"
     relative_sigma = _as_float(noise_obj.get("relative_sigma", 0.0),
-                               "config.noise.relative_sigma")
+                               sigma_source)
     if noise is not None:
-        relative_sigma = noise
+        sigma_source = "--noise"
+        relative_sigma = _as_float(noise, sigma_source)
     if relative_sigma < 0.0:
-        raise ConfigError("config.noise.relative_sigma must be nonnegative")
+        raise ConfigError(f"{sigma_source} must be nonnegative")
     seed_value = _as_int(noise_obj.get("seed", 0), "config.noise.seed")
     if seed is not None:
         seed_value = seed
@@ -518,11 +525,13 @@ def run_config_from_json(obj: dict, preset: str | None = None,
                      calibration=calibration)
 
 
-def _truth_from_preset(name: str) -> SoilParameters:
+def _truth_from_preset(name: str, context: str) -> SoilParameters:
+    if not isinstance(name, str):
+        raise ConfigError(f"{context} must be a preset name, got {name!r}")
     try:
         return preset_truth(name)
     except (KeyError, ValueError) as exc:
-        raise ConfigError(f"preset: {exc}")
+        raise ConfigError(f"{context}: {exc}")
 
 
 def load_config(path: str | Path | None, preset: str | None = None,

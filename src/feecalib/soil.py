@@ -26,8 +26,7 @@ from .errors import SingularGeometry
 
 GRAVITY = 9.80665  # m/s^2
 
-#: Ordering of the eight soil parameters used everywhere a flat vector is
-#: exchanged with the optimizer or serialized to disk.
+#: The eight soil parameters, in the field order of ``SoilParameters``.
 PARAM_NAMES = ("gamma", "cohesion_c", "adhesion_ca", "phi", "delta",
                "kc", "kphi", "n")
 
@@ -78,16 +77,6 @@ class SoilParameters:
                 raise ValueError(f"{name} must lie in [0, pi/2)")
         if self.n <= 0.0:
             raise ValueError("n must be positive")
-
-    def to_array(self) -> np.ndarray:
-        return np.array([getattr(self, k) for k in PARAM_NAMES], dtype=float)
-
-    @classmethod
-    def from_array(cls, values: Sequence[float]) -> "SoilParameters":
-        values = np.asarray(values, dtype=float)
-        if values.shape != (len(PARAM_NAMES),):
-            raise ValueError(f"expected {len(PARAM_NAMES)} values")
-        return cls(**dict(zip(PARAM_NAMES, values.tolist())))
 
     def replace(self, **changes: float) -> "SoilParameters":
         return replace(self, **changes)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -465,7 +465,7 @@ PINNED_BOUND_FITS = {
 
 
 def _assert_pinned(report, pin):
-    assert report.theta_star.to_array().tolist() == pytest.approx(
+    assert list(astuple(report.theta_star)) == pytest.approx(
         pin["theta"], rel=1e-12)
     assert len(report.stages) == len(pin["stages"])
     for stage, (parameters, evaluations) in zip(report.stages,
@@ -494,7 +494,7 @@ class TestPreparedCycle:
     def test_bound_check_trials_are_pinned(self, dataset, seed):
         theta, evaluations = PINNED_BOUND_FITS[seed]
         report = calibrate_multi_stage(add_noise(dataset, 0.05, seed=seed))
-        assert report.theta_star.to_array().tolist() == pytest.approx(
+        assert list(astuple(report.theta_star)) == pytest.approx(
             theta, rel=1e-12)
         assert [s.function_evaluations for s in report.stages] == evaluations
 

@@ -777,6 +777,70 @@ class TestIntegerKeys:
         assert not (tmp_path / "never").exists()
 
 
+# (document, keys to the section, value put there, the section's name in
+# the message); "scenario" and "report" start from the training run's
+# files, "config" from an empty config
+NOT_OBJECTS = [
+    ("scenario", (), 5, "scenario.json"),
+    ("scenario", (), None, "scenario.json"),
+    ("scenario", (), "x", "scenario.json"),
+    ("scenario", (), [1, 2], "scenario.json"),
+    ("scenario", ("surface",), 5, "scenario.json.surface"),
+    ("scenario", ("path",), 3, "scenario.json.path"),
+    ("scenario", ("loader",), 7, "scenario.json.loader"),
+    ("config", (), [1], "config"),
+    ("config", ("soil",), 5, "config.soil"),
+    ("config", ("noise",), 3, "config.noise"),
+    ("config", ("calibration",), [], "calibration"),
+    ("config", ("calibration", "solver"), 1, "calibration.solver"),
+    ("config", ("scenario",), 2, "config.scenario"),
+    ("config", ("soil", "truth"), 4, "config.soil.truth"),
+    ("report", ("theta_star",), 5, "report.json:theta_star"),
+]
+
+
+@pytest.mark.parametrize("kind, keys, value, section", NOT_OBJECTS,
+                         ids=[f"{kind}-{'.'.join(keys) or 'root'}-{value!r}"
+                              for kind, keys, value, _ in NOT_OBJECTS])
+def test_a_section_that_is_not_an_object_exits_2(runner, workdir, tmp_path,
+                                                  kind, keys, value,
+                                                  section):
+    run = workdir / "run"
+    doc = ({} if kind == "config"
+           else json.loads((run / f"{kind}.json").read_text()))
+    if keys:
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent.setdefault(key, {})
+        parent[keys[-1]] = value
+    else:
+        doc = value
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    args = {"scenario": ["predict", str(run / "report.json"), "--scenario",
+                         str(path)],
+            "config": ["simulate", "--config", str(path)],
+            "report": ["predict", str(path), "--scenario",
+                       str(run / "scenario.json")]}[kind]
+    out = tmp_path / "never"
+    res = runner.invoke(main, args + ["--out", str(out)])
+    _assert_config_error(res, f"{section} must be a JSON object")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, rule", [("nan", "finite"),
+                                         ("inf", "finite"),
+                                         ("1e309", "finite"),
+                                         ("-0.1", "nonnegative")])
+def test_noise_flag_is_checked_as_the_config_value(runner, tmp_path, value,
+                                                   rule):
+    out = tmp_path / "never"
+    res = runner.invoke(main, ["simulate", "--noise", value, "--out",
+                               str(out)])
+    _assert_config_error(res, f"--noise must be {rule}")
+    assert not out.exists()
+
+
 class TestZeroDepthCycle:
     @pytest.mark.parametrize("method", ["single", "multi"])
     def test_calibrate_exits_3(self, runner, workdir, tmp_path, method):

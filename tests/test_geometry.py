@@ -96,6 +96,23 @@ class TestNominalAlpha:
         assert surface.nominal_alpha == math.radians(deg)
 
 
+class TestSlopedLineOrigin:
+    @pytest.mark.parametrize("origin", [
+        (math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0), (1.0,),
+        (1.0, 2.0, 3.0), (), None, 5.0, ((1.0, 2.0), (3.0, 4.0)),
+        ("a", 0.0), ({}, 0.0)])
+    def test_not_two_finite_numbers_is_refused(self, origin):
+        with pytest.raises(ValueError, match="origin must be two finite "
+                                             "numbers"):
+            SlopedLine(origin, 0.1)
+
+    def test_kept_as_two_floats(self):
+        line = SlopedLine((1, -2), 0.1)
+        assert line.origin == (1.0, -2.0)
+        assert all(type(v) is float for v in line.origin)
+        assert line.height_at(1.0) == -2.0
+
+
 class TestPenetrationDepth:
     def test_flat_surface(self):
         assert penetration_depth((1.0, -0.3), FLAT) == pytest.approx(0.3)

@@ -375,3 +375,140 @@ def test_cli_csv_files_match_the_reference_writer(tmp_path,
                                      ("predicted.csv", f"cycle_{k}.csv")]
     for written, reference in reference_writes:
         assert written.read_bytes() == reference.read_bytes(), written
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed input: a reader raises ConfigError or nothing
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def valid_csvs(folder):
+    """The text of a valid cycle CSV and prediction CSV of three samples,
+    by reader."""
+    trajectory = make_trajectory([0.0, 0.1, 0.2], [0.3, 0.4, 0.5],
+                                 [0.0, -0.05, -0.1], [0.5, 0.6, 0.7])
+    forces = np.array([1.5, 2.5, 3.5])
+    fio.write_cycle_csv(folder / "valid_cycle.csv", trajectory, forces,
+                        -forces)
+    fio.write_prediction_csv(folder / "valid_predicted.csv", trajectory,
+                             forces, forces, forces, -forces)
+    return {fio.read_cycle_csv: (folder / "valid_cycle.csv").read_text(),
+            fio.read_prediction_csv:
+                (folder / "valid_predicted.csv").read_text()}
+
+
+def _raises_only_config_error(read, path):
+    try:
+        read(path)
+    except ConfigError:
+        pass
+
+
+CSV_READERS = [fio.read_cycle_csv, fio.read_prediction_csv]
+GARBLE = st.text(alphabet=',"\n\r\t x.e+-019nainf\x00\xff#_', max_size=6)
+
+
+@pytest.mark.parametrize("read", CSV_READERS, ids=["cycle", "prediction"])
+@given(prefix=st.booleans(), noise=st.binary(max_size=200))
+@settings(max_examples=100, deadline=None)
+def test_csv_readers_on_random_bytes(folder, valid_csvs, read, prefix,
+                                     noise):
+    """Random bytes, alone or after the file's own header line."""
+    header = valid_csvs[read].split("\n", 1)[0] + "\n"
+    path = folder / "random.csv"
+    path.write_bytes((header.encode() if prefix else b"") + noise)
+    _raises_only_config_error(read, path)
+
+
+@pytest.mark.parametrize("read", CSV_READERS, ids=["cycle", "prediction"])
+@given(edits=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 8),
+                                GARBLE), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_csv_readers_on_garbled_rows(folder, valid_csvs, read, edits):
+    """A valid file with spans cut out and text put in: fields lost,
+    split, quoted or made non-numeric, rows joined or broken."""
+    text = valid_csvs[read]
+    for where, cut, insert in edits:
+        at = int(where * len(text))
+        text = text[:at] + insert + text[at + cut:]
+    path = folder / "garbled.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    _raises_only_config_error(read, path)
+
+
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.sampled_from([10 ** 400, -10 ** 400]), st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(["sloped_line", "polyline", "quadratic_bezier",
+                     "explicit", "clay", "Lean clay"]))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=6), children, max_size=3)),
+    max_leaves=10)
+
+
+def _sections(doc, at=()):
+    """The path to every value of a JSON document, the root included."""
+    yield at
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _sections(value, at + (key,))
+
+
+def _put(doc, at, value):
+    """A copy of ``doc`` with ``value`` at the path ``at``."""
+    if not at:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in at[:-1]:
+        parent = parent[key]
+    parent[at[-1]] = value
+    return doc
+
+
+def _valid_documents():
+    """(reader, valid document) pairs: scenarios with each surface and
+    path type, configs with a truth and a preset, and a report."""
+    scenario = fio.scenario_to_json(default_scenario())
+    explicit = dict(scenario, surface={
+        "type": "polyline", "vertices_m": [[0.0, 0.0], [1.0, 0.4]],
+        "nominal_alpha_deg": 20.0}, path={
+        "type": "explicit", "samples": [[0.0, 0.3, 0.0, 0.5],
+                                        [0.1, 0.6, -0.05, 0.6]]})
+    truth = fio.soil_to_json(default_truth())
+    config = {"schema_version": 3, "scenario": scenario,
+              "soil": {"truth": truth},
+              "noise": {"relative_sigma": 0.05, "seed": 1},
+              "calibration": {"lambda_weight": 0.5, "solver": {
+                  "max_iterations": 10, "gradient_tolerance": 1e-5,
+                  "n_starts": 1, "seed": 0}}}
+    report = {"schema_version": 3, "method": "multi-stage",
+              "theta_star": truth, "stages": []}
+    return [(fio.read_scenario_json, scenario),
+            (fio.read_scenario_json, explicit),
+            (fio.load_config, config),
+            (fio.load_config, dict(config,
+                                   soil={"preset": "Heavy Clay WES 40"})),
+            (fio.read_report_theta, report)]
+
+
+JSON_DOCUMENTS = _valid_documents()
+
+
+@pytest.mark.parametrize("read, doc", JSON_DOCUMENTS,
+                         ids=["scenario-bezier", "scenario-explicit",
+                              "config-truth", "config-preset", "report"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_json_readers_on_random_sections(folder, read, doc, data):
+    """Any JSON value in place of any section or value of a valid
+    document."""
+    at = data.draw(st.sampled_from(list(_sections(doc))))
+    path = folder / "drawn.json"
+    path.write_text(json.dumps(_put(doc, at, data.draw(JSON_VALUES))))
+    _raises_only_config_error(read, path)

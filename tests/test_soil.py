@@ -11,6 +11,7 @@ from feecalib import (ALPHA_MAX, ANGLE_MARGIN, EPS1, EPS2, GRAVITY, RHO_MIN,
                       SIN_MARGIN, LoaderParameters, SingularGeometry,
                       SoilParameters, bearing_factors, predict_force_arrays,
                       wedge_geometry)
+from feecalib.io import soil_from_json, soil_to_json
 from feecalib.soil import (_EMPTY_WINDOW, _OUT_OF_SOIL, _RHO_BELOW_MIN,
                            _SINGULAR_RHO, ParameterBounds, _factor_arrays,
                            _failure_angle, _ngamma_array, beta_window)
@@ -622,9 +623,9 @@ class TestParameterTypes:
         assert bounds.kphi == (0.0, 5_000_000.0)
         assert bounds.n == (0.11, 1.53)
 
-    def test_vector_round_trip(self):
+    def test_json_round_trip(self):
         soil = _soil(gamma=1700.0, phi=0.3, delta=0.2, n=0.8)
-        assert SoilParameters.from_array(soil.to_array()) == soil
+        assert soil_from_json(soil_to_json(soil)) == soil
 
     def test_loader_invariants(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ from feecalib import (CalibrationOptions, FeeCalibError, ParameterBounds,
                       SoilParameters, SolverOptions, add_noise,
                       calibrate_multi_stage, calibrate_stage1,
                       calibrate_stage2, calibrate_stage3, prepare_cycle)
-from feecalib.calibration import (_PROFILE_GRID, _BoxMap, _bounded_lsq,
+from feecalib.calibration import (_PROFILE_GRID, _bounded_lsq,
                                   _forces, _profile_search, _screened_lsq,
                                   _series_scale,
                                   split_pressure_coefficient,
@@ -97,24 +97,26 @@ def stage3_objective(cycle, theta_fixed, options):
     return objective
 
 
-def to_unit(box, values):
-    """The point of ``box``'s unit cube that ``box.from_unit`` maps to
+def to_unit(lo, width, values):
+    """The point of the unit cube that ``lo + unit * width`` maps to
     ``values``, clipped to the cube; a zero-width axis maps to 0.5."""
-    unit = np.where(box.width > 0.0,
-                    (values - box.lo) / np.where(box.width > 0.0,
-                                                 box.width, 1.0),
+    unit = np.where(width > 0.0,
+                    (values - lo) / np.where(width > 0.0, width, 1.0),
                     0.5)
     return np.clip(unit, 0.0, 1.0)
 
 
 def reference_fit(objective, fields, options, warm_start=None):
-    box = _BoxMap(options.bounds, fields)
-    solve = multi_start_warm(lambda unit: objective(box.from_unit(unit)),
-                             box.unit_bounds, options.solver,
+    lo = options.bounds.lower(fields)
+    width = options.bounds.upper(fields) - lo
+    solve = multi_start_warm(lambda unit: objective(lo + unit * width),
+                             np.repeat([[0.0, 1.0]], len(fields), axis=0),
+                             options.solver,
                              warm_start=(None if warm_start is None
                                          else to_unit(
-                                             box, np.array(warm_start))))
-    return box.from_unit(solve.x_star)
+                                             lo, width,
+                                             np.array(warm_start))))
+    return lo + solve.x_star * width
 
 
 # Stage 2 runs on the smoothed normal force (the paper's stage 2) in the
