@@ -15,7 +15,9 @@ least squares. A grid of trials is screened first: one batched QR gives
 each trial's unconstrained residual, a lower bound on its bounded one, and
 only the trials whose bound can still beat the best solve so far are
 solved, which leaves the fitted bits as they would be with every trial
-solved.
+solved. Both methods keep what they fitted in one named record per
+stage, ``StageResult.parameters``, and ``assemble`` builds the soil
+parameters from those records.
 
 The staged fit runs on numpy alone: its bounded Brent search and its
 bounded-variable least squares are the ports in ``optimizer``, which
@@ -65,22 +67,23 @@ class CalibrationOptions:
 
 @dataclass
 class StageResult:
-    """Diagnostics for one optimization stage.
+    """What one optimization stage fitted, and its diagnostics.
 
-    ``function_evaluations`` counts full-cycle evaluations of the stage
-    model. In the staged fits that is one trial of the outer parameter
-    (each solves the linear unknowns by bounded least squares, or is
-    screened out as unable to win), plus the incumbent check of stage 3;
-    in the single-stage fit it is one objective call.
-    For the staged fits ``starts_tried`` is the number of grid points of
-    the outer search, ``iterations`` its Brent iterations (0 when the best
-    grid point is a bound whose one-sided derivative points out of the
-    box, so Brent is skipped) and ``gradient_norm`` the projected
-    derivative along the outer parameter in unit-interval coordinates.
-    Every method fits K = kc/b + kphi: ``parameters`` carries K next to
-    the kc and kphi it splits into, and ``at_bound`` maps each fitted
-    parameter that ends on a bound (K, not kc or kphi) to "lower" or
-    "upper".
+    ``parameters`` is the only record of the fit: each fitted value by
+    name, with K = kc/b + kphi next to the kc and kphi it splits into;
+    ``assemble`` builds the soil parameters from a fit's records.
+    ``at_bound`` maps each fitted parameter that ends on a bound (K, not
+    kc or kphi) to "lower" or "upper". ``function_evaluations`` counts
+    full-cycle evaluations of the stage model: in the staged fits one
+    trial of the outer parameter (each solves the linear unknowns by
+    bounded least squares, or is screened out as unable to win), plus the
+    incumbent check of stage 3; in the single-stage fit one objective
+    call. For the staged fits ``starts_tried`` is the number of grid
+    points of the outer search, ``iterations`` its Brent iterations (0
+    when the best grid point is a bound whose one-sided derivative points
+    out of the box, so Brent is skipped) and ``gradient_norm`` the
+    projected derivative along the outer parameter in unit-interval
+    coordinates.
     """
 
     name: str
@@ -216,20 +219,20 @@ def _forces(theta: SoilParameters, cycle: PreparedCycle) -> CycleForceArrays:
                                 theta, cycle.loader, cycle.alpha)
 
 
-def stage1_tangential_force(theta1: np.ndarray, depth, lt, fn_obs,
-                            loader: LoaderParameters) -> np.ndarray:
-    """Tangential force model of the first stage.
+def stage1_tangential_force(cycle: PreparedCycle, adhesion_ca: float,
+                            delta: float, kc: float, kphi: float,
+                            n: float) -> np.ndarray:
+    """Tangential force model of the first stage over the cycle's in-soil
+    samples.
 
     Sinkage pressure plus the observed normal force redirected through the
     tool friction angle plus blade adhesion; linear in the observed normal
     force and free of any failure-angle solve.
     """
-    ca, delta, kc, kphi, n = np.asarray(theta1, dtype=float)
-    depth = np.asarray(depth, dtype=float)
-    pressure_coeff = kc / loader.b + kphi
-    return (loader.omega * loader.b * pressure_coeff * depth ** n
-            + np.asarray(fn_obs, dtype=float) * math.tan(delta)
-            + ca * loader.omega * np.asarray(lt, dtype=float))
+    loader = cycle.loader
+    return (loader.omega * loader.b * (kc / loader.b + kphi) * cycle.depth ** n
+            + cycle.fn_obs * math.tan(delta)
+            + adhesion_ca * loader.omega * cycle.lt)
 
 
 def _series_scale(values: np.ndarray) -> float:
@@ -531,8 +534,8 @@ def _staged_result(name: str, parameters: dict[str, float],
 
 def calibrate_stage1(cycle: PreparedCycle,
                      options: CalibrationOptions = CalibrationOptions()
-                     ) -> tuple[np.ndarray, StageResult]:
-    """Fit [adhesion, delta, kc, kphi, n] to the raw tangential force.
+                     ) -> StageResult:
+    """Fit adhesion_ca, delta, K and n to the raw tangential force.
 
     The wedge reaction is taken from the observed normal force, so no
     failure-angle solve or bearing-factor evaluation happens here. For a
@@ -560,7 +563,7 @@ def calibrate_stage1(cycle: PreparedCycle,
         return _screened_lsq(designs, ft_obs, lo, hi, scale, paths)
 
     profile = _profile_search(trial, *bounds.n)
-    ca, tan_delta, big_k = profile.inner
+    ca, tan_delta, big_k = profile.inner.tolist()
     if tan_delta <= lo[1]:
         delta = bounds.delta[0]
     elif tan_delta >= hi[1]:
@@ -568,29 +571,27 @@ def calibrate_stage1(cycle: PreparedCycle,
     else:
         delta = min(max(math.atan(tan_delta), bounds.delta[0]),
                     bounds.delta[1])
-    kc, kphi = split_pressure_coefficient(big_k, bounds, loader.b)
-    theta1 = np.array([ca, delta, kc, kphi, profile.x])
-    fit = stage1_tangential_force(theta1, depth, lt, fn_obs, loader)
+    kc, kphi = map(float, split_pressure_coefficient(big_k, bounds, loader.b))
+    fit = stage1_tangential_force(cycle, ca, delta, kc, kphi, profile.x)
     residual = ft_obs - fit
-    parameters = dict(zip(("adhesion_ca", "delta", "kc", "kphi", "n"),
-                          theta1.tolist()), K=float(big_k))
     at_bound = _at_bound([("adhesion_ca", ca, lo[0], hi[0]),
                           ("delta", tan_delta, lo[1], hi[1]),
                           ("K", big_k, k_lo, k_hi),
                           ("n", profile.x, *bounds.n)])
-    result = _staged_result("stage1", parameters, at_bound,
-                            float(residual @ residual) / scale, profile, 0,
-                            0, t0, dropped=cycle.dropped,
-                            rmse_pair=rmse(ft_obs, fit),
-                            series="f_t observed (raw), in-soil samples")
-    return theta1, result
+    parameters = dict(adhesion_ca=ca, delta=float(delta), kc=kc, kphi=kphi,
+                      n=profile.x, K=big_k)
+    return _staged_result("stage1", parameters, at_bound,
+                          float(residual @ residual) / scale, profile, 0, 0,
+                          t0, cycle.dropped, rmse(ft_obs, fit),
+                          series="f_t observed (raw), in-soil samples")
 
 
-def calibrate_stage2(cycle: PreparedCycle, theta1_star: np.ndarray,
+def calibrate_stage2(cycle: PreparedCycle, adhesion_ca: float, delta: float,
                      options: CalibrationOptions = CalibrationOptions()
-                     ) -> tuple[np.ndarray, StageResult]:
-    """Fit [gamma, cohesion, phi] against the wedge force reconstructed
-    from the raw in-soil normal observations divided by cos(delta*).
+                     ) -> StageResult:
+    """Fit gamma, cohesion_c and phi against the wedge force reconstructed
+    from the raw in-soil normal observations divided by cos(delta), with
+    the adhesion and tool friction angle fitted by stage 1.
 
     For a given friction angle the wedge force
     F = gamma*g*omega*(d^2 N_gamma + A_swept N_q) + c*omega*d*N_c
@@ -604,8 +605,7 @@ def calibrate_stage2(cycle: PreparedCycle, theta1_star: np.ndarray,
     (zeroed in its screening bound).
     """
     t0 = time.perf_counter()
-    ca_star, delta_star = float(theta1_star[0]), float(theta1_star[1])
-    target = cycle.fn_obs / math.cos(delta_star)
+    target = cycle.fn_obs / math.cos(delta)
     scale = _series_scale(target)
     bounds = options.bounds
     alpha, omega = cycle.alpha, cycle.loader.omega
@@ -613,11 +613,11 @@ def calibrate_stage2(cycle: PreparedCycle, theta1_star: np.ndarray,
     hi = bounds.upper(("gamma", "cohesion_c"))
     # the per-sample coefficients of the factors, the same for every phi
     depth_sq, omega_depth = cycle.depth * cycle.depth, omega * cycle.depth
-    adhesion = ca_star * omega * cycle.depth
+    adhesion = adhesion_ca * omega * cycle.depth
 
     def trial(phis: np.ndarray, paths: Counter):
         _, feasible, (n_gamma, n_c, n_a, n_q) = bearing_factors(
-            alpha, cycle.rho, phis[:, None], delta_star)
+            alpha, cycle.rho, phis[:, None], delta)
         designs = np.stack([GRAVITY * omega * (depth_sq * n_gamma
                                                + cycle.area * n_q),
                             omega_depth * n_c], axis=-1)
@@ -625,35 +625,32 @@ def calibrate_stage2(cycle: PreparedCycle, theta1_star: np.ndarray,
                              scale, paths, rows=feasible)
 
     profile = _profile_search(trial, *bounds.phi)
-    gamma, cohesion = profile.inner
-    theta2 = np.array([gamma, cohesion, profile.x])
+    gamma, cohesion = profile.inner.tolist()
     # the wedge force does not depend on the sinkage parameters
     out = _forces(SoilParameters(gamma=gamma, cohesion_c=cohesion,
-                                 adhesion_ca=ca_star, phi=profile.x,
-                                 delta=delta_star, kc=0.0, kphi=0.0, n=1.0),
+                                 adhesion_ca=adhesion_ca, phi=profile.x,
+                                 delta=delta, kc=0.0, kphi=0.0, n=1.0),
                   cycle)
     force, valid = out.fee[out.valid], out.valid
     residual = target[valid] - force
     at_bound = _at_bound([("gamma", gamma, lo[0], hi[0]),
                           ("cohesion_c", cohesion, lo[1], hi[1]),
                           ("phi", profile.x, *bounds.phi)])
-    result = _staged_result("stage2",
-                            dict(zip(("gamma", "cohesion_c", "phi"),
-                                     theta2.tolist())),
-                            at_bound, float(residual @ residual) / scale,
-                            profile, 0, profile.passes + 1, t0,
-                            cycle.dropped + int((~valid).sum()),
-                            rmse(target[valid], force),
-                            series="wedge force reconstructed from raw f_n, "
-                                   "in-soil samples")
-    return theta2, result
+    return _staged_result("stage2", dict(gamma=gamma, cohesion_c=cohesion,
+                                         phi=profile.x),
+                          at_bound, float(residual @ residual) / scale,
+                          profile, 0, profile.passes + 1, t0,
+                          cycle.dropped + int((~valid).sum()),
+                          rmse(target[valid], force),
+                          series="wedge force reconstructed from raw f_n, "
+                                 "in-soil samples")
 
 
 def calibrate_stage3(cycle: PreparedCycle, theta_fixed: SoilParameters,
                      options: CalibrationOptions = CalibrationOptions()
-                     ) -> tuple[np.ndarray, StageResult]:
-    """Re-fit [kc, kphi, n] against the raw tangential observations with
-    every other parameter frozen.
+                     ) -> StageResult:
+    """Re-fit K (split into kc and kphi) and n against the raw tangential
+    observations with every other parameter frozen.
 
     The wedge force does not depend on the sinkage parameters, so it is
     evaluated once. For a given n the model is linear in K = kc/b + kphi:
@@ -682,8 +679,8 @@ def calibrate_stage3(cycle: PreparedCycle, theta_fixed: SoilParameters,
         return (loader.omega * loader.b * (kc / loader.b + kphi) * depth ** n
                 + friction_term)
 
-    def objective(theta3) -> float:
-        residual = ft_obs - model(*theta3)
+    def objective(kc: float, kphi: float, n: float) -> float:
+        residual = ft_obs - model(kc, kphi, n)
         return float(residual @ residual) / scale
 
     def trial(ns: np.ndarray, paths: Counter):
@@ -696,34 +693,39 @@ def calibrate_stage3(cycle: PreparedCycle, theta_fixed: SoilParameters,
     big_k = float(profile.inner[0])
     best = (*split_pressure_coefficient(big_k, bounds, loader.b), profile.x)
     incumbent = (theta_fixed.kc, theta_fixed.kphi, theta_fixed.n)
-    f_best, f_incumbent = objective(best), objective(incumbent)
+    f_best, f_incumbent = objective(*best), objective(*incumbent)
     if f_incumbent <= f_best:
         best, f_best = incumbent, f_incumbent
         big_k = float(theta_fixed.kc / loader.b + theta_fixed.kphi)
-    theta3 = np.array(best, dtype=float)
-    kc, kphi, n = theta3
-    fit = model(kc, kphi, n)
+    kc, kphi, n = map(float, best)
     at_bound = _at_bound([("K", big_k, k_lo, k_hi), ("n", n, *bounds.n)])
-    result = _staged_result("stage3",
-                            dict(kc=float(kc), kphi=float(kphi), n=float(n),
-                                 K=big_k),
-                            at_bound, f_best, profile, 1, 1, t0,
-                            cycle.dropped + int((~valid).sum()),
-                            rmse(ft_obs, fit),
-                            series="f_t observed (raw), in-soil samples")
-    return theta3, result
+    return _staged_result("stage3", dict(kc=kc, kphi=kphi, n=n, K=big_k),
+                          at_bound, f_best, profile, 1, 1, t0,
+                          cycle.dropped + int((~valid).sum()),
+                          rmse(ft_obs, model(kc, kphi, n)),
+                          series="f_t observed (raw), in-soil samples")
 
 
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 
-def _final_report(method: str, theta: SoilParameters,
-                  stages: list[StageResult], cycle: PreparedCycle,
-                  options: CalibrationOptions, wall: float
-                  ) -> CalibrationReport:
-    """Force errors over the whole cycle: out-of-soil samples predict zero
-    force, and samples that hit a margin are left out."""
+def assemble(stages: list[StageResult]) -> SoilParameters:
+    """The soil parameters the stages' records give: a later stage's value
+    of a parameter replaces an earlier one's, and K, which the records
+    carry next to its kc and kphi, is skipped."""
+    return SoilParameters(**{name: value for stage in stages
+                             for name, value in stage.parameters.items()
+                             if name != "K"})
+
+
+def _final_report(method: str, stages: list[StageResult],
+                  cycle: PreparedCycle, options: CalibrationOptions,
+                  wall: float) -> CalibrationReport:
+    """The report of a fit whose parameters ``assemble(stages)`` gives,
+    with force errors over the whole cycle: out-of-soil samples predict
+    zero force, and samples that hit a margin are left out."""
+    theta = assemble(stages)
     out = _forces(theta, cycle)
     f_t, f_n = cycle.on_cycle(out.f_t), cycle.on_cycle(out.f_n)
     ok = ~cycle.in_soil | cycle.on_cycle(out.valid)
@@ -786,10 +788,10 @@ def calibrate_single_stage(dataset: CycleDataset,
     unit_box = np.repeat([[0.0, 1.0]], len(names), axis=0)
     solve = multi_start(objective, unit_box, options.solver)
     values = lo + solve.x_star * (hi - lo)
-    theta = soil_at(values)
     wall = time.perf_counter() - t0
     stage = StageResult(
-        name="single", parameters=dict(asdict(theta), K=float(values[5])),
+        name="single",
+        parameters=dict(asdict(soil_at(values)), K=float(values[5])),
         objective_value=solve.objective_value, iterations=solve.iterations,
         function_evaluations=solve.function_evaluations,
         starts_tried=solve.starts_tried, converged=solve.converged,
@@ -799,33 +801,25 @@ def calibrate_single_stage(dataset: CycleDataset,
         rmse_series="(final report carries the force errors)",
         at_bound=_at_bound((name, u, 0.0, 1.0)
                            for name, u in zip(names, solve.x_star)))
-    return _final_report("single-stage", theta, [stage], cycle, options,
-                         wall)
+    return _final_report("single-stage", [stage], cycle, options, wall)
 
 
 def calibrate_multi_stage(dataset: CycleDataset,
                           options: CalibrationOptions = CalibrationOptions()
                           ) -> CalibrationReport:
     """Staged pipeline: tangential subset, then material subset, then
-    compaction refinement, all on one prepared cycle. Reports per-stage
-    sub-vectors and diagnostics plus final force errors under the
-    assembled parameters. Raises DegenerateDepths when no sample is in
-    soil."""
+    compaction refinement, all on one prepared cycle. Reports each
+    stage's record plus final force errors under the parameters
+    ``assemble`` builds from them. Raises DegenerateDepths when no sample
+    is in soil."""
     t0 = time.perf_counter()
     cycle = prepare_cycle(dataset)
-    theta1, s1 = calibrate_stage1(cycle, options)
-    theta2, s2 = calibrate_stage2(cycle, theta1, options)
-    ca, delta, kc, kphi, n = theta1.tolist()
-    gamma, cohesion, phi = theta2.tolist()
-    assembled = SoilParameters(
-        gamma=gamma, cohesion_c=cohesion, adhesion_ca=ca, phi=phi,
-        delta=delta, kc=kc, kphi=kphi, n=n)
-    theta3, s3 = calibrate_stage3(cycle, assembled, options)
-    kc, kphi, n = theta3.tolist()
-    theta = assembled.replace(kc=kc, kphi=kphi, n=n)
-    wall = time.perf_counter() - t0
-    return _final_report("multi-stage", theta, [s1, s2, s3], cycle,
-                         options, wall)
+    s1 = calibrate_stage1(cycle, options)
+    s2 = calibrate_stage2(cycle, s1.parameters["adhesion_ca"],
+                          s1.parameters["delta"], options)
+    s3 = calibrate_stage3(cycle, assemble([s1, s2]), options)
+    return _final_report("multi-stage", [s1, s2, s3], cycle, options,
+                         time.perf_counter() - t0)
 
 
 def predict_next_cycle(theta_star: SoilParameters, scenario,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRegion, NonMonotonePath
+from .errors import DegenerateRegion, FeeCalibError, NonMonotonePath
 from .soil import ALPHA_MAX, RHO_MIN, LoaderParameters
 
 
@@ -158,8 +158,8 @@ class Polyline:
 Surface = SlopedLine | Polyline
 
 
-class InvalidTrajectory(ValueError):
-    """A trajectory that fails validation at sample ``index``."""
+class InvalidTrajectory(FeeCalibError, ValueError):
+    """A trajectory or cycle that fails validation at sample ``index``."""
 
     def __init__(self, index: int, message: str) -> None:
         super().__init__(f"sample {index}: {message}")
@@ -196,7 +196,7 @@ def make_trajectory(t, x, z, rho) -> np.recarray:
 
 @dataclass(frozen=True)
 class CycleDataset:
-    """One loading cycle: a trajectory plus observed force series."""
+    """One loading cycle: a trajectory plus finite observed force series."""
 
     samples: np.recarray
     f_t_obs: np.ndarray
@@ -209,6 +209,11 @@ class CycleDataset:
         fn = np.array(self.f_n_obs, dtype=float)
         if not (len(self.samples) == ft.size == fn.size):
             raise ValueError("samples and force series must have equal length")
+        bad = np.flatnonzero(~(np.isfinite(ft) & np.isfinite(fn)))
+        if bad.size:
+            i = int(bad[0])
+            name = "f_n_obs" if math.isfinite(ft[i]) else "f_t_obs"
+            raise InvalidTrajectory(i, f"{name} must be finite")
         ft.setflags(write=False)
         fn.setflags(write=False)
         object.__setattr__(self, "f_t_obs", ft)

@@ -463,7 +463,7 @@ def _solver_from_json(obj: dict, context: str) -> SolverOptions:
 
 
 def calibration_options_from_json(obj: dict,
-                                  context: str = "calibration"
+                                  context: str = "config.calibration"
                                   ) -> CalibrationOptions:
     _check_keys(obj, ("lambda_weight", "solver"), context)
     defaults = CalibrationOptions()

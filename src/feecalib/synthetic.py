@@ -97,8 +97,8 @@ def add_noise(dataset: CycleDataset, relative_sigma: float,
     force of each series, so a 5% setting is comparable across soils.
     Deterministic for a fixed seed.
     """
-    if relative_sigma < 0.0:
-        raise ValueError("relative_sigma must be nonnegative")
+    if not 0.0 <= relative_sigma < math.inf:
+        raise ValueError("relative_sigma must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     sigma_t = relative_sigma * float(np.max(np.abs(dataset.f_t_obs),
                                             initial=0.0))

@@ -7,13 +7,14 @@ from scipy.ndimage import gaussian_filter1d
 
 from feecalib import (RHO_MIN, CalibrationOptions, CycleDataset,
                       DegenerateDepths, EmptySeries, FeeCalibError,
-                      SlopedLine, SoilParameters, SolverOptions, add_noise,
+                      ParameterBounds, SlopedLine, SolverOptions, add_noise,
                       calibrate_multi_stage, calibrate_single_stage,
                       calibrate_stage1, calibrate_stage2, calibrate_stage3,
-                      default_loader, heldout_scenario, make_trajectory,
-                      predict_next_cycle, prepare_cycle, resultant, rmse,
-                      simulate_cycle, wedge_geometry)
-from feecalib.calibration import (_final_report, _forces,
+                      default_loader, default_scenario, heldout_scenario,
+                      make_trajectory, predict_next_cycle, prepare_cycle,
+                      preset_catalog, resultant, rmse, simulate_cycle,
+                      wedge_geometry)
+from feecalib.calibration import (_final_report, _forces, assemble,
                                   stage1_tangential_force)
 
 
@@ -45,26 +46,16 @@ def smoothed(cycle):
                    fn_obs=gaussian_filter(cycle.fn_cycle, 5.0)[cycle.in_soil])
 
 
-def assemble(theta1, theta2):
-    """The full parameter vector from the stage 1 and stage 2 fits."""
-    return SoilParameters(gamma=theta2[0], cohesion_c=theta2[1],
-                          adhesion_ca=theta1[0], phi=theta2[2],
-                          delta=theta1[1], kc=theta1[2], kphi=theta1[3],
-                          n=theta1[4])
-
-
 def calibrate_smoothed(dataset):
     """``calibrate_multi_stage`` with the smoothed stage 2: stages 1 and 3
     fit the raw cycle, stage 2 the ``smoothed`` one."""
     options = CalibrationOptions()
     cycle = prepare_cycle(dataset)
-    theta1, s1 = calibrate_stage1(cycle, options)
-    theta2, s2 = calibrate_stage2(smoothed(cycle), theta1, options)
-    assembled = assemble(theta1, theta2)
-    theta3, s3 = calibrate_stage3(cycle, assembled, options)
-    theta = assembled.replace(kc=theta3[0], kphi=theta3[1], n=theta3[2])
-    return _final_report("multi-stage", theta, [s1, s2, s3], cycle, options,
-                         0.0)
+    s1 = calibrate_stage1(cycle, options)
+    s2 = calibrate_stage2(smoothed(cycle), s1.parameters["adhesion_ca"],
+                          s1.parameters["delta"], options)
+    s3 = calibrate_stage3(cycle, assemble([s1, s2]), options)
+    return _final_report("multi-stage", [s1, s2, s3], cycle, options, 0.0)
 
 
 def full_series(theta, cycle):
@@ -168,19 +159,19 @@ def _zero_depth_dataset():
 
 class TestStage1:
     def test_round_trip_tangential_fit(self, dataset, fast_options):
-        theta1, diag = calibrate_stage1(prepare_cycle(dataset),
-                                        fast_options)
+        diag = calibrate_stage1(prepare_cycle(dataset), fast_options)
         assert diag.rmse_pct <= 1.0
         assert diag.converged or diag.iterations > 0
 
     def test_recovers_tool_friction_angle(self, dataset, truth,
                                           fast_options):
-        theta1, _ = calibrate_stage1(prepare_cycle(dataset), fast_options)
-        assert theta1[1] == pytest.approx(truth.delta, abs=1e-3)
+        fit = calibrate_stage1(prepare_cycle(dataset),
+                               fast_options).parameters
+        assert fit["delta"] == pytest.approx(truth.delta, abs=1e-3)
         # the pressure coefficient combination is identified even though
         # the kc/kphi split is not
         b = dataset.loader.b
-        assert theta1[2] / b + theta1[3] == pytest.approx(
+        assert fit["kc"] / b + fit["kphi"] == pytest.approx(
             truth.kc / b + truth.kphi, rel=1e-3)
 
     def test_unidentifiable_delta_still_bounds_feasible(self, fast_options):
@@ -193,17 +184,17 @@ class TestStage1:
         fn = np.zeros(40)
         ds = CycleDataset(samples=samples, f_t_obs=ft, f_n_obs=fn,
                           surface=surface, loader=default_loader())
-        theta1, _ = calibrate_stage1(prepare_cycle(ds), fast_options)
+        fit = calibrate_stage1(prepare_cycle(ds), fast_options).parameters
         lo, hi = fast_options.bounds.delta
-        assert lo <= theta1[1] <= hi
+        assert lo <= fit["delta"] <= hi
 
     def test_normal_force_enters_only_through_friction_term(self, dataset):
         cycle = prepare_cycle(dataset)
-        theta1 = np.array([1000.0, 0.3, 500.0, 2000.0, 0.8])
-        base = stage1_tangential_force(theta1, cycle.depth, cycle.lt,
-                                       cycle.fn_obs, cycle.loader)
-        bumped = stage1_tangential_force(theta1, cycle.depth, cycle.lt,
-                                         1.1 * cycle.fn_obs, cycle.loader)
+        fit = dict(adhesion_ca=1000.0, delta=0.3, kc=500.0, kphi=2000.0,
+                   n=0.8)
+        base = stage1_tangential_force(cycle, **fit)
+        bumped = stage1_tangential_force(
+            replace(cycle, fn_obs=1.1 * cycle.fn_obs), **fit)
         want = 0.1 * cycle.fn_obs * math.tan(0.3)
         assert np.allclose(bumped - base, want, rtol=1e-12, atol=1e-9)
 
@@ -227,11 +218,10 @@ def _with_bad_blade_angles(dataset, picks=(10, 50, 90)):
 class TestStage2:
     def test_samples_outside_blade_margins_are_dropped(self, dataset, truth,
                                                        fast_options):
-        theta1 = np.array([truth.adhesion_ca, truth.delta, truth.kc,
-                           truth.kphi, truth.n])
+        ca, delta = truth.adhesion_ca, truth.delta
         ds, bad = _with_bad_blade_angles(dataset)
         cycle = prepare_cycle(ds)
-        theta2, diag = calibrate_stage2(cycle, theta1, fast_options)
+        diag = calibrate_stage2(cycle, ca, delta, fast_options)
         assert diag.dropped_samples == cycle.dropped + bad.size
         # their observations never enter the fit; the new values stay
         # below the series peak, so the objective's scale is unchanged
@@ -239,17 +229,16 @@ class TestStage2:
         assert (np.abs(ds.f_n_obs[bad]) < peak).all()
         fn = ds.f_n_obs.copy()
         fn[bad] = [0.0, 0.5 * peak, -0.9 * peak]
-        moved, _ = calibrate_stage2(prepare_cycle(replace(ds, f_n_obs=fn)),
-                                    theta1, fast_options)
-        assert moved.tolist() == theta2.tolist()
-        assert theta2[0] == pytest.approx(truth.gamma, rel=1e-6)
+        moved = calibrate_stage2(prepare_cycle(replace(ds, f_n_obs=fn)),
+                                 ca, delta, fast_options)
+        assert moved.parameters == diag.parameters
+        assert diag.parameters["gamma"] == pytest.approx(truth.gamma,
+                                                         rel=1e-6)
 
     def test_round_trip_with_stage1_fixed_at_truth(self, dataset, truth,
                                                    fast_options):
-        theta1 = np.array([truth.adhesion_ca, truth.delta, truth.kc,
-                           truth.kphi, truth.n])
-        theta2, diag = calibrate_stage2(prepare_cycle(dataset), theta1,
-                                        fast_options)
+        diag = calibrate_stage2(prepare_cycle(dataset), truth.adhesion_ca,
+                                truth.delta, fast_options)
         assert diag.rmse_pct <= 1.0
 
     def test_zero_tool_friction_uses_plain_filtered_series(self, truth,
@@ -259,10 +248,8 @@ class TestStage2:
         # noiseless run must recover the wedge force exactly
         truth0 = truth.replace(delta=0.0)
         ds = simulate_cycle(scenario, truth0)
-        theta1 = np.array([truth0.adhesion_ca, 0.0, truth0.kc, truth0.kphi,
-                           truth0.n])
-        theta2, diag = calibrate_stage2(prepare_cycle(ds), theta1,
-                                        fast_options)
+        diag = calibrate_stage2(prepare_cycle(ds), truth0.adhesion_ca, 0.0,
+                                fast_options)
         assert diag.rmse_pct <= 1e-2
 
     def test_density_direction_sensitivity(self, scenario, truth,
@@ -271,52 +258,54 @@ class TestStage2:
         for gamma in (1450.0, 2250.0):
             ds = simulate_cycle(scenario, truth.replace(gamma=gamma))
             cycle = prepare_cycle(ds)
-            theta1, _ = calibrate_stage1(cycle, fast_options)
-            theta2, _ = calibrate_stage2(cycle, theta1, fast_options)
-            fitted.append(theta2[0])
+            s1 = calibrate_stage1(cycle, fast_options).parameters
+            s2 = calibrate_stage2(cycle, s1["adhesion_ca"], s1["delta"],
+                                  fast_options)
+            fitted.append(s2.parameters["gamma"])
         assert fitted[1] > fitted[0]
 
 
 @pytest.fixture(scope="module")
 def staged(dataset, fast_options):
     cycle = prepare_cycle(dataset)
-    theta1, _ = calibrate_stage1(cycle, fast_options)
-    theta2, _ = calibrate_stage2(cycle, theta1, fast_options)
-    return cycle, assemble(theta1, theta2), fast_options
+    s1 = calibrate_stage1(cycle, fast_options)
+    s2 = calibrate_stage2(cycle, s1.parameters["adhesion_ca"],
+                          s1.parameters["delta"], fast_options)
+    return cycle, [s1, s2], fast_options
 
 
 class TestStage3:
 
     def test_tangential_error_non_increasing(self, staged):
-        cycle, assembled, opts = staged
+        cycle, stages, opts = staged
+        assembled = assemble(stages)
         ft_before, _, ok = full_series(assembled, cycle)
         before = rmse(cycle.ft_cycle[ok], ft_before[ok])[0]
-        theta3, diag = calibrate_stage3(cycle, assembled, opts)
-        refined = assembled.replace(kc=theta3[0], kphi=theta3[1],
-                                    n=theta3[2])
+        s3 = calibrate_stage3(cycle, assembled, opts)
+        refined = assemble(stages + [s3])
         ft_after, _, ok2 = full_series(refined, cycle)
         after = rmse(cycle.ft_cycle[ok2], ft_after[ok2])[0]
         assert after <= before + 1e-9
 
     def test_normal_predictions_bitwise_unchanged(self, staged):
-        cycle, assembled, opts = staged
-        theta3, _ = calibrate_stage3(cycle, assembled, opts)
-        refined = assembled.replace(kc=theta3[0], kphi=theta3[1],
-                                    n=theta3[2])
+        cycle, stages, opts = staged
+        assembled = assemble(stages)
+        s3 = calibrate_stage3(cycle, assembled, opts)
+        refined = assemble(stages + [s3])
         _, fn_before, _ = full_series(assembled, cycle)
         _, fn_after, _ = full_series(refined, cycle)
         assert np.array_equal(fn_before, fn_after)
 
     def test_fixed_point_when_already_optimal(self, staged):
-        cycle, assembled, opts = staged
-        theta3, _ = calibrate_stage3(cycle, assembled, opts)
-        refined = assembled.replace(kc=theta3[0], kphi=theta3[1],
-                                    n=theta3[2])
-        theta3_again, _ = calibrate_stage3(cycle, refined, opts)
-        combo = theta3[0] / cycle.loader.b + theta3[1]
-        combo_again = theta3_again[0] / cycle.loader.b + theta3_again[1]
+        cycle, stages, opts = staged
+        s3 = calibrate_stage3(cycle, assemble(stages), opts)
+        again = calibrate_stage3(cycle, assemble(stages + [s3]),
+                                 opts).parameters
+        fit = s3.parameters
+        combo = fit["kc"] / cycle.loader.b + fit["kphi"]
+        combo_again = again["kc"] / cycle.loader.b + again["kphi"]
         assert combo_again == pytest.approx(combo, rel=1e-6)
-        assert theta3_again[2] == pytest.approx(theta3[2], abs=1e-6)
+        assert again["n"] == pytest.approx(fit["n"], abs=1e-6)
 
 
 class TestMultiStage:
@@ -373,6 +362,76 @@ class TestMultiStage:
         assert got.kc / b + got.kphi == pytest.approx(
             truth.kc / b + truth.kphi, rel=1e-8)
         assert report.stages[1].at_bound == {}
+
+
+SINKAGE_PRESETS = [p for p in preset_catalog() if p.kc is not None]
+CLASS_PRESETS = [p for p in preset_catalog() if p.phi is not None]
+IDENTIFIED = ("gamma", "cohesion_c", "adhesion_ca", "phi", "delta", "n", "K")
+
+
+def identified(theta, name, b):
+    """``theta``'s value of ``name``, with K = kc/b + kphi."""
+    return theta.kc / b + theta.kphi if name == "K" else getattr(theta, name)
+
+
+def box(bounds, name, b):
+    """The staged fits' bounds on ``name``."""
+    if name == "K":
+        return (bounds.kc[0] / b + bounds.kphi[0],
+                bounds.kc[1] / b + bounds.kphi[1])
+    return getattr(bounds, name)
+
+
+def inside_the_box(truth, bounds, b, names=IDENTIFIED):
+    return all(box(bounds, name, b)[0] <= identified(truth, name, b)
+               <= box(bounds, name, b)[1] for name in names)
+
+
+class TestPresetSweep:
+    """The staged fit of every class preset merged with every sinkage
+    preset, on the default path at pile slopes of 10, 25 and 40 degrees:
+    351 fits. The tolerances were fixed before the first run."""
+
+    def test_only_lete_sand_lies_outside_the_box(self):
+        # 104 of the 117 truths per slope lie inside, 312 of the 351 fits
+        b, bounds = default_loader().b, ParameterBounds()
+        outside = [(c.merged(s).soil_parameters(), s.name)
+                   for c in CLASS_PRESETS for s in SINKAGE_PRESETS
+                   if not inside_the_box(c.merged(s).soil_parameters(),
+                                         bounds, b)]
+        assert len(CLASS_PRESETS) * len(SINKAGE_PRESETS) == 117
+        assert len(outside) == 13
+        for truth, sinkage in outside:
+            assert sinkage == "LETE Sand"
+            assert identified(truth, "K", b) > box(bounds, "K", b)[1]
+            assert inside_the_box(truth, bounds, b, IDENTIFIED[:-1])
+
+    @pytest.mark.parametrize("slope_deg", [10.0, 25.0, 40.0])
+    @pytest.mark.parametrize("classification", CLASS_PRESETS,
+                             ids=[p.name for p in CLASS_PRESETS])
+    def test_staged_fit(self, classification, slope_deg):
+        scenario = replace(default_scenario(), surface=SlopedLine(
+            (0.0, 0.0), math.radians(slope_deg)))
+        bounds = ParameterBounds()
+        for sinkage in SINKAGE_PRESETS:
+            truth = classification.merged(sinkage).soil_parameters()
+            dataset = simulate_cycle(scenario, truth)
+            report = calibrate_multi_stage(dataset)
+            stages, got = report.stages, report.theta_star
+            assert got == assemble(stages), sinkage.name
+            # stage 3 leaves the normal force bitwise unchanged
+            cycle = prepare_cycle(dataset)
+            assert np.array_equal(_forces(assemble(stages[:2]), cycle).f_n,
+                                  _forces(got, cycle).f_n), sinkage.name
+            b = dataset.loader.b
+            if not inside_the_box(truth, bounds, b):
+                assert stages[2].at_bound.get("K") == "upper", sinkage.name
+                continue
+            for name in IDENTIFIED:
+                want = identified(truth, name, b)
+                lo, hi = box(bounds, name, b)
+                assert abs(identified(got, name, b) - want) <= 1e-5 * (
+                    abs(want) if want else hi - lo), (sinkage.name, name)
 
 
 # The staged fit on the default cycle with the smoothed stage 2, recorded

@@ -740,18 +740,19 @@ class TestIntegerKeys:
         ({"noise": {"seed": True}}, "config.noise.seed"),
         ({"noise": {"seed": -1}}, "config.noise.seed"),
         ({"calibration": {"solver": {"n_starts": "3"}}},
-         "calibration.solver.n_starts"),
+         "config.calibration.solver.n_starts"),
         ({"calibration": {"solver": {"seed": 1.7}}},
-         "calibration.solver.seed"),
+         "config.calibration.solver.seed"),
         ({"calibration": {"solver": {"seed": -1}}},
-         "calibration.solver.seed"),
+         "config.calibration.solver.seed"),
         ({"calibration": {"solver": {"max_iterations": False}}},
-         "calibration.solver.max_iterations"),
+         "config.calibration.solver.max_iterations"),
         ({"calibration": {"solver": {"max_iterations": math.inf}}},
-         "calibration.solver.max_iterations"),
+         "config.calibration.solver.max_iterations"),
         # no longer a setting: the step is finite_difference_gradient's
         ({"calibration": {"solver": {"finite_difference_step": 1e-6}}},
-         "unknown key 'finite_difference_step' in calibration.solver"),
+         "unknown key 'finite_difference_step' in "
+         "config.calibration.solver"),
     ], ids=["seed-str", "seed-frac", "seed-bool", "seed-negative",
             "n_starts-str", "solver-seed-frac", "solver-seed-negative",
             "max_iterations-bool",
@@ -777,6 +778,17 @@ class TestIntegerKeys:
         assert not (tmp_path / "never").exists()
 
 
+def test_calibration_section_is_named_as_its_siblings(runner, tmp_path):
+    config = tmp_path / "lambda.json"
+    config.write_text(json.dumps({"calibration": {"lambda_weight": 2}}))
+    out = tmp_path / "never"
+    res = runner.invoke(main, ["simulate", "--config", str(config), "--out",
+                               str(out)])
+    _assert_config_error(res, "config.calibration: lambda_weight must lie "
+                              "in [0, 1]")
+    assert not out.exists()
+
+
 # (document, keys to the section, value put there, the section's name in
 # the message); "scenario" and "report" start from the training run's
 # files, "config" from an empty config
@@ -791,8 +803,8 @@ NOT_OBJECTS = [
     ("config", (), [1], "config"),
     ("config", ("soil",), 5, "config.soil"),
     ("config", ("noise",), 3, "config.noise"),
-    ("config", ("calibration",), [], "calibration"),
-    ("config", ("calibration", "solver"), 1, "calibration.solver"),
+    ("config", ("calibration",), [], "config.calibration"),
+    ("config", ("calibration", "solver"), 1, "config.calibration.solver"),
     ("config", ("scenario",), 2, "config.scenario"),
     ("config", ("soil", "truth"), 4, "config.soil.truth"),
     ("report", ("theta_star",), 5, "report.json:theta_star"),

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feecalib import (DegenerateRegion, NonMonotonePath, Polyline,
-                      SlopedLine, make_trajectory, predict_force_arrays,
-                      quadratic_bezier_path, surface_after_cycle,
-                      swept_area_profile, wedge_geometry)
+from feecalib import (CycleDataset, DegenerateRegion, FeeCalibError,
+                      NonMonotonePath, Polyline, SlopedLine, make_trajectory,
+                      predict_force_arrays, quadratic_bezier_path,
+                      surface_after_cycle, swept_area_profile,
+                      wedge_geometry)
 from feecalib.geometry import (InvalidTrajectory, _collapse_vertical_moves,
                                _prune_collinear)
 from feecalib.soil import (_OUT_OF_SOIL, _RHO_BELOW_MIN,
@@ -363,6 +364,28 @@ class TestCycleWedges:
         assert (depth[0], lt[0], area[0]) == (0.0, 0.0, 0.0)
         assert depth[1] == pytest.approx(0.2)
         assert lt[1] == pytest.approx(0.2 / math.sin(0.5))
+
+
+class TestCycleDataset:
+    @pytest.mark.parametrize("field", ["f_t_obs", "f_n_obs"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_names_first_non_finite_force(self, field, value):
+        # a library caller's non-finite observation is refused here, not
+        # left for the fit to report as an optimizer failure
+        traj = _traj([(0.1 * i, -0.1) for i in range(5)])
+        forces = {"f_t_obs": np.ones(5), "f_n_obs": np.ones(5)}
+        forces[field][3] = value
+        forces["f_t_obs"][4] = math.nan
+        with pytest.raises(InvalidTrajectory,
+                           match=f"sample 3: {field} must be finite"
+                           ) as info:
+            CycleDataset(samples=traj, surface=FLAT,
+                         loader=LoaderParameters(omega=1.2, b=0.05),
+                         **forces)
+        assert info.value.index == 3
+        # callers that catch either the builtin or the library's errors
+        assert isinstance(info.value, ValueError)
+        assert isinstance(info.value, FeeCalibError)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ print(json.dumps(states))
 # prints them, and whether it was loaded after the fit, as its last line
 CLOCKED_FIT = """
 import json, sys, time, types
-import numpy as np
 import feecalib
 from feecalib import calibration
 
@@ -53,7 +52,7 @@ fits = {
     "calibrate_stage1": lambda: calibration.calibrate_stage1(
         cycle, options),
     "calibrate_stage2": lambda: calibration.calibrate_stage2(
-        cycle, np.array([truth.adhesion_ca, truth.delta]), options),
+        cycle, truth.adhesion_ca, truth.delta, options),
     "calibrate_stage3": lambda: calibration.calibrate_stage3(
         cycle, truth, options),
 }

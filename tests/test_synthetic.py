@@ -76,6 +76,11 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(dataset, -0.1, seed=0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, dataset, sigma):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            add_noise(dataset, sigma, seed=1)
+
 
 class TestPresets:
     def test_dry_loose_sand_values(self):

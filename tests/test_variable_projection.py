@@ -24,48 +24,43 @@ from feecalib import (CalibrationOptions, FeeCalibError, ParameterBounds,
                       calibrate_stage2, calibrate_stage3, prepare_cycle)
 from feecalib.calibration import (_PROFILE_GRID, _bounded_lsq,
                                   _forces, _profile_search, _screened_lsq,
-                                  _series_scale,
+                                  _series_scale, assemble,
                                   split_pressure_coefficient,
                                   stage1_tangential_force)
-from test_calibration import assemble, smoothed
+from test_calibration import box, smoothed
 from test_optimizer import multi_start_warm
-
-STAGE1_FIELDS = ("adhesion_ca", "delta", "kc", "kphi", "n")
-STAGE2_FIELDS = ("gamma", "cohesion_c", "phi")
-STAGE3_FIELDS = ("kc", "kphi", "n")
 
 REFERENCE = CalibrationOptions(solver=SolverOptions(gradient_tolerance=1e-9))
 
 
 # ---------------------------------------------------------------------------
-# Reference: each stage objective over its parameter vector, minimized by
+# Reference: each stage objective over its named parameters, minimized by
 # multi-start L-BFGS on the unit box
 # ---------------------------------------------------------------------------
 
 def stage1_objective(cycle, options):
-    depth, lt = cycle.depth, cycle.lt
-    fn_obs, ft_obs = cycle.fn_obs, cycle.ft_obs
+    ft_obs = cycle.ft_obs
     scale = _series_scale(ft_obs)
 
-    def objective(theta1) -> float:
-        residual = ft_obs - stage1_tangential_force(theta1, depth, lt,
-                                                    fn_obs, cycle.loader)
+    def objective(fit) -> float:
+        residual = ft_obs - stage1_tangential_force(
+            cycle, fit["adhesion_ca"], fit["delta"], fit["kc"], fit["kphi"],
+            fit["n"])
         return float(residual @ residual) / scale
 
     return objective
 
 
-def stage2_objective(cycle, theta1_star, options):
-    ca_star, delta_star = float(theta1_star[0]), float(theta1_star[1])
-    target = cycle.fn_obs / math.cos(delta_star)
+def stage2_objective(cycle, adhesion_ca, delta, options):
+    target = cycle.fn_obs / math.cos(delta)
     scale = _series_scale(target)
     base = SoilParameters(gamma=0.5 * sum(options.bounds.gamma),
-                          cohesion_c=0.0, adhesion_ca=ca_star, phi=0.0,
-                          delta=delta_star, kc=0.0, kphi=0.0, n=1.0)
+                          cohesion_c=0.0, adhesion_ca=adhesion_ca, phi=0.0,
+                          delta=delta, kc=0.0, kphi=0.0, n=1.0)
 
-    def objective(theta2) -> float:
-        gamma, cohesion, phi = theta2
-        theta = base.replace(gamma=gamma, cohesion_c=cohesion, phi=phi)
+    def objective(fit) -> float:
+        theta = base.replace(gamma=fit["gamma"], cohesion_c=fit["cohesion_c"],
+                             phi=fit["phi"])
         out = _forces(theta, cycle)
         force, valid = out.fee, out.valid
         if not valid.any():
@@ -87,8 +82,8 @@ def stage3_objective(cycle, theta_fixed, options):
                      + theta_fixed.adhesion_ca * loader.omega * lt)
     scale = _series_scale(ft_obs)
 
-    def objective(theta3) -> float:
-        kc, kphi, n = theta3
+    def objective(fit) -> float:
+        kc, kphi, n = fit["kc"], fit["kphi"], fit["n"]
         f_t = (loader.omega * loader.b * (kc / loader.b + kphi) * depth ** n
                + friction_term)
         residual = ft_obs - f_t
@@ -107,16 +102,33 @@ def to_unit(lo, width, values):
 
 
 def reference_fit(objective, fields, options, warm_start=None):
+    """The reference fit of ``fields``, by name; ``objective`` takes the
+    fitted values by name, and ``warm_start``, when given, is a
+    SoilParameters whose values of ``fields`` start the search."""
     lo = options.bounds.lower(fields)
     width = options.bounds.upper(fields) - lo
-    solve = multi_start_warm(lambda unit: objective(lo + unit * width),
+
+    def named(values):
+        return dict(zip(fields, values))
+
+    solve = multi_start_warm(lambda unit: objective(named(lo + unit * width)),
                              np.repeat([[0.0, 1.0]], len(fields), axis=0),
                              options.solver,
                              warm_start=(None if warm_start is None
                                          else to_unit(
                                              lo, width,
-                                             np.array(warm_start))))
-    return lo + solve.x_star * width
+                                             np.array([getattr(warm_start, f)
+                                                       for f in fields]))))
+    return named(lo + solve.x_star * width)
+
+
+def identifiable(fit, b):
+    """The fitted values the force data determine: K = kc/b + kphi in
+    place of kc and kphi."""
+    values = {k: v for k, v in fit.items() if k not in ("kc", "kphi", "K")}
+    if "kc" in fit:
+        values["K"] = fit["kc"] / b + fit["kphi"]
+    return values
 
 
 # Stage 2 runs on the smoothed normal force (the paper's stage 2) in the
@@ -141,51 +153,37 @@ def fits(request, dataset):
     b = ds.loader.b
     cycle = prepare_cycle(ds)
     cycle2 = smoothed(cycle) if stage2_input == "smoothed" else cycle
-    theta1, _ = calibrate_stage1(cycle, options)
-    theta2, _ = calibrate_stage2(cycle2, theta1, options)
-    fixed = assemble(theta1, theta2)
-    theta3, _ = calibrate_stage3(cycle, fixed, options)
-    f1 = stage1_objective(cycle, options)
-    f2 = stage2_objective(cycle2, theta1, options)
-    f3 = stage3_objective(cycle, fixed, options)
-    ref1 = reference_fit(f1, STAGE1_FIELDS, REFERENCE)
-    ref2 = reference_fit(f2, STAGE2_FIELDS, REFERENCE)
-    ref3 = reference_fit(f3, STAGE3_FIELDS, REFERENCE,
-                         warm_start=[fixed.kc, fixed.kphi, fixed.n])
-
-    def identifiable1(t):
-        return {"adhesion_ca": t[0], "delta": t[1], "K": t[2] / b + t[3],
-                "n": t[4]}
-
-    def identifiable3(t):
-        return {"K": t[0] / b + t[1], "n": t[2]}
-
-    return [(f1, theta1, ref1, identifiable1),
-            (f2, theta2, ref2, lambda t: dict(zip(STAGE2_FIELDS, t))),
-            (f3, theta3, ref3, identifiable3)], b
-
-
-def _bounds_of(name, bounds, b):
-    if name == "K":
-        return (bounds.kc[0] / b + bounds.kphi[0],
-                bounds.kc[1] / b + bounds.kphi[1])
-    return getattr(bounds, name)
+    s1 = calibrate_stage1(cycle, options)
+    ca, delta = s1.parameters["adhesion_ca"], s1.parameters["delta"]
+    s2 = calibrate_stage2(cycle2, ca, delta, options)
+    fixed = assemble([s1, s2])
+    s3 = calibrate_stage3(cycle, fixed, options)
+    objectives = (stage1_objective(cycle, options),
+                  stage2_objective(cycle2, ca, delta, options),
+                  stage3_objective(cycle, fixed, options))
+    stages = []
+    for objective, stage in zip(objectives, (s1, s2, s3)):
+        fields = [name for name in stage.parameters if name != "K"]
+        ref = reference_fit(objective, fields, REFERENCE,
+                            warm_start=fixed if stage is s3 else None)
+        stages.append((objective, stage.parameters, ref))
+    return stages, b
 
 
 class TestAgainstMultiStartReference:
     def test_objective_no_worse(self, fits):
         stages, _ = fits
-        for objective, vp, ref, _ in stages:
+        for objective, vp, ref in stages:
             f_ref = objective(ref)
             assert objective(vp) <= f_ref + 1e-9 * abs(f_ref)
 
     def test_identifiable_parameters_match(self, fits):
         stages, b = fits
         bounds = ParameterBounds()
-        for _, vp, ref, identifiable in stages:
-            got, want = identifiable(vp), identifiable(ref)
+        for _, vp, ref in stages:
+            got, want = identifiable(vp, b), identifiable(ref, b)
             for name in got:
-                lo, hi = _bounds_of(name, bounds, b)
+                lo, hi = box(bounds, name, b)
                 same_bound = any(
                     got[name] == edge
                     and abs(want[name] - edge) <= 1e-9 * (hi - lo)
@@ -207,12 +205,13 @@ class TestStagedFitDeterminism:
     def test_stage3_returns_incumbent_when_optimal(self, dataset):
         options = CalibrationOptions()
         cycle = prepare_cycle(dataset)
-        theta1, _ = calibrate_stage1(cycle, options)
-        theta2, _ = calibrate_stage2(cycle, theta1, options)
-        fixed = assemble(theta1, theta2)
-        theta3, _ = calibrate_stage3(cycle, fixed, options)
-        optimal = fixed.replace(kc=theta3[0], kphi=theta3[1], n=theta3[2])
-        again, diag = calibrate_stage3(cycle, optimal, options)
+        s1 = calibrate_stage1(cycle, options)
+        s2 = calibrate_stage2(cycle, s1.parameters["adhesion_ca"],
+                              s1.parameters["delta"], options)
+        s3 = calibrate_stage3(cycle, assemble([s1, s2]), options)
+        optimal = assemble([s1, s2, s3])
+        diag = calibrate_stage3(cycle, optimal, options)
+        again = [diag.parameters[name] for name in ("kc", "kphi", "n")]
         assert np.array_equal(again, [optimal.kc, optimal.kphi, optimal.n])
         assert diag.parameters["K"] == optimal.kc / dataset.loader.b \
             + optimal.kphi
@@ -223,9 +222,9 @@ class TestStagedFitDeterminism:
         # noiseless cycle exactly, so no candidate inside can beat it
         options = CalibrationOptions(
             bounds=replace(ParameterBounds(), n=(0.5, 1.53)))
-        theta3, diag = calibrate_stage3(prepare_cycle(dataset), truth,
-                                        options)
-        assert np.array_equal(theta3, [truth.kc, truth.kphi, truth.n])
+        diag = calibrate_stage3(prepare_cycle(dataset), truth, options)
+        kept = [diag.parameters[name] for name in ("kc", "kphi", "n")]
+        assert np.array_equal(kept, [truth.kc, truth.kphi, truth.n])
         assert diag.objective_value < 1e-20
 
     def test_nonfinite_observations_fail_with_a_library_error(self,
@@ -246,7 +245,7 @@ class TestReportDiagnostics:
             for name, value in stage.parameters.items():
                 if name in ("kc", "kphi"):
                     continue    # the fit is on K; the split is a rule
-                lo, hi = _bounds_of(name, bounds, b)
+                lo, hi = box(bounds, name, b)
                 want = ("lower" if value == lo else
                         "upper" if value == hi else None)
                 assert stage.at_bound.get(name) == want, (stage.name, name)
