@@ -51,13 +51,17 @@ _SPLIT_NOTE = ("the model uses kc and kphi only through K = kc/b + kphi; K "
                "kc_min/b, kphi_min, kphi_max), kc = b*(K - kphi)")
 
 
+# The box every fit searches: the literature ranges of ``ParameterBounds``.
+BOUNDS = ParameterBounds()
+
+
 @dataclass(frozen=True)
 class CalibrationOptions:
-    """Knobs shared by the calibration entry points."""
+    """Knobs of the single-stage fit: its tangential-vs-normal weight and
+    its optimizer. The staged fit takes no options; ``calibrate_multi_stage``
+    only copies ``lambda_weight`` and the solver seed into its report."""
 
     lambda_weight: float = 0.5       # tangential-vs-normal weight
-    bounds: ParameterBounds = field(default_factory=ParameterBounds)
-    # drives only the single-stage fit
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self) -> None:
@@ -255,18 +259,32 @@ def split_pressure_coefficient(big_k: float, bounds: ParameterBounds,
     return kc, kphi
 
 
-def _pressure_bounds(bounds: ParameterBounds,
-                     b: float) -> tuple[float, float]:
-    return (bounds.kc[0] / b + bounds.kphi[0],
-            bounds.kc[1] / b + bounds.kphi[1])
+# The parameters a fit searches, in the order ``at_bound`` lists them: K
+# stands in for kc and kphi, which split it by rule.
+_FITTED = ("gamma", "cohesion_c", "adhesion_ca", "phi", "delta", "K", "n")
 
 
-def _at_bound(entries) -> dict[str, str]:
-    """{name: 'lower' | 'upper'} for each (name, value, lo, hi) whose value
-    sits on a bound."""
-    return {name: "lower" if value <= lo else "upper"
-            for name, value, lo, hi in entries
-            if value <= lo or value >= hi}
+def _box(name: str, b: float) -> tuple[float, float]:
+    """The fit box's (lo, hi) for ``name``; K = kc/b + kphi spans the sums
+    of kc's and kphi's bounds."""
+    if name == "K":
+        return (BOUNDS.kc[0] / b + BOUNDS.kphi[0],
+                BOUNDS.kc[1] / b + BOUNDS.kphi[1])
+    return getattr(BOUNDS, name)
+
+
+def _at_bound(parameters: dict[str, float], b: float) -> dict[str, str]:
+    """{name: 'lower' | 'upper'} for each fitted parameter of the record
+    that sits on its bound; kc and kphi are never listed."""
+    at = {}
+    for name in _FITTED:
+        if name in parameters:
+            lo, hi = _box(name, b)
+            if parameters[name] <= lo:
+                at[name] = "lower"
+            elif parameters[name] >= hi:
+                at[name] = "upper"
+    return at
 
 
 def _bounded_lsq(design: np.ndarray, target: np.ndarray, lo: np.ndarray,
@@ -494,13 +512,13 @@ def _profile_search(trial, lo: float, hi: float) -> _Profile:
     return best
 
 
-def _staged_result(name: str, parameters: dict[str, float],
-                   at_bound: dict[str, str], objective: float,
-                   profile: _Profile, extra_evaluations: int,
-                   engine_passes: int, t0: float, dropped: int,
-                   rmse_pair: tuple[float, float],
+def _staged_result(name: str, parameters: dict[str, float], b: float,
+                   objective: float, profile: _Profile,
+                   extra_evaluations: int, engine_passes: int, t0: float,
+                   dropped: int, rmse_pair: tuple[float, float],
                    series: str) -> StageResult:
-    """The stage's StageResult; logs its cost at DEBUG. ``engine_passes``
+    """The stage's StageResult, with ``at_bound`` read from its record for
+    blade thickness ``b``; logs its cost at DEBUG. ``engine_passes``
     counts the calls of the failure-angle and bearing-factor kernel, each
     over one or more parameter sets."""
     wall = time.perf_counter() - t0
@@ -525,16 +543,14 @@ def _staged_result(name: str, parameters: dict[str, float],
                        wall_time_s=wall,
                        dropped_samples=dropped, rmse_n=rmse_pair[0],
                        rmse_pct=rmse_pair[1], rmse_series=series,
-                       at_bound=at_bound)
+                       at_bound=_at_bound(parameters, b))
 
 
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
 
-def calibrate_stage1(cycle: PreparedCycle,
-                     options: CalibrationOptions = CalibrationOptions()
-                     ) -> StageResult:
+def calibrate_stage1(cycle: PreparedCycle) -> StageResult:
     """Fit adhesion_ca, delta, K and n to the raw tangential force.
 
     The wedge reaction is taken from the observed normal force, so no
@@ -544,15 +560,13 @@ def calibrate_stage1(cycle: PreparedCycle,
     squares. kc and kphi come from K by ``split_pressure_coefficient``.
     """
     t0 = time.perf_counter()
-    bounds = options.bounds
-    if not -0.5 * math.pi < bounds.delta[0] <= bounds.delta[1] < 0.5 * math.pi:
-        raise ValueError("delta bounds must lie inside (-pi/2, pi/2)")
     depth, lt, loader = cycle.depth, cycle.lt, cycle.loader
     fn_obs, ft_obs = cycle.fn_obs, cycle.ft_obs
     scale = _series_scale(ft_obs)
-    k_lo, k_hi = _pressure_bounds(bounds, loader.b)
-    lo = np.array([bounds.adhesion_ca[0], math.tan(bounds.delta[0]), k_lo])
-    hi = np.array([bounds.adhesion_ca[1], math.tan(bounds.delta[1]), k_hi])
+    delta_lo, delta_hi = _box("delta", loader.b)
+    lo, hi = np.array([_box("adhesion_ca", loader.b),
+                       (math.tan(delta_lo), math.tan(delta_hi)),
+                       _box("K", loader.b)]).T
 
     def trial(ns: np.ndarray, paths: Counter):
         designs = np.empty((ns.size, depth.size, 3))
@@ -562,33 +576,27 @@ def calibrate_stage1(cycle: PreparedCycle,
             design[:, 2] = loader.omega * loader.b * depth ** n
         return _screened_lsq(designs, ft_obs, lo, hi, scale, paths)
 
-    profile = _profile_search(trial, *bounds.n)
+    profile = _profile_search(trial, *_box("n", loader.b))
     ca, tan_delta, big_k = profile.inner.tolist()
     if tan_delta <= lo[1]:
-        delta = bounds.delta[0]
+        delta = delta_lo
     elif tan_delta >= hi[1]:
-        delta = bounds.delta[1]
+        delta = delta_hi
     else:
-        delta = min(max(math.atan(tan_delta), bounds.delta[0]),
-                    bounds.delta[1])
-    kc, kphi = map(float, split_pressure_coefficient(big_k, bounds, loader.b))
+        delta = min(max(math.atan(tan_delta), delta_lo), delta_hi)
+    kc, kphi = map(float, split_pressure_coefficient(big_k, BOUNDS, loader.b))
     fit = stage1_tangential_force(cycle, ca, delta, kc, kphi, profile.x)
     residual = ft_obs - fit
-    at_bound = _at_bound([("adhesion_ca", ca, lo[0], hi[0]),
-                          ("delta", tan_delta, lo[1], hi[1]),
-                          ("K", big_k, k_lo, k_hi),
-                          ("n", profile.x, *bounds.n)])
     parameters = dict(adhesion_ca=ca, delta=float(delta), kc=kc, kphi=kphi,
                       n=profile.x, K=big_k)
-    return _staged_result("stage1", parameters, at_bound,
+    return _staged_result("stage1", parameters, loader.b,
                           float(residual @ residual) / scale, profile, 0, 0,
                           t0, cycle.dropped, rmse(ft_obs, fit),
                           series="f_t observed (raw), in-soil samples")
 
 
-def calibrate_stage2(cycle: PreparedCycle, adhesion_ca: float, delta: float,
-                     options: CalibrationOptions = CalibrationOptions()
-                     ) -> StageResult:
+def calibrate_stage2(cycle: PreparedCycle, adhesion_ca: float,
+                     delta: float) -> StageResult:
     """Fit gamma, cohesion_c and phi against the wedge force reconstructed
     from the raw in-soil normal observations divided by cos(delta), with
     the adhesion and tool friction angle fitted by stage 1.
@@ -607,10 +615,8 @@ def calibrate_stage2(cycle: PreparedCycle, adhesion_ca: float, delta: float,
     t0 = time.perf_counter()
     target = cycle.fn_obs / math.cos(delta)
     scale = _series_scale(target)
-    bounds = options.bounds
-    alpha, omega = cycle.alpha, cycle.loader.omega
-    lo = bounds.lower(("gamma", "cohesion_c"))
-    hi = bounds.upper(("gamma", "cohesion_c"))
+    alpha, omega, b = cycle.alpha, cycle.loader.omega, cycle.loader.b
+    lo, hi = np.array([_box("gamma", b), _box("cohesion_c", b)]).T
     # the per-sample coefficients of the factors, the same for every phi
     depth_sq, omega_depth = cycle.depth * cycle.depth, omega * cycle.depth
     adhesion = adhesion_ca * omega * cycle.depth
@@ -624,7 +630,7 @@ def calibrate_stage2(cycle: PreparedCycle, adhesion_ca: float, delta: float,
         return _screened_lsq(designs, target - adhesion * n_a, lo, hi,
                              scale, paths, rows=feasible)
 
-    profile = _profile_search(trial, *bounds.phi)
+    profile = _profile_search(trial, *_box("phi", b))
     gamma, cohesion = profile.inner.tolist()
     # the wedge force does not depend on the sinkage parameters
     out = _forces(SoilParameters(gamma=gamma, cohesion_c=cohesion,
@@ -633,12 +639,9 @@ def calibrate_stage2(cycle: PreparedCycle, adhesion_ca: float, delta: float,
                   cycle)
     force, valid = out.fee[out.valid], out.valid
     residual = target[valid] - force
-    at_bound = _at_bound([("gamma", gamma, lo[0], hi[0]),
-                          ("cohesion_c", cohesion, lo[1], hi[1]),
-                          ("phi", profile.x, *bounds.phi)])
     return _staged_result("stage2", dict(gamma=gamma, cohesion_c=cohesion,
                                          phi=profile.x),
-                          at_bound, float(residual @ residual) / scale,
+                          b, float(residual @ residual) / scale,
                           profile, 0, profile.passes + 1, t0,
                           cycle.dropped + int((~valid).sum()),
                           rmse(target[valid], force),
@@ -646,9 +649,8 @@ def calibrate_stage2(cycle: PreparedCycle, adhesion_ca: float, delta: float,
                                  "in-soil samples")
 
 
-def calibrate_stage3(cycle: PreparedCycle, theta_fixed: SoilParameters,
-                     options: CalibrationOptions = CalibrationOptions()
-                     ) -> StageResult:
+def calibrate_stage3(cycle: PreparedCycle,
+                     theta_fixed: SoilParameters) -> StageResult:
     """Re-fit K (split into kc and kphi) and n against the raw tangential
     observations with every other parameter frozen.
 
@@ -660,7 +662,6 @@ def calibrate_stage3(cycle: PreparedCycle, theta_fixed: SoilParameters,
     force predictions are untouched by construction.
     """
     t0 = time.perf_counter()
-    bounds = options.bounds
     loader = cycle.loader
     out = _forces(theta_fixed, cycle)
     valid = out.valid
@@ -673,7 +674,7 @@ def calibrate_stage3(cycle: PreparedCycle, theta_fixed: SoilParameters,
                      + theta_fixed.adhesion_ca * loader.omega * lt)
     scale = _series_scale(ft_obs)
     sinkage_target = ft_obs - friction_term
-    k_lo, k_hi = _pressure_bounds(bounds, loader.b)
+    k_lo, k_hi = np.array([_box("K", loader.b)]).T
 
     def model(kc: float, kphi: float, n: float) -> np.ndarray:
         return (loader.omega * loader.b * (kc / loader.b + kphi) * depth ** n
@@ -686,21 +687,20 @@ def calibrate_stage3(cycle: PreparedCycle, theta_fixed: SoilParameters,
     def trial(ns: np.ndarray, paths: Counter):
         designs = np.stack([loader.omega * loader.b * depth ** n
                             for n in ns.tolist()])[:, :, None]
-        return _screened_lsq(designs, sinkage_target, np.array([k_lo]),
-                             np.array([k_hi]), scale, paths)
+        return _screened_lsq(designs, sinkage_target, k_lo, k_hi, scale,
+                             paths)
 
-    profile = _profile_search(trial, *bounds.n)
+    profile = _profile_search(trial, *_box("n", loader.b))
     big_k = float(profile.inner[0])
-    best = (*split_pressure_coefficient(big_k, bounds, loader.b), profile.x)
+    best = (*split_pressure_coefficient(big_k, BOUNDS, loader.b), profile.x)
     incumbent = (theta_fixed.kc, theta_fixed.kphi, theta_fixed.n)
     f_best, f_incumbent = objective(*best), objective(*incumbent)
     if f_incumbent <= f_best:
         best, f_best = incumbent, f_incumbent
         big_k = float(theta_fixed.kc / loader.b + theta_fixed.kphi)
     kc, kphi, n = map(float, best)
-    at_bound = _at_bound([("K", big_k, k_lo, k_hi), ("n", n, *bounds.n)])
     return _staged_result("stage3", dict(kc=kc, kphi=kphi, n=n, K=big_k),
-                          at_bound, f_best, profile, 1, 1, t0,
+                          loader.b, f_best, profile, 1, 1, t0,
                           cycle.dropped + int((~valid).sum()),
                           rmse(ft_obs, model(kc, kphi, n)),
                           series="f_t observed (raw), in-soil samples")
@@ -753,7 +753,7 @@ def calibrate_single_stage(dataset: CycleDataset,
     Minimizes the lambda-weighted sum of squared tangential and normal
     residuals on the raw observations over in-soil samples, by
     ``multi_start`` on the unit box over (gamma, c, c_a, phi, delta, K, n),
-    with K = kc/b + kphi in the staged fits' box. Every evaluated point,
+    scaled to the staged fits' box, ``BOUNDS``. Every evaluated point,
     the answer included, takes its kc and kphi from
     ``split_pressure_coefficient``, as the staged fits do. Raises
     DegenerateDepths when no sample is in soil.
@@ -761,10 +761,8 @@ def calibrate_single_stage(dataset: CycleDataset,
     _load_solvers()
     t0 = time.perf_counter()
     cycle = prepare_cycle(dataset)
-    bounds, b = options.bounds, cycle.loader.b
-    names = ("gamma", "cohesion_c", "adhesion_ca", "phi", "delta", "K", "n")
-    lo, hi = np.array([_pressure_bounds(bounds, b) if name == "K"
-                       else getattr(bounds, name) for name in names]).T
+    b = cycle.loader.b
+    lo, hi = np.array([_box(name, b) for name in _FITTED]).T
     lam = options.lambda_weight
     ft_obs, fn_obs = cycle.ft_obs, cycle.fn_obs
     scale = (lam * _series_scale(ft_obs)
@@ -772,7 +770,7 @@ def calibrate_single_stage(dataset: CycleDataset,
 
     def soil_at(values: np.ndarray) -> SoilParameters:
         gamma, cohesion, ca, phi, delta, big_k, n = values.tolist()
-        kc, kphi = split_pressure_coefficient(big_k, bounds, b)
+        kc, kphi = split_pressure_coefficient(big_k, BOUNDS, b)
         return SoilParameters(gamma, cohesion, ca, phi, delta, kc, kphi, n)
 
     def objective(unit: np.ndarray) -> float:
@@ -785,13 +783,13 @@ def calibrate_single_stage(dataset: CycleDataset,
         return (lam * float(r_t @ r_t)
                 + (1.0 - lam) * float(r_n @ r_n)) / scale
 
-    unit_box = np.repeat([[0.0, 1.0]], len(names), axis=0)
+    unit_box = np.repeat([[0.0, 1.0]], len(_FITTED), axis=0)
     solve = multi_start(objective, unit_box, options.solver)
     values = lo + solve.x_star * (hi - lo)
     wall = time.perf_counter() - t0
+    parameters = dict(asdict(soil_at(values)), K=float(values[5]))
     stage = StageResult(
-        name="single",
-        parameters=dict(asdict(soil_at(values)), K=float(values[5])),
+        name="single", parameters=parameters,
         objective_value=solve.objective_value, iterations=solve.iterations,
         function_evaluations=solve.function_evaluations,
         starts_tried=solve.starts_tried, converged=solve.converged,
@@ -799,8 +797,7 @@ def calibrate_single_stage(dataset: CycleDataset,
         dropped_samples=cycle.dropped, rmse_n=math.nan,
         rmse_pct=math.nan,
         rmse_series="(final report carries the force errors)",
-        at_bound=_at_bound((name, u, 0.0, 1.0)
-                           for name, u in zip(names, solve.x_star)))
+        at_bound=_at_bound(parameters, b))
     return _final_report("single-stage", [stage], cycle, options, wall)
 
 
@@ -814,10 +811,10 @@ def calibrate_multi_stage(dataset: CycleDataset,
     is in soil."""
     t0 = time.perf_counter()
     cycle = prepare_cycle(dataset)
-    s1 = calibrate_stage1(cycle, options)
+    s1 = calibrate_stage1(cycle)
     s2 = calibrate_stage2(cycle, s1.parameters["adhesion_ca"],
-                          s1.parameters["delta"], options)
-    s3 = calibrate_stage3(cycle, assemble([s1, s2]), options)
+                          s1.parameters["delta"])
+    s3 = calibrate_stage3(cycle, assemble([s1, s2]))
     return _final_report("multi-stage", [s1, s2, s3], cycle, options,
                          time.perf_counter() - t0)
 

@@ -207,6 +207,10 @@ class CycleDataset:
     def __post_init__(self) -> None:
         ft = np.array(self.f_t_obs, dtype=float)
         fn = np.array(self.f_n_obs, dtype=float)
+        for name, series in (("f_t_obs", ft), ("f_n_obs", fn)):
+            if series.ndim != 1:
+                raise ValueError(f"{name} must be 1-D, got shape "
+                                 f"{series.shape}")
         if not (len(self.samples) == ft.size == fn.size):
             raise ValueError("samples and force series must have equal length")
         bad = np.flatnonzero(~(np.isfinite(ft) & np.isfinite(fn)))
@@ -280,14 +284,16 @@ def wedge_geometry(samples: np.recarray, surface: Surface
 
     depth is the tip's penetration below the surface, lt = d/sin(rho) the
     blade length in soil (zero where the tip is out of soil or sin(rho)
-    is not positive; the force engine flags such blade angles), and the
-    swept area is ``swept_area_profile``, the cross-section whose weight
-    loads the wedge.
+    is not positive, and infinite where a subnormal sin(rho) overflows
+    it; the force engine flags such blade angles), and the swept area is
+    ``swept_area_profile``, the cross-section whose weight loads the
+    wedge.
     """
     sin_rho = np.sin(samples.rho)
     depth = np.asarray(surface.depth_of(samples.x, samples.z), dtype=float)
-    lt = np.where((depth > 0.0) & (sin_rho > 0.0),
-                  depth / np.where(sin_rho > 0.0, sin_rho, 1.0), 0.0)
+    with np.errstate(over="ignore"):
+        lt = np.where((depth > 0.0) & (sin_rho > 0.0),
+                      depth / np.where(sin_rho > 0.0, sin_rho, 1.0), 0.0)
     return depth, lt, swept_area_profile(samples, surface)
 
 
@@ -297,13 +303,11 @@ def wedge_geometry(samples: np.recarray, surface: Surface
 
 def quadratic_bezier_path(p0: tuple[float, float], p1: tuple[float, float],
                           p2: tuple[float, float], n_samples: int,
-                          duration: float, surface: Surface | None = None
-                          ) -> np.recarray:
+                          duration: float, surface: Surface) -> np.recarray:
     """Sample a quadratic Bezier tip path at uniform parameter values.
 
     The blade angle at each sample is the angle between the path tangent
-    and the local surface direction (horizontal when no surface is given),
-    clamped to [``RHO_MIN``, pi/2].
+    and the local direction of ``surface``, clamped to [``RHO_MIN``, pi/2].
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
@@ -317,10 +321,7 @@ def quadratic_bezier_path(p0: tuple[float, float], p1: tuple[float, float],
     pts = (1.0 - w) ** 2 * p0 + 2.0 * w * (1.0 - w) * p1 + w ** 2 * p2
     tangent = 2.0 * (1.0 - w) * (p1 - p0) + 2.0 * w * (p2 - p1)
     theta_t = np.arctan2(tangent[:, 1], tangent[:, 0])
-    if surface is None:
-        theta_s = np.zeros(n_samples)
-    else:
-        theta_s = np.asarray(surface.direction_angle_at(pts[:, 0]))
+    theta_s = np.asarray(surface.direction_angle_at(pts[:, 0]))
     diff = np.arctan2(np.sin(theta_t - theta_s), np.cos(theta_t - theta_s))
     rho = np.clip(np.abs(diff), RHO_MIN, math.pi / 2.0)
     return make_trajectory(u * duration, pts[:, 0], pts[:, 1], rho)

@@ -398,9 +398,9 @@ def scenario_from_json(obj: dict, context: str = "scenario") -> Scenario:
     loader = loader_from_json(obj.get("loader", {}), f"{context}.loader")
     path = _need(obj, "path", context)
     kind = _need(path, "type", f"{context}.path")
-    rate = _as_float(obj.get("sample_rate_hz", 60.0),
+    rate = _as_float(obj.get("sample_rate_hz", Scenario.sample_rate),
                      f"{context}.sample_rate_hz")
-    duration = _as_float(obj.get("duration_s", 4.67),
+    duration = _as_float(obj.get("duration_s", Scenario.duration),
                          f"{context}.duration_s")
     try:
         if kind == "quadratic_bezier":

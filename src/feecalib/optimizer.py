@@ -36,7 +36,8 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Hyperparameters shared by all calibration runs."""
+    """Hyperparameters of ``multi_start``, which only the single-stage
+    fit runs; the staged fit reads none of them."""
 
     max_iterations: int = 1000
     gradient_tolerance: float = 1e-5

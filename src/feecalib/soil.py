@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -106,12 +105,6 @@ class ParameterBounds:
             _require_finite(name + ".max", hi)
             if lo > hi:
                 raise ValueError(f"{name}: min {lo} exceeds max {hi}")
-
-    def lower(self, names: Sequence[str] = PARAM_NAMES) -> np.ndarray:
-        return np.array([getattr(self, k)[0] for k in names], dtype=float)
-
-    def upper(self, names: Sequence[str] = PARAM_NAMES) -> np.ndarray:
-        return np.array([getattr(self, k)[1] for k in names], dtype=float)
 
     def contains(self, soil: SoilParameters, rtol: float = 1e-9) -> bool:
         for name in PARAM_NAMES:

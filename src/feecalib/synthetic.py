@@ -252,13 +252,11 @@ def default_scenario() -> Scenario:
     """A single bucket-loading pass through a 25 degree pile face."""
     surface = SlopedLine(origin=(0.0, 0.0), alpha=math.radians(25.0))
     return Scenario(surface=surface, loader=default_loader(),
-                    control_points=((-0.4, 0.05), (0.9, -0.35), (2.2, 1.2)),
-                    sample_rate=60.0, duration=4.67)
+                    control_points=((-0.4, 0.05), (0.9, -0.35), (2.2, 1.2)))
 
 
 def heldout_scenario() -> Scenario:
     """A second pass over the same pile with different curvature."""
     surface = SlopedLine(origin=(0.0, 0.0), alpha=math.radians(25.0))
     return Scenario(surface=surface, loader=default_loader(),
-                    control_points=((-0.3, 0.08), (1.0, -0.25), (2.0, 1.15)),
-                    sample_rate=60.0, duration=4.67)
+                    control_points=((-0.3, 0.08), (1.0, -0.25), (2.0, 1.15)))

@@ -1,9 +1,9 @@
-"""The benchmark's gated workloads still run on the library as it is.
+"""The benchmark's workloads still run on the library as it is.
 
 perfbench/ reads feecalib's API by name (trajectory fields, CSV writers,
-the tracer's wrapped functions); this runs each gated workload at the
-smoke-test sizes, untraced and traced, and requires every op to pass its
-own checks.
+the tracer's wrapped functions, the options it builds); this runs every
+workload it defines, gated or not, at the smoke-test sizes, untraced and
+traced, and requires every op to pass its own checks.
 """
 
 import json
@@ -22,8 +22,12 @@ GATED = [w["name"] for w in json.loads(
     ["workloads"]]
 
 
-@pytest.mark.parametrize("name", GATED)
-def test_gated_workload_runs_clean(tmp_path, name):
+def test_gated_workloads_are_defined():
+    assert set(GATED) <= set(workloads.WORKLOADS)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_runs_clean(tmp_path, name):
     workload = workloads.WORKLOADS[name]()
     workload.setup(0, workloads.TINY, tmp_path)
     results = workload.run_round(None, 0)

@@ -3,9 +3,11 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter1d
 
-from feecalib import (RHO_MIN, CalibrationOptions, CycleDataset,
+from feecalib import (ALPHA_MAX, RHO_MIN, CalibrationOptions, CycleDataset,
                       DegenerateDepths, EmptySeries, FeeCalibError,
                       ParameterBounds, SlopedLine, SolverOptions, add_noise,
                       calibrate_multi_stage, calibrate_single_stage,
@@ -14,7 +16,7 @@ from feecalib import (RHO_MIN, CalibrationOptions, CycleDataset,
                       make_trajectory, predict_next_cycle, prepare_cycle,
                       preset_catalog, resultant, rmse, simulate_cycle,
                       wedge_geometry)
-from feecalib.calibration import (_final_report, _forces, assemble,
+from feecalib.calibration import (BOUNDS, _final_report, _forces, assemble,
                                   stage1_tangential_force)
 
 
@@ -49,13 +51,13 @@ def smoothed(cycle):
 def calibrate_smoothed(dataset):
     """``calibrate_multi_stage`` with the smoothed stage 2: stages 1 and 3
     fit the raw cycle, stage 2 the ``smoothed`` one."""
-    options = CalibrationOptions()
     cycle = prepare_cycle(dataset)
-    s1 = calibrate_stage1(cycle, options)
+    s1 = calibrate_stage1(cycle)
     s2 = calibrate_stage2(smoothed(cycle), s1.parameters["adhesion_ca"],
-                          s1.parameters["delta"], options)
-    s3 = calibrate_stage3(cycle, assemble([s1, s2]), options)
-    return _final_report("multi-stage", [s1, s2, s3], cycle, options, 0.0)
+                          s1.parameters["delta"])
+    s3 = calibrate_stage3(cycle, assemble([s1, s2]))
+    return _final_report("multi-stage", [s1, s2, s3], cycle,
+                         CalibrationOptions(), 0.0)
 
 
 def full_series(theta, cycle):
@@ -158,15 +160,13 @@ def _zero_depth_dataset():
 
 
 class TestStage1:
-    def test_round_trip_tangential_fit(self, dataset, fast_options):
-        diag = calibrate_stage1(prepare_cycle(dataset), fast_options)
+    def test_round_trip_tangential_fit(self, dataset):
+        diag = calibrate_stage1(prepare_cycle(dataset))
         assert diag.rmse_pct <= 1.0
         assert diag.converged or diag.iterations > 0
 
-    def test_recovers_tool_friction_angle(self, dataset, truth,
-                                          fast_options):
-        fit = calibrate_stage1(prepare_cycle(dataset),
-                               fast_options).parameters
+    def test_recovers_tool_friction_angle(self, dataset, truth):
+        fit = calibrate_stage1(prepare_cycle(dataset)).parameters
         assert fit["delta"] == pytest.approx(truth.delta, abs=1e-3)
         # the pressure coefficient combination is identified even though
         # the kc/kphi split is not
@@ -174,7 +174,7 @@ class TestStage1:
         assert fit["kc"] / b + fit["kphi"] == pytest.approx(
             truth.kc / b + truth.kphi, rel=1e-3)
 
-    def test_unidentifiable_delta_still_bounds_feasible(self, fast_options):
+    def test_unidentifiable_delta_still_bounds_feasible(self):
         # zero normal force makes the friction term invisible
         surface = SlopedLine((0.0, 0.0), 0.0)
         i = np.arange(40)
@@ -184,8 +184,8 @@ class TestStage1:
         fn = np.zeros(40)
         ds = CycleDataset(samples=samples, f_t_obs=ft, f_n_obs=fn,
                           surface=surface, loader=default_loader())
-        fit = calibrate_stage1(prepare_cycle(ds), fast_options).parameters
-        lo, hi = fast_options.bounds.delta
+        fit = calibrate_stage1(prepare_cycle(ds)).parameters
+        lo, hi = BOUNDS.delta
         assert lo <= fit["delta"] <= hi
 
     def test_normal_force_enters_only_through_friction_term(self, dataset):
@@ -198,10 +198,9 @@ class TestStage1:
         want = 0.1 * cycle.fn_obs * math.tan(0.3)
         assert np.allclose(bumped - base, want, rtol=1e-12, atol=1e-9)
 
-    def test_all_zero_depths_raise(self, fast_options):
+    def test_all_zero_depths_raise(self):
         with pytest.raises(DegenerateDepths):
-            calibrate_stage1(prepare_cycle(_zero_depth_dataset()),
-                             fast_options)
+            calibrate_stage1(prepare_cycle(_zero_depth_dataset()))
 
 
 def _with_bad_blade_angles(dataset, picks=(10, 50, 90)):
@@ -216,12 +215,12 @@ def _with_bad_blade_angles(dataset, picks=(10, 50, 90)):
 
 
 class TestStage2:
-    def test_samples_outside_blade_margins_are_dropped(self, dataset, truth,
-                                                       fast_options):
+    def test_samples_outside_blade_margins_are_dropped(self, dataset,
+                                                       truth):
         ca, delta = truth.adhesion_ca, truth.delta
         ds, bad = _with_bad_blade_angles(dataset)
         cycle = prepare_cycle(ds)
-        diag = calibrate_stage2(cycle, ca, delta, fast_options)
+        diag = calibrate_stage2(cycle, ca, delta)
         assert diag.dropped_samples == cycle.dropped + bad.size
         # their observations never enter the fit; the new values stay
         # below the series peak, so the objective's scale is unchanged
@@ -230,77 +229,71 @@ class TestStage2:
         fn = ds.f_n_obs.copy()
         fn[bad] = [0.0, 0.5 * peak, -0.9 * peak]
         moved = calibrate_stage2(prepare_cycle(replace(ds, f_n_obs=fn)),
-                                 ca, delta, fast_options)
+                                 ca, delta)
         assert moved.parameters == diag.parameters
         assert diag.parameters["gamma"] == pytest.approx(truth.gamma,
                                                          rel=1e-6)
 
-    def test_round_trip_with_stage1_fixed_at_truth(self, dataset, truth,
-                                                   fast_options):
+    def test_round_trip_with_stage1_fixed_at_truth(self, dataset, truth):
         diag = calibrate_stage2(prepare_cycle(dataset), truth.adhesion_ca,
-                                truth.delta, fast_options)
+                                truth.delta)
         assert diag.rmse_pct <= 1.0
 
     def test_zero_tool_friction_uses_plain_filtered_series(self, truth,
-                                                           scenario,
-                                                           fast_options):
+                                                           scenario):
         # with delta* = 0 the reconstruction divides by cos(0) = 1, so a
         # noiseless run must recover the wedge force exactly
         truth0 = truth.replace(delta=0.0)
         ds = simulate_cycle(scenario, truth0)
-        diag = calibrate_stage2(prepare_cycle(ds), truth0.adhesion_ca, 0.0,
-                                fast_options)
+        diag = calibrate_stage2(prepare_cycle(ds), truth0.adhesion_ca, 0.0)
         assert diag.rmse_pct <= 1e-2
 
-    def test_density_direction_sensitivity(self, scenario, truth,
-                                           fast_options):
+    def test_density_direction_sensitivity(self, scenario, truth):
         fitted = []
         for gamma in (1450.0, 2250.0):
             ds = simulate_cycle(scenario, truth.replace(gamma=gamma))
             cycle = prepare_cycle(ds)
-            s1 = calibrate_stage1(cycle, fast_options).parameters
-            s2 = calibrate_stage2(cycle, s1["adhesion_ca"], s1["delta"],
-                                  fast_options)
+            s1 = calibrate_stage1(cycle).parameters
+            s2 = calibrate_stage2(cycle, s1["adhesion_ca"], s1["delta"])
             fitted.append(s2.parameters["gamma"])
         assert fitted[1] > fitted[0]
 
 
 @pytest.fixture(scope="module")
-def staged(dataset, fast_options):
+def staged(dataset):
     cycle = prepare_cycle(dataset)
-    s1 = calibrate_stage1(cycle, fast_options)
+    s1 = calibrate_stage1(cycle)
     s2 = calibrate_stage2(cycle, s1.parameters["adhesion_ca"],
-                          s1.parameters["delta"], fast_options)
-    return cycle, [s1, s2], fast_options
+                          s1.parameters["delta"])
+    return cycle, [s1, s2]
 
 
 class TestStage3:
 
     def test_tangential_error_non_increasing(self, staged):
-        cycle, stages, opts = staged
+        cycle, stages = staged
         assembled = assemble(stages)
         ft_before, _, ok = full_series(assembled, cycle)
         before = rmse(cycle.ft_cycle[ok], ft_before[ok])[0]
-        s3 = calibrate_stage3(cycle, assembled, opts)
+        s3 = calibrate_stage3(cycle, assembled)
         refined = assemble(stages + [s3])
         ft_after, _, ok2 = full_series(refined, cycle)
         after = rmse(cycle.ft_cycle[ok2], ft_after[ok2])[0]
         assert after <= before + 1e-9
 
     def test_normal_predictions_bitwise_unchanged(self, staged):
-        cycle, stages, opts = staged
+        cycle, stages = staged
         assembled = assemble(stages)
-        s3 = calibrate_stage3(cycle, assembled, opts)
+        s3 = calibrate_stage3(cycle, assembled)
         refined = assemble(stages + [s3])
         _, fn_before, _ = full_series(assembled, cycle)
         _, fn_after, _ = full_series(refined, cycle)
         assert np.array_equal(fn_before, fn_after)
 
     def test_fixed_point_when_already_optimal(self, staged):
-        cycle, stages, opts = staged
-        s3 = calibrate_stage3(cycle, assemble(stages), opts)
-        again = calibrate_stage3(cycle, assemble(stages + [s3]),
-                                 opts).parameters
+        cycle, stages = staged
+        s3 = calibrate_stage3(cycle, assemble(stages))
+        again = calibrate_stage3(cycle, assemble(stages + [s3])).parameters
         fit = s3.parameters
         combo = fit["kc"] / cycle.loader.b + fit["kphi"]
         combo_again = again["kc"] / cycle.loader.b + again["kphi"]
@@ -323,7 +316,7 @@ class TestMultiStage:
 
     def test_reported_parameters_within_bounds(self, dataset, fast_options):
         report = calibrate_multi_stage(dataset, options=fast_options)
-        assert fast_options.bounds.contains(report.theta_star)
+        assert BOUNDS.contains(report.theta_star)
 
     def test_report_reconstruction_is_exact(self, dataset, fast_options):
         report = calibrate_multi_stage(dataset, options=fast_options)
@@ -700,6 +693,44 @@ class TestPredictNextCycle:
         pt, pn = with_prior.arrays()
         assert np.allclose(bt, pt, rtol=1e-12, atol=1e-9)
         assert np.allclose(bn, pn, rtol=1e-12, atol=1e-9)
+
+    @given(classification=st.sampled_from(CLASS_PRESETS),
+           sinkage=st.sampled_from(SINKAGE_PRESETS),
+           alpha=st.floats(0.0, ALPHA_MAX, exclude_max=True),
+           x0=st.floats(-1.0, 0.5), gaps=st.tuples(st.floats(0.2, 1.5),
+                                                  st.floats(0.2, 1.5)),
+           zs=st.tuples(*[st.floats(-0.6, 1.5)] * 3),
+           blade=st.none() | st.tuples(st.floats(0.0, math.pi),
+                                       st.floats(0.0, math.pi)))
+    @settings(max_examples=40, deadline=None)
+    def test_forces_follow_each_sample_status(self, classification, sinkage,
+                                              alpha, x0, gaps, zs, blade):
+        # a merged preset on a pile face of any legal slope, along a
+        # Bezier path whose x strictly increases: finite forces where the
+        # sample is valid, NaN and a named reason where an in-soil sample
+        # is flagged, zero out of soil. A Bezier path keeps its blade
+        # angles inside the margins, so ``blade``, when drawn, replaces
+        # them by a sweep from its first angle to its second.
+        xs = (x0, x0 + gaps[0], x0 + gaps[0] + gaps[1])
+        scenario = replace(default_scenario(),
+                           surface=SlopedLine((0.0, 0.0), alpha),
+                           control_points=tuple(zip(xs, zs)))
+        if blade is not None:
+            path = scenario.trajectory()
+            scenario = replace(scenario, control_points=None,
+                               samples=make_trajectory(
+                                   path.t, path.x, path.z,
+                                   np.linspace(*blade, path.size)))
+        pred = predict_next_cycle(
+            classification.merged(sinkage).soil_parameters(), scenario)
+        forces = np.stack(pred.arrays())
+        flagged = pred.in_soil & ~pred.valid
+        assert np.isfinite(forces[:, pred.valid]).all()
+        assert np.isnan(forces[:, flagged]).all()
+        assert [i for i, _ in pred.failures] == np.flatnonzero(
+            flagged).tolist()
+        assert all(reason for _, reason in pred.failures)
+        assert (forces[:, ~pred.in_soil] == 0.0).all()
 
     def test_one_sample_prior_cycle_is_a_library_error(self, truth,
                                                        scenario, dataset):

@@ -185,6 +185,14 @@ class TestWedgeFromSample:
         _, lt, _ = wedge_geometry(s, FLAT)
         assert lt[0] == pytest.approx(0.4)
 
+    def test_subnormal_blade_angle_overflows_quietly(self):
+        # depth / sin(5e-324) overflows; the engine flags the sample, so
+        # lt is infinite without a RuntimeWarning, which the test
+        # configuration turns into an error
+        s = _sample(0.0, 1.0, -0.2, 5e-324)
+        _, lt, _ = wedge_geometry(s, FLAT)
+        assert lt[0] == math.inf
+
     @given(d=st.floats(0.01, 2.0), rho=st.floats(0.2, 1.5))
     @settings(max_examples=200, deadline=None)
     def test_defining_identity(self, d, rho):
@@ -252,12 +260,13 @@ class TestBezierPath:
     P0, P1, P2 = (0.0, 0.0), (1.0, 2.0), (2.0, 0.5)
 
     def test_endpoint_interpolation(self):
-        path = quadratic_bezier_path(self.P0, self.P1, self.P2, 11, 1.0)
+        path = quadratic_bezier_path(self.P0, self.P1, self.P2, 11, 1.0,
+                                     FLAT)
         assert (path[0].x, path[0].z) == self.P0
         assert (path[-1].x, path[-1].z) == self.P2
 
     def test_midpoint_formula(self):
-        path = quadratic_bezier_path(self.P0, self.P1, self.P2, 3, 1.0)
+        path = quadratic_bezier_path(self.P0, self.P1, self.P2, 3, 1.0, FLAT)
         mid = path[1]
         assert mid.x == pytest.approx((self.P0[0] + 2 * self.P1[0]
                                        + self.P2[0]) / 4.0)
@@ -269,7 +278,8 @@ class TestBezierPath:
         q0, q3 = p0, p2
         q1 = (p0 + 2.0 * p1) / 3.0
         q2 = (2.0 * p1 + p2) / 3.0
-        path = quadratic_bezier_path(self.P0, self.P1, self.P2, 57, 1.0)
+        path = quadratic_bezier_path(self.P0, self.P1, self.P2, 57, 1.0,
+                                     FLAT)
         for i, s in enumerate(path):
             u = i / 56.0
             cubic = ((1 - u) ** 3 * q0 + 3 * u * (1 - u) ** 2 * q1
@@ -281,7 +291,7 @@ class TestBezierPath:
     @settings(max_examples=50, deadline=None)
     def test_samples_in_convex_hull(self, u_count):
         path = quadratic_bezier_path(self.P0, self.P1, self.P2, u_count,
-                                     1.0)
+                                     1.0, FLAT)
         xs = [self.P0[0], self.P1[0], self.P2[0]]
         zs = [self.P0[1], self.P1[1], self.P2[1]]
         for s in path:
@@ -297,9 +307,9 @@ class TestBezierPath:
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            quadratic_bezier_path(self.P0, self.P1, self.P2, 1, 1.0)
+            quadratic_bezier_path(self.P0, self.P1, self.P2, 1, 1.0, FLAT)
         with pytest.raises(ValueError):
-            quadratic_bezier_path(self.P0, self.P1, self.P2, 5, 0.0)
+            quadratic_bezier_path(self.P0, self.P1, self.P2, 5, 0.0, FLAT)
 
 
 class TestSurfaceAfterCycle:
@@ -386,6 +396,19 @@ class TestCycleDataset:
         # callers that catch either the builtin or the library's errors
         assert isinstance(info.value, ValueError)
         assert isinstance(info.value, FeeCalibError)
+
+    @pytest.mark.parametrize("field", ["f_t_obs", "f_n_obs"])
+    def test_refuses_a_force_series_that_is_not_1d(self, field):
+        # an (m, 1) column holds the right number of samples, but the fit
+        # cannot broadcast it against the in-soil samples
+        traj = _traj([(0.1 * i, -0.1) for i in range(5)])
+        forces = {"f_t_obs": np.ones(5), "f_n_obs": np.ones(5)}
+        forces[field] = forces[field].reshape(-1, 1)
+        with pytest.raises(ValueError, match=rf"^{field} must be 1-D, got "
+                                             rf"shape \(5, 1\)$"):
+            CycleDataset(samples=traj, surface=FLAT,
+                         loader=LoaderParameters(omega=1.2, b=0.05),
+                         **forces)
 
 
 # ---------------------------------------------------------------------------

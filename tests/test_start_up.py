@@ -49,12 +49,11 @@ fits = {
         dataset, options),
     "calibrate_single_stage": lambda: calibration.calibrate_single_stage(
         dataset, options),
-    "calibrate_stage1": lambda: calibration.calibrate_stage1(
-        cycle, options),
+    "calibrate_stage1": lambda: calibration.calibrate_stage1(cycle),
     "calibrate_stage2": lambda: calibration.calibrate_stage2(
-        cycle, truth.adhesion_ca, truth.delta, options),
+        cycle, truth.adhesion_ca, truth.delta),
     "calibrate_stage3": lambda: calibration.calibrate_stage3(
-        cycle, truth, options),
+        cycle, truth),
 }
 loaded = "scipy.optimize" in sys.modules
 seen = []

@@ -21,8 +21,9 @@ from scipy.optimize import lsq_linear
 from feecalib import (CalibrationOptions, FeeCalibError, ParameterBounds,
                       SoilParameters, SolverOptions, add_noise,
                       calibrate_multi_stage, calibrate_stage1,
-                      calibrate_stage2, calibrate_stage3, prepare_cycle)
-from feecalib.calibration import (_PROFILE_GRID, _bounded_lsq,
+                      calibrate_stage2, calibrate_stage3, prepare_cycle,
+                      simulate_cycle)
+from feecalib.calibration import (BOUNDS, _PROFILE_GRID, _bounded_lsq,
                                   _forces, _profile_search, _screened_lsq,
                                   _series_scale, assemble,
                                   split_pressure_coefficient,
@@ -38,7 +39,7 @@ REFERENCE = CalibrationOptions(solver=SolverOptions(gradient_tolerance=1e-9))
 # multi-start L-BFGS on the unit box
 # ---------------------------------------------------------------------------
 
-def stage1_objective(cycle, options):
+def stage1_objective(cycle):
     ft_obs = cycle.ft_obs
     scale = _series_scale(ft_obs)
 
@@ -51,10 +52,10 @@ def stage1_objective(cycle, options):
     return objective
 
 
-def stage2_objective(cycle, adhesion_ca, delta, options):
+def stage2_objective(cycle, adhesion_ca, delta):
     target = cycle.fn_obs / math.cos(delta)
     scale = _series_scale(target)
-    base = SoilParameters(gamma=0.5 * sum(options.bounds.gamma),
+    base = SoilParameters(gamma=0.5 * sum(BOUNDS.gamma),
                           cohesion_c=0.0, adhesion_ca=adhesion_ca, phi=0.0,
                           delta=delta, kc=0.0, kphi=0.0, n=1.0)
 
@@ -71,7 +72,7 @@ def stage2_objective(cycle, adhesion_ca, delta, options):
     return objective
 
 
-def stage3_objective(cycle, theta_fixed, options):
+def stage3_objective(cycle, theta_fixed):
     out = _forces(theta_fixed, cycle)
     force, valid = out.fee, out.valid
     loader = cycle.loader
@@ -105,8 +106,8 @@ def reference_fit(objective, fields, options, warm_start=None):
     """The reference fit of ``fields``, by name; ``objective`` takes the
     fitted values by name, and ``warm_start``, when given, is a
     SoilParameters whose values of ``fields`` start the search."""
-    lo = options.bounds.lower(fields)
-    width = options.bounds.upper(fields) - lo
+    lo, hi = np.array([getattr(BOUNDS, name) for name in fields]).T
+    width = hi - lo
 
     def named(values):
         return dict(zip(fields, values))
@@ -149,18 +150,17 @@ def fits(request, dataset):
     stage2_input, noise_seed = request.param
     ds = dataset if noise_seed == "clean" else add_noise(
         dataset, 0.05, seed=noise_seed)
-    options = CalibrationOptions()
     b = ds.loader.b
     cycle = prepare_cycle(ds)
     cycle2 = smoothed(cycle) if stage2_input == "smoothed" else cycle
-    s1 = calibrate_stage1(cycle, options)
+    s1 = calibrate_stage1(cycle)
     ca, delta = s1.parameters["adhesion_ca"], s1.parameters["delta"]
-    s2 = calibrate_stage2(cycle2, ca, delta, options)
+    s2 = calibrate_stage2(cycle2, ca, delta)
     fixed = assemble([s1, s2])
-    s3 = calibrate_stage3(cycle, fixed, options)
-    objectives = (stage1_objective(cycle, options),
-                  stage2_objective(cycle2, ca, delta, options),
-                  stage3_objective(cycle, fixed, options))
+    s3 = calibrate_stage3(cycle, fixed)
+    objectives = (stage1_objective(cycle),
+                  stage2_objective(cycle2, ca, delta),
+                  stage3_objective(cycle, fixed))
     stages = []
     for objective, stage in zip(objectives, (s1, s2, s3)):
         fields = [name for name in stage.parameters if name != "K"]
@@ -203,29 +203,30 @@ class TestStagedFitDeterminism:
             assert run.function_evaluations == first.function_evaluations
 
     def test_stage3_returns_incumbent_when_optimal(self, dataset):
-        options = CalibrationOptions()
         cycle = prepare_cycle(dataset)
-        s1 = calibrate_stage1(cycle, options)
+        s1 = calibrate_stage1(cycle)
         s2 = calibrate_stage2(cycle, s1.parameters["adhesion_ca"],
-                              s1.parameters["delta"], options)
-        s3 = calibrate_stage3(cycle, assemble([s1, s2]), options)
+                              s1.parameters["delta"])
+        s3 = calibrate_stage3(cycle, assemble([s1, s2]))
         optimal = assemble([s1, s2, s3])
-        diag = calibrate_stage3(cycle, optimal, options)
+        diag = calibrate_stage3(cycle, optimal)
         again = [diag.parameters[name] for name in ("kc", "kphi", "n")]
         assert np.array_equal(again, [optimal.kc, optimal.kphi, optimal.n])
         assert diag.parameters["K"] == optimal.kc / dataset.loader.b \
             + optimal.kphi
 
-    def test_stage3_keeps_a_better_incumbent_outside_the_box(self, dataset,
+    def test_stage3_keeps_a_better_incumbent_outside_the_box(self, scenario,
                                                              truth):
         # the incumbent n lies below the searched interval and fits the
         # noiseless cycle exactly, so no candidate inside can beat it
-        options = CalibrationOptions(
-            bounds=replace(ParameterBounds(), n=(0.5, 1.53)))
-        diag = calibrate_stage3(prepare_cycle(dataset), truth, options)
+        below = truth.replace(n=0.08)
+        assert below.n < BOUNDS.n[0]
+        dataset = simulate_cycle(scenario, below)
+        diag = calibrate_stage3(prepare_cycle(dataset), below)
         kept = [diag.parameters[name] for name in ("kc", "kphi", "n")]
-        assert np.array_equal(kept, [truth.kc, truth.kphi, truth.n])
+        assert np.array_equal(kept, [below.kc, below.kphi, below.n])
         assert diag.objective_value < 1e-20
+        assert diag.at_bound == {"n": "lower"}
 
     def test_nonfinite_observations_fail_with_a_library_error(self,
                                                               dataset):
