@@ -41,8 +41,8 @@ from .optimizer import (SolverOptions, _load_solvers, bvls,
                         finite_difference_gradient, minimize_scalar_bounded,
                         multi_start)
 from .soil import (GRAVITY, CycleForceArrays, LoaderParameters,
-                   ParameterBounds, SoilParameters, bearing_factors,
-                   predict_force_arrays)
+                   ParameterBounds, SoilParameters, _blade_margins,
+                   bearing_factors, predict_force_arrays)
 
 log = logging.getLogger(__name__)
 
@@ -244,9 +244,8 @@ def _series_scale(values: np.ndarray) -> float:
     return peak * peak * max(values.size, 1) + 1e-300
 
 
-def split_pressure_coefficient(big_k: float, bounds: ParameterBounds,
-                               b: float) -> tuple[float, float]:
-    """(kc, kphi) for a fitted K = kc/b + kphi.
+def split_pressure_coefficient(big_k: float, b: float) -> tuple[float, float]:
+    """(kc, kphi) for a fitted K = kc/b + kphi, inside ``BOUNDS``.
 
     The force model sees kc and kphi only through K, so data from one
     blade thickness cannot separate them (Bekker's plate tests need two
@@ -254,8 +253,8 @@ def split_pressure_coefficient(big_k: float, bounds: ParameterBounds,
     kc = b*(K - kphi), clipped to its bounds against rounding. For any K
     inside [kc_min/b + kphi_min, kc_max/b + kphi_max] both stay in bounds.
     """
-    kphi = min(max(big_k - bounds.kc[0] / b, bounds.kphi[0]), bounds.kphi[1])
-    kc = min(max(b * (big_k - kphi), bounds.kc[0]), bounds.kc[1])
+    kphi = min(max(big_k - BOUNDS.kc[0] / b, BOUNDS.kphi[0]), BOUNDS.kphi[1])
+    kc = min(max(b * (big_k - kphi), BOUNDS.kc[0]), BOUNDS.kc[1])
     return kc, kphi
 
 
@@ -420,7 +419,6 @@ class _Profile:
     iterations: int = 0
     converged: bool = True
     gradient_norm: float = 0.0
-    grid_points: int = 0
     derivative_trials: int = 0
     bound_shortcut: bool = False
     lsq_paths: Counter = field(default_factory=Counter)
@@ -488,15 +486,12 @@ def _profile_search(trial, lo: float, hi: float) -> _Profile:
     def points_out(grad: float) -> bool:
         return (best.x <= lo and grad > 0.0) or (best.x >= hi and grad < 0.0)
 
-    grid = np.unique(np.linspace(lo, hi, _PROFILE_GRID))
-    best.grid_points = grid.size
+    grid = np.linspace(lo, hi, _PROFILE_GRID)
     k = int(np.argmin(keep_best(grid, counted(grid))))
     if best.inner is None:
         raise SolverFailure(f"no grid point in [{lo}, {hi}] gives a finite "
                             f"objective with samples to fit")
-    a, b = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
-    if b <= a:
-        return best
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, _PROFILE_GRID - 1)]
     grad = None
     if best.x <= lo or best.x >= hi:
         grad = derivative(centre=best.value)
@@ -527,7 +522,7 @@ def _staged_result(name: str, parameters: dict[str, float], b: float,
     log.debug("%s: %.2f ms; %d trials: %d grid, %d Brent, %d derivative, "
               "%d incumbent; least squares %d interior, %d BVLS, %d "
               "screened; bound shortcut %s; %d engine passes", name,
-              1e3 * wall, evaluations, profile.grid_points,
+              1e3 * wall, evaluations, _PROFILE_GRID,
               profile.iterations, profile.derivative_trials,
               extra_evaluations, solves["interior"], solves["bvls"],
               solves["screened"],
@@ -537,7 +532,7 @@ def _staged_result(name: str, parameters: dict[str, float], b: float,
                        objective_value=objective,
                        iterations=profile.iterations,
                        function_evaluations=evaluations,
-                       starts_tried=profile.grid_points,
+                       starts_tried=_PROFILE_GRID,
                        converged=profile.converged,
                        gradient_norm=profile.gradient_norm,
                        wall_time_s=wall,
@@ -558,10 +553,16 @@ def calibrate_stage1(cycle: PreparedCycle) -> StageResult:
     given n the model is linear in (adhesion, tan delta, K = kc/b + kphi):
     the search runs over n and solves for the rest by bounded linear least
     squares. kc and kphi come from K by ``split_pressure_coefficient``.
+    Samples whose blade angle the engine flags are dropped, as in stage 2.
     """
     t0 = time.perf_counter()
-    depth, lt, loader = cycle.depth, cycle.lt, cycle.loader
-    fn_obs, ft_obs = cycle.fn_obs, cycle.ft_obs
+    kept = ~np.logical_or(*_blade_margins(cycle.alpha, cycle.rho,
+                                          np.sin(cycle.rho)))
+    if not kept.any():
+        raise EmptySeries("no in-soil sample inside the blade margins")
+    depth, lt, fn_obs, ft_obs = (values[kept] for values in (
+        cycle.depth, cycle.lt, cycle.fn_obs, cycle.ft_obs))
+    loader = cycle.loader
     scale = _series_scale(ft_obs)
     delta_lo, delta_hi = _box("delta", loader.b)
     lo, hi = np.array([_box("adhesion_ca", loader.b),
@@ -584,14 +585,17 @@ def calibrate_stage1(cycle: PreparedCycle) -> StageResult:
         delta = delta_hi
     else:
         delta = min(max(math.atan(tan_delta), delta_lo), delta_hi)
-    kc, kphi = map(float, split_pressure_coefficient(big_k, BOUNDS, loader.b))
-    fit = stage1_tangential_force(cycle, ca, delta, kc, kphi, profile.x)
+    kc, kphi = map(float, split_pressure_coefficient(big_k, loader.b))
+    fit = stage1_tangential_force(replace(cycle, depth=depth, lt=lt,
+                                          fn_obs=fn_obs),
+                                  ca, delta, kc, kphi, profile.x)
     residual = ft_obs - fit
     parameters = dict(adhesion_ca=ca, delta=float(delta), kc=kc, kphi=kphi,
                       n=profile.x, K=big_k)
     return _staged_result("stage1", parameters, loader.b,
                           float(residual @ residual) / scale, profile, 0, 0,
-                          t0, cycle.dropped, rmse(ft_obs, fit),
+                          t0, cycle.dropped + int((~kept).sum()),
+                          rmse(ft_obs, fit),
                           series="f_t observed (raw), in-soil samples")
 
 
@@ -692,7 +696,7 @@ def calibrate_stage3(cycle: PreparedCycle,
 
     profile = _profile_search(trial, *_box("n", loader.b))
     big_k = float(profile.inner[0])
-    best = (*split_pressure_coefficient(big_k, BOUNDS, loader.b), profile.x)
+    best = (*split_pressure_coefficient(big_k, loader.b), profile.x)
     incumbent = (theta_fixed.kc, theta_fixed.kphi, theta_fixed.n)
     f_best, f_incumbent = objective(*best), objective(*incumbent)
     if f_incumbent <= f_best:
@@ -770,7 +774,7 @@ def calibrate_single_stage(dataset: CycleDataset,
 
     def soil_at(values: np.ndarray) -> SoilParameters:
         gamma, cohesion, ca, phi, delta, big_k, n = values.tolist()
-        kc, kphi = split_pressure_coefficient(big_k, BOUNDS, b)
+        kc, kphi = split_pressure_coefficient(big_k, b)
         return SoilParameters(gamma, cohesion, ca, phi, delta, kc, kphi, n)
 
     def objective(unit: np.ndarray) -> float:

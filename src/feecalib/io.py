@@ -393,6 +393,10 @@ def scenario_from_json(obj: dict, context: str = "scenario") -> Scenario:
                       "sample_rate_hz", "duration_s", "soil", "noise"),
                 context)
     _check_schema_version(obj, context)
+    # the truth and noise a simulated cycle was made with: checked, not kept
+    if "soil" in obj:
+        soil_from_json(obj["soil"], f"{context}.soil")
+    _noise_from_json(obj.get("noise", {}), f"{context}.noise")
     surface = surface_from_json(_need(obj, "surface", context),
                                 f"{context}.surface")
     loader = loader_from_json(obj.get("loader", {}), f"{context}.loader")
@@ -441,6 +445,20 @@ class RunConfig:
     relative_sigma: float
     seed: int
     calibration: CalibrationOptions
+
+
+def _relative_sigma(value, context: str) -> float:
+    sigma = _as_float(value, context)
+    if sigma < 0.0:
+        raise ConfigError(f"{context} must be nonnegative")
+    return sigma
+
+
+def _noise_from_json(obj: dict, context: str) -> tuple[float, int]:
+    _check_keys(obj, ("relative_sigma", "seed"), context)
+    return (_relative_sigma(obj.get("relative_sigma", 0.0),
+                            f"{context}.relative_sigma"),
+            _as_int(obj.get("seed", 0), f"{context}.seed"))
 
 
 def _solver_from_json(obj: dict, context: str) -> SolverOptions:
@@ -505,23 +523,13 @@ def run_config_from_json(obj: dict, preset: str | None = None,
     else:
         truth = default_truth()
 
-    noise_obj = obj.get("noise", {})
-    _check_keys(noise_obj, ("relative_sigma", "seed"), "config.noise")
-    sigma_source = "config.noise.relative_sigma"
-    relative_sigma = _as_float(noise_obj.get("relative_sigma", 0.0),
-                               sigma_source)
+    sigma, noise_seed = _noise_from_json(obj.get("noise", {}), "config.noise")
     if noise is not None:
-        sigma_source = "--noise"
-        relative_sigma = _as_float(noise, sigma_source)
-    if relative_sigma < 0.0:
-        raise ConfigError(f"{sigma_source} must be nonnegative")
-    seed_value = _as_int(noise_obj.get("seed", 0), "config.noise.seed")
-    if seed is not None:
-        seed_value = seed
+        sigma = _relative_sigma(noise, "--noise")
 
     calibration = calibration_options_from_json(obj.get("calibration", {}))
-    return RunConfig(scenario=scenario, truth=truth,
-                     relative_sigma=relative_sigma, seed=seed_value,
+    return RunConfig(scenario=scenario, truth=truth, relative_sigma=sigma,
+                     seed=noise_seed if seed is None else seed,
                      calibration=calibration)
 
 
@@ -560,9 +568,11 @@ def read_scenario_json(path: str | Path) -> Scenario:
     return scenario_from_json(obj, str(path))
 
 
-def _dump_json(path: str | Path, doc: dict, allow_nan: bool = True) -> None:
+def _dump_json(path: str | Path, doc: dict) -> None:
+    """Strict JSON: a non-finite number is written as null."""
+    doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        json.dump(doc, handle, indent=2, allow_nan=allow_nan)
+        json.dump(doc, handle, indent=2, allow_nan=False)
         handle.write("\n")
 
 
@@ -593,8 +603,8 @@ def report_to_json(report: CalibrationReport) -> dict:
             "gradient_norm": s.gradient_norm,
             "wall_time_s": s.wall_time_s,
             "dropped_samples": s.dropped_samples,
-            "rmse_N": None if math.isnan(s.rmse_n) else s.rmse_n,
-            "rmse_pct": None if math.isnan(s.rmse_pct) else s.rmse_pct,
+            "rmse_N": s.rmse_n,
+            "rmse_pct": s.rmse_pct,
             "rmse_series": s.rmse_series,
             "at_bound": s.at_bound,
         } for s in report.stages],
@@ -630,13 +640,7 @@ def read_report_theta(path: str | Path) -> SoilParameters:
 def write_metrics_json(path: str | Path, n_samples: int,
                        ft: tuple[float, float], fn: tuple[float, float],
                        fr: tuple[float, float]) -> None:
-    """Strict JSON: a non-finite figure (a percent against an observed
-    peak of 0) is written as null."""
-    def pair(values: tuple[float, float]) -> dict:
-        absolute, percent = (v if math.isfinite(v) else None for v in values)
-        return {"rmse_N": absolute, "rmse_pct": percent}
-
-    _dump_json(path, {"schema_version": SCHEMA_VERSION,
-                      "n_samples": n_samples,
-                      "ft": pair(ft), "fn": pair(fn), "fr": pair(fr)},
-               allow_nan=False)
+    doc = {"schema_version": SCHEMA_VERSION, "n_samples": n_samples}
+    for name, (absolute, percent) in (("ft", ft), ("fn", fn), ("fr", fr)):
+        doc[name] = {"rmse_N": absolute, "rmse_pct": percent}
+    _dump_json(path, doc)

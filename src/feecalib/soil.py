@@ -17,7 +17,7 @@ quantities are base SI (N, m, rad, kg/m^3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,9 +76,6 @@ class SoilParameters:
                 raise ValueError(f"{name} must lie in [0, pi/2)")
         if self.n <= 0.0:
             raise ValueError("n must be positive")
-
-    def replace(self, **changes: float) -> "SoilParameters":
-        return replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,6 @@ def beta_window(alpha: float, rho, phi, delta: float):
     rho = np.asarray(rho, dtype=float)
     hi = np.minimum(math.pi - rho - delta - phi - EPS2,
                     math.pi - phi - ANGLE_MARGIN)
-    hi = np.minimum(hi, math.pi - ANGLE_MARGIN)
     hi = np.minimum(hi, math.pi / 2.0 - alpha)
     lo = np.full(np.shape(hi), EPS1, dtype=float)
     return lo, hi

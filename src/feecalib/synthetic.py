@@ -57,15 +57,12 @@ class Scenario:
             return len(self.samples)
         return int(math.floor(self.sample_rate * self.duration)) + 1
 
-    def trajectory(self, surface: Surface | None = None) -> np.recarray:
-        """Sample the tip path; blade angles reference ``surface``
-        (defaults to the scenario's own surface)."""
+    def trajectory(self, surface: Surface) -> np.recarray:
+        """Sample the tip path; blade angles reference ``surface``."""
         if self.samples is not None:
             return self.samples
-        p0, p1, p2 = self.control_points
-        return quadratic_bezier_path(
-            p0, p1, p2, self.n_samples, self.duration,
-            surface=self.surface if surface is None else surface)
+        return quadratic_bezier_path(*self.control_points, self.n_samples,
+                                     self.duration, surface)
 
 
 def simulate_cycle(scenario: Scenario, truth: SoilParameters) -> CycleDataset:
@@ -145,29 +142,26 @@ class SoilPreset:
             return 0.5 * (raw[0] + raw[1])
         return float(raw)
 
-    def merged(self, other: "SoilPreset", name: str | None = None
-               ) -> "SoilPreset":
+    def merged(self, other: "SoilPreset") -> "SoilPreset":
         """This preset with missing fields filled from ``other``."""
         fields = {f: getattr(self, f) if getattr(self, f) is not None
                   else getattr(other, f) for f in PARAM_NAMES}
-        return SoilPreset(name=name or f"{self.name} + {other.name}",
+        return SoilPreset(name=f"{self.name} + {other.name}",
                           provenance=f"{self.provenance}; {other.provenance}",
                           **fields)
 
-    def soil_parameters(self, **overrides: float) -> SoilParameters:
+    def soil_parameters(self) -> SoilParameters:
         """Instantiate full parameters (range midpoints, steel-contact
         defaults for delta, adhesion defaulting to cohesion)."""
         values = {f: self.value(f) for f in PARAM_NAMES}
-        values.update(overrides)
         missing = [f for f in ("gamma", "cohesion_c", "phi", "kc", "kphi",
-                               "n") if values.get(f) is None]
+                               "n") if values[f] is None]
         if missing:
-            raise ValueError(
-                f"preset {self.name!r} lacks {missing}; merge with another "
-                "preset or pass overrides")
-        if values.get("adhesion_ca") is None:
+            raise ValueError(f"preset {self.name!r} lacks {missing}; merge "
+                             "with another preset")
+        if values["adhesion_ca"] is None:
             values["adhesion_ca"] = values["cohesion_c"]
-        if values.get("delta") is None:
+        if values["delta"] is None:
             values["delta"] = steel_contact_delta(values["phi"])
         return SoilParameters(**values)
 

@@ -202,7 +202,7 @@ def test_criterion_6_stage3_contract(roundtrip):
 def test_criterion_7_continuity_and_stability():
     scenario = default_scenario()
     truth = default_truth()
-    base = scenario.trajectory()
+    base = scenario.trajectory(scenario.surface)
 
     # halve the time step by inserting midpoint samples on the same path
     def refine(column):

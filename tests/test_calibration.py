@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -202,15 +203,52 @@ class TestStage1:
         with pytest.raises(DegenerateDepths):
             calibrate_stage1(prepare_cycle(_zero_depth_dataset()))
 
+    def test_samples_outside_blade_margins_are_dropped(self, dataset):
+        ds, bad = _with_bad_blade_angles(dataset)
+        cycle = prepare_cycle(ds)
+        diag = calibrate_stage1(cycle)
+        assert diag.dropped_samples == cycle.dropped + bad.size
+        # their observations never enter the fit, not even its scale
+        ft = ds.f_t_obs.copy()
+        peak = np.abs(ft).max()
+        ft[bad] = [0.0, 2.0 * peak, -peak]
+        moved = calibrate_stage1(prepare_cycle(replace(ds, f_t_obs=ft)))
+        assert moved.parameters == diag.parameters
 
-def _with_bad_blade_angles(dataset, picks=(10, 50, 90)):
-    """The cycle with three in-soil samples moved outside the blade-angle
-    margins: below RHO_MIN, and sin(rho) near 0 and near pi. Returns the
-    dataset and the indices of those samples."""
+    def test_staged_fit_recovers_the_truth_around_flagged_samples(
+            self, dataset, truth):
+        ds, _ = _with_bad_blade_angles(dataset)
+        report = calibrate_multi_stage(ds)
+        assert_recovered(report.theta_star, truth, ds.loader.b)
+
+    def test_subnormal_blade_angle_fits_without_a_warning(self, dataset):
+        # its lt is infinite, which stage 1's least squares never sees
+        ds, _ = _with_bad_blade_angles(dataset, picks=(50,),
+                                       angles=(5e-324,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = calibrate_multi_stage(ds)
+        dropped = prepare_cycle(ds).dropped + 1
+        assert [s.dropped_samples for s in report.stages] == [dropped] * 3
+
+    def test_no_sample_inside_the_blade_margins_raises(self, dataset):
+        in_soil = prepare_cycle(dataset).depth.size
+        ds, _ = _with_bad_blade_angles(dataset, picks=range(in_soil),
+                                       angles=(1e-9,))
+        with pytest.raises(EmptySeries, match="blade margins"):
+            calibrate_stage1(prepare_cycle(ds))
+
+
+def _with_bad_blade_angles(dataset, picks=(10, 50, 90),
+                           angles=(0.5 * RHO_MIN, 1e-9, math.pi - 1e-9)):
+    """The cycle with the in-soil samples ``picks`` (counted among the
+    in-soil samples) moved to blade ``angles`` outside the margins: by
+    default below RHO_MIN, and sin(rho) near 0 and near pi. Returns the
+    dataset and the cycle indices of those samples."""
     bad = np.flatnonzero(prepare_cycle(dataset).in_soil)[list(picks)]
     s = dataset.samples
     rho = s.rho.copy()
-    rho[bad] = [0.5 * RHO_MIN, 1e-9, math.pi - 1e-9]
+    rho[bad] = angles
     return replace(dataset, samples=make_trajectory(s.t, s.x, s.z, rho)), bad
 
 
@@ -243,7 +281,7 @@ class TestStage2:
                                                            scenario):
         # with delta* = 0 the reconstruction divides by cos(0) = 1, so a
         # noiseless run must recover the wedge force exactly
-        truth0 = truth.replace(delta=0.0)
+        truth0 = replace(truth, delta=0.0)
         ds = simulate_cycle(scenario, truth0)
         diag = calibrate_stage2(prepare_cycle(ds), truth0.adhesion_ca, 0.0)
         assert diag.rmse_pct <= 1e-2
@@ -251,7 +289,7 @@ class TestStage2:
     def test_density_direction_sensitivity(self, scenario, truth):
         fitted = []
         for gamma in (1450.0, 2250.0):
-            ds = simulate_cycle(scenario, truth.replace(gamma=gamma))
+            ds = simulate_cycle(scenario, replace(truth, gamma=gamma))
             cycle = prepare_cycle(ds)
             s1 = calibrate_stage1(cycle).parameters
             s2 = calibrate_stage2(cycle, s1["adhesion_ca"], s1["delta"])
@@ -380,6 +418,16 @@ def inside_the_box(truth, bounds, b, names=IDENTIFIED):
                <= box(bounds, name, b)[1] for name in names)
 
 
+def assert_recovered(got, truth, b, context=None):
+    """Each identified parameter of ``got`` within 1e-5 of the truth's,
+    relative, or of the box width where the truth's value is 0."""
+    for name in IDENTIFIED:
+        want = identified(truth, name, b)
+        lo, hi = box(BOUNDS, name, b)
+        assert abs(identified(got, name, b) - want) <= 1e-5 * (
+            abs(want) if want else hi - lo), (context, name)
+
+
 class TestPresetSweep:
     """The staged fit of every class preset merged with every sinkage
     preset, on the default path at pile slopes of 10, 25 and 40 degrees:
@@ -420,11 +468,7 @@ class TestPresetSweep:
             if not inside_the_box(truth, bounds, b):
                 assert stages[2].at_bound.get("K") == "upper", sinkage.name
                 continue
-            for name in IDENTIFIED:
-                want = identified(truth, name, b)
-                lo, hi = box(bounds, name, b)
-                assert abs(identified(got, name, b) - want) <= 1e-5 * (
-                    abs(want) if want else hi - lo), (sinkage.name, name)
+            assert_recovered(got, truth, b, sinkage.name)
 
 
 # The staged fit on the default cycle with the smoothed stage 2, recorded
@@ -716,7 +760,7 @@ class TestPredictNextCycle:
                            surface=SlopedLine((0.0, 0.0), alpha),
                            control_points=tuple(zip(xs, zs)))
         if blade is not None:
-            path = scenario.trajectory()
+            path = scenario.trajectory(scenario.surface)
             scenario = replace(scenario, control_points=None,
                                samples=make_trajectory(
                                    path.t, path.x, path.z,

@@ -168,6 +168,35 @@ class TestCalibrate:
         assert doc["stages"][0]["parameters"]["K"] > 0.0
         assert "kc/kphi split" in doc["not_identified"]
 
+    def test_report_of_a_zero_force_series_is_strict_json(self, runner,
+                                                          workdir, tmp_path):
+        # every ft_obs_N is 0, so the ft percent divides by a peak of 0
+        run = workdir / "run"
+        lines = (run / "cycle.csv").read_text().splitlines()
+        column = lines[0].split(",").index("ft_obs_N")
+        rows = [line.split(",") for line in lines[1:]]
+        for row in rows:
+            row[column] = "0.0"
+        cycle = tmp_path / "cycle.csv"
+        cycle.write_text("\n".join([lines[0]] + [",".join(row)
+                                                 for row in rows]) + "\n")
+        config = tmp_path / "one-start.json"
+        config.write_text(json.dumps({"calibration": {"solver": {
+            "n_starts": 1, "max_iterations": 20}}}))
+        res = runner.invoke(main, ["calibrate", str(cycle), "--scenario",
+                                   str(run / "scenario.json"), "--config",
+                                   str(config), "--method", "single",
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+
+        def no_constants(name):
+            raise AssertionError(f"{name} in report.json")
+
+        doc = json.loads((tmp_path / "report.json").read_text(),
+                         parse_constant=no_constants)
+        assert doc["rmse"]["ft_pct"] is None
+        assert doc["rmse"]["ft_N"] > 0.0
+
     def test_missing_force_column_exits_2(self, runner, workdir, tmp_path):
         src = (workdir / "run" / "cycle.csv").read_text().splitlines()
         header = src[0].replace(",fn_obs_N", "")
@@ -800,6 +829,8 @@ NOT_OBJECTS = [
     ("scenario", ("surface",), 5, "scenario.json.surface"),
     ("scenario", ("path",), 3, "scenario.json.path"),
     ("scenario", ("loader",), 7, "scenario.json.loader"),
+    ("scenario", ("soil",), 5, "scenario.json.soil"),
+    ("scenario", ("noise",), "x", "scenario.json.noise"),
     ("config", (), [1], "config"),
     ("config", ("soil",), 5, "config.soil"),
     ("config", ("noise",), 3, "config.noise"),
@@ -837,6 +868,35 @@ def test_a_section_that_is_not_an_object_exits_2(runner, workdir, tmp_path,
     out = tmp_path / "never"
     res = runner.invoke(main, args + ["--out", str(out)])
     _assert_config_error(res, f"{section} must be a JSON object")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "predict"])
+@pytest.mark.parametrize("section, edit, message", [
+    ("soil", {"grain_mm": 1.0}, "unknown key 'grain_mm' in "),
+    ("soil", {"gamma_kg_m3": "1500"}, "soil.gamma_kg_m3 must be a number"),
+    ("soil", {"phi_deg": 30.0}, "give only one of 'phi_rad'/'phi_deg'"),
+    ("noise", {"relative_sigma": -0.1},
+     "noise.relative_sigma must be nonnegative"),
+    ("noise", {"seed": 1.5}, "noise.seed must be a nonnegative integer"),
+], ids=["soil-unknown-key", "soil-string", "soil-two-angles",
+        "noise-negative", "noise-seed-frac"])
+def test_scenario_truth_and_noise_are_checked(runner, workdir, tmp_path,
+                                              command, section, edit,
+                                              message):
+    # the sections simulate writes: read by the config's rules, not kept
+    run = workdir / "run"
+    doc = json.loads((run / "scenario.json").read_text())
+    doc[section].update(edit)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    args = {"calibrate": ["calibrate", str(run / "cycle.csv"),
+                          "--method", "multi"],
+            "predict": ["predict", str(run / "report.json")]}[command]
+    out = tmp_path / "never"
+    res = runner.invoke(main, args + ["--scenario", str(scenario), "--out",
+                                      str(out)])
+    _assert_config_error(res, message)
     assert not out.exists()
 
 

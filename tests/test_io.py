@@ -489,8 +489,11 @@ def _valid_documents():
                   "n_starts": 1, "seed": 0}}}
     report = {"schema_version": 3, "method": "multi-stage",
               "theta_star": truth, "stages": []}
+    sidecar = dict(scenario, soil=truth,
+                   noise={"relative_sigma": 0.05, "seed": 1})
     return [(fio.read_scenario_json, scenario),
             (fio.read_scenario_json, explicit),
+            (fio.read_scenario_json, sidecar),
             (fio.load_config, config),
             (fio.load_config, dict(config,
                                    soil={"preset": "Heavy Clay WES 40"})),
@@ -502,7 +505,8 @@ JSON_DOCUMENTS = _valid_documents()
 
 @pytest.mark.parametrize("read, doc", JSON_DOCUMENTS,
                          ids=["scenario-bezier", "scenario-explicit",
-                              "config-truth", "config-preset", "report"])
+                              "scenario-sidecar", "config-truth",
+                              "config-preset", "report"])
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_json_readers_on_random_sections(folder, read, doc, data):

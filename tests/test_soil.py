@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +41,7 @@ def _pressure(soil, depth, rho=1.0):
     """The engine's penetration pressure (kc/b + kphi) * d^n, read as
     f_t / (omega * b) with delta = c_a = 0, where the pressure term is all
     of f_t."""
-    out = _engine(soil.replace(delta=0.0, adhesion_ca=0.0), depth, rho)
+    out = _engine(replace(soil, delta=0.0, adhesion_ca=0.0), depth, rho)
     return out.f_t[0] / (LOADER.omega * LOADER.b)
 
 
@@ -387,7 +388,7 @@ class TestBroadcastKernel:
             assert np.array_equal(feasible[i], one[1])
             for full, want in zip(factors, one[2]):
                 assert np.array_equal(full[i], want, equal_nan=True)
-            out = _engine(soil.replace(phi=phi_i), 1.0, rho, alpha=alpha)
+            out = _engine(replace(soil, phi=phi_i), 1.0, rho, alpha=alpha)
             assert np.array_equal(beta[i], out.beta, equal_nan=True)
             assert np.array_equal(feasible[i], out.valid)
 
@@ -469,9 +470,9 @@ class TestFeeForce:
 
         f1, f2 = fee(0.1), fee(0.2)
         assert f2 >= f1
-        f3 = fee(0.2, soil=soil.replace(gamma=2000.0))
+        f3 = fee(0.2, soil=replace(soil, gamma=2000.0))
         assert f3 >= f2
-        f4 = fee(0.2, soil=soil.replace(cohesion_c=2000.0))
+        f4 = fee(0.2, soil=replace(soil, cohesion_c=2000.0))
         assert f4 >= f2
         f5 = fee(0.2, area=0.054)
         assert f5 >= f2

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,7 +141,7 @@ class TestPresets:
     def test_override_wins(self):
         p = find_preset("Well-graded sand").merged(
             find_preset("Dry Loose Sand"))
-        soil = p.soil_parameters(gamma=1500.0)
+        soil = replace(p.soil_parameters(), gamma=1500.0)
         assert soil.gamma == 1500.0
 
 
