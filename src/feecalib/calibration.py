@@ -586,9 +586,8 @@ def calibrate_stage1(cycle: PreparedCycle) -> StageResult:
     else:
         delta = min(max(math.atan(tan_delta), delta_lo), delta_hi)
     kc, kphi = map(float, split_pressure_coefficient(big_k, loader.b))
-    fit = stage1_tangential_force(replace(cycle, depth=depth, lt=lt,
-                                          fn_obs=fn_obs),
-                                  ca, delta, kc, kphi, profile.x)
+    kept_cycle = replace(cycle, depth=depth, lt=lt, fn_obs=fn_obs)
+    fit = stage1_tangential_force(kept_cycle, ca, delta, kc, kphi, profile.x)
     residual = ft_obs - fit
     parameters = dict(adhesion_ca=ca, delta=float(delta), kc=kc, kphi=kphi,
                       n=profile.x, K=big_k)

@@ -569,8 +569,6 @@ def read_scenario_json(path: str | Path) -> Scenario:
 
 
 def _dump_json(path: str | Path, doc: dict) -> None:
-    """Strict JSON: a non-finite number is written as null."""
-    doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
         json.dump(doc, handle, indent=2, allow_nan=False)
         handle.write("\n")
@@ -585,6 +583,11 @@ def _load_json(path: str | Path) -> dict:
         raise ConfigError(f"cannot read {path}: {exc}")
     except ValueError as exc:   # not UTF-8, or not JSON
         raise ConfigError(f"{path} is not valid JSON: {exc}")
+
+
+def _finite_or_null(doc: dict) -> dict:
+    """``doc`` with every non-finite number in it written as null."""
+    return json.loads(json.dumps(doc), parse_constant=lambda _: None)
 
 
 def report_to_json(report: CalibrationReport) -> dict:
@@ -603,8 +606,7 @@ def report_to_json(report: CalibrationReport) -> dict:
             "gradient_norm": s.gradient_norm,
             "wall_time_s": s.wall_time_s,
             "dropped_samples": s.dropped_samples,
-            "rmse_N": s.rmse_n,
-            "rmse_pct": s.rmse_pct,
+            "rmse_N": s.rmse_n, "rmse_pct": s.rmse_pct,
             "rmse_series": s.rmse_series,
             "at_bound": s.at_bound,
         } for s in report.stages],
@@ -626,7 +628,7 @@ def report_to_json(report: CalibrationReport) -> dict:
 
 
 def write_report_json(path: str | Path, report: CalibrationReport) -> None:
-    _dump_json(path, report_to_json(report))
+    _dump_json(path, _finite_or_null(report_to_json(report)))
 
 
 def read_report_theta(path: str | Path) -> SoilParameters:
@@ -643,4 +645,4 @@ def write_metrics_json(path: str | Path, n_samples: int,
     doc = {"schema_version": SCHEMA_VERSION, "n_samples": n_samples}
     for name, (absolute, percent) in (("ft", ft), ("fn", fn), ("fr", fr)):
         doc[name] = {"rmse_N": absolute, "rmse_pct": percent}
-    _dump_json(path, doc)
+    _dump_json(path, _finite_or_null(doc))
