@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""SHA-256 digest of the staged fit over a sweep of presets and slopes.
+
+Fits every class preset merged with every sinkage preset on the default
+path at each pile slope, clean and with noise, and hashes the bits of
+what each fit gives: theta*, each stage's record (fitted values,
+objective, gradient norm, trial and iteration counts, bound flags), the
+final force errors, and the prediction on the held-out path. A fit that
+raises hashes its error. Two source trees that print the same digest fit
+every case to the same bits. libm's bits vary by platform, so compare
+digests made on one machine only.
+
+Usage: python scripts/fit_digest.py [--pairs N] [--slopes 0 10 25 40]
+                                    [--noise 0 0.05] [--seed 1]
+"""
+
+import argparse
+import hashlib
+import math
+import struct
+import time
+from dataclasses import astuple, replace
+
+import numpy as np
+
+from feecalib import (FeeCalibError, SlopedLine, add_noise,
+                      calibrate_multi_stage, default_scenario,
+                      heldout_scenario, predict_next_cycle, preset_catalog,
+                      simulate_cycle)
+
+
+def preset_pairs():
+    """Every classification preset merged with every sinkage preset."""
+    presets = preset_catalog()
+    return [(c, s) for c in presets if c.phi is not None
+            for s in presets if s.kc is not None]
+
+
+def feed(h, value):
+    """Hash ``value``: floats by their bits, arrays by their bytes."""
+    if isinstance(value, float):
+        h.update(struct.pack("<d", value))
+    elif isinstance(value, np.ndarray):
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, dict):
+        for key in sorted(value):
+            feed(h, key)
+            feed(h, value[key])
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            feed(h, item)
+    else:
+        h.update(repr(value).encode())
+
+
+def feed_fit(h, dataset, heldout):
+    try:
+        report = calibrate_multi_stage(dataset)
+    except FeeCalibError as exc:
+        feed(h, (type(exc).__name__, str(exc)))
+        return
+    feed(h, astuple(report.theta_star))
+    for stage in report.stages:
+        feed(h, (stage.name, stage.parameters, stage.objective_value,
+                 stage.iterations, stage.function_evaluations,
+                 stage.starts_tried, stage.converged, stage.gradient_norm,
+                 stage.dropped_samples, stage.rmse_n, stage.rmse_pct,
+                 stage.at_bound))
+    feed(h, (report.rmse_ft_n, report.rmse_fn_n, report.rmse_fr_n,
+             report.function_evaluations, report.dropped_samples))
+    pred = predict_next_cycle(report.theta_star, heldout)
+    feed(h, (pred.beta, pred.f_t, pred.f_n, pred.status))
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--pairs", type=int, default=None,
+                        help="fit only the first N preset pairs")
+    parser.add_argument("--slopes", type=float, nargs="+",
+                        default=[0.0, 10.0, 25.0, 40.0],
+                        help="pile slopes, degrees")
+    parser.add_argument("--noise", type=float, nargs="+",
+                        default=[0.0, 0.05],
+                        help="relative noise sigmas (0 fits clean data)")
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+
+    pairs = preset_pairs()[:args.pairs]
+    h = hashlib.sha256()
+    fits = 0
+    t0 = time.perf_counter()
+    for slope in args.slopes:
+        surface = SlopedLine((0.0, 0.0), math.radians(slope))
+        scenario = replace(default_scenario(), surface=surface)
+        heldout = replace(heldout_scenario(), surface=surface)
+        for classification, sinkage in pairs:
+            clean = simulate_cycle(
+                scenario, classification.merged(sinkage).soil_parameters())
+            for sigma in args.noise:
+                dataset = (add_noise(clean, sigma, args.seed) if sigma > 0.0
+                           else clean)
+                feed_fit(h, dataset, heldout)
+                fits += 1
+    print(f"fits {fits} in {time.perf_counter() - t0:.1f} s")
+    print(f"sha256 {h.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -573,8 +573,7 @@ def calibrate_stage1(cycle: PreparedCycle) -> StageResult:
         designs = np.empty((ns.size, depth.size, 3))
         designs[:, :, 0] = loader.omega * lt
         designs[:, :, 1] = fn_obs
-        for design, n in zip(designs, ns.tolist()):
-            design[:, 2] = loader.omega * loader.b * depth ** n
+        designs[:, :, 2] = loader.omega * loader.b * depth ** ns[:, None]
         return _screened_lsq(designs, ft_obs, lo, hi, scale, paths)
 
     profile = _profile_search(trial, *_box("n", loader.b))
@@ -688,8 +687,7 @@ def calibrate_stage3(cycle: PreparedCycle,
         return float(residual @ residual) / scale
 
     def trial(ns: np.ndarray, paths: Counter):
-        designs = np.stack([loader.omega * loader.b * depth ** n
-                            for n in ns.tolist()])[:, :, None]
+        designs = (loader.omega * loader.b * depth ** ns[:, None])[..., None]
         return _screened_lsq(designs, sinkage_target, k_lo, k_hi, scale,
                              paths)
 

@@ -8,6 +8,11 @@ forces. One kernel, ``bearing_factors``, runs the chain from the
 blade-angle margins through the failure-angle window and solve to the
 factors, for one friction angle or many at once; the force engine
 (``predict_force_arrays``) and stage 2 of the calibration both call it.
+It evaluates every entry of the broadcast shape of friction angle
+against blade angle, the infeasible ones too, and sets those to NaN at
+the end, so nothing is gathered through the feasibility mask but the
+stationary roots that fall inside the failure-angle window; a pass in
+which no entry has a stationary root skips the root trigonometry.
 Its two steps, ``_failure_angle`` and ``_factor_arrays``, are what the
 tests hold against their references: a grid and golden-section search
 for the failure angle, and the cotangent form of the factors. All
@@ -176,24 +181,25 @@ def beta_window(alpha: float, rho, phi, delta: float):
     return lo, hi
 
 
-def _stationary_angles(rho, delta: float, phi, a, cos_a, sin_a,
-                       sin_phi) -> np.ndarray:
-    """The two roots b of dN_gamma/dbeta = 0 per sample, mod pi, as an
-    (n, 2) array (NaN where there is none); see ``_failure_angle``. The
-    terms of phi alone come per sample: a = 2*alpha + phi, cos a, sin a
-    and sin phi."""
+def _stationary_angles(rho, delta: float, phi, a, cos_a, sin_a, sin_phi):
+    """The two roots b of dN_gamma/dbeta = 0, mod pi, stacked on a last
+    axis of length 2 (NaN where there is none), or None when no entry has
+    one; see ``_failure_angle``. rho broadcasts against phi and the terms
+    of phi alone: a = 2*alpha + phi, cos a, sin a and sin phi."""
     c = rho + delta + phi
     cos_c = np.cos(c)
     p = cos_c * cos_a - sin_phi * np.sin(c)
     q = -(cos_c * sin_a + sin_phi * cos_c)
     r = np.cos(a - c)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # NaN where |R| > sqrt(P^2+Q^2) or P = Q = 0: no interior root
-        half = 0.5 * np.arccos(r / np.hypot(p, q))
+    # arccos is NaN where |R| > sqrt(P^2+Q^2) or P = Q = 0: no interior root
+    ratio = r / np.hypot(p, q)
+    if not np.any(np.abs(ratio) <= 1.0):
+        return None
+    half = 0.5 * np.arccos(ratio)
     mid = 0.5 * np.arctan2(q, p)
     # mod pi: the roots lie in [-pi, pi], and only those that land in the
     # window, inside (0, pi), are used, where this equals np.mod
-    roots = np.column_stack((mid - half, mid + half))
+    roots = np.stack((mid - half, mid + half), axis=-1)
     return np.where(roots < 0.0, roots + math.pi, roots)
 
 
@@ -225,53 +231,47 @@ def _failure_angle(alpha: float, rho, phi, delta: float, usable):
     lo wins whenever it is within 1e-12 (relative) of that minimum, so
     flat objectives tie-break to the smallest feasible angle.
 
-    rho and phi broadcast against each other, as in ``bearing_factors``.
+    rho and phi broadcast against each other, as in ``bearing_factors``,
+    and every entry of that shape is evaluated, the infeasible ones too
+    (their values are set to NaN at the end); the terms of phi alone keep
+    phi's shape.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     lo, hi = beta_window(alpha, rho, phi, delta)
     feasible = (hi > lo) & usable
-    beta = np.full(feasible.shape, np.nan)
-    n_gamma = beta.copy()
-    if not np.any(feasible):
-        return beta, feasible, n_gamma
-
-    hi_f = hi[feasible]
-    rho_f = np.broadcast_to(rho, feasible.shape)[feasible]
-    # the terms of phi alone, once per friction angle, then per sample
     a = 2.0 * alpha + phi
-    phi_f, a_f, cos_a, sin_a, sin_phi, sin_lo = (
-        np.broadcast_to(v, feasible.shape)[feasible]
-        for v in (phi, a, np.cos(a), np.sin(a), np.sin(phi),
-                  np.sin(alpha + EPS1 + phi)))
-
-    roots = _stationary_angles(rho_f, delta, phi_f, a_f, cos_a, sin_a,
-                               sin_phi)
-    # N_gamma at lo = EPS1, where only sin(rho + delta + lo + phi) varies
-    # by sample
-    f_lo = (np.cos(alpha + EPS1) * sin_lo
-            / (2.0 * np.cos(alpha) * np.sin(EPS1)
-               * np.sin(rho_f + delta + EPS1 + phi_f)))
-    # the pick runs over lo, the in-window roots and hi in that order,
-    # keeping the lowest N_gamma as np.argmin over them would; N_gamma is
-    # evaluated only at the roots inside, one root column at a time,
-    # which keeps the temporaries of a whole friction-angle grid small
-    best = np.full(hi_f.shape, EPS1)
-    f_best = f_lo.copy()
-    inside = (roots >= EPS1) & (roots <= hi_f[:, None])
-    for k in (0, 1):
-        at = np.flatnonzero(inside[:, k])
-        f = _ngamma_array(alpha, roots[at, k], rho_f[at], phi_f[at], delta)
-        take = _beats(f, f_best[at])
-        best[at[take]] = roots[at[take], k]
-        f_best[at[take]] = f[take]
-    f_hi = _ngamma_array(alpha, hi_f, rho_f, phi_f, delta)
-    take = _beats(f_hi, f_best)
-    best = np.where(take, hi_f, best)
-    f_best = np.where(take, f_hi, f_best)
-    snap = f_lo <= f_best + 1e-12 * np.maximum(1.0, np.abs(f_best))
-    beta[feasible] = np.where(snap, EPS1, best)
-    n_gamma[feasible] = np.where(snap, f_lo, f_best)
-    return beta, feasible, n_gamma
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = _stationary_angles(rho, delta, phi, a, np.cos(a), np.sin(a),
+                                   np.sin(phi))
+        # N_gamma at lo = EPS1, where only sin(rho + delta + lo + phi)
+        # varies by sample
+        f_lo = (np.cos(alpha + EPS1) * np.sin(alpha + EPS1 + phi)
+                / (2.0 * np.cos(alpha) * np.sin(EPS1)
+                   * np.sin(rho + delta + EPS1 + phi)))
+        # the pick runs over lo, the in-window roots and hi in that order,
+        # keeping the lowest N_gamma as np.argmin over them would; N_gamma
+        # is evaluated at the roots inside the window alone
+        best, f_best = np.full(hi.shape, EPS1), f_lo.copy()
+        if roots is not None:
+            inside = (roots >= EPS1) & (roots <= hi[..., None])
+            rho_b = np.broadcast_to(rho, hi.shape)
+            phi_b = np.broadcast_to(phi, hi.shape)
+            for k in (0, 1):
+                root = roots[..., k]
+                at = np.nonzero(inside[..., k])
+                f = _ngamma_array(alpha, root[at], rho_b[at], phi_b[at],
+                                  delta)
+                take = _beats(f, f_best[at])
+                at = tuple(i[take] for i in at)
+                best[at] = root[at]
+                f_best[at] = f[take]
+        f_hi = _ngamma_array(alpha, hi, rho, phi, delta)
+        take = _beats(f_hi, f_best)
+        best = np.where(take, hi, best)
+        f_best = np.where(take, f_hi, f_best)
+        snap = f_lo <= f_best + 1e-12 * np.maximum(1.0, np.abs(f_best))
+    return (np.where(feasible, np.where(snap, EPS1, best), np.nan), feasible,
+            np.where(feasible, np.where(snap, f_lo, f_best), np.nan))
 
 
 # ---------------------------------------------------------------------------

@@ -40,3 +40,16 @@ def test_run_dual_cycle(tmp_path):
     assert lines[-1] == f"outputs in {tmp_path}/"
     for name in ("cycle1.csv", "cycle2.csv", "report.json"):
         assert (tmp_path / name).is_file()
+
+
+def test_fit_digest_repeats():
+    args = ("--pairs", "2", "--slopes", "25")
+    runs = [run_script("fit_digest.py", *args) for _ in range(2)]
+    for res in runs:
+        assert res.returncode == 0, res.stderr
+    lines = [res.stdout.splitlines() for res in runs]
+    assert lines[0][0].startswith("fits 4 in ")
+    word, digest = lines[0][1].split()
+    assert word == "sha256" and len(digest) == 64
+    int(digest, 16)
+    assert lines[1][1] == lines[0][1]

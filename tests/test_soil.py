@@ -188,6 +188,23 @@ def stationarity_coefficients(alpha, rho, phi, delta):
     return p, q, math.cos(a - c)
 
 
+def in_window_roots(alpha, rho, phi, delta):
+    """How many roots of the stationarity condition lie in the failure-angle
+    window at each blade angle of the array ``rho``."""
+    _, hi = beta_window(alpha, rho, phi, delta)
+    counts = []
+    for rho_i, hi_i in zip(rho, hi):
+        p, q, r = stationarity_coefficients(alpha, rho_i, phi, delta)
+        amplitude = math.hypot(p, q)
+        if not abs(r) <= amplitude:
+            counts.append(0)
+            continue
+        mid, half = 0.5 * math.atan2(q, p), 0.5 * math.acos(r / amplitude)
+        counts.append(sum(EPS1 <= root % math.pi <= hi_i
+                          for root in (mid - half, mid + half)))
+    return np.array(counts)
+
+
 def assert_matches_reference(alpha, rho, phi, delta):
     beta, feasible = _failure_angle(alpha, rho, phi, delta, True)[:2]
     beta_ref, feasible_ref = solve_beta_grid_golden(alpha, rho, phi, delta)
@@ -391,6 +408,43 @@ class TestBroadcastKernel:
             out = _engine(replace(soil, phi=phi_i), 1.0, rho, alpha=alpha)
             assert np.array_equal(beta[i], out.beta, equal_nan=True)
             assert np.array_equal(feasible[i], out.valid)
+
+    @staticmethod
+    def assert_rows_match(alpha, rho, phis, delta):
+        beta, feasible, factors = bearing_factors(
+            alpha, rho, np.array(phis)[:, None], delta)
+        for i, phi_i in enumerate(phis):
+            one = bearing_factors(alpha, rho, phi_i, delta)
+            assert np.array_equal(beta[i], one[0], equal_nan=True)
+            assert np.array_equal(feasible[i], one[1])
+            for full, want in zip(factors, one[2]):
+                assert np.array_equal(full[i], want, equal_nan=True)
+            assert_matches_reference(alpha, rho, phi_i, delta)
+        return feasible
+
+    def test_rows_with_and_without_an_in_window_root(self):
+        # on a 40 degree pile face the phi = 0 row has no stationary root
+        # inside its windows, and every other row has some
+        alpha, delta = math.radians(40.0), 0.1
+        rho = np.radians(np.linspace(12.0, 120.0, 23))
+        phis = np.linspace(PHI_LO, PHI_HI, 6).tolist()
+        counts = [in_window_roots(alpha, rho, phi, delta).sum()
+                  for phi in phis]
+        assert counts[0] == 0 and min(counts[1:]) > 0
+        feasible = self.assert_rows_match(alpha, rho, phis, delta)
+        assert feasible.any(axis=1).all() and not feasible.all()
+
+    def test_rows_without_a_stationary_root(self):
+        # the default cycle's pile slope, tool friction angle and blade
+        # angles: |R| > sqrt(P^2+Q^2) for every friction angle of the box
+        alpha, delta = math.radians(25.0), math.pi / 10.0
+        rho = np.radians(np.linspace(12.0, 30.0, 19))
+        phis = np.linspace(PHI_LO, PHI_HI, 6).tolist()
+        for phi in phis:
+            for rho_i in rho:
+                p, q, r = stationarity_coefficients(alpha, rho_i, phi, delta)
+                assert abs(r) > math.hypot(p, q)
+        assert self.assert_rows_match(alpha, rho, phis, delta).all()
 
     def test_blade_margins_are_infeasible_without_warning(self):
         # below RHO_MIN, and sin(rho) within its margin of 0 or pi
