@@ -10,6 +10,12 @@ raises hashes its error. Two source trees that print the same digest fit
 every case to the same bits. libm's bits vary by platform, so compare
 digests made on one machine only.
 
+A second digest, ``carved sha256``, hashes what ``predict_next_cycle``
+gives (depth, beta, f_t, f_n, status) along a 3-pass chain at each
+slope. Pass k follows the default path shifted by 0.15 k m and, after
+the first, is predicted with pass k-1 as its prior cycle, so it runs on
+the face carved by all earlier passes.
+
 Usage: python scripts/fit_digest.py [--pairs N] [--slopes 0 10 25 40]
                                     [--noise 0 0.05] [--seed 1]
 """
@@ -24,9 +30,9 @@ from dataclasses import astuple, replace
 import numpy as np
 
 from feecalib import (FeeCalibError, SlopedLine, add_noise,
-                      calibrate_multi_stage, default_scenario,
+                      calibrate_multi_stage, default_scenario, default_truth,
                       heldout_scenario, predict_next_cycle, preset_catalog,
-                      simulate_cycle)
+                      simulate_cycle, surface_after_cycle)
 
 
 def preset_pairs():
@@ -72,6 +78,26 @@ def feed_fit(h, dataset, heldout):
     feed(h, (pred.beta, pred.f_t, pred.f_n, pred.status))
 
 
+def feed_carved_chain(h, surface):
+    """Hash the predictions along a chain of three passes, each carving
+    the face the next one digs."""
+    base = replace(default_scenario(), surface=surface)
+    truth = default_truth()
+    prior = None
+    for k in range(3):
+        points = tuple((x + 0.15 * k, z) for x, z in base.control_points)
+        scenario = replace(base, surface=surface, control_points=points)
+        try:
+            pred = predict_next_cycle(truth, scenario, prior)
+        except FeeCalibError as exc:
+            feed(h, (type(exc).__name__, str(exc)))
+            return
+        feed(h, (pred.depth, pred.beta, pred.f_t, pred.f_n, pred.status))
+        if prior is not None:
+            surface = surface_after_cycle(surface, prior)
+        prior = pred.trajectory
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pairs", type=int, default=None,
@@ -87,10 +113,12 @@ def main():
 
     pairs = preset_pairs()[:args.pairs]
     h = hashlib.sha256()
+    carved = hashlib.sha256()
     fits = 0
     t0 = time.perf_counter()
     for slope in args.slopes:
         surface = SlopedLine((0.0, 0.0), math.radians(slope))
+        feed_carved_chain(carved, surface)
         scenario = replace(default_scenario(), surface=surface)
         heldout = replace(heldout_scenario(), surface=surface)
         for classification, sinkage in pairs:
@@ -103,6 +131,7 @@ def main():
                 fits += 1
     print(f"fits {fits} in {time.perf_counter() - t0:.1f} s")
     print(f"sha256 {h.hexdigest()}")
+    print(f"carved sha256 {carved.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -18,6 +18,10 @@ from .errors import DegenerateRegion, FeeCalibError, NonMonotonePath
 from .soil import ALPHA_MAX, RHO_MIN, LoaderParameters
 
 
+#: Segments per bounding box in ``Polyline.depth_of``'s pruning.
+DEPTH_BLOCK = 8
+
+
 def _check_alpha(alpha: float) -> None:
     if not 0.0 <= alpha < ALPHA_MAX:
         raise ValueError("alpha must lie in [0 deg, 45 deg)")
@@ -112,12 +116,19 @@ class Polyline:
     def depth_of(self, x, z):
         """Distance to the nearest segment below the surface, else 0.
 
-        U bounds a sample's distance: the distance to the nearer end
-        vertex or, inside the span, the vertical gap to the segment above.
-        Segments whose x-range misses [x - U, x + U] are farther than U
-        and are skipped; U carries a 1e-9 relative pad, far above
-        rounding, so the minimum is the all-segments one bit for bit.
-        The loop runs over window offsets, vectorized over samples.
+        Two probes bound a sample's distance, U: the segment above the
+        sample (the end segment outside the span) and the segment under
+        the foot of the perpendicular from the sample to that segment's
+        line. Their distances seed the minimum. A segment farther than U
+        cannot hold the nearest point, so two tests skip it: its x-range
+        misses [x - U, x + U], or the bounding box of its block of
+        ``DEPTH_BLOCK`` consecutive segments lies farther than U. U
+        carries a 1e-9 relative pad, far above rounding, so a skipped
+        segment's computed distance is never below the minimum, which is
+        therefore the all-segments one bit for bit. Only the segments
+        from the first to the last surviving block within the x-window
+        are checked, in a loop over window offsets vectorized over
+        samples, so the cost is samples x nearby segments.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -126,29 +137,61 @@ class Polyline:
         idx = np.flatnonzero(z < height)
         px, pz = x[idx], z[idx]
         vx, vz = self.vertices[:, 0], self.vertices[:, 1]
-        bound = np.min(np.hypot(px[:, None] - vx[[0, -1]],
-                                pz[:, None] - vz[[0, -1]]), axis=1)
-        inside = (px >= vx[0]) & (px <= vx[-1])
-        bound[inside] = np.minimum(bound, height[idx] - pz)[inside]
+        dx, dz = np.diff(vx), np.diff(vz)
+        denom = dx * dx + dz * dz
+        nseg = dx.size
+
+        def dist2(seg, px, pz):
+            # squared distance to segment seg, and the unclipped foot t
+            ax, az, abx, abz = vx[seg], vz[seg], dx[seg], dz[seg]
+            foot = ((px - ax) * abx + (pz - az) * abz) / denom[seg]
+            t = np.clip(foot, 0.0, 1.0)
+            ex, ez = px - (ax + t * abx), pz - (az + t * abz)
+            return ex * ex + ez * ez, foot
+
+        above = np.clip(np.searchsorted(vx, px, side="right") - 1,
+                        0, nseg - 1)
+        best, foot = dist2(above, px, pz)
+        under = np.clip(np.searchsorted(vx, vx[above] + foot * dx[above],
+                                        side="right") - 1, 0, nseg - 1)
+        np.minimum(best, dist2(under, px, pz)[0], out=best)
+        bound = np.sqrt(best)
         bound += 1e-9 * (bound + np.abs(px) + np.abs(pz))
         first = np.maximum(np.searchsorted(vx, px - bound) - 1, 0)
         last = np.minimum(np.searchsorted(vx, px + bound, side="right") - 1,
-                          vx.size - 2)
+                          nseg - 1)
+
+        # bounding boxes of the blocks of DEPTH_BLOCK segments
+        starts = np.arange(0, nseg, DEPTH_BLOCK)
+        ends = np.minimum(starts + DEPTH_BLOCK, nseg)
+        box_x0, box_x1 = vx[starts], vx[ends]
+        box_z0 = np.minimum(np.minimum.reduceat(vz[:-1], starts), vz[ends])
+        box_z1 = np.maximum(np.maximum.reduceat(vz[:-1], starts), vz[ends])
+        # the first and last block within each sample's bound
+        bound2 = bound * bound
+        lo, hi = first // DEPTH_BLOCK, last // DEPTH_BLOCK
+        near_lo, near_hi = hi + 1, lo - 1
+        for j in range(int((hi - lo).max(initial=-1)) + 1):
+            blk = np.minimum(lo + j, hi)
+            gx = np.maximum(np.maximum(box_x0[blk] - px, px - box_x1[blk]),
+                            0.0)
+            gz = np.maximum(np.maximum(box_z0[blk] - pz, pz - box_z1[blk]),
+                            0.0)
+            near = gx * gx + gz * gz <= bound2
+            np.minimum(near_lo, blk, out=near_lo, where=near)
+            np.maximum(near_hi, blk, out=near_hi, where=near)
+        first = np.maximum(first, near_lo * DEPTH_BLOCK)
+        last = np.minimum(last, near_hi * DEPTH_BLOCK + DEPTH_BLOCK - 1)
+
         count = last - first + 1
         order = np.argsort(-count)
-        px, pz, first, count = (v[order] for v in (px, pz, first, count))
+        px, pz, first, count, best = (v[order] for v in
+                                      (px, pz, first, count, best))
         # the samples whose window holds more than j segments: a prefix
         longer = np.searchsorted(-count, -np.arange(count.max(initial=0)))
-        dx, dz = np.diff(vx), np.diff(vz)
-        denom = dx * dx + dz * dz
-        best = np.full(idx.size, np.inf)
         for j, m in enumerate(longer):
-            seg = first[:m] + j
-            ax, az, abx, abz = vx[seg], vz[seg], dx[seg], dz[seg]
-            t = ((px[:m] - ax) * abx + (pz[:m] - az) * abz) / denom[seg]
-            t = np.clip(t, 0.0, 1.0)
-            ex, ez = px[:m] - (ax + t * abx), pz[:m] - (az + t * abz)
-            np.minimum(best[:m], ex * ex + ez * ez, out=best[:m])
+            np.minimum(best[:m], dist2(first[:m] + j, px[:m], pz[:m])[0],
+                       out=best[:m])
         depth[idx[order]] = np.sqrt(best)
         return depth
 

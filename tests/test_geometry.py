@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,8 +11,9 @@ from feecalib import (CycleDataset, DegenerateRegion, FeeCalibError,
                       predict_force_arrays, quadratic_bezier_path,
                       surface_after_cycle, swept_area_profile,
                       wedge_geometry)
-from feecalib.geometry import (InvalidTrajectory, _collapse_vertical_moves,
-                               _prune_collinear)
+from feecalib import geometry
+from feecalib.geometry import (DEPTH_BLOCK, InvalidTrajectory,
+                               _collapse_vertical_moves, _prune_collinear)
 from feecalib.soil import (_OUT_OF_SOIL, _RHO_BELOW_MIN,
                            LoaderParameters, SoilParameters)
 from feecalib.synthetic import Scenario, default_scenario
@@ -417,18 +419,22 @@ class TestCycleDataset:
 # kernels must reproduce them bit for bit.
 # ---------------------------------------------------------------------------
 
-def _min_segment_distance(poly, x, z):
+def _min_segment_distance(poly, x, z, chunk=256):
     a = poly.vertices[:-1]
     b = poly.vertices[1:]
     ab = b - a                              # (k, 2)
-    p = np.stack([x, z], axis=-1)           # (m, 2)
-    ap = p[:, None, :] - a[None, :, :]      # (m, k, 2)
     denom = np.einsum("kj,kj->k", ab, ab)
-    t = np.einsum("mkj,kj->mk", ap, ab) / denom
-    t = np.clip(t, 0.0, 1.0)
-    closest = a[None, :, :] + t[..., None] * ab[None, :, :]
-    d2 = np.sum((p[:, None, :] - closest) ** 2, axis=-1)
-    return np.sqrt(np.min(d2, axis=1))
+    out = []
+    # samples in chunks, so that a dense face stays small in memory
+    for i in range(0, len(x), chunk):
+        p = np.stack([x[i:i + chunk], z[i:i + chunk]], axis=-1)   # (m, 2)
+        ap = p[:, None, :] - a[None, :, :]                      # (m, k, 2)
+        t = np.einsum("mkj,kj->mk", ap, ab) / denom
+        t = np.clip(t, 0.0, 1.0)
+        closest = a[None, :, :] + t[..., None] * ab[None, :, :]
+        d2 = np.sum((p[:, None, :] - closest) ** 2, axis=-1)
+        out.append(np.sqrt(np.min(d2, axis=1)))
+    return np.concatenate(out) if out else np.zeros(0)
 
 
 def depth_of_all_pairs(poly, x, z):
@@ -546,6 +552,47 @@ def _random_polyline(rng, max_vertices=400):
     return Polyline(np.column_stack([xs, zs]))
 
 
+#: Block sizes the depth search is checked at, DEPTH_BLOCK among them.
+BLOCKS = sorted({1, 3, DEPTH_BLOCK, 64})
+
+
+def _pruning_polylines(rng):
+    """Faces where pruning segments by block boxes could go wrong."""
+    # dense faces, about 1 mm between vertices
+    for k in (2000, 2500, 3000):
+        xs = np.cumsum(rng.uniform(0.5e-3, 1.5e-3, k))
+        zs = (0.05 * np.sin(rng.uniform(1.0, 10.0) * xs)
+              + np.cumsum(rng.normal(0.0, 2e-4, k)))
+        yield Polyline(np.column_stack([xs, zs]))
+    # vertex counts at a multiple of each block size and either side of it
+    for k in sorted({b * m + d for b in BLOCKS for m in (1, 2, 5)
+                     for d in (-1, 0, 1)} - {0, 1}):
+        yield Polyline(np.column_stack([np.cumsum(rng.uniform(1e-3, 0.1, k)),
+                                        rng.normal(0.0, 0.2, k)]))
+    # two vertices
+    for _ in range(5):
+        yield _random_polyline(rng, 2)
+    # dense flats cut by narrow V-notches and near-vertical walls: the
+    # nearest segment lies many segments away from the one above
+    for _ in range(8):
+        xs = np.arange(0.0, 2.0, 1e-3)
+        zs = np.zeros(xs.size)
+        for _ in range(4):
+            at = rng.uniform(0.1, 1.9)
+            half, deep = rng.uniform(1e-3, 0.02), rng.uniform(0.05, 0.5)
+            zs -= np.maximum(deep * (1.0 - np.abs(xs - at) / half), 0.0)
+        for _ in range(2):
+            at = int(rng.integers(1, xs.size - 1))
+            wall = at + np.arange(1, 41)
+            xs = np.insert(xs, at + 1, xs[at] + (xs[at + 1] - xs[at])
+                           * 1e-3 * np.arange(1, 41))
+            zs = np.insert(zs, at + 1, zs[at] + np.linspace(
+                0.0, rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.5),
+                wall.size))
+            zs[wall[-1] + 1:] += zs[wall[-1]] - zs[at]
+        yield Polyline(np.column_stack([xs, zs]))
+
+
 def _carved_twice(sample_rate=60.0):
     """The default face carved by two shifted passes, and a third pass."""
     base = default_scenario()
@@ -561,10 +608,11 @@ def _carved_twice(sample_rate=60.0):
 
 
 class TestDepthOfExact:
-    def test_random_polylines_match_all_pairs(self):
+    def test_random_polylines_match_all_pairs(self, monkeypatch):
         rng = np.random.default_rng(11)
-        for _ in range(300):
-            poly = _random_polyline(rng)
+        for poly in itertools.chain(
+                (_random_polyline(rng) for _ in range(300)),
+                _pruning_polylines(np.random.default_rng(12))):
             vx = poly.vertex_xs()
             span = vx[-1] - vx[0]
             x = np.concatenate([
@@ -577,11 +625,16 @@ class TestDepthOfExact:
             z = np.asarray(poly.height_at(x)) - sign * below     # some above
             expected = depth_of_all_pairs(poly, x, z)
             assert np.any(expected == 0.0) and np.any(expected > 0.0)
-            assert np.array_equal(poly.depth_of(x, z), expected)
+            for block in BLOCKS:
+                monkeypatch.setattr(geometry, "DEPTH_BLOCK", block)
+                assert np.array_equal(poly.depth_of(x, z), expected)
 
-    def test_face_carved_twice_matches_all_pairs(self):
-        surface, traj = _carved_twice()
-        assert surface.vertices.shape[0] > 100
+    @pytest.mark.parametrize("sample_rate, vertices",
+                             [(60.0, 100), (600.0, 2000)])
+    def test_face_carved_twice_matches_all_pairs(self, sample_rate,
+                                                 vertices):
+        surface, traj = _carved_twice(sample_rate)
+        assert surface.vertices.shape[0] > vertices
         x, z = traj.x, traj.z
         expected = depth_of_all_pairs(surface, x, z)
         assert np.count_nonzero(expected) > 100

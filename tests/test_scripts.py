@@ -49,7 +49,8 @@ def test_fit_digest_repeats():
         assert res.returncode == 0, res.stderr
     lines = [res.stdout.splitlines() for res in runs]
     assert lines[0][0].startswith("fits 4 in ")
-    word, digest = lines[0][1].split()
-    assert word == "sha256" and len(digest) == 64
-    int(digest, 16)
-    assert lines[1][1] == lines[0][1]
+    for row, label in ((1, ["sha256"]), (2, ["carved", "sha256"])):
+        *words, digest = lines[0][row].split()
+        assert words == label and len(digest) == 64
+        int(digest, 16)
+        assert lines[1][row] == lines[0][row]
