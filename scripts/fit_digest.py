@@ -16,13 +16,20 @@ slope. Pass k follows the default path shifted by 0.15 k m and, after
 the first, is predicted with pass k-1 as its prior cycle, so it runs on
 the face carved by all earlier passes.
 
+A third line, ``lsq``, sums the least-squares counts of the fits' stage
+DEBUG lines: solves inside the box, solves that searched the box's faces,
+and trials screened out. A bounded count above 0 shows that two equal
+digests compared the out-of-box path too.
+
 Usage: python scripts/fit_digest.py [--pairs N] [--slopes 0 10 25 40]
                                     [--noise 0 0.05] [--seed 1]
 """
 
 import argparse
 import hashlib
+import logging
 import math
+import re
 import struct
 import time
 from dataclasses import astuple, replace
@@ -98,6 +105,24 @@ def feed_carved_chain(h, surface):
         prior = pred.trajectory
 
 
+class LsqCounts(logging.Handler):
+    """Sums the interior, bounded and screened counts of the stage DEBUG
+    lines."""
+
+    PATTERN = re.compile(r"least squares (\d+) interior, (\d+) bounded, "
+                         r"(\d+) screened")
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.counts = [0, 0, 0]
+
+    def emit(self, record):
+        match = self.PATTERN.search(record.getMessage())
+        if match:
+            self.counts = [c + int(n)
+                           for c, n in zip(self.counts, match.groups())]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pairs", type=int, default=None,
@@ -112,6 +137,10 @@ def main():
     args = parser.parse_args()
 
     pairs = preset_pairs()[:args.pairs]
+    lsq = LsqCounts()
+    logger = logging.getLogger("feecalib.calibration")
+    logger.setLevel(logging.DEBUG)
+    logger.addHandler(lsq)
     h = hashlib.sha256()
     carved = hashlib.sha256()
     fits = 0
@@ -132,6 +161,7 @@ def main():
     print(f"fits {fits} in {time.perf_counter() - t0:.1f} s")
     print(f"sha256 {h.hexdigest()}")
     print(f"carved sha256 {carved.hexdigest()}")
+    print("lsq interior {} bounded {} screened {}".format(*lsq.counts))
 
 
 if __name__ == "__main__":

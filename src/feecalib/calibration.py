@@ -19,14 +19,15 @@ solved. Both methods keep what they fitted in one named record per
 stage, ``StageResult.parameters``, and ``assemble`` builds the soil
 parameters from those records.
 
-The staged fit runs on numpy alone: its bounded Brent search and its
-bounded-variable least squares are the ports in ``optimizer``, which
-return scipy's bits. Only the single-stage fit, which runs scipy's
-L-BFGS-B, loads scipy.optimize, and it does so before its clock starts.
+The staged fit runs on numpy alone: its bounded Brent search is the port
+in ``optimizer``, which returns scipy's bits, and its bounded least
+squares searches the box's faces. Only the single-stage fit, which runs
+scipy's L-BFGS-B, loads scipy.optimize, before its clock starts.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import DegenerateDepths, EmptySeries, SolverFailure
 from .geometry import CycleDataset, surface_after_cycle, wedge_geometry
-from .optimizer import (SolverOptions, _load_solvers, bvls,
+from .optimizer import (SolverOptions, _load_solvers,
                         finite_difference_gradient, minimize_scalar_bounded,
                         multi_start)
 from .soil import (GRAVITY, CycleForceArrays, LoaderParameters,
@@ -286,6 +287,46 @@ def _at_bound(parameters: dict[str, float], b: float) -> dict[str, str]:
     return at
 
 
+def _faces(first: np.ndarray):
+    """``first``, then the box's other faces, fewest sides changed first."""
+    yield first
+    faces = np.array(list(itertools.product((-1, 0, 1), repeat=first.size)))
+    changed = np.count_nonzero(faces != first, axis=1)
+    yield from faces[np.argsort(changed, kind="stable")[1:]]
+
+
+def _face_lsq(A: np.ndarray, b: np.ndarray, x_lsq: np.ndarray,
+              lb: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """min ||A x - b|| over lb <= x <= ub, when the unconstrained solution
+    ``x_lsq`` leaves the box: the least-squares solution on one of its
+    faces, where each unknown is free (side 0) or fixed at its lower (-1)
+    or upper (1) bound. The face ``x_lsq`` leaves towards comes first,
+    then the others (``_faces``). The free unknowns are solved on ``b - A
+    x_fixed``, as lsq_linear(method="bvls") solves them, so an optimum on
+    its face has its bits. The first in-box solution that meets the KKT
+    sign test ``side * A^T (A x - b) <= 0`` is returned, else the in-box
+    one with the lowest residual (an all-fixed face is always in the
+    box). Returns x and each unknown's side.
+    """
+    best = None
+    first = np.where(x_lsq >= ub, 1, np.where(x_lsq <= lb, -1, 0))
+    for side in _faces(first):
+        free = side == 0
+        x = np.where(side < 0, lb, ub) * ~free     # 0 where free
+        if free.any():
+            z = np.linalg.lstsq(A[:, free], b - A.dot(x), rcond=None)[0]
+            if not ((z >= lb[free]) & (z <= ub[free])).all():
+                continue
+            x[free] = z
+        r = A.dot(x) - b
+        if (side * A.T.dot(r) <= 0.0).all():
+            return x, side
+        rss = r.dot(r)
+        if best is None or rss < best[0]:
+            best = rss, x, side
+    return best[1], best[2]
+
+
 def _bounded_lsq(design: np.ndarray, target: np.ndarray, lo: np.ndarray,
                  hi: np.ndarray, paths: Counter) -> tuple[np.ndarray, float]:
     """min ||design @ x - target|| subject to lo <= x <= hi.
@@ -293,13 +334,13 @@ def _bounded_lsq(design: np.ndarray, target: np.ndarray, lo: np.ndarray,
     Least squares on unit-norm columns. The unconstrained solution comes
     first, from the LAPACK call ``lsq_linear(method="bvls")`` starts with;
     when it lies in the box it is the answer, the same bits lsq_linear
-    would return. Only when it leaves the box does bounded-variable least
-    squares (``optimizer.bvls``) run, starting from that solution, and
-    return lsq_linear's bits. An unknown whose column is all zero (the
-    data cannot see it) or whose bounds coincide is pinned at its lower
+    would return. Only when it leaves the box does ``_face_lsq`` search
+    the box's faces. An unknown whose column is all zero (the data
+    cannot see it) or whose bounds coincide is pinned at its lower
     bound. Unknowns that end on a bound are set to it exactly. Returns x
     and the residual sum of squares at x, and counts the solve in
-    ``paths`` as "interior" or "bvls".
+    ``paths`` as "interior" or "bounded". A least-squares solve that
+    fails, as on non-finite data, raises SolverFailure.
     """
     norms = np.sqrt(np.einsum("ij,ij->j", design, design))
     is_free = (norms > 0.0) & (hi > lo)
@@ -313,15 +354,21 @@ def _bounded_lsq(design: np.ndarray, target: np.ndarray, lo: np.ndarray,
         if free.size < x.size:
             rest = target - design[:, ~is_free] @ x[~is_free]
         lb, ub = lo_f * w, hi_f * w
-        x_lsq = np.linalg.lstsq(scaled, rest, rcond=-1)[0]
-        if ((x_lsq >= lb) & (x_lsq <= ub)).all():
-            paths["interior"] += 1
-            x[free] = np.clip(x_lsq / w, lo_f, hi_f)
-        else:
-            paths["bvls"] += 1
-            x_bvls, on_bound = bvls(scaled, rest, x_lsq, lb, ub)
-            x[free] = np.select([on_bound < 0, on_bound > 0], [lo_f, hi_f],
-                                np.clip(x_bvls / w, lo_f, hi_f))
+        try:
+            x_lsq = np.linalg.lstsq(scaled, rest, rcond=-1)[0]
+            if ((x_lsq >= lb) & (x_lsq <= ub)).all():
+                paths["interior"] += 1
+                x[free] = np.clip(x_lsq / w, lo_f, hi_f)
+            else:
+                paths["bounded"] += 1
+                x_face, side = _face_lsq(scaled, rest, x_lsq, lb, ub)
+                x[free] = np.select([side < 0, side > 0], [lo_f, hi_f],
+                                    np.clip(x_face / w, lo_f, hi_f))
+        except np.linalg.LinAlgError as exc:
+            finite = np.isfinite(design).all() and np.isfinite(target).all()
+            raise SolverFailure(f"bounded least squares failed ({exc}) on "
+                                f"{'' if finite else 'non-'}finite data"
+                                ) from exc
     residual = target - design @ x
     return x, float(residual @ residual)
 
@@ -520,11 +567,11 @@ def _staged_result(name: str, parameters: dict[str, float], b: float,
     evaluations = profile.evaluations + extra_evaluations
     solves = profile.lsq_paths
     log.debug("%s: %.2f ms; %d trials: %d grid, %d Brent, %d derivative, "
-              "%d incumbent; least squares %d interior, %d BVLS, %d "
+              "%d incumbent; least squares %d interior, %d bounded, %d "
               "screened; bound shortcut %s; %d engine passes", name,
               1e3 * wall, evaluations, _PROFILE_GRID,
               profile.iterations, profile.derivative_trials,
-              extra_evaluations, solves["interior"], solves["bvls"],
+              extra_evaluations, solves["interior"], solves["bounded"],
               solves["screened"],
               "taken" if profile.bound_shortcut else "not taken",
               engine_passes)

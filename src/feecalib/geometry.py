@@ -86,8 +86,13 @@ class Polyline:
             raise ValueError("vertices must be an (n>=2, 2) array")
         if not np.isfinite(verts).all():
             raise ValueError("vertices must be finite")
-        if not np.all(np.diff(verts[:, 0]) > 0.0):
+        with np.errstate(over="ignore"):
+            dx, dz = np.diff(verts, axis=0).T
+            length2 = dx * dx + dz * dz
+        if not np.all(dx > 0.0):
             raise ValueError("vertex x must be strictly increasing")
+        if not np.isfinite(length2).all():
+            raise ValueError("segment squared lengths must be finite")
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
 

@@ -12,11 +12,10 @@ imported where it is used; ``calibrate_single_stage`` calls
 ``_load_solvers`` before its clock starts.
 
 The staged fit runs on numpy alone: ``minimize_scalar_bounded`` (its
-bounded Brent search), ``bvls`` (its bounded linear least squares, when the
-unconstrained solution leaves the box) and ``finite_difference_gradient``
-(the derivative of its one-parameter profile). The first two are ports of
-scipy's routines that make the same floating-point operations in the same
-order, so they return the bits scipy returns.
+bounded Brent search) and ``finite_difference_gradient`` (the derivative
+of its one-parameter profile). The Brent search is a port of scipy's
+routine that makes the same floating-point operations in the same order,
+so it returns the bits scipy returns.
 """
 
 from __future__ import annotations
@@ -254,16 +253,14 @@ def multi_start(objective: Callable[[np.ndarray], float], bounds,
 
 
 # ---------------------------------------------------------------------------
-# The staged fit's solvers, ported from scipy 1.17.1
+# The staged fit's Brent search, ported from scipy 1.17.1
 # ---------------------------------------------------------------------------
 # ``minimize_scalar_bounded`` is the loop of
 # scipy.optimize._optimize._minimize_scalar_bounded (minimize_scalar with
-# method="bounded"), and ``bvls`` is scipy.optimize._lsq.bvls.bvls with
-# compute_kkt_optimality, as lsq_linear(method="bvls") calls it, both from
-# scipy 1.17.1. The display code, and the values only the display or the
-# result object read, are left out; every operation that decides an
-# evaluated point, an iterate or a returned value is kept, in its order.
-# scipy's license for this code:
+# method="bounded") from scipy 1.17.1. The display code, and the values
+# only the display or the result object read, are left out; every
+# operation that decides an evaluated point, an iterate or a returned
+# value is kept, in its order. scipy's license for this code:
 #
 # Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
 # All rights reserved.
@@ -388,145 +385,3 @@ def minimize_scalar_bounded(func: Callable[[float], float], lo: float,
             return xf, num, False
 
     return xf, num, not (np.isnan(xf) or np.isnan(fx) or np.isnan(fu))
-
-
-_BVLS_TOL = 1e-10   # lsq_linear's default tol
-
-
-def _kkt_optimality(g: np.ndarray, on_bound: np.ndarray) -> float:
-    """The largest violation of the KKT conditions."""
-    g_kkt = g * on_bound
-    free_set = on_bound == 0
-    g_kkt[free_set] = np.abs(g[free_set])
-    return np.max(g_kkt)
-
-
-def bvls(A: np.ndarray, b: np.ndarray, x_lsq: np.ndarray, lb: np.ndarray,
-         ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounded-variable least squares (Stark & Parker 1995):
-    min ||A x - b|| subject to lb <= x <= ub.
-
-    ``x_lsq`` is the unconstrained solution, ``np.linalg.lstsq(A, b,
-    rcond=-1)[0]``, which the caller has computed already. Returns x and
-    the active mask: -1 where x is on its lower bound, 1 on its upper, 0
-    where it is free. They are the bits of ``lsq_linear(A, b,
-    bounds=(lb, ub), method="bvls")``'s ``x`` and ``active_mask`` when
-    ``x_lsq`` leaves the box: a tolerance of 1e-10 and at most n main-loop
-    iterations, after the start-up loop that makes the free variables'
-    least-squares solution feasible.
-    """
-    n = A.shape[1]
-    x = x_lsq.copy()
-    on_bound = np.zeros(n)
-
-    mask = x <= lb
-    x[mask] = lb[mask]
-    on_bound[mask] = -1
-
-    mask = x >= ub
-    x[mask] = ub[mask]
-    on_bound[mask] = 1
-
-    free_set = on_bound == 0
-    active_set = ~free_set
-    free_set, = np.nonzero(free_set)
-
-    r = A.dot(x) - b
-    cost = 0.5 * np.dot(r, r)
-    g = A.T.dot(r)
-
-    # start-up: solve on the free variables, and move the ones whose
-    # solution leaves the box to the bound they cross, until the
-    # solution on the rest is feasible
-    while free_set.size > 0:
-        A_free = A[:, free_set]
-        b_free = b - A.dot(x * active_set)
-        z = np.linalg.lstsq(A_free, b_free, rcond=None)[0]
-
-        lbv = z < lb[free_set]
-        ubv = z > ub[free_set]
-        v = lbv | ubv
-
-        if np.any(lbv):
-            ind = free_set[lbv]
-            x[ind] = lb[ind]
-            active_set[ind] = True
-            on_bound[ind] = -1
-
-        if np.any(ubv):
-            ind = free_set[ubv]
-            x[ind] = ub[ind]
-            active_set[ind] = True
-            on_bound[ind] = 1
-
-        ind = free_set[~v]
-        x[ind] = z[~v]
-
-        r = A.dot(x) - b
-        cost = 0.5 * np.dot(r, r)
-        g = A.T.dot(r)
-
-        if np.any(v):
-            free_set = free_set[~v]
-        else:
-            break
-
-    # main loop: free the bound variable whose gradient most violates
-    # the KKT conditions, then step towards the free variables'
-    # least-squares solution, stopping at the first bound crossed
-    optimality = _kkt_optimality(g, on_bound)
-    for _ in range(n):
-        if optimality < _BVLS_TOL:
-            break
-
-        move_to_free = np.argmax(g * on_bound)
-        on_bound[move_to_free] = 0
-
-        while True:
-            free_set = on_bound == 0
-            active_set = ~free_set
-            free_set, = np.nonzero(free_set)
-
-            x_free = x[free_set]
-            lb_free = lb[free_set]
-            ub_free = ub[free_set]
-
-            A_free = A[:, free_set]
-            b_free = b - A.dot(x * active_set)
-            z = np.linalg.lstsq(A_free, b_free, rcond=None)[0]
-
-            lbv, = np.nonzero(z < lb_free)
-            ubv, = np.nonzero(z > ub_free)
-            v = np.hstack((lbv, ubv))
-
-            if v.size > 0:
-                alphas = np.hstack((
-                    lb_free[lbv] - x_free[lbv],
-                    ub_free[ubv] - x_free[ubv])) / (z[v] - x_free[v])
-
-                i = np.argmin(alphas)
-                i_free = v[i]
-                alpha = alphas[i]
-
-                x_free *= 1 - alpha
-                x_free += alpha * z
-                x[free_set] = x_free
-
-                if i < lbv.size:
-                    on_bound[free_set[i_free]] = -1
-                else:
-                    on_bound[free_set[i_free]] = 1
-            else:
-                x[free_set] = z
-                break
-
-        r = A.dot(x) - b
-        cost_new = 0.5 * np.dot(r, r)
-        if cost - cost_new < _BVLS_TOL * cost:
-            break
-        cost = cost_new
-
-        g = A.T.dot(r)
-        optimality = _kkt_optimality(g, on_bound)
-
-    return x, on_bound

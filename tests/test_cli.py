@@ -747,6 +747,18 @@ class TestPolylineVertices:
         assert "vertices must be finite" in res.output
         assert not (tmp_path / "predicted.csv").exists()
 
+    def test_overflowing_segment_exits_2(self, runner, workdir, tmp_path):
+        # finite vertices whose segment squared lengths overflow
+        doc = json.loads((workdir / "run" / "scenario.json").read_text())
+        doc["surface"] = {"type": "polyline",
+                          "vertices_m": [[-1e308, -1e308], [0.0, 0.0],
+                                         [1e308, 1e308]]}
+        res = _predict_with_scenario(runner, workdir, tmp_path,
+                                     json.dumps(doc))
+        _assert_config_error(res, "scenario.json.surface")
+        assert "segment squared lengths must be finite" in res.output
+        assert not (tmp_path / "predicted.csv").exists()
+
 
 class TestPolylineNominalAlpha:
     @pytest.mark.parametrize("deg", [80.0, -30.0])
@@ -932,6 +944,31 @@ class TestZeroDepthCycle:
         assert not (tmp_path / "report.json").exists()
 
 
+def test_overflowing_forces_exit_3(workdir, tmp_path):
+    """A loader width of 1e308 overflows the forces stage 2 fits, and its
+    least squares cannot be solved: calibrate exits 3 with a message. It
+    runs in a subprocess, where numpy's overflow warnings stay warnings."""
+    doc = json.loads((workdir / "run" / "scenario.json").read_text())
+    doc["loader"]["omega_m"] = 1e308
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    res = subprocess.run(
+        [sys.executable, "-c", "from feecalib.cli import main; main()",
+         "calibrate", str(workdir / "run" / "cycle.csv"), "--scenario",
+         str(scenario), "--method", "multi", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert res.returncode == 3, res.stderr
+    assert ("error: calibration failed: bounded least squares failed"
+            in res.stderr)
+    assert "on non-finite data" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "report.json").exists()
+
+
 def _without_wall_times(doc):
     doc["wall_time_s"] = 0.0
     for stage in doc["stages"]:
@@ -1070,14 +1107,14 @@ def test_debug_log_has_one_line_per_stage(workdir, tmp_path):
     assert len(lines) == 3, res.stderr
     pattern = (r"(stage[123]): \d+\.\d\d ms; (\d+) trials: 33 grid, "
                r"(\d+) Brent, (\d+) derivative, (\d) incumbent; least "
-               r"squares (\d+) interior, (\d+) BVLS, (\d+) screened; "
+               r"squares (\d+) interior, (\d+) bounded, (\d+) screened; "
                r"bound shortcut "
                r"(taken|not taken); (\d+) engine passes$")
     parsed = [re.match(pattern, line) for line in lines]
     assert all(parsed), lines
     stages = [m.groups() for m in parsed]
     report = json.loads((tmp_path / "report.json").read_text())
-    for (name, trials, brent, derivative, incumbent, interior, bvls,
+    for (name, trials, brent, derivative, incumbent, interior, bounded,
          screened, shortcut, passes), stage in zip(stages,
                                                    report["stages"]):
         assert name == stage["name"]
@@ -1085,7 +1122,7 @@ def test_debug_log_has_one_line_per_stage(workdir, tmp_path):
             33 + int(brent) + int(derivative) + int(incumbent))
         assert int(brent) == stage["iterations"]
         # every trial of a staged fit is solved or screened out
-        assert int(interior) + int(bvls) + int(screened) == (
+        assert int(interior) + int(bounded) + int(screened) == (
             33 + int(brent) + int(derivative))
         assert (shortcut == "taken") == (name != "stage2")
         assert int(passes) == {"stage1": 0, "stage3": 1}.get(

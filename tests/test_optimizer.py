@@ -11,7 +11,8 @@ from scipy.optimize._lsq.bvls import bvls as reference_bvls
 from feecalib import (NonFiniteObjective, SolverFailure, SolverOptions,
                       finite_difference_gradient, minimize_bounded,
                       multi_start)
-from feecalib.optimizer import bvls, latin_hypercube, minimize_scalar_bounded
+from feecalib.calibration import _face_lsq
+from feecalib.optimizer import latin_hypercube, minimize_scalar_bounded
 
 
 def multi_start_warm(objective, bounds, options=SolverOptions(),
@@ -283,7 +284,7 @@ def bvls_problems(draw):
 
 def leaves_the_box(problem) -> bool:
     """Whether the unconstrained solution leaves the box, where
-    lsq_linear runs BVLS."""
+    lsq_linear runs BVLS and ``_bounded_lsq`` searches the faces."""
     a, b, lb, ub = problem
     x_lsq = np.linalg.lstsq(a, b, rcond=-1)[0]
     return not ((x_lsq >= lb) & (x_lsq <= ub)).all()
@@ -299,29 +300,63 @@ def reaches_the_main_loop(problem) -> bool:
     return start.optimality >= 1e-10
 
 
-def assert_same_bits_as_lsq_linear(problem):
+def face_search(problem):
+    """``_face_lsq``'s x and sides, and whether they fail the exact KKT
+    sign test, which only its fallback returns."""
     a, b, lb, ub = problem
-    x, on_bound = bvls(a, b, np.linalg.lstsq(a, b, rcond=-1)[0], lb, ub)
+    x, side = _face_lsq(a, b, np.linalg.lstsq(a, b, rcond=-1)[0], lb, ub)
+    return x, side, not (side * a.T.dot(a.dot(x) - b) <= 0.0).all()
+
+
+def assert_as_low_as_lsq_linear(problem):
+    """x lies in the box, and its residual sum of squares is at most
+    lsq_linear(method="bvls")'s, to 1e-12 of that value plus |b|^2."""
+    a, b, lb, ub = problem
+    x, side, _ = face_search(problem)
     ref = lsq_linear(a, b, bounds=(lb, ub), method="bvls")
-    assert np.array_equal(x, ref.x), (x, ref.x)
-    assert np.array_equal(on_bound, ref.active_mask), (on_bound,
-                                                        ref.active_mask)
+    assert ((x >= lb) & (x <= ub)).all(), (x, lb, ub)
+    assert np.array_equal(x[side < 0], lb[side < 0])
+    assert np.array_equal(x[side > 0], ub[side > 0])
+    r, r_ref = a.dot(x) - b, a.dot(ref.x) - b
+    rss, rss_ref = r.dot(r), r_ref.dot(r_ref)
+    assert rss <= rss_ref + 1e-12 * (rss_ref + b.dot(b)), (rss, rss_ref)
+    return rss, rss_ref
 
 
-class TestBvls:
+class TestFaceSearch:
     @settings(max_examples=300, deadline=None)
     @given(bvls_problems())
-    def test_same_bits_as_lsq_linear(self, problem):
-        """x and the active mask are lsq_linear(method="bvls")'s."""
+    def test_as_low_as_lsq_linear(self, problem):
         assume(leaves_the_box(problem))
-        assert_same_bits_as_lsq_linear(problem)
+        assert_as_low_as_lsq_linear(problem)
 
-    def test_main_loop_draws_have_the_same_bits(self):
+    def test_main_loop_draws_are_as_low(self):
         """The problems above include ones that need BVLS's main loop,
-        not only its start-up loop, and one of them matches too."""
+        not only its start-up loop, and the face search solves one of
+        them as well."""
         problem = find(bvls_problems(),
                        lambda pr: (leaves_the_box(pr)
                                    and reaches_the_main_loop(pr)),
                        settings=settings(database=None, derandomize=True,
                                          max_examples=2000))
-        assert_same_bits_as_lsq_linear(problem)
+        assert_as_low_as_lsq_linear(problem)
+
+    def test_fallback_has_lsq_linear_objective(self):
+        """The problems above include ones where rounding fails the exact
+        sign test on every face; the lowest in-box solution is then
+        lsq_linear's objective."""
+        problem = find(bvls_problems(),
+                       lambda pr: leaves_the_box(pr) and face_search(pr)[2],
+                       settings=settings(database=None, derandomize=True,
+                                         max_examples=2000))
+        rss, rss_ref = assert_as_low_as_lsq_linear(problem)
+        assert rss == rss_ref
+
+    def test_non_finite_data_gives_a_fixed_face(self):
+        """With a NaN in b no face with a free unknown is in the box, and
+        the fallback still returns a face that fixes every unknown."""
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        b = np.array([1.0, np.nan, 2.0])
+        lb, ub = np.zeros(2), np.ones(2)
+        x, side = _face_lsq(a, b, np.full(2, np.nan), lb, ub)
+        assert side.tolist() == [-1, -1] and x.tolist() == [0.0, 0.0]

@@ -1,6 +1,7 @@
 """The experiment scripts run end to end and print their summaries."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,3 +55,9 @@ def test_fit_digest_repeats():
         assert words == label and len(digest) == 64
         int(digest, 16)
         assert lines[1][row] == lines[0][row]
+    # the least-squares counts repeat, and some solves left the box
+    assert lines[1][3] == lines[0][3]
+    counts = re.fullmatch(r"lsq interior (\d+) bounded (\d+) screened (\d+)",
+                          lines[0][3])
+    assert counts, lines[0][3]
+    assert int(counts[2]) > 0

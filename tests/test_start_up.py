@@ -69,8 +69,9 @@ print(json.dumps({"loaded before": loaded, "clock reads": seen,
 """
 
 # staged fits of the clean default cycle and of one at 5% noise, seed 5
-# (whose fit takes the BVLS path), in an interpreter where importing
-# scipy.optimize fails; prints each fit's F_R % as its last line
+# (whose fit solves bounded least squares on the box's faces), in an
+# interpreter where importing scipy.optimize fails; prints each fit's F_R %
+# as its last line
 WITHOUT_SCIPY_OPTIMIZE = """
 import importlib.abc, json, logging, sys
 
@@ -180,12 +181,12 @@ def test_staged_fits_leave_scipy_optimize_unloaded(fit):
 
 def test_staged_fit_runs_where_scipy_optimize_cannot_be_imported():
     """With every import of scipy.optimize failing, the staged fit still
-    fits the clean default cycle and a noisy one whose fit takes the BVLS
-    path, as its DEBUG lines count."""
+    fits the clean default cycle and a noisy one whose fit solves bounded
+    least squares on the box's faces, as its DEBUG lines count."""
     result, stderr = run_python(WITHOUT_SCIPY_OPTIMIZE)
     assert result["clean"] < 1e-6
     assert result["5% noise"] < 15.0
-    bvls = [int(n) for n in re.findall(r"least squares \d+ interior, "
-                                       r"(\d+) BVLS", stderr)]
-    assert len(bvls) == 6, stderr
-    assert sum(bvls[3:]) > 0, stderr
+    bounded = [int(n) for n in re.findall(r"least squares \d+ interior, "
+                                          r"(\d+) bounded", stderr)]
+    assert len(bounded) == 6, stderr
+    assert sum(bounded[3:]) > 0, stderr

@@ -385,10 +385,11 @@ class TestBoundedLsqAgainstReference:
             assert rss == rss_ref
             on_bound += bool(np.any((x == lo) | (x == hi)))
         if case == "inside":
-            assert paths["bvls"] == 0 and on_bound == 0
+            assert paths["bounded"] == 0 and on_bound == 0
         elif case in ("face", "corner"):
-            # the solution leaves the box and BVLS puts it on the boundary
-            assert paths["bvls"] > 0 and on_bound > 0
+            # the solution leaves the box and the face search puts it on
+            # the boundary
+            assert paths["bounded"] > 0 and on_bound > 0
         else:
             assert paths["interior"] > 0 and on_bound > 0
 
@@ -411,7 +412,8 @@ def profile_stack(rng, case, p):
     x_true = rng.uniform(lo, hi)
     j = int(rng.integers(p))
     if case == "outside the box":
-        # just outside, so that BVLS runs and the best value stays small
+        # just outside, so that the face search runs and the best value
+        # stays small
         x_true = np.where(rng.random(p) < 0.5,
                           lo - rng.uniform(0.001, 0.01, p),
                           hi + rng.uniform(0.001, 0.01, p))
@@ -495,7 +497,7 @@ class TestScreenedLsqAgainstEverySolve:
             # a design too ill-conditioned for the bound is always solved
             assert all(screened[i][1] is not None for i in altered)
         if case == "outside the box":
-            assert paths["bvls"] > 0
+            assert paths["bounded"] > 0
 
     def test_one_candidate_is_solved(self):
         rng = np.random.default_rng(3)
