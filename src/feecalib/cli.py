@@ -196,8 +196,7 @@ def evaluate(predicted_csv, observed_csv, out_dir) -> None:
     flagged = np.flatnonzero(~(np.isfinite(predicted["ft_N"])
                                & np.isfinite(predicted["fn_N"])))
     if flagged.size:
-        lines = ", ".join(map(str, fio.row_lines(predicted_csv,
-                                                 flagged[:5])))
+        lines = ", ".join(str(i + 2) for i in flagged[:5])
         _fail(EXIT_COMPUTE, f"{predicted_csv}: {flagged.size} flagged rows "
                             f"carry no forces (lines {lines}"
                             f"{', ...' if flagged.size > 5 else ''})")

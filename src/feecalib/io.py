@@ -8,7 +8,6 @@ before any computation starts.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
@@ -63,106 +62,56 @@ def _write_table(path: str | Path, header: Sequence[str], columns) -> None:
 
 def _read_table(path: str | Path,
                 columns: Sequence[str]) -> dict[str, np.ndarray]:
-    """The named columns of a numeric CSV file; ``row_lines`` gives the
-    line each row starts on.
+    """The named columns of a numeric CSV file.
 
-    Each row must hold one number per header field; a bad row raises
-    ConfigError naming its line. Trailing blank lines are ignored.
+    The file is a header line, then one row per line, with fields split
+    at "," and no quoting. Lines end at LF, CR LF or CR, as the file
+    iterator splits them; trailing empty lines are ignored, so data row i
+    is on line i + 2. Each row must hold one number per header field; a
+    bad row raises ConfigError naming its line.
 
-    A file of plain rows (no quotes, no blank line, no line over the csv
-    module's field limit) is parsed by one ``np.loadtxt`` pass streamed
-    from the file. Every other file, and every file that pass refuses,
-    is read by ``_read_rows``, which accepts and rejects the same files
-    with the same values and messages; only it names a bad line.
+    The body is parsed by one ``np.loadtxt`` pass. Only a body it
+    refuses, or one of the wrong shape, goes to ``_convert_rows``.
     """
     path = Path(path)
-    table = _load_plain(path, columns)
-    return _read_rows(path, columns) if table is None else table
-
-
-def _load_plain(path: Path, columns: Sequence[str]):
-    """``_read_table`` of a file of plain rows that holds every named
-    column; None for any other file."""
     try:
         with path.open("r", encoding="utf-8", newline="") as handle:
-            first = handle.readline()
-            if '"' in first:            # a quoted field may span lines
-                return None
-            header = next(csv.reader([first]))
-            if not set(columns) <= set(header):
-                return None
-            table = np.loadtxt(_plain_lines(handle), delimiter=",",
-                               comments=None, quotechar=None, ndmin=2)
-    except (OSError, ValueError, csv.Error):
-        return None
-    if table.shape[1] != len(header):
-        return None
-    return {c: table[:, header.index(c)] for c in columns}
-
-
-def _plain_lines(handle):
-    """The lines of an open CSV file, each one row of the table.
-
-    Raises ValueError, which leaves the file to the csv path, at a blank
-    line (loadtxt would skip it; the csv path rejects it, or ignores it at
-    the end), at a line longer than the csv module's field limit (the csv
-    path rejects it), and at the end of a file with no line (loadtxt would
-    warn).
-    """
-    limit = csv.field_size_limit()
-    line = None
-    for line in handle:
-        if len(line) > limit or not line.rstrip("\r\n"):
-            raise ValueError("not a plain row")
-        yield line
-    if line is None:
-        raise ValueError("no rows")
-
-
-def _csv_rows(path: Path) -> tuple[list[list[str]], list[int]]:
-    """Every row of a CSV file through the csv module, and the line each
-    row starts on; a quoted field may span lines."""
-    rows, starts = [], [1]      # starts[i]: the first line of rows[i]
-    try:
-        with path.open("r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            for row in reader:
-                rows.append(row)
-                starts.append(reader.line_num + 1)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}")
-    return rows, starts
-
-
-def row_lines(path: str | Path, indices) -> list[int]:
-    """The line on which each data row of a CSV file that ``_read_table``
-    read starts: row i is on line i + 2 unless a quoted field before it
-    spans lines."""
-    starts = _csv_rows(Path(path))[1]
-    return [starts[i + 1] for i in indices]
-
-
-def _read_rows(path: Path, columns: Sequence[str]) -> dict[str, np.ndarray]:
-    """``_read_table`` through the csv module, one row at a time. A bad
-    row is named by the line it starts on."""
-    rows, starts = _csv_rows(path)
-    while rows and not rows[-1]:
-        rows.pop()
-    header = rows[0] if rows else []
+    while lines and not lines[-1].rstrip("\r\n"):
+        lines.pop()
+    header = lines[0].rstrip("\r\n").split(",") if lines else []
     for column in columns:
         if column not in header:
             raise ConfigError(f"{path}: missing column '{column}'")
-    body = rows[1:]
-    try:
-        table = np.array(body, dtype=float).reshape(len(body), len(header))
+    body = lines[1:]
+    shape = (len(body), len(header))
+    try:    # an empty body skips loadtxt, which would warn
+        table = (np.loadtxt(body, delimiter=",", comments=None,
+                            quotechar=None, ndmin=2)
+                 if body else np.empty(shape))
     except ValueError:
-        for line, row in zip(starts[1:], body):  # the first bad row
-            try:
-                np.array(row, dtype=float).reshape(len(header))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{line}: bad value ({exc})")
-        raise
+        table = None
+    if table is None or table.shape != shape:
+        table = _convert_rows(path, body, shape)
     return {c: table[:, header.index(c)] for c in columns}
+
+
+def _convert_rows(path: Path, body: Sequence[str],
+                  shape: tuple[int, int]) -> np.ndarray:
+    """``_read_table``'s body one row at a time, raising ConfigError at the
+    first bad line; unlike loadtxt, it reads "1_0" and non-ASCII digits,
+    and it refuses an empty line."""
+    table = np.empty(shape)
+    for i, line in enumerate(body):
+        text = line.rstrip("\r\n")
+        try:
+            table[i] = np.array(text.split(",") if text else [],
+                                dtype=float).reshape(shape[1])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{i + 2}: bad value ({exc})")
+    return table
 
 
 def write_cycle_csv(path: str | Path, samples: np.recarray,
@@ -179,13 +128,11 @@ def read_cycle_csv(path: str | Path):
     try:
         trajectory = make_trajectory(t, x, z, rho)
     except InvalidTrajectory as exc:
-        line, = row_lines(path, [exc.index])
-        raise ConfigError(f"{path}:{line}: bad value ({exc})")
+        raise ConfigError(f"{path}:{exc.index + 2}: bad value ({exc})")
     bad = np.flatnonzero(~(np.isfinite(f_t) & np.isfinite(f_n)))
     if bad.size:
-        line, = row_lines(path, bad[:1])
-        raise ConfigError(f"{path}:{line}: bad value (observed forces "
-                          "must be finite)")
+        raise ConfigError(f"{path}:{bad[0] + 2}: bad value (observed "
+                          "forces must be finite)")
     return trajectory, f_t, f_n
 
 

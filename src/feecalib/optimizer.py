@@ -32,6 +32,10 @@ from .errors import NonFiniteObjective, SolverFailure
 
 log = logging.getLogger(__name__)
 
+# far above any use: the default is 8 starts, each a full local solve,
+# and a start set of 1e20 points cannot be allocated
+MAX_STARTS = 10_000
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -48,8 +52,8 @@ class SolverOptions:
             raise ValueError("max_iterations must be positive")
         if self.gradient_tolerance <= 0.0:
             raise ValueError("gradient_tolerance must be positive")
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be positive")
+        if not 1 <= self.n_starts <= MAX_STARTS:
+            raise ValueError(f"n_starts must lie in [1, {MAX_STARTS}]")
 
 
 @dataclass

@@ -48,6 +48,11 @@ RHO_MIN = math.radians(10.0)
 # cap on the stockpile inclination (angle of repose)
 ALPHA_MAX = math.radians(45.0)
 
+# Upper bound on the loader's width and edge thickness, m: far above any
+# bucket (a few metres wide), and far below the sizes whose forces
+# overflow
+MAX_LOADER_M = 100.0
+
 
 def _require_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
@@ -127,10 +132,9 @@ class LoaderParameters:
     def __post_init__(self) -> None:
         for name in ("omega", "b"):
             _require_finite(name, getattr(self, name))
-        if self.omega <= 0.0:
-            raise ValueError("omega must be positive")
-        if self.b <= 0.0:
-            raise ValueError("b must be positive")
+            if not 0.0 < getattr(self, name) <= MAX_LOADER_M:
+                raise ValueError(f"{name} must lie in (0 m, "
+                                 f"{MAX_LOADER_M:g} m]")
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,10 @@ from .errors import InfeasibleGeometry
 from .geometry import CycleDataset, Surface, SlopedLine, quadratic_bezier_path
 from .soil import PARAM_NAMES, LoaderParameters, SoilParameters
 
+# far above any cycle (the 600 Hz benchmark pass has 2,803 samples), and
+# far below the sample counts numpy cannot allocate
+MAX_SAMPLES = 1_000_000
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -47,9 +51,10 @@ class Scenario:
         if self.duration <= 0.0:
             raise ValueError("duration must be positive")
         if self.samples is None \
-                and not 1.0 <= self.sample_rate * self.duration < math.inf:
-            raise ValueError("sample_rate * duration must be finite and at "
-                             "least 1, for 2 or more samples")
+                and not 1.0 <= self.sample_rate * self.duration < MAX_SAMPLES:
+            raise ValueError("sample_rate * duration must lie in [1, "
+                             f"{MAX_SAMPLES}), for 2 to {MAX_SAMPLES} "
+                             "samples")
 
     @property
     def n_samples(self) -> int:

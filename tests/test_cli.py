@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from feecalib import io as fio
+from feecalib import make_trajectory
 from feecalib.cli import main
 
 FAST_CONFIG = {
@@ -502,8 +503,9 @@ class TestEvaluate:
 
     def test_flagged_row_after_a_multi_line_row_names_its_own_line(
             self, runner, workdir, tmp_path):
-        """Row 1 of the prediction spans lines 2-3 (a quoted newline), so
-        the flagged row 2 starts on line 4."""
+        """A quote opens no quoted field, so a prediction whose row 1 is
+        written as if it spanned lines 2-3 exits 2 naming line 2, before
+        its flagged row is looked at."""
         scenario = tmp_path / "blade.json"
         scenario.write_text(json.dumps(_bad_blade_scenario(4.0)))
         res = runner.invoke(main, ["predict",
@@ -522,8 +524,9 @@ class TestEvaluate:
                             "0.1,0.6,-0.05,4.0,100.0,200.0\n")
         res = runner.invoke(main, ["evaluate", str(predicted),
                                    str(observed)])
-        assert res.exit_code == 3, res.output
-        assert "1 flagged rows carry no forces (lines 4)" in res.output
+        assert res.exit_code == 2, res.output
+        assert res.stderr == (f"error: {predicted}:2: bad value (could not "
+                              f"convert string to float: '\"{t}')\n")
 
     def test_zero_observed_peak_writes_strict_json(self, runner, workdir,
                                                    tmp_path):
@@ -701,11 +704,14 @@ def _predict_with_scenario(runner, workdir, tmp_path, text):
 
 class TestBezierSampleCount:
     """A Bezier path has floor(sample_rate_hz * duration_s) + 1 samples,
-    and needs two of them."""
+    and needs two to a million of them: a rate of 1e300 Hz, whose samples
+    numpy cannot allocate, exits 2 with one message."""
 
     @pytest.mark.parametrize("key, value", [("duration_s", 0.001),
-                                            ("sample_rate_hz", 1e308)],
-                             ids=["one-sample", "infinite-count"])
+                                            ("sample_rate_hz", 1e308),
+                                            ("sample_rate_hz", 1e300)],
+                             ids=["one-sample", "infinite-count",
+                                  "huge-count"])
     def test_simulate_config(self, runner, tmp_path, key, value):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"scenario": {
@@ -718,11 +724,15 @@ class TestBezierSampleCount:
                                    "--out", str(out)])
         _assert_config_error(res, "config.scenario")
         assert "sample_rate * duration" in res.output
+        assert res.stderr.startswith("error: config.scenario")
+        assert res.stderr.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [("duration_s", 0.001),
-                                            ("sample_rate_hz", 1e308)],
-                             ids=["one-sample", "infinite-count"])
+                                            ("sample_rate_hz", 1e308),
+                                            ("sample_rate_hz", 1e300)],
+                             ids=["one-sample", "infinite-count",
+                                  "huge-count"])
     def test_predict_scenario(self, runner, workdir, tmp_path, key, value):
         doc = json.loads((workdir / "run" / "scenario.json").read_text())
         doc[key] = value
@@ -730,6 +740,7 @@ class TestBezierSampleCount:
                                      json.dumps(doc))
         _assert_config_error(res, "scenario")
         assert "sample_rate * duration" in res.output
+        assert res.stderr.count("\n") == 1
         assert not (tmp_path / "predicted.csv").exists()
 
 
@@ -944,29 +955,71 @@ class TestZeroDepthCycle:
         assert not (tmp_path / "report.json").exists()
 
 
-def test_overflowing_forces_exit_3(workdir, tmp_path):
-    """A loader width of 1e308 overflows the forces stage 2 fits, and its
-    least squares cannot be solved: calibrate exits 3 with a message. It
-    runs in a subprocess, where numpy's overflow warnings stay warnings."""
-    doc = json.loads((workdir / "run" / "scenario.json").read_text())
-    doc["loader"]["omega_m"] = 1e308
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(doc))
+def _run_cli(*args):
+    """The CLI in a subprocess, where numpy's warnings stay warnings and
+    LAPACK's messages reach its output."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    res = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", "from feecalib.cli import main; main()",
-         "calibrate", str(workdir / "run" / "cycle.csv"), "--scenario",
-         str(scenario), "--method", "multi", "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=300)
+         *map(str, args)], capture_output=True, text=True, env=env,
+        timeout=300)
+
+
+def test_overflowing_forces_exit_3(workdir, tmp_path):
+    """Tip coordinates of 1e200 m overflow the forces stage 2 fits, and
+    its least squares cannot be solved: calibrate exits 3 with a
+    message."""
+    run = workdir / "run"
+    samples, f_t, f_n = fio.read_cycle_csv(run / "cycle.csv")
+    cycle = tmp_path / "far.csv"
+    fio.write_cycle_csv(cycle, make_trajectory(
+        samples.t, samples.x * 1e200, samples.z * 1e200, samples.rho),
+        f_t, f_n)
+    res = _run_cli("calibrate", cycle, "--scenario", run / "scenario.json",
+                   "--method", "multi", "--out", tmp_path)
     assert res.returncode == 3, res.stderr
     assert ("error: calibration failed: bounded least squares failed"
             in res.stderr)
     assert "on non-finite data" in res.stderr
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("key, name", [("omega_m", "omega"), ("b_m", "b")])
+def test_huge_loader_size_exits_2(workdir, tmp_path, key, name):
+    """A loader width or edge thickness of 1e308 m is refused as it is
+    read: the output holds only the message, with no numpy warning and
+    no LAPACK line."""
+    run = workdir / "run"
+    doc = json.loads((run / "scenario.json").read_text())
+    doc["loader"][key] = 1e308
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    res = _run_cli("calibrate", run / "cycle.csv", "--scenario", scenario,
+                   "--method", "multi", "--out", tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == (f"error: {scenario}.loader: {name} must lie in "
+                          "(0 m, 100 m]\n")
+    assert res.stdout == ""
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_start_count_numpy_cannot_allocate_exits_2(runner, workdir,
+                                                    tmp_path):
+    config = tmp_path / "starts.json"
+    config.write_text(json.dumps(
+        {"calibration": {"solver": {"n_starts": 1e20}}}))
+    out = tmp_path / "never"
+    res = runner.invoke(main, ["calibrate", str(workdir / "run" / "cycle.csv"),
+                               "--config", str(config), "--method", "single",
+                               "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == ("error: config.calibration.solver: n_starts must "
+                          "lie in [1, 10000]\n")
+    assert not out.exists()
 
 
 def _without_wall_times(doc):

@@ -2,7 +2,6 @@
 writer match the row-at-a-time versions they replaced, and config numbers
 are checked strictly."""
 
-import csv
 import json
 import math
 import re
@@ -124,13 +123,15 @@ def test_default_truth_is_the_completed_lean_clay():
 # ---------------------------------------------------------------------------
 
 def read_table_reference(path, columns):
-    """Reference: ``_read_table`` as it was before the loadtxt pass."""
+    """Reference: ``_read_table`` one row at a time, with fields split at
+    "," (an empty line has no field)."""
     path = Path(path)
     try:
         with path.open("r", encoding="utf-8", newline="") as handle:
-            rows = list(csv.reader(handle))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            texts = [line.rstrip("\r\n") for line in handle]
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}")
+    rows = [text.split(",") if text else [] for text in texts]
     while rows and not rows[-1]:
         rows.pop()
     header = rows[0] if rows else []
@@ -171,72 +172,106 @@ HEADER = "t_s,x_m,z_m\n"
 COLUMNS = ("t_s", "z_m")
 PLAIN = "1.5,2,3\n-0.0,5e-324,1e16\n0.1,0.3333333333333333,-7\n"
 
-# name: (file bytes, whether the loadtxt pass reads it)
+# name: (file bytes, how it is read): "loadtxt" read with no row-by-row
+# conversion (a file of no rows has no body to convert), "rows" converted
+# row by row, "refused" refused before any row is read
 CSV_CASES = {
-    "lf": ((HEADER + PLAIN).encode(), True),
-    "crlf": ((HEADER + PLAIN).replace("\n", "\r\n").encode(), True),
-    "cr": ((HEADER + PLAIN).replace("\n", "\r").encode(), True),
-    "no-final-newline": ((HEADER + PLAIN).rstrip("\n").encode(), True),
+    "lf": ((HEADER + PLAIN).encode(), "loadtxt"),
+    "crlf": ((HEADER + PLAIN).replace("\n", "\r\n").encode(), "loadtxt"),
+    "cr": ((HEADER + PLAIN).replace("\n", "\r").encode(), "loadtxt"),
+    "no-final-newline": ((HEADER + PLAIN).rstrip("\n").encode(),
+                         "loadtxt"),
     "spaces-around-numbers": ((HEADER + " 1 , 2,\t3\n4 ,5 , 6\n").encode(),
-                              True),
+                              "loadtxt"),
     "nan-inf": ((HEADER + "nan,inf,-inf\nNaN,-nan,+Infinity\n").encode(),
-                True),
-    "one-row": ((HEADER + "1,2,3\n").encode(), True),
-    "trailing-blank-lines": ((HEADER + PLAIN + "\n\n").encode(), False),
+                "loadtxt"),
+    "one-row": ((HEADER + "1,2,3\n").encode(), "loadtxt"),
+    "trailing-blank-lines": ((HEADER + PLAIN + "\n\n").encode(), "loadtxt"),
     "trailing-blank-crlf": ((HEADER + PLAIN + "\r\n").replace(
-        "\n", "\r\n").encode(), False),
-    "blank-line-in-middle": ((HEADER + "1,2,3\n\n4,5,6\n").encode(), False),
+        "\n", "\r\n").encode(), "loadtxt"),
+    "blank-line-in-middle": ((HEADER + "1,2,3\n\n4,5,6\n").encode(), "rows"),
     "whitespace-line-in-middle": ((HEADER + "1,2,3\n \n4,5,6\n").encode(),
-                                  False),
-    "quoted-numbers": ((HEADER + '"1",2,"3"\n4,5,6\n').encode(), False),
-    "quoted-header": (('"t_s",x_m,"z_m"\n' + PLAIN).encode(), False),
-    "quoted-newline": ((HEADER + '1,"2\n",3\n').encode(), False),
-    "underscore-digits": ((HEADER + "1_0,2,3\n").encode(), False),
-    "non-ascii-digits": ((HEADER + "١٢,2,3\n").encode(), False),
-    "comment-line": ((HEADER + "# note\n1,2,3\n").encode(), False),
-    "short-row": ((HEADER + "1,2,3\n4,5\n6,7,8\n").encode(), False),
-    "long-row": ((HEADER + "1,2,3\n4,5,6,7\n").encode(), False),
+                                  "rows"),
+    "quoted-numbers": ((HEADER + '"1",2,"3"\n4,5,6\n').encode(), "rows"),
+    "quoted-header": (('"t_s",x_m,"z_m"\n' + PLAIN).encode(), "refused"),
+    "quoted-newline": ((HEADER + '1,"2\n",3\n').encode(), "rows"),
+    "underscore-digits": ((HEADER + "1_0,2,3\n").encode(), "rows"),
+    "non-ascii-digits": ((HEADER + "١٢,2,3\n").encode(), "rows"),
+    "comment-line": ((HEADER + "# note\n1,2,3\n").encode(), "rows"),
+    "short-row": ((HEADER + "1,2,3\n4,5\n6,7,8\n").encode(), "rows"),
+    "long-row": ((HEADER + "1,2,3\n4,5,6,7\n").encode(), "rows"),
     "extra-column-every-row": ((HEADER + "1,2,3,4\n5,6,7,8\n").encode(),
-                               False),
-    "trailing-comma": ((HEADER + "1,2,3,\n").encode(), False),
-    "bad-token": ((HEADER + "1,2,3\n4,abc,6\n").encode(), False),
-    "nul-byte": ((HEADER + "1,2\x00,3\n").encode(), False),
+                               "rows"),
+    "trailing-comma": ((HEADER + "1,2,3,\n").encode(), "rows"),
+    "bad-token": ((HEADER + "1,2,3\n4,abc,6\n").encode(), "rows"),
+    "nul-byte": ((HEADER + "1,2\x00,3\n").encode(), "rows"),
     "overlong-field": ((HEADER + "1,2," + " " * 140_000 + "3\n").encode(),
-                       False),
-    "header-only": (HEADER.encode(), False),
-    "header-only-no-newline": (HEADER.rstrip("\n").encode(), False),
-    "header-and-blank-lines": ((HEADER + "\n\n").encode(), False),
-    "empty-file": (b"", False),
-    "missing-column": (("t_s,x_m\n" + "1,2\n").encode(), False),
-    "not-utf8-body": (HEADER.encode() + b"1,2,\xff\n", False),
-    "not-utf8-header": (b"t_s,x_m,\xffz\n1,2,3\n", False),
+                       "loadtxt"),
+    "header-only": (HEADER.encode(), "loadtxt"),
+    "header-only-no-newline": (HEADER.rstrip("\n").encode(), "loadtxt"),
+    "header-and-blank-lines": ((HEADER + "\n\n").encode(), "loadtxt"),
+    "empty-file": (b"", "refused"),
+    "missing-column": (("t_s,x_m\n" + "1,2\n").encode(), "refused"),
+    "not-utf8-body": (HEADER.encode() + b"1,2,\xff\n", "refused"),
+    "not-utf8-header": (b"t_s,x_m,\xffz\n1,2,3\n", "refused"),
 }
 
 
+@pytest.fixture
+def conversions(monkeypatch):
+    """The arguments of every ``_convert_rows`` call: the reads the
+    loadtxt pass did not finish."""
+    calls = []
+    convert = fio._convert_rows
+
+    def record(*args):
+        calls.append(args)
+        return convert(*args)
+
+    monkeypatch.setattr(fio, "_convert_rows", record)
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(CSV_CASES))
-def test_reader_matches_the_csv_reader(tmp_path, monkeypatch, name):
-    """Bit-identical columns for every file the csv reader accepts, the
+def test_reader_matches_the_csv_reader(tmp_path, conversions, name):
+    """Bit-identical columns for every file the reference accepts, the
     same ConfigError text (with path:line) for every file it rejects, no
-    warning on a file without rows, and the loadtxt pass taken exactly on
-    the files of plain rows."""
-    content, plain = CSV_CASES[name]
+    warning on a file without rows, and the row-by-row conversion run
+    exactly on the files the loadtxt pass cannot read."""
+    content, how = CSV_CASES[name]
     path = tmp_path / "table.csv"
     path.write_bytes(content)
-    fallbacks = []
-    csv_path = fio._read_rows
-
-    def read_rows(*args):
-        fallbacks.append(args)
-        return csv_path(*args)
-
-    monkeypatch.setattr(fio, "_read_rows", read_rows)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = outcome(fio._read_table, path, COLUMNS)
     assert got == outcome(read_table_reference, path, COLUMNS)
-    assert len(fallbacks) == (0 if plain else 1)
-    if plain:
-        assert got[0] == "ok"
+    assert len(conversions) == (1 if how == "rows" else 0)
+    if how != "rows":
+        assert got[0] == ("ok" if how == "loadtxt" else "error")
+
+
+# the error text after the path, or None for the value 3.0 in z_m
+UNQUOTED = {
+    "quoted-numbers":
+        ":2: bad value (could not convert string to float: '\"1\"')",
+    "quoted-header": ": missing column 't_s'",
+    "quoted-newline":
+        ":2: bad value (could not convert string to float: '\"2')",
+    "overlong-field": None,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNQUOTED))
+def test_quotes_are_plain_characters(tmp_path, name):
+    """A quote opens no quoted field, and a field may be of any length."""
+    path = tmp_path / "table.csv"
+    path.write_bytes(CSV_CASES[name][0])
+    if UNQUOTED[name] is None:
+        assert fio._read_table(path, COLUMNS)["z_m"].tolist() == [3.0]
+    else:
+        with pytest.raises(ConfigError) as err:
+            fio._read_table(path, COLUMNS)
+        assert str(err.value) == f"{path}{UNQUOTED[name]}"
 
 
 TOKENS = st.one_of(
@@ -267,13 +302,13 @@ def test_reader_matches_the_csv_reader_on_drawn_files(folder, rows, ends):
 
 
 def test_bad_row_after_a_multi_line_row_names_its_own_line(tmp_path):
-    """Row 1 spans lines 2-3 (a quoted newline), so the bad row 2 starts
-    on line 4."""
+    """A quote opens no quoted field, so a row written as if it spanned
+    lines 2-3 is bad on line 2."""
     path = tmp_path / "cycle.csv"
     path.write_text(",".join(fio.CYCLE_COLUMNS) + '\n"2\n",0,0,0.5,0,0\n'
                     "abc,0,0,0.5,0,0\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:4: "
-                                          r"bad value \(.*'abc'\)$"):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: "
+                                          r"bad value \(.*'\"2'\)$"):
         fio.read_cycle_csv(path)
 
 
@@ -282,14 +317,15 @@ def test_bad_row_after_a_multi_line_row_names_its_own_line(tmp_path):
     ("-1,0,0,0.5,0,0", "sample 1: sample times must be nondecreasing")])
 def test_bad_cycle_after_a_multi_line_row_names_its_own_line(tmp_path, row,
                                                              message):
-    """Row 1 spans lines 2-3 (a quoted newline), so a cycle check that
-    fails on row 2 names line 4."""
+    """A row written as if it spanned lines 2-3 is bad on line 2, so the
+    cycle check that fails on the row after it is never reached."""
     path = tmp_path / "cycle.csv"
     path.write_text(",".join(fio.CYCLE_COLUMNS) + '\n"0\n",0,0,0.5,0,0\n'
                     + row + "\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:4: "
-                                          rf"bad value \({message}\)$"):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: "
+                                          r"bad value \(.*'\"0'\)$") as err:
         fio.read_cycle_csv(path)
+    assert message not in str(err.value)
 
 
 def test_bad_cycle_of_one_line_rows_names_row_plus_two(tmp_path):
@@ -375,6 +411,59 @@ def test_cli_csv_files_match_the_reference_writer(tmp_path,
                                      ("predicted.csv", f"cycle_{k}.csv")]
     for written, reference in reference_writes:
         assert written.read_bytes() == reference.read_bytes(), written
+
+
+def test_every_written_csv_takes_the_loadtxt_pass(tmp_path, monkeypatch,
+                                                  conversions):
+    """The CSV files of simulate, clean and at 5% noise, of a predict with
+    a flagged sample and of a predict on a carved prior cycle, and
+    _write_table's golden values, reload bit for bit with no row-by-row
+    conversion."""
+    written = []
+    write = fio._write_table
+
+    def record(path, header, columns):
+        columns = [np.asarray(column, dtype=float) for column in columns]
+        write(path, header, columns)
+        written.append((path, header, columns))
+
+    monkeypatch.setattr(fio, "_write_table", record)
+    runner = CliRunner()
+    for args in (["--out", str(tmp_path / "clean")],
+                 ["--noise", "0.05", "--seed", "1", "--out",
+                  str(tmp_path / "noisy")]):
+        res = runner.invoke(main, ["simulate"] + args)
+        assert res.exit_code == 0, res.output
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(
+        {"theta_star": fio.soil_to_json(default_truth())}))
+    flagged = tmp_path / "flagged.json"    # a blade angle of 4 rad
+    flagged.write_text(json.dumps({
+        "surface": {"type": "sloped_line", "alpha_deg": 25.0},
+        "path": {"type": "explicit", "samples": [[0.0, 0.3, 0.0, 0.5],
+                                                 [0.1, 0.6, -0.05, 4.0]]}}))
+    for scenario, prior in ((flagged, None),
+                            (tmp_path / "clean" / "scenario.json",
+                             tmp_path / "clean" / "cycle.csv")):
+        args = ["predict", str(report), "--scenario", str(scenario),
+                "--out", str(tmp_path / scenario.stem)]
+        if prior is not None:
+            args += ["--prior-cycle", str(prior)]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+    values = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16,
+                       1e-05, 0.1, 1 / 3]).reshape(3, 3)
+    fio._write_table(tmp_path / "golden.csv", ("a", "b", "c"), values.T)
+    assert len(written) == 5
+    prediction = next(dict(zip(header, columns))
+                      for path, header, columns in written
+                      if Path(path) == tmp_path / "flagged" / "predicted.csv")
+    assert np.isnan(prediction["ft_N"]).any()
+    for path, header, columns in written:
+        table = fio._read_table(path, header)
+        for name, column in zip(header, columns):
+            assert bits(table[name]).tolist() == bits(column).tolist()
+    assert conversions == []
 
 
 # ---------------------------------------------------------------------------

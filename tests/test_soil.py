@@ -687,6 +687,11 @@ class TestParameterTypes:
             LoaderParameters(omega=0.0, b=0.05)
         with pytest.raises(ValueError):
             LoaderParameters(omega=1.0, b=-0.1)
+        LoaderParameters(omega=100.0, b=100.0)
+        for size in ({"omega": 100.00001}, {"b": 1e308}):
+            with pytest.raises(ValueError,
+                               match=r"must lie in \(0 m, 100 m\]"):
+                LoaderParameters(**{"omega": 1.0, "b": 0.05, **size})
 
     def test_margins_invariants(self):
         assert ANGLE_MARGIN == pytest.approx(math.radians(1.0))
