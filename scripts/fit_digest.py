@@ -21,6 +21,13 @@ DEBUG lines: solves inside the box, solves that searched the box's faces,
 and trials screened out. A bounded count above 0 shows that two equal
 digests compared the out-of-box path too.
 
+A last line, ``files sha256``, hashes the bytes of every file the CLI
+writes along simulate -> calibrate -> predict --prior-cycle -> evaluate,
+run in process on the default cycle at each noise level: cycle.csv,
+scenario.json, report.json (with its wall_time_s values written as 0.0),
+predicted.csv and metrics.json. Two source trees that print the same
+line write the same bytes.
+
 Usage: python scripts/fit_digest.py [--pairs N] [--slopes 0 10 25 40]
                                     [--noise 0 0.05] [--seed 1]
 """
@@ -31,15 +38,19 @@ import logging
 import math
 import re
 import struct
+import tempfile
 import time
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
+from click.testing import CliRunner
 
 from feecalib import (FeeCalibError, SlopedLine, add_noise,
                       calibrate_multi_stage, default_scenario, default_truth,
                       heldout_scenario, predict_next_cycle, preset_catalog,
                       simulate_cycle, surface_after_cycle)
+from feecalib.cli import main as cli
 
 
 def preset_pairs():
@@ -105,6 +116,31 @@ def feed_carved_chain(h, surface):
         prior = pred.trajectory
 
 
+def feed_cli_files(h, sigma, seed):
+    """Hash the files the CLI chain writes on the default cycle with
+    noise ``sigma``, in the order it writes them."""
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as folder:
+        out = Path(folder)
+        noise = ["--noise", repr(sigma), "--seed", str(seed)]
+        for args in (["simulate", *noise],
+                     ["calibrate", out / "cycle.csv"],
+                     ["predict", out / "report.json", "--scenario",
+                      out / "scenario.json", "--prior-cycle",
+                      out / "cycle.csv"],
+                     ["evaluate", out / "predicted.csv", out / "cycle.csv"]):
+            res = runner.invoke(cli, [*map(str, args), "--out", folder])
+            if res.exit_code != 0:
+                raise SystemExit(f"{args[0]} failed: {res.output}")
+        for name in ("cycle.csv", "scenario.json", "report.json",
+                     "predicted.csv", "metrics.json"):
+            data = (out / name).read_bytes()
+            if name == "report.json":
+                data = re.sub(rb'"wall_time_s": [^,\n]+',
+                              b'"wall_time_s": 0.0', data)
+            h.update(data)
+
+
 class LsqCounts(logging.Handler):
     """Sums the interior, bounded and screened counts of the stage DEBUG
     lines."""
@@ -158,10 +194,17 @@ def main():
                            else clean)
                 feed_fit(h, dataset, heldout)
                 fits += 1
+    # the chain's fits are left out of the counts
+    logger.removeHandler(lsq)
+    logger.setLevel(logging.NOTSET)
+    files = hashlib.sha256()
+    for sigma in args.noise:
+        feed_cli_files(files, sigma, args.seed)
     print(f"fits {fits} in {time.perf_counter() - t0:.1f} s")
     print(f"sha256 {h.hexdigest()}")
     print(f"carved sha256 {carved.hexdigest()}")
     print("lsq interior {} bounded {} screened {}".format(*lsq.counts))
+    print(f"files sha256 {files.hexdigest()}")
 
 
 if __name__ == "__main__":

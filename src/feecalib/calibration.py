@@ -27,6 +27,7 @@ scipy's L-BFGS-B, loads scipy.optimize, before its clock starts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -793,6 +794,24 @@ def _final_report(method: str, stages: list[StageResult],
         seed=options.solver.seed)
 
 
+def _finite_arithmetic(fit):
+    """``fit`` under numpy's errstate raise for overflow, invalid and
+    divide-by-zero results, except where a block of it says otherwise. A
+    cycle whose values leave the floating-point range then fails at its
+    first such result with one SolverFailure, before a NaN reaches
+    LAPACK. Fits of finite-range cycles emit no such result, so their
+    bits are unchanged."""
+    @functools.wraps(fit)
+    def run(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return fit(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise SolverFailure(f"floating-point error ({exc})") from exc
+    return run
+
+
+@_finite_arithmetic
 def calibrate_single_stage(dataset: CycleDataset,
                            options: CalibrationOptions = CalibrationOptions()
                            ) -> CalibrationReport:
@@ -804,7 +823,8 @@ def calibrate_single_stage(dataset: CycleDataset,
     scaled to the staged fits' box, ``BOUNDS``. Every evaluated point,
     the answer included, takes its kc and kphi from
     ``split_pressure_coefficient``, as the staged fits do. Raises
-    DegenerateDepths when no sample is in soil.
+    DegenerateDepths when no sample is in soil, and SolverFailure when
+    the arithmetic leaves the floating-point range.
     """
     _load_solvers()
     t0 = time.perf_counter()
@@ -849,6 +869,7 @@ def calibrate_single_stage(dataset: CycleDataset,
     return _final_report("single-stage", [stage], cycle, options, wall)
 
 
+@_finite_arithmetic
 def calibrate_multi_stage(dataset: CycleDataset,
                           options: CalibrationOptions = CalibrationOptions()
                           ) -> CalibrationReport:
@@ -856,7 +877,8 @@ def calibrate_multi_stage(dataset: CycleDataset,
     compaction refinement, all on one prepared cycle. Reports each
     stage's record plus final force errors under the parameters
     ``assemble`` builds from them. Raises DegenerateDepths when no sample
-    is in soil."""
+    is in soil, and SolverFailure when the arithmetic leaves the
+    floating-point range."""
     t0 = time.perf_counter()
     cycle = prepare_cycle(dataset)
     s1 = calibrate_stage1(cycle)

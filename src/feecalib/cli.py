@@ -6,6 +6,7 @@ level is taken from the FEE_CALIB_LOG environment variable.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import sys
@@ -40,6 +41,22 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
+def _exits(step: str):
+    """A command whose ConfigError exits 2 with its message, and whose
+    other FeeCalibError exits 3 with "<step> failed: <message>"."""
+    def wrap(command):
+        @functools.wraps(command)
+        def run(*args, **kwargs):
+            try:
+                return command(*args, **kwargs)
+            except ConfigError as exc:
+                _fail(EXIT_CONFIG, str(exc))
+            except FeeCalibError as exc:
+                _fail(EXIT_COMPUTE, f"{step} failed: {exc}")
+        return run
+    return wrap
+
+
 @click.group()
 def main() -> None:
     """Excavation force prediction and soil parameter calibration."""
@@ -56,19 +73,14 @@ def main() -> None:
               help="Noise seed override.")
 @click.option("--out", "out_dir", type=click.Path(), default="out",
               show_default=True, help="Output directory.")
+@_exits("simulation")
 def simulate(config_path, preset, noise, seed, out_dir) -> None:
     """Generate a synthetic loading cycle (cycle.csv + scenario.json)."""
-    try:
-        config = fio.load_config(config_path, preset=preset, noise=noise,
-                                 seed=seed)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    try:
-        dataset = simulate_cycle(config.scenario, config.truth)
-        if config.relative_sigma > 0.0:
-            dataset = add_noise(dataset, config.relative_sigma, config.seed)
-    except FeeCalibError as exc:
-        _fail(EXIT_COMPUTE, f"simulation failed: {exc}")
+    config = fio.load_config(config_path, preset=preset, noise=noise,
+                             seed=seed)
+    dataset = simulate_cycle(config.scenario, config.truth)
+    if config.relative_sigma > 0.0:
+        dataset = add_noise(dataset, config.relative_sigma, config.seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fio.write_cycle_csv(out / "cycle.csv", dataset.samples,
@@ -91,30 +103,22 @@ def simulate(config_path, preset, noise, seed, out_dir) -> None:
               help="Solver seed override (the single-stage fit only).")
 @click.option("--out", "out_dir", type=click.Path(), default="out",
               show_default=True, help="Output directory.")
+@_exits("calibration")
 def calibrate(cycle_csv, scenario_path, config_path, method, seed,
               out_dir) -> None:
     """Fit soil parameters to one cycle's force data (report.json)."""
-    try:
-        trajectory, ft, fn = fio.read_cycle_csv(cycle_csv)
-        if scenario_path is None:
-            scenario_path = Path(cycle_csv).parent / "scenario.json"
-        scenario = fio.read_scenario_json(scenario_path)
-        config = fio.load_config(config_path)
-        options = config.calibration
-        if seed is not None:
-            options = replace(options, solver=replace(options.solver,
-                                                      seed=seed))
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    trajectory, ft, fn = fio.read_cycle_csv(cycle_csv)
+    if scenario_path is None:
+        scenario_path = Path(cycle_csv).parent / "scenario.json"
+    scenario = fio.read_scenario_json(scenario_path)
+    options = fio.load_config(config_path).calibration
+    if seed is not None:
+        options = replace(options, solver=replace(options.solver, seed=seed))
     dataset = CycleDataset(samples=trajectory, f_t_obs=ft, f_n_obs=fn,
                            surface=scenario.surface, loader=scenario.loader)
-    try:
-        if method == "single":
-            report = calibrate_single_stage(dataset, options=options)
-        else:
-            report = calibrate_multi_stage(dataset, options=options)
-    except FeeCalibError as exc:
-        _fail(EXIT_COMPUTE, f"calibration failed: {exc}")
+    calibrator = (calibrate_single_stage if method == "single"
+                  else calibrate_multi_stage)
+    report = calibrator(dataset, options=options)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fio.write_report_json(out / "report.json", report)
@@ -133,25 +137,20 @@ def calibrate(cycle_csv, scenario_path, config_path, method, seed,
               help="Cycle CSV whose trajectory carved the surface.")
 @click.option("--out", "out_dir", type=click.Path(), default="out",
               show_default=True, help="Output directory.")
+@_exits("prediction")
 def predict(report_json, scenario_path, prior_path, out_dir) -> None:
     """Predict forces along a scenario using fitted parameters."""
     t0 = time.perf_counter()
-    try:
-        theta = fio.read_report_theta(report_json)
-        scenario = fio.read_scenario_json(scenario_path)
-        prior = None
-        if prior_path is not None:
-            prior, _, _ = fio.read_cycle_csv(prior_path)
-            if prior.size < 2:
-                raise ConfigError(f"{prior_path}: a prior cycle needs at "
-                                  f"least two samples, found {prior.size}")
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    theta = fio.read_report_theta(report_json)
+    scenario = fio.read_scenario_json(scenario_path)
+    prior = None
+    if prior_path is not None:
+        prior, _, _ = fio.read_cycle_csv(prior_path)
+        if prior.size < 2:
+            raise ConfigError(f"{prior_path}: a prior cycle needs at least "
+                              f"two samples, found {prior.size}")
     read_ms = 1e3 * (time.perf_counter() - t0)
-    try:
-        prediction = predict_next_cycle(theta, scenario, prior_cycle=prior)
-    except FeeCalibError as exc:
-        _fail(EXIT_COMPUTE, f"prediction failed: {exc}")
+    prediction = predict_next_cycle(theta, scenario, prior_cycle=prior)
     failures = prediction.failures
     if failures:
         for index, reason in failures:
@@ -180,18 +179,15 @@ def predict(report_json, scenario_path, prior_path, out_dir) -> None:
 @click.argument("observed_csv", type=click.Path())
 @click.option("--out", "out_dir", type=click.Path(), default=None,
               help="Directory for metrics.json (default: print only).")
+@_exits("evaluation")
 def evaluate(predicted_csv, observed_csv, out_dir) -> None:
     """Force errors of a prediction against an observed cycle."""
     t0 = time.perf_counter()
-    try:
-        predicted = fio.read_prediction_csv(predicted_csv)
-        _, ft_obs, fn_obs = fio.read_cycle_csv(observed_csv)
-        if predicted["ft_N"].size != ft_obs.size:
-            raise ConfigError(
-                f"length mismatch: {predicted['ft_N'].size} predicted vs "
-                f"{ft_obs.size} observed samples")
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    predicted = fio.read_prediction_csv(predicted_csv)
+    _, ft_obs, fn_obs = fio.read_cycle_csv(observed_csv)
+    if predicted["ft_N"].size != ft_obs.size:
+        raise ConfigError(f"length mismatch: {predicted['ft_N'].size} "
+                          f"predicted vs {ft_obs.size} observed samples")
     t1 = time.perf_counter()
     flagged = np.flatnonzero(~(np.isfinite(predicted["ft_N"])
                                & np.isfinite(predicted["fn_N"])))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -21,7 +21,6 @@ from .calibration import CalibrationOptions, CalibrationReport
 from .errors import ConfigError
 from .geometry import (InvalidTrajectory, Polyline, SlopedLine, Surface,
                        make_trajectory)
-from .optimizer import SolverOptions
 from .soil import LoaderParameters, SoilParameters
 from .synthetic import (Scenario, default_loader, default_scenario,
                         default_truth, preset_truth)
@@ -228,6 +227,17 @@ def _angle_from(obj: dict, base: str, context: str,
     return default
 
 
+def _build(make, context: str, *args, **kwargs):
+    """``make(*args, **kwargs)``, the object of one section. The
+    ValueError of its checks, and the TypeError, IndexError or
+    OverflowError of a malformed array, are raised as ConfigError naming
+    ``context``."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, TypeError, IndexError, OverflowError) as exc:
+        raise ConfigError(f"{context}: {exc}")
+
+
 # ---------------------------------------------------------------------------
 # Soil parameters
 # ---------------------------------------------------------------------------
@@ -247,10 +257,7 @@ def soil_from_json(obj: dict, context: str = "soil") -> SoilParameters:
         else:
             values[attr] = _as_float(_need(obj, json_key, context),
                                      f"{context}.{json_key}")
-    try:
-        return SoilParameters(**values)
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}")
+    return _build(SoilParameters, context, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +284,13 @@ def surface_from_json(obj: dict, context: str = "surface") -> Surface:
         origin = _as_point(obj.get("origin_m", [0.0, 0.0]),
                            f"{context}.origin_m")
         alpha = _angle_from(obj, "alpha", context, default=0.0)
-        try:
-            return SlopedLine(origin=origin, alpha=alpha)
-        except ValueError as exc:
-            raise ConfigError(f"{context}: {exc}")
+        return _build(SlopedLine, context, origin=origin, alpha=alpha)
     if kind == "polyline":
         _check_keys(obj, ("type", "vertices_m", "nominal_alpha_rad",
                           "nominal_alpha_deg"), context)
         vertices = _need(obj, "vertices_m", context)
         alpha = _angle_from(obj, "nominal_alpha", context, default=0.0)
-        try:
-            return Polyline(np.asarray(vertices, dtype=float),
-                            nominal_alpha=alpha)
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise ConfigError(f"{context}: {exc}")
+        return _build(Polyline, context, vertices, nominal_alpha=alpha)
     raise ConfigError(f"{context}.type must be 'sloped_line' or 'polyline', "
                       f"got {kind!r}")
 
@@ -306,13 +306,11 @@ def loader_from_json(obj: dict, context: str = "loader") -> LoaderParameters:
         # ignored, since no force term reads it
         _as_float(obj["wb_kg"], f"{context}.wb_kg")
     defaults = default_loader()
-    try:
-        return LoaderParameters(
-            omega=_as_float(obj.get("omega_m", defaults.omega),
-                            f"{context}.omega_m"),
-            b=_as_float(obj.get("b_m", defaults.b), f"{context}.b_m"))
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}")
+    return _build(
+        LoaderParameters, context,
+        omega=_as_float(obj.get("omega_m", defaults.omega),
+                        f"{context}.omega_m"),
+        b=_as_float(obj.get("b_m", defaults.b), f"{context}.b_m"))
 
 
 def scenario_to_json(scenario: Scenario) -> dict:
@@ -347,36 +345,38 @@ def scenario_from_json(obj: dict, context: str = "scenario") -> Scenario:
     surface = surface_from_json(_need(obj, "surface", context),
                                 f"{context}.surface")
     loader = loader_from_json(obj.get("loader", {}), f"{context}.loader")
-    path = _need(obj, "path", context)
-    kind = _need(path, "type", f"{context}.path")
     rate = _as_float(obj.get("sample_rate_hz", Scenario.sample_rate),
                      f"{context}.sample_rate_hz")
     duration = _as_float(obj.get("duration_s", Scenario.duration),
                          f"{context}.duration_s")
-    try:
-        if kind == "quadratic_bezier":
-            _check_keys(path, ("type", "p0_m", "p1_m", "p2_m"),
-                        f"{context}.path")
-            points = tuple(_as_point(_need(path, k, f"{context}.path"),
-                                     f"{context}.path.{k}")
-                           for k in ("p0_m", "p1_m", "p2_m"))
-            return Scenario(surface=surface, loader=loader,
-                            control_points=points, sample_rate=rate,
-                            duration=duration)
-        if kind == "explicit":
-            _check_keys(path, ("type", "samples"), f"{context}.path")
-            rows = _need(path, "samples", f"{context}.path")
-            table = np.array(rows, dtype=float)
-            if table.ndim != 2 or table.shape[1] != 4:
-                raise ValueError("samples must be one or more [t_s, x_m, "
-                                 "z_m, rho_rad] rows")
-            samples = make_trajectory(*table.T)
-            return Scenario(surface=surface, loader=loader, samples=samples,
-                            sample_rate=rate, duration=duration)
-    except (ValueError, TypeError, IndexError, OverflowError) as exc:
-        raise ConfigError(f"{context}.path: {exc}")
-    raise ConfigError(f"{context}.path.type must be 'quadratic_bezier' or "
+    path = _path_from_json(_need(obj, "path", context), f"{context}.path")
+    return _build(Scenario, context, surface=surface, loader=loader,
+                  sample_rate=rate, duration=duration, **path)
+
+
+def _path_from_json(obj: dict, context: str) -> dict:
+    """A scenario's path: its Bezier ``control_points`` or its explicit
+    ``samples``, as the one Scenario argument it gives."""
+    kind = _need(obj, "type", context)
+    if kind == "quadratic_bezier":
+        _check_keys(obj, ("type", "p0_m", "p1_m", "p2_m"), context)
+        return {"control_points": tuple(
+            _as_point(_need(obj, k, context), f"{context}.{k}")
+            for k in ("p0_m", "p1_m", "p2_m"))}
+    if kind == "explicit":
+        _check_keys(obj, ("type", "samples"), context)
+        rows = _need(obj, "samples", context)
+        return {"samples": _build(_explicit_samples, context, rows)}
+    raise ConfigError(f"{context}.type must be 'quadratic_bezier' or "
                       f"'explicit', got {kind!r}")
+
+
+def _explicit_samples(rows) -> np.recarray:
+    table = np.array(rows, dtype=float)
+    if table.ndim != 2 or table.shape[1] != 4:
+        raise ValueError("samples must be one or more [t_s, x_m, z_m, "
+                         "rho_rad] rows")
+    return make_trajectory(*table.T)
 
 
 # ---------------------------------------------------------------------------
@@ -408,39 +408,29 @@ def _noise_from_json(obj: dict, context: str) -> tuple[float, int]:
             _as_int(obj.get("seed", 0), f"{context}.seed"))
 
 
-def _solver_from_json(obj: dict, context: str) -> SolverOptions:
-    _check_keys(obj, ("max_iterations", "gradient_tolerance", "n_starts",
-                      "seed"), context)
-    defaults = SolverOptions()
-    try:
-        return SolverOptions(
-            max_iterations=_as_int(obj.get("max_iterations",
-                                           defaults.max_iterations),
-                                   f"{context}.max_iterations"),
-            gradient_tolerance=_as_float(
-                obj.get("gradient_tolerance", defaults.gradient_tolerance),
-                f"{context}.gradient_tolerance"),
-            n_starts=_as_int(obj.get("n_starts", defaults.n_starts),
-                             f"{context}.n_starts"),
-            seed=_as_int(obj.get("seed", defaults.seed), f"{context}.seed"))
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}")
+def _options_from_json(cls, obj: dict, context: str):
+    """A ``cls`` from its section: the keys are the dataclass's fields,
+    each read as the type of its default (an integer, a number, or a
+    nested options section); a key left out keeps its default."""
+    defaults = cls()
+    names = [f.name for f in fields(cls)]
+    _check_keys(obj, names, context)
+    values = {}
+    for name in names:
+        default, where = getattr(defaults, name), f"{context}.{name}"
+        if is_dataclass(default):
+            values[name] = _options_from_json(type(default),
+                                              obj.get(name, {}), where)
+        elif name in obj:
+            read = _as_int if isinstance(default, int) else _as_float
+            values[name] = read(obj[name], where)
+    return _build(cls, context, **values)
 
 
 def calibration_options_from_json(obj: dict,
                                   context: str = "config.calibration"
                                   ) -> CalibrationOptions:
-    _check_keys(obj, ("lambda_weight", "solver"), context)
-    defaults = CalibrationOptions()
-    solver = _solver_from_json(obj.get("solver", {}), f"{context}.solver")
-    try:
-        return CalibrationOptions(
-            lambda_weight=_as_float(obj.get("lambda_weight",
-                                            defaults.lambda_weight),
-                                    f"{context}.lambda_weight"),
-            solver=solver)
-    except ValueError as exc:
-        raise ConfigError(f"{context}: {exc}")
+    return _options_from_json(CalibrationOptions, obj, context)
 
 
 def run_config_from_json(obj: dict, preset: str | None = None,
@@ -542,21 +532,9 @@ def report_to_json(report: CalibrationReport) -> dict:
         "schema_version": SCHEMA_VERSION,
         "method": report.method,
         "theta_star": soil_to_json(report.theta_star),
-        "stages": [{
-            "name": s.name,
-            "parameters": s.parameters,
-            "objective_value": s.objective_value,
-            "iterations": s.iterations,
-            "function_evaluations": s.function_evaluations,
-            "starts_tried": s.starts_tried,
-            "converged": s.converged,
-            "gradient_norm": s.gradient_norm,
-            "wall_time_s": s.wall_time_s,
-            "dropped_samples": s.dropped_samples,
-            "rmse_N": s.rmse_n, "rmse_pct": s.rmse_pct,
-            "rmse_series": s.rmse_series,
-            "at_bound": s.at_bound,
-        } for s in report.stages],
+        "stages": [{"rmse_N" if key == "rmse_n" else key: value
+                    for key, value in asdict(stage).items()}
+                   for stage in report.stages],
         "not_identified": report.not_identified,
         "rmse": {
             "ft_N": report.rmse_ft_n, "ft_pct": report.rmse_ft_pct,

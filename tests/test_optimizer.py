@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, find, given, settings
+from hypothesis import assume, example, find, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import lsq_linear, minimize_scalar
@@ -310,7 +310,10 @@ def face_search(problem):
 
 def assert_as_low_as_lsq_linear(problem):
     """x lies in the box, and its residual sum of squares is at most
-    lsq_linear(method="bvls")'s, to 1e-12 of that value plus |b|^2."""
+    lsq_linear(method="bvls")'s, to 1e-12 of that value plus |b|^2, or,
+    if larger, of | |A| |x| |^2: a residual that cancels to zero is
+    rounding of the terms of A x, and its square is no smaller than
+    theirs times the unit roundoff squared."""
     a, b, lb, ub = problem
     x, side, _ = face_search(problem)
     ref = lsq_linear(a, b, bounds=(lb, ub), method="bvls")
@@ -319,13 +322,18 @@ def assert_as_low_as_lsq_linear(problem):
     assert np.array_equal(x[side > 0], ub[side > 0])
     r, r_ref = a.dot(x) - b, a.dot(ref.x) - b
     rss, rss_ref = r.dot(r), r_ref.dot(r_ref)
-    assert rss <= rss_ref + 1e-12 * (rss_ref + b.dot(b)), (rss, rss_ref)
+    terms = np.abs(a).dot(np.abs(x))
+    assert rss <= rss_ref + 1e-12 * max(rss_ref + b.dot(b),
+                                        terms.dot(terms)), (rss, rss_ref)
     return rss, rss_ref
 
 
 class TestFaceSearch:
     @settings(max_examples=300, deadline=None)
     @given(bvls_problems())
+    # both residuals are rounding of -2 x0 + 1.15 x1 = 0: 1e-16 and 1e-17
+    @example((np.array([[-2.0, 1.15, 0.0]]), np.zeros(1), np.full(3, 0.25),
+              np.full(3, 1.25)))
     def test_as_low_as_lsq_linear(self, problem):
         assume(leaves_the_box(problem))
         assert_as_low_as_lsq_linear(problem)
