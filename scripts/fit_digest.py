@@ -21,12 +21,18 @@ DEBUG lines: solves inside the box, solves that searched the box's faces,
 and trials screened out. A bounded count above 0 shows that two equal
 digests compared the out-of-box path too.
 
-A last line, ``files sha256``, hashes the bytes of every file the CLI
+A fifth line, ``files sha256``, hashes the bytes of every file the CLI
 writes along simulate -> calibrate -> predict --prior-cycle -> evaluate,
 run in process on the default cycle at each noise level: cycle.csv,
 scenario.json, report.json (with its wall_time_s values written as 0.0),
 predicted.csv and metrics.json. Two source trees that print the same
 line write the same bytes.
+
+A last line, ``flagged sha256``, hashes the same fields as the first
+digest for the default cycle at each slope and noise level with three
+in-soil samples (at 10%, 50% and 90% of the in-soil count) moved to blade
+angles outside the margins: 0.5 RHO_MIN, 1e-9 and pi - 1e-9. No other
+input has such a sample, since Bezier paths clamp their blade angles.
 
 Usage: python scripts/fit_digest.py [--pairs N] [--slopes 0 10 25 40]
                                     [--noise 0 0.05] [--seed 1]
@@ -46,10 +52,11 @@ from pathlib import Path
 import numpy as np
 from click.testing import CliRunner
 
-from feecalib import (FeeCalibError, SlopedLine, add_noise,
+from feecalib import (RHO_MIN, FeeCalibError, SlopedLine, add_noise,
                       calibrate_multi_stage, default_scenario, default_truth,
-                      heldout_scenario, predict_next_cycle, preset_catalog,
-                      simulate_cycle, surface_after_cycle)
+                      heldout_scenario, make_trajectory, predict_next_cycle,
+                      prepare_cycle, preset_catalog, simulate_cycle,
+                      surface_after_cycle)
 from feecalib.cli import main as cli
 
 
@@ -94,6 +101,18 @@ def feed_fit(h, dataset, heldout):
              report.function_evaluations, report.dropped_samples))
     pred = predict_next_cycle(report.theta_star, heldout)
     feed(h, (pred.beta, pred.f_t, pred.f_n, pred.status))
+
+
+def flagged(dataset):
+    """The cycle with the in-soil samples at 10%, 50% and 90% of the
+    in-soil count moved to blade angles outside the margins."""
+    in_soil = np.flatnonzero(prepare_cycle(dataset).in_soil)
+    m = in_soil.size
+    s = dataset.samples
+    rho = s.rho.copy()
+    rho[in_soil[[m // 10, m // 2, 9 * m // 10]]] = (0.5 * RHO_MIN, 1e-9,
+                                                     math.pi - 1e-9)
+    return replace(dataset, samples=make_trajectory(s.t, s.x, s.z, rho))
 
 
 def feed_carved_chain(h, surface):
@@ -200,11 +219,22 @@ def main():
     files = hashlib.sha256()
     for sigma in args.noise:
         feed_cli_files(files, sigma, args.seed)
+    flags = hashlib.sha256()
+    for slope in args.slopes:
+        surface = SlopedLine((0.0, 0.0), math.radians(slope))
+        clean = flagged(simulate_cycle(
+            replace(default_scenario(), surface=surface), default_truth()))
+        heldout = replace(heldout_scenario(), surface=surface)
+        for sigma in args.noise:
+            dataset = (add_noise(clean, sigma, args.seed) if sigma > 0.0
+                       else clean)
+            feed_fit(flags, dataset, heldout)
     print(f"fits {fits} in {time.perf_counter() - t0:.1f} s")
     print(f"sha256 {h.hexdigest()}")
     print(f"carved sha256 {carved.hexdigest()}")
     print("lsq interior {} bounded {} screened {}".format(*lsq.counts))
     print(f"files sha256 {files.hexdigest()}")
+    print(f"flagged sha256 {flags.hexdigest()}")
 
 
 if __name__ == "__main__":

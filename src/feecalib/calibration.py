@@ -174,9 +174,10 @@ class PreparedCycle:
     ``prepare_cycle``.
 
     ``depth``, ``rho``, ``lt``, ``area``, ``ft_obs`` and ``fn_obs`` hold
-    the in-soil samples, the ones every stage fits. The whole cycle's
-    observations (``ft_cycle``, ``fn_cycle``) and its ``in_soil`` mask
-    serve only the final report, which scores the whole cycle.
+    the ``kept`` samples, in soil and inside the blade margins, which
+    every fit uses. The whole cycle's observations (``ft_cycle``,
+    ``fn_cycle``) and its ``in_soil`` mask serve only the final report,
+    which scores the whole cycle.
     """
 
     depth: np.ndarray
@@ -185,6 +186,7 @@ class PreparedCycle:
     area: np.ndarray        # swept cross-section, scaled by gamma on demand
     ft_obs: np.ndarray
     fn_obs: np.ndarray
+    kept: np.ndarray        # per cycle sample: in soil, inside the margins
     in_soil: np.ndarray     # per cycle sample: depth > 0
     ft_cycle: np.ndarray
     fn_cycle: np.ndarray
@@ -193,30 +195,35 @@ class PreparedCycle:
 
     @property
     def dropped(self) -> int:
-        """Samples out of soil, which no stage fits."""
-        return self.in_soil.size - self.depth.size
+        """Samples out of soil or the blade margins, which no fit uses."""
+        return self.kept.size - self.depth.size
 
     def on_cycle(self, values: np.ndarray) -> np.ndarray:
-        """An in-soil array spread over the whole cycle, zero elsewhere."""
-        full = np.zeros(self.in_soil.size, dtype=values.dtype)
-        full[self.in_soil] = values
+        """A kept-sample array spread over the cycle, zero elsewhere."""
+        full = np.zeros(self.kept.size, dtype=values.dtype)
+        full[self.kept] = values
         return full
 
 
 def prepare_cycle(dataset: CycleDataset) -> PreparedCycle:
-    """The wedge geometry and observations of a cycle, sliced to the
-    samples in soil. Raises DegenerateDepths when there are none."""
+    """The wedge geometry and observations of the samples every fit uses:
+    in soil and inside the blade margins (``soil._blade_margins``, which
+    need no soil parameter). Raises DegenerateDepths when no sample is in
+    soil, and EmptySeries when none of those is inside the margins."""
     depth, lt, area = wedge_geometry(dataset.samples, dataset.surface)
     in_soil = depth > 0.0
     if not in_soil.any():
         raise DegenerateDepths("all samples have zero penetration depth")
+    alpha, rho = dataset.surface.nominal_alpha, dataset.samples.rho
+    below, singular = _blade_margins(alpha, rho, np.sin(rho))
+    kept = in_soil & ~(below | singular)
+    if not kept.any():
+        raise EmptySeries("no in-soil sample inside the blade margins")
     ft, fn = dataset.f_t_obs, dataset.f_n_obs
-    return PreparedCycle(depth=depth[in_soil],
-                         rho=dataset.samples.rho[in_soil], lt=lt[in_soil],
-                         area=area[in_soil], ft_obs=ft[in_soil],
-                         fn_obs=fn[in_soil], in_soil=in_soil, ft_cycle=ft,
-                         fn_cycle=fn, alpha=dataset.surface.nominal_alpha,
-                         loader=dataset.loader)
+    return PreparedCycle(depth=depth[kept], rho=rho[kept], lt=lt[kept],
+                         area=area[kept], ft_obs=ft[kept], fn_obs=fn[kept],
+                         kept=kept, in_soil=in_soil, ft_cycle=ft,
+                         fn_cycle=fn, alpha=alpha, loader=dataset.loader)
 
 
 def _forces(theta: SoilParameters, cycle: PreparedCycle) -> CycleForceArrays:
@@ -601,16 +608,10 @@ def calibrate_stage1(cycle: PreparedCycle) -> StageResult:
     given n the model is linear in (adhesion, tan delta, K = kc/b + kphi):
     the search runs over n and solves for the rest by bounded linear least
     squares. kc and kphi come from K by ``split_pressure_coefficient``.
-    Samples whose blade angle the engine flags are dropped, as in stage 2.
     """
     t0 = time.perf_counter()
-    kept = ~np.logical_or(*_blade_margins(cycle.alpha, cycle.rho,
-                                          np.sin(cycle.rho)))
-    if not kept.any():
-        raise EmptySeries("no in-soil sample inside the blade margins")
-    depth, lt, fn_obs, ft_obs = (values[kept] for values in (
-        cycle.depth, cycle.lt, cycle.fn_obs, cycle.ft_obs))
     loader = cycle.loader
+    depth, lt, ft_obs = cycle.depth, cycle.lt, cycle.ft_obs
     scale = _series_scale(ft_obs)
     delta_lo, delta_hi = _box("delta", loader.b)
     lo, hi = np.array([_box("adhesion_ca", loader.b),
@@ -620,7 +621,7 @@ def calibrate_stage1(cycle: PreparedCycle) -> StageResult:
     def trial(ns: np.ndarray, paths: Counter):
         designs = np.empty((ns.size, depth.size, 3))
         designs[:, :, 0] = loader.omega * lt
-        designs[:, :, 1] = fn_obs
+        designs[:, :, 1] = cycle.fn_obs
         designs[:, :, 2] = loader.omega * loader.b * depth ** ns[:, None]
         return _screened_lsq(designs, ft_obs, lo, hi, scale, paths)
 
@@ -633,15 +634,13 @@ def calibrate_stage1(cycle: PreparedCycle) -> StageResult:
     else:
         delta = min(max(math.atan(tan_delta), delta_lo), delta_hi)
     kc, kphi = map(float, split_pressure_coefficient(big_k, loader.b))
-    kept_cycle = replace(cycle, depth=depth, lt=lt, fn_obs=fn_obs)
-    fit = stage1_tangential_force(kept_cycle, ca, delta, kc, kphi, profile.x)
+    fit = stage1_tangential_force(cycle, ca, delta, kc, kphi, profile.x)
     residual = ft_obs - fit
     parameters = dict(adhesion_ca=ca, delta=float(delta), kc=kc, kphi=kphi,
                       n=profile.x, K=big_k)
     return _staged_result("stage1", parameters, loader.b,
                           float(residual @ residual) / scale, profile, 0, 0,
-                          t0, cycle.dropped + int((~kept).sum()),
-                          rmse(ft_obs, fit),
+                          t0, cycle.dropped, rmse(ft_obs, fit),
                           series="f_t observed (raw), in-soil samples")
 
 
@@ -658,9 +657,8 @@ def calibrate_stage2(cycle: PreparedCycle, adhesion_ca: float,
     angle and the bearing factors come from the engine's kernel,
     ``bearing_factors``, which takes every candidate of a call at once
     (the whole grid in one broadcast pass). Samples it marks infeasible
-    for a candidate (a blade angle outside its margins, or an empty
-    failure-angle window) are dropped from that candidate's residual
-    (zeroed in its screening bound).
+    for a candidate (an empty failure-angle window) are dropped from that
+    candidate's residual (zeroed in its screening bound).
     """
     t0 = time.perf_counter()
     target = cycle.fn_obs / math.cos(delta)
@@ -795,12 +793,12 @@ def _final_report(method: str, stages: list[StageResult],
 
 
 def _finite_arithmetic(fit):
-    """``fit`` under numpy's errstate raise for overflow, invalid and
-    divide-by-zero results, except where a block of it says otherwise. A
-    cycle whose values leave the floating-point range then fails at its
-    first such result with one SolverFailure, before a NaN reaches
-    LAPACK. Fits of finite-range cycles emit no such result, so their
-    bits are unchanged."""
+    """``fit`` (a fit or a prediction) under numpy's errstate raise for
+    overflow, invalid and divide-by-zero results, except where a block of
+    it says otherwise. A cycle whose values leave the floating-point
+    range then fails at its first such result with one SolverFailure,
+    before a NaN reaches LAPACK or a file. Finite-range cycles emit no
+    such result, so their bits are unchanged."""
     @functools.wraps(fit)
     def run(*args, **kwargs):
         try:
@@ -823,8 +821,9 @@ def calibrate_single_stage(dataset: CycleDataset,
     scaled to the staged fits' box, ``BOUNDS``. Every evaluated point,
     the answer included, takes its kc and kphi from
     ``split_pressure_coefficient``, as the staged fits do. Raises
-    DegenerateDepths when no sample is in soil, and SolverFailure when
-    the arithmetic leaves the floating-point range.
+    DegenerateDepths when no sample is in soil, EmptySeries when none of
+    them is inside the blade margins, and SolverFailure when the
+    arithmetic leaves the floating-point range.
     """
     _load_solvers()
     t0 = time.perf_counter()
@@ -877,7 +876,8 @@ def calibrate_multi_stage(dataset: CycleDataset,
     compaction refinement, all on one prepared cycle. Reports each
     stage's record plus final force errors under the parameters
     ``assemble`` builds from them. Raises DegenerateDepths when no sample
-    is in soil, and SolverFailure when the arithmetic leaves the
+    is in soil, EmptySeries when none of them is inside the blade
+    margins, and SolverFailure when the arithmetic leaves the
     floating-point range."""
     t0 = time.perf_counter()
     cycle = prepare_cycle(dataset)
@@ -889,6 +889,7 @@ def calibrate_multi_stage(dataset: CycleDataset,
                          time.perf_counter() - t0)
 
 
+@_finite_arithmetic
 def predict_next_cycle(theta_star: SoilParameters, scenario,
                        prior_cycle: np.recarray | None = None
                        ) -> CycleForceArrays:
@@ -899,7 +900,8 @@ def predict_next_cycle(theta_star: SoilParameters, scenario,
     face. The bearing factors keep the nominal pile inclination. The
     sampled trajectory comes back as the prediction's ``trajectory``, and
     the wall time of each step (carve, trajectory, depth and swept area,
-    engine) as its ``step_ms``.
+    engine) as its ``step_ms``. Raises SolverFailure when the arithmetic
+    leaves the floating-point range.
     """
     marks = [time.perf_counter()]
     surface = scenario.surface

@@ -34,7 +34,7 @@ class DegenerateDepths(FeeCalibError):
 
 
 class SolverFailure(FeeCalibError):
-    """Every optimization start failed."""
+    """A fit or prediction could not produce a finite result."""
 
 
 class ConfigError(FeeCalibError):

@@ -247,11 +247,7 @@ def _failure_angle(alpha: float, rho, phi, delta: float, usable):
     with np.errstate(divide="ignore", invalid="ignore"):
         roots = _stationary_angles(rho, delta, phi, a, np.cos(a), np.sin(a),
                                    np.sin(phi))
-        # N_gamma at lo = EPS1, where only sin(rho + delta + lo + phi)
-        # varies by sample
-        f_lo = (np.cos(alpha + EPS1) * np.sin(alpha + EPS1 + phi)
-                / (2.0 * np.cos(alpha) * np.sin(EPS1)
-                   * np.sin(rho + delta + EPS1 + phi)))
+        f_lo = _ngamma_array(alpha, EPS1, rho, phi, delta)
         # the pick runs over lo, the in-window roots and hi in that order,
         # keeping the lowest N_gamma as np.argmin over them would; N_gamma
         # is evaluated at the roots inside the window alone

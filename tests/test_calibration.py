@@ -46,7 +46,7 @@ def smoothed(cycle):
     the paper's smoothed stage 2, which this library's stage 2 replaced
     with the raw series."""
     return replace(cycle,
-                   fn_obs=gaussian_filter(cycle.fn_cycle, 5.0)[cycle.in_soil])
+                   fn_obs=gaussian_filter(cycle.fn_cycle, 5.0)[cycle.kept])
 
 
 def calibrate_smoothed(dataset):
@@ -203,17 +203,35 @@ class TestStage1:
         with pytest.raises(DegenerateDepths):
             calibrate_stage1(prepare_cycle(_zero_depth_dataset()))
 
-    def test_samples_outside_blade_margins_are_dropped(self, dataset):
+    def test_samples_outside_blade_margins_are_dropped(self, dataset,
+                                                       truth):
         ds, bad = _with_bad_blade_angles(dataset)
         cycle = prepare_cycle(ds)
         diag = calibrate_stage1(cycle)
-        assert diag.dropped_samples == cycle.dropped + bad.size
-        # their observations never enter the fit, not even its scale
-        ft = ds.f_t_obs.copy()
-        peak = np.abs(ft).max()
-        ft[bad] = [0.0, 2.0 * peak, -peak]
-        moved = calibrate_stage1(prepare_cycle(replace(ds, f_t_obs=ft)))
-        assert moved.parameters == diag.parameters
+        assert cycle.dropped == int((~cycle.in_soil).sum()) + bad.size
+        assert diag.dropped_samples == cycle.dropped
+        # their observations never enter a fit, not even its scale: every
+        # stage and both methods fit and score the same bits
+        ft, fn = ds.f_t_obs.copy(), ds.f_n_obs.copy()
+        for series in (ft, fn):
+            peak = np.abs(series).max()
+            series[bad] = [0.0, 2.0 * peak, -peak]
+        moved = replace(ds, f_t_obs=ft, f_n_obs=fn)
+        assert (calibrate_stage1(prepare_cycle(moved)).parameters
+                == diag.parameters)
+        stage2 = [calibrate_stage2(prepare_cycle(d), truth.adhesion_ca,
+                                   truth.delta) for d in (ds, moved)]
+        assert stage2[1].parameters == stage2[0].parameters
+        assert stage2[1].objective_value == stage2[0].objective_value
+        opts = CalibrationOptions(solver=SolverOptions(n_starts=1,
+                                                       max_iterations=50))
+        for calibrate in (calibrate_multi_stage, calibrate_single_stage):
+            base, other = (calibrate(d, options=opts) for d in (ds, moved))
+            assert other.theta_star == base.theta_star
+            assert ([(s.parameters, s.objective_value) for s in other.stages]
+                    == [(s.parameters, s.objective_value)
+                        for s in base.stages])
+            assert other.rmse_fr_n == base.rmse_fr_n
 
     def test_staged_fit_recovers_the_truth_around_flagged_samples(
             self, dataset, truth):
@@ -228,8 +246,10 @@ class TestStage1:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = calibrate_multi_stage(ds)
-        dropped = prepare_cycle(ds).dropped + 1
-        assert [s.dropped_samples for s in report.stages] == [dropped] * 3
+        cycle = prepare_cycle(ds)
+        assert cycle.dropped == int((~cycle.in_soil).sum()) + 1
+        assert ([s.dropped_samples for s in report.stages]
+                == [cycle.dropped] * 3)
 
     def test_no_sample_inside_the_blade_margins_raises(self, dataset):
         in_soil = prepare_cycle(dataset).depth.size
@@ -237,6 +257,11 @@ class TestStage1:
                                        angles=(1e-9,))
         with pytest.raises(EmptySeries, match="blade margins"):
             calibrate_stage1(prepare_cycle(ds))
+        # the single-stage fit prepares the same cycle
+        opts = CalibrationOptions(solver=SolverOptions(n_starts=1,
+                                                       max_iterations=50))
+        with pytest.raises(EmptySeries, match="blade margins"):
+            calibrate_single_stage(ds, options=opts)
 
 
 def _with_bad_blade_angles(dataset, picks=(10, 50, 90),
@@ -259,7 +284,8 @@ class TestStage2:
         ds, bad = _with_bad_blade_angles(dataset)
         cycle = prepare_cycle(ds)
         diag = calibrate_stage2(cycle, ca, delta)
-        assert diag.dropped_samples == cycle.dropped + bad.size
+        assert cycle.dropped == int((~cycle.in_soil).sum()) + bad.size
+        assert diag.dropped_samples == cycle.dropped
         # their observations never enter the fit; the new values stay
         # below the series peak, so the objective's scale is unchanged
         peak = np.abs(ds.f_n_obs).max()
@@ -613,17 +639,24 @@ class TestPreparedCycle:
         calibrate(dataset, options=opts)
         assert len(calls) == 1
 
-    def test_slices_the_in_soil_samples(self, dataset):
-        cycle = prepare_cycle(dataset)
-        depth, lt, area = wedge_geometry(dataset.samples, dataset.surface)
+    @pytest.mark.parametrize("flagged", [False, True])
+    def test_slices_the_in_soil_samples(self, dataset, flagged):
+        """The arrays hold the in-soil samples inside the blade margins;
+        ``in_soil`` still marks every sample in soil."""
+        ds, bad = (_with_bad_blade_angles(dataset) if flagged
+                   else (dataset, np.array([], dtype=int)))
+        cycle = prepare_cycle(ds)
+        depth, lt, area = wedge_geometry(ds.samples, ds.surface)
         mask = depth > 0.0
         assert np.array_equal(cycle.in_soil, mask)
-        assert cycle.dropped == int((~mask).sum()) > 0
+        mask[bad] = False
+        assert np.array_equal(cycle.kept, mask)
+        assert cycle.dropped == int((~mask).sum()) > bad.size
         for got, want in ((cycle.depth, depth), (cycle.lt, lt),
                           (cycle.area, area),
-                          (cycle.rho, dataset.samples.rho),
-                          (cycle.ft_obs, dataset.f_t_obs),
-                          (cycle.fn_obs, dataset.f_n_obs)):
+                          (cycle.rho, ds.samples.rho),
+                          (cycle.ft_obs, ds.f_t_obs),
+                          (cycle.fn_obs, ds.f_n_obs)):
             assert np.array_equal(got, want[mask])
             assert np.array_equal(cycle.on_cycle(got),
                                   np.where(mask, want, 0.0))
@@ -709,6 +742,19 @@ class TestSingleStage:
         perturbed = replace(dataset, f_n_obs=dataset.f_n_obs * 1.25)
         report_b = calibrate_single_stage(perturbed, options=opts)
         assert report_a.theta_star == report_b.theta_star
+
+    def test_drops_what_the_staged_fit_drops(self, dataset):
+        ds, bad = _with_bad_blade_angles(dataset)
+        opts = CalibrationOptions(solver=SolverOptions(n_starts=1,
+                                                       max_iterations=50))
+        staged = calibrate_multi_stage(ds)
+        single = calibrate_single_stage(ds, options=opts)
+        dropped = int((~prepare_cycle(ds).in_soil).sum()) + bad.size
+        assert ([s.dropped_samples for s in staged.stages + single.stages]
+                == [dropped] * 4)
+        # the final reports score out-of-soil samples as zero force and
+        # leave out only the flagged ones
+        assert single.dropped_samples == staged.dropped_samples == bad.size
 
     def test_lambda_validated(self):
         with pytest.raises(ValueError):

@@ -1009,6 +1009,63 @@ def test_overflowing_forces_exit_3(workdir, tmp_path, method, tip, force):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("method", ["single", "multi"])
+def test_no_sample_inside_the_blade_margins_exits_3(workdir, tmp_path,
+                                                    method):
+    """Every blade angle at 1e-9 rad, below the margins: neither method
+    has a sample to fit, so calibrate exits 3 with one line."""
+    run = workdir / "run"
+    samples, f_t, f_n = fio.read_cycle_csv(run / "cycle.csv")
+    cycle = tmp_path / "flat.csv"
+    fio.write_cycle_csv(cycle, make_trajectory(
+        samples.t, samples.x, samples.z, np.full(samples.size, 1e-9)),
+        f_t, f_n)
+    res = _run_cli("calibrate", cycle, "--scenario", run / "scenario.json",
+                   "--method", method, "--out", tmp_path)
+    assert res.returncode == 3, res.stderr
+    assert res.stderr == ("error: calibration failed: no in-soil sample "
+                          "inside the blade margins\n")
+    assert not (tmp_path / "report.json").exists()
+
+
+def _assert_prediction_overflows(res, out):
+    assert res.returncode == 3, res.stderr
+    assert res.stderr.startswith("error: prediction failed: "
+                                 "floating-point error (")
+    assert res.stderr.count("\n") == 1, res.stderr
+    assert not (out / "predicted.csv").exists()
+
+
+def test_overflowing_prior_cycle_exits_3(workdir, tmp_path):
+    """A prior cycle whose tip coordinates are 1e200 m overflows the
+    carved face's arithmetic: predict exits 3 with one line and writes
+    nothing."""
+    run = workdir / "run"
+    samples, f_t, f_n = fio.read_cycle_csv(run / "cycle.csv")
+    prior = tmp_path / "far.csv"
+    fio.write_cycle_csv(prior, make_trajectory(
+        samples.t, samples.x * 1e200, samples.z * 1e200, samples.rho),
+        f_t, f_n)
+    res = _run_cli("predict", run / "report.json", "--scenario",
+                   run / "scenario.json", "--prior-cycle", prior, "--out",
+                   tmp_path)
+    _assert_prediction_overflows(res, tmp_path)
+
+
+def test_overflowing_bezier_path_exits_3(workdir, tmp_path):
+    """Bezier control points of about 1e200 m overflow the prediction's
+    arithmetic: predict exits 3 with one line and writes nothing."""
+    run = workdir / "run"
+    doc = json.loads((run / "scenario.json").read_text())
+    for key in ("p0_m", "p1_m", "p2_m"):
+        doc["path"][key] = [1e200 * v for v in doc["path"][key]]
+    scenario = tmp_path / "far.json"
+    scenario.write_text(json.dumps(doc))
+    res = _run_cli("predict", run / "report.json", "--scenario", scenario,
+                   "--out", tmp_path)
+    _assert_prediction_overflows(res, tmp_path)
+
+
 @pytest.mark.parametrize("key, name", [("omega_m", "omega"), ("b_m", "b")])
 def test_huge_loader_size_exits_2(workdir, tmp_path, key, name):
     """A loader width or edge thickness of 1e308 m is refused as it is
