@@ -28,11 +28,16 @@ scenario.json, report.json (with its wall_time_s values written as 0.0),
 predicted.csv and metrics.json. Two source trees that print the same
 line write the same bytes.
 
-A last line, ``flagged sha256``, hashes the same fields as the first
+A sixth line, ``flagged sha256``, hashes the same fields as the first
 digest for the default cycle at each slope and noise level with three
 in-soil samples (at 10%, 50% and 90% of the in-soil count) moved to blade
 angles outside the margins: 0.5 RHO_MIN, 1e-9 and pi - 1e-9. No other
 input has such a sample, since Bezier paths clamp their blade angles.
+
+A last line, ``roots``, sums by pile slope the engine passes of the
+fits' stage DEBUG lines and how many of them ran the stationary-root
+solve, as ``slope:roots/passes``: how often the kernel's closed-form
+test could not rule the roots out.
 
 Usage: python scripts/fit_digest.py [--pairs N] [--slopes 0 10 25 40]
                                     [--noise 0 0.05] [--seed 1]
@@ -160,22 +165,31 @@ def feed_cli_files(h, sigma, seed):
             h.update(data)
 
 
-class LsqCounts(logging.Handler):
+class StageCounts(logging.Handler):
     """Sums the interior, bounded and screened counts of the stage DEBUG
-    lines."""
+    lines, and by ``slope`` their engine passes and root solves."""
 
     PATTERN = re.compile(r"least squares (\d+) interior, (\d+) bounded, "
                          r"(\d+) screened")
+    PASSES = re.compile(r"(\d+) engine passes, (\d+) with the root solve")
 
     def __init__(self):
         super().__init__(logging.DEBUG)
         self.counts = [0, 0, 0]
+        self.slope = None
+        self.roots = {}
 
     def emit(self, record):
-        match = self.PATTERN.search(record.getMessage())
+        message = record.getMessage()
+        match = self.PATTERN.search(message)
         if match:
             self.counts = [c + int(n)
                            for c, n in zip(self.counts, match.groups())]
+        match = self.PASSES.search(message)
+        if match:
+            passes, roots = self.roots.get(self.slope, (0, 0))
+            self.roots[self.slope] = (passes + int(match[1]),
+                                      roots + int(match[2]))
 
 
 def main():
@@ -192,7 +206,7 @@ def main():
     args = parser.parse_args()
 
     pairs = preset_pairs()[:args.pairs]
-    lsq = LsqCounts()
+    lsq = StageCounts()
     logger = logging.getLogger("feecalib.calibration")
     logger.setLevel(logging.DEBUG)
     logger.addHandler(lsq)
@@ -201,6 +215,7 @@ def main():
     fits = 0
     t0 = time.perf_counter()
     for slope in args.slopes:
+        lsq.slope = slope
         surface = SlopedLine((0.0, 0.0), math.radians(slope))
         feed_carved_chain(carved, surface)
         scenario = replace(default_scenario(), surface=surface)
@@ -235,6 +250,8 @@ def main():
     print("lsq interior {} bounded {} screened {}".format(*lsq.counts))
     print(f"files sha256 {files.hexdigest()}")
     print(f"flagged sha256 {flags.hexdigest()}")
+    print("roots " + " ".join(f"{slope:g}:{roots}/{passes}" for slope,
+                              (passes, roots) in lsq.roots.items()))
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ import functools
 import itertools
 import logging
 import math
+import struct
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
@@ -42,9 +43,9 @@ from .geometry import CycleDataset, surface_after_cycle, wedge_geometry
 from .optimizer import (SolverOptions, _load_solvers,
                         finite_difference_gradient, minimize_scalar_bounded,
                         multi_start)
-from .soil import (GRAVITY, CycleForceArrays, LoaderParameters,
-                   ParameterBounds, SoilParameters, _blade_margins,
-                   bearing_factors, predict_force_arrays)
+from .soil import (GRAVITY, BearingKernel, CycleForceArrays,
+                   LoaderParameters, ParameterBounds, SoilParameters,
+                   _blade_margins, _cycle_forces, predict_force_arrays)
 
 log = logging.getLogger(__name__)
 
@@ -89,7 +90,10 @@ class StageResult:
     when the best grid point is a bound whose one-sided derivative points
     out of the box, so Brent is skipped) and ``gradient_norm`` the
     projected derivative along the outer parameter in unit-interval
-    coordinates.
+    coordinates. ``dropped_samples`` counts every sample of the cycle
+    that the stage's fit does not use: those out of soil or outside the
+    blade margins (``PreparedCycle.dropped``) and, in stages 2 and 3,
+    those the engine finds infeasible at the stage's parameters.
     """
 
     name: str
@@ -110,7 +114,13 @@ class StageResult:
 
 @dataclass
 class CalibrationReport:
-    """Fitted parameters plus per-stage and final force errors."""
+    """Fitted parameters plus per-stage and final force errors.
+
+    The final errors score the whole cycle, out-of-soil samples as zero
+    force. ``dropped_samples`` counts only the in-soil samples they leave
+    out, those the engine flags at the fitted parameters; each stage
+    record's count of the same name also counts the samples out of soil.
+    """
 
     method: str
     theta_star: SoilParameters
@@ -178,6 +188,11 @@ class PreparedCycle:
     every fit uses. The whole cycle's observations (``ft_cycle``,
     ``fn_cycle``) and its ``in_soil`` mask serve only the final report,
     which scores the whole cycle.
+
+    ``memo`` keeps, for the fit that prepared the cycle, the kernel bound
+    at the last tool friction angle asked for (``kernel``) and the forces
+    at the last wedge parameters asked for (``_forces``). It starts empty
+    on every cycle, ``dataclasses.replace``'s copies too.
     """
 
     depth: np.ndarray
@@ -192,6 +207,8 @@ class PreparedCycle:
     fn_cycle: np.ndarray
     alpha: float
     loader: LoaderParameters
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     @property
     def dropped(self) -> int:
@@ -203,6 +220,16 @@ class PreparedCycle:
         full = np.zeros(self.kept.size, dtype=values.dtype)
         full[self.kept] = values
         return full
+
+    def kernel(self, delta: float) -> BearingKernel:
+        """The failure-angle and bearing-factor kernel bound to the
+        samples' blade angles at tool friction angle ``delta``; bound anew
+        only when ``delta`` is not the last one asked for."""
+        kernel = self.memo.get("kernel")
+        if kernel is None or kernel.delta != delta:
+            kernel = self.memo["kernel"] = BearingKernel(self.alpha, self.rho,
+                                                         delta)
+        return kernel
 
 
 def prepare_cycle(dataset: CycleDataset) -> PreparedCycle:
@@ -227,9 +254,26 @@ def prepare_cycle(dataset: CycleDataset) -> PreparedCycle:
 
 
 def _forces(theta: SoilParameters, cycle: PreparedCycle) -> CycleForceArrays:
-    """The force engine over the cycle's in-soil samples."""
-    return predict_force_arrays(cycle.depth, cycle.rho, cycle.lt, cycle.area,
-                                theta, cycle.loader, cycle.alpha)
+    """The force engine over the cycle's samples, through the cycle's
+    kernel: the bits of ``predict_force_arrays``.
+
+    The wedge force, and so f_n, does not depend on the sinkage
+    parameters (kc, kphi, n). So the forces at the last (gamma, c, c_a,
+    phi, delta) asked for, by their bits, are kept in the cycle's memo,
+    and a call at the same five values only recomputes f_t: stage 2's
+    record, stage 3 and the final report of a staged fit share one
+    kernel pass. The other arrays are the memo's own; callers read them.
+    """
+    key = struct.pack("<5d", theta.gamma, theta.cohesion_c,
+                      theta.adhesion_ca, theta.phi, theta.delta)
+    kept = cycle.memo.get("forces")
+    if kept is not None and kept[0] == key:
+        return kept[1].with_sinkage(cycle.lt, theta, cycle.loader)
+    out = _cycle_forces(cycle.kernel(theta.delta)(theta.phi), cycle.depth,
+                        cycle.rho, cycle.lt, cycle.area, theta, cycle.loader,
+                        cycle.alpha)
+    cycle.memo["forces"] = key, out
+    return out
 
 
 def stage1_tangential_force(cycle: PreparedCycle, adhesion_ca: float,
@@ -352,15 +396,18 @@ def _bounded_lsq(design: np.ndarray, target: np.ndarray, lo: np.ndarray,
     """
     norms = np.sqrt(np.einsum("ij,ij->j", design, design))
     is_free = (norms > 0.0) & (hi > lo)
-    free = np.flatnonzero(is_free)
     x = lo.copy()
-    if free.size:
-        w = norms[free]
-        lo_f, hi_f = lo[free], hi[free]
-        scaled = design[:, free] / w
-        rest = target
-        if free.size < x.size:
-            rest = target - design[:, ~is_free] @ x[~is_free]
+    if is_free.all():
+        # every unknown is free: views, not gathers
+        free, rest = slice(None), target
+    else:
+        free = np.flatnonzero(is_free)
+        rest = target - design[:, ~is_free] @ x[~is_free]
+    w, lo_f, hi_f = norms[free], lo[free], hi[free]
+    if w.size:
+        # column-major, as a gather of columns gives it: the bits of the
+        # matrix products depend on the layout
+        scaled = np.divide(design[:, free], w, order="F")
         lb, ub = lo_f * w, hi_f * w
         try:
             x_lsq = np.linalg.lstsq(scaled, rest, rcond=-1)[0]
@@ -413,18 +460,28 @@ def _screened_lsq(designs: np.ndarray, targets: np.ndarray, lo: np.ndarray,
     when ``rows`` is None). Returns one ``(rss / scale, x)`` per
     candidate; ``(1e12, None)`` for a candidate with no row to fit.
 
-    With more than one candidate, one batched QR of the unit-norm designs,
-    infeasible rows zeroed, gives each candidate's unconstrained residual
-    sum of squares, which no box-constrained one can undercut. The
-    candidates are solved in order of that bound, and one whose bound
-    exceeds the best exact value found so far by more than the margin
-    is skipped: it could not have become the lowest, and it returns
-    ``(inf, None)``, counted as "screened" in ``paths``. Every solved
-    candidate goes through the unchanged ``_bounded_lsq`` on its own
-    rows, so the lowest value, its x and the first index to reach it are
-    the bits a solve of every candidate gives.
+    One candidate has nothing to screen: it goes straight to
+    ``_bounded_lsq`` on its rows. With more than one, one batched QR of
+    the unit-norm designs, infeasible rows zeroed, gives each candidate's
+    unconstrained residual sum of squares, which no box-constrained one
+    can undercut. The candidates are solved in order of that bound, and
+    one whose bound exceeds the best exact value found so far by more
+    than the margin is skipped: it could not have become the lowest, and
+    it returns ``(inf, None)``, counted as "screened" in ``paths``. Every
+    solved candidate goes through the unchanged ``_bounded_lsq`` on its
+    own rows, so the lowest value, its x and the first index to reach it
+    are the bits a solve of every candidate gives.
     """
     k = designs.shape[0]
+    if k == 1:
+        design = designs[0]
+        target = targets[0] if targets.ndim == 2 else targets
+        if rows is not None:
+            if not rows[0].any():
+                return [(1e12, None)]
+            design, target = design[rows[0]], target[rows[0]]
+        x, rss = _bounded_lsq(design, target, lo, hi, paths)
+        return [(rss / scale, x)]
     targets = np.broadcast_to(targets, designs.shape[:2])
     fits = [True] * k if rows is None else rows.any(axis=1).tolist()
     bound, screen = [0.0] * k, [False] * k
@@ -470,7 +527,6 @@ class _Profile:
     value: float = math.inf
     inner: np.ndarray | None = None
     evaluations: int = 0
-    passes: int = 0
     iterations: int = 0
     converged: bool = True
     gradient_norm: float = 0.0
@@ -504,15 +560,13 @@ def _profile_search(trial, lo: float, hi: float) -> _Profile:
     finite-difference derivative of the profile at the best trial, in
     unit-interval coordinates; by the variable projection theorem it is
     the projected gradient of the full objective, whose linear part is
-    stationary by construction. Every candidate counts as one evaluation,
-    and every call of ``trial`` as one pass.
+    stationary by construction. Every candidate counts as one evaluation.
     """
     best = _Profile(x=lo)
 
     def counted(xs) -> list:
         xs = np.asarray(xs, dtype=float)
         best.evaluations += xs.size
-        best.passes += 1
         return trial(xs, best.lsq_paths)
 
     def keep_best(xs, results) -> list[float]:
@@ -564,25 +618,26 @@ def _profile_search(trial, lo: float, hi: float) -> _Profile:
 
 def _staged_result(name: str, parameters: dict[str, float], b: float,
                    objective: float, profile: _Profile,
-                   extra_evaluations: int, engine_passes: int, t0: float,
-                   dropped: int, rmse_pair: tuple[float, float],
+                   extra_evaluations: int, engine: tuple[int, int],
+                   t0: float, dropped: int, rmse_pair: tuple[float, float],
                    series: str) -> StageResult:
     """The stage's StageResult, with ``at_bound`` read from its record for
-    blade thickness ``b``; logs its cost at DEBUG. ``engine_passes``
-    counts the calls of the failure-angle and bearing-factor kernel, each
-    over one or more parameter sets."""
+    blade thickness ``b``; logs its cost at DEBUG. ``engine`` counts the
+    stage's passes of the failure-angle and bearing-factor kernel, each
+    over one or more friction angles, and how many of them ran the
+    stationary-root solve."""
     wall = time.perf_counter() - t0
     evaluations = profile.evaluations + extra_evaluations
     solves = profile.lsq_paths
     log.debug("%s: %.2f ms; %d trials: %d grid, %d Brent, %d derivative, "
               "%d incumbent; least squares %d interior, %d bounded, %d "
-              "screened; bound shortcut %s; %d engine passes", name,
+              "screened; bound shortcut %s; %d engine passes, %d with the "
+              "root solve", name,
               1e3 * wall, evaluations, _PROFILE_GRID,
               profile.iterations, profile.derivative_trials,
               extra_evaluations, solves["interior"], solves["bounded"],
               solves["screened"],
-              "taken" if profile.bound_shortcut else "not taken",
-              engine_passes)
+              "taken" if profile.bound_shortcut else "not taken", *engine)
     return StageResult(name=name, parameters=parameters,
                        objective_value=objective,
                        iterations=profile.iterations,
@@ -639,8 +694,8 @@ def calibrate_stage1(cycle: PreparedCycle) -> StageResult:
     parameters = dict(adhesion_ca=ca, delta=float(delta), kc=kc, kphi=kphi,
                       n=profile.x, K=big_k)
     return _staged_result("stage1", parameters, loader.b,
-                          float(residual @ residual) / scale, profile, 0, 0,
-                          t0, cycle.dropped, rmse(ft_obs, fit),
+                          float(residual @ residual) / scale, profile, 0,
+                          (0, 0), t0, cycle.dropped, rmse(ft_obs, fit),
                           series="f_t observed (raw), in-soil samples")
 
 
@@ -654,24 +709,26 @@ def calibrate_stage2(cycle: PreparedCycle, adhesion_ca: float,
     F = gamma*g*omega*(d^2 N_gamma + A_swept N_q) + c*omega*d*N_c
     + c_a*omega*d*N_a is linear in (gamma, c): the search runs over phi
     and solves for (gamma, c) by bounded linear least squares. The failure
-    angle and the bearing factors come from the engine's kernel,
-    ``bearing_factors``, which takes every candidate of a call at once
-    (the whole grid in one broadcast pass). Samples it marks infeasible
-    for a candidate (an empty failure-angle window) are dropped from that
-    candidate's residual (zeroed in its screening bound).
+    angle and the bearing factors come from the engine's kernel, bound
+    once to the cycle's blade angles at delta (``PreparedCycle.kernel``),
+    whose pass takes every candidate of a call at once (the whole grid in
+    one broadcast pass). Samples it marks infeasible for a candidate (an
+    empty failure-angle window) are dropped from that candidate's
+    residual (zeroed in its screening bound).
     """
     t0 = time.perf_counter()
     target = cycle.fn_obs / math.cos(delta)
     scale = _series_scale(target)
-    alpha, omega, b = cycle.alpha, cycle.loader.omega, cycle.loader.b
+    omega, b = cycle.loader.omega, cycle.loader.b
     lo, hi = np.array([_box("gamma", b), _box("cohesion_c", b)]).T
     # the per-sample coefficients of the factors, the same for every phi
     depth_sq, omega_depth = cycle.depth * cycle.depth, omega * cycle.depth
     adhesion = adhesion_ca * omega * cycle.depth
+    kernel = cycle.kernel(delta)
+    start = kernel.passes, kernel.root_passes
 
     def trial(phis: np.ndarray, paths: Counter):
-        _, feasible, (n_gamma, n_c, n_a, n_q) = bearing_factors(
-            alpha, cycle.rho, phis[:, None], delta)
+        _, feasible, (n_gamma, n_c, n_a, n_q) = kernel(phis[:, None])
         designs = np.stack([GRAVITY * omega * (depth_sq * n_gamma
                                                + cycle.area * n_q),
                             omega_depth * n_c], axis=-1)
@@ -690,7 +747,8 @@ def calibrate_stage2(cycle: PreparedCycle, adhesion_ca: float,
     return _staged_result("stage2", dict(gamma=gamma, cohesion_c=cohesion,
                                          phi=profile.x),
                           b, float(residual @ residual) / scale,
-                          profile, 0, profile.passes + 1, t0,
+                          profile, 0, (kernel.passes - start[0],
+                                       kernel.root_passes - start[1]), t0,
                           cycle.dropped + int((~valid).sum()),
                           rmse(target[valid], force),
                           series="wedge force reconstructed from raw f_n, "
@@ -703,14 +761,18 @@ def calibrate_stage3(cycle: PreparedCycle,
     observations with every other parameter frozen.
 
     The wedge force does not depend on the sinkage parameters, so it is
-    evaluated once. For a given n the model is linear in K = kc/b + kphi:
-    the search runs over n and solves for K by bounded least squares. The
+    evaluated once, or taken from the cycle's memo when stage 2 left it
+    there (see ``_forces``). For a given n the model is linear in
+    K = kc/b + kphi: the search runs over n and solves for K by bounded
+    least squares. The
     incumbent (kc, kphi, n) is always a candidate and wins ties, which
     makes the tangential error non-increasing across this stage. Normal-
     force predictions are untouched by construction.
     """
     t0 = time.perf_counter()
     loader = cycle.loader
+    kernel = cycle.kernel(theta_fixed.delta)
+    start = kernel.passes, kernel.root_passes
     out = _forces(theta_fixed, cycle)
     valid = out.valid
     if not valid.any():
@@ -747,7 +809,9 @@ def calibrate_stage3(cycle: PreparedCycle,
         big_k = float(theta_fixed.kc / loader.b + theta_fixed.kphi)
     kc, kphi, n = map(float, best)
     return _staged_result("stage3", dict(kc=kc, kphi=kphi, n=n, K=big_k),
-                          loader.b, f_best, profile, 1, 1, t0,
+                          loader.b, f_best, profile, 1,
+                          (kernel.passes - start[0],
+                           kernel.root_passes - start[1]), t0,
                           cycle.dropped + int((~valid).sum()),
                           rmse(ft_obs, model(kc, kphi, n)),
                           series="f_t observed (raw), in-soil samples")

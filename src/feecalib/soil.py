@@ -4,25 +4,31 @@ Implements the fundamental earthmoving equation with the four bearing
 capacity factors in their numerically stable sine-cosine form, the
 constrained failure-angle minimization in closed form, the Bekker
 pressure-sinkage law, and the composition of tangential/normal bucket
-forces. One kernel, ``bearing_factors``, runs the chain from the
+forces. One kernel, ``BearingKernel``, runs the chain from the
 blade-angle margins through the failure-angle window and solve to the
-factors, for one friction angle or many at once; the force engine
-(``predict_force_arrays``) and stage 2 of the calibration both call it.
-It evaluates every entry of the broadcast shape of friction angle
-against blade angle, the infeasible ones too, and sets those to NaN at
-the end, so nothing is gathered through the feasibility mask but the
-stationary roots that fall inside the failure-angle window; a pass in
-which no entry has a stationary root skips the root trigonometry.
-Its two steps, ``_failure_angle`` and ``_factor_arrays``, are what the
-tests hold against their references: a grid and golden-section search
-for the failure angle, and the cotangent form of the factors. All
-quantities are base SI (N, m, rad, kg/m^3).
+factors. It is bound once to a set of blade angles, a pile inclination
+and a tool friction angle, which computes every term that does not
+depend on the internal friction angle; each pass then computes only the
+terms of its friction angle, one or many at once. The force engine
+(``predict_force_arrays``) binds one per call, the calibration one per
+fit and tool friction angle. A pass evaluates every entry of the broadcast
+shape of friction angle against blade angle, the infeasible ones too,
+and sets those to NaN at the end, so nothing is gathered through the
+feasibility mask but the stationary roots that fall inside the
+failure-angle window. A closed-form test per row of friction angle
+(``BearingKernel.rootless``) rules those roots out without per-entry
+trigonometry; only a pass it cannot clear runs the root solve. The
+kernel's steps, its ``window`` and ``failure_angle`` and the formulas
+``_ngamma_array`` and ``_factor_arrays``, are what the tests hold
+against their references: a grid and golden-section search for the
+failure angle, and the cotangent form of the factors. All quantities
+are base SI (N, m, rad, kg/m^3).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -138,59 +144,41 @@ class LoaderParameters:
 
 
 # ---------------------------------------------------------------------------
-# Bearing capacity factors
+# The failure-angle and bearing-factor kernel
 # ---------------------------------------------------------------------------
 
-def _ngamma_array(alpha, beta, rho, phi, delta):
-    """N_gamma at beta; inputs broadcast as numpy arrays."""
-    return (np.cos(alpha + beta) * np.sin(alpha + beta + phi)
-            / (2.0 * np.cos(alpha) * np.sin(beta)
-               * np.sin(rho + delta + beta + phi)))
+def _blade_margins(alpha: float, rho, sin_rho):
+    """The margins that do not depend on the soil: masks of the samples
+    whose rho is below RHO_MIN and of those whose sin(rho) = ``sin_rho``
+    is within SIN_MARGIN of zero. Raises SingularGeometry when cos(alpha),
+    which every sample shares, is below its margin."""
+    if abs(math.cos(alpha)) <= SIN_MARGIN:
+        raise SingularGeometry("cos(alpha) below margin")
+    return rho < RHO_MIN, np.abs(sin_rho) <= SIN_MARGIN
 
 
-def _factor_arrays(alpha, beta, rho, phi, delta, sin_rho, n_gamma):
-    """Sine-cosine bearing factors; inputs broadcast as numpy arrays.
-    ``sin_rho`` is np.sin(rho) and ``n_gamma`` N_gamma at beta
-    (``_ngamma_array``), both of which the failure-angle solve has
-    already computed."""
-    s_beta = np.sin(beta)
-    s_chain = np.sin(rho + delta + beta + phi)
-    n_c = np.cos(phi) / (s_beta * s_chain)
-    n_a = -np.cos(rho + beta + phi) / (sin_rho * s_chain)
-    n_q = np.sin(alpha + beta + phi) / s_chain
-    return n_gamma, n_c, n_a, n_q
+# ``BearingKernel.rootless`` rules a pass's stationary roots out when
+# (sin A + sin phi)(m - sin phi) > _ROOT_MARGIN, m being the least
+# sin(2c - A) over the row; by the identity in its docstring that is a
+# lower bound on every entry's R^2 - P^2 - Q^2, up to the rounding of
+# its angles. With every angle of the call within _ROOT_ANGLE_CAP of 0,
+# the computed c, A and 2c - A are off by under 1e-14, which moves the
+# bound by under 1e-13, and the computed P, Q and R are off by under
+# 1e-15 each, which moves R^2 - P^2 - Q^2 by under 1e-14. So the
+# computed |R| / hypot(P, Q) stays above sqrt(1 + 1e-10), as
+# P^2 + Q^2 <= 8, far from 1.
+_ROOT_MARGIN = 1e-9
+_ROOT_ANGLE_CAP = 2.0 * math.pi
+_TROUGH = 1.5 * math.pi     # where sin is -1, mod 2 pi
 
 
-# ---------------------------------------------------------------------------
-# Failure-angle minimization
-# ---------------------------------------------------------------------------
-
-def beta_window(alpha: float, rho, phi, delta: float):
-    """Feasible interval [lo, hi] for the failure angle, per sample.
-
-    The window keeps beta above EPS1, the angle chain rho+delta+beta+phi
-    at least EPS2 short of pi (a physical wedge keeps the chain below pi),
-    and sin(beta+phi) clear of its margin. It is additionally capped at
-    pi/2 - alpha, where the wedge cross-section factor cot(beta)-tan(alpha)
-    changes sign: beyond it the unit-weight factor goes negative and its
-    minimization would chase nonphysical inverted wedges. hi <= lo marks
-    infeasibility. rho and phi broadcast against each other, as in
-    ``_failure_angle``.
-    """
-    rho = np.asarray(rho, dtype=float)
-    hi = np.minimum(math.pi - rho - delta - phi - EPS2,
-                    math.pi - phi - ANGLE_MARGIN)
-    hi = np.minimum(hi, math.pi / 2.0 - alpha)
-    lo = np.full(np.shape(hi), EPS1, dtype=float)
-    return lo, hi
-
-
-def _stationary_angles(rho, delta: float, phi, a, cos_a, sin_a, sin_phi):
+def _stationary_angles(rho_delta, phi, a, cos_a, sin_a, sin_phi):
     """The two roots b of dN_gamma/dbeta = 0, mod pi, stacked on a last
     axis of length 2 (NaN where there is none), or None when no entry has
-    one; see ``_failure_angle``. rho broadcasts against phi and the terms
-    of phi alone: a = 2*alpha + phi, cos a, sin a and sin phi."""
-    c = rho + delta + phi
+    one; see ``BearingKernel.failure_angle``. ``rho_delta`` (rho + delta)
+    broadcasts against phi and the terms of phi alone: a = 2*alpha + phi,
+    cos a, sin a and sin phi."""
+    c = rho_delta + phi
     cos_c = np.cos(c)
     p = cos_c * cos_a - sin_phi * np.sin(c)
     q = -(cos_c * sin_a + sin_phi * cos_c)
@@ -207,71 +195,212 @@ def _stationary_angles(rho, delta: float, phi, a, cos_a, sin_a, sin_phi):
     return np.where(roots < 0.0, roots + math.pi, roots)
 
 
+def _ngamma_array(alpha, two_cos_alpha, beta, rho_delta, phi):
+    """N_gamma at failure angle beta; inputs broadcast as numpy arrays.
+    ``two_cos_alpha`` is 2.0 * np.cos(alpha) and ``rho_delta`` rho + delta,
+    which a kernel binds."""
+    alpha_beta = alpha + beta
+    return (np.cos(alpha_beta) * np.sin(alpha_beta + phi)
+            / (two_cos_alpha * np.sin(beta) * np.sin(rho_delta + beta + phi)))
+
+
+def _factor_arrays(alpha, beta, rho, rho_delta, phi, sin_rho, n_gamma):
+    """Sine-cosine bearing factors (n_gamma, n_c, n_a, n_q) at failure
+    angle beta; inputs broadcast as numpy arrays. ``rho_delta`` is
+    rho + delta and ``sin_rho`` np.sin(rho), which a kernel binds, and
+    ``n_gamma`` N_gamma at beta, which its failure-angle solve has
+    already computed."""
+    s_beta = np.sin(beta)
+    s_chain = np.sin(rho_delta + beta + phi)
+    n_c = np.cos(phi) / (s_beta * s_chain)
+    n_a = -np.cos(rho + beta + phi) / (sin_rho * s_chain)
+    n_q = np.sin(alpha + beta + phi) / s_chain
+    return n_gamma, n_c, n_a, n_q
+
+
 def _beats(f, f_best):
     """Where a candidate's N_gamma f takes the place of the lowest so far,
     f_best, as np.argmin picks: f is lower, or f is the first NaN."""
     return ~(f >= f_best) & ~np.isnan(f_best)
 
 
-def _failure_angle(alpha: float, rho, phi, delta: float, usable):
-    """Vectorized failure-angle solve in closed form.
+class BearingKernel:
+    """The failure-angle and bearing-factor kernel bound to a pile
+    inclination ``alpha``, blade angles ``rho`` and a tool friction angle
+    ``delta``.
 
-    Returns (beta, feasible, n_gamma) arrays: feasible where the window is
-    not empty and the per-sample mask ``usable`` holds; beta and N_gamma
-    at beta there, NaN elsewhere.
-    With c = rho+delta+phi and A = 2*alpha+phi, the product-to-sum
-    identities give
+    Binding computes once what does not depend on the internal friction
+    angle: sin(rho), the blade-angle margins (see ``_blade_margins``,
+    whose SingularGeometry it raises), rho + delta, (pi - rho) - delta,
+    rho + delta + EPS1 and the terms of alpha alone. A pass,
+    ``kernel(phi)``, computes the terms of phi alone. Each hoisted term is
+    the leading sum or product of the expression it enters (Python
+    evaluates rho + delta + phi as (rho + delta) + phi), so a pass makes
+    the floating-point operations of the whole formulas, in their order.
 
-        N_gamma = (sin(2b+A) + sin phi) / (2 cos(alpha) (cos c - cos(2b+c))),
-
-    and dN_gamma/dbeta = 0 reduces to P cos 2b + Q sin 2b = R with
-    P = cos c cos A - sin phi sin c, Q = -(cos c sin A + sin phi cos c) and
-    R = cos(A-c). Its roots are
-    b = (atan2(Q, P) +/- arccos(R / sqrt(P^2+Q^2))) / 2 mod pi; there are
-    none when |R| > sqrt(P^2+Q^2) or P = Q = 0. The window keeps sin(b) and
-    sin(b+c) positive, so N_gamma is smooth on it and its minimum lies at
-    a window end or at a root inside the window. The candidates are lo,
-    hi and the in-window roots; the one with the lowest N_gamma wins, and
-    lo wins whenever it is within 1e-12 (relative) of that minimum, so
-    flat objectives tie-break to the smallest feasible angle.
-
-    rho and phi broadcast against each other, as in ``bearing_factors``,
-    and every entry of that shape is evaluated, the infeasible ones too
-    (their values are set to NaN at the end); the terms of phi alone keep
-    phi's shape.
+    rho has shape (m,) (a scalar is taken as (1,)); phi is a float,
+    giving (m,) arrays, or k friction angles as a (k, 1) column, giving
+    (k, m) arrays whose row i has the bits of the pass at the float
+    phi[i, 0], since every entry is computed by the same elementwise
+    operations. Every entry is evaluated, the infeasible ones too, and
+    set to NaN at the end. ``passes`` counts the passes and
+    ``root_passes`` those that ran the stationary-root solve.
     """
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    lo, hi = beta_window(alpha, rho, phi, delta)
-    feasible = (hi > lo) & usable
-    a = 2.0 * alpha + phi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        roots = _stationary_angles(rho, delta, phi, a, np.cos(a), np.sin(a),
-                                   np.sin(phi))
-        f_lo = _ngamma_array(alpha, EPS1, rho, phi, delta)
-        # the pick runs over lo, the in-window roots and hi in that order,
-        # keeping the lowest N_gamma as np.argmin over them would; N_gamma
-        # is evaluated at the roots inside the window alone
-        best, f_best = np.full(hi.shape, EPS1), f_lo.copy()
-        if roots is not None:
-            inside = (roots >= EPS1) & (roots <= hi[..., None])
-            rho_b = np.broadcast_to(rho, hi.shape)
-            phi_b = np.broadcast_to(phi, hi.shape)
-            for k in (0, 1):
-                root = roots[..., k]
-                at = np.nonzero(inside[..., k])
-                f = _ngamma_array(alpha, root[at], rho_b[at], phi_b[at],
-                                  delta)
-                take = _beats(f, f_best[at])
-                at = tuple(i[take] for i in at)
-                best[at] = root[at]
-                f_best[at] = f[take]
-        f_hi = _ngamma_array(alpha, hi, rho, phi, delta)
-        take = _beats(f_hi, f_best)
-        best = np.where(take, hi, best)
-        f_best = np.where(take, f_hi, f_best)
-        snap = f_lo <= f_best + 1e-12 * np.maximum(1.0, np.abs(f_best))
-    return (np.where(feasible, np.where(snap, EPS1, best), np.nan), feasible,
-            np.where(feasible, np.where(snap, f_lo, f_best), np.nan))
+
+    def __init__(self, alpha: float, rho, delta: float):
+        rho = np.atleast_1d(np.asarray(rho, dtype=float))
+        self.alpha, self.rho, self.delta = alpha, rho, delta
+        self.sin_rho = np.sin(rho)
+        below, singular = _blade_margins(alpha, rho, self.sin_rho)
+        self.usable = ~(below | singular)
+        self.rho_delta = rho + delta
+        self.room = math.pi - rho - delta
+        self.rho_delta_lo = self.rho_delta + EPS1
+        self.cap = math.pi / 2.0 - alpha
+        self.two_alpha = 2.0 * alpha
+        self.two_cos_alpha = 2.0 * np.cos(alpha)
+        self.alpha_lo = alpha + EPS1
+        self.cos_alpha_lo = np.cos(self.alpha_lo)
+        self.denom_lo = self.two_cos_alpha * np.sin(EPS1)
+        # 2c - A = 2 rho + 2 delta + phi - 2 alpha, less phi, at the least
+        # and the largest rho (see ``rootless``)
+        self.span = None
+        cap = _ROOT_ANGLE_CAP
+        if rho.size and abs(alpha) <= cap and abs(delta) <= cap:
+            lo, hi = float(rho.min()), float(rho.max())
+            if -cap <= lo and hi <= cap:
+                base = 2.0 * delta - 2.0 * alpha
+                self.span = (2.0 * lo + base, 2.0 * hi + base)
+        self.passes = self.root_passes = 0
+
+    def window(self, phi):
+        """hi, the upper end of the failure-angle window at each entry; its
+        lower end is EPS1, and hi <= EPS1 marks an empty window.
+
+        The window keeps beta above EPS1, the angle chain rho+delta+beta+phi
+        at least EPS2 short of pi (a physical wedge keeps the chain below
+        pi), and sin(beta+phi) clear of its margin. It is additionally
+        capped at pi/2 - alpha, where the wedge cross-section factor
+        cot(beta)-tan(alpha) changes sign: beyond it the unit-weight factor
+        goes negative and its minimization would chase nonphysical
+        inverted wedges.
+        """
+        hi = np.minimum(self.room - phi - EPS2, math.pi - phi - ANGLE_MARGIN)
+        return np.minimum(hi, self.cap)
+
+    def rootless(self, phi) -> bool:
+        """Whether no entry of the pass at ``phi`` has a stationary root,
+        decided per row of phi in Python floats, without per-entry
+        trigonometry.
+
+        With c = rho+delta+phi and A = 2*alpha+phi, the discriminant of the
+        root equation (see ``failure_angle``) is exactly
+
+            R^2 - P^2 - Q^2 = (sin A + sin phi) (sin(2c - A) - sin phi).
+
+        Over a row, 2c - A spans an interval between its values at the
+        least and the largest rho; the least sine over it is -1 when it
+        holds a trough 3 pi/2 + 2 pi n, else the smaller end value. A row
+        has no root when sin A + sin phi > 0 and its product with that
+        least sine less sin phi exceeds ``_ROOT_MARGIN``, which covers the
+        rounding on both sides. False rules nothing out.
+        """
+        if self.span is None:
+            return False
+        for phi in np.ravel(phi).tolist():
+            if not abs(phi) <= _ROOT_ANGLE_CAP:
+                return False
+            sin_phi = math.sin(phi)
+            lead = math.sin(self.two_alpha + phi) + sin_phi
+            lo, hi = self.span[0] + phi, self.span[1] + phi
+            trough = _TROUGH + 2.0 * math.pi * math.ceil((lo - _TROUGH)
+                                                         / (2.0 * math.pi))
+            least = -1.0 if trough <= hi else min(math.sin(lo), math.sin(hi))
+            if not (lead > 0.0 and lead * (least - sin_phi) > _ROOT_MARGIN):
+                return False
+        return True
+
+    def failure_angle(self, phi):
+        """The failure-angle solve in closed form.
+
+        Returns (beta, feasible, n_gamma) arrays: feasible where the window
+        is not empty and the blade-angle margins hold; beta and N_gamma at
+        beta there, NaN elsewhere.
+        With c = rho+delta+phi and A = 2*alpha+phi, the product-to-sum
+        identities give
+
+            N_gamma = (sin(2b+A) + sin phi)
+                      / (2 cos(alpha) (cos c - cos(2b+c))),
+
+        and dN_gamma/dbeta = 0 reduces to P cos 2b + Q sin 2b = R with
+        P = cos c cos A - sin phi sin c, Q = -(cos c sin A + sin phi cos c)
+        and R = cos(A-c). Its roots are
+        b = (atan2(Q, P) +/- arccos(R / sqrt(P^2+Q^2))) / 2 mod pi; there
+        are none when |R| > sqrt(P^2+Q^2) or P = Q = 0, and a pass that
+        ``rootless`` clears skips their trigonometry. The window keeps
+        sin(b) and sin(b+c) positive, so N_gamma is smooth on it and its
+        minimum lies at a window end or at a root inside the window. The
+        candidates are lo, hi and the in-window roots; the one with the
+        lowest N_gamma wins, and lo wins whenever it is within 1e-12
+        (relative) of that minimum, so flat objectives tie-break to the
+        smallest feasible angle.
+        """
+        hi = self.window(phi)
+        feasible = (hi > EPS1) & self.usable
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f_lo = (self.cos_alpha_lo * np.sin(self.alpha_lo + phi)
+                    / (self.denom_lo * np.sin(self.rho_delta_lo + phi)))
+            # the pick runs over lo, the in-window roots and hi in that
+            # order, keeping the lowest N_gamma as np.argmin over them
+            # would; N_gamma is evaluated at the roots inside the window
+            # alone
+            best, f_best = EPS1, f_lo
+            roots = None
+            if not self.rootless(phi):
+                self.root_passes += 1
+                a = self.two_alpha + phi
+                roots = _stationary_angles(self.rho_delta, phi, a, np.cos(a),
+                                           np.sin(a), np.sin(phi))
+            if roots is not None:
+                best, f_best = np.full(hi.shape, EPS1), f_lo.copy()
+                inside = (roots >= EPS1) & (roots <= hi[..., None])
+                rho_delta = np.broadcast_to(self.rho_delta, hi.shape)
+                phi_b = np.broadcast_to(phi, hi.shape)
+                for k in (0, 1):
+                    root = roots[..., k]
+                    at = np.nonzero(inside[..., k])
+                    f = _ngamma_array(self.alpha, self.two_cos_alpha,
+                                      root[at], rho_delta[at], phi_b[at])
+                    take = _beats(f, f_best[at])
+                    at = tuple(i[take] for i in at)
+                    best[at] = root[at]
+                    f_best[at] = f[take]
+            f_hi = _ngamma_array(self.alpha, self.two_cos_alpha, hi,
+                                 self.rho_delta, phi)
+            take = _beats(f_hi, f_best)
+            best = np.where(take, hi, best)
+            f_best = np.where(take, f_hi, f_best)
+            snap = f_lo <= f_best + 1e-12 * np.maximum(1.0, np.abs(f_best))
+        return (np.where(feasible, np.where(snap, EPS1, best), np.nan),
+                feasible,
+                np.where(feasible, np.where(snap, f_lo, f_best), np.nan))
+
+    def __call__(self, phi):
+        """(beta, feasible, (n_gamma, n_c, n_a, n_q)) at friction angle
+        phi: the failure angle and the four bearing factors, NaN where
+        ``feasible`` fails."""
+        self.passes += 1
+        beta, feasible, n_gamma = self.failure_angle(phi)
+        return beta, feasible, _factor_arrays(self.alpha, beta, self.rho,
+                                              self.rho_delta, phi,
+                                              self.sin_rho, n_gamma)
+
+
+def bearing_factors(alpha: float, rho, phi, delta: float):
+    """(beta, feasible, (n_gamma, n_c, n_a, n_q)) at each blade angle: one
+    pass of a ``BearingKernel`` bound to (alpha, rho, delta) at phi, a
+    float or a (k, 1) column."""
+    return BearingKernel(alpha, rho, delta)(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -290,36 +419,6 @@ _STATUS_TEXT = {
     _SINGULAR_RHO: "sin(rho) below margin",
     _RHO_BELOW_MIN: "blade angle below minimum",
 }
-
-
-def _blade_margins(alpha: float, rho, sin_rho):
-    """The margins that do not depend on the soil: masks of the samples
-    whose rho is below RHO_MIN and of those whose sin(rho) = ``sin_rho``
-    is within SIN_MARGIN of zero. Raises SingularGeometry when cos(alpha),
-    which every sample shares, is below its margin."""
-    if abs(math.cos(alpha)) <= SIN_MARGIN:
-        raise SingularGeometry("cos(alpha) below margin")
-    return rho < RHO_MIN, np.abs(sin_rho) <= SIN_MARGIN
-
-
-def bearing_factors(alpha: float, rho, phi, delta: float):
-    """(beta, feasible, (n_gamma, n_c, n_a, n_q)) at each blade angle:
-    the failure angle and the four bearing factors, NaN where
-    ``feasible`` fails. feasible needs the blade-angle margins (see
-    ``_blade_margins``, whose SingularGeometry it raises) and a non-empty
-    failure-angle window. rho has shape (m,); phi is a float, giving (m,)
-    arrays, or k friction angles as a (k, 1) column, giving (k, m) arrays
-    whose row i has the bits of the call at the float phi[i, 0], since
-    every entry is computed by the same elementwise operations. The force
-    engine makes the float call, stage 2 of the calibration the grid call.
-    """
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    sin_rho = np.sin(rho)
-    below, singular = _blade_margins(alpha, rho, sin_rho)
-    beta, feasible, n_gamma = _failure_angle(alpha, rho, phi, delta,
-                                             ~(below | singular))
-    return beta, feasible, _factor_arrays(alpha, beta, rho, phi, delta,
-                                          sin_rho, n_gamma)
 
 
 @dataclass(frozen=True)
@@ -360,23 +459,39 @@ class CycleForceArrays:
         return [(int(i), _STATUS_TEXT[int(self.status[i])])
                 for i in np.flatnonzero(self.in_soil & ~self.valid)]
 
+    def with_sinkage(self, lt, soil: SoilParameters,
+                     loader: LoaderParameters) -> CycleForceArrays:
+        """These forces with f_t at the sinkage parameters (kc, kphi, n)
+        of ``soil``, whose other parameters are the ones these forces were
+        predicted at: the wedge force, and so f_n, does not depend on
+        them. ``lt`` is the engine's input; the bits are the engine's."""
+        f_t = self.f_t.copy()
+        valid = self.valid
+        if np.any(valid):
+            f_t[valid] = _tangential_force(
+                self.fee[valid], self.depth[valid],
+                np.asarray(lt, dtype=float)[valid], soil, loader)
+        return replace(self, f_t=f_t)
 
-def predict_force_arrays(depth, rho, lt, area, soil: SoilParameters,
-                         loader: LoaderParameters, alpha: float
-                         ) -> CycleForceArrays:
-    """Evaluate the full force chain over parallel per-sample arrays.
 
-    ``area`` is the swept cross-section; the surcharge on the wedge is its
-    weight gamma*g*omega*area. Out-of-soil samples (depth <= 0) yield zero
-    forces. In-soil samples that violate a margin are flagged in
-    ``status`` with NaN forces rather than aborting the cycle.
-    """
-    depth = np.asarray(depth, dtype=float)
-    rho = np.asarray(rho, dtype=float)
+def _tangential_force(fee, depth, lt, soil: SoilParameters,
+                      loader: LoaderParameters):
+    """The tangential force at wedge force ``fee``: penetration pressure
+    plus the wedge force through the tool friction angle plus adhesion."""
+    p = (soil.kc / loader.b + soil.kphi) * depth ** soil.n
+    return (loader.omega * loader.b * p + fee * math.sin(soil.delta)
+            + soil.adhesion_ca * loader.omega * lt)
+
+
+def _cycle_forces(found, depth, rho, lt, area, soil: SoilParameters,
+                  loader: LoaderParameters, alpha: float
+                  ) -> CycleForceArrays:
+    """``predict_force_arrays`` from ``found``, what a kernel pass over
+    the in-soil samples at soil.phi and soil.delta gave: (beta, feasible,
+    factors)."""
     n = depth.size
     in_soil = depth > 0.0
-    beta_s, feasible, factors = bearing_factors(alpha, rho[in_soil],
-                                                soil.phi, soil.delta)
+    beta_s, feasible, factors = found
     beta = np.full(n, np.nan)
     beta[in_soil] = beta_s
     valid = np.zeros(n, dtype=bool)
@@ -396,13 +511,29 @@ def predict_force_arrays(depth, rho, lt, area, soil: SoilParameters,
                  + soil.cohesion_c * loader.omega * d_v * n_c
                  + soil.adhesion_ca * loader.omega * d_v * n_a
                  + w_load * n_q)
-        p_v = (soil.kc / loader.b + soil.kphi) * d_v ** soil.n
         fee[valid] = fee_v
-        f_t[valid] = (loader.omega * loader.b * p_v
-                      + fee_v * math.sin(soil.delta)
-                      + soil.adhesion_ca * loader.omega
-                      * np.asarray(lt, dtype=float)[valid])
+        f_t[valid] = _tangential_force(fee_v, d_v,
+                                       np.asarray(lt, dtype=float)[valid],
+                                       soil, loader)
         f_n[valid] = fee_v * math.cos(soil.delta)
     return CycleForceArrays(depth=depth, beta=beta, fee=fee, f_t=f_t,
                             f_n=f_n, status=status, in_soil=in_soil,
                             valid=valid)
+
+
+def predict_force_arrays(depth, rho, lt, area, soil: SoilParameters,
+                         loader: LoaderParameters, alpha: float
+                         ) -> CycleForceArrays:
+    """Evaluate the full force chain over parallel per-sample arrays.
+
+    ``area`` is the swept cross-section; the surcharge on the wedge is its
+    weight gamma*g*omega*area. Out-of-soil samples (depth <= 0) yield zero
+    forces. In-soil samples that violate a margin are flagged in
+    ``status`` with NaN forces rather than aborting the cycle. One kernel
+    pass (``bearing_factors``) over the in-soil samples gives the failure
+    angle and the bearing factors.
+    """
+    depth = np.asarray(depth, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    found = bearing_factors(alpha, rho[depth > 0.0], soil.phi, soil.delta)
+    return _cycle_forces(found, depth, rho, lt, area, soil, loader, alpha)

@@ -16,8 +16,8 @@ from feecalib import (CalibrationOptions, Scenario, SolverOptions,
                       multi_start, predict_force_arrays, predict_next_cycle,
                       prepare_cycle, resultant, rmse, simulate_cycle,
                       surface_after_cycle, wedge_geometry)
-from feecalib.soil import (SIN_MARGIN, SoilParameters, _factor_arrays,
-                           _failure_angle, _ngamma_array, beta_window)
+from feecalib.soil import (EPS1, SIN_MARGIN, BearingKernel, SoilParameters,
+                           _factor_arrays, _ngamma_array)
 from test_calibration import full_series
 from test_soil import bearing_factors_canonical, bearing_factors_original
 
@@ -71,8 +71,9 @@ def test_criterion_1_algebraic_form_equivalence():
     tuples = _sample_feasible_tuples(100_000, seed=101)
     alpha, beta, rho, phi, delta = tuples.T
     # production sine-cosine path
-    canon = _factor_arrays(alpha, beta, rho, phi, delta, np.sin(rho),
-                           _ngamma_array(alpha, beta, rho, phi, delta))
+    canon = _factor_arrays(alpha, beta, rho, rho + delta, phi, np.sin(rho),
+                           _ngamma_array(alpha, 2.0 * np.cos(alpha), beta,
+                                         rho + delta, phi))
     # independent evaluation of the cotangent-form expressions
     cot_beta = np.cos(beta) / np.sin(beta)
     cot_bf = np.cos(beta + phi) / np.sin(beta + phi)
@@ -114,13 +115,13 @@ def test_criterion_2_beta_solver_optimality():
         phi = rng.uniform(0.0, math.radians(45.0))
         delta = rng.uniform(0.0, math.radians(45.0))
         rho = rng.uniform(math.radians(10.0), math.radians(80.0))
-        lo, hi = beta_window(alpha, np.array([rho]), phi, delta)
-        if hi[0] <= lo[0]:
+        kernel = BearingKernel(alpha, rho, delta)
+        hi = kernel.window(phi)
+        if hi[0] <= EPS1:
             continue
-        beta = float(_failure_angle(alpha, np.array([rho]), phi, delta,
-                                    True)[0][0])
-        cells = int((hi[0] - lo[0]) / step)
-        grid = np.append(lo[0] + step * np.arange(cells + 1), hi[0])
+        beta = float(kernel.failure_angle(phi)[0][0])
+        cells = int((hi[0] - EPS1) / step)
+        grid = np.append(EPS1 + step * np.arange(cells + 1), hi[0])
         chain = rho + delta + grid + phi
         vals = (np.cos(alpha + grid) * np.sin(alpha + grid + phi)
                 / (2.0 * math.cos(alpha) * np.sin(grid) * np.sin(chain)))

@@ -1216,10 +1216,11 @@ class TestSchemaVersion:
 def test_debug_log_has_one_line_per_stage(workdir, tmp_path):
     """FEE_CALIB_LOG=DEBUG: each stage of a staged fit logs its wall time,
     its trials, its least-squares paths, the bound check and its engine
-    passes. On the clean default cycle n's optimum is its lower bound, so
-    stages 1 and 3 skip Brent. Stage 1 never runs the engine, stage 3 runs
-    it once, and stage 2 runs it once for its whole grid, once per Brent or
-    derivative trial and once at the fitted values. Every trial either
+    passes with how many ran the stationary-root solve. On the clean
+    default cycle n's optimum is its lower bound, so stages 1 and 3 skip
+    Brent. Stage 1 never runs the engine, and stage 2 runs it once for its
+    whole grid, once per Brent or derivative trial and once at the fitted
+    values, whose wedge force stage 3 reuses. Every trial either
     solves its least-squares problem or is screened out; on this cycle
     each grid solves one point and screens the other 32."""
     root = Path(__file__).resolve().parents[1]
@@ -1240,14 +1241,15 @@ def test_debug_log_has_one_line_per_stage(workdir, tmp_path):
                r"(\d+) Brent, (\d+) derivative, (\d) incumbent; least "
                r"squares (\d+) interior, (\d+) bounded, (\d+) screened; "
                r"bound shortcut "
-               r"(taken|not taken); (\d+) engine passes$")
+               r"(taken|not taken); (\d+) engine passes, (\d+) with the root "
+               r"solve$")
     parsed = [re.match(pattern, line) for line in lines]
     assert all(parsed), lines
     stages = [m.groups() for m in parsed]
     report = json.loads((tmp_path / "report.json").read_text())
     for (name, trials, brent, derivative, incumbent, interior, bounded,
-         screened, shortcut, passes), stage in zip(stages,
-                                                   report["stages"]):
+         screened, shortcut, passes, roots), stage in zip(stages,
+                                                          report["stages"]):
         assert name == stage["name"]
         assert int(trials) == stage["function_evaluations"] == (
             33 + int(brent) + int(derivative) + int(incumbent))
@@ -1256,11 +1258,15 @@ def test_debug_log_has_one_line_per_stage(workdir, tmp_path):
         assert int(interior) + int(bounded) + int(screened) == (
             33 + int(brent) + int(derivative))
         assert (shortcut == "taken") == (name != "stage2")
-        assert int(passes) == {"stage1": 0, "stage3": 1}.get(
+        # stage 3 and the final report reuse stage 2's pass at its fit
+        assert int(passes) == {"stage1": 0, "stage3": 0}.get(
             name, 1 + int(brent) + int(derivative) + 1)
-    assert [s[:4] + s[-1:] for s in stages] == [
-        ("stage1", "34", "0", "1", "0"), ("stage2", "44", "9", "2", "13"),
-        ("stage3", "35", "0", "1", "1")]
+        assert int(roots) <= int(passes)
+    # the default cycle has no stationary root at any friction angle
+    assert [s[:4] + s[-2:] for s in stages] == [
+        ("stage1", "34", "0", "1", "0", "0"),
+        ("stage2", "44", "9", "2", "13", "0"),
+        ("stage3", "35", "0", "1", "0", "0")]
     assert [s[5:8] for s in stages] == [("2", "0", "32"), ("12", "0", "32"),
                                         ("2", "0", "32")]
 

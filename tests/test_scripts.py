@@ -62,3 +62,8 @@ def test_fit_digest_repeats():
                           lines[0][3])
     assert counts, lines[0][3]
     assert int(counts[2]) > 0
+    # so do the engine passes and root solves at the one slope
+    assert lines[1][6] == lines[0][6]
+    roots = re.fullmatch(r"roots 25:(\d+)/(\d+)", lines[0][6])
+    assert roots, lines[0][6]
+    assert int(roots[1]) <= int(roots[2]) and int(roots[2]) > 0

@@ -14,8 +14,8 @@ from feecalib import (ALPHA_MAX, ANGLE_MARGIN, EPS1, EPS2, GRAVITY, RHO_MIN,
                       wedge_geometry)
 from feecalib.io import soil_from_json, soil_to_json
 from feecalib.soil import (_EMPTY_WINDOW, _OUT_OF_SOIL, _RHO_BELOW_MIN,
-                           _SINGULAR_RHO, ParameterBounds, _factor_arrays,
-                           _failure_angle, _ngamma_array, beta_window)
+                           _SINGULAR_RHO, BearingKernel, ParameterBounds,
+                           _factor_arrays, _ngamma_array, _stationary_angles)
 from feecalib.synthetic import preset_catalog
 
 LOADER = LoaderParameters(omega=1.0, b=0.05)
@@ -84,18 +84,24 @@ def bearing_factors_original(alpha, beta, rho, phi, delta, denom_eps=1e-12):
     return Factors(n_gamma, n_c, n_a, n_q)
 
 
+def ngamma(alpha, beta, rho, phi, delta):
+    """The engine's N_gamma (``_ngamma_array``) at failure angles beta,
+    from the terms a kernel binds."""
+    return _ngamma_array(alpha, 2.0 * np.cos(alpha), beta, np.add(rho, delta),
+                         phi)
+
+
 def bearing_factors_canonical(alpha, beta, rho, phi, delta):
     """The engine's sine-cosine factors at one (alpha, beta, rho, phi,
     delta) tuple."""
-    n_gamma = _ngamma_array(alpha, beta, rho, phi, delta)
+    n_gamma = ngamma(alpha, beta, rho, phi, delta)
     return Factors(*(float(v) for v in _factor_arrays(
-        alpha, beta, rho, phi, delta, np.sin(rho), n_gamma)))
+        alpha, beta, rho, rho + delta, phi, np.sin(rho), n_gamma)))
 
 
 def solve_one(alpha, rho, phi, delta):
     """The engine's failure angle for one feasible blade angle."""
-    beta, feasible = _failure_angle(alpha, np.array([rho]), phi, delta,
-                                    True)[:2]
+    beta, feasible = BearingKernel(alpha, rho, delta).failure_angle(phi)[:2]
     assert feasible[0]
     return float(beta[0])
 
@@ -128,11 +134,12 @@ def solve_beta_grid_golden(alpha, rho, phi, delta):
     golden-section steps around the best grid point.
 
     The search the closed form replaced, kept as its cross-check. Returns
-    (beta, feasible) like ``_failure_angle``.
+    (beta, feasible) like ``BearingKernel.failure_angle``.
     """
     n_grid, refine_iters = 768, 56
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    lo, hi = beta_window(alpha, rho, phi, delta)
+    hi = BearingKernel(alpha, rho, delta).window(phi)
+    lo = np.full(hi.shape, EPS1)
     feasible = hi > lo
     beta = np.full(rho.shape, np.nan)
     if not np.any(feasible):
@@ -145,7 +152,7 @@ def solve_beta_grid_golden(alpha, rho, phi, delta):
 
     u = np.linspace(0.0, 1.0, n_grid)
     grid = lo_f[:, None] + span[:, None] * u[None, :]
-    values = _ngamma_array(alpha, grid, rho_f[:, None], phi, delta)
+    values = ngamma(alpha, grid, rho_f[:, None], phi, delta)
     j = np.argmin(values, axis=1)
     rows = np.arange(j.size)
     a = grid[rows, np.maximum(j - 1, 0)]
@@ -153,8 +160,8 @@ def solve_beta_grid_golden(alpha, rho, phi, delta):
 
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
-    f1 = _ngamma_array(alpha, x1, rho_f, phi, delta)
-    f2 = _ngamma_array(alpha, x2, rho_f, phi, delta)
+    f1 = ngamma(alpha, x1, rho_f, phi, delta)
+    f2 = ngamma(alpha, x2, rho_f, phi, delta)
     for _ in range(refine_iters):
         left = f1 < f2
         a_new = np.where(left, a, x1)
@@ -163,15 +170,15 @@ def solve_beta_grid_golden(alpha, rho, phi, delta):
         x1_new = np.where(left, b_new - _INV_GOLDEN * width, x2)
         x2_new = np.where(left, x1, a_new + _INV_GOLDEN * width)
         x_eval = np.where(left, x1_new, x2_new)
-        f_eval = _ngamma_array(alpha, x_eval, rho_f, phi, delta)
+        f_eval = ngamma(alpha, x_eval, rho_f, phi, delta)
         f1_new = np.where(left, f_eval, f2)
         f2_new = np.where(left, f1, f_eval)
         a, b, x1, x2, f1, f2 = a_new, b_new, x1_new, x2_new, f1_new, f2_new
 
     best = np.clip(0.5 * (a + b), lo_f, hi_f)
-    f_best = _ngamma_array(alpha, best, rho_f, phi, delta)
+    f_best = ngamma(alpha, best, rho_f, phi, delta)
     # flat objectives tie-break to the smallest feasible angle
-    f_lo = _ngamma_array(alpha, lo_f, rho_f, phi, delta)
+    f_lo = ngamma(alpha, lo_f, rho_f, phi, delta)
     snap = f_lo <= f_best + 1e-12 * np.maximum(1.0, np.abs(f_best))
     best = np.where(snap, lo_f, best)
 
@@ -191,7 +198,7 @@ def stationarity_coefficients(alpha, rho, phi, delta):
 def in_window_roots(alpha, rho, phi, delta):
     """How many roots of the stationarity condition lie in the failure-angle
     window at each blade angle of the array ``rho``."""
-    _, hi = beta_window(alpha, rho, phi, delta)
+    hi = BearingKernel(alpha, rho, delta).window(phi)
     counts = []
     for rho_i, hi_i in zip(rho, hi):
         p, q, r = stationarity_coefficients(alpha, rho_i, phi, delta)
@@ -206,13 +213,13 @@ def in_window_roots(alpha, rho, phi, delta):
 
 
 def assert_matches_reference(alpha, rho, phi, delta):
-    beta, feasible = _failure_angle(alpha, rho, phi, delta, True)[:2]
+    beta, feasible = BearingKernel(alpha, rho, delta).failure_angle(phi)[:2]
     beta_ref, feasible_ref = solve_beta_grid_golden(alpha, rho, phi, delta)
     np.testing.assert_array_equal(feasible, feasible_ref)
     assert np.all(np.isnan(beta[~feasible]))
     rho_f = np.atleast_1d(rho)[feasible]
-    got = _ngamma_array(alpha, beta[feasible], rho_f, phi, delta)
-    ref = _ngamma_array(alpha, beta_ref[feasible], rho_f, phi, delta)
+    got = ngamma(alpha, beta[feasible], rho_f, phi, delta)
+    ref = ngamma(alpha, beta_ref[feasible], rho_f, phi, delta)
     assert np.all(got <= ref + 1e-12 * np.maximum(1.0, np.abs(ref)))
     assert np.all(np.abs(beta[feasible] - beta_ref[feasible]) <= 1e-6)
     return beta, feasible
@@ -284,12 +291,12 @@ class TestSolveBeta:
     def test_matches_grid_argmin(self):
         alpha, phi, delta, rho = 0.3, 0.6, 0.4, 1.0
         beta = solve_one(alpha, rho, phi, delta)
-        lo, hi = beta_window(alpha, np.array([rho]), phi, delta)
-        grid = np.arange(lo[0], hi[0], math.radians(0.01))
-        vals = _ngamma_array(alpha, grid, rho, phi, delta)
+        hi = BearingKernel(alpha, rho, delta).window(phi)
+        grid = np.arange(EPS1, hi[0], math.radians(0.01))
+        vals = ngamma(alpha, grid, rho, phi, delta)
         j = int(np.argmin(vals))
         assert abs(beta - grid[j]) <= math.radians(0.01) + 1e-12
-        got = float(_ngamma_array(alpha, np.array([beta]), rho, phi,
+        got = float(ngamma(alpha, np.array([beta]), rho, phi,
                                   delta)[0])
         assert got <= vals[j] + 1e-9
 
@@ -301,8 +308,7 @@ class TestSolveBeta:
     def test_empty_feasible_set(self):
         # rho + delta + phi leave no room above EPS1
         rho = math.radians(100.0)
-        beta, feasible = _failure_angle(0.0, np.array([rho]), 0.75, 0.75,
-                                        True)[:2]
+        beta, feasible = BearingKernel(0.0, rho, 0.75).failure_angle(0.75)[:2]
         assert not feasible[0] and math.isnan(beta[0])
         out = _engine(_soil(phi=0.75, delta=0.75), 0.1, rho)
         assert out.status[0] == _EMPTY_WINDOW
@@ -313,7 +319,7 @@ class TestSolveBeta:
         for alpha in (0.0, 0.2, 0.4):
             beta = solve_one(alpha, math.radians(12.0), 0.3, 0.2)
             assert beta <= math.pi / 2 - alpha + 1e-12
-            val = float(_ngamma_array(alpha, np.array([beta]),
+            val = float(ngamma(alpha, np.array([beta]),
                                       math.radians(12.0), 0.3, 0.2)[0])
             assert val >= -1e-12
 
@@ -340,8 +346,8 @@ class TestClosedFormBeta:
         assert abs(r) > 1.3 * math.hypot(p, q)
         beta, feasible = assert_matches_reference(alpha, np.array([rho]),
                                                   phi, delta)
-        lo, hi = beta_window(alpha, np.array([rho]), phi, delta)
-        assert feasible[0] and beta[0] in (lo[0], hi[0])
+        hi = BearingKernel(alpha, rho, delta).window(phi)
+        assert feasible[0] and beta[0] in (EPS1, hi[0])
 
     def test_no_interior_root_zero_coefficients(self):
         # phi = 0 and rho+delta = pi/2 make P = Q = 0 while R = sin(2 alpha)
@@ -351,7 +357,7 @@ class TestClosedFormBeta:
         assert math.hypot(p, q) < 1e-15 and r > 0.5
         beta, feasible = assert_matches_reference(alpha, np.array([rho]),
                                                   phi, delta)
-        _, hi = beta_window(alpha, np.array([rho]), phi, delta)
+        hi = BearingKernel(alpha, rho, delta).window(phi)
         assert feasible[0] and beta[0] == hi[0]
 
     def test_empty_window_row(self):
@@ -446,6 +452,33 @@ class TestBroadcastKernel:
                 assert abs(r) > math.hypot(p, q)
         assert self.assert_rows_match(alpha, rho, phis, delta).all()
 
+    @given(alpha=st.one_of(st.floats(0.0, ALPHA_MAX, exclude_max=True),
+                           st.just(math.radians(40.0))),
+           delta=st.floats(*ParameterBounds().delta),
+           rho=st.lists(blade_angles, min_size=1, max_size=30),
+           phis=st.lists(st.one_of(st.floats(PHI_LO, PHI_HI),
+                                   st.sampled_from([PHI_LO, PHI_HI])),
+                         min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_a_bound_kernel_matches_fresh_calls(self, alpha, delta, rho,
+                                                phis):
+        # one kernel, called at every phi as a float and at all of them as
+        # a (k, 1) column, in either order, gives the bits of a fresh
+        # bearing_factors call at each
+        rho = np.array(rho)
+        column = np.array(phis)[:, None]
+        kernel = BearingKernel(alpha, rho, delta)
+        calls = [(phi, kernel(phi)) for phi in phis]
+        calls.append((column, kernel(column)))
+        calls += [(phi, kernel(phi)) for phi in phis]
+        assert kernel.passes == 2 * len(phis) + 1
+        for phi, (beta, feasible, factors) in calls:
+            fresh = bearing_factors(alpha, rho, phi, delta)
+            assert np.array_equal(beta, fresh[0], equal_nan=True)
+            assert np.array_equal(feasible, fresh[1])
+            for got, want in zip(factors, fresh[2]):
+                assert np.array_equal(got, want, equal_nan=True)
+
     def test_blade_margins_are_infeasible_without_warning(self):
         # below RHO_MIN, and sin(rho) within its margin of 0 or pi
         rho = np.array([0.5 * RHO_MIN, 1e-9, math.pi - 1e-9,
@@ -462,6 +495,53 @@ class TestBroadcastKernel:
         assert out.status.tolist() == [_RHO_BELOW_MIN, _SINGULAR_RHO,
                                        _SINGULAR_RHO, _SINGULAR_RHO, 0]
         assert abs(math.sin(rho[3])) <= SIN_MARGIN
+
+
+class TestRootlessPass:
+    """``BearingKernel.rootless`` rules out a pass's stationary roots in
+    closed form; a pass it clears skips ``_stationary_angles``, which
+    must then find no root at any entry."""
+
+    @staticmethod
+    def reference_roots(kernel, phi):
+        a = 2.0 * kernel.alpha + phi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _stationary_angles(kernel.rho_delta, phi, a, np.cos(a),
+                                      np.sin(a), np.sin(phi))
+
+    @given(alpha=st.one_of(st.floats(0.0, ALPHA_MAX, exclude_max=True),
+                           st.just(math.radians(40.0))),
+           delta=st.floats(*ParameterBounds().delta),
+           rho=st.lists(blade_angles, min_size=1, max_size=30),
+           phi=st.one_of(st.floats(PHI_LO, PHI_HI),
+                         st.sampled_from([PHI_LO, PHI_HI])))
+    @settings(max_examples=400, deadline=None)
+    def test_no_root_where_it_rules_them_out(self, alpha, delta, rho, phi):
+        kernel = BearingKernel(alpha, rho, delta)
+        if kernel.rootless(phi):
+            assert self.reference_roots(kernel, phi) is None
+            assert kernel.rootless(np.array([[phi], [phi]]))
+            assert kernel(phi)[0].shape == (len(rho),)
+            assert kernel.root_passes == 0
+        else:
+            kernel(phi)
+            assert kernel.root_passes == 1
+
+    def test_clears_the_default_cycle_and_not_a_steep_face(self):
+        # the default cycle's pile slope, tool friction angle and blade
+        # angles have no root at any friction angle of the box; on a 40
+        # degree face every row but phi = 0 has some inside its windows
+        phis = np.linspace(PHI_LO, PHI_HI, 6)
+        rho = np.radians(np.linspace(12.0, 30.0, 19))
+        kernel = BearingKernel(math.radians(25.0), rho, math.pi / 10.0)
+        assert all(kernel.rootless(phi) for phi in phis.tolist())
+        assert kernel.rootless(phis[:, None])
+        steep = BearingKernel(math.radians(40.0),
+                              np.radians(np.linspace(12.0, 120.0, 23)), 0.1)
+        assert not any(steep.rootless(phi) for phi in phis[1:].tolist())
+        assert not steep.rootless(phis[:, None])
+        for phi in phis[1:].tolist():
+            assert self.reference_roots(steep, phi) is not None
 
 
 class TestBekkerPressure:

@@ -510,6 +510,38 @@ class TestScreenedLsqAgainstEverySolve:
         assert (value, x.tolist()) == (want[1], want[0].tolist())
         assert paths == Counter(interior=1)
 
+    @pytest.mark.parametrize("case", SCREEN_CASES)
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_one_candidate_is_its_bounded_solve(self, case, p):
+        """One candidate has nothing to screen: it gets ``_bounded_lsq``'s
+        (rss / scale, x) on its rows and the same path counts, or
+        (1e12, None) and no count when it has no row to fit."""
+        rng = np.random.default_rng([SCREEN_CASES.index(case), p, 1])
+        scale = 7.0
+        empty = 0
+        for _ in range(40):
+            designs, targets, lo, hi, rows, _ = profile_stack(rng, case, p)
+            i = int(rng.integers(designs.shape[0]))
+            one = slice(i, i + 1)
+            paths = Counter()
+            got = _screened_lsq(designs[one],
+                                targets[one] if targets.ndim == 2 else targets,
+                                lo, hi, scale, paths,
+                                None if rows is None else rows[one])
+            keep = slice(None) if rows is None else rows[i]
+            if rows is not None and not keep.any():
+                assert got == [(1e12, None)] and not paths
+                empty += 1
+                continue
+            want_paths = Counter()
+            target = np.broadcast_to(targets, designs.shape[:2])[i]
+            x, rss = _bounded_lsq(designs[i][keep], target[keep], lo, hi,
+                                  want_paths)
+            (value, x_got), = got
+            assert value == rss / scale and np.array_equal(x_got, x)
+            assert paths == want_paths
+        assert (empty > 0) == (case == "no feasible row")
+
 
 def quadratic_profile(centre, calls=None):
     """A profile trial with its minimum at ``centre``; the inner unknowns
@@ -551,7 +583,6 @@ class TestProfileSearch:
         assert profile.evaluations == _PROFILE_GRID + profile.iterations + 2
         # the grid is one call; Brent and the derivative make one-point calls
         assert calls == [_PROFILE_GRID] + [1] * (profile.iterations + 2)
-        assert profile.passes == len(calls)
 
     def test_inward_derivative_at_a_bound_runs_brent(self):
         # the minimum lies inside the first grid cell, nearer lo than the
