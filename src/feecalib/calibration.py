@@ -269,9 +269,8 @@ def _forces(theta: SoilParameters, cycle: PreparedCycle) -> CycleForceArrays:
     kept = cycle.memo.get("forces")
     if kept is not None and kept[0] == key:
         return kept[1].with_sinkage(cycle.lt, theta, cycle.loader)
-    out = _cycle_forces(cycle.kernel(theta.delta)(theta.phi), cycle.depth,
-                        cycle.rho, cycle.lt, cycle.area, theta, cycle.loader,
-                        cycle.alpha)
+    out = _cycle_forces(cycle.kernel(theta.delta), cycle.depth, cycle.lt,
+                        cycle.area, theta, cycle.loader)
     cycle.memo["forces"] = key, out
     return out
 
@@ -484,19 +483,16 @@ def _screened_lsq(designs: np.ndarray, targets: np.ndarray, lo: np.ndarray,
         return [(rss / scale, x)]
     targets = np.broadcast_to(targets, designs.shape[:2])
     fits = [True] * k if rows is None else rows.any(axis=1).tolist()
-    bound, screen = [0.0] * k, [False] * k
-    if k > 1:
-        y = targets if rows is None else np.where(rows, targets, 0.0)
-        stack = designs if rows is None else np.where(rows[..., None],
-                                                      designs, 0.0)
-        norms = np.sqrt(np.einsum("kij,kij->kj", stack, stack))
-        q, r = np.linalg.qr(stack / np.where(norms > 0.0, norms, 1.0)[:, None])
-        residual = y - (q @ (q.transpose(0, 2, 1) @ y[..., None]))[..., 0]
-        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-        screen = (diag.min(axis=1) * _SCREEN_CONDITION
-                  > diag.max(axis=1)).tolist()
-        bound = (np.einsum("ki,ki->k", residual, residual)
-                 - _SCREEN_MARGIN * np.einsum("ki,ki->k", y, y)).tolist()
+    y = targets if rows is None else np.where(rows, targets, 0.0)
+    stack = designs if rows is None else np.where(rows[..., None], designs,
+                                                  0.0)
+    norms = np.sqrt(np.einsum("kij,kij->kj", stack, stack))
+    q, r = np.linalg.qr(stack / np.where(norms > 0.0, norms, 1.0)[:, None])
+    residual = y - (q @ (q.transpose(0, 2, 1) @ y[..., None]))[..., 0]
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    screen = (diag.min(axis=1) * _SCREEN_CONDITION > diag.max(axis=1)).tolist()
+    bound = (np.einsum("ki,ki->k", residual, residual)
+             - _SCREEN_MARGIN * np.einsum("ki,ki->k", y, y)).tolist()
     results = [(1e12, None)] * k
     best = math.inf
     for i in sorted(range(k), key=bound.__getitem__):

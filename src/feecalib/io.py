@@ -476,7 +476,8 @@ def _truth_from_preset(name: str, context: str) -> SoilParameters:
     try:
         return preset_truth(name)
     except (KeyError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}")
+        # the message itself: str() of a KeyError quotes it
+        raise ConfigError(f"{context}: {exc.args[0]}")
 
 
 def load_config(path: str | Path | None, preset: str | None = None,

@@ -4,25 +4,26 @@ Implements the fundamental earthmoving equation with the four bearing
 capacity factors in their numerically stable sine-cosine form, the
 constrained failure-angle minimization in closed form, the Bekker
 pressure-sinkage law, and the composition of tangential/normal bucket
-forces. One kernel, ``BearingKernel``, runs the chain from the
-blade-angle margins through the failure-angle window and solve to the
-factors. It is bound once to a set of blade angles, a pile inclination
+forces. One kernel, ``BearingKernel``, the one entry to the chain from
+the blade-angle margins through the failure-angle window and solve to
+the factors, is bound once to a set of blade angles, a pile inclination
 and a tool friction angle, which computes every term that does not
-depend on the internal friction angle; each pass then computes only the
-terms of its friction angle, one or many at once. The force engine
-(``predict_force_arrays``) binds one per call, the calibration one per
-fit and tool friction angle. A pass evaluates every entry of the broadcast
-shape of friction angle against blade angle, the infeasible ones too,
-and sets those to NaN at the end, so nothing is gathered through the
-feasibility mask but the stationary roots that fall inside the
-failure-angle window. A closed-form test per row of friction angle
-(``BearingKernel.rootless``) rules those roots out without per-entry
-trigonometry; only a pass it cannot clear runs the root solve. The
-kernel's steps, its ``window`` and ``failure_angle`` and the formulas
-``_ngamma_array`` and ``_factor_arrays``, are what the tests hold
-against their references: a grid and golden-section search for the
-failure angle, and the cotangent form of the factors. All quantities
-are base SI (N, m, rad, kg/m^3).
+depend on the internal friction angle, the margins among them; each
+pass then computes only the terms of its friction angle, one or many at
+once. The force engine (``predict_force_arrays``) binds one per call,
+the calibration one per fit and tool friction angle; both take the
+forces from one pass and each failed sample's status from the kernel's
+margins. A pass evaluates every entry of the broadcast shape of friction
+angle against blade angle, the infeasible ones too, and sets those to
+NaN at the end, so nothing is gathered through the feasibility mask but
+the stationary roots that fall inside the failure-angle window. A
+closed-form test per row of friction angle (``BearingKernel.rootless``)
+alone decides whether a pass runs the root solve. The kernel's steps,
+its ``window`` and ``failure_angle`` and the formulas ``_ngamma_array``
+and ``_factor_arrays``, are what the tests hold against their
+references: a grid and golden-section search for the failure angle, and
+the cotangent form of the factors. All quantities are base SI (N, m,
+rad, kg/m^3).
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ PARAM_NAMES = ("gamma", "cohesion_c", "adhesion_ca", "phi", "delta",
 
 
 # Feasibility margins guarding the wedge trigonometry.
-# EPS1 and EPS2 bound the failure-angle search window (see ``beta_window``).
+# EPS1 and EPS2 bound the failure-angle search window (see
+# ``BearingKernel.window``).
 EPS1 = math.radians(5.0)
 EPS2 = math.radians(5.0)
 # minimum magnitude allowed for every sine/cosine denominator
@@ -111,14 +113,6 @@ class ParameterBounds:
     kphi: tuple[float, float] = (0.0, 5_000_000.0)
     n: tuple[float, float] = (0.11, 1.53)
 
-    def __post_init__(self) -> None:
-        for name in PARAM_NAMES:
-            lo, hi = getattr(self, name)
-            _require_finite(name + ".min", lo)
-            _require_finite(name + ".max", hi)
-            if lo > hi:
-                raise ValueError(f"{name}: min {lo} exceeds max {hi}")
-
     def contains(self, soil: SoilParameters, rtol: float = 1e-9) -> bool:
         for name in PARAM_NAMES:
             lo, hi = getattr(self, name)
@@ -174,8 +168,8 @@ _TROUGH = 1.5 * math.pi     # where sin is -1, mod 2 pi
 
 def _stationary_angles(rho_delta, phi, a, cos_a, sin_a, sin_phi):
     """The two roots b of dN_gamma/dbeta = 0, mod pi, stacked on a last
-    axis of length 2 (NaN where there is none), or None when no entry has
-    one; see ``BearingKernel.failure_angle``. ``rho_delta`` (rho + delta)
+    axis of length 2, NaN where there is none; see
+    ``BearingKernel.failure_angle``. ``rho_delta`` (rho + delta)
     broadcasts against phi and the terms of phi alone: a = 2*alpha + phi,
     cos a, sin a and sin phi."""
     c = rho_delta + phi
@@ -184,10 +178,7 @@ def _stationary_angles(rho_delta, phi, a, cos_a, sin_a, sin_phi):
     q = -(cos_c * sin_a + sin_phi * cos_c)
     r = np.cos(a - c)
     # arccos is NaN where |R| > sqrt(P^2+Q^2) or P = Q = 0: no interior root
-    ratio = r / np.hypot(p, q)
-    if not np.any(np.abs(ratio) <= 1.0):
-        return None
-    half = 0.5 * np.arccos(ratio)
+    half = 0.5 * np.arccos(r / np.hypot(p, q))
     mid = 0.5 * np.arctan2(q, p)
     # mod pi: the roots lie in [-pi, pi], and only those that land in the
     # window, inside (0, pi), are used, where this equals np.mod
@@ -204,24 +195,17 @@ def _ngamma_array(alpha, two_cos_alpha, beta, rho_delta, phi):
             / (two_cos_alpha * np.sin(beta) * np.sin(rho_delta + beta + phi)))
 
 
-def _factor_arrays(alpha, beta, rho, rho_delta, phi, sin_rho, n_gamma):
-    """Sine-cosine bearing factors (n_gamma, n_c, n_a, n_q) at failure
-    angle beta; inputs broadcast as numpy arrays. ``rho_delta`` is
-    rho + delta and ``sin_rho`` np.sin(rho), which a kernel binds, and
-    ``n_gamma`` N_gamma at beta, which its failure-angle solve has
-    already computed."""
+def _factor_arrays(alpha, beta, rho, rho_delta, phi, sin_rho):
+    """Sine-cosine bearing factors (n_c, n_a, n_q) at failure angle beta;
+    inputs broadcast as numpy arrays. ``rho_delta`` is rho + delta and
+    ``sin_rho`` np.sin(rho), which a kernel binds. N_gamma is
+    ``_ngamma_array``'s."""
     s_beta = np.sin(beta)
     s_chain = np.sin(rho_delta + beta + phi)
     n_c = np.cos(phi) / (s_beta * s_chain)
     n_a = -np.cos(rho + beta + phi) / (sin_rho * s_chain)
     n_q = np.sin(alpha + beta + phi) / s_chain
-    return n_gamma, n_c, n_a, n_q
-
-
-def _beats(f, f_best):
-    """Where a candidate's N_gamma f takes the place of the lowest so far,
-    f_best, as np.argmin picks: f is lower, or f is the first NaN."""
-    return ~(f >= f_best) & ~np.isnan(f_best)
+    return n_c, n_a, n_q
 
 
 class BearingKernel:
@@ -230,8 +214,9 @@ class BearingKernel:
     ``delta``.
 
     Binding computes once what does not depend on the internal friction
-    angle: sin(rho), the blade-angle margins (see ``_blade_margins``,
-    whose SingularGeometry it raises), rho + delta, (pi - rho) - delta,
+    angle: sin(rho), the blade-angle margins ``below`` and ``singular``
+    (see ``_blade_margins``, whose SingularGeometry it raises), which also
+    give a failed sample its status, rho + delta, (pi - rho) - delta,
     rho + delta + EPS1 and the terms of alpha alone. A pass,
     ``kernel(phi)``, computes the terms of phi alone. Each hoisted term is
     the leading sum or product of the expression it enters (Python
@@ -251,8 +236,8 @@ class BearingKernel:
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         self.alpha, self.rho, self.delta = alpha, rho, delta
         self.sin_rho = np.sin(rho)
-        below, singular = _blade_margins(alpha, rho, self.sin_rho)
-        self.usable = ~(below | singular)
+        self.below, self.singular = _blade_margins(alpha, rho, self.sin_rho)
+        self.usable = ~(self.below | self.singular)
         self.rho_delta = rho + delta
         self.room = math.pi - rho - delta
         self.rho_delta_lo = self.rho_delta + EPS1
@@ -351,17 +336,14 @@ class BearingKernel:
             f_lo = (self.cos_alpha_lo * np.sin(self.alpha_lo + phi)
                     / (self.denom_lo * np.sin(self.rho_delta_lo + phi)))
             # the pick runs over lo, the in-window roots and hi in that
-            # order, keeping the lowest N_gamma as np.argmin over them
-            # would; N_gamma is evaluated at the roots inside the window
-            # alone
+            # order, keeping the first lowest N_gamma, which is finite at
+            # a feasible entry; it is evaluated at the in-window roots alone
             best, f_best = EPS1, f_lo
-            roots = None
             if not self.rootless(phi):
                 self.root_passes += 1
                 a = self.two_alpha + phi
                 roots = _stationary_angles(self.rho_delta, phi, a, np.cos(a),
                                            np.sin(a), np.sin(phi))
-            if roots is not None:
                 best, f_best = np.full(hi.shape, EPS1), f_lo.copy()
                 inside = (roots >= EPS1) & (roots <= hi[..., None])
                 rho_delta = np.broadcast_to(self.rho_delta, hi.shape)
@@ -371,13 +353,13 @@ class BearingKernel:
                     at = np.nonzero(inside[..., k])
                     f = _ngamma_array(self.alpha, self.two_cos_alpha,
                                       root[at], rho_delta[at], phi_b[at])
-                    take = _beats(f, f_best[at])
+                    take = f < f_best[at]
                     at = tuple(i[take] for i in at)
                     best[at] = root[at]
                     f_best[at] = f[take]
             f_hi = _ngamma_array(self.alpha, self.two_cos_alpha, hi,
                                  self.rho_delta, phi)
-            take = _beats(f_hi, f_best)
+            take = f_hi < f_best
             best = np.where(take, hi, best)
             f_best = np.where(take, f_hi, f_best)
             snap = f_lo <= f_best + 1e-12 * np.maximum(1.0, np.abs(f_best))
@@ -391,16 +373,8 @@ class BearingKernel:
         ``feasible`` fails."""
         self.passes += 1
         beta, feasible, n_gamma = self.failure_angle(phi)
-        return beta, feasible, _factor_arrays(self.alpha, beta, self.rho,
-                                              self.rho_delta, phi,
-                                              self.sin_rho, n_gamma)
-
-
-def bearing_factors(alpha: float, rho, phi, delta: float):
-    """(beta, feasible, (n_gamma, n_c, n_a, n_q)) at each blade angle: one
-    pass of a ``BearingKernel`` bound to (alpha, rho, delta) at phi, a
-    float or a (k, 1) column."""
-    return BearingKernel(alpha, rho, delta)(phi)
+        return beta, feasible, (n_gamma, *_factor_arrays(
+            self.alpha, beta, self.rho, self.rho_delta, phi, self.sin_rho))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +401,7 @@ class CycleForceArrays:
 
     Out-of-soil samples (depth <= 0) carry zero forces; in-soil samples
     that hit a margin carry NaN forces and are listed in ``failures``.
-    ``bearing_factors`` gives the factors at ``beta``. ``trajectory``
+    A ``BearingKernel`` pass gives the factors at ``beta``. ``trajectory``
     holds the trajectory (``geometry.make_trajectory``) predicted along,
     when the caller sampled one, and ``step_ms`` the wall time in ms of
     each step the caller took to predict (see
@@ -483,24 +457,25 @@ def _tangential_force(fee, depth, lt, soil: SoilParameters,
             + soil.adhesion_ca * loader.omega * lt)
 
 
-def _cycle_forces(found, depth, rho, lt, area, soil: SoilParameters,
-                  loader: LoaderParameters, alpha: float
+def _cycle_forces(kernel: BearingKernel, depth, lt, area,
+                  soil: SoilParameters, loader: LoaderParameters
                   ) -> CycleForceArrays:
-    """``predict_force_arrays`` from ``found``, what a kernel pass over
-    the in-soil samples at soil.phi and soil.delta gave: (beta, feasible,
-    factors)."""
+    """``predict_force_arrays`` through ``kernel``, bound to the in-soil
+    samples' blade angles at soil.delta: one pass at soil.phi, and each
+    failed sample's status from the kernel's blade-margin masks."""
     n = depth.size
     in_soil = depth > 0.0
-    beta_s, feasible, factors = found
+    beta_s, feasible, factors = kernel(soil.phi)
     beta = np.full(n, np.nan)
     beta[in_soil] = beta_s
     valid = np.zeros(n, dtype=bool)
     valid[in_soil] = feasible
     failed = in_soil & ~valid
-    below, singular = _blade_margins(alpha, rho[failed], np.sin(rho[failed]))
+    failed_s = ~feasible
     status = np.where(in_soil, _OK, _OUT_OF_SOIL).astype(np.int8)
-    status[failed] = np.where(singular, _SINGULAR_RHO,
-                              np.where(below, _RHO_BELOW_MIN, _EMPTY_WINDOW))
+    status[failed] = np.where(kernel.singular[failed_s], _SINGULAR_RHO,
+                              np.where(kernel.below[failed_s], _RHO_BELOW_MIN,
+                                       _EMPTY_WINDOW))
     fee, f_t, f_n = (np.where(failed, np.nan, 0.0) for _ in range(3))
     if np.any(valid):
         d_v = depth[valid]
@@ -529,11 +504,11 @@ def predict_force_arrays(depth, rho, lt, area, soil: SoilParameters,
     ``area`` is the swept cross-section; the surcharge on the wedge is its
     weight gamma*g*omega*area. Out-of-soil samples (depth <= 0) yield zero
     forces. In-soil samples that violate a margin are flagged in
-    ``status`` with NaN forces rather than aborting the cycle. One kernel
-    pass (``bearing_factors``) over the in-soil samples gives the failure
+    ``status`` with NaN forces rather than aborting the cycle. One pass of
+    a ``BearingKernel`` bound to the in-soil samples gives the failure
     angle and the bearing factors.
     """
     depth = np.asarray(depth, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    found = bearing_factors(alpha, rho[depth > 0.0], soil.phi, soil.delta)
-    return _cycle_forces(found, depth, rho, lt, area, soil, loader, alpha)
+    kernel = BearingKernel(alpha, rho[depth > 0.0], soil.delta)
+    return _cycle_forces(kernel, depth, lt, area, soil, loader)

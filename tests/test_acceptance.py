@@ -71,9 +71,9 @@ def test_criterion_1_algebraic_form_equivalence():
     tuples = _sample_feasible_tuples(100_000, seed=101)
     alpha, beta, rho, phi, delta = tuples.T
     # production sine-cosine path
-    canon = _factor_arrays(alpha, beta, rho, rho + delta, phi, np.sin(rho),
-                           _ngamma_array(alpha, 2.0 * np.cos(alpha), beta,
-                                         rho + delta, phi))
+    canon = (_ngamma_array(alpha, 2.0 * np.cos(alpha), beta, rho + delta,
+                           phi),
+             *_factor_arrays(alpha, beta, rho, rho + delta, phi, np.sin(rho)))
     # independent evaluation of the cotangent-form expressions
     cot_beta = np.cos(beta) / np.sin(beta)
     cot_bf = np.cos(beta + phi) / np.sin(beta + phi)

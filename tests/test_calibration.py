@@ -364,6 +364,20 @@ class TestStage3:
         assert combo_again == pytest.approx(combo, rel=1e-6)
         assert again["n"] == pytest.approx(fit["n"], abs=1e-6)
 
+    def test_no_sample_with_a_failure_angle_raises(self, truth):
+        # blade angles of 88 degrees, inside the margins, leave no
+        # failure-angle window at phi = delta = 0.78
+        samples = make_trajectory([0.0, 0.1, 0.2], [0.3, 0.5, 0.7],
+                                  [-0.1, -0.15, -0.2],
+                                  [math.radians(88.0)] * 3)
+        cycle = prepare_cycle(CycleDataset(
+            samples=samples, f_t_obs=np.ones(3), f_n_obs=np.ones(3),
+            surface=SlopedLine((0.0, 0.0), 0.0), loader=default_loader()))
+        assert cycle.depth.size == 3
+        with pytest.raises(EmptySeries, match="^no in-soil sample "
+                                              "evaluates cleanly$"):
+            calibrate_stage3(cycle, replace(truth, phi=0.78, delta=0.78))
+
 
 class TestMultiStage:
     def test_noiseless_round_trip(self, dataset, fast_options):

@@ -12,7 +12,8 @@ import pytest
 from click.testing import CliRunner
 
 from feecalib import io as fio
-from feecalib import make_trajectory
+from feecalib import (CalibrationOptions, CycleDataset, SolverOptions,
+                      calibrate_single_stage, make_trajectory)
 from feecalib.cli import main
 
 FAST_CONFIG = {
@@ -132,6 +133,45 @@ class TestSimulate:
         doc = json.loads((out / "scenario.json").read_text())
         assert doc["soil"]["cohesion_c_N_m2"] == 20000.0
 
+    @pytest.mark.parametrize("config, flags, message", [
+        (None, ["--preset", "nosuch"],
+         "--preset: no preset matching 'nosuch'"),
+        ({"soil": {"preset": "clay"}}, [],
+         "config.soil.preset: ambiguous preset 'clay': ['Heavy Clay WES "
+         "40', 'Lean Clay WES 32', 'Clayey gravel', 'Clayey sand', 'Clay of "
+         "low plasticity, lean clay', 'Clay of high plasticity, fat clay', "
+         "'Organic silt, organic clay']"),
+        ({"soil": {"preset": "Heavy Clay WES 40", "truth": {}}}, [],
+         "config.soil: give either 'preset' or 'truth'"),
+    ], ids=["unknown-flag", "ambiguous-config", "preset-and-truth"])
+    def test_soil_choice_errors_exit_2(self, runner, tmp_path, config,
+                                       flags, message):
+        # the message itself, not the str() of a KeyError in quotes
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            flags = [*flags, "--config", str(path)]
+        out = tmp_path / "never"
+        res = runner.invoke(main, ["simulate", *flags, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert res.stderr == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_zero_duration_exits_2(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": {
+            "surface": {"type": "sloped_line", "alpha_deg": 25.0},
+            "path": {"type": "quadratic_bezier", "p0_m": [-0.4, 0.05],
+                     "p1_m": [0.9, -0.35], "p2_m": [2.2, 1.2]},
+            "duration_s": 0}}))
+        out = tmp_path / "never"
+        res = runner.invoke(main, ["simulate", "--config", str(config),
+                                   "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert res.stderr == ("error: config.scenario: duration must be "
+                              "positive\n")
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_report_quality_and_fields(self, workdir):
@@ -221,6 +261,28 @@ class TestCalibrate:
                                    str(tmp_path)])
         _assert_config_error(res, "unknown key 'gaussian_sigma'")
         assert not (tmp_path / "report.json").exists()
+
+    def test_single_stage_seed_flag(self, runner, workdir, tmp_path):
+        # --seed sets the single-stage solver's seed: the report records
+        # it, and theta* is the library fit's at that seed
+        run = workdir / "run"
+        res = runner.invoke(main, ["calibrate", str(run / "cycle.csv"),
+                                   "--config", str(workdir / "fast.json"),
+                                   "--method", "single", "--seed", "7",
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["options"]["seed"] == 7
+        samples, f_t, f_n = fio.read_cycle_csv(run / "cycle.csv")
+        scenario = fio.read_scenario_json(run / "scenario.json")
+        dataset = CycleDataset(samples=samples, f_t_obs=f_t, f_n_obs=f_n,
+                               surface=scenario.surface,
+                               loader=scenario.loader)
+        solver = SolverOptions(**FAST_CONFIG["calibration"]["solver"],
+                               seed=7)
+        report = calibrate_single_stage(
+            dataset, options=CalibrationOptions(solver=solver))
+        assert doc["theta_star"] == fio.soil_to_json(report.theta_star)
 
     def test_missing_scenario_exits_2(self, runner, workdir, tmp_path):
         res = runner.invoke(main, ["calibrate",
@@ -385,6 +447,19 @@ class TestPredict:
             (tmp_path / "predicted.csv").read_text().splitlines()))
         assert [math.isnan(float(r["ft_N"])) for r in rows] == [False, True]
         assert [math.isnan(float(r["fn_N"])) for r in rows] == [False, True]
+
+    def test_report_without_theta_exits_2(self, runner, workdir, tmp_path):
+        run = workdir / "run"
+        doc = json.loads((run / "report.json").read_text())
+        del doc["theta_star"]
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["predict", str(report), "--scenario",
+                                   str(run / "scenario.json"), "--out",
+                                   str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert res.stderr == f"error: {report}: missing 'theta_star'\n"
+        assert not (tmp_path / "predicted.csv").exists()
 
     def test_empty_scenario_exits_2(self, runner, workdir, tmp_path):
         scenario = json.loads(
@@ -969,6 +1044,21 @@ class TestZeroDepthCycle:
         assert isinstance(res.exception, SystemExit)
         assert "zero penetration depth" in res.output
         assert "Traceback" not in res.output
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("method", ["single", "multi"])
+    def test_header_only_cycle_exits_3(self, runner, workdir, tmp_path,
+                                       method):
+        # no sample at all: the swept-area profile of an empty path
+        cycle = tmp_path / "cycle.csv"
+        cycle.write_text("t_s,x_m,z_m,rho_rad,ft_obs_N,fn_obs_N\n")
+        res = runner.invoke(main, ["calibrate", str(cycle), "--scenario",
+                                   str(workdir / "run" / "scenario.json"),
+                                   "--method", method, "--out",
+                                   str(tmp_path)])
+        assert res.exit_code == 3, res.output
+        assert res.stderr == ("error: calibration failed: all samples have "
+                              "zero penetration depth\n")
         assert not (tmp_path / "report.json").exists()
 
 

@@ -412,6 +412,17 @@ class TestCycleDataset:
                          loader=LoaderParameters(omega=1.2, b=0.05),
                          **forces)
 
+    @pytest.mark.parametrize("field", ["f_t_obs", "f_n_obs"])
+    def test_refuses_a_force_series_of_another_length(self, field):
+        traj = _traj([(0.1 * i, -0.1) for i in range(5)])
+        forces = {"f_t_obs": np.ones(5), "f_n_obs": np.ones(5)}
+        forces[field] = np.ones(4)
+        with pytest.raises(ValueError, match="^samples and force series "
+                                             "must have equal length$"):
+            CycleDataset(samples=traj, surface=FLAT,
+                         loader=LoaderParameters(omega=1.2, b=0.05),
+                         **forces)
+
 
 # ---------------------------------------------------------------------------
 # References: the all-pairs depth and the per-segment swept-area loop that

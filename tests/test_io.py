@@ -118,6 +118,26 @@ def test_default_truth_is_the_completed_lean_clay():
     assert fio.run_config_from_json({}).truth == default_truth()
 
 
+def test_soil_without_a_friction_angle_is_refused():
+    doc = fio.soil_to_json(default_truth())
+    del doc["phi_rad"]
+    with pytest.raises(ConfigError, match=r"^missing 'phi_rad' \(or "
+                                          r"'phi_deg'\) in soil$"):
+        fio.soil_from_json(doc)
+
+
+def test_explicit_scenario_reloads_bit_exactly(tmp_path):
+    samples = make_trajectory([0.0, 0.1, 1 / 3], [0.3, 1e-17, 2 / 3],
+                              [-0.0, -0.05, -1 / 7], [0.5, math.pi / 5, 1.1])
+    scenario = Scenario(surface=default_scenario().surface,
+                        loader=default_scenario().loader, samples=samples)
+    path = tmp_path / "scenario.json"
+    fio.write_scenario_json(path, scenario, default_truth(), 0.05, 1)
+    again = fio.read_scenario_json(path).samples
+    for name in ("t", "x", "z", "rho"):
+        assert np.array_equal(bits(again[name]), bits(samples[name]))
+
+
 # ---------------------------------------------------------------------------
 # The CSV primitives against the row-at-a-time versions they replaced
 # ---------------------------------------------------------------------------

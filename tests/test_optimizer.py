@@ -165,6 +165,24 @@ class TestFiniteDifferenceGradient:
                 assert np.max(np.abs(g - want)) <= 1e-6 * max(
                     1.0, float(np.max(np.abs(want))))
 
+    def test_box_narrower_than_the_step(self):
+        # the relative step, 1e-6, does not fit a box 1e-8 wide: the step
+        # is half the width, one-sided into the box; a pinned coordinate
+        # has no step and a zero derivative
+        calls = []
+
+        def f(v):
+            calls.append(v.copy())
+            return float(v[0] ** 2 + 3.0 * v[1])
+
+        x = np.array([0.5, 2.0])
+        lo, hi = 0.5, 0.5 + 1e-8
+        g = finite_difference_gradient(f, x, [(lo, hi), (2.0, 2.0)])
+        h = 0.5 * (hi - lo)
+        assert [v.tolist() for v in calls] == [[0.5, 2.0], [0.5 + h, 2.0]]
+        assert g[0] == (f(np.array([0.5 + h, 2.0])) - f(x)) / h
+        assert g[1] == 0.0
+
     def test_propagates_nonfinite(self):
         with pytest.raises(NonFiniteObjective):
             finite_difference_gradient(lambda v: math.nan, np.zeros(1),
@@ -208,6 +226,11 @@ class TestMultiStart:
                                SolverOptions(n_starts=2),
                                warm_start=np.array([0.88]))
         assert res.x_star[0] == pytest.approx(0.9, abs=0.05)
+
+    def test_every_start_failing_raises(self):
+        with pytest.raises(SolverFailure, match="^all 2 starts failed: "):
+            multi_start(lambda x: math.nan, self.BOUNDS,
+                        SolverOptions(n_starts=2))
 
     def test_counts_aggregate_over_starts(self):
         one = multi_start(two_basin, self.BOUNDS, SolverOptions(n_starts=1))

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from feecalib import (ALPHA_MAX, ANGLE_MARGIN, EPS1, EPS2, GRAVITY, RHO_MIN,
                       SIN_MARGIN, LoaderParameters, SingularGeometry,
-                      SoilParameters, bearing_factors, predict_force_arrays,
-                      wedge_geometry)
+                      SoilParameters, predict_force_arrays, wedge_geometry)
 from feecalib.io import soil_from_json, soil_to_json
 from feecalib.soil import (_EMPTY_WINDOW, _OUT_OF_SOIL, _RHO_BELOW_MIN,
                            _SINGULAR_RHO, BearingKernel, ParameterBounds,
@@ -94,9 +93,10 @@ def ngamma(alpha, beta, rho, phi, delta):
 def bearing_factors_canonical(alpha, beta, rho, phi, delta):
     """The engine's sine-cosine factors at one (alpha, beta, rho, phi,
     delta) tuple."""
-    n_gamma = ngamma(alpha, beta, rho, phi, delta)
-    return Factors(*(float(v) for v in _factor_arrays(
-        alpha, beta, rho, rho + delta, phi, np.sin(rho), n_gamma)))
+    n_c, n_a, n_q = _factor_arrays(alpha, beta, rho, rho + delta, phi,
+                                   np.sin(rho))
+    return Factors(*(float(v) for v in (ngamma(alpha, beta, rho, phi, delta),
+                                        n_c, n_a, n_q)))
 
 
 def solve_one(alpha, rho, phi, delta):
@@ -385,7 +385,7 @@ blade_angles = st.one_of(
 
 
 class TestBroadcastKernel:
-    """Stage 2 of the calibration calls ``bearing_factors`` with many
+    """Stage 2 of the calibration calls a ``BearingKernel`` with many
     friction angles as a (k, 1) column. Row i of that call must hold the
     bits of the call at the float phi[i], and of the engine at that one
     friction angle."""
@@ -402,11 +402,11 @@ class TestBroadcastKernel:
                                           alpha, rho, phis):
         soil = classification.merged(sinkage).soil_parameters()
         rho = np.array(rho)
-        beta, feasible, factors = bearing_factors(
-            alpha, rho, np.array(phis)[:, None], soil.delta)
+        beta, feasible, factors = BearingKernel(alpha, rho, soil.delta)(
+            np.array(phis)[:, None])
         assert beta.shape == feasible.shape == (len(phis), rho.size)
         for i, phi_i in enumerate(phis):
-            one = bearing_factors(alpha, rho, phi_i, soil.delta)
+            one = BearingKernel(alpha, rho, soil.delta)(phi_i)
             assert np.array_equal(beta[i], one[0], equal_nan=True)
             assert np.array_equal(feasible[i], one[1])
             for full, want in zip(factors, one[2]):
@@ -417,10 +417,10 @@ class TestBroadcastKernel:
 
     @staticmethod
     def assert_rows_match(alpha, rho, phis, delta):
-        beta, feasible, factors = bearing_factors(
-            alpha, rho, np.array(phis)[:, None], delta)
+        beta, feasible, factors = BearingKernel(alpha, rho, delta)(
+            np.array(phis)[:, None])
         for i, phi_i in enumerate(phis):
-            one = bearing_factors(alpha, rho, phi_i, delta)
+            one = BearingKernel(alpha, rho, delta)(phi_i)
             assert np.array_equal(beta[i], one[0], equal_nan=True)
             assert np.array_equal(feasible[i], one[1])
             for full, want in zip(factors, one[2]):
@@ -463,8 +463,8 @@ class TestBroadcastKernel:
     def test_a_bound_kernel_matches_fresh_calls(self, alpha, delta, rho,
                                                 phis):
         # one kernel, called at every phi as a float and at all of them as
-        # a (k, 1) column, in either order, gives the bits of a fresh
-        # bearing_factors call at each
+        # a (k, 1) column, in either order, gives the bits of a pass of a
+        # freshly bound kernel at each
         rho = np.array(rho)
         column = np.array(phis)[:, None]
         kernel = BearingKernel(alpha, rho, delta)
@@ -473,7 +473,7 @@ class TestBroadcastKernel:
         calls += [(phi, kernel(phi)) for phi in phis]
         assert kernel.passes == 2 * len(phis) + 1
         for phi, (beta, feasible, factors) in calls:
-            fresh = bearing_factors(alpha, rho, phi, delta)
+            fresh = BearingKernel(alpha, rho, delta)(phi)
             assert np.array_equal(beta, fresh[0], equal_nan=True)
             assert np.array_equal(feasible, fresh[1])
             for got, want in zip(factors, fresh[2]):
@@ -486,7 +486,7 @@ class TestBroadcastKernel:
         phi = np.array([[0.0], [0.4], [0.7]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            beta, feasible, factors = bearing_factors(0.2, rho, phi, 0.3)
+            beta, feasible, factors = BearingKernel(0.2, rho, 0.3)(phi)
             out = _engine(_soil(phi=0.4, delta=0.3), 0.1, rho, alpha=0.2)
         assert not feasible[:, :4].any() and feasible[:, 4].all()
         for values in (beta, *factors):
@@ -500,7 +500,7 @@ class TestBroadcastKernel:
 class TestRootlessPass:
     """``BearingKernel.rootless`` rules out a pass's stationary roots in
     closed form; a pass it clears skips ``_stationary_angles``, which
-    must then find no root at any entry."""
+    must then find no root at any entry: every root it returns is NaN."""
 
     @staticmethod
     def reference_roots(kernel, phi):
@@ -519,7 +519,7 @@ class TestRootlessPass:
     def test_no_root_where_it_rules_them_out(self, alpha, delta, rho, phi):
         kernel = BearingKernel(alpha, rho, delta)
         if kernel.rootless(phi):
-            assert self.reference_roots(kernel, phi) is None
+            assert np.isnan(self.reference_roots(kernel, phi)).all()
             assert kernel.rootless(np.array([[phi], [phi]]))
             assert kernel(phi)[0].shape == (len(rho),)
             assert kernel.root_passes == 0
@@ -541,7 +541,7 @@ class TestRootlessPass:
         assert not any(steep.rootless(phi) for phi in phis[1:].tolist())
         assert not steep.rootless(phis[:, None])
         for phi in phis[1:].tolist():
-            assert self.reference_roots(steep, phi) is not None
+            assert not np.isnan(self.reference_roots(steep, phi)).all()
 
 
 class TestBekkerPressure:
@@ -583,8 +583,8 @@ class TestFeeForce:
         loaded = _engine(soil, 0.1, math.pi / 2, area=area)
         bare = _engine(soil, 0.1, math.pi / 2, area=0.0)
         # the factors at the engine's beta
-        beta, _, (_, _, _, n_q) = bearing_factors(0.0, [math.pi / 2],
-                                                  soil.phi, soil.delta)
+        beta, _, (_, _, _, n_q) = BearingKernel(0.0, [math.pi / 2],
+                                                soil.delta)(soil.phi)
         assert beta[0] == loaded.beta[0]
         assert loaded.fee[0] - bare.fee[0] == pytest.approx(w_load * n_q[0])
 
@@ -739,6 +739,9 @@ class TestParameterTypes:
             _soil(n=0.0)
         with pytest.raises(ValueError):
             _soil(cohesion_c=-1.0)
+        with pytest.raises(ValueError, match="^gamma must be finite, got "
+                                             "nan$"):
+            _soil(gamma=math.nan)
 
     def test_bounds_contain(self):
         bounds = ParameterBounds()

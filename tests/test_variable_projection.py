@@ -22,11 +22,12 @@ from scipy.optimize import lsq_linear
 
 from feecalib import (ALPHA_MAX, CalibrationOptions, DegenerateDepths,
                       FeeCalibError, ParameterBounds, SlopedLine,
-                      SoilParameters, SolverOptions, add_noise,
-                      calibrate_multi_stage, calibrate_stage1,
+                      SoilParameters, SolverFailure, SolverOptions,
+                      add_noise, calibrate_multi_stage, calibrate_stage1,
                       calibrate_stage2, calibrate_stage3, default_scenario,
-                      prepare_cycle, simulate_cycle, wedge_geometry)
-from feecalib.calibration import (BOUNDS, _PROFILE_GRID, _bounded_lsq,
+                      find_preset, prepare_cycle, simulate_cycle,
+                      wedge_geometry)
+from feecalib.calibration import (BOUNDS, _PROFILE_GRID, _bounded_lsq, _box,
                                   _forces, _profile_search, _screened_lsq,
                                   _series_scale, assemble,
                                   split_pressure_coefficient,
@@ -393,6 +394,34 @@ class TestBoundedLsqAgainstReference:
         else:
             assert paths["interior"] > 0 and on_bound > 0
 
+    def test_solution_does_not_depend_on_the_design_layout(self):
+        # stage 1's design at its fitted n in the clean fit of the lean
+        # clay with LETE sand on a 40 degree face: its solve, through the
+        # box's faces, moves with the summation order of LAPACK and BLAS,
+        # which follows the memory layout. The scaled design is built
+        # column-major from either layout, so x keeps its bits; the
+        # residual is formed from the design as given
+        soil = find_preset("Clay of low plasticity, lean clay").merged(
+            find_preset("LETE Sand")).soil_parameters()
+        scenario = replace(default_scenario(),
+                           surface=SlopedLine((0.0, 0.0), math.radians(40)))
+        cycle = prepare_cycle(simulate_cycle(scenario, soil))
+        n = calibrate_stage1(cycle).parameters["n"]
+        omega, b = cycle.loader.omega, cycle.loader.b
+        design = np.column_stack([omega * cycle.lt, cycle.fn_obs,
+                                  omega * b * cycle.depth ** n])
+        lo, hi = np.array([_box("adhesion_ca", b),
+                           [math.tan(v) for v in _box("delta", b)],
+                           _box("K", b)]).T
+        paths = Counter()
+        x_c, rss_c = _bounded_lsq(np.ascontiguousarray(design), cycle.ft_obs,
+                                  lo, hi, paths)
+        x_f, rss_f = _bounded_lsq(np.asfortranarray(design), cycle.ft_obs,
+                                  lo, hi, paths)
+        assert paths == Counter(bounded=2)
+        assert np.array_equal(x_c, x_f)
+        assert rss_c == pytest.approx(rss_f, rel=1e-14)
+
 
 def profile_stack(rng, case, p):
     """A stack of k bounded least-squares problems shaped like a profile
@@ -612,6 +641,11 @@ class TestProfileSearch:
         assert profile.derivative_trials == 1
         assert profile.evaluations == _PROFILE_GRID + 1 + profile.iterations
         assert profile.gradient_norm == pytest.approx(WIDTH, rel=1e-6)
+
+    def test_no_grid_point_with_samples_to_fit_raises(self):
+        with pytest.raises(SolverFailure, match="^no grid point in "):
+            _profile_search(lambda xs, paths: [(1e12, None)] * xs.size,
+                            LO, HI)
 
 
 class TestRoundTripSearch:
