@@ -16,10 +16,10 @@ slope. Pass k follows the default path shifted by 0.15 k m and, after
 the first, is predicted with pass k-1 as its prior cycle, so it runs on
 the face carved by all earlier passes.
 
-A third line, ``lsq``, sums the least-squares counts of the fits' stage
-DEBUG lines: solves inside the box, solves that searched the box's faces,
-and trials screened out. A bounded count above 0 shows that two equal
-digests compared the out-of-box path too.
+A third line, ``lsq``, sums the least-squares counts of the sweep fits'
+stage records (``StageResult.work``): solves inside the box, solves that
+searched the box's faces, and trials screened out. A bounded count above
+0 shows that two equal digests compared the out-of-box path too.
 
 A fifth line, ``files sha256``, hashes the bytes of every file the CLI
 writes along simulate -> calibrate -> predict --prior-cycle -> evaluate,
@@ -34,10 +34,10 @@ in-soil samples (at 10%, 50% and 90% of the in-soil count) moved to blade
 angles outside the margins: 0.5 RHO_MIN, 1e-9 and pi - 1e-9. No other
 input has such a sample, since Bezier paths clamp their blade angles.
 
-A last line, ``roots``, sums by pile slope the engine passes of the
-fits' stage DEBUG lines and how many of them ran the stationary-root
-solve, as ``slope:roots/passes``: how often the kernel's closed-form
-test could not rule the roots out.
+A last line, ``roots``, sums by pile slope the engine passes of the sweep
+fits' stage records and how many of them ran the stationary-root solve,
+as ``slope:roots/passes``: how often the kernel's closed-form test could
+not rule the roots out.
 
 Usage: python scripts/fit_digest.py [--pairs N] [--slopes 0 10 25 40]
                                     [--noise 0 0.05] [--seed 1]
@@ -45,12 +45,12 @@ Usage: python scripts/fit_digest.py [--pairs N] [--slopes 0 10 25 40]
 
 import argparse
 import hashlib
-import logging
 import math
 import re
 import struct
 import tempfile
 import time
+from collections import Counter
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -90,11 +90,12 @@ def feed(h, value):
 
 
 def feed_fit(h, dataset, heldout):
+    """Hash the fit of ``dataset``; returns its report, None if it raised."""
     try:
         report = calibrate_multi_stage(dataset)
     except FeeCalibError as exc:
         feed(h, (type(exc).__name__, str(exc)))
-        return
+        return None
     feed(h, astuple(report.theta_star))
     for stage in report.stages:
         feed(h, (stage.name, stage.parameters, stage.objective_value,
@@ -106,6 +107,7 @@ def feed_fit(h, dataset, heldout):
              report.function_evaluations, report.dropped_samples))
     pred = predict_next_cycle(report.theta_star, heldout)
     feed(h, (pred.beta, pred.f_t, pred.f_n, pred.status))
+    return report
 
 
 def flagged(dataset):
@@ -165,33 +167,6 @@ def feed_cli_files(h, sigma, seed):
             h.update(data)
 
 
-class StageCounts(logging.Handler):
-    """Sums the interior, bounded and screened counts of the stage DEBUG
-    lines, and by ``slope`` their engine passes and root solves."""
-
-    PATTERN = re.compile(r"least squares (\d+) interior, (\d+) bounded, "
-                         r"(\d+) screened")
-    PASSES = re.compile(r"(\d+) engine passes, (\d+) with the root solve")
-
-    def __init__(self):
-        super().__init__(logging.DEBUG)
-        self.counts = [0, 0, 0]
-        self.slope = None
-        self.roots = {}
-
-    def emit(self, record):
-        message = record.getMessage()
-        match = self.PATTERN.search(message)
-        if match:
-            self.counts = [c + int(n)
-                           for c, n in zip(self.counts, match.groups())]
-        match = self.PASSES.search(message)
-        if match:
-            passes, roots = self.roots.get(self.slope, (0, 0))
-            self.roots[self.slope] = (passes + int(match[1]),
-                                      roots + int(match[2]))
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pairs", type=int, default=None,
@@ -206,16 +181,12 @@ def main():
     args = parser.parse_args()
 
     pairs = preset_pairs()[:args.pairs]
-    lsq = StageCounts()
-    logger = logging.getLogger("feecalib.calibration")
-    logger.setLevel(logging.DEBUG)
-    logger.addHandler(lsq)
+    work = {}       # per slope, the sweep fits' stage records summed
     h = hashlib.sha256()
     carved = hashlib.sha256()
-    fits = 0
     t0 = time.perf_counter()
     for slope in args.slopes:
-        lsq.slope = slope
+        counts = work[slope] = Counter()
         surface = SlopedLine((0.0, 0.0), math.radians(slope))
         feed_carved_chain(carved, surface)
         scenario = replace(default_scenario(), surface=surface)
@@ -226,11 +197,9 @@ def main():
             for sigma in args.noise:
                 dataset = (add_noise(clean, sigma, args.seed) if sigma > 0.0
                            else clean)
-                feed_fit(h, dataset, heldout)
-                fits += 1
-    # the chain's fits are left out of the counts
-    logger.removeHandler(lsq)
-    logger.setLevel(logging.NOTSET)
+                report = feed_fit(h, dataset, heldout)
+                for stage in report.stages if report else ():
+                    counts.update(stage.work)
     files = hashlib.sha256()
     for sigma in args.noise:
         feed_cli_files(files, sigma, args.seed)
@@ -244,14 +213,16 @@ def main():
             dataset = (add_noise(clean, sigma, args.seed) if sigma > 0.0
                        else clean)
             feed_fit(flags, dataset, heldout)
+    fits = len(args.slopes) * len(pairs) * len(args.noise)
     print(f"fits {fits} in {time.perf_counter() - t0:.1f} s")
     print(f"sha256 {h.hexdigest()}")
     print(f"carved sha256 {carved.hexdigest()}")
-    print("lsq interior {} bounded {} screened {}".format(*lsq.counts))
+    print("lsq interior {interior} bounded {bounded} screened {screened}"
+          .format_map(sum(work.values(), Counter())))
     print(f"files sha256 {files.hexdigest()}")
     print(f"flagged sha256 {flags.hexdigest()}")
-    print("roots " + " ".join(f"{slope:g}:{roots}/{passes}" for slope,
-                              (passes, roots) in lsq.roots.items()))
+    print("roots " + " ".join(f"{s:g}:{c['root_passes']}/{c['engine_passes']}"
+                              for s, c in work.items()))
 
 
 if __name__ == "__main__":

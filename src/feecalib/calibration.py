@@ -80,20 +80,27 @@ class StageResult:
     name, with K = kc/b + kphi next to the kc and kphi it splits into;
     ``assemble`` builds the soil parameters from a fit's records.
     ``at_bound`` maps each fitted parameter that ends on a bound (K, not
-    kc or kphi) to "lower" or "upper". ``function_evaluations`` counts
-    full-cycle evaluations of the stage model: in the staged fits one
-    trial of the outer parameter (each solves the linear unknowns by
-    bounded least squares, or is screened out as unable to win), plus the
-    incumbent check of stage 3; in the single-stage fit one objective
-    call. For the staged fits ``starts_tried`` is the number of grid
-    points of the outer search, ``iterations`` its Brent iterations (0
-    when the best grid point is a bound whose one-sided derivative points
-    out of the box, so Brent is skipped) and ``gradient_norm`` the
-    projected derivative along the outer parameter in unit-interval
-    coordinates. ``dropped_samples`` counts every sample of the cycle
-    that the stage's fit does not use: those out of soil or outside the
-    blade margins (``PreparedCycle.dropped``) and, in stages 2 and 3,
-    those the engine finds infeasible at the stage's parameters.
+    kc or kphi) to "lower" or "upper". ``dropped_samples`` counts every
+    sample of the cycle that the stage's fit does not use: those out of
+    soil or outside the blade margins (``PreparedCycle.dropped``) and, in
+    stages 2 and 3, those the engine finds infeasible at the stage's
+    parameters. In the single-stage fit ``function_evaluations`` counts
+    objective calls, and its ``work`` is empty.
+
+    A staged fit's ``work`` is the one record of its work, which its
+    DEBUG line prints, keyed by ``_WORK_KEYS`` in that order. Its trials
+    of the outer parameter, each a full-cycle evaluation of the stage
+    model, sum to ``function_evaluations``: the ``grid`` (its size is
+    ``starts_tried``), ``brent`` (``iterations``), ``derivative`` and
+    stage 3's ``incumbent`` check. Each trial solves the linear unknowns
+    by least squares inside the box (``interior``) or on its faces
+    (``bounded``), or is ``screened`` out as unable to win.
+    ``bound_shortcut`` is 1 when the best grid point is a bound whose
+    one-sided derivative points out of the box, so Brent is skipped.
+    ``engine_passes`` counts passes of the force kernel, of which
+    ``root_passes`` ran the stationary-root solve. ``gradient_norm`` is
+    the projected derivative along the outer parameter in unit-interval
+    coordinates.
     """
 
     name: str
@@ -110,6 +117,7 @@ class StageResult:
     rmse_pct: float
     rmse_series: str
     at_bound: dict[str, str]
+    work: dict[str, int]
 
 
 @dataclass
@@ -514,6 +522,17 @@ def _screened_lsq(designs: np.ndarray, targets: np.ndarray, lo: np.ndarray,
 _PROFILE_GRID = 33      # coarse grid points of the outer search
 _PROFILE_XATOL = 1e-10  # Brent's absolute tolerance, as a share of the bracket
 
+# The keys of a staged fit's ``StageResult.work``, in its DEBUG line's order.
+_WORK_KEYS = ("grid", "brent", "derivative", "incumbent", "interior",
+              "bounded", "screened", "bound_shortcut", "engine_passes",
+              "root_passes")
+_WORK_LINE = ("%(stage)s: %(ms).2f ms; %(trials)d trials: %(grid)d grid, "
+              "%(brent)d Brent, %(derivative)d derivative, %(incumbent)d "
+              "incumbent; least squares %(interior)d interior, %(bounded)d "
+              "bounded, %(screened)d screened; bound shortcut %(shortcut)s; "
+              "%(engine_passes)d engine passes, %(root_passes)d with the "
+              "root solve")
+
 
 @dataclass
 class _Profile:
@@ -526,9 +545,7 @@ class _Profile:
     iterations: int = 0
     converged: bool = True
     gradient_norm: float = 0.0
-    derivative_trials: int = 0
-    bound_shortcut: bool = False
-    lsq_paths: Counter = field(default_factory=Counter)
+    work: Counter = field(default_factory=Counter)
 
 
 def _profile_search(trial, lo: float, hi: float) -> _Profile:
@@ -563,7 +580,7 @@ def _profile_search(trial, lo: float, hi: float) -> _Profile:
     def counted(xs) -> list:
         xs = np.asarray(xs, dtype=float)
         best.evaluations += xs.size
-        return trial(xs, best.lsq_paths)
+        return trial(xs, best.work)
 
     def keep_best(xs, results) -> list[float]:
         for x, (v, inner) in zip(xs, results):
@@ -585,13 +602,14 @@ def _profile_search(trial, lo: float, hi: float) -> _Profile:
             lambda v: (centre if centre is not None and v[0] == u
                        else counted([lo + v[0] * width])[0][0]),
             np.array([u]), [(0.0, 1.0)])[0]
-        best.derivative_trials += best.evaluations - before
+        best.work["derivative"] += best.evaluations - before
         return grad
 
     def points_out(grad: float) -> bool:
         return (best.x <= lo and grad > 0.0) or (best.x >= hi and grad < 0.0)
 
     grid = np.linspace(lo, hi, _PROFILE_GRID)
+    best.work["grid"] = _PROFILE_GRID
     k = int(np.argmin(keep_best(grid, counted(grid))))
     if best.inner is None:
         raise SolverFailure(f"no grid point in [{lo}, {hi}] gives a finite "
@@ -601,11 +619,12 @@ def _profile_search(trial, lo: float, hi: float) -> _Profile:
     if best.x <= lo or best.x >= hi:
         grad = derivative(centre=best.value)
         if points_out(grad):
-            best.bound_shortcut = True
+            best.work["bound_shortcut"] = 1
             return best
     kept = best.x
     _, best.iterations, best.converged = minimize_scalar_bounded(
         value, a, b, _PROFILE_XATOL * (b - a))
+    best.work["brent"] = best.iterations
     if grad is None or best.x != kept:
         grad = derivative()
     best.gradient_norm = 0.0 if points_out(grad) else float(abs(grad))
@@ -613,27 +632,18 @@ def _profile_search(trial, lo: float, hi: float) -> _Profile:
 
 
 def _staged_result(name: str, parameters: dict[str, float], b: float,
-                   objective: float, profile: _Profile,
-                   extra_evaluations: int, engine: tuple[int, int],
-                   t0: float, dropped: int, rmse_pair: tuple[float, float],
+                   objective: float, profile: _Profile, t0: float,
+                   dropped: int, rmse_pair: tuple[float, float],
                    series: str) -> StageResult:
     """The stage's StageResult, with ``at_bound`` read from its record for
-    blade thickness ``b``; logs its cost at DEBUG. ``engine`` counts the
-    stage's passes of the failure-angle and bearing-factor kernel, each
-    over one or more friction angles, and how many of them ran the
-    stationary-root solve."""
+    blade thickness ``b`` and ``work`` from the profile's; logs the work
+    at DEBUG."""
     wall = time.perf_counter() - t0
-    evaluations = profile.evaluations + extra_evaluations
-    solves = profile.lsq_paths
-    log.debug("%s: %.2f ms; %d trials: %d grid, %d Brent, %d derivative, "
-              "%d incumbent; least squares %d interior, %d bounded, %d "
-              "screened; bound shortcut %s; %d engine passes, %d with the "
-              "root solve", name,
-              1e3 * wall, evaluations, _PROFILE_GRID,
-              profile.iterations, profile.derivative_trials,
-              extra_evaluations, solves["interior"], solves["bounded"],
-              solves["screened"],
-              "taken" if profile.bound_shortcut else "not taken", *engine)
+    work = {key: profile.work[key] for key in _WORK_KEYS}
+    evaluations = profile.evaluations + work["incumbent"]
+    log.debug(_WORK_LINE, dict(
+        work, stage=name, ms=1e3 * wall, trials=evaluations,
+        shortcut="taken" if work["bound_shortcut"] else "not taken"))
     return StageResult(name=name, parameters=parameters,
                        objective_value=objective,
                        iterations=profile.iterations,
@@ -644,7 +654,7 @@ def _staged_result(name: str, parameters: dict[str, float], b: float,
                        wall_time_s=wall,
                        dropped_samples=dropped, rmse_n=rmse_pair[0],
                        rmse_pct=rmse_pair[1], rmse_series=series,
-                       at_bound=_at_bound(parameters, b))
+                       at_bound=_at_bound(parameters, b), work=work)
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +700,8 @@ def calibrate_stage1(cycle: PreparedCycle) -> StageResult:
     parameters = dict(adhesion_ca=ca, delta=float(delta), kc=kc, kphi=kphi,
                       n=profile.x, K=big_k)
     return _staged_result("stage1", parameters, loader.b,
-                          float(residual @ residual) / scale, profile, 0,
-                          (0, 0), t0, cycle.dropped, rmse(ft_obs, fit),
+                          float(residual @ residual) / scale, profile, t0,
+                          cycle.dropped, rmse(ft_obs, fit),
                           series="f_t observed (raw), in-soil samples")
 
 
@@ -740,11 +750,11 @@ def calibrate_stage2(cycle: PreparedCycle, adhesion_ca: float,
                   cycle)
     force, valid = out.fee[out.valid], out.valid
     residual = target[valid] - force
+    profile.work["engine_passes"] += kernel.passes - start[0]
+    profile.work["root_passes"] += kernel.root_passes - start[1]
     return _staged_result("stage2", dict(gamma=gamma, cohesion_c=cohesion,
                                          phi=profile.x),
-                          b, float(residual @ residual) / scale,
-                          profile, 0, (kernel.passes - start[0],
-                                       kernel.root_passes - start[1]), t0,
+                          b, float(residual @ residual) / scale, profile, t0,
                           cycle.dropped + int((~valid).sum()),
                           rmse(target[valid], force),
                           series="wedge force reconstructed from raw f_n, "
@@ -804,10 +814,11 @@ def calibrate_stage3(cycle: PreparedCycle,
         best, f_best = incumbent, f_incumbent
         big_k = float(theta_fixed.kc / loader.b + theta_fixed.kphi)
     kc, kphi, n = map(float, best)
+    profile.work["incumbent"] = 1
+    profile.work["engine_passes"] += kernel.passes - start[0]
+    profile.work["root_passes"] += kernel.root_passes - start[1]
     return _staged_result("stage3", dict(kc=kc, kphi=kphi, n=n, K=big_k),
-                          loader.b, f_best, profile, 1,
-                          (kernel.passes - start[0],
-                           kernel.root_passes - start[1]), t0,
+                          loader.b, f_best, profile, t0,
                           cycle.dropped + int((~valid).sum()),
                           rmse(ft_obs, model(kc, kphi, n)),
                           series="f_t observed (raw), in-soil samples")
@@ -924,7 +935,7 @@ def calibrate_single_stage(dataset: CycleDataset,
         dropped_samples=cycle.dropped, rmse_n=math.nan,
         rmse_pct=math.nan,
         rmse_series="(final report carries the force errors)",
-        at_bound=_at_bound(parameters, b))
+        at_bound=_at_bound(parameters, b), work={})
     return _final_report("single-stage", [stage], cycle, options, wall)
 
 

@@ -66,8 +66,9 @@ def _read_table(path: str | Path,
     The file is a header line, then one row per line, with fields split
     at "," and no quoting. Lines end at LF, CR LF or CR, as the file
     iterator splits them; trailing empty lines are ignored, so data row i
-    is on line i + 2. Each row must hold one number per header field; a
-    bad row raises ConfigError naming its line.
+    is on line i + 2. The header must name each column once, and each
+    row hold one number per header field; a bad row raises ConfigError
+    naming its line.
 
     The body is parsed by one ``np.loadtxt`` pass. Only a body it
     refuses, or one of the wrong shape, goes to ``_convert_rows``.
@@ -84,6 +85,12 @@ def _read_table(path: str | Path,
     for column in columns:
         if column not in header:
             raise ConfigError(f"{path}: missing column '{column}'")
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise ConfigError(f"{path}: column '{name}' appears more than "
+                              "once")
+        seen.add(name)
     body = lines[1:]
     shape = (len(body), len(header))
     try:    # an empty body skips loadtxt, which would warn
@@ -514,9 +521,19 @@ def _dump_json(path: str | Path, doc: dict) -> None:
 
 def _load_json(path: str | Path) -> dict:
     path = Path(path)
+
+    def unique_keys(pairs: list) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: key '{key}' appears more than "
+                                  "once")
+            obj[key] = value
+        return obj
+
     try:
         with path.open("r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}")
     except ValueError as exc:   # not UTF-8, or not JSON

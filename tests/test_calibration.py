@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 import warnings
 from dataclasses import astuple, replace
 
@@ -434,6 +436,69 @@ class TestMultiStage:
             truth.kc / b + truth.kphi, rel=1e-8)
         assert report.stages[1].at_bound == {}
 
+    @pytest.mark.parametrize("case", ["clean", "noisy", "flagged"])
+    def test_work_record_holds_the_debug_line_counts(self, dataset, case,
+                                                     caplog):
+        """Each stage's ``work`` holds the counts of its DEBUG line, in the
+        line's order: on the clean default cycle, at 5% noise with seed 5
+        (whose stage 2 solves on the box's faces) and with the samples at
+        10%, 50% and 90% of the in-soil count outside the blade margins."""
+        if case == "noisy":
+            dataset = add_noise(dataset, 0.05, seed=5)
+        elif case == "flagged":
+            m = int(prepare_cycle(dataset).in_soil.sum())
+            dataset, _ = _with_bad_blade_angles(
+                dataset, picks=(m // 10, m // 2, 9 * m // 10))
+        with caplog.at_level(logging.DEBUG, logger="feecalib.calibration"):
+            report = calibrate_multi_stage(dataset)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "feecalib.calibration"]
+        assert len(lines) == len(report.stages) == 3
+        for line, stage in zip(lines, report.stages):
+            counts = line.split(" ms; ", 1)[1]
+            trials, *numbers = map(int, re.findall(r"\d+", counts))
+            assert trials == stage.function_evaluations
+            shortcut = int("bound shortcut taken" in counts)
+            assert list(stage.work.items()) == list(zip(
+                ("grid", "brent", "derivative", "incumbent", "interior",
+                 "bounded", "screened", "bound_shortcut", "engine_passes",
+                 "root_passes"), numbers[:7] + [shortcut] + numbers[7:]))
+        bounded = sum(stage.work["bounded"] for stage in report.stages)
+        assert (bounded > 0) == (case == "noisy")
+
+    @pytest.mark.parametrize("slope_deg, roots", [(25.0, False),
+                                                  (40.0, True)])
+    def test_stage2_runs_the_root_solve_where_it_cannot_rule_roots_out(
+            self, truth, slope_deg, roots):
+        """The kernel's closed-form test rules out a stationary root on
+        every pass of stage 2 at 25 degrees, but not at 40, where the
+        passes run the root solve: no benchmark workload reaches it."""
+        scenario = replace(default_scenario(), surface=SlopedLine(
+            (0.0, 0.0), math.radians(slope_deg)))
+        report = calibrate_multi_stage(simulate_cycle(scenario, truth))
+        work = report.stages[1].work
+        assert work["engine_passes"] > 0
+        assert (work["root_passes"] > 0) == roots
+
+
+def assert_work_identities(stages, label):
+    """What each staged fit's work record must satisfy: its trials sum to
+    its evaluations, its Brent trials are its iterations, its grid is its
+    starts, no more passes run the root solve than run at all, stage 1
+    runs no pass, and a bound shortcut skips Brent."""
+    for stage in stages:
+        work = stage.work
+        assert stage.function_evaluations == (
+            work["grid"] + work["brent"] + work["derivative"]
+            + work["incumbent"]), (label, stage.name)
+        assert stage.iterations == work["brent"], (label, stage.name)
+        assert stage.starts_tried == work["grid"] == 33, (label, stage.name)
+        assert work["root_passes"] <= work["engine_passes"], (label,
+                                                              stage.name)
+        assert not work["bound_shortcut"] or work["brent"] == 0, (
+            label, stage.name)
+    assert stages[0].work["engine_passes"] == 0, label
+
 
 SINKAGE_PRESETS = [p for p in preset_catalog() if p.kc is not None]
 CLASS_PRESETS = [p for p in preset_catalog() if p.phi is not None]
@@ -500,6 +565,7 @@ class TestPresetSweep:
             report = calibrate_multi_stage(dataset)
             stages, got = report.stages, report.theta_star
             assert got == assemble(stages), sinkage.name
+            assert_work_identities(stages, sinkage.name)
             # stage 3 leaves the normal force bitwise unchanged
             cycle = prepare_cycle(dataset)
             assert np.array_equal(_forces(assemble(stages[:2]), cycle).f_n,

@@ -677,6 +677,24 @@ class TestMalformedCsv:
         self._assert_rejected(res, bad, 7)
         assert not (tmp_path / "metrics.json").exists()
 
+    def test_column_named_twice_in_evaluate(self, runner, workdir,
+                                            tmp_path):
+        """A predicted.csv that names ft_N twice exits 2 with one line, and
+        no metrics.json."""
+        run = workdir / "run"
+        header, *rows = (run / "predicted.csv").read_text().splitlines()
+        bad = tmp_path / "predicted.csv"
+        bad.write_text("\n".join([header + ",ft_N"]
+                                 + [row + ",0.0" for row in rows]) + "\n")
+        res = runner.invoke(main, ["evaluate", str(bad),
+                                   str(run / "cycle.csv"), "--out",
+                                   str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr == (f"error: {bad}: column 'ft_N' appears more "
+                              "than once\n")
+        assert not (tmp_path / "metrics.json").exists()
+
     @pytest.mark.parametrize("fault", ["abc", "short", "nan-ft", "t-back"])
     def test_cycle_csv_in_calibrate(self, runner, workdir, tmp_path, fault):
         run = workdir / "run"
@@ -1306,13 +1324,14 @@ class TestSchemaVersion:
 def test_debug_log_has_one_line_per_stage(workdir, tmp_path):
     """FEE_CALIB_LOG=DEBUG: each stage of a staged fit logs its wall time,
     its trials, its least-squares paths, the bound check and its engine
-    passes with how many ran the stationary-root solve. On the clean
-    default cycle n's optimum is its lower bound, so stages 1 and 3 skip
-    Brent. Stage 1 never runs the engine, and stage 2 runs it once for its
-    whole grid, once per Brent or derivative trial and once at the fitted
-    values, whose wedge force stage 3 reuses. Every trial either
-    solves its least-squares problem or is screened out; on this cycle
-    each grid solves one point and screens the other 32."""
+    passes with how many ran the stationary-root solve: its work record,
+    which report.json carries too. On the clean default cycle n's optimum
+    is its lower bound, so stages 1 and 3 skip Brent. Stage 1 never runs
+    the engine, and stage 2 runs it once for its whole grid, once per
+    Brent or derivative trial and once at the fitted values, whose wedge
+    force stage 3 reuses. Every trial either solves its least-squares
+    problem or is screened out; on this cycle each grid solves one point
+    and screens the other 32."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, FEE_CALIB_LOG="DEBUG")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -1341,6 +1360,14 @@ def test_debug_log_has_one_line_per_stage(workdir, tmp_path):
          screened, shortcut, passes, roots), stage in zip(stages,
                                                           report["stages"]):
         assert name == stage["name"]
+        # the line prints the stage's work record, key by key
+        assert list(stage["work"].items()) == [
+            ("grid", 33), ("brent", int(brent)),
+            ("derivative", int(derivative)), ("incumbent", int(incumbent)),
+            ("interior", int(interior)), ("bounded", int(bounded)),
+            ("screened", int(screened)),
+            ("bound_shortcut", int(shortcut == "taken")),
+            ("engine_passes", int(passes)), ("root_passes", int(roots))]
         assert int(trials) == stage["function_evaluations"] == (
             33 + int(brent) + int(derivative) + int(incumbent))
         assert int(brent) == stage["iterations"]

@@ -126,6 +126,33 @@ def test_soil_without_a_friction_angle_is_refused():
         fio.soil_from_json(doc)
 
 
+def scenario_with_alpha_twice():
+    """The default scenario's JSON with its surface at alpha_deg 25, then
+    again at alpha_deg 40."""
+    doc = fio.scenario_to_json(default_scenario())
+    del doc["surface"]["alpha_rad"]
+    doc["surface"]["alpha_deg"] = 25
+    return json.dumps(doc).replace('"alpha_deg": 25',
+                                   '"alpha_deg": 25, "alpha_deg": 40')
+
+
+@pytest.mark.parametrize("read, text, key", [
+    (fio.load_config, '{"noise": {"relative_sigma": 0.05, "seed": 1, '
+                      '"seed": 2}}', "seed"),
+    (fio.read_scenario_json, scenario_with_alpha_twice(), "alpha_deg"),
+    (fio.read_report_theta, '{"schema_version": 3, "schema_version": 3, '
+                            '"theta_star": {}}', "schema_version")],
+    ids=["config", "scenario", "report"])
+def test_json_key_named_twice_is_refused(tmp_path, read, text, key):
+    """An object that names a key twice is refused, not read at its last
+    value."""
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        read(path)
+    assert str(err.value) == f"{path}: key '{key}' appears more than once"
+
+
 def test_explicit_scenario_reloads_bit_exactly(tmp_path):
     samples = make_trajectory([0.0, 0.1, 1 / 3], [0.3, 1e-17, 2 / 3],
                               [-0.0, -0.05, -1 / 7], [0.5, math.pi / 5, 1.1])
@@ -354,6 +381,22 @@ def test_bad_cycle_of_one_line_rows_names_row_plus_two(tmp_path):
                     "1,0,0,0.5,0,0\n2,0,0,0.5,0,inf\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:4: "):
         fio.read_cycle_csv(path)
+
+
+@pytest.mark.parametrize("read, columns, twice", [
+    (fio.read_cycle_csv, fio.CYCLE_COLUMNS, "t_s"),
+    (fio.read_prediction_csv, fio.PREDICTION_COLUMNS, "ft_N")],
+    ids=["cycle", "prediction"])
+def test_column_named_twice_is_refused(tmp_path, read, columns, twice):
+    """A header that names a column twice is refused, not read from its
+    first copy; here the second copy's values decrease."""
+    path = tmp_path / "table.csv"
+    rows = [",".join(["0.5"] * len(columns) + [value]) for value in "10"]
+    path.write_text(",".join([*columns, twice]) + "\n" + "\n".join(rows)
+                    + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        read(path)
+    assert str(err.value) == f"{path}: column '{twice}' appears more than once"
 
 
 def test_writer_writes_shortest_round_trip_rows(tmp_path):

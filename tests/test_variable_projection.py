@@ -596,9 +596,9 @@ class TestProfileSearch:
         assert profile.x == bound
         assert profile.inner.tolist() == [bound]
         assert profile.gradient_norm == 0.0
-        assert profile.bound_shortcut
+        assert profile.work["bound_shortcut"]
         assert (profile.iterations, profile.converged) == (0, True)
-        assert profile.derivative_trials == 1
+        assert profile.work["derivative"] == 1
         assert profile.evaluations == _PROFILE_GRID + 1
 
     def test_interior_minimum_runs_brent_without_a_bound_check(self):
@@ -607,8 +607,8 @@ class TestProfileSearch:
         profile = _profile_search(quadratic_profile(centre, calls), LO, HI)
         assert profile.x == pytest.approx(centre, abs=1e-9)
         assert profile.gradient_norm < 1e-6
-        assert not profile.bound_shortcut and profile.iterations > 0
-        assert profile.derivative_trials == 2       # central difference
+        assert not profile.work["bound_shortcut"] and profile.iterations > 0
+        assert profile.work["derivative"] == 2     # central difference
         assert profile.evaluations == _PROFILE_GRID + profile.iterations + 2
         # the grid is one call; Brent and the derivative make one-point calls
         assert calls == [_PROFILE_GRID] + [1] * (profile.iterations + 2)
@@ -621,9 +621,9 @@ class TestProfileSearch:
         profile = _profile_search(quadratic_profile(centre), LO, HI)
         assert profile.x == pytest.approx(centre, abs=1e-9)
         assert profile.gradient_norm < 1e-6
-        assert not profile.bound_shortcut and profile.iterations > 0
+        assert not profile.work["bound_shortcut"] and profile.iterations > 0
         # the bound's one-sided difference, then a central one at the end
-        assert profile.derivative_trials == 1 + 2
+        assert profile.work["derivative"] == 1 + 2
         assert (profile.evaluations
                 == _PROFILE_GRID + 1 + profile.iterations + 2)
 
@@ -636,9 +636,9 @@ class TestProfileSearch:
                      np.array([x])) for x in xs.tolist()]
 
         profile = _profile_search(trial, LO, HI)
-        assert profile.x == LO and not profile.bound_shortcut
+        assert profile.x == LO and not profile.work["bound_shortcut"]
         assert profile.iterations > 0
-        assert profile.derivative_trials == 1
+        assert profile.work["derivative"] == 1
         assert profile.evaluations == _PROFILE_GRID + 1 + profile.iterations
         assert profile.gradient_norm == pytest.approx(WIDTH, rel=1e-6)
 
