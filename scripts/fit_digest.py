@@ -4,11 +4,12 @@
 Fits every class preset merged with every sinkage preset on the default
 path at each pile slope, clean and with noise, and hashes the bits of
 what each fit gives: theta*, each stage's record (fitted values,
-objective, gradient norm, trial and iteration counts, bound flags), the
-final force errors, and the prediction on the held-out path. A fit that
-raises hashes its error. Two source trees that print the same digest fit
-every case to the same bits. libm's bits vary by platform, so compare
-digests made on one machine only.
+objective, gradient norm, its trial count and the Brent and grid counts
+of its ``work``, bound flags), the final force errors, and the
+prediction on the held-out path. A fit that raises hashes its error.
+Two source trees that print the same digest fit every case to the same
+bits. libm's bits vary by platform, so compare digests made on one
+machine only.
 
 A second digest, ``carved sha256``, hashes what ``predict_next_cycle``
 gives (depth, beta, f_t, f_n, status) along a 3-pass chain at each
@@ -99,8 +100,8 @@ def feed_fit(h, dataset, heldout):
     feed(h, astuple(report.theta_star))
     for stage in report.stages:
         feed(h, (stage.name, stage.parameters, stage.objective_value,
-                 stage.iterations, stage.function_evaluations,
-                 stage.starts_tried, stage.converged, stage.gradient_norm,
+                 stage.work["brent"], stage.function_evaluations,
+                 stage.work["grid"], stage.converged, stage.gradient_norm,
                  stage.dropped_samples, stage.rmse_n, stage.rmse_pct,
                  stage.at_bound))
     feed(h, (report.rmse_ft_n, report.rmse_fn_n, report.rmse_fr_n,

@@ -85,30 +85,29 @@ class StageResult:
     soil or outside the blade margins (``PreparedCycle.dropped``) and, in
     stages 2 and 3, those the engine finds infeasible at the stage's
     parameters. In the single-stage fit ``function_evaluations`` counts
-    objective calls, and its ``work`` is empty.
+    objective calls over every start, and its ``work`` holds the
+    optimizer's ``starts`` and the L-BFGS-B ``iterations`` of its best
+    start.
 
     A staged fit's ``work`` is the one record of its work, which its
     DEBUG line prints, keyed by ``_WORK_KEYS`` in that order. Its trials
     of the outer parameter, each a full-cycle evaluation of the stage
-    model, sum to ``function_evaluations``: the ``grid`` (its size is
-    ``starts_tried``), ``brent`` (``iterations``), ``derivative`` and
-    stage 3's ``incumbent`` check. Each trial solves the linear unknowns
-    by least squares inside the box (``interior``) or on its faces
-    (``bounded``), or is ``screened`` out as unable to win.
-    ``bound_shortcut`` is 1 when the best grid point is a bound whose
-    one-sided derivative points out of the box, so Brent is skipped.
-    ``engine_passes`` counts passes of the force kernel, of which
-    ``root_passes`` ran the stationary-root solve. ``gradient_norm`` is
-    the projected derivative along the outer parameter in unit-interval
-    coordinates.
+    model, sum to ``function_evaluations``: the ``grid``, ``brent``,
+    ``derivative`` and stage 3's ``incumbent`` check. ``brent`` is 0
+    when the best grid point is a bound whose one-sided derivative
+    points out of the box, so Brent is skipped (the bound shortcut).
+    Each trial solves the linear unknowns by least squares inside the
+    box (``interior``) or on its faces (``bounded``), or is ``screened``
+    out as unable to win. ``engine_passes`` counts passes of the force
+    kernel, of which ``root_passes`` ran the stationary-root solve.
+    ``gradient_norm`` is the projected derivative along the outer
+    parameter in unit-interval coordinates.
     """
 
     name: str
     parameters: dict[str, float]
     objective_value: float
-    iterations: int
     function_evaluations: int
-    starts_tried: int
     converged: bool
     gradient_norm: float
     wall_time_s: float
@@ -522,10 +521,11 @@ def _screened_lsq(designs: np.ndarray, targets: np.ndarray, lo: np.ndarray,
 _PROFILE_GRID = 33      # coarse grid points of the outer search
 _PROFILE_XATOL = 1e-10  # Brent's absolute tolerance, as a share of the bracket
 
-# The keys of a staged fit's ``StageResult.work``, in its DEBUG line's order.
-_WORK_KEYS = ("grid", "brent", "derivative", "incumbent", "interior",
-              "bounded", "screened", "bound_shortcut", "engine_passes",
-              "root_passes")
+# The keys of a staged fit's ``StageResult.work``, in its DEBUG line's
+# order: the kinds of trial first, which sum to its function_evaluations.
+_TRIAL_KEYS = ("grid", "brent", "derivative", "incumbent")
+_WORK_KEYS = _TRIAL_KEYS + ("interior", "bounded", "screened",
+                            "engine_passes", "root_passes")
 _WORK_LINE = ("%(stage)s: %(ms).2f ms; %(trials)d trials: %(grid)d grid, "
               "%(brent)d Brent, %(derivative)d derivative, %(incumbent)d "
               "incumbent; least squares %(interior)d interior, %(bounded)d "
@@ -541,8 +541,6 @@ class _Profile:
     x: float
     value: float = math.inf
     inner: np.ndarray | None = None
-    evaluations: int = 0
-    iterations: int = 0
     converged: bool = True
     gradient_norm: float = 0.0
     work: Counter = field(default_factory=Counter)
@@ -560,26 +558,28 @@ def _profile_search(trial, lo: float, hi: float) -> _Profile:
     lower bound exceeds the best solved value comes back as
     ``(inf, None)`` unsolved. It could never have been the best trial,
     nor the lowest grid value that places Brent's bracket, and it still
-    counts as an evaluation, so the search takes the same steps and
-    returns the same bits as with every grid point solved.
+    counts as a trial, so the search takes the same steps and returns
+    the same bits as with every grid point solved.
     When the best grid point is a bound, one trial gives the one-sided
     derivative there (the grid value is its centre); if it points out of
     the box the bound is the answer and Brent does not run. Otherwise a
     bounded Brent search (``optimizer.minimize_scalar_bounded``, the port
     of scipy's ``minimize_scalar(method="bounded")``) runs over the two
     grid cells around the best grid point, to an absolute tolerance of
-    1e-10 of that bracket. Brent and the derivative call ``trial`` with
-    one candidate at a time. The gradient norm is the projected
-    finite-difference derivative of the profile at the best trial, in
-    unit-interval coordinates; by the variable projection theorem it is
-    the projected gradient of the full objective, whose linear part is
-    stationary by construction. Every candidate counts as one evaluation.
+    1e-10 of that bracket; it makes at least one trial. Brent and the
+    derivative call ``trial`` with one candidate at a time. The gradient
+    norm is the projected finite-difference derivative of the profile at
+    the best trial, in unit-interval coordinates; by the variable
+    projection theorem it is the projected gradient of the full
+    objective, whose linear part is stationary by construction. Every
+    candidate is counted once, in ``work`` under its kind of trial:
+    ``grid``, ``brent`` or ``derivative``.
     """
     best = _Profile(x=lo)
 
-    def counted(xs) -> list:
+    def counted(xs, kind: str) -> list:
         xs = np.asarray(xs, dtype=float)
-        best.evaluations += xs.size
+        best.work[kind] += xs.size
         return trial(xs, best.work)
 
     def keep_best(xs, results) -> list[float]:
@@ -589,7 +589,7 @@ def _profile_search(trial, lo: float, hi: float) -> _Profile:
         return [v for v, _ in results]
 
     def value(x: float) -> float:
-        return keep_best([x], counted([x]))[0]
+        return keep_best([x], counted([x], "brent"))[0]
 
     width = hi - lo
 
@@ -597,20 +597,16 @@ def _profile_search(trial, lo: float, hi: float) -> _Profile:
         """The profile's derivative at best.x in unit coordinates; a
         known ``centre`` value at best.x is used, not evaluated again."""
         u = (best.x - lo) / width
-        before = best.evaluations
-        grad = finite_difference_gradient(
+        return finite_difference_gradient(
             lambda v: (centre if centre is not None and v[0] == u
-                       else counted([lo + v[0] * width])[0][0]),
+                       else counted([lo + v[0] * width], "derivative")[0][0]),
             np.array([u]), [(0.0, 1.0)])[0]
-        best.work["derivative"] += best.evaluations - before
-        return grad
 
     def points_out(grad: float) -> bool:
         return (best.x <= lo and grad > 0.0) or (best.x >= hi and grad < 0.0)
 
     grid = np.linspace(lo, hi, _PROFILE_GRID)
-    best.work["grid"] = _PROFILE_GRID
-    k = int(np.argmin(keep_best(grid, counted(grid))))
+    k = int(np.argmin(keep_best(grid, counted(grid, "grid"))))
     if best.inner is None:
         raise SolverFailure(f"no grid point in [{lo}, {hi}] gives a finite "
                             f"objective with samples to fit")
@@ -619,12 +615,10 @@ def _profile_search(trial, lo: float, hi: float) -> _Profile:
     if best.x <= lo or best.x >= hi:
         grad = derivative(centre=best.value)
         if points_out(grad):
-            best.work["bound_shortcut"] = 1
             return best
     kept = best.x
-    _, best.iterations, best.converged = minimize_scalar_bounded(
-        value, a, b, _PROFILE_XATOL * (b - a))
-    best.work["brent"] = best.iterations
+    best.converged = minimize_scalar_bounded(
+        value, a, b, _PROFILE_XATOL * (b - a))[2]
     if grad is None or best.x != kept:
         grad = derivative()
     best.gradient_norm = 0.0 if points_out(grad) else float(abs(grad))
@@ -640,15 +634,13 @@ def _staged_result(name: str, parameters: dict[str, float], b: float,
     at DEBUG."""
     wall = time.perf_counter() - t0
     work = {key: profile.work[key] for key in _WORK_KEYS}
-    evaluations = profile.evaluations + work["incumbent"]
+    evaluations = sum(work[key] for key in _TRIAL_KEYS)
     log.debug(_WORK_LINE, dict(
         work, stage=name, ms=1e3 * wall, trials=evaluations,
-        shortcut="taken" if work["bound_shortcut"] else "not taken"))
+        shortcut="not taken" if work["brent"] else "taken"))
     return StageResult(name=name, parameters=parameters,
                        objective_value=objective,
-                       iterations=profile.iterations,
                        function_evaluations=evaluations,
-                       starts_tried=_PROFILE_GRID,
                        converged=profile.converged,
                        gradient_norm=profile.gradient_norm,
                        wall_time_s=wall,
@@ -928,14 +920,14 @@ def calibrate_single_stage(dataset: CycleDataset,
     parameters = dict(asdict(soil_at(values)), K=float(values[5]))
     stage = StageResult(
         name="single", parameters=parameters,
-        objective_value=solve.objective_value, iterations=solve.iterations,
+        objective_value=solve.objective_value,
         function_evaluations=solve.function_evaluations,
-        starts_tried=solve.starts_tried, converged=solve.converged,
-        gradient_norm=solve.gradient_norm, wall_time_s=wall,
-        dropped_samples=cycle.dropped, rmse_n=math.nan,
+        converged=solve.converged, gradient_norm=solve.gradient_norm,
+        wall_time_s=wall, dropped_samples=cycle.dropped, rmse_n=math.nan,
         rmse_pct=math.nan,
         rmse_series="(final report carries the force errors)",
-        at_bound=_at_bound(parameters, b), work={})
+        at_bound=_at_bound(parameters, b),
+        work={"starts": solve.starts_tried, "iterations": solve.iterations})
     return _final_report("single-stage", [stage], cycle, options, wall)
 
 

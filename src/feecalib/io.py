@@ -25,7 +25,7 @@ from .soil import LoaderParameters, SoilParameters
 from .synthetic import (Scenario, default_loader, default_scenario,
                         default_truth, preset_truth)
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 CYCLE_COLUMNS = ("t_s", "x_m", "z_m", "rho_rad", "ft_obs_N", "fn_obs_N")
 PREDICTION_COLUMNS = ("t_s", "x_m", "z_m", "rho_rad", "d_m", "beta_rad",

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from click.testing import CliRunner
 
 from feecalib import io as fio
 from feecalib import (CalibrationOptions, CycleDataset, SolverOptions,
-                      calibrate_single_stage, make_trajectory)
+                      StageResult, calibrate_single_stage, make_trajectory)
 from feecalib.cli import main
 
 FAST_CONFIG = {
@@ -202,7 +203,7 @@ class TestCalibrate:
 
         doc = json.loads((workdir / "run" / "report.json").read_text(),
                          parse_constant=no_constants)
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
         assert doc["options"].keys() == {"lambda_weight", "seed"}
         for stage in doc["stages"]:
             assert set(stage["at_bound"].values()) <= {"lower", "upper"}
@@ -283,6 +284,29 @@ class TestCalibrate:
         report = calibrate_single_stage(
             dataset, options=CalibrationOptions(solver=solver))
         assert doc["theta_star"] == fio.soil_to_json(report.theta_star)
+
+    @pytest.mark.parametrize("method", ["single", "multi"])
+    def test_stage_records_hold_the_stage_result_fields(self, runner, workdir,
+                                                        tmp_path, method):
+        # each stage record is its StageResult, rmse_n written as rmse_N;
+        # the counts that its work record holds are not repeated
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"calibration": {"solver": {
+            "n_starts": 1, "max_iterations": 3}}}))
+        res = runner.invoke(main, ["calibrate",
+                                   str(workdir / "run" / "cycle.csv"),
+                                   "--config", str(config), "--method",
+                                   method, "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["schema_version"] == fio.SCHEMA_VERSION == 4
+        names = ["rmse_N" if f.name == "rmse_n" else f.name
+                 for f in dataclasses.fields(StageResult)]
+        assert len(doc["stages"]) == (1 if method == "single" else 3)
+        for stage in doc["stages"]:
+            assert list(stage) == names
+            assert not {"iterations", "starts_tried"} & stage.keys()
+            assert "bound_shortcut" not in stage["work"]
 
     def test_missing_scenario_exits_2(self, runner, workdir, tmp_path):
         res = runner.invoke(main, ["calibrate",
@@ -1366,11 +1390,10 @@ def test_debug_log_has_one_line_per_stage(workdir, tmp_path):
             ("derivative", int(derivative)), ("incumbent", int(incumbent)),
             ("interior", int(interior)), ("bounded", int(bounded)),
             ("screened", int(screened)),
-            ("bound_shortcut", int(shortcut == "taken")),
             ("engine_passes", int(passes)), ("root_passes", int(roots))]
+        assert (shortcut == "taken") == (int(brent) == 0)
         assert int(trials) == stage["function_evaluations"] == (
             33 + int(brent) + int(derivative) + int(incumbent))
-        assert int(brent) == stage["iterations"]
         # every trial of a staged fit is solved or screened out
         assert int(interior) + int(bounded) + int(screened) == (
             33 + int(brent) + int(derivative))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -336,15 +337,24 @@ def assert_as_low_as_lsq_linear(problem):
     lsq_linear(method="bvls")'s, to 1e-12 of that value plus |b|^2, or,
     if larger, of | |A| |x| |^2: a residual that cancels to zero is
     rounding of the terms of A x, and its square is no smaller than
-    theirs times the unit roundoff squared."""
+    theirs times the unit roundoff squared. Where lsq_linear's x is not
+    finite, the reference is the lowest residual over the box's 2^p
+    vertices instead."""
     a, b, lb, ub = problem
     x, side, _ = face_search(problem)
     ref = lsq_linear(a, b, bounds=(lb, ub), method="bvls")
     assert ((x >= lb) & (x <= ub)).all(), (x, lb, ub)
     assert np.array_equal(x[side < 0], lb[side < 0])
     assert np.array_equal(x[side > 0], ub[side > 0])
-    r, r_ref = a.dot(x) - b, a.dot(ref.x) - b
-    rss, rss_ref = r.dot(r), r_ref.dot(r_ref)
+    r = a.dot(x) - b
+    rss = r.dot(r)
+    if np.isfinite(ref.x).all():
+        r_ref = a.dot(ref.x) - b
+        rss_ref = r_ref.dot(r_ref)
+    else:
+        vertices = np.array(list(itertools.product(*zip(lb, ub))))
+        r_ref = vertices.dot(a.T) - b
+        rss_ref = np.einsum("ij,ij->i", r_ref, r_ref).min()
     terms = np.abs(a).dot(np.abs(x))
     assert rss <= rss_ref + 1e-12 * max(rss_ref + b.dot(b),
                                         terms.dot(terms)), (rss, rss_ref)
@@ -357,6 +367,10 @@ class TestFaceSearch:
     # both residuals are rounding of -2 x0 + 1.15 x1 = 0: 1e-16 and 1e-17
     @example((np.array([[-2.0, 1.15, 0.0]]), np.zeros(1), np.full(3, 0.25),
               np.full(3, 1.25)))
+    # subnormal columns, on which lsq_linear returns x = (nan, nan, 1)
+    @example((np.full((6, 3), 2.22507386e-311),
+              np.array([18.0, 0.0, 0.0, 0.0, 0.0, 0.0]), np.zeros(3),
+              np.ones(3)))
     def test_as_low_as_lsq_linear(self, problem):
         assume(leaves_the_box(problem))
         assert_as_low_as_lsq_linear(problem)

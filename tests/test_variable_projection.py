@@ -255,9 +255,9 @@ class TestReportDiagnostics:
                 want = ("lower" if value == lo else
                         "upper" if value == hi else None)
                 assert stage.at_bound.get(name) == want, (stage.name, name)
-            assert stage.converged or stage.iterations > 0
+            assert stage.converged or stage.work["brent"] > 0
             assert math.isfinite(stage.gradient_norm)
-            assert stage.starts_tried > 0
+            assert stage.work["grid"] > 0
         # stage 2 fits the raw normal series, which the noiseless model
         # matches inside the box
         assert report.stages[1].at_bound == {}
@@ -583,6 +583,13 @@ def quadratic_profile(centre, calls=None):
     return trial
 
 
+def trials(profile):
+    """The profile search's trials of every kind: grid, Brent and
+    derivative."""
+    return sum(profile.work[kind] for kind in ("grid", "brent",
+                                               "derivative"))
+
+
 LO, HI = 0.11, 1.53             # n's default bounds
 WIDTH = HI - LO
 CELL = WIDTH / (_PROFILE_GRID - 1)
@@ -596,10 +603,9 @@ class TestProfileSearch:
         assert profile.x == bound
         assert profile.inner.tolist() == [bound]
         assert profile.gradient_norm == 0.0
-        assert profile.work["bound_shortcut"]
-        assert (profile.iterations, profile.converged) == (0, True)
+        assert (profile.work["brent"], profile.converged) == (0, True)
         assert profile.work["derivative"] == 1
-        assert profile.evaluations == _PROFILE_GRID + 1
+        assert trials(profile) == _PROFILE_GRID + 1
 
     def test_interior_minimum_runs_brent_without_a_bound_check(self):
         centre = LO + 0.37 * WIDTH
@@ -607,11 +613,11 @@ class TestProfileSearch:
         profile = _profile_search(quadratic_profile(centre, calls), LO, HI)
         assert profile.x == pytest.approx(centre, abs=1e-9)
         assert profile.gradient_norm < 1e-6
-        assert not profile.work["bound_shortcut"] and profile.iterations > 0
+        assert profile.work["brent"] > 0
         assert profile.work["derivative"] == 2     # central difference
-        assert profile.evaluations == _PROFILE_GRID + profile.iterations + 2
+        assert trials(profile) == _PROFILE_GRID + profile.work["brent"] + 2
         # the grid is one call; Brent and the derivative make one-point calls
-        assert calls == [_PROFILE_GRID] + [1] * (profile.iterations + 2)
+        assert calls == [_PROFILE_GRID] + [1] * (profile.work["brent"] + 2)
 
     def test_inward_derivative_at_a_bound_runs_brent(self):
         # the minimum lies inside the first grid cell, nearer lo than the
@@ -621,11 +627,11 @@ class TestProfileSearch:
         profile = _profile_search(quadratic_profile(centre), LO, HI)
         assert profile.x == pytest.approx(centre, abs=1e-9)
         assert profile.gradient_norm < 1e-6
-        assert not profile.work["bound_shortcut"] and profile.iterations > 0
+        assert profile.work["brent"] > 0
         # the bound's one-sided difference, then a central one at the end
         assert profile.work["derivative"] == 1 + 2
-        assert (profile.evaluations
-                == _PROFILE_GRID + 1 + profile.iterations + 2)
+        assert (trials(profile)
+                == _PROFILE_GRID + 1 + profile.work["brent"] + 2)
 
     def test_inward_derivative_is_reused_when_brent_keeps_the_bound(self):
         # a notch just inside lo: the derivative at lo points inward, but
@@ -636,10 +642,9 @@ class TestProfileSearch:
                      np.array([x])) for x in xs.tolist()]
 
         profile = _profile_search(trial, LO, HI)
-        assert profile.x == LO and not profile.work["bound_shortcut"]
-        assert profile.iterations > 0
+        assert profile.x == LO and profile.work["brent"] > 0
         assert profile.work["derivative"] == 1
-        assert profile.evaluations == _PROFILE_GRID + 1 + profile.iterations
+        assert trials(profile) == _PROFILE_GRID + 1 + profile.work["brent"]
         assert profile.gradient_norm == pytest.approx(WIDTH, rel=1e-6)
 
     def test_no_grid_point_with_samples_to_fit_raises(self):
