@@ -57,6 +57,16 @@ def _exits(step: str):
     return wrap
 
 
+def _made(out_dir) -> Path:
+    """The output directory, made with its parents where missing."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}")
+    return out
+
+
 @click.group()
 def main() -> None:
     """Excavation force prediction and soil parameter calibration."""
@@ -81,8 +91,7 @@ def simulate(config_path, preset, noise, seed, out_dir) -> None:
     dataset = simulate_cycle(config.scenario, config.truth)
     if config.relative_sigma > 0.0:
         dataset = add_noise(dataset, config.relative_sigma, config.seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _made(out_dir)
     fio.write_cycle_csv(out / "cycle.csv", dataset.samples,
                         dataset.f_t_obs, dataset.f_n_obs)
     fio.write_scenario_json(out / "scenario.json", config.scenario,
@@ -119,8 +128,7 @@ def calibrate(cycle_csv, scenario_path, config_path, method, seed,
     calibrator = (calibrate_single_stage if method == "single"
                   else calibrate_multi_stage)
     report = calibrator(dataset, options=options)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _made(out_dir)
     fio.write_report_json(out / "report.json", report)
     click.echo(f"wrote {out / 'report.json'}: method={report.method} "
                f"F_R RMSE {report.rmse_fr_n:.1f} N "
@@ -158,8 +166,7 @@ def predict(report_json, scenario_path, prior_path, out_dir) -> None:
         click.echo(f"note: {len(failures)} samples were infeasible and "
                    "carry NaN forces", err=True)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _made(out_dir)
     t0 = time.perf_counter()
     fio.write_prediction_csv(out / "predicted.csv", prediction.trajectory,
                              prediction.depth, prediction.beta,
@@ -208,8 +215,7 @@ def evaluate(predicted_csv, observed_csv, out_dir) -> None:
     click.echo(f"F^N RMSE {fn_pair[0]:.3f} N ({fn_pair[1]:.3f}%)")
     click.echo(f"F_R RMSE {fr_pair[0]:.3f} N ({fr_pair[1]:.3f}%)")
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _made(out_dir)
         fio.write_metrics_json(out / "metrics.json", int(ft_obs.size),
                                ft_pair, fn_pair, fr_pair)
         click.echo(f"wrote {out / 'metrics.json'}")

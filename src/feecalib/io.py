@@ -4,16 +4,25 @@ CSV files are UTF-8 with LF line endings and shortest-round-trip float
 formatting, so a written file reloads bit-exactly. JSON documents carry a
 schema_version field and unit-suffixed keys; configs reject unknown keys
 before any computation starts.
+
+Every file is written by ``_rewrite``: an existing file is overwritten in
+place and then cut to the length just written, so it ends byte-equal to a
+fresh write without the truncating open, which can cost tens of ms on a
+file system that discards freed blocks. A symlink's target is written, a
+hard link stays shared, a new file gets mode 0o666 & ~umask, and a path
+that cannot be written raises ConfigError("cannot write <path>: ...").
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -45,6 +54,27 @@ _ANGLE_FIELDS = {"phi", "delta"}
 
 
 # ---------------------------------------------------------------------------
+# Writing
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def _rewrite(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text handle, with no newline translation, that writes
+    ``path`` from its start; the file is cut at the end of what was
+    written, also when the writer raises, so it never keeps a byte of
+    an older, longer file."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            try:
+                yield handle
+            finally:
+                handle.truncate()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
+
+
+# ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
 
@@ -54,7 +84,7 @@ def _write_table(path: str | Path, header: Sequence[str], columns) -> None:
     if len(set(map(len, values))) > 1:
         raise ValueError("every column needs one value per row")
     text = [map(repr, column) for column in values]
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+    with _rewrite(path) as handle:
         handle.write(",".join(header) + "\n")
         handle.writelines(",".join(row) + "\n" for row in zip(*text))
 
@@ -514,7 +544,7 @@ def read_scenario_json(path: str | Path) -> Scenario:
 
 
 def _dump_json(path: str | Path, doc: dict) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+    with _rewrite(path) as handle:
         json.dump(doc, handle, indent=2, allow_nan=False)
         handle.write("\n")
 

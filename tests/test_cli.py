@@ -663,6 +663,102 @@ class TestEvaluate:
             assert metrics[series]["rmse_pct"] is None
 
 
+def _writing_command(workdir, command, out):
+    """``command``'s arguments on the shared run, writing to ``out``."""
+    run = workdir / "run"
+    return [str(arg) for arg in {
+        "simulate": ["simulate", "--out", out],
+        "calibrate": ["calibrate", run / "cycle.csv", "--config",
+                      workdir / "fast.json", "--out", out],
+        "predict": ["predict", run / "report.json", "--scenario",
+                    run / "scenario.json", "--out", out],
+        "evaluate": ["evaluate", run / "predicted.csv", run / "cycle.csv",
+                     "--out", out],
+    }[command]]
+
+
+OUTPUT_FILES = [("simulate", "cycle.csv"), ("simulate", "scenario.json"),
+                ("calibrate", "report.json"), ("predict", "predicted.csv"),
+                ("evaluate", "metrics.json")]
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written exits 2 with one line naming it."""
+
+    @staticmethod
+    def _assert_refused(res, path, reason):
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith(f"error: cannot write {path}: "
+                                     f"{reason}"), res.stderr
+        assert res.stderr.count("\n") == 1, res.stderr
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate", "predict",
+                                         "evaluate"])
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["out-is-a-file", "out-under-a-file"])
+    def test_out_that_is_no_directory(self, runner, workdir, tmp_path,
+                                      command, under):
+        blocker = tmp_path / "o"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if under else blocker
+        res = runner.invoke(main, _writing_command(workdir, command, out))
+        self._assert_refused(res, out, "[Errno 20] Not a directory" if under
+                             else "[Errno 17] File exists")
+        assert blocker.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command, name", OUTPUT_FILES)
+    def test_output_file_that_is_a_directory(self, runner, workdir, tmp_path,
+                                             command, name):
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        res = runner.invoke(main, _writing_command(workdir, command, out))
+        self._assert_refused(res, out / name, "[Errno 21] Is a directory")
+        assert (out / name).is_dir()
+
+
+def test_predict_into_a_used_out_equals_a_fresh_run(runner, workdir,
+                                                    tmp_path):
+    """predict and evaluate run twice into one directory, the second time
+    on a scenario at a third of the sample rate: predicted.csv and
+    metrics.json hold only the second run's rows and are byte-equal to a
+    run into a fresh directory."""
+    run = workdir / "run"
+    doc = json.loads((run / "scenario.json").read_text())
+    doc["sample_rate_hz"] /= 3.0
+    low = tmp_path / "low"
+    config = tmp_path / "low.json"
+    config.write_text(json.dumps({"scenario": doc}))
+    res = runner.invoke(main, ["simulate", "--config", str(config),
+                               "--out", str(low)])
+    assert res.exit_code == 0, res.output
+    n_low = fio.read_cycle_csv(low / "cycle.csv")[1].size
+    n_high = fio.read_cycle_csv(run / "cycle.csv")[1].size
+    assert n_low < n_high
+
+    def chain(scenario, observed, out):
+        res = runner.invoke(main, ["predict", str(run / "report.json"),
+                                   "--scenario", str(scenario),
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["evaluate", str(out / "predicted.csv"),
+                                   str(observed), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    chain(run / "scenario.json", run / "cycle.csv", used)
+    assert fio.read_prediction_csv(used / "predicted.csv")["ft_N"].size \
+        == n_high
+    chain(low / "scenario.json", low / "cycle.csv", used)
+    chain(low / "scenario.json", low / "cycle.csv", fresh)
+    assert fio.read_prediction_csv(used / "predicted.csv")["ft_N"].size \
+        == n_low
+    assert json.loads((used / "metrics.json").read_text())["n_samples"] \
+        == n_low
+    for name in ("predicted.csv", "metrics.json"):
+        assert (used / name).read_bytes() == (fresh / name).read_bytes()
+
+
 def _corrupt(src, dst, line, fault):
     """Copy a CSV file with one fault on the given (1-based) line."""
     lines = src.read_text().splitlines()

@@ -1,10 +1,13 @@
-"""CSV files written by feecalib reload bit for bit, the CSV reader and
-writer match the row-at-a-time versions they replaced, and config numbers
-are checked strictly."""
+"""CSV files written by feecalib reload bit for bit, a rewritten file
+ends byte-equal to a fresh write, the CSV reader and writer match the
+row-at-a-time versions they replaced, and config numbers are checked
+strictly."""
 
 import json
 import math
+import os
 import re
+import stat
 import warnings
 from pathlib import Path
 
@@ -15,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feecalib import io as fio
-from feecalib import (ConfigError, Scenario, default_scenario, default_truth,
-                      find_preset, make_trajectory, preset_catalog,
-                      simulate_cycle, surface_after_cycle)
+from feecalib import (ConfigError, Scenario, calibrate_multi_stage,
+                      default_scenario, default_truth, find_preset,
+                      make_trajectory, preset_catalog, simulate_cycle,
+                      surface_after_cycle)
 from feecalib.cli import main
 
 # besides what st.floats draws anyway: signed zero, subnormals and the
@@ -163,6 +167,106 @@ def test_explicit_scenario_reloads_bit_exactly(tmp_path):
     again = fio.read_scenario_json(path).samples
     for name in ("t", "x", "z", "rho"):
         assert np.array_equal(bits(again[name]), bits(samples[name]))
+
+
+# ---------------------------------------------------------------------------
+# Rewriting in place: every writer leaves what a fresh write leaves
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def writers():
+    """Each public writer, bound to the default cycle's data, as a
+    function of the path it writes."""
+    scenario, truth = default_scenario(), default_truth()
+    cycle = simulate_cycle(scenario, truth)
+    s = cycle.samples
+    report = calibrate_multi_stage(cycle)
+    pairs = [(1.5, 0.25), (2.5, 0.5), (3.5, 0.75)]
+    return {
+        "write_cycle_csv": lambda path: fio.write_cycle_csv(
+            path, s, cycle.f_t_obs, cycle.f_n_obs),
+        "write_prediction_csv": lambda path: fio.write_prediction_csv(
+            path, s, s.x, s.rho, cycle.f_t_obs, cycle.f_n_obs),
+        "write_scenario_json": lambda path: fio.write_scenario_json(
+            path, scenario, truth, 0.05, 1),
+        "write_report_json": lambda path: fio.write_report_json(path,
+                                                                report),
+        "write_metrics_json": lambda path: fio.write_metrics_json(
+            path, s.size, *pairs),
+    }
+
+
+WRITERS = ["write_cycle_csv", "write_prediction_csv", "write_scenario_json",
+           "write_report_json", "write_metrics_json"]
+
+
+def fresh_bytes(write, folder):
+    path = folder / "fresh"
+    write(path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name", WRITERS)
+@pytest.mark.parametrize("old_size", [lambda n: 2 * n + 7, lambda n: n // 2,
+                                      lambda n: n],
+                         ids=["longer", "shorter", "same-size"])
+def test_rewrite_equals_a_fresh_write(tmp_path, writers, name, old_size):
+    fresh = fresh_bytes(writers[name], tmp_path)
+    path = tmp_path / "out"
+    path.write_bytes(b"Z" * old_size(len(fresh)))
+    writers[name](path)
+    assert path.read_bytes() == fresh
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_rewrite_writes_through_a_symlink(tmp_path, writers, name):
+    fresh = fresh_bytes(writers[name], tmp_path)
+    target = tmp_path / "target"
+    target.write_bytes(b"Z" * (2 * len(fresh)))
+    link, hard = tmp_path / "link", tmp_path / "hard"
+    link.symlink_to(target)
+    os.link(target, hard)
+    writers[name](link)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh
+    assert hard.read_bytes() == fresh     # still the same file
+
+
+@pytest.mark.parametrize("name", WRITERS)
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_new_file_mode_follows_the_umask(tmp_path, writers, name, umask):
+    path = tmp_path / "new"
+    before = os.umask(umask)
+    try:
+        writers[name](path)
+    finally:
+        os.umask(before)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("bad", [math.nan, object()], ids=["nan", "object"])
+def test_failed_dump_leaves_what_it_leaves_in_a_fresh_path(tmp_path, bad):
+    """A document that raises mid-encode: the file is cut after what the
+    encoder wrote, so no byte of the longer document before it is left."""
+    doc = {"first": list(range(100)), "bad": bad, "after": [1.0] * 100}
+    fresh, path = tmp_path / "fresh.json", tmp_path / "old.json"
+    with pytest.raises((ValueError, TypeError)) as fresh_err:
+        fio._dump_json(fresh, doc)
+    path.write_bytes(b"Z" * 10_000)
+    with pytest.raises(fresh_err.type):
+        fio._dump_json(path, doc)
+    assert path.read_bytes() == fresh.read_bytes()
+    assert b"Z" not in path.read_bytes()
+    assert fresh.read_bytes().startswith(b'{\n  "first": [')
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_unwritable_path_raises_config_error(tmp_path, writers, name):
+    path = tmp_path / "a directory"
+    path.mkdir()
+    with pytest.raises(ConfigError, match=r"^cannot write .*a directory: "
+                                          r"\[Errno 21\] Is a directory"):
+        writers[name](path)
 
 
 # ---------------------------------------------------------------------------
