@@ -35,10 +35,15 @@ in-soil samples (at 10%, 50% and 90% of the in-soil count) moved to blade
 angles outside the margins: 0.5 RHO_MIN, 1e-9 and pi - 1e-9. No other
 input has such a sample, since Bezier paths clamp their blade angles.
 
-A last line, ``roots``, sums by pile slope the engine passes of the sweep
-fits' stage records and how many of them ran the stationary-root solve,
-as ``slope:roots/passes``: how often the kernel's closed-form test could
-not rule the roots out.
+The ``roots`` line sums by pile slope the engine passes of the sweep
+fits' stage records and how many of them ran the stationary-root
+solve, as ``slope:roots/passes``: how often the kernel's closed-form
+test could not rule the roots out.
+
+A last line, ``single sha256``, hashes the single-stage fit of the
+default cycle at each slope and noise level, with two optimizer starts:
+theta*, its stage record (fitted values, objective, gradient norm,
+converged, evaluations and ``work``) and the final force errors.
 
 Usage: python scripts/fit_digest.py [--pairs N] [--slopes 0 10 25 40]
                                     [--noise 0 0.05] [--seed 1]
@@ -58,8 +63,10 @@ from pathlib import Path
 import numpy as np
 from click.testing import CliRunner
 
-from feecalib import (RHO_MIN, FeeCalibError, SlopedLine, add_noise,
-                      calibrate_multi_stage, default_scenario, default_truth,
+from feecalib import (RHO_MIN, CalibrationOptions, FeeCalibError,
+                      SlopedLine, SolverOptions, add_noise,
+                      calibrate_multi_stage, calibrate_single_stage,
+                      default_scenario, default_truth,
                       heldout_scenario, make_trajectory, predict_next_cycle,
                       prepare_cycle, preset_catalog, simulate_cycle,
                       surface_after_cycle)
@@ -71,6 +78,11 @@ def preset_pairs():
     presets = preset_catalog()
     return [(c, s) for c in presets if c.phi is not None
             for s in presets if s.kc is not None]
+
+
+def noisy(dataset, sigma, seed):
+    """``dataset`` with relative noise ``sigma``; itself at 0."""
+    return add_noise(dataset, sigma, seed) if sigma > 0.0 else dataset
 
 
 def feed(h, value):
@@ -109,6 +121,21 @@ def feed_fit(h, dataset, heldout):
     pred = predict_next_cycle(report.theta_star, heldout)
     feed(h, (pred.beta, pred.f_t, pred.f_n, pred.status))
     return report
+
+
+def feed_single(h, dataset):
+    """Hash the two-start single-stage fit of ``dataset``."""
+    options = CalibrationOptions(solver=SolverOptions(n_starts=2))
+    try:
+        report = calibrate_single_stage(dataset, options)
+    except FeeCalibError as exc:
+        feed(h, (type(exc).__name__, str(exc)))
+        return
+    (stage,) = report.stages
+    feed(h, astuple(report.theta_star))
+    feed(h, (stage.parameters, stage.objective_value, stage.gradient_norm,
+             stage.converged, stage.function_evaluations, stage.work))
+    feed(h, (report.rmse_ft_n, report.rmse_fn_n, report.rmse_fr_n))
 
 
 def flagged(dataset):
@@ -196,24 +223,23 @@ def main():
             clean = simulate_cycle(
                 scenario, classification.merged(sinkage).soil_parameters())
             for sigma in args.noise:
-                dataset = (add_noise(clean, sigma, args.seed) if sigma > 0.0
-                           else clean)
-                report = feed_fit(h, dataset, heldout)
+                report = feed_fit(h, noisy(clean, sigma, args.seed), heldout)
                 for stage in report.stages if report else ():
                     counts.update(stage.work)
     files = hashlib.sha256()
     for sigma in args.noise:
         feed_cli_files(files, sigma, args.seed)
     flags = hashlib.sha256()
+    single = hashlib.sha256()
     for slope in args.slopes:
         surface = SlopedLine((0.0, 0.0), math.radians(slope))
-        clean = flagged(simulate_cycle(
-            replace(default_scenario(), surface=surface), default_truth()))
+        clean = simulate_cycle(replace(default_scenario(), surface=surface),
+                               default_truth())
         heldout = replace(heldout_scenario(), surface=surface)
+        marked = flagged(clean)
         for sigma in args.noise:
-            dataset = (add_noise(clean, sigma, args.seed) if sigma > 0.0
-                       else clean)
-            feed_fit(flags, dataset, heldout)
+            feed_fit(flags, noisy(marked, sigma, args.seed), heldout)
+            feed_single(single, noisy(clean, sigma, args.seed))
     fits = len(args.slopes) * len(pairs) * len(args.noise)
     print(f"fits {fits} in {time.perf_counter() - t0:.1f} s")
     print(f"sha256 {h.hexdigest()}")
@@ -224,6 +250,7 @@ def main():
     print(f"flagged sha256 {flags.hexdigest()}")
     print("roots " + " ".join(f"{s:g}:{c['root_passes']}/{c['engine_passes']}"
                               for s, c in work.items()))
+    print(f"single sha256 {single.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -197,9 +197,9 @@ class PreparedCycle:
     which scores the whole cycle.
 
     ``memo`` keeps, for the fit that prepared the cycle, the kernel bound
-    at the last tool friction angle asked for (``kernel``) and the forces
-    at the last wedge parameters asked for (``_forces``). It starts empty
-    on every cycle, ``dataclasses.replace``'s copies too.
+    at the last tool friction angle asked for (``kernel``) and that
+    kernel's pass at the last (phi, delta) asked for (``_forces``). It
+    starts empty on every cycle, ``dataclasses.replace``'s copies too.
     """
 
     depth: np.ndarray
@@ -262,24 +262,21 @@ def prepare_cycle(dataset: CycleDataset) -> PreparedCycle:
 
 def _forces(theta: SoilParameters, cycle: PreparedCycle) -> CycleForceArrays:
     """The force engine over the cycle's samples, through the cycle's
-    kernel: the bits of ``predict_force_arrays``.
+    kernel: the bits of ``predict_force_arrays``, in new arrays.
 
-    The wedge force, and so f_n, does not depend on the sinkage
-    parameters (kc, kphi, n). So the forces at the last (gamma, c, c_a,
-    phi, delta) asked for, by their bits, are kept in the cycle's memo,
-    and a call at the same five values only recomputes f_t: stage 2's
-    record, stage 3 and the final report of a staged fit share one
-    kernel pass. The other arrays are the memo's own; callers read them.
+    The kernel pass depends on (phi, delta) alone. So the pass at the
+    last (phi, delta) asked for, by their bits, is kept in the cycle's
+    memo, and the forces are built from it: stage 2's record, stage 3
+    and the final report of a staged fit share one pass, and so do the
+    single-stage fit's finite-difference steps at one (phi, delta).
     """
-    key = struct.pack("<5d", theta.gamma, theta.cohesion_c,
-                      theta.adhesion_ca, theta.phi, theta.delta)
-    kept = cycle.memo.get("forces")
-    if kept is not None and kept[0] == key:
-        return kept[1].with_sinkage(cycle.lt, theta, cycle.loader)
-    out = _cycle_forces(cycle.kernel(theta.delta), cycle.depth, cycle.lt,
-                        cycle.area, theta, cycle.loader)
-    cycle.memo["forces"] = key, out
-    return out
+    key = struct.pack("<2d", theta.phi, theta.delta)
+    kernel = cycle.kernel(theta.delta)
+    kept = cycle.memo.get("pass")
+    if kept is None or kept[0] != key:
+        kept = cycle.memo["pass"] = key, kernel(theta.phi)
+    return _cycle_forces(kernel, kept[1], cycle.depth, cycle.lt, cycle.area,
+                         theta, cycle.loader)
 
 
 def stage1_tangential_force(cycle: PreparedCycle, adhesion_ca: float,
@@ -759,13 +756,13 @@ def calibrate_stage3(cycle: PreparedCycle,
     observations with every other parameter frozen.
 
     The wedge force does not depend on the sinkage parameters, so it is
-    evaluated once, or taken from the cycle's memo when stage 2 left it
-    there (see ``_forces``). For a given n the model is linear in
-    K = kc/b + kphi: the search runs over n and solves for K by bounded
-    least squares. The
-    incumbent (kc, kphi, n) is always a candidate and wins ties, which
-    makes the tangential error non-increasing across this stage. Normal-
-    force predictions are untouched by construction.
+    evaluated once, from the kernel pass stage 2 left in the cycle's memo
+    when it left one there (see ``_forces``). For a given n the model is
+    linear in K = kc/b + kphi: the search runs over n and solves for K by
+    bounded least squares. The incumbent (kc, kphi, n) is always a
+    candidate and wins ties, which makes the tangential error
+    non-increasing across this stage. Normal-force predictions are
+    untouched by construction.
     """
     t0 = time.perf_counter()
     loader = cycle.loader

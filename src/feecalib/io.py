@@ -242,6 +242,19 @@ def _as_int(value, context: str) -> int:
     return value
 
 
+def _numbers(rows, context: str):
+    """``rows``, a JSON array of arrays, with no true or false anywhere in
+    it: numpy would read them as 1.0 and 0.0."""
+    stack = [rows]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, list):
+            stack.extend(value)
+        elif isinstance(value, bool):
+            raise ConfigError(f"{context} must hold numbers, got {value!r}")
+    return rows
+
+
 def _as_point(value, context: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{context} must be an [x, z] pair")
@@ -325,7 +338,8 @@ def surface_from_json(obj: dict, context: str = "surface") -> Surface:
     if kind == "polyline":
         _check_keys(obj, ("type", "vertices_m", "nominal_alpha_rad",
                           "nominal_alpha_deg"), context)
-        vertices = _need(obj, "vertices_m", context)
+        vertices = _numbers(_need(obj, "vertices_m", context),
+                            f"{context}.vertices_m")
         alpha = _angle_from(obj, "nominal_alpha", context, default=0.0)
         return _build(Polyline, context, vertices, nominal_alpha=alpha)
     raise ConfigError(f"{context}.type must be 'sloped_line' or 'polyline', "
@@ -402,7 +416,8 @@ def _path_from_json(obj: dict, context: str) -> dict:
             for k in ("p0_m", "p1_m", "p2_m"))}
     if kind == "explicit":
         _check_keys(obj, ("type", "samples"), context)
-        rows = _need(obj, "samples", context)
+        rows = _numbers(_need(obj, "samples", context),
+                        f"{context}.samples")
         return {"samples": _build(_explicit_samples, context, rows)}
     raise ConfigError(f"{context}.type must be 'quadratic_bezier' or "
                       f"'explicit', got {kind!r}")

@@ -29,7 +29,7 @@ rad, kg/m^3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -433,39 +433,18 @@ class CycleForceArrays:
         return [(int(i), _STATUS_TEXT[int(self.status[i])])
                 for i in np.flatnonzero(self.in_soil & ~self.valid)]
 
-    def with_sinkage(self, lt, soil: SoilParameters,
-                     loader: LoaderParameters) -> CycleForceArrays:
-        """These forces with f_t at the sinkage parameters (kc, kphi, n)
-        of ``soil``, whose other parameters are the ones these forces were
-        predicted at: the wedge force, and so f_n, does not depend on
-        them. ``lt`` is the engine's input; the bits are the engine's."""
-        f_t = self.f_t.copy()
-        valid = self.valid
-        if np.any(valid):
-            f_t[valid] = _tangential_force(
-                self.fee[valid], self.depth[valid],
-                np.asarray(lt, dtype=float)[valid], soil, loader)
-        return replace(self, f_t=f_t)
 
-
-def _tangential_force(fee, depth, lt, soil: SoilParameters,
-                      loader: LoaderParameters):
-    """The tangential force at wedge force ``fee``: penetration pressure
-    plus the wedge force through the tool friction angle plus adhesion."""
-    p = (soil.kc / loader.b + soil.kphi) * depth ** soil.n
-    return (loader.omega * loader.b * p + fee * math.sin(soil.delta)
-            + soil.adhesion_ca * loader.omega * lt)
-
-
-def _cycle_forces(kernel: BearingKernel, depth, lt, area,
+def _cycle_forces(kernel: BearingKernel, pass_, depth, lt, area,
                   soil: SoilParameters, loader: LoaderParameters
                   ) -> CycleForceArrays:
-    """``predict_force_arrays`` through ``kernel``, bound to the in-soil
-    samples' blade angles at soil.delta: one pass at soil.phi, and each
-    failed sample's status from the kernel's blade-margin masks."""
+    """``predict_force_arrays`` from ``pass_``, the (beta, feasible,
+    factors) of ``kernel(soil.phi)`` for a kernel bound to the in-soil
+    samples' blade angles at soil.delta; each failed sample's status
+    comes from the kernel's blade-margin masks. The pass is only read;
+    every array returned but ``depth`` is new."""
     n = depth.size
     in_soil = depth > 0.0
-    beta_s, feasible, factors = kernel(soil.phi)
+    beta_s, feasible, factors = pass_
     beta = np.full(n, np.nan)
     beta[in_soil] = beta_s
     valid = np.zeros(n, dtype=bool)
@@ -487,9 +466,13 @@ def _cycle_forces(kernel: BearingKernel, depth, lt, area,
                  + soil.adhesion_ca * loader.omega * d_v * n_a
                  + w_load * n_q)
         fee[valid] = fee_v
-        f_t[valid] = _tangential_force(fee_v, d_v,
-                                       np.asarray(lt, dtype=float)[valid],
-                                       soil, loader)
+        # penetration pressure, the wedge force through the tool friction
+        # angle, and adhesion
+        p = (soil.kc / loader.b + soil.kphi) * d_v ** soil.n
+        f_t[valid] = (loader.omega * loader.b * p
+                      + fee_v * math.sin(soil.delta)
+                      + soil.adhesion_ca * loader.omega
+                      * np.asarray(lt, dtype=float)[valid])
         f_n[valid] = fee_v * math.cos(soil.delta)
     return CycleForceArrays(depth=depth, beta=beta, fee=fee, f_t=f_t,
                             f_n=f_n, status=status, in_soil=in_soil,
@@ -511,4 +494,5 @@ def predict_force_arrays(depth, rho, lt, area, soil: SoilParameters,
     depth = np.asarray(depth, dtype=float)
     rho = np.asarray(rho, dtype=float)
     kernel = BearingKernel(alpha, rho[depth > 0.0], soil.delta)
-    return _cycle_forces(kernel, depth, lt, area, soil, loader)
+    return _cycle_forces(kernel, kernel(soil.phi), depth, lt, area, soil,
+                         loader)

@@ -16,9 +16,9 @@ from feecalib import (ALPHA_MAX, RHO_MIN, CalibrationOptions, CycleDataset,
                       calibrate_multi_stage, calibrate_single_stage,
                       calibrate_stage1, calibrate_stage2, calibrate_stage3,
                       default_loader, default_scenario, heldout_scenario,
-                      make_trajectory, multi_start, predict_next_cycle,
-                      prepare_cycle, preset_catalog, resultant, rmse,
-                      simulate_cycle, wedge_geometry)
+                      make_trajectory, multi_start, predict_force_arrays,
+                      predict_next_cycle, prepare_cycle, preset_catalog,
+                      resultant, rmse, simulate_cycle, wedge_geometry)
 from feecalib.calibration import (BOUNDS, _final_report, _forces, assemble,
                                   stage1_tangential_force)
 
@@ -737,6 +737,34 @@ class TestPreparedCycle:
             assert np.array_equal(got, want[mask])
             assert np.array_equal(cycle.on_cycle(got),
                                   np.where(mask, want, 0.0))
+
+    def test_forces_are_built_anew_from_the_kept_pass(self, dataset, truth):
+        """A call at new (kc, kphi, n), or new (gamma, c, c_a, kc, kphi,
+        n), and the same (phi, delta) makes no kernel pass and gives the
+        engine's bits, whatever a caller did to the arrays of an earlier
+        call."""
+        cycle = prepare_cycle(dataset)
+        a = _forces(truth, cycle)
+        for values in (a.fee, a.f_t, a.f_n):
+            values[:] = -1.0
+        sinkage = replace(truth, kc=0.9 * truth.kc, kphi=1.2 * truth.kphi,
+                          n=0.8 * truth.n)
+        theta_b = replace(sinkage, gamma=1.3 * truth.gamma,
+                          cohesion_c=0.7 * truth.cohesion_c,
+                          adhesion_ca=1.1 * truth.adhesion_ca)
+        kernel = cycle.kernel(truth.delta)
+        passes = kernel.passes
+        for theta in (sinkage, theta_b, truth):
+            got = _forces(theta, cycle)
+            want = predict_force_arrays(cycle.depth, cycle.rho, cycle.lt,
+                                        cycle.area, theta, cycle.loader,
+                                        cycle.alpha)
+            for name in ("depth", "beta", "fee", "f_t", "f_n", "status",
+                         "in_soil", "valid"):
+                assert (getattr(got, name).tobytes()
+                        == getattr(want, name).tobytes()), name
+        assert cycle.kernel(truth.delta) is kernel
+        assert kernel.passes == passes
 
     def test_multi_stage_raises_on_zero_depths(self):
         with pytest.raises(DegenerateDepths):

@@ -1001,6 +1001,31 @@ class TestPolylineVertices:
         assert not (tmp_path / "predicted.csv").exists()
 
 
+class TestBooleanInArray:
+    """json.load reads true as True, which numpy reads as 1.0: a boolean
+    inside an array of numbers exits 2 with one line naming the array,
+    as a boolean in a number field does."""
+
+    @pytest.mark.parametrize("section, value", [
+        ("surface", {"type": "polyline",
+                     "vertices_m": [[-5, 0], [True, 0], [5, 0]]}),
+        ("path", {"type": "explicit",
+                  "samples": [[0.0, 0.3, 0.0, 0.5], [0.1, 0.6, -0.05, True]]}),
+    ], ids=["vertices", "samples"])
+    def test_predict_scenario(self, runner, workdir, tmp_path, section,
+                              value):
+        doc = json.loads((workdir / "run" / "scenario.json").read_text())
+        doc[section] = value
+        res = _predict_with_scenario(runner, workdir, tmp_path,
+                                     json.dumps(doc))
+        key = "vertices_m" if section == "surface" else "samples"
+        _assert_config_error(res, f"{section}.{key}")
+        assert res.stderr == (f"error: {tmp_path / 'scenario.json'}."
+                              f"{section}.{key} must hold numbers, "
+                              "got True\n")
+        assert not (tmp_path / "predicted.csv").exists()
+
+
 class TestPolylineNominalAlpha:
     @pytest.mark.parametrize("deg", [80.0, -30.0])
     def test_outside_the_range_exits_2(self, runner, workdir, tmp_path, deg):

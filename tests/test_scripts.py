@@ -50,8 +50,10 @@ def test_fit_digest_repeats():
         assert res.returncode == 0, res.stderr
     lines = [res.stdout.splitlines() for res in runs]
     assert lines[0][0].startswith("fits 4 in ")
+    assert len(lines[0]) == 8
     for row, label in ((1, ["sha256"]), (2, ["carved", "sha256"]),
-                       (4, ["files", "sha256"]), (5, ["flagged", "sha256"])):
+                       (4, ["files", "sha256"]), (5, ["flagged", "sha256"]),
+                       (7, ["single", "sha256"])):
         *words, digest = lines[0][row].split()
         assert words == label and len(digest) == 64
         int(digest, 16)
