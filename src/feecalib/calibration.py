@@ -31,7 +31,6 @@ import functools
 import itertools
 import logging
 import math
-import struct
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
@@ -196,10 +195,9 @@ class PreparedCycle:
     ``fn_cycle``) and its ``in_soil`` mask serve only the final report,
     which scores the whole cycle.
 
-    ``memo`` keeps, for the fit that prepared the cycle, the kernel bound
-    at the last tool friction angle asked for (``kernel``) and that
-    kernel's pass at the last (phi, delta) asked for (``_forces``). It
-    starts empty on every cycle, ``dataclasses.replace``'s copies too.
+    ``kernel``, bound on first use, is the cycle's one kernel; it keeps
+    the fit's last pass at one (phi, delta) (``_forces``). Every cycle
+    binds its own, ``dataclasses.replace``'s copies too.
     """
 
     depth: np.ndarray
@@ -214,8 +212,6 @@ class PreparedCycle:
     fn_cycle: np.ndarray
     alpha: float
     loader: LoaderParameters
-    memo: dict = field(default_factory=dict, init=False, repr=False,
-                       compare=False)
 
     @property
     def dropped(self) -> int:
@@ -228,15 +224,11 @@ class PreparedCycle:
         full[self.kept] = values
         return full
 
-    def kernel(self, delta: float) -> BearingKernel:
-        """The failure-angle and bearing-factor kernel bound to the
-        samples' blade angles at tool friction angle ``delta``; bound anew
-        only when ``delta`` is not the last one asked for."""
-        kernel = self.memo.get("kernel")
-        if kernel is None or kernel.delta != delta:
-            kernel = self.memo["kernel"] = BearingKernel(self.alpha, self.rho,
-                                                         delta)
-        return kernel
+    @functools.cached_property
+    def kernel(self) -> BearingKernel:
+        """The failure-angle and bearing-factor kernel bound to the pile
+        inclination and the samples' blade angles."""
+        return BearingKernel(self.alpha, self.rho)
 
 
 def prepare_cycle(dataset: CycleDataset) -> PreparedCycle:
@@ -264,19 +256,15 @@ def _forces(theta: SoilParameters, cycle: PreparedCycle) -> CycleForceArrays:
     """The force engine over the cycle's samples, through the cycle's
     kernel: the bits of ``predict_force_arrays``, in new arrays.
 
-    The kernel pass depends on (phi, delta) alone. So the pass at the
-    last (phi, delta) asked for, by their bits, is kept in the cycle's
-    memo, and the forces are built from it: stage 2's record, stage 3
-    and the final report of a staged fit share one pass, and so do the
+    The kernel pass depends on (phi, delta) alone. So the forces are
+    built from the pass the kernel keeps at the last (phi, delta) asked
+    for (``BearingKernel.pass_at``): stage 2's record, stage 3 and the
+    final report of a staged fit share one pass, and so do the
     single-stage fit's finite-difference steps at one (phi, delta).
     """
-    key = struct.pack("<2d", theta.phi, theta.delta)
-    kernel = cycle.kernel(theta.delta)
-    kept = cycle.memo.get("pass")
-    if kept is None or kept[0] != key:
-        kept = cycle.memo["pass"] = key, kernel(theta.phi)
-    return _cycle_forces(kernel, kept[1], cycle.depth, cycle.lt, cycle.area,
-                         theta, cycle.loader)
+    k = cycle.kernel
+    return _cycle_forces(k, k.pass_at(theta.phi, theta.delta), cycle.depth,
+                         cycle.lt, cycle.area, theta, cycle.loader)
 
 
 def stage1_tangential_force(cycle: PreparedCycle, adhesion_ca: float,
@@ -704,12 +692,12 @@ def calibrate_stage2(cycle: PreparedCycle, adhesion_ca: float,
     F = gamma*g*omega*(d^2 N_gamma + A_swept N_q) + c*omega*d*N_c
     + c_a*omega*d*N_a is linear in (gamma, c): the search runs over phi
     and solves for (gamma, c) by bounded linear least squares. The failure
-    angle and the bearing factors come from the engine's kernel, bound
-    once to the cycle's blade angles at delta (``PreparedCycle.kernel``),
-    whose pass takes every candidate of a call at once (the whole grid in
-    one broadcast pass). Samples it marks infeasible for a candidate (an
-    empty failure-angle window) are dropped from that candidate's
-    residual (zeroed in its screening bound).
+    angle and the bearing factors come from the cycle's kernel
+    (``PreparedCycle.kernel``), whose pass at delta takes every candidate
+    of a call at once (the whole grid in one broadcast pass). Samples it
+    marks infeasible for a candidate (an empty failure-angle window) are
+    dropped from that candidate's residual (zeroed in its screening
+    bound).
     """
     t0 = time.perf_counter()
     target = cycle.fn_obs / math.cos(delta)
@@ -719,11 +707,11 @@ def calibrate_stage2(cycle: PreparedCycle, adhesion_ca: float,
     # the per-sample coefficients of the factors, the same for every phi
     depth_sq, omega_depth = cycle.depth * cycle.depth, omega * cycle.depth
     adhesion = adhesion_ca * omega * cycle.depth
-    kernel = cycle.kernel(delta)
+    kernel = cycle.kernel
     start = kernel.passes, kernel.root_passes
 
     def trial(phis: np.ndarray, paths: Counter):
-        _, feasible, (n_gamma, n_c, n_a, n_q) = kernel(phis[:, None])
+        _, feasible, (n_gamma, n_c, n_a, n_q) = kernel(phis[:, None], delta)
         designs = np.stack([GRAVITY * omega * (depth_sq * n_gamma
                                                + cycle.area * n_q),
                             omega_depth * n_c], axis=-1)
@@ -756,8 +744,8 @@ def calibrate_stage3(cycle: PreparedCycle,
     observations with every other parameter frozen.
 
     The wedge force does not depend on the sinkage parameters, so it is
-    evaluated once, from the kernel pass stage 2 left in the cycle's memo
-    when it left one there (see ``_forces``). For a given n the model is
+    evaluated once, from the pass the cycle's kernel keeps from stage 2
+    when it keeps one (see ``_forces``). For a given n the model is
     linear in K = kc/b + kphi: the search runs over n and solves for K by
     bounded least squares. The incumbent (kc, kphi, n) is always a
     candidate and wins ties, which makes the tangential error
@@ -766,7 +754,7 @@ def calibrate_stage3(cycle: PreparedCycle,
     """
     t0 = time.perf_counter()
     loader = cycle.loader
-    kernel = cycle.kernel(theta_fixed.delta)
+    kernel = cycle.kernel
     start = kernel.passes, kernel.root_passes
     out = _forces(theta_fixed, cycle)
     valid = out.valid

@@ -212,11 +212,12 @@ def _need(obj: dict, key: str, context: str):
 
 def _check_schema_version(obj: dict, context: str) -> None:
     """A document without ``schema_version`` reads as the current one; a
-    non-integer version, or one newer than this reader, is refused."""
+    non-integer version, one below 1 or one newer than this reader is
+    refused."""
     _check_object(obj, context)
     version = obj.get("schema_version", SCHEMA_VERSION)
     if (isinstance(version, bool) or not isinstance(version, int)
-            or version > SCHEMA_VERSION):
+            or not 1 <= version <= SCHEMA_VERSION):
         raise ConfigError(f"{context}: unsupported schema_version "
                           f"{version!r} (this reader knows versions up to "
                           f"{SCHEMA_VERSION})")

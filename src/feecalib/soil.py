@@ -6,29 +6,23 @@ constrained failure-angle minimization in closed form, the Bekker
 pressure-sinkage law, and the composition of tangential/normal bucket
 forces. One kernel, ``BearingKernel``, the one entry to the chain from
 the blade-angle margins through the failure-angle window and solve to
-the factors, is bound once to a set of blade angles, a pile inclination
-and a tool friction angle, which computes every term that does not
-depend on the internal friction angle, the margins among them; each
-pass then computes only the terms of its friction angle, one or many at
-once. The force engine (``predict_force_arrays``) binds one per call,
-the calibration one per fit and tool friction angle; both take the
-forces from one pass and each failed sample's status from the kernel's
-margins. A pass evaluates every entry of the broadcast shape of friction
-angle against blade angle, the infeasible ones too, and sets those to
-NaN at the end, so nothing is gathered through the feasibility mask but
-the stationary roots that fall inside the failure-angle window. A
-closed-form test per row of friction angle (``BearingKernel.rootless``)
-alone decides whether a pass runs the root solve. The kernel's steps,
-its ``window`` and ``failure_angle`` and the formulas ``_ngamma_array``
-and ``_factor_arrays``, are what the tests hold against their
-references: a grid and golden-section search for the failure angle, and
-the cotangent form of the factors. All quantities are base SI (N, m,
-rad, kg/m^3).
+the factors, is bound once to what a cycle fixes, its pile inclination
+and blade angles; each pass then takes the two soil angles, the
+internal friction angle phi (one or many at once) and the tool friction
+angle delta, and computes only their terms. The force engine
+(``predict_force_arrays``) binds one per call and the calibration one
+per prepared cycle; both take the forces from one pass and each failed
+sample's status from the kernel's margins. The kernel's steps, its
+``window`` and ``failure_angle`` and the formulas ``_ngamma_array`` and
+``_factor_arrays``, are what the tests hold against their references: a
+grid and golden-section search for the failure angle, and the cotangent
+form of the factors. All quantities are base SI (N, m, rad, kg/m^3).
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,8 +182,8 @@ def _stationary_angles(rho_delta, phi, a, cos_a, sin_a, sin_phi):
 
 def _ngamma_array(alpha, two_cos_alpha, beta, rho_delta, phi):
     """N_gamma at failure angle beta; inputs broadcast as numpy arrays.
-    ``two_cos_alpha`` is 2.0 * np.cos(alpha) and ``rho_delta`` rho + delta,
-    which a kernel binds."""
+    ``two_cos_alpha`` is 2.0 * np.cos(alpha), which a kernel binds, and
+    ``rho_delta`` rho + delta, which a pass computes."""
     alpha_beta = alpha + beta
     return (np.cos(alpha_beta) * np.sin(alpha_beta + phi)
             / (two_cos_alpha * np.sin(beta) * np.sin(rho_delta + beta + phi)))
@@ -197,9 +191,9 @@ def _ngamma_array(alpha, two_cos_alpha, beta, rho_delta, phi):
 
 def _factor_arrays(alpha, beta, rho, rho_delta, phi, sin_rho):
     """Sine-cosine bearing factors (n_c, n_a, n_q) at failure angle beta;
-    inputs broadcast as numpy arrays. ``rho_delta`` is rho + delta and
-    ``sin_rho`` np.sin(rho), which a kernel binds. N_gamma is
-    ``_ngamma_array``'s."""
+    inputs broadcast as numpy arrays. ``rho_delta`` is rho + delta, which
+    a pass computes, and ``sin_rho`` np.sin(rho), which a kernel binds.
+    N_gamma is ``_ngamma_array``'s."""
     s_beta = np.sin(beta)
     s_chain = np.sin(rho_delta + beta + phi)
     n_c = np.cos(phi) / (s_beta * s_chain)
@@ -210,55 +204,54 @@ def _factor_arrays(alpha, beta, rho, rho_delta, phi, sin_rho):
 
 class BearingKernel:
     """The failure-angle and bearing-factor kernel bound to a pile
-    inclination ``alpha``, blade angles ``rho`` and a tool friction angle
-    ``delta``.
+    inclination ``alpha`` and blade angles ``rho``, what one cycle fixes.
 
-    Binding computes once what does not depend on the internal friction
-    angle: sin(rho), the blade-angle margins ``below`` and ``singular``
-    (see ``_blade_margins``, whose SingularGeometry it raises), which also
-    give a failed sample its status, rho + delta, (pi - rho) - delta,
-    rho + delta + EPS1 and the terms of alpha alone. A pass,
-    ``kernel(phi)``, computes the terms of phi alone. Each hoisted term is
-    the leading sum or product of the expression it enters (Python
-    evaluates rho + delta + phi as (rho + delta) + phi), so a pass makes
-    the floating-point operations of the whole formulas, in their order.
+    Binding computes once what depends on neither soil angle: sin(rho),
+    the blade-angle margins ``below`` and ``singular`` (see
+    ``_blade_margins``, whose SingularGeometry it raises), which also give
+    a failed sample its status, pi - rho, the least and the largest rho
+    and the terms of alpha alone. A pass, ``kernel(phi, delta)``, computes
+    the terms of the internal friction angle phi and the tool friction
+    angle delta: rho + delta, (pi - rho) - delta, rho + delta + EPS1 and
+    the terms of phi. Each hoisted term is the leading sum or product of
+    the expression it enters (Python evaluates rho + delta + phi as
+    (rho + delta) + phi), so a pass makes the floating-point operations
+    of the whole formulas, in their order.
 
-    rho has shape (m,) (a scalar is taken as (1,)); phi is a float,
-    giving (m,) arrays, or k friction angles as a (k, 1) column, giving
-    (k, m) arrays whose row i has the bits of the pass at the float
-    phi[i, 0], since every entry is computed by the same elementwise
-    operations. Every entry is evaluated, the infeasible ones too, and
-    set to NaN at the end. ``passes`` counts the passes and
-    ``root_passes`` those that ran the stationary-root solve.
+    rho has shape (m,) (a scalar is taken as (1,)) and delta is a float;
+    phi is a float, giving (m,) arrays, or k friction angles as a (k, 1)
+    column, giving (k, m) arrays whose row i has the bits of the pass at
+    the float phi[i, 0], since every entry is computed by the same
+    elementwise operations. Every entry is evaluated, the infeasible ones
+    too, and set to NaN at the end. ``pass_at`` keeps the last pass at
+    one float pair. ``passes`` counts the passes and ``root_passes``
+    those that ran the stationary-root solve.
     """
 
-    def __init__(self, alpha: float, rho, delta: float):
+    def __init__(self, alpha: float, rho):
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        self.alpha, self.rho, self.delta = alpha, rho, delta
+        self.alpha, self.rho = alpha, rho
         self.sin_rho = np.sin(rho)
         self.below, self.singular = _blade_margins(alpha, rho, self.sin_rho)
         self.usable = ~(self.below | self.singular)
-        self.rho_delta = rho + delta
-        self.room = math.pi - rho - delta
-        self.rho_delta_lo = self.rho_delta + EPS1
+        self.pi_rho = math.pi - rho
         self.cap = math.pi / 2.0 - alpha
         self.two_alpha = 2.0 * alpha
         self.two_cos_alpha = 2.0 * np.cos(alpha)
         self.alpha_lo = alpha + EPS1
         self.cos_alpha_lo = np.cos(self.alpha_lo)
         self.denom_lo = self.two_cos_alpha * np.sin(EPS1)
-        # 2c - A = 2 rho + 2 delta + phi - 2 alpha, less phi, at the least
-        # and the largest rho (see ``rootless``)
-        self.span = None
+        # twice the least and the largest rho (see ``rootless``)
+        self.two_rho = None
         cap = _ROOT_ANGLE_CAP
-        if rho.size and abs(alpha) <= cap and abs(delta) <= cap:
+        if rho.size and abs(alpha) <= cap:
             lo, hi = float(rho.min()), float(rho.max())
             if -cap <= lo and hi <= cap:
-                base = 2.0 * delta - 2.0 * alpha
-                self.span = (2.0 * lo + base, 2.0 * hi + base)
+                self.two_rho = (2.0 * lo, 2.0 * hi)
         self.passes = self.root_passes = 0
+        self._kept = None
 
-    def window(self, phi):
+    def window(self, phi, delta: float):
         """hi, the upper end of the failure-angle window at each entry; its
         lower end is EPS1, and hi <= EPS1 marks an empty window.
 
@@ -270,13 +263,14 @@ class BearingKernel:
         goes negative and its minimization would chase nonphysical
         inverted wedges.
         """
-        hi = np.minimum(self.room - phi - EPS2, math.pi - phi - ANGLE_MARGIN)
+        room = self.pi_rho - delta
+        hi = np.minimum(room - phi - EPS2, math.pi - phi - ANGLE_MARGIN)
         return np.minimum(hi, self.cap)
 
-    def rootless(self, phi) -> bool:
-        """Whether no entry of the pass at ``phi`` has a stationary root,
-        decided per row of phi in Python floats, without per-entry
-        trigonometry.
+    def rootless(self, phi, delta: float) -> bool:
+        """Whether no entry of the pass at (``phi``, ``delta``) has a
+        stationary root, decided per row of phi in Python floats, without
+        per-entry trigonometry.
 
         With c = rho+delta+phi and A = 2*alpha+phi, the discriminant of the
         root equation (see ``failure_angle``) is exactly
@@ -290,14 +284,17 @@ class BearingKernel:
         least sine less sin phi exceeds ``_ROOT_MARGIN``, which covers the
         rounding on both sides. False rules nothing out.
         """
-        if self.span is None:
+        if self.two_rho is None or not abs(delta) <= _ROOT_ANGLE_CAP:
             return False
+        # 2c - A less phi at the least and the largest rho
+        base = 2.0 * delta - self.two_alpha
+        span = (self.two_rho[0] + base, self.two_rho[1] + base)
         for phi in np.ravel(phi).tolist():
             if not abs(phi) <= _ROOT_ANGLE_CAP:
                 return False
             sin_phi = math.sin(phi)
             lead = math.sin(self.two_alpha + phi) + sin_phi
-            lo, hi = self.span[0] + phi, self.span[1] + phi
+            lo, hi = span[0] + phi, span[1] + phi
             trough = _TROUGH + 2.0 * math.pi * math.ceil((lo - _TROUGH)
                                                          / (2.0 * math.pi))
             least = -1.0 if trough <= hi else min(math.sin(lo), math.sin(hi))
@@ -305,7 +302,7 @@ class BearingKernel:
                 return False
         return True
 
-    def failure_angle(self, phi):
+    def failure_angle(self, phi, delta: float):
         """The failure-angle solve in closed form.
 
         Returns (beta, feasible, n_gamma) arrays: feasible where the window
@@ -330,35 +327,36 @@ class BearingKernel:
         (relative) of that minimum, so flat objectives tie-break to the
         smallest feasible angle.
         """
-        hi = self.window(phi)
+        rho_delta = self.rho + delta
+        hi = self.window(phi, delta)
         feasible = (hi > EPS1) & self.usable
         with np.errstate(divide="ignore", invalid="ignore"):
             f_lo = (self.cos_alpha_lo * np.sin(self.alpha_lo + phi)
-                    / (self.denom_lo * np.sin(self.rho_delta_lo + phi)))
+                    / (self.denom_lo * np.sin(rho_delta + EPS1 + phi)))
             # the pick runs over lo, the in-window roots and hi in that
             # order, keeping the first lowest N_gamma, which is finite at
             # a feasible entry; it is evaluated at the in-window roots alone
             best, f_best = EPS1, f_lo
-            if not self.rootless(phi):
+            if not self.rootless(phi, delta):
                 self.root_passes += 1
                 a = self.two_alpha + phi
-                roots = _stationary_angles(self.rho_delta, phi, a, np.cos(a),
+                roots = _stationary_angles(rho_delta, phi, a, np.cos(a),
                                            np.sin(a), np.sin(phi))
                 best, f_best = np.full(hi.shape, EPS1), f_lo.copy()
                 inside = (roots >= EPS1) & (roots <= hi[..., None])
-                rho_delta = np.broadcast_to(self.rho_delta, hi.shape)
+                rho_delta_b = np.broadcast_to(rho_delta, hi.shape)
                 phi_b = np.broadcast_to(phi, hi.shape)
                 for k in (0, 1):
                     root = roots[..., k]
                     at = np.nonzero(inside[..., k])
                     f = _ngamma_array(self.alpha, self.two_cos_alpha,
-                                      root[at], rho_delta[at], phi_b[at])
+                                      root[at], rho_delta_b[at], phi_b[at])
                     take = f < f_best[at]
                     at = tuple(i[take] for i in at)
                     best[at] = root[at]
                     f_best[at] = f[take]
             f_hi = _ngamma_array(self.alpha, self.two_cos_alpha, hi,
-                                 self.rho_delta, phi)
+                                 rho_delta, phi)
             take = f_hi < f_best
             best = np.where(take, hi, best)
             f_best = np.where(take, f_hi, f_best)
@@ -367,14 +365,23 @@ class BearingKernel:
                 feasible,
                 np.where(feasible, np.where(snap, f_lo, f_best), np.nan))
 
-    def __call__(self, phi):
-        """(beta, feasible, (n_gamma, n_c, n_a, n_q)) at friction angle
-        phi: the failure angle and the four bearing factors, NaN where
-        ``feasible`` fails."""
+    def __call__(self, phi, delta: float):
+        """(beta, feasible, (n_gamma, n_c, n_a, n_q)) at friction angles
+        (phi, delta): the failure angle and the four bearing factors, NaN
+        where ``feasible`` fails."""
         self.passes += 1
-        beta, feasible, n_gamma = self.failure_angle(phi)
+        beta, feasible, n_gamma = self.failure_angle(phi, delta)
         return beta, feasible, (n_gamma, *_factor_arrays(
-            self.alpha, beta, self.rho, self.rho_delta, phi, self.sin_rho))
+            self.alpha, beta, self.rho, self.rho + delta, phi, self.sin_rho))
+
+    def pass_at(self, phi: float, delta: float):
+        """The pass at the float pair (phi, delta), kept until another pair
+        is asked for; pairs compare by their bits. The kept pass is
+        shared, so its arrays are only read."""
+        key = struct.pack("<2d", phi, delta)
+        if self._kept is None or self._kept[0] != key:
+            self._kept = key, self(phi, delta)
+        return self._kept[1]
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +445,8 @@ def _cycle_forces(kernel: BearingKernel, pass_, depth, lt, area,
                   soil: SoilParameters, loader: LoaderParameters
                   ) -> CycleForceArrays:
     """``predict_force_arrays`` from ``pass_``, the (beta, feasible,
-    factors) of ``kernel(soil.phi)`` for a kernel bound to the in-soil
-    samples' blade angles at soil.delta; each failed sample's status
+    factors) of ``kernel(soil.phi, soil.delta)`` for a kernel bound to the
+    in-soil samples' blade angles; each failed sample's status
     comes from the kernel's blade-margin masks. The pass is only read;
     every array returned but ``depth`` is new."""
     n = depth.size
@@ -493,6 +500,6 @@ def predict_force_arrays(depth, rho, lt, area, soil: SoilParameters,
     """
     depth = np.asarray(depth, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    kernel = BearingKernel(alpha, rho[depth > 0.0], soil.delta)
-    return _cycle_forces(kernel, kernel(soil.phi), depth, lt, area, soil,
-                         loader)
+    kernel = BearingKernel(alpha, rho[depth > 0.0])
+    return _cycle_forces(kernel, kernel(soil.phi, soil.delta), depth, lt,
+                         area, soil, loader)

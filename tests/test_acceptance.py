@@ -115,11 +115,11 @@ def test_criterion_2_beta_solver_optimality():
         phi = rng.uniform(0.0, math.radians(45.0))
         delta = rng.uniform(0.0, math.radians(45.0))
         rho = rng.uniform(math.radians(10.0), math.radians(80.0))
-        kernel = BearingKernel(alpha, rho, delta)
-        hi = kernel.window(phi)
+        kernel = BearingKernel(alpha, rho)
+        hi = kernel.window(phi, delta)
         if hi[0] <= EPS1:
             continue
-        beta = float(kernel.failure_angle(phi)[0][0])
+        beta = float(kernel.failure_angle(phi, delta)[0][0])
         cells = int((hi[0] - EPS1) / step)
         grid = np.append(EPS1 + step * np.arange(cells + 1), hi[0])
         chain = rho + delta + grid + phi

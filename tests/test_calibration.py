@@ -752,7 +752,7 @@ class TestPreparedCycle:
         theta_b = replace(sinkage, gamma=1.3 * truth.gamma,
                           cohesion_c=0.7 * truth.cohesion_c,
                           adhesion_ca=1.1 * truth.adhesion_ca)
-        kernel = cycle.kernel(truth.delta)
+        kernel = cycle.kernel
         passes = kernel.passes
         for theta in (sinkage, theta_b, truth):
             got = _forces(theta, cycle)
@@ -763,8 +763,41 @@ class TestPreparedCycle:
                          "in_soil", "valid"):
                 assert (getattr(got, name).tobytes()
                         == getattr(want, name).tobytes()), name
-        assert cycle.kernel(truth.delta) is kernel
+        assert cycle.kernel is kernel
         assert kernel.passes == passes
+
+    @pytest.mark.parametrize("calibrate", [calibrate_multi_stage,
+                                           calibrate_single_stage])
+    def test_a_fit_binds_one_kernel(self, dataset, monkeypatch, calibrate):
+        """A fit binds one kernel, its prepared cycle's, whatever tool
+        friction angles its passes take."""
+        from feecalib import soil
+
+        bindings = []
+        original = soil.BearingKernel.__init__
+
+        def counted(self, *args):
+            bindings.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(soil.BearingKernel, "__init__", counted)
+        calibrate(dataset, options=CalibrationOptions(
+            solver=SolverOptions(n_starts=1)))
+        assert len(bindings) == 1
+
+    def test_a_copy_binds_its_own_kernel(self, dataset, truth):
+        """A ``dataclasses.replace`` copy binds its own kernel, which keeps
+        no pass of the original's."""
+        cycle = prepare_cycle(dataset)
+        want = _forces(truth, cycle)
+        copy = replace(cycle, fn_obs=2.0 * cycle.fn_obs)
+        assert copy.kernel is not cycle.kernel
+        assert copy.kernel.passes == 0
+        got = _forces(truth, copy)
+        assert copy.kernel.passes == cycle.kernel.passes == 1
+        for name in ("beta", "fee", "f_t", "f_n", "valid"):
+            assert (getattr(got, name).tobytes()
+                    == getattr(want, name).tobytes()), name
 
     def test_multi_stage_raises_on_zero_depths(self):
         with pytest.raises(DegenerateDepths):

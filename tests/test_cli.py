@@ -1414,7 +1414,7 @@ class TestSchemaVersion:
     """Each reader refuses a schema_version it does not know; documents
     without the key read as the current version."""
 
-    BAD_VERSIONS = [fio.SCHEMA_VERSION + 1, "3", 2.5, True]
+    BAD_VERSIONS = [fio.SCHEMA_VERSION + 1, "3", 2.5, True, 0, -3]
 
     @staticmethod
     def _assert_refused(res, path, version):

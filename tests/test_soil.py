@@ -101,7 +101,7 @@ def bearing_factors_canonical(alpha, beta, rho, phi, delta):
 
 def solve_one(alpha, rho, phi, delta):
     """The engine's failure angle for one feasible blade angle."""
-    beta, feasible = BearingKernel(alpha, rho, delta).failure_angle(phi)[:2]
+    beta, feasible = BearingKernel(alpha, rho).failure_angle(phi, delta)[:2]
     assert feasible[0]
     return float(beta[0])
 
@@ -138,7 +138,7 @@ def solve_beta_grid_golden(alpha, rho, phi, delta):
     """
     n_grid, refine_iters = 768, 56
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    hi = BearingKernel(alpha, rho, delta).window(phi)
+    hi = BearingKernel(alpha, rho).window(phi, delta)
     lo = np.full(hi.shape, EPS1)
     feasible = hi > lo
     beta = np.full(rho.shape, np.nan)
@@ -198,7 +198,7 @@ def stationarity_coefficients(alpha, rho, phi, delta):
 def in_window_roots(alpha, rho, phi, delta):
     """How many roots of the stationarity condition lie in the failure-angle
     window at each blade angle of the array ``rho``."""
-    hi = BearingKernel(alpha, rho, delta).window(phi)
+    hi = BearingKernel(alpha, rho).window(phi, delta)
     counts = []
     for rho_i, hi_i in zip(rho, hi):
         p, q, r = stationarity_coefficients(alpha, rho_i, phi, delta)
@@ -213,7 +213,7 @@ def in_window_roots(alpha, rho, phi, delta):
 
 
 def assert_matches_reference(alpha, rho, phi, delta):
-    beta, feasible = BearingKernel(alpha, rho, delta).failure_angle(phi)[:2]
+    beta, feasible = BearingKernel(alpha, rho).failure_angle(phi, delta)[:2]
     beta_ref, feasible_ref = solve_beta_grid_golden(alpha, rho, phi, delta)
     np.testing.assert_array_equal(feasible, feasible_ref)
     assert np.all(np.isnan(beta[~feasible]))
@@ -291,7 +291,7 @@ class TestSolveBeta:
     def test_matches_grid_argmin(self):
         alpha, phi, delta, rho = 0.3, 0.6, 0.4, 1.0
         beta = solve_one(alpha, rho, phi, delta)
-        hi = BearingKernel(alpha, rho, delta).window(phi)
+        hi = BearingKernel(alpha, rho).window(phi, delta)
         grid = np.arange(EPS1, hi[0], math.radians(0.01))
         vals = ngamma(alpha, grid, rho, phi, delta)
         j = int(np.argmin(vals))
@@ -308,7 +308,7 @@ class TestSolveBeta:
     def test_empty_feasible_set(self):
         # rho + delta + phi leave no room above EPS1
         rho = math.radians(100.0)
-        beta, feasible = BearingKernel(0.0, rho, 0.75).failure_angle(0.75)[:2]
+        beta, feasible = BearingKernel(0.0, rho).failure_angle(0.75, 0.75)[:2]
         assert not feasible[0] and math.isnan(beta[0])
         out = _engine(_soil(phi=0.75, delta=0.75), 0.1, rho)
         assert out.status[0] == _EMPTY_WINDOW
@@ -346,7 +346,7 @@ class TestClosedFormBeta:
         assert abs(r) > 1.3 * math.hypot(p, q)
         beta, feasible = assert_matches_reference(alpha, np.array([rho]),
                                                   phi, delta)
-        hi = BearingKernel(alpha, rho, delta).window(phi)
+        hi = BearingKernel(alpha, rho).window(phi, delta)
         assert feasible[0] and beta[0] in (EPS1, hi[0])
 
     def test_no_interior_root_zero_coefficients(self):
@@ -357,7 +357,7 @@ class TestClosedFormBeta:
         assert math.hypot(p, q) < 1e-15 and r > 0.5
         beta, feasible = assert_matches_reference(alpha, np.array([rho]),
                                                   phi, delta)
-        hi = BearingKernel(alpha, rho, delta).window(phi)
+        hi = BearingKernel(alpha, rho).window(phi, delta)
         assert feasible[0] and beta[0] == hi[0]
 
     def test_empty_window_row(self):
@@ -402,11 +402,11 @@ class TestBroadcastKernel:
                                           alpha, rho, phis):
         soil = classification.merged(sinkage).soil_parameters()
         rho = np.array(rho)
-        beta, feasible, factors = BearingKernel(alpha, rho, soil.delta)(
-            np.array(phis)[:, None])
+        beta, feasible, factors = BearingKernel(alpha, rho)(
+            np.array(phis)[:, None], soil.delta)
         assert beta.shape == feasible.shape == (len(phis), rho.size)
         for i, phi_i in enumerate(phis):
-            one = BearingKernel(alpha, rho, soil.delta)(phi_i)
+            one = BearingKernel(alpha, rho)(phi_i, soil.delta)
             assert np.array_equal(beta[i], one[0], equal_nan=True)
             assert np.array_equal(feasible[i], one[1])
             for full, want in zip(factors, one[2]):
@@ -417,10 +417,10 @@ class TestBroadcastKernel:
 
     @staticmethod
     def assert_rows_match(alpha, rho, phis, delta):
-        beta, feasible, factors = BearingKernel(alpha, rho, delta)(
-            np.array(phis)[:, None])
+        beta, feasible, factors = BearingKernel(alpha, rho)(
+            np.array(phis)[:, None], delta)
         for i, phi_i in enumerate(phis):
-            one = BearingKernel(alpha, rho, delta)(phi_i)
+            one = BearingKernel(alpha, rho)(phi_i, delta)
             assert np.array_equal(beta[i], one[0], equal_nan=True)
             assert np.array_equal(feasible[i], one[1])
             for full, want in zip(factors, one[2]):
@@ -467,13 +467,13 @@ class TestBroadcastKernel:
         # freshly bound kernel at each
         rho = np.array(rho)
         column = np.array(phis)[:, None]
-        kernel = BearingKernel(alpha, rho, delta)
-        calls = [(phi, kernel(phi)) for phi in phis]
-        calls.append((column, kernel(column)))
-        calls += [(phi, kernel(phi)) for phi in phis]
+        kernel = BearingKernel(alpha, rho)
+        calls = [(phi, kernel(phi, delta)) for phi in phis]
+        calls.append((column, kernel(column, delta)))
+        calls += [(phi, kernel(phi, delta)) for phi in phis]
         assert kernel.passes == 2 * len(phis) + 1
         for phi, (beta, feasible, factors) in calls:
-            fresh = BearingKernel(alpha, rho, delta)(phi)
+            fresh = BearingKernel(alpha, rho)(phi, delta)
             assert np.array_equal(beta, fresh[0], equal_nan=True)
             assert np.array_equal(feasible, fresh[1])
             for got, want in zip(factors, fresh[2]):
@@ -486,7 +486,7 @@ class TestBroadcastKernel:
         phi = np.array([[0.0], [0.4], [0.7]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            beta, feasible, factors = BearingKernel(0.2, rho, 0.3)(phi)
+            beta, feasible, factors = BearingKernel(0.2, rho)(phi, 0.3)
             out = _engine(_soil(phi=0.4, delta=0.3), 0.1, rho, alpha=0.2)
         assert not feasible[:, :4].any() and feasible[:, 4].all()
         for values in (beta, *factors):
@@ -496,6 +496,27 @@ class TestBroadcastKernel:
                                        _SINGULAR_RHO, _SINGULAR_RHO, 0]
         assert abs(math.sin(rho[3])) <= SIN_MARGIN
 
+    def test_pass_at_keeps_the_last_pair(self):
+        """``pass_at`` runs a pass only for a pair other than the last one
+        asked for, compared by bits (0.0 and -0.0 differ), and gives that
+        pass's bits."""
+        alpha, rho = math.radians(25.0), np.radians(np.linspace(12.0, 30.0,
+                                                                19))
+        kernel = BearingKernel(alpha, rho)
+        pairs = [(0.5, 0.3), (0.5, 0.3), (0.5, 0.25), (0.5, 0.3), (0.0, 0.3),
+                 (-0.0, 0.3), (-0.0, 0.3)]
+        kept, last = None, 0
+        for (phi, delta), passes in zip(pairs, [1, 1, 2, 3, 4, 5, 5]):
+            got = kernel.pass_at(phi, delta)
+            assert kernel.passes == passes
+            assert (got is kept) == (passes == last)
+            kept, last = got, passes
+            beta, feasible, factors = BearingKernel(alpha, rho)(phi, delta)
+            assert got[0].tobytes() == beta.tobytes()
+            assert got[1].tobytes() == feasible.tobytes()
+            for values, want in zip(got[2], factors):
+                assert values.tobytes() == want.tobytes()
+
 
 class TestRootlessPass:
     """``BearingKernel.rootless`` rules out a pass's stationary roots in
@@ -503,10 +524,10 @@ class TestRootlessPass:
     must then find no root at any entry: every root it returns is NaN."""
 
     @staticmethod
-    def reference_roots(kernel, phi):
+    def reference_roots(kernel, phi, delta):
         a = 2.0 * kernel.alpha + phi
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _stationary_angles(kernel.rho_delta, phi, a, np.cos(a),
+            return _stationary_angles(kernel.rho + delta, phi, a, np.cos(a),
                                       np.sin(a), np.sin(phi))
 
     @given(alpha=st.one_of(st.floats(0.0, ALPHA_MAX, exclude_max=True),
@@ -517,14 +538,14 @@ class TestRootlessPass:
                          st.sampled_from([PHI_LO, PHI_HI])))
     @settings(max_examples=400, deadline=None)
     def test_no_root_where_it_rules_them_out(self, alpha, delta, rho, phi):
-        kernel = BearingKernel(alpha, rho, delta)
-        if kernel.rootless(phi):
-            assert np.isnan(self.reference_roots(kernel, phi)).all()
-            assert kernel.rootless(np.array([[phi], [phi]]))
-            assert kernel(phi)[0].shape == (len(rho),)
+        kernel = BearingKernel(alpha, rho)
+        if kernel.rootless(phi, delta):
+            assert np.isnan(self.reference_roots(kernel, phi, delta)).all()
+            assert kernel.rootless(np.array([[phi], [phi]]), delta)
+            assert kernel(phi, delta)[0].shape == (len(rho),)
             assert kernel.root_passes == 0
         else:
-            kernel(phi)
+            kernel(phi, delta)
             assert kernel.root_passes == 1
 
     def test_clears_the_default_cycle_and_not_a_steep_face(self):
@@ -533,15 +554,16 @@ class TestRootlessPass:
         # degree face every row but phi = 0 has some inside its windows
         phis = np.linspace(PHI_LO, PHI_HI, 6)
         rho = np.radians(np.linspace(12.0, 30.0, 19))
-        kernel = BearingKernel(math.radians(25.0), rho, math.pi / 10.0)
-        assert all(kernel.rootless(phi) for phi in phis.tolist())
-        assert kernel.rootless(phis[:, None])
+        kernel = BearingKernel(math.radians(25.0), rho)
+        assert all(kernel.rootless(phi, math.pi / 10.0)
+                   for phi in phis.tolist())
+        assert kernel.rootless(phis[:, None], math.pi / 10.0)
         steep = BearingKernel(math.radians(40.0),
-                              np.radians(np.linspace(12.0, 120.0, 23)), 0.1)
-        assert not any(steep.rootless(phi) for phi in phis[1:].tolist())
-        assert not steep.rootless(phis[:, None])
+                              np.radians(np.linspace(12.0, 120.0, 23)))
+        assert not any(steep.rootless(phi, 0.1) for phi in phis[1:].tolist())
+        assert not steep.rootless(phis[:, None], 0.1)
         for phi in phis[1:].tolist():
-            assert not np.isnan(self.reference_roots(steep, phi)).all()
+            assert not np.isnan(self.reference_roots(steep, phi, 0.1)).all()
 
 
 class TestBekkerPressure:
@@ -583,8 +605,8 @@ class TestFeeForce:
         loaded = _engine(soil, 0.1, math.pi / 2, area=area)
         bare = _engine(soil, 0.1, math.pi / 2, area=0.0)
         # the factors at the engine's beta
-        beta, _, (_, _, _, n_q) = BearingKernel(0.0, [math.pi / 2],
-                                                soil.delta)(soil.phi)
+        beta, _, (_, _, _, n_q) = BearingKernel(0.0, [math.pi / 2])(
+            soil.phi, soil.delta)
         assert beta[0] == loaded.beta[0]
         assert loaded.fee[0] - bare.fee[0] == pytest.approx(w_load * n_q[0])
 
